@@ -13,10 +13,8 @@
 //! exactly the locking change.
 //!
 //! A third, **read-heavy** phase races N query threads against one
-//! writer on the raw store, comparing the pre-epoch locked read path
-//! (`ShardedStore::read`, gate + shard read locks per query batch)
-//! against the lock-free epoch read path (`ShardedStore::matches`,
-//! answered from the published snapshot).
+//! writer on the raw store, each query answered from the published epoch
+//! (`ShardedStore::matches`).
 //!
 //! ```text
 //! cargo run --release -p slider-bench --bin ingest            # full size
@@ -183,9 +181,7 @@ fn run_cell(p: &Params, shards: usize, producers: usize) -> (Duration, Slider) {
 /// rounds of pattern queries over every family predicate while one writer
 /// continuously feeds the workload into the store (cycling once the feed
 /// is exhausted, so writes contend for the cell's whole duration).
-/// `locked` readers pin the gate + shard read locks per query
-/// ([`slider_store::ShardedStore::read`], the pre-epoch read path);
-/// lock-free readers answer from the published epoch
+/// Readers answer from the published epoch
 /// ([`slider_store::ShardedStore::matches`]). Returns the time for all
 /// readers to finish, the total queries completed, and the store for
 /// verification.
@@ -194,7 +190,6 @@ fn run_read_cell(
     families: u64,
     readers: usize,
     sweeps: u64,
-    locked: bool,
 ) -> (Duration, u64, slider_store::ShardedStore) {
     let store = slider_store::ShardedStore::with_shards(16);
     let done = AtomicBool::new(false);
@@ -208,12 +203,7 @@ fn run_read_cell(
                     for _ in 0..sweeps {
                         for f in 0..families {
                             let pattern = TriplePattern::with_p(family::trans_pred(f));
-                            if locked {
-                                let snap = store.read();
-                                std::hint::black_box(snap.matches(pattern));
-                            } else {
-                                std::hint::black_box(store.matches(pattern));
-                            }
+                            std::hint::black_box(store.matches(pattern));
                             queries.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -433,57 +423,41 @@ fn main() {
         );
     }
 
-    // --- phase 2: read-heavy — N readers vs 1 writer, locked vs epoch --
+    // --- phase 2: read-heavy — N epoch readers vs 1 writer --------------
     let read_threads = *p.workers.last().unwrap();
     let sweeps: u64 = if smoke { 100 } else { 400 };
     println!("read-heavy ({read_threads} reader(s) × {sweeps} sweeps racing 1 writer, 16 shards):");
     {
-        let mut rates = [0f64; 2];
-        for (cell, (label, locked)) in [("locked", true), ("lock-free", false)]
-            .into_iter()
-            .enumerate()
-        {
-            let (mut took, mut qs, mut store) =
-                run_read_cell(&feeds, p.families, read_threads, sweeps, locked);
-            for _ in 1..runs {
-                let (t, q, s) = run_read_cell(&feeds, p.families, read_threads, sweeps, locked);
-                if t < took {
-                    (took, qs, store) = (t, q, s);
-                }
-            }
-            rates[cell] = qs as f64 / took.as_secs_f64().max(1e-9);
-            println!(
-                "  {label:>9} readers: {:>9.2} ms to drain, {:>7} queries, {:>10.0} queries/s",
-                took.as_secs_f64() * 1e3,
-                qs,
-                rates[cell],
-            );
-            report.push(
-                Cell::new(format!("read-heavy/{label}/{read_threads}-readers"))
-                    .param("phase", "read-heavy")
-                    .param("read_path", label)
-                    .param("readers", read_threads)
-                    .param("sweeps", sweeps)
-                    .metric("elapsed_ms", took.as_secs_f64() * 1e3)
-                    .metric("queries", qs as f64)
-                    .metric("queries_per_sec", rates[cell]),
-            );
-            if p.verify {
-                let mut want: Vec<Triple> = feeds.iter().flatten().copied().collect();
-                want.sort_unstable();
-                want.dedup();
-                assert_eq!(
-                    store.to_sorted_vec(),
-                    want,
-                    "{label} read-heavy cell lost writes"
-                );
-                println!("    ✓ store complete under racing {label} readers");
+        let (mut took, mut qs, mut store) = run_read_cell(&feeds, p.families, read_threads, sweeps);
+        for _ in 1..runs {
+            let (t, q, s) = run_read_cell(&feeds, p.families, read_threads, sweeps);
+            if t < took {
+                (took, qs, store) = (t, q, s);
             }
         }
+        let rate = qs as f64 / took.as_secs_f64().max(1e-9);
         println!(
-            "  lock-free readers sustained {:.2}x the locked baseline's query rate",
-            rates[1] / rates[0].max(1e-9)
+            "  epoch readers: {:>9.2} ms to drain, {:>7} queries, {:>10.0} queries/s",
+            took.as_secs_f64() * 1e3,
+            qs,
+            rate,
         );
+        report.push(
+            Cell::new(format!("read-heavy/epoch/{read_threads}-readers"))
+                .param("phase", "read-heavy")
+                .param("readers", read_threads)
+                .param("sweeps", sweeps)
+                .metric("elapsed_ms", took.as_secs_f64() * 1e3)
+                .metric("queries", qs as f64)
+                .metric("queries_per_sec", rate),
+        );
+        if p.verify {
+            let mut want: Vec<Triple> = feeds.iter().flatten().copied().collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(store.to_sorted_vec(), want, "read-heavy cell lost writes");
+            println!("    ✓ store complete under racing epoch readers");
+        }
     }
 
     println!("end-to-end ingest + materialise:");

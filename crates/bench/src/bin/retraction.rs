@@ -27,32 +27,23 @@
 //! the same shape PR 3's bench used, minus the universal `PRP-*` rules
 //! (which would collapse all partitions into one).
 //!
-//! A second phase replays the same bursty window over a **single-family
-//! membership-burst** workload (purely `is`-typed batches — see
-//! [`slider_bench::family::membership_batch`]), where the family-level
-//! planner has nothing to parallelise: it compares the two-level subject
-//! sub-split (`--subsplit N`, PR 8) against the `deletion_subsplit = 1`
-//! single-pass ablation on wall-clock and on the `coordinator_work`
-//! counter (triples the coordinator's own unit had to maintain).
-//!
 //! ```text
 //! cargo run --release -p slider-bench --bin retraction            # full size
 //! cargo run --release -p slider-bench --bin retraction -- --smoke # CI smoke
-//! cargo run --release -p slider-bench --bin retraction -- --smoke --subsplit 4
 //! ```
 //!
 //! `--smoke` runs a tiny workload and additionally cross-checks all
-//! incremental maintainers (both phases) against the oracle **at every
+//! incremental maintainers against the oracle **at every
 //! step** — and the multi-family schedule deliberately **re-asserts
 //! triples whose retraction is still pending** before some flushes,
 //! verifying the cancellation semantics (the re-asserted fact and its
 //! consequences must survive the flush) in eager, single-pass and
 //! partitioned modes alike. `--json <path>` writes the machine-readable
-//! trajectory (`slider_bench::report`) with subsplit-labelled cells.
+//! trajectory (`slider_bench::report`).
 
 use slider_baseline::RecomputeOracle;
 use slider_bench::family::{self, FamilyParams};
-use slider_bench::parse_bench_args_subsplit;
+use slider_bench::parse_bench_args;
 use slider_bench::report::{BenchReport, Cell};
 use slider_model::Triple;
 use slider_workloads::stream::{bursty_gaps, expirations};
@@ -128,8 +119,7 @@ fn fmt_ms(d: Duration) -> String {
 }
 
 fn main() {
-    let (smoke, json_path, subsplit) =
-        parse_bench_args_subsplit("retraction [--smoke] [--json <path>] [--subsplit <n>]", 4);
+    let (smoke, json_path) = parse_bench_args("retraction [--smoke] [--json <path>]");
     let p = if smoke { SMOKE } else { FULL };
 
     let schema = family::taxonomy(&p.shape);
@@ -322,115 +312,6 @@ fn main() {
         );
     }
 
-    // --- single-family membership bursts: the subject sub-split phase --
-    // One family = one maintenance partition: the family-level planner
-    // has nothing to fan out, so any parallelism must come from the
-    // two-level subject sub-split. Batches are purely `is`-typed
-    // (subject-local), so every expiry qualifies for the split plan.
-    let sub_shape = FamilyParams {
-        families: 1,
-        ..p.shape
-    };
-    println!(
-        "single-family membership bursts: depth {}, {} steps of {} is-triples, \
-         sub-split width {} vs single pass",
-        sub_shape.depth,
-        p.steps,
-        sub_shape.batch + sub_shape.shared,
-        subsplit
-    );
-    let sub_batches: Vec<Vec<Triple>> = (0..p.steps)
-        .map(|i| family::membership_batch(&sub_shape, i))
-        .collect();
-    let sub_taxonomy = family::taxonomy(&sub_shape);
-    let single = family::subsplit_slider(1, 1);
-    let split = family::subsplit_slider(1, subsplit);
-    single.materialize(&sub_taxonomy);
-    split.materialize(&sub_taxonomy);
-    let mut sub_oracle = RecomputeOracle::new(family::ruleset(1));
-    sub_oracle.add(&sub_taxonomy);
-
-    let mut single_elapsed = Duration::ZERO;
-    let mut split_elapsed = Duration::ZERO;
-    for (i, arriving) in sub_batches.iter().enumerate() {
-        let expiring = &expiry[i];
-        for (slider, elapsed) in [(&single, &mut single_elapsed), (&split, &mut split_elapsed)] {
-            let start = Instant::now();
-            slider.add_triples(arriving);
-            for &j in expiring {
-                slider.remove_deferred(&sub_batches[j]);
-            }
-            if !expiring.is_empty() {
-                slider.flush_maintenance();
-            }
-            slider.wait_idle();
-            *elapsed += start.elapsed();
-        }
-        sub_oracle.add(arriving);
-        for &j in expiring {
-            sub_oracle.remove(&sub_batches[j]);
-        }
-        if p.verify {
-            let expected = sub_oracle.closure().to_sorted_vec();
-            assert_eq!(
-                single.store().to_sorted_vec(),
-                expected,
-                "single-pass (subsplit=1) diverged from recompute at step {i}"
-            );
-            assert_eq!(
-                split.store().to_sorted_vec(),
-                expected,
-                "sub-split (subsplit={subsplit}) diverged from recompute at step {i}"
-            );
-        }
-    }
-
-    let single_stats = single.stats();
-    let split_stats = split.stats();
-    println!(
-        "  subsplit=1 (single pass): {} total, {} / step  ({} coordinator work)",
-        fmt_ms(single_elapsed),
-        fmt_ms(single_elapsed / p.steps as u32),
-        single_stats.coordinator_work
-    );
-    println!(
-        "  subsplit={} (two-level):  {} total, {} / step  ({} coordinator work, \
-         {} subpartitioned runs)",
-        subsplit,
-        fmt_ms(split_elapsed),
-        fmt_ms(split_elapsed / p.steps as u32),
-        split_stats.coordinator_work,
-        split_stats.subpartitioned_runs
-    );
-    assert_eq!(
-        single_stats.retracted, split_stats.retracted,
-        "both sub-split maintainers retracted the same assertions"
-    );
-    if subsplit >= 2 {
-        assert!(
-            split_stats.subpartitioned_runs > 0,
-            "no membership flush sub-split by subject"
-        );
-        assert!(
-            split_stats.coordinator_work < single_stats.coordinator_work,
-            "sub-splitting did not shed coordinator work: {} vs {}",
-            split_stats.coordinator_work,
-            single_stats.coordinator_work
-        );
-        println!(
-            "  coordinator-work reduction: {:.2}x ({} -> {})",
-            single_stats.coordinator_work as f64 / split_stats.coordinator_work.max(1) as f64,
-            single_stats.coordinator_work,
-            split_stats.coordinator_work
-        );
-    }
-    if p.verify {
-        println!(
-            "  verified: subsplit=1 and subsplit={subsplit} stores == recompute closure \
-             at every step"
-        );
-    }
-
     if let Some(path) = json_path {
         let mut report = BenchReport::new(
             "retraction",
@@ -449,8 +330,7 @@ fn main() {
         .config("smoke", smoke)
         .config("families", p.shape.families)
         .config("steps", p.steps)
-        .config("window_ticks", p.window_ticks)
-        .config("subsplit", subsplit);
+        .config("window_ticks", p.window_ticks);
         let per_step = |total: Duration| total.as_secs_f64() * 1e3 / p.steps as f64;
         for (label, elapsed, runs) in [
             ("eager", eager_elapsed, eager_stats.removal_runs),
@@ -468,21 +348,6 @@ fn main() {
                     .metric("elapsed_ms", elapsed.as_secs_f64() * 1e3)
                     .metric("per_step_ms", per_step(elapsed))
                     .metric("maintenance_runs", runs as f64),
-            );
-        }
-        // The single-family sub-split phase: one cell per planner width.
-        let split_label = format!("subsplit/{subsplit}");
-        for (label, width, elapsed, stats) in [
-            ("subsplit/1", 1usize, single_elapsed, &single_stats),
-            (split_label.as_str(), subsplit, split_elapsed, &split_stats),
-        ] {
-            report.push(
-                Cell::new(label)
-                    .param("subsplit", width)
-                    .metric("elapsed_ms", elapsed.as_secs_f64() * 1e3)
-                    .metric("per_step_ms", per_step(elapsed))
-                    .metric("coordinator_work", stats.coordinator_work as f64)
-                    .metric("subpartitioned_runs", stats.subpartitioned_runs as f64),
             );
         }
         report.write(&path).expect("bench trajectory written");

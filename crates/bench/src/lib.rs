@@ -411,26 +411,6 @@ pub mod family {
             .collect()
     }
 
-    /// Stream batch `i` of the **single-family membership-burst**
-    /// workload: purely `is`-typed triples — `batch` fresh instances at
-    /// the chain head plus `shared` shared subjects re-typed at the
-    /// batch's chain position — so an expiring batch seeds maintenance
-    /// with a subject-local retraction set and the two-level planner may
-    /// sub-split it by subject hash. (The regular [`batch`] includes a
-    /// per-batch `trans` leaf link, whose retraction correctly
-    /// disqualifies sub-splitting.)
-    pub fn membership_batch(p: &FamilyParams, i: u64) -> Vec<Triple> {
-        (0..p.batch)
-            .map(move |k| {
-                let inst = NodeId(3_000_000 + i * p.batch + k);
-                Triple::new(inst, is_pred(0), class(0, 0))
-            })
-            .chain((0..p.shared).map(move |s| {
-                Triple::new(shared_subj(0, s), is_pred(0), class(0, i % (p.depth - 1)))
-            }))
-            .collect()
-    }
-
     /// A family-ruleset reasoner whose deferred queue only flushes
     /// explicitly (no threshold, no deadline — timings measure the
     /// maintenance itself, not flusher scheduling), with partitioned
@@ -440,17 +420,6 @@ pub mod family {
             .with_maintenance_batch(usize::MAX)
             .with_maintenance_max_age(None)
             .with_maintenance_partitioning(partitioning);
-        Slider::new(Arc::new(Dictionary::new()), ruleset(families), config)
-    }
-
-    /// A deferred-flush reasoner with the two-level deletion planner at
-    /// `subsplit` subject buckets (1 = the single-pass baseline of the
-    /// sub-split ablation).
-    pub fn subsplit_slider(families: u64, subsplit: usize) -> Slider {
-        let config = SliderConfig::batch()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None)
-            .with_deletion_subsplit(subsplit);
         Slider::new(Arc::new(Dictionary::new()), ruleset(families), config)
     }
 }
@@ -661,45 +630,6 @@ pub fn parse_bench_args(usage: &str) -> (bool, Option<String>) {
         }
     }
     (smoke, json)
-}
-
-/// Parses the extended bench CLI shape used by the `retraction` bin:
-/// `[--smoke] [--json <path>] [--subsplit <n>]`. Exits with usage on
-/// anything else. `subsplit` defaults to `default_subsplit` and is
-/// clamped to ≥ 1.
-pub fn parse_bench_args_subsplit(
-    usage: &str,
-    default_subsplit: usize,
-) -> (bool, Option<String>, usize) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut json = None;
-    let mut subsplit = default_subsplit;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => match it.next() {
-                Some(path) => json = Some(path),
-                None => {
-                    eprintln!("usage: {usage}");
-                    std::process::exit(2);
-                }
-            },
-            "--subsplit" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => subsplit = n.max(1),
-                None => {
-                    eprintln!("usage: {usage}");
-                    std::process::exit(2);
-                }
-            },
-            _ => {
-                eprintln!("usage: {usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    (smoke, json, subsplit)
 }
 
 /// Reads the benchmark scale factor from `SLIDER_SCALE` (default

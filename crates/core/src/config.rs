@@ -71,26 +71,13 @@ pub struct SliderConfig {
     /// modes land on the same store. On by default; the switch exists as
     /// an ablation/cross-check.
     pub maintenance_partitioning: bool,
-    /// Intra-partition deletion sub-split factor: when a single
-    /// maintenance partition's pending retractions pass the planner's
-    /// subject-locality gate (every rule the deletion's affected
-    /// predicate closure touches declares those predicates
-    /// [`subject_local_inputs`](slider_rules::Rule::subject_local_inputs)),
-    /// the partition's affected predicates are carved into up to this
-    /// many subject-hash buckets whose downward closures are provably
-    /// disjoint, and each bucket runs its own DRed pass in parallel —
-    /// joining against the rest of the partition through a read-only
-    /// overlay. `1` (the default and the ablation baseline) disables
-    /// sub-splitting: the unit of deletion work stays the rule family,
-    /// exactly the previous behaviour. Requires
-    /// [`maintenance_partitioning`](SliderConfig::maintenance_partitioning).
-    pub deletion_subsplit: usize,
     /// Shards of the two-level-locked store (rounded up to a power of two,
-    /// minimum 1): rule joins and distributor writes touching disjoint
+    /// minimum 1): distributor and input writes touching disjoint
     /// predicate families lock disjoint shards and run concurrently, while
     /// maintenance still gets full exclusivity through the store's global
-    /// gate. `1` degenerates to the paper's single global readers-writer
-    /// lock (the `ingest` benchmark's baseline). Default:
+    /// gate. Rule joins take no shard lock — they read a published epoch.
+    /// `1` degenerates to the paper's single global write lock (the
+    /// `ingest` benchmark's baseline). Default:
     /// [`DEFAULT_SHARDS`](slider_store::DEFAULT_SHARDS).
     pub store_shards: usize,
     /// Dictionary sweep trigger ratio: after a coalesced DRed flush or an
@@ -121,7 +108,6 @@ impl Default for SliderConfig {
             maintenance_batch: 1024,
             maintenance_max_age: Some(Duration::from_millis(100)),
             maintenance_partitioning: true,
-            deletion_subsplit: 1,
             store_shards: slider_store::DEFAULT_SHARDS,
             dict_sweep_ratio: 0.5,
         }
@@ -204,13 +190,6 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style deletion sub-split factor (min 1; `1` = no
-    /// sub-splitting, the ablation baseline).
-    pub fn with_deletion_subsplit(mut self, subsplit: usize) -> Self {
-        self.deletion_subsplit = subsplit.max(1);
-        self
-    }
-
     /// Builder-style store shard count (min 1, rounded up to a power of
     /// two by the store; `1` = the global-lock baseline).
     pub fn with_store_shards(mut self, shards: usize) -> Self {
@@ -243,7 +222,6 @@ mod tests {
         assert!(c.maintenance_batch >= 1);
         assert!(c.maintenance_max_age.is_some());
         assert!(c.maintenance_partitioning);
-        assert_eq!(c.deletion_subsplit, 1);
         assert_eq!(c.store_shards, slider_store::DEFAULT_SHARDS);
         assert_eq!(c.dict_sweep_ratio, 0.5);
     }
@@ -267,13 +245,6 @@ mod tests {
     fn store_shards_builder_clamps() {
         assert_eq!(SliderConfig::default().with_store_shards(0).store_shards, 1);
         assert_eq!(SliderConfig::default().with_store_shards(8).store_shards, 8);
-    }
-
-    #[test]
-    fn deletion_subsplit_builder_clamps() {
-        let c = SliderConfig::default();
-        assert_eq!(c.clone().with_deletion_subsplit(0).deletion_subsplit, 1);
-        assert_eq!(c.with_deletion_subsplit(4).deletion_subsplit, 4);
     }
 
     #[test]

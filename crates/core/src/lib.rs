@@ -26,9 +26,8 @@
 //!   [`SliderConfig::buffer_capacity`] triples — or sits idle longer than
 //!   [`SliderConfig::timeout`] — its content becomes a *rule instance*: a
 //!   job on the **thread pool** that joins the batch against the store's
-//!   published **epoch snapshot** — lock-free, scoped to the rule's
-//!   declared read set (see `slider_store::EpochSnapshot`) — per paper
-//!   Algorithm 1.
+//!   published **epoch snapshot** (see `slider_store::EpochSnapshot`),
+//!   taking no gate or shard lock — per paper Algorithm 1.
 //! * The rule instance's **distributor** inserts the conclusions into the
 //!   store, locking one predicate shard at a time (writes on disjoint
 //!   shards run concurrently); only the triples that were *actually new*

@@ -41,26 +41,8 @@
 
 use slider_model::{FxHashSet, NodeId, Triple};
 use slider_rules::{DependencyGraph, OutputSignature, Rule};
-use slider_store::{Overlay, StoreView, VerticalStore};
+use slider_store::VerticalStore;
 use std::sync::Arc;
-
-/// Runs `f` against a read view of `store`, overlaid on `context` when a
-/// maintenance pass is scoped to a carve of a larger store (the
-/// intra-partition subject sub-split: the pass mutates its own bucket
-/// while joining against the rest of the partition read-only).
-fn with_view<R>(
-    store: &VerticalStore,
-    context: Option<&VerticalStore>,
-    f: impl FnOnce(&StoreView) -> R,
-) -> R {
-    match context {
-        Some(ctx) => {
-            let overlay = Overlay::new(store, ctx);
-            f(&overlay.view())
-        }
-        None => f(&store.view()),
-    }
-}
 
 /// Counters of one maintenance (retraction) run.
 ///
@@ -114,15 +96,8 @@ impl RemovalOutcome {
 /// closure, rederives survivors. The caller must hold exclusive access
 /// (the reasoner passes the store behind its write lock) and guarantee the
 /// store is a closed state (quiescent — no in-flight rule instances).
-///
-/// When `context` is `Some`, `store` is a *carve* of a larger store (a
-/// subject bucket of the affected predicates) and joins read through an
-/// [`Overlay`] over the untouched remainder; mutations still land only in
-/// `store`. Soundness of restricting mutation to the carve is the
-/// caller's obligation (the planner's subject-locality gate).
 pub(crate) fn dred(
     store: &mut VerticalStore,
-    context: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     graph: &DependencyGraph,
     retracted: &[Triple],
@@ -178,11 +153,10 @@ pub(crate) fn dred(
     let mut out: Vec<Triple> = Vec::new();
     while !delta.is_empty() {
         out.clear();
-        with_view(store, context, |view| {
-            for &i in &over_rules {
-                rules[i].apply(view, &delta, &mut out);
-            }
-        });
+        let view = store.view();
+        for &i in &over_rules {
+            rules[i].apply(&view, &delta, &mut out);
+        }
         for &t in &delta {
             store.remove(t);
             deleted_preds.insert(t.p);
@@ -209,14 +183,7 @@ pub(crate) fn dred(
     };
 
     // Phase 2: rederive (shared with ruleset-swap retraction).
-    outcome.rederived = rederive(
-        store,
-        context,
-        rules,
-        &rederive_rules,
-        &scheduled,
-        full_rederive,
-    );
+    outcome.rederived = rederive(store, rules, &rederive_rules, &scheduled, full_rederive);
     outcome
 }
 
@@ -227,15 +194,12 @@ pub(crate) fn dred(
 /// conservative mode). Returns how many triples were restored.
 fn rederive(
     store: &mut VerticalStore,
-    context: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     rule_indices: &[usize],
     scheduled: &FxHashSet<Triple>,
     force_forward: bool,
 ) -> usize {
-    // An empty bucket can still rederive from its context overlay, so the
-    // emptiness shortcut must consider both layers.
-    if rule_indices.is_empty() || (store.is_empty() && context.is_none_or(|c| c.is_empty())) {
+    if rule_indices.is_empty() || store.is_empty() {
         return 0;
     }
     let mut rederived = 0;
@@ -250,20 +214,19 @@ fn rederive(
     let mut need_forward = force_forward;
     while !need_forward {
         let mut restored: Vec<Triple> = Vec::new();
-        with_view(store, context, |view| {
-            candidates.retain(|&t| {
-                for &i in rule_indices {
-                    match rules[i].derives(view, t) {
-                        Some(true) => {
-                            restored.push(t);
-                            return false;
-                        }
-                        Some(false) => {}
-                        None => need_forward = true,
+        let view = store.view();
+        candidates.retain(|&t| {
+            for &i in rule_indices {
+                match rules[i].derives(&view, t) {
+                    Some(true) => {
+                        restored.push(t);
+                        return false;
                     }
+                    Some(false) => {}
+                    None => need_forward = true,
                 }
-                true
-            });
+            }
+            true
         });
         rederived += restored.len();
         for &t in &restored {
@@ -279,24 +242,13 @@ fn rederive(
     // semi-naive fixpoint on fresh conclusions.
     if need_forward {
         let mut out: Vec<Triple> = Vec::new();
-        // Round 0 feeds every survivor — both layers when overlaid — so
-        // any one-step-from-survivors conclusion that went missing comes
-        // back; conclusions already present in the (immutable) context
-        // must not be duplicated into the carve.
-        let mut delta: Vec<Triple> = match context {
-            Some(ctx) => store.iter().chain(ctx.iter()).collect(),
-            None => store.iter().collect(),
-        };
+        let mut delta: Vec<Triple> = store.iter().collect();
         let mut fresh: Vec<Triple> = Vec::new();
         loop {
             out.clear();
-            with_view(store, context, |view| {
-                for &i in rule_indices {
-                    rules[i].apply(view, &delta, &mut out);
-                }
-            });
-            if let Some(ctx) = context {
-                out.retain(|&t| !ctx.contains(t));
+            let view = store.view();
+            for &i in rule_indices {
+                rules[i].apply(&view, &delta, &mut out);
             }
             fresh.clear();
             store.insert_batch(&out, &mut fresh);
@@ -392,7 +344,7 @@ pub(crate) fn retract_rules(
     // Rederive with the surviving rules: whatever still has a derivation
     // under the new program comes back.
     let indices: Vec<usize> = (0..surviving.len()).collect();
-    let rederived = rederive(store, None, surviving, &indices, &scheduled, full_rederive);
+    let rederived = rederive(store, surviving, &indices, &scheduled, full_rederive);
     (overdeleted, rederived)
 }
 
@@ -467,7 +419,7 @@ mod tests {
     ) -> (VerticalStore, RemovalOutcome) {
         let mut store = closed_store(ruleset, explicit);
         let graph = DependencyGraph::build(ruleset);
-        let outcome = dred(&mut store, None, ruleset.rules(), &graph, retract, full);
+        let outcome = dred(&mut store, ruleset.rules(), &graph, retract, full);
         (store, outcome)
     }
 
@@ -613,56 +565,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Subject-bucketed DRed over a context overlay reaches the same
-    /// store and the same merged counters as one whole-store pass — the
-    /// invariant the two-level flush planner relies on.
-    #[test]
-    fn bucketed_dred_with_context_matches_whole_store() {
-        use slider_rules::Subsumption;
-        use slider_store::subject_bucket;
-
-        const IS: NodeId = NodeId(70);
-        const SUB: NodeId = NodeId(71);
-        let rs = Ruleset::custom("membership").with(Subsumption::new("SUB", IS, SUB));
-        let graph = DependencyGraph::build(&rs);
-        let class = |c: u64| Triple::new(n(100 + c), SUB, n(101 + c));
-        let is = |x: u64, c: u64| Triple::new(n(x), IS, n(100 + c));
-        let mut explicit: Vec<Triple> = (0..4).map(class).collect();
-        for x in 0..24 {
-            explicit.push(is(x, x % 3));
-        }
-        let retract: Vec<Triple> = (0..24).step_by(2).map(|x| is(x, x % 3)).collect();
-
-        let mut whole = closed_store(&rs, &explicit);
-        let whole_outcome = dred(&mut whole, None, rs.rules(), &graph, &retract, false);
-
-        const K: usize = 3;
-        let mut ctx = closed_store(&rs, &explicit);
-        let mut affected = ctx.split_off(&[IS]);
-        let mut merged = RemovalOutcome::default();
-        let mut rejoined = ctx.clone();
-        for k in 0..K {
-            let mut bucket = affected.split_off_subjects(|s| subject_bucket(s, K) == k);
-            let seeds: Vec<Triple> = retract
-                .iter()
-                .copied()
-                .filter(|t| subject_bucket(t.s, K) == k)
-                .collect();
-            merged.merge(dred(
-                &mut bucket,
-                Some(&ctx),
-                rs.rules(),
-                &graph,
-                &seeds,
-                false,
-            ));
-            rejoined.absorb(bucket);
-        }
-        assert!(affected.is_empty(), "every subject landed in some bucket");
-        assert_eq!(rejoined.to_sorted_vec(), whole.to_sorted_vec());
-        assert_eq!(merged, whole_outcome);
     }
 
     #[test]

@@ -491,8 +491,8 @@ fn worker_loop(queue: &JobQueue) {
                 rule,
                 delta,
             } => {
-                // A panicking rule instance (e.g. a custom rule violating
-                // its declared read set) must not wedge its session — the
+                // A panicking rule instance (e.g. a buggy custom rule)
+                // must not wedge its session — the
                 // inflight token is released either way, or every
                 // wait_idle/flush/Drop on that session would hang — and
                 // must not touch any *other* session: the job carries its

@@ -18,8 +18,7 @@ use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, FxHashSet, NodeId, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, InputFilter, Rule, Ruleset};
-use slider_store::{subject_bucket, ShardedStore, VerticalStore};
-use std::collections::BTreeMap;
+use slider_store::{ShardedStore, VerticalStore};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -29,10 +28,6 @@ use std::time::{Duration, Instant};
 pub(crate) struct Module {
     pub(crate) rule: Arc<dyn Rule>,
     filter: InputFilter,
-    /// The rule's declared static read set ([`Rule::read_predicates`]),
-    /// pre-planned against the store's shard layout: `Some` lets a join
-    /// pin only those predicates' shards, `None` means a full snapshot.
-    read_plan: Option<slider_store::ReadSet>,
     buffer: Buffer,
     /// Rules whose buffers receive this module's fresh conclusions —
     /// `successors` in the dependency graph.
@@ -66,15 +61,13 @@ pub(crate) struct RulesetState {
     backward: Vec<bool>,
 }
 
-/// Builds the ruleset-derived state: dependency graph, modules with
-/// read plans pre-planned against `store`'s shard layout, and the
+/// Builds the ruleset-derived state: dependency graph, modules, and the
 /// backward-matcher probe results. For rules also present in `carried`
 /// (matched by name + definition), the counters and the adaptive
 /// fire-threshold plan carry over — a hot-swap keeps a kept rule's
 /// history and tuning.
 fn build_state(
     ruleset: &Ruleset,
-    store: &ShardedStore,
     base_capacity: usize,
     carried: Option<&RulesetState>,
 ) -> RulesetState {
@@ -92,7 +85,6 @@ fn build_state(
             Module {
                 rule: Arc::clone(rule),
                 filter: rule.input_filter(),
-                read_plan: rule.read_predicates().map(|preds| store.plan_read(&preds)),
                 buffer: Buffer::new(base_capacity),
                 successors: graph.successors(i).to_vec(),
                 counters: kept.map(|m| m.counters.carry()).unwrap_or_default(),
@@ -154,10 +146,6 @@ pub(crate) struct Engine {
     /// Partitioned-flush switch (see
     /// `SliderConfig::maintenance_partitioning`).
     partitioning: bool,
-    /// Intra-partition subject sub-split factor (see
-    /// `SliderConfig::deletion_subsplit`); 1 disables the planner's
-    /// second level.
-    subsplit: usize,
     /// Eager removals waiting to be combined: a caller enqueues its batch
     /// here before blocking on the maintenance mutex, and whichever
     /// caller acquires the mutex with an unserved slot drains the queue
@@ -187,6 +175,11 @@ pub(crate) struct Engine {
     /// Triples retired (retracted + overdeleted) by maintenance runs
     /// since the last dictionary sweep — the sweep trigger's numerator.
     retired_since_sweep: AtomicUsize,
+    /// Runs once, inside the next flush slice, between draining the
+    /// pending queue and applying it — holds a drained-but-unapplied
+    /// slice open for the flush-barrier test.
+    #[cfg(test)]
+    slice_drained_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 /// Absolute floor for the automatic dictionary sweep: below this many
@@ -194,11 +187,7 @@ pub(crate) struct Engine {
 /// for its liveness scan, whatever the ratio says.
 const DICT_SWEEP_MIN_RETIRED: usize = 1024;
 
-/// Pending sets below this size never sub-split: a one-seed partition has
-/// nothing to parallelise by subject.
-const SUBSPLIT_MIN_PENDING: usize = 2;
-
-/// One first-level bucket of a partitioned maintenance plan: the pending
+/// One bucket of a partitioned maintenance plan: the pending
 /// retractions that map to one maintenance partition, plus the predicates
 /// whose tables that partition's DRed pass may touch (split off as a
 /// store shard).
@@ -208,13 +197,6 @@ struct PendingGroup {
     /// flush is a single batch 0; an eager combining run keeps one batch
     /// per caller so each caller gets its own [`RemovalOutcome`].
     triples: Vec<(usize, Triple)>,
-    /// `Some(closure)` when the group passes the subject-locality gate
-    /// and sub-splits: the *affected predicate closure* whose tables are
-    /// carved into subject-hash buckets, each maintained by its own DRed
-    /// unit over a read-only overlay of the rest of the partition (the
-    /// planner's second level; see
-    /// [`DependencyGraph::subsplit_affected`]).
-    affected: Option<Vec<slider_model::NodeId>>,
 }
 
 /// One caller's batch in a combining eager-removal run: the leader that
@@ -227,36 +209,12 @@ struct EagerBatch {
     done: Mutex<Option<RemovalOutcome>>,
 }
 
-/// Shape of an executed maintenance run, for counters and trace events:
-/// how many first-level groups the plan had, how many units actually ran
-/// (a sub-split group contributes one unit per occupied subject bucket),
-/// and how many of those units were subject-bucket carves.
-#[derive(Clone, Copy)]
-struct RunShape {
-    partitions: usize,
-    units: usize,
-    subpartitions: usize,
-}
-
-impl RunShape {
-    /// The unplanned single DRed pass over the whole store.
-    fn single_pass() -> Self {
-        RunShape {
-            partitions: 1,
-            units: 1,
-            subpartitions: 0,
-        }
-    }
-}
-
 /// Runs one unit of deletion work: the batch-labelled `seeds` grouped by
-/// batch, one DRed pass per non-empty batch in batch order, each joining
-/// through `ctx` (the read-only rest of the unit's partition) when the
-/// unit is a subject-bucket carve. Returns one outcome per batch —
-/// empty batches stay zeroed, exactly what a serial run would report.
+/// batch, one DRed pass per non-empty batch in batch order. Returns one
+/// outcome per batch — empty batches stay zeroed, exactly what a serial
+/// run would report.
 fn run_unit(
     store: &mut VerticalStore,
-    ctx: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     graph: &DependencyGraph,
     seeds: &[(usize, Triple)],
@@ -271,7 +229,7 @@ fn run_unit(
         if ts.is_empty() {
             continue;
         }
-        outcomes[b] = maintenance::dred(store, ctx, rules, graph, ts, false);
+        outcomes[b] = maintenance::dred(store, rules, graph, ts, false);
     }
     outcomes
 }
@@ -383,19 +341,17 @@ impl Engine {
         let module = &state.modules[rule];
         let mut out = Vec::new();
         {
-            // One **lock-free** epoch read per instance: the join runs
-            // against the published immutable snapshot, scoped to the
-            // rule's declared read set (the scope keeps the read-set
-            // panic contract; it pins nothing). The epoch includes this
-            // delta — `insert_batch` publishes before the dispatch that
-            // buffered it returned — and possibly newer publications,
+            // One epoch read per instance: the join runs against the
+            // published immutable snapshot, taking no gate or shard lock.
+            // The epoch includes this delta — `insert_batch` publishes
+            // before the dispatch that buffered it returned — and
+            // possibly newer publications,
             // which is sound (monotone): extra visible triples only
             // produce conclusions earlier; deletion cannot interleave,
             // it requires the gate in write mode, which implies
             // quiescence — no instance like this one in flight.
             let epoch = self.store.snapshot();
-            let reader = epoch.reader(module.read_plan.as_ref());
-            module.rule.apply(&reader.view(), &delta, &mut out);
+            module.rule.apply(&epoch.view(), &delta, &mut out);
         }
         bump(&module.counters.fired, 1);
         bump(&module.counters.derived, out.len() as u64);
@@ -612,10 +568,9 @@ impl Engine {
     /// for the linearisation contract), with **combining**: callers
     /// blocked behind a running maintenance pass are drained together by
     /// whichever caller acquires the mutex next, and their batches go
-    /// through the same two-level planner as a coalesced flush — eager
-    /// removals whose downward closures are provably disjoint (different
-    /// rule families, or different subject buckets of a subject-local
-    /// family) run as concurrent units under one quiescent section.
+    /// through the same planner as a coalesced flush — eager removals in
+    /// different maintenance partitions (disjoint rule families) run as
+    /// concurrent units under one quiescent section.
     /// Batch boundaries are preserved: each caller's outcome counts
     /// exactly its own triples, field for field as a serial run would.
     fn remove_eager(&self, triples: &[Triple]) -> RemovalOutcome {
@@ -650,19 +605,18 @@ impl Engine {
             .enumerate()
             .flat_map(|(b, eb)| eb.triples.iter().map(move |&t| (b, t)))
             .collect();
-        let ((outcomes, shape), store_size) = self.with_quiescent_store(|store| {
-            let (outcomes, shape): (Vec<RemovalOutcome>, RunShape) = match self
-                .plan_flush(&state, store, &labelled)
-            {
-                Some(groups) => self.run_partitions(&state, store, &rules, groups, batches.len()),
+        let ((outcomes, parallel), store_size) = self.with_quiescent_store(|store| {
+            let (outcomes, parallel) = match self.plan_flush(&state, store, &labelled) {
+                Some(groups) => (
+                    self.run_partitions(&state, store, &rules, groups, batches.len()),
+                    true,
+                ),
                 None => {
-                    bump(&self.globals.coordinator_work, store.len() as u64);
-                    let outcomes = batches
+                    let outcomes: Vec<RemovalOutcome> = batches
                         .iter()
                         .map(|eb| {
                             maintenance::dred(
                                 store,
-                                None,
                                 &rules,
                                 &state.graph,
                                 &eb.triples,
@@ -670,33 +624,15 @@ impl Engine {
                             )
                         })
                         .collect();
-                    (outcomes, RunShape::single_pass())
+                    (outcomes, false)
                 }
             };
             let retired: usize = outcomes.iter().map(|o| o.retracted + o.overdeleted).sum();
             self.maybe_sweep_dict(store, retired);
-            (outcomes, shape)
+            (outcomes, parallel)
         });
-        if shape.units >= 2 {
+        if parallel {
             bump(&self.globals.parallel_eager_runs, 1);
-        }
-        if shape.subpartitions > 0 {
-            bump(&self.globals.subpartitioned_runs, 1);
-            if let Some(log) = &self.log {
-                let mut total = RemovalOutcome::default();
-                for o in &outcomes {
-                    total.merge(*o);
-                }
-                log.record(EventKind::SubpartitionedRemoval {
-                    pending: labelled.len(),
-                    partitions: shape.partitions,
-                    subpartitions: shape.subpartitions,
-                    retracted: total.retracted,
-                    overdeleted: total.overdeleted,
-                    rederived: total.rederived,
-                    store_size,
-                });
-            }
         }
         for (eb, outcome) in batches.iter().zip(&outcomes) {
             self.bump_removal_counters(outcome);
@@ -741,26 +677,22 @@ impl Engine {
     /// the store (and the quiescence gate) between slices, bounding how
     /// long one tenant's maintenance can hold a shared runtime tick.
     fn flush_maintenance_slice(&self, limit: usize) -> (RemovalOutcome, usize) {
-        // Fast path: nothing pending means nothing to retract — return
-        // the zeroed outcome without taking the maintenance mutex or the
-        // store's gate in write mode (pinned by the
-        // `gate_write_acquisitions` stat). A retraction enqueued between
-        // this check and the caller observing the return was concurrent
-        // with the flush and may legitimately land after it.
-        if self.scheduler.pending() == 0 {
-            return (RemovalOutcome::default(), 0);
-        }
         // One maintenance run at a time, so two racing flushes (threshold
         // vs deadline vs explicit) cannot split one pending generation
-        // across two runs.
+        // across two runs. The empty check must sit under the mutex: a
+        // racing slice drains the queue before it applies it, so an
+        // unlocked `pending() == 0` could return while that slice's
+        // retractions are still in the store. The mutex is not the
+        // store's gate, so an empty flush still never takes the gate in
+        // write mode (pinned by the `gate_write_acquisitions` stat).
         let _serial = self.maintenance.lock();
         if self.scheduler.pending() == 0 {
             return (RemovalOutcome::default(), 0);
         }
         let state = self.rstate();
         let rules: Vec<Arc<dyn Rule>> = state.modules.iter().map(|m| Arc::clone(&m.rule)).collect();
-        let ((outcome, pending_len, shape, remaining), store_size) =
-            self.with_quiescent_store(|store| {
+        let ((outcome, pending_len, partitions, remaining), store_size) = self
+            .with_quiescent_store(|store| {
                 // Drain *under the maintenance gate (write mode), after the quiescence
                 // re-check*: this is the flush's linearisation point. Any
                 // assertion either completed earlier (its re-assertion
@@ -770,67 +702,52 @@ impl Engine {
                 // concurrent re-assertion it should have cancelled.
                 let pending = self.scheduler.drain_up_to(limit);
                 let remaining = self.scheduler.pending();
+                #[cfg(test)]
+                {
+                    let hook = self.slice_drained_hook.lock().take();
+                    if let Some(hook) = hook {
+                        hook();
+                    }
+                }
                 if pending.is_empty() {
-                    return (
-                        RemovalOutcome::default(),
-                        0,
-                        RunShape::single_pass(),
-                        remaining,
-                    );
+                    return (RemovalOutcome::default(), 0, 1, remaining);
                 }
                 // A coalesced flush is one source batch (label 0): the
                 // planner's batch labels only matter to eager combining.
                 let labelled: Vec<(usize, Triple)> = pending.iter().map(|&t| (0, t)).collect();
-                let (outcome, shape) = match self.plan_flush(&state, store, &labelled) {
+                let (outcome, partitions) = match self.plan_flush(&state, store, &labelled) {
                     Some(groups) => {
-                        let (outcomes, shape) =
-                            self.run_partitions(&state, store, &rules, groups, 1);
-                        (outcomes[0], shape)
+                        let partitions = groups.len();
+                        let outcomes = self.run_partitions(&state, store, &rules, groups, 1);
+                        (outcomes[0], partitions)
                     }
-                    None => {
-                        bump(&self.globals.coordinator_work, store.len() as u64);
-                        (
-                            maintenance::dred(
-                                store,
-                                None,
-                                &rules,
-                                &state.graph,
-                                &pending,
-                                self.full_rederive,
-                            ),
-                            RunShape::single_pass(),
-                        )
-                    }
+                    None => (
+                        maintenance::dred(
+                            store,
+                            &rules,
+                            &state.graph,
+                            &pending,
+                            self.full_rederive,
+                        ),
+                        1,
+                    ),
                 };
                 self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
-                (outcome, pending.len(), shape, remaining)
+                (outcome, pending.len(), partitions, remaining)
             });
         if pending_len == 0 {
             return (outcome, remaining);
         }
         self.bump_removal_counters(&outcome);
         bump(&self.globals.coalesced_runs, 1);
-        if shape.partitions > 1 {
+        if partitions > 1 {
             bump(&self.globals.partitioned_runs, 1);
         }
-        if shape.subpartitions > 0 {
-            bump(&self.globals.subpartitioned_runs, 1);
-        }
         if let Some(log) = &self.log {
-            if shape.subpartitions > 0 {
-                log.record(EventKind::SubpartitionedRemoval {
-                    pending: pending_len,
-                    partitions: shape.partitions,
-                    subpartitions: shape.subpartitions,
-                    retracted: outcome.retracted,
-                    overdeleted: outcome.overdeleted,
-                    rederived: outcome.rederived,
-                    store_size,
-                });
-            } else if shape.partitions > 1 {
+            if partitions > 1 {
                 log.record(EventKind::PartitionedRemoval {
                     pending: pending_len,
-                    partitions: shape.partitions,
+                    partitions,
                     retracted: outcome.retracted,
                     overdeleted: outcome.overdeleted,
                     rederived: outcome.rederived,
@@ -967,19 +884,12 @@ impl Engine {
         }
     }
 
-    /// The two-level maintenance planner. **First level**: buckets
-    /// `pending` by maintenance partition
-    /// ([`DependencyGraph::component_of_predicate`]). **Second level**:
-    /// a bucket whose partition passes the subject-locality gate
-    /// ([`DependencyGraph::subsplit_affected`]) with
-    /// [`SliderConfig::deletion_subsplit`] ≥ 2 and seeds in at least two
-    /// subject-hash buckets gets `affected: Some(closure)` — its affected
-    /// tables will be carved by subject so each carve runs its own DRed
-    /// unit. Returns `None` when the flush must stay single-pass:
-    /// partitioning disabled, conservative (`full_rederive`) mode, fewer
-    /// than two buckets with nothing to sub-split, a bucket whose
-    /// partition owns every predicate (universal rules), or an involved
-    /// rule without a backward matcher.
+    /// The maintenance planner: buckets `pending` by maintenance
+    /// partition ([`DependencyGraph::component_of_predicate`]). Returns
+    /// `None` when the flush must stay single-pass: partitioning disabled,
+    /// conservative (`full_rederive`) mode, fewer than two buckets, a
+    /// bucket whose partition owns every predicate (universal rules), or
+    /// an involved rule without a backward matcher.
     ///
     /// The returned groups are **size-ordered, largest footprint first**
     /// (a bucket's footprint is the store population of the predicates
@@ -1007,7 +917,7 @@ impl Engine {
                 .or_insert_with(|| state.graph.component_of_predicate(t.p));
             by_comp.entry(comp).or_default().push((b, t));
         }
-        if by_comp.len() < 2 && self.subsplit < 2 {
+        if by_comp.len() < 2 {
             return None;
         }
         let mut buckets: Vec<_> = by_comp.into_iter().collect();
@@ -1015,7 +925,6 @@ impl Engine {
         // arbitrary); the weight sort below is stable.
         buckets.sort_by_key(|(comp, _)| (comp.is_none(), comp.unwrap_or(0)));
         let mut groups = Vec::with_capacity(buckets.len());
-        let mut any_subsplit = false;
         for (comp, triples) in buckets {
             let preds = match comp {
                 Some(c) => {
@@ -1033,65 +942,22 @@ impl Engine {
                     preds
                 }
             };
-            // Second level: sub-split only when the affected closure is
-            // provably subject-local *and* the seeds actually spread over
-            // at least two subject-hash buckets (one bucket would just be
-            // the whole-partition pass with extra carving).
-            let affected = match comp {
-                Some(c) if self.subsplit > 1 && triples.len() >= SUBSPLIT_MIN_PENDING => {
-                    let mut seed_preds: Vec<NodeId> = triples.iter().map(|&(_, t)| t.p).collect();
-                    seed_preds.sort_unstable();
-                    seed_preds.dedup();
-                    state.graph.subsplit_affected(c, &seed_preds).filter(|_| {
-                        let spread: std::collections::BTreeSet<usize> = triples
-                            .iter()
-                            .map(|&(_, t)| subject_bucket(t.s, self.subsplit))
-                            .collect();
-                        spread.len() >= 2
-                    })
-                }
-                _ => None,
-            };
-            any_subsplit |= affected.is_some();
             let weight: usize = preds.iter().map(|&p| store.count_with_p(p)).sum();
-            groups.push((
-                weight,
-                PendingGroup {
-                    preds,
-                    triples,
-                    affected,
-                },
-            ));
-        }
-        if groups.len() < 2 && !any_subsplit {
-            return None;
+            groups.push((weight, PendingGroup { preds, triples }));
         }
         groups.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
         Some(groups.into_iter().map(|(_, g)| g).collect())
     }
 
-    /// Executes one planned maintenance run. The plan's groups become
-    /// **units** of deletion work:
-    ///
-    /// * A non-sub-split group is one unit. The largest such group (the
-    ///   plan's head, when it exists) runs directly on the main store —
-    ///   its pass only touches its own partition's tables; the rest have
-    ///   their footprints split off as self-contained shards (tables move
-    ///   wholesale, provenance flags included).
-    /// * A sub-split group (`affected: Some`) becomes one unit per
-    ///   occupied subject-hash bucket: its affected tables are carved by
-    ///   subject range, and each carve's DRed pass joins through a
-    ///   read-only [`Overlay`](slider_store::Overlay) of the partition's
-    ///   non-affected remainder (shared `Arc` context).
-    ///
-    /// The calling thread runs the heaviest unit itself (recorded in
-    /// [`StatsSnapshot::coordinator_work`](crate::StatsSnapshot::coordinator_work));
-    /// every other unit executes as a [`Job::Partition`] on the worker
-    /// pool, and the shards are absorbed back as they complete. Sound
-    /// because the units' *mutable* footprints are disjoint by
-    /// construction — no unit writes a triple another unit reads: the
-    /// first level is disjoint by maintenance partition, the second by
-    /// the planner's subject-locality gate. The caller holds the store's
+    /// Executes one planned maintenance run, one DRed unit per group. The
+    /// largest group (the plan's head) runs on the calling thread directly
+    /// against the main store — its pass only touches its own partition's
+    /// tables; every other group has its footprint split off as a
+    /// self-contained shard (tables move wholesale, provenance flags
+    /// included) and runs as a [`Job::Partition`] on the worker pool, and
+    /// the shards are absorbed back as they complete. Sound because the
+    /// groups are disjoint by maintenance partition — no unit writes a
+    /// triple another unit reads. The caller holds the store's
     /// maintenance gate in write mode and the maintenance mutex; the pool
     /// is quiescent, so partition jobs are the only work.
     ///
@@ -1105,110 +971,20 @@ impl Engine {
         rules: &[Arc<dyn Rule>],
         groups: Vec<PendingGroup>,
         batches: usize,
-    ) -> (Vec<RemovalOutcome>, RunShape) {
-        struct Unit {
-            /// `None` = run on the main store (largest non-sub-split
-            /// group only).
-            carve: Option<VerticalStore>,
-            context: Option<Arc<VerticalStore>>,
-            seeds: Vec<(usize, Triple)>,
-            weight: usize,
-        }
-        let shape_partitions = groups.len();
-        let mut units: Vec<Unit> = Vec::new();
-        // Sub-split leftovers to restore after the run: each sub-split
-        // group's seedless affected residual and its shared context.
-        let mut residuals: Vec<VerticalStore> = Vec::new();
-        let mut contexts: Vec<Arc<VerticalStore>> = Vec::new();
-        let mut subpartitions = 0usize;
-        for (gi, group) in groups.into_iter().enumerate() {
-            match group.affected {
-                Some(affected) => {
-                    // Carve the family, then the affected closure out of
-                    // it; what remains of the family is the read-only
-                    // context every bucket joins through.
-                    let mut family = store.split_off(&group.preds);
-                    let mut affected_store = family.split_off(&affected);
-                    let ctx = Arc::new(family);
-                    let mut by_bucket: BTreeMap<usize, Vec<(usize, Triple)>> = BTreeMap::new();
-                    for &(b, t) in &group.triples {
-                        by_bucket
-                            .entry(subject_bucket(t.s, self.subsplit))
-                            .or_default()
-                            .push((b, t));
-                    }
-                    for (bk, seeds) in by_bucket {
-                        let carve = affected_store
-                            .split_off_subjects(|s| subject_bucket(s, self.subsplit) == bk);
-                        subpartitions += 1;
-                        units.push(Unit {
-                            weight: carve.len(),
-                            carve: Some(carve),
-                            context: Some(Arc::clone(&ctx)),
-                            seeds,
-                        });
-                    }
-                    residuals.push(affected_store);
-                    contexts.push(ctx);
-                }
-                None if gi == 0 => units.push(Unit {
-                    weight: group.preds.iter().map(|&p| store.count_with_p(p)).sum(),
-                    carve: None,
-                    context: None,
-                    seeds: group.triples,
-                }),
-                None => {
-                    let carve = store.split_off(&group.preds);
-                    units.push(Unit {
-                        weight: carve.len(),
-                        carve: Some(carve),
-                        context: None,
-                        seeds: group.triples,
-                    });
-                }
-            }
-        }
-        let shape = RunShape {
-            partitions: shape_partitions,
-            units: units.len(),
-            subpartitions,
-        };
-        // The coordinator takes the main-store unit when one exists (it
-        // cannot be dispatched — it *is* the store), otherwise the
-        // heaviest carve; everything else goes to the pool.
-        let coord = units
-            .iter()
-            .position(|u| u.carve.is_none())
-            .unwrap_or_else(|| {
-                let mut best = 0;
-                for (i, u) in units.iter().enumerate() {
-                    if u.weight > units[best].weight {
-                        best = i;
-                    }
-                }
-                best
-            });
-        let coordinator = units.swap_remove(coord);
+    ) -> Vec<RemovalOutcome> {
+        let mut groups = groups.into_iter();
+        let head = groups.next().expect("a plan has at least two groups");
         let (tx, rx) = unbounded();
         let mut expected = 0usize;
-        for unit in units {
-            let carve = unit
-                .carve
-                .expect("only the coordinator unit runs on the main store");
-            let ctx = unit.context;
-            let seeds = unit.seeds;
+        for group in groups {
+            let carve = store.split_off(&group.preds);
+            let seeds = group.triples;
             let rules = rules.to_vec();
             let graph = Arc::clone(&state.graph);
             let tx = tx.clone();
             let task: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let mut carve = carve;
-                let outcomes =
-                    run_unit(&mut carve, ctx.as_deref(), &rules, &graph, &seeds, batches);
-                // Drop the context handle *before* sending: the channel's
-                // release/acquire pairing then guarantees the coordinator
-                // (which receives every result before reclaiming the
-                // contexts) sees a sole-owner `Arc`.
-                drop(ctx);
+                let outcomes = run_unit(&mut carve, &rules, &graph, &seeds, batches);
                 // Receiver outliving the flush is guaranteed: the
                 // coordinator below collects exactly this many results.
                 let _ = tx.send((carve, outcomes));
@@ -1231,29 +1007,7 @@ impl Engine {
         // surfaces as the `expect` below instead of a recv() that blocks
         // forever while holding the store exclusively.
         drop(tx);
-        bump(&self.globals.coordinator_work, coordinator.weight as u64);
-        let Unit {
-            carve,
-            context,
-            seeds,
-            ..
-        } = coordinator;
-        let mut merged = match carve {
-            None => run_unit(store, None, rules, &state.graph, &seeds, batches),
-            Some(mut carve) => {
-                let outcomes = run_unit(
-                    &mut carve,
-                    context.as_deref(),
-                    rules,
-                    &state.graph,
-                    &seeds,
-                    batches,
-                );
-                store.absorb(carve);
-                outcomes
-            }
-        };
-        drop(context);
+        let mut merged = run_unit(store, rules, &state.graph, &head.triples, batches);
         for _ in 0..expected {
             let (carve, outcomes) = rx
                 .recv()
@@ -1263,16 +1017,7 @@ impl Engine {
                 m.merge(*o);
             }
         }
-        // Restore what the sub-split carving displaced: seedless affected
-        // residuals and the shared contexts (sole-owned again now that
-        // every unit has reported — see the `drop(ctx)` ordering above).
-        for residual in residuals {
-            store.absorb(residual);
-        }
-        for ctx in contexts {
-            store.absorb(Arc::try_unwrap(ctx).unwrap_or_else(|arc| (*arc).clone()));
-        }
-        (merged, shape)
+        merged
     }
 
     /// Replaces the ruleset on the live engine (see
@@ -1309,7 +1054,7 @@ impl Engine {
             .collect();
         let kept = surviving.len();
         // Even an identical-ruleset swap goes through the quiescent
-        // section: the fresh state (rebuilt read plans, graph, partitions)
+        // section: the fresh state (rebuilt modules, graph, partitions)
         // must install at a point where no in-flight instance holds the
         // old one — only the store-delta work is skipped.
         let ((overdeleted, rederived, inferred), store_size) = self.with_quiescent_store(|store| {
@@ -1331,17 +1076,13 @@ impl Engine {
             };
             // Linearisation point: with the store held exclusively and
             // already at the new program's closure, the new state —
-            // program, dependency graph, maintenance partitions, read
-            // plans — becomes what every subsequent resolution sees.
+            // program, dependency graph, maintenance partitions, rule
+            // modules — becomes what every subsequent resolution sees.
             // Operations blocked on the gate resume against the new
             // program; operations that completed earlier ran entirely
             // under the old one. Nothing observes a mix.
-            *self.rstate.write() = Arc::new(build_state(
-                &ruleset,
-                &self.store,
-                self.base_capacity,
-                Some(&old_state),
-            ));
+            *self.rstate.write() =
+                Arc::new(build_state(&ruleset, self.base_capacity, Some(&old_state)));
             (overdeleted, rederived, inferred)
         });
         bump(&self.globals.ruleset_swaps, 1);
@@ -1449,8 +1190,6 @@ impl Slider {
         config: SliderConfig,
     ) -> Self {
         let base_capacity = config.buffer_capacity.max(1);
-        // The store comes first: each module's declared read set is
-        // planned against its shard layout once, not per rule instance.
         let store = ShardedStore::from_store_sharded(
             if config.object_index {
                 VerticalStore::new()
@@ -1459,7 +1198,7 @@ impl Slider {
             },
             config.store_shards,
         );
-        let state = build_state(&ruleset, &store, base_capacity, None);
+        let state = build_state(&ruleset, base_capacity, None);
         let id = core.allocate_id();
         let engine = Arc::new_cyclic(|self_ref| Engine {
             dict,
@@ -1478,7 +1217,6 @@ impl Slider {
             maintenance: Mutex::new(()),
             full_rederive: config.full_rederive,
             partitioning: config.maintenance_partitioning,
-            subsplit: config.deletion_subsplit.max(1),
             eager_queue: Mutex::new(Vec::new()),
             scheduler: MaintenanceScheduler::new(
                 config.maintenance_batch,
@@ -1489,6 +1227,8 @@ impl Slider {
             base_capacity,
             dict_sweep_ratio: config.dict_sweep_ratio,
             retired_since_sweep: AtomicUsize::new(0),
+            #[cfg(test)]
+            slice_drained_hook: Mutex::new(None),
         });
         core.register(id, &engine);
         Slider {
@@ -1817,12 +1557,12 @@ impl Slider {
     /// Afterwards the store equals the closure of its explicit triples
     /// under the new program, exactly as if the reasoner had been built
     /// with it from the start. The dependency graph, maintenance
-    /// partitions and per-rule read plans are rebuilt and installed
+    /// partitions and rule modules are rebuilt and installed
     /// **atomically at the swap's linearisation point**: a quiescent
     /// instant (no rule instance in flight, all buffers empty) with the
     /// store held exclusively. Concurrent `add_triples`/queries are safe
     /// throughout — they either complete entirely under the old program
-    /// or run entirely under the new one; lock-free readers keep
+    /// or run entirely under the new one; epoch readers keep
     /// answering from the last published epoch during the swap and
     /// observe the new closure as one atomic publication. Pending
     /// deferred retractions survive the swap and apply under the new
@@ -1927,9 +1667,7 @@ impl Slider {
             pending_removals: engine.scheduler.pending(),
             coalesced_runs: engine.globals.coalesced_runs.load(Ordering::Relaxed),
             partitioned_runs: engine.globals.partitioned_runs.load(Ordering::Relaxed),
-            subpartitioned_runs: engine.globals.subpartitioned_runs.load(Ordering::Relaxed),
             parallel_eager_runs: engine.globals.parallel_eager_runs.load(Ordering::Relaxed),
-            coordinator_work: engine.globals.coordinator_work.load(Ordering::Relaxed),
             oldest_pending_age: engine.scheduler.oldest_age(),
             gate_write_acquisitions: engine.store.gate_write_acquisitions(),
             shard_write_conflicts: engine.store.shard_write_conflicts(),
@@ -2593,6 +2331,60 @@ mod tests {
         assert_eq!(merged.not_found, 1);
     }
 
+    /// `flush_maintenance` is a barrier: while another thread's slice is
+    /// drained from the pending queue but not yet applied, a second
+    /// explicit flush must not return until the store reflects that slice.
+    #[test]
+    fn explicit_flush_waits_for_a_drained_but_unapplied_slice() {
+        let slider = Arc::new(rho_slider(
+            SliderConfig::batch().with_maintenance_batch(usize::MAX),
+        ));
+        slider.materialize(&chain(5));
+        slider.remove_deferred(&[sco(2, 3)]);
+
+        let (drained_tx, drained_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        *slider.engine.slice_drained_hook.lock() = Some(Box::new(move || {
+            let _ = drained_tx.send(());
+            // A dropped sender (the test failed) releases the slice too.
+            let _ = release_rx.recv();
+        }));
+        let first = {
+            let slider = Arc::clone(&slider);
+            std::thread::spawn(move || slider.flush_maintenance())
+        };
+        drained_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first flush drained its slice");
+
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let second = {
+            let slider = Arc::clone(&slider);
+            std::thread::spawn(move || {
+                slider.flush_maintenance();
+                let _ = seen_tx.send(slider.store().contains(sco(2, 3)));
+            })
+        };
+        if let Ok(still_present) = seen_rx.recv_timeout(Duration::from_millis(200)) {
+            panic!(
+                "second flush returned mid-slice (retraction applied: {})",
+                !still_present
+            );
+        }
+        release_tx
+            .send(())
+            .expect("the first flush is parked in the hook");
+        let still_present = seen_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the second flush returns once the slice is applied");
+        assert!(
+            !still_present,
+            "flush returned before the store reflected the slice"
+        );
+        assert_eq!(first.join().unwrap().retracted, 1);
+        second.join().unwrap();
+    }
+
     /// The two-level locking pin at the engine level: while one predicate
     /// family's shard is write-locked, ingest into a different family
     /// completes — writes on disjoint shards no longer serialise on a
@@ -2628,53 +2420,6 @@ mod tests {
         drop(guard);
         slider.wait_idle();
         assert!(slider.store().contains(Triple::new(n(1), p2, n(2))));
-    }
-
-    /// A custom rule whose `apply` violates its declared read set must
-    /// fail loudly — the instance panics and its conclusions are lost —
-    /// without wedging the engine: the worker releases the inflight
-    /// token either way, so `wait_idle` returns and the reasoner keeps
-    /// serving.
-    #[test]
-    fn read_set_violation_fails_loudly_without_wedging_the_engine() {
-        use slider_rules::OutputSignature;
-        use slider_store::StoreView;
-        struct Lying;
-        impl Rule for Lying {
-            fn name(&self) -> &'static str {
-                "LIAR"
-            }
-            fn definition(&self) -> &'static str {
-                "declares an empty read set, then reads the store"
-            }
-            fn input_filter(&self) -> InputFilter {
-                InputFilter::Universal
-            }
-            fn output_signature(&self) -> OutputSignature {
-                OutputSignature::Predicates(Vec::new())
-            }
-            fn read_predicates(&self) -> Option<Vec<NodeId>> {
-                Some(Vec::new())
-            }
-            fn apply(&self, store: &StoreView, delta: &[Triple], _out: &mut Vec<Triple>) {
-                for &t in delta {
-                    let _ = store.contains(t); // outside the declared set
-                }
-            }
-        }
-        let ruleset = Ruleset::custom("liar").with(Lying);
-        let slider = Slider::new(
-            Arc::new(Dictionary::new()),
-            ruleset,
-            SliderConfig::batch().with_workers(1),
-        );
-        slider.add_triples(&[sco(1, 2)]);
-        slider.wait_idle(); // must return despite the panicking instance
-        assert!(slider.store().contains(sco(1, 2)));
-        // The engine still ingests and settles afterwards.
-        slider.add_triples(&[sco(2, 3)]);
-        slider.wait_idle();
-        assert_eq!(slider.store().len(), 2);
     }
 
     #[test]

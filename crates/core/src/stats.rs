@@ -65,15 +65,9 @@ pub(crate) struct GlobalCounters {
     pub coalesced_runs: AtomicU64,
     /// Coalesced runs that split into ≥ 2 parallel partition passes.
     pub partitioned_runs: AtomicU64,
-    /// Maintenance runs (coalesced or eager) in which at least one
-    /// partition's pass was further carved into subject-hash sub-buckets.
-    pub subpartitioned_runs: AtomicU64,
     /// Eager removal passes that dispatched ≥ 2 concurrent DRed units
     /// (independent eager callers combined under one quiescent section).
     pub parallel_eager_runs: AtomicU64,
-    /// Cumulative store-population weight of the DRed units run on the
-    /// coordinator thread — the deletion path's critical-path metric.
-    pub coordinator_work: AtomicU64,
     /// Live ruleset replacements completed by `swap_ruleset`.
     pub ruleset_swaps: AtomicU64,
     /// Deadline-triggered flushes cut short by the runtime's per-tick
@@ -155,22 +149,11 @@ pub struct StatsSnapshot {
     /// executed in parallel on the worker pool (see
     /// [`SliderConfig::maintenance_partitioning`](crate::SliderConfig::maintenance_partitioning)).
     pub partitioned_runs: u64,
-    /// Maintenance runs (coalesced or eager) in which at least one
-    /// partition's DRed pass was further carved into subject-hash
-    /// sub-buckets maintained in parallel (see
-    /// [`SliderConfig::deletion_subsplit`](crate::SliderConfig::deletion_subsplit)).
-    pub subpartitioned_runs: u64,
     /// Eager removal passes that dispatched ≥ 2 concurrent DRed units:
     /// independent `remove_triples` callers whose closures proved
     /// disjoint were combined by one leader and maintained in parallel
     /// under a single quiescent section.
     pub parallel_eager_runs: u64,
-    /// Cumulative store-population weight of the DRed units run on the
-    /// coordinator thread (an unsplit pass weighs the whole store it
-    /// walks; a partition or sub-bucket unit weighs its carve). The
-    /// deletion path's critical-path metric: sub-splitting shrinks it
-    /// even on one core, and on multi-core it tracks flush wall-clock.
-    pub coordinator_work: u64,
     /// Age of the oldest pending retraction at snapshot time — the
     /// **staleness bound**: every query answered now reflects a closure at
     /// most this much older than the retraction stream. `None` when
@@ -292,13 +275,8 @@ impl std::fmt::Display for StatsSnapshot {
             }
             writeln!(f)?;
         }
-        if self.subpartitioned_runs > 0 || self.parallel_eager_runs > 0 {
-            writeln!(
-                f,
-                "subsplit: {} subpartitioned runs, {} parallel eager runs, \
-                 {} coordinator work",
-                self.subpartitioned_runs, self.parallel_eager_runs, self.coordinator_work
-            )?;
+        if self.parallel_eager_runs > 0 {
+            writeln!(f, "eager: {} parallel runs", self.parallel_eager_runs)?;
         }
         writeln!(
             f,
@@ -373,9 +351,7 @@ mod tests {
             pending_removals: 0,
             coalesced_runs: 0,
             partitioned_runs: 0,
-            subpartitioned_runs: 0,
             parallel_eager_runs: 0,
-            coordinator_work: 0,
             oldest_pending_age: None,
             gate_write_acquisitions: 0,
             shard_write_conflicts: 0,
@@ -427,15 +403,10 @@ mod tests {
         assert!(text.contains(
             "deferred: 5 enqueued, 2 pending, 1 coalesced runs, 1 partitioned, 3 cancelled"
         ));
-        // The sub-split line only appears once a run actually sub-split
-        // (or combined eager callers).
-        assert!(!text.contains("subsplit:"));
-        with_removals.subpartitioned_runs = 2;
+        // The eager line only appears once eager callers were combined.
+        assert!(!text.contains("eager:"));
         with_removals.parallel_eager_runs = 1;
-        with_removals.coordinator_work = 40;
-        assert!(with_removals.to_string().contains(
-            "subsplit: 2 subpartitioned runs, 1 parallel eager runs, 40 coordinator work"
-        ));
+        assert!(with_removals.to_string().contains("eager: 1 parallel runs"));
         // The staleness bound only renders while something is pending.
         assert!(!text.contains("oldest pending"));
         with_removals.oldest_pending_age = Some(std::time::Duration::from_millis(4));

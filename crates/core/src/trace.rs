@@ -86,34 +86,10 @@ pub enum EventKind {
         /// Store size after maintenance.
         store_size: usize,
     },
-    /// A maintenance run in which at least one partition's DRed pass was
-    /// further carved into subject-hash sub-buckets maintained in
-    /// parallel — the two-level deletion planner's second level (see
-    /// [`SliderConfig::deletion_subsplit`](crate::SliderConfig::deletion_subsplit)).
-    /// Emitted *instead of* [`EventKind::PartitionedRemoval`] /
-    /// [`EventKind::CoalescedRemoval`] when a flush sub-split, and
-    /// alongside the per-batch [`EventKind::Removal`] events when an
-    /// eager combining run did.
-    SubpartitionedRemoval {
-        /// Distinct pending retractions drained into this run.
-        pending: usize,
-        /// First-level buckets (dependency-graph partitions) of the plan.
-        partitions: usize,
-        /// Subject sub-buckets carved across all sub-split partitions.
-        subpartitions: usize,
-        /// Explicit triples actually retracted (all units).
-        retracted: usize,
-        /// Derived triples deleted during overdeletion (all units).
-        overdeleted: usize,
-        /// Overdeleted triples restored by rederivation (all units).
-        rederived: usize,
-        /// Store size after maintenance.
-        store_size: usize,
-    },
     /// A live ruleset replacement completed (`swap_ruleset`): the program
     /// was diffed against the running one, derivations supported only by
     /// dropped rules were retracted (DRed), added rules were evaluated
-    /// semi-naively, and the dependency graph / read plans were rebuilt at
+    /// semi-naively, and the dependency graph / rule modules were rebuilt at
     /// the swap's linearisation point.
     RulesetSwap {
         /// Rules removed by the swap.
@@ -300,20 +276,6 @@ pub fn events_to_json(events: &[Event]) -> String {
                     r#"{{"at_us":{us},"type":"partitioned_removal","pending":{pending},"partitions":{partitions},"retracted":{retracted},"overdeleted":{overdeleted},"rederived":{rederived},"store_size":{store_size}}}"#
                 );
             }
-            EventKind::SubpartitionedRemoval {
-                pending,
-                partitions,
-                subpartitions,
-                retracted,
-                overdeleted,
-                rederived,
-                store_size,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"at_us":{us},"type":"subpartitioned_removal","pending":{pending},"partitions":{partitions},"subpartitions":{subpartitions},"retracted":{retracted},"overdeleted":{overdeleted},"rederived":{rederived},"store_size":{store_size}}}"#
-                );
-            }
             EventKind::RulesetSwap {
                 dropped,
                 added,
@@ -444,15 +406,6 @@ mod tests {
             rederived: 1,
             store_size: 9,
         });
-        log.record(EventKind::SubpartitionedRemoval {
-            pending: 6,
-            partitions: 1,
-            subpartitions: 4,
-            retracted: 6,
-            overdeleted: 3,
-            rederived: 2,
-            store_size: 7,
-        });
         log.record(EventKind::RulesetSwap {
             dropped: 1,
             added: 2,
@@ -485,7 +438,6 @@ mod tests {
             r#""type":"removal","requested":3,"retracted":2,"overdeleted":4,"rederived":1,"store_size":2"#,
             r#""type":"coalesced_removal","pending":7,"retracted":6,"overdeleted":9,"rederived":2,"store_size":4"#,
             r#""type":"partitioned_removal","pending":8,"partitions":3,"retracted":7,"overdeleted":5,"rederived":1,"store_size":9"#,
-            r#""type":"subpartitioned_removal","pending":6,"partitions":1,"subpartitions":4,"retracted":6,"overdeleted":3,"rederived":2,"store_size":7"#,
             r#""type":"ruleset_swap","dropped":1,"added":2,"kept":6,"overdeleted":4,"rederived":1,"inferred":3,"store_size":8"#,
             r#""type":"budget_slice","applied":128,"remaining":72"#,
             r#""type":"dict_sweep","scanned":50,"swept":30,"live":20,"bytes_before":9000,"bytes_after":4000"#,
@@ -493,8 +445,8 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        // 11 separators for 12 events.
-        assert_eq!(json.matches("},{").count(), 11);
+        // 10 separators for 11 events.
+        assert_eq!(json.matches("},{").count(), 10);
     }
 
     #[test]

@@ -51,10 +51,6 @@ impl Transitive {
 }
 
 impl Rule for Transitive {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![self.pred])
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -117,10 +113,6 @@ impl Subsumption {
 }
 
 impl Rule for Subsumption {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![self.is, self.sub])
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -162,17 +154,6 @@ impl Rule for Subsumption {
                     .any(|c| store.contains(Triple::new(t.s, self.is, c))),
         )
     }
-
-    /// `is` is subject-local: an `is`-delta's join reads only the `sub`
-    /// partition (`objects_with(sub, t.o)`) and emits at the delta's own
-    /// subject, and `derives((x IS d))` reads the `is` partition only at
-    /// subject `x`. `sub` is *not* local — a `sub`-edge delta fans out to
-    /// every member of the class (`subjects_with(is, ..)`), crossing
-    /// subjects — so a deletion whose affected closure reaches `sub`
-    /// correctly disables sub-splitting.
-    fn subject_local_inputs(&self) -> Vec<NodeId> {
-        vec![self.is]
-    }
 }
 
 /// `(x P y) ⊢ (x IS c)` — domain typing over a configurable property
@@ -201,10 +182,6 @@ impl Domain {
 }
 
 impl Rule for Domain {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![self.pred])
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -237,25 +214,10 @@ impl Rule for Domain {
                 && store.objects_with(self.pred, t.s).next().is_some(),
         )
     }
-
-    /// `pred` is subject-local (the membership shape): a `pred`-delta
-    /// emits at its own subject, and `derives((x IS c))` reads the `pred`
-    /// partition only at subject `x` — every maintenance step stays on
-    /// the seed's subject.
-    fn subject_local_inputs(&self) -> Vec<NodeId> {
-        vec![self.pred]
-    }
 }
 
 /// `(x P y) ⊢ (y IS c)` — range typing over a configurable property (the
 /// generic `PRP-RNG` for one known property/class pair).
-///
-/// Unlike [`Domain`], `pred` is **not** subject-local and must not be
-/// declared: a `(x P y)` delta emits at the triple's *object* `y`, and
-/// `derives((y IS c))` reads the `pred` partition by object
-/// (`subjects_with(pred, y)`) — both cross subjects, so a deletion whose
-/// affected closure reaches `pred` through this rule correctly disables
-/// sub-splitting.
 #[derive(Debug, Clone, Copy)]
 pub struct Range {
     name: &'static str,
@@ -278,10 +240,6 @@ impl Range {
 }
 
 impl Rule for Range {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![self.pred])
-    }
-
     fn name(&self) -> &'static str {
         self.name
     }
@@ -437,36 +395,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The membership-shaped typing family sub-splits on fact bursts:
-    /// `Domain` declares its fact input subject-local, so the affected
-    /// closure {P, IS} passes the gate; `Range` (object-emitting) does
-    /// not declare it and correctly disqualifies the plan; schema-edge
-    /// seeds disqualify through `Subsumption` as before.
-    #[test]
-    fn domain_bursts_qualify_for_subsplit_range_disqualifies() {
-        const SUB: NodeId = NodeId(102);
-        let local = Ruleset::custom("dom-family")
-            .with(Domain::new("DOM", P, IS, n(7)))
-            .with(Subsumption::new("SUB", IS, SUB));
-        let g = DependencyGraph::build(&local);
-        let c = g.component_of(0);
-        assert_eq!(g.component_of(1), c, "one family");
-        assert_eq!(g.subsplit_affected(c, &[P]), Some(vec![P, IS]));
-        assert_eq!(g.subsplit_affected(c, &[IS]), Some(vec![IS]));
-        assert_eq!(g.subsplit_affected(c, &[SUB]), None, "schema seeds");
-        let with_range = Ruleset::custom("dom-rng-family")
-            .with(Domain::new("DOM", P, IS, n(7)))
-            .with(Range::new("RNG", P, IS, n(8)))
-            .with(Subsumption::new("SUB", IS, SUB));
-        let g2 = DependencyGraph::build(&with_range);
-        let c2 = g2.component_of(0);
-        assert_eq!(
-            g2.subsplit_affected(c2, &[P]),
-            None,
-            "Range's object emission crosses subjects"
-        );
     }
 
     #[test]

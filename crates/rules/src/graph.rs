@@ -26,10 +26,6 @@ pub struct DependencyGraph {
     filters: Vec<InputFilter>,
     /// Output signatures, cached for the partition/emitter queries.
     outputs: Vec<OutputSignature>,
-    /// Per-rule declared subject-local inputs (see
-    /// [`Rule::subject_local_inputs`](crate::Rule::subject_local_inputs)),
-    /// cached for the sub-split plan.
-    locals: Vec<Vec<NodeId>>,
     /// Maintenance partitions (see [`DependencyGraph::component_of`]).
     partitions: Partitions,
 }
@@ -158,7 +154,6 @@ impl DependencyGraph {
             succ,
             filters,
             outputs,
-            locals: rules.iter().map(|r| r.subject_local_inputs()).collect(),
             partitions,
         }
     }
@@ -302,76 +297,6 @@ impl DependencyGraph {
     /// the component owns every predicate and cannot be split off.
     pub fn component_predicates(&self, c: usize) -> Option<&[NodeId]> {
         self.partitions.owned[c].as_deref()
-    }
-
-    /// The **subject sub-split plan** for maintenance partition `c`,
-    /// seeded by retractions of `seed_preds`: the *affected predicate
-    /// closure* of the seeds under `c`'s rules, if maintaining it
-    /// decomposes by subject — `None` if sub-splitting `c` for these
-    /// seeds would be unsound.
-    ///
-    /// The affected closure `A` is the least fixpoint of `seeds ⊆ A` and
-    /// "a component rule consuming a predicate in `A` adds its output
-    /// predicates to `A`" — the predicates whose tables DRed scoped to
-    /// these seeds may *mutate* (everything else in the partition is only
-    /// read). Sub-splitting is sound iff every component rule whose
-    /// inputs meet `A` meets it **only through declared subject-local
-    /// inputs** ([`Rule::subject_local_inputs`](crate::Rule::subject_local_inputs)):
-    /// then every overdeletion/rederivation step stays on the seed's own
-    /// subject, two seeds with different subjects have disjoint downward
-    /// closures, and the planner may carve `A` into subject-hash buckets
-    /// maintained in parallel — each bucket mutating its own carve of the
-    /// `A` tables while joining read-only against the rest of the
-    /// partition.
-    ///
-    /// Returns the sorted affected closure on success. Components with a
-    /// universal member ([`DependencyGraph::component_predicates`] =
-    /// `None`) never qualify, and a rule meeting `A` through a non-local
-    /// input (e.g. a [`Transitive`](crate::Transitive) chain join, which
-    /// walks foreign subjects in both directions) disqualifies the plan —
-    /// sub-splitting then silently degrades to the whole-partition pass.
-    pub fn subsplit_affected(&self, c: usize, seed_preds: &[NodeId]) -> Option<Vec<NodeId>> {
-        self.partitions.owned.get(c)?.as_ref()?;
-        let mut affected: Vec<NodeId> = seed_preds.to_vec();
-        affected.sort_unstable();
-        affected.dedup();
-        loop {
-            let mut grew = false;
-            for i in 0..self.len() {
-                if self.partitions.comp[i] != c {
-                    continue;
-                }
-                let InputFilter::Predicates(ins) = &self.filters[i] else {
-                    return None; // unreachable given owned ≠ None, but stay safe
-                };
-                let touched: Vec<NodeId> = ins
-                    .iter()
-                    .copied()
-                    .filter(|p| affected.binary_search(p).is_ok())
-                    .collect();
-                if touched.is_empty() {
-                    continue;
-                }
-                // Soundness gate: every touched input must be declared
-                // subject-local by the rule.
-                if !touched.iter().all(|p| self.locals[i].contains(p)) {
-                    return None;
-                }
-                let OutputSignature::Predicates(outs) = &self.outputs[i] else {
-                    return None;
-                };
-                for &p in outs {
-                    if affected.binary_search(&p).is_err() {
-                        affected.push(p);
-                        affected.sort_unstable();
-                        grew = true;
-                    }
-                }
-            }
-            if !grew {
-                return Some(affected);
-            }
-        }
     }
 
     /// Renders the graph in Graphviz DOT, reproducing Figure 2's layout
@@ -641,56 +566,6 @@ mod tests {
             ));
         let g = DependencyGraph::build(&rs);
         assert_eq!(g.partition_count(), 1);
-    }
-
-    #[test]
-    fn subsplit_qualifies_only_subject_local_closures() {
-        use crate::{Subsumption, Transitive};
-        let trans = slider_model::NodeId(8_000);
-        let is = slider_model::NodeId(8_001);
-        let rs = Ruleset::custom("one-family")
-            .with(Transitive::new("T", trans))
-            .with(Subsumption::new("S", is, trans));
-        let g = DependencyGraph::build(&rs);
-        let c = g.component_of(0);
-
-        // Membership retractions: the affected closure is {is}, touched
-        // only through Subsumption's declared subject-local input.
-        assert_eq!(g.subsplit_affected(c, &[is]), Some(vec![is]));
-        // Chain-link retractions: Transitive meets the closure through a
-        // non-local input (its join walks foreign subjects) — no split.
-        assert_eq!(g.subsplit_affected(c, &[trans]), None);
-        assert_eq!(g.subsplit_affected(c, &[is, trans]), None);
-
-        // A universal component never qualifies.
-        let g = DependencyGraph::build(&Ruleset::rho_df());
-        assert_eq!(
-            g.subsplit_affected(0, &[slider_model::vocab::RDF_TYPE]),
-            None
-        );
-    }
-
-    #[test]
-    fn subsplit_closure_grows_through_local_chains() {
-        use crate::Subsumption;
-        // S1 propagates is1 along sub edges; S2 relabels is1 into is2
-        // (is2 plays "IS", is1 plays... no — S2: (x is2 c),(c is1 d) ⊢
-        // (x is2 d): is1 is S2's SUB input). Retracting is1 memberships
-        // seeds {is1}; S1's local input is is1 → closure stays {is1}.
-        // But retracting is2 touches S2 locally → closure {is2}.
-        let sub = slider_model::NodeId(8_100);
-        let is1 = slider_model::NodeId(8_101);
-        let is2 = slider_model::NodeId(8_102);
-        let rs = Ruleset::custom("chained")
-            .with(Subsumption::new("S1", is1, sub))
-            .with(Subsumption::new("S2", is2, is1));
-        let g = DependencyGraph::build(&rs);
-        let c = g.component_of(0);
-        // is1 is S1's local IS input but S2's *non-local* SUB input: a
-        // retraction seeding is1 reaches S2 through it → disqualified.
-        assert_eq!(g.subsplit_affected(c, &[is1]), None);
-        // is2 only meets S2's local IS input; the closure stays {is2}.
-        assert_eq!(g.subsplit_affected(c, &[is2]), Some(vec![is2]));
     }
 
     #[test]

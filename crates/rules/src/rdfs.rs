@@ -19,7 +19,7 @@ use slider_model::vocab::{
     RDFS_CLASS, RDFS_CONTAINER_MEMBERSHIP_PROPERTY, RDFS_DATATYPE, RDFS_LITERAL, RDFS_MEMBER,
     RDFS_RESOURCE, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_PROPERTY, RDF_TYPE,
 };
-use slider_model::{Dictionary, NodeId, Triple};
+use slider_model::{Dictionary, Triple};
 use slider_store::StoreView;
 use std::sync::Arc;
 
@@ -37,9 +37,6 @@ impl Rdfs1 {
 
 impl Rule for Rdfs1 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS1"
@@ -86,9 +83,6 @@ pub struct Rdfs4a;
 
 impl Rule for Rdfs4a {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS4A"
@@ -151,9 +145,6 @@ impl Rdfs4b {
 
 impl Rule for Rdfs4b {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS4B"
@@ -199,9 +190,6 @@ pub struct Rdfs6;
 
 impl Rule for Rdfs6 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS6"
@@ -242,9 +230,6 @@ pub struct Rdfs8;
 
 impl Rule for Rdfs8 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS8"
@@ -285,9 +270,6 @@ pub struct Rdfs10;
 
 impl Rule for Rdfs10 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS10"
@@ -328,9 +310,6 @@ pub struct Rdfs12;
 
 impl Rule for Rdfs12 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS12"
@@ -375,9 +354,6 @@ pub struct Rdfs13;
 
 impl Rule for Rdfs13 {
     // Delta-only: `apply` never queries the store.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(Vec::new())
-    }
 
     fn name(&self) -> &'static str {
         "RDFS13"
@@ -415,7 +391,7 @@ impl Rule for Rdfs13 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slider_model::Term;
+    use slider_model::{NodeId, Term};
     use slider_store::VerticalStore;
 
     fn n(v: u64) -> NodeId {

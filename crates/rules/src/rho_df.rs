@@ -14,7 +14,7 @@ use crate::rule::{InputFilter, OutputSignature, Rule};
 use slider_model::vocab::{
     RDFS_DOMAIN, RDFS_RANGE, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE,
 };
-use slider_model::{NodeId, Triple};
+use slider_model::Triple;
 use slider_store::StoreView;
 
 /// `CAX-SCO`: `(c1 subClassOf c2), (x type c1) ⊢ (x type c2)`.
@@ -24,10 +24,6 @@ use slider_store::StoreView;
 pub struct CaxSco;
 
 impl Rule for CaxSco {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![RDFS_SUB_CLASS_OF, RDF_TYPE])
-    }
-
     fn name(&self) -> &'static str {
         "CAX-SCO"
     }
@@ -69,21 +65,6 @@ impl Rule for CaxSco {
                     .any(|c1| store.contains(Triple::new(t.s, RDF_TYPE, c1))),
         )
     }
-
-    /// `type` is subject-local (the membership shape): a `type`-delta's
-    /// join reads only the `subClassOf` partition
-    /// (`objects_with(subClassOf, t.o)`) and emits at the delta's own
-    /// subject, and `derives((x type c2))` reads the `type` partition
-    /// only at subject `x`. `subClassOf` is *not* local — a schema-edge
-    /// delta fans out to every member of the class
-    /// (`subjects_with(type, ..)`), crossing subjects — so a deletion
-    /// whose affected closure reaches `subClassOf` correctly disables
-    /// sub-splitting. (In the full ρdf program this never fires: the
-    /// universal-input rules collapse the graph to one unsplittable
-    /// component. It pays off in predicate-scoped custom rulesets.)
-    fn subject_local_inputs(&self) -> Vec<NodeId> {
-        vec![RDF_TYPE]
-    }
 }
 
 /// `SCM-SCO`: `(c1 subClassOf c2), (c2 subClassOf c3) ⊢ (c1 subClassOf c3)`.
@@ -94,10 +75,6 @@ impl Rule for CaxSco {
 pub struct ScmSco;
 
 impl Rule for ScmSco {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![RDFS_SUB_CLASS_OF])
-    }
-
     fn name(&self) -> &'static str {
         "SCM-SCO"
     }
@@ -146,10 +123,6 @@ impl Rule for ScmSco {
 pub struct ScmSpo;
 
 impl Rule for ScmSpo {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![RDFS_SUB_PROPERTY_OF])
-    }
-
     fn name(&self) -> &'static str {
         "SCM-SPO"
     }
@@ -196,10 +169,6 @@ impl Rule for ScmSpo {
 pub struct ScmDom2;
 
 impl Rule for ScmDom2 {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![RDFS_DOMAIN, RDFS_SUB_PROPERTY_OF])
-    }
-
     fn name(&self) -> &'static str {
         "SCM-DOM2"
     }
@@ -248,10 +217,6 @@ impl Rule for ScmDom2 {
 pub struct ScmRng2;
 
 impl Rule for ScmRng2 {
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        Some(vec![RDFS_RANGE, RDFS_SUB_PROPERTY_OF])
-    }
-
     fn name(&self) -> &'static str {
         "SCM-RNG2"
     }
@@ -496,22 +461,6 @@ mod tests {
     fn cax_sco_no_match() {
         assert!(run(&CaxSco, &[sco(1, 2)], &[ty(9, 3)]).is_empty());
         assert!(run(&CaxSco, &[], &[Triple::new(n(1), n(99), n(2))]).is_empty());
-    }
-
-    /// In a predicate-scoped ruleset, CAX-SCO's declared `type` locality
-    /// lets a membership burst sub-split; schema-edge seeds still
-    /// disqualify, and the full ρdf program stays universal (one
-    /// unsplittable component).
-    #[test]
-    fn cax_sco_qualifies_type_bursts_for_subsplit() {
-        use crate::{DependencyGraph, Ruleset};
-        let g = DependencyGraph::build(&Ruleset::custom("cax-only").with(CaxSco));
-        let c = g.component_of(0);
-        assert_eq!(g.subsplit_affected(c, &[RDF_TYPE]), Some(vec![RDF_TYPE]));
-        assert_eq!(g.subsplit_affected(c, &[RDFS_SUB_CLASS_OF]), None);
-        let rho = DependencyGraph::build(&Ruleset::rho_df());
-        let rho_c = rho.component_of(0);
-        assert_eq!(rho.subsplit_affected(rho_c, &[RDF_TYPE]), None);
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl OutputSignature {
 /// One inference rule — the unit the reasoner maps to a module (§2).
 ///
 /// Implementations must be `Send + Sync`: the thread pool runs many
-/// instances of the same rule concurrently against a shared read-locked
-/// store.
+/// instances of the same rule concurrently against a shared published
+/// epoch of the store.
 pub trait Rule: Send + Sync {
     /// Rule name as used in the paper/figures (e.g. `"CAX-SCO"`).
     fn name(&self) -> &'static str;
@@ -119,55 +119,6 @@ pub trait Rule: Send + Sync {
     /// to `out`. Conclusions may repeat; the distributor deduplicates
     /// against the store.
     fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>);
-
-    /// The static **read set** of [`Rule::apply`]: every predicate the
-    /// join may pass to a store accessor, independent of the delta.
-    /// `None` (the default) means the read set is unbounded — the rule
-    /// may look up data-dependent predicates (e.g. `PRP-SPO1` walks the
-    /// partition of whatever property the delta mentions) — and the
-    /// reasoner hands such rules a full store snapshot. `Some(preds)`
-    /// lets the sharded store pin only `preds`' shards, in a fixed order,
-    /// so the join never blocks writers on unrelated predicate families;
-    /// `Some(vec![])` declares a delta-only rule that reads no store
-    /// partition at all.
-    ///
-    /// The declaration is a *contract*: `apply` touching a predicate
-    /// outside a `Some` read set panics loudly inside the engine (the
-    /// closure test suite exercises every built-in rule's declaration).
-    /// [`Rule::derives`] is exempt — maintenance always runs it against
-    /// a whole-store view.
-    fn read_predicates(&self) -> Option<Vec<NodeId>> {
-        None
-    }
-
-    /// The subset of this rule's input predicates whose reads are
-    /// **subject-local**: for every input predicate `p` in the returned
-    /// list, both [`Rule::apply`] and [`Rule::derives`] only ever access
-    /// `p`'s partition at the *subject of the triple being derived or
-    /// checked* (patterns of the shape `(s, p, ?)` with `s` the
-    /// conclusion's subject), and every conclusion whose derivation
-    /// touched `p` carries that same subject.
-    ///
-    /// This is the soundness gate for **intra-partition subject
-    /// sub-splitting** (the maintenance planner's second level): if a
-    /// deletion's affected predicate closure only meets this rule through
-    /// subject-local inputs, then the downward closure of a set of
-    /// retractions decomposes by subject — two seeds with different
-    /// subjects can never overdelete or rederive each other's
-    /// consequences through this rule — and the planner may carve the
-    /// affected predicates into disjoint subject-range buckets and
-    /// maintain them in parallel.
-    ///
-    /// The default (empty) is the conservative answer: no input is
-    /// declared subject-local and any deletion touching this rule's
-    /// inputs disables sub-splitting for its partition. Declaring a
-    /// predicate here that the rule in fact reads at foreign subjects
-    /// (e.g. a transitive join walking `(?, p, s)`) would let the planner
-    /// tear one closure across buckets — only declare inputs whose
-    /// accesses provably stay on the conclusion's subject.
-    fn subject_local_inputs(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
 
     /// Backward support check — the optional fast path for DRed
     /// rederivation: is `t` derivable by this rule **in one step** from

@@ -5,48 +5,39 @@
 //! the paper's *semantics* but drops the single lock: the store is already
 //! vertically partitioned into self-contained per-predicate
 //! [`PropertyTable`](crate::PropertyTable)s, so [`ShardedStore`] guards
-//! them with **two levels of locking**:
+//! its writers with **two levels of locking**:
 //!
-//! 1. a global **maintenance gate** (`RwLock<()>`): every *monotone*
-//!    operation (insert, query, snapshot) holds it in *read* mode; the
-//!    exclusive paths — [`ShardedStore::exclusive`] (DRed maintenance
-//!    runs and quiescent-store sections) and the deleting
-//!    [`ShardedStore::remove`]/[`ShardedStore::remove_batch`] — take it
-//!    in *write* mode, getting the store to themselves exactly as the old
-//!    global write lock did. While any snapshot is live the store can
-//!    only grow, which is what makes per-shard (rather than one-big-lock)
-//!    reads sound;
+//! 1. a global **maintenance gate** (`RwLock<()>`): every *monotone* write
+//!    (insert, shard guard) holds it in *read* mode; the exclusive paths —
+//!    [`ShardedStore::exclusive`] (DRed maintenance runs and
+//!    quiescent-store sections) and the deleting
+//!    [`ShardedStore::remove`]/[`ShardedStore::remove_batch`] — take it in
+//!    *write* mode, getting the store to themselves exactly as the old
+//!    global write lock did;
 //! 2. a fixed power-of-two array of **shard locks**
 //!    (`RwLock<VerticalStore>`), each shard owning the property tables of
 //!    the predicates that hash to it. Writers touching disjoint predicate
 //!    families lock disjoint shards and run concurrently instead of
-//!    serialising on one writer, and a read snapshot scoped to a declared
-//!    read set ([`ShardedStore::read_for`]) only blocks writers on the
-//!    shards it pins.
+//!    serialising on one writer.
 //!
 //! ## Lock-order discipline
 //!
 //! * The gate is always acquired **before** any shard lock, never while a
 //!   shard lock is held.
-//! * Multi-shard *read* acquisition ([`ShardedStore::read`] /
-//!   [`ShardedStore::read_for`]) pins its shards eagerly at construction,
-//!   in ascending index order; no shard lock is ever acquired while a
-//!   snapshot's guards are held.
 //! * No thread ever holds more than one shard **write** lock at a time —
 //!   the batched write paths release shard *i* before acquiring shard *j*
 //!   (a batch is therefore atomic with respect to maintenance, which
-//!   excludes it wholly via the gate, but not with respect to readers of
-//!   other shards — exactly the per-shard granularity the fresh-subset
-//!   contract needs, since that contract is per triple).
+//!   excludes it wholly via the gate, but not with respect to readers —
+//!   exactly the per-shard granularity the fresh-subset contract needs,
+//!   since that contract is per triple).
 //!
-//! Writers never wait while holding a shard lock and readers acquire in a
-//! fixed order at a single point in time, so no cycle — and therefore no
-//! deadlock — is possible.
+//! Writers never wait while holding a shard lock, so no cycle — and
+//! therefore no deadlock — is possible.
 //!
-//! ## Epoch snapshots — the lock-free read path
+//! ## Epoch snapshots — the read path
 //!
-//! On top of the two lock levels the store keeps one **published epoch**:
-//! an immutable, generation-stamped [`EpochSnapshot`] holding an
+//! Reads take neither lock level. The store keeps one **published
+//! epoch**: an immutable, generation-stamped [`EpochSnapshot`] holding an
 //! `Arc<VerticalStore>` per shard. Every writer publishes a fresh epoch
 //! at the moment it releases a shard — while still holding that shard's
 //! write lock, so publications of a shard serialise and each epoch is a
@@ -59,27 +50,28 @@
 //!
 //! Readers ([`ShardedStore::snapshot`], and through it
 //! [`ShardedStore::matches`] / [`ShardedStore::stats`] /
-//! [`ShardedStore::to_sorted_vec`] / [`ShardedStore::contains`]) clone
-//! the published `Arc` and answer from the immutable epoch: **zero gate
-//! or shard locks**, so reads never block writers, shard guards, DRed
-//! flushes, or [`ShardedStore::exclusive`] sections — and never observe
-//! their intermediate states. Deletions happen only under the gate's
-//! write mode (the single remaining exclusion point) and become visible
-//! atomically when the new epoch is published; an epoch acquired before
-//! a maintenance run keeps answering from the pre-maintenance state
-//! (generation monotonicity).
+//! [`ShardedStore::to_sorted_vec`] / [`ShardedStore::contains`]) lock the
+//! small publication mutex just long enough to clone the published `Arc`,
+//! then answer from the immutable epoch with no lock at all. They never
+//! wait on the gate or a shard lock, so reads do not block (and are not
+//! blocked by) writers, shard guards, DRed flushes, or
+//! [`ShardedStore::exclusive`] sections — and never observe their
+//! intermediate states. Deletions happen only under the gate's write mode
+//! and become visible atomically when the new epoch is published; an
+//! epoch acquired before a maintenance run keeps answering from the
+//! pre-maintenance state (generation monotonicity).
 
 use crate::pattern::TriplePattern;
 use crate::vertical::{StoreStats, VerticalStore};
-use crate::view::{ShardRead, StoreView};
+use crate::view::StoreView;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use slider_model::{NodeId, Triple};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default number of shards — enough to make collisions between a handful
-/// of hot predicate families unlikely, small enough that a full snapshot
-/// (one read lock per shard) stays cheap.
+/// of hot predicate families unlikely, small enough that publishing an
+/// epoch (one `Arc` per shard) stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// A [`VerticalStore`] split into per-predicate shards behind two-level
@@ -105,9 +97,9 @@ pub struct ShardedStore {
     /// Times a shard write lock was contended (the uncontended fast path
     /// is a `try_write`).
     shard_conflicts: AtomicU64,
-    /// The published epoch: the immutable snapshot lock-free readers
-    /// answer from. The mutex is held only for the pointer clone/swap —
-    /// never across any other lock (order: gate → shard → publish).
+    /// The published epoch: the immutable snapshot readers answer from.
+    /// The mutex is held only for the pointer clone/swap — never across
+    /// any other lock (order: gate → shard → publish).
     published: Mutex<Arc<EpochSnapshot>>,
     /// Monotone epoch counter; bumped at every publication.
     generation: AtomicU64,
@@ -268,10 +260,11 @@ impl ShardedStore {
         });
     }
 
-    /// The current published epoch — the lock-free read path. One mutex
-    /// lock for the pointer clone; the returned snapshot is immutable and
-    /// shared, so it never blocks (and is never blocked by) writers,
-    /// shard guards, or maintenance.
+    /// The current published epoch — the read path. Locks the publication
+    /// mutex just long enough to clone one `Arc` (the mutex is never held
+    /// across the gate or a shard lock); the returned snapshot is
+    /// immutable and shared, so querying it never waits on writers, shard
+    /// guards, or maintenance.
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
         Arc::clone(&self.published.lock())
     }
@@ -330,7 +323,7 @@ impl ShardedStore {
                 // Re-asserting a triple already present as *derived* is not
                 // fresh, but it does flip the explicit flag — a mutation the
                 // epoch must republish or `stats()`/`is_explicit` on the
-                // lock-free path would keep serving stale provenance.
+                // epoch read path would keep serving stale provenance.
                 let was_explicit = shard.is_explicit(t);
                 let new = shard.insert_explicit(t);
                 (new, new || !was_explicit)
@@ -342,12 +335,10 @@ impl ShardedStore {
     /// Removes a batch; appends the triples that were actually present to
     /// `removed` and returns how many were present.
     ///
-    /// Removal takes the **gate in write mode**: read snapshots assume
-    /// the store only grows while they are live (they pin shards in a
-    /// fixed order, not as one atomic cut), so deletion must exclude them
-    /// wholly — a remover racing a half-built snapshot could otherwise
-    /// expose a cross-shard state no serial order explains. Blocks until
-    /// every snapshot, write and shard guard has released; never called
+    /// Removal takes the **gate in write mode**, like every deletion:
+    /// monotone writers hold the gate in read mode, so a removal never
+    /// interleaves with a half-applied insert batch or a live shard guard.
+    /// Blocks until every write and shard guard has released; never called
     /// from the engine's hot paths (DRed deletes on the merged store via
     /// [`ShardedStore::exclusive`]).
     pub fn remove_batch(&self, triples: &[Triple], removed: &mut Vec<Triple>) -> usize {
@@ -423,7 +414,7 @@ impl ShardedStore {
     /// Inserts one triple; returns `true` if new. One gate-read plus one
     /// shard write lock; publishes a fresh epoch before returning, so the
     /// caller (and anything it signals) observes its own write on the
-    /// lock-free read path.
+    /// epoch read path.
     pub fn insert(&self, t: Triple) -> bool {
         let _gate = self.gate.read();
         let idx = self.shard_of(t.p);
@@ -438,7 +429,7 @@ impl ShardedStore {
 
     /// Removes one triple; returns `true` if it was present. Takes the
     /// gate in write mode, like [`ShardedStore::remove_batch`]; the
-    /// deletion becomes visible to lock-free readers atomically with the
+    /// deletion becomes visible to epoch readers atomically with the
     /// epoch published before the gate releases.
     pub fn remove(&self, t: Triple) -> bool {
         let _gate = self.gate.write();
@@ -465,75 +456,6 @@ impl ShardedStore {
         self.snapshot().is_explicit(t)
     }
 
-    /// Acquires a **full** multi-shard read snapshot: the gate in read
-    /// mode plus every shard's read lock, in ascending index order — the
-    /// consistent cross-shard cut `stats`, `to_sorted_vec`, `matches` and
-    /// external queries want. Equivalent to `read_for(None)`.
-    pub fn read(&self) -> StoreSnapshot<'_> {
-        self.read_for(None)
-    }
-
-    /// Precomputes the snapshot scope for a declared predicate read set:
-    /// the predicates plus the sorted, deduplicated indices of the shards
-    /// owning them. Callers that take many scoped snapshots (the engine
-    /// plans one per rule module at startup) reuse the plan instead of
-    /// re-hashing and re-sorting per snapshot. A plan is only valid for
-    /// the store that built it (shard indices depend on the shard count).
-    pub fn plan_read(&self, preds: &[NodeId]) -> ReadSet {
-        let mut shards: Vec<usize> = preds.iter().map(|&p| self.shard_of(p)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        ReadSet {
-            preds: preds.to_vec(),
-            shards,
-        }
-    }
-
-    /// Acquires a read snapshot scoped to a **declared read set**
-    /// ([`ShardedStore::plan_read`]): the gate in read mode, plus the
-    /// read locks of exactly the shards owning the set's predicates —
-    /// acquired eagerly, in ascending shard-index order, so the
-    /// fixed-order deadlock-freedom argument in the module docs covers
-    /// every snapshot. `None` pins all shards (= [`ShardedStore::read`]).
-    ///
-    /// One snapshot per rule application, not per lookup — the sharded
-    /// analogue of the paper's "read lock for the duration of one join
-    /// batch", except that a join with a declared read set
-    /// (`Rule::read_predicates` in `slider-rules`) only blocks writers on
-    /// the shards it actually reads; writers everywhere else keep
-    /// flowing, and an empty read set locks no shard at all.
-    ///
-    /// The scope is a **contract**: querying a predicate outside the
-    /// declared set panics — by exact membership, not merely by shard,
-    /// so a wrong declaration fails on the first test that exercises it
-    /// instead of depending on whether the stray predicate happens to
-    /// hash to a pinned shard. The full-walk accessors (`iter`, `len`,
-    /// `predicates`, unbound-predicate `matches`) panic on a partial
-    /// snapshot too.
-    pub fn read_for<'a>(&'a self, read_set: Option<&'a ReadSet>) -> StoreSnapshot<'a> {
-        let gate = self.gate.read();
-        let mut guards: Vec<Option<RwLockReadGuard<'_, VerticalStore>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        match read_set {
-            None => {
-                for (idx, slot) in guards.iter_mut().enumerate() {
-                    *slot = Some(self.shards[idx].read());
-                }
-            }
-            Some(set) => {
-                for &idx in &set.shards {
-                    guards[idx] = Some(self.shards[idx].read());
-                }
-            }
-        }
-        StoreSnapshot {
-            owner: self,
-            _gate: gate,
-            read_set,
-            shards: guards,
-        }
-    }
-
     /// Acquires the **maintenance gate in write mode** and returns the
     /// whole store, merged, for compound mutation. This is the only way to
     /// get `&mut VerticalStore` access: the DRed maintenance subsystem
@@ -555,8 +477,8 @@ impl ShardedStore {
     /// Locks the single shard owning predicate `p` for writing (gate held
     /// in read mode), for callers that want to pin or batch mutations on
     /// one predicate family. Writes to *other* shards proceed concurrently
-    /// while this guard is held; [`ShardedStore::exclusive`] and full
-    /// snapshots block until it is released.
+    /// while this guard is held; [`ShardedStore::exclusive`] and removals
+    /// block until it is released.
     pub fn write_shard(&self, p: NodeId) -> ShardWriteGuard<'_> {
         let gate = self.gate.read();
         let idx = self.shard_of(p);
@@ -588,8 +510,8 @@ impl ShardedStore {
         self.gate_writes.load(Ordering::Relaxed)
     }
 
-    /// Times a shard write lock was contended (another writer or a
-    /// snapshot held the shard when a write arrived).
+    /// Times a shard write lock was contended (another writer or a shard
+    /// guard held the shard when a write arrived).
     pub fn shard_write_conflicts(&self) -> u64 {
         self.shard_conflicts.load(Ordering::Relaxed)
     }
@@ -619,155 +541,6 @@ impl ShardedStore {
             merged.absorb(shard.into_inner());
         }
         merged
-    }
-}
-
-/// A read snapshot of a [`ShardedStore`]: the gate in read mode, plus the
-/// read locks of every shard ([`ShardedStore::read`]) or of a declared
-/// read set's shards only ([`ShardedStore::read_for`]) — all acquired at
-/// construction, in ascending shard-index order. Queries answer directly
-/// (the usual store API) or through [`StoreSnapshot::view`] for code
-/// written against [`StoreView`]; querying a predicate outside a partial
-/// snapshot's declared read set panics.
-pub struct StoreSnapshot<'a> {
-    owner: &'a ShardedStore,
-    _gate: RwLockReadGuard<'a, ()>,
-    /// The declared scope (`None` = full snapshot); queries are checked
-    /// against it by exact predicate membership.
-    read_set: Option<&'a ReadSet>,
-    /// The pinned shard read guards, indexed by shard (`None` = outside
-    /// the read set).
-    shards: Vec<Option<RwLockReadGuard<'a, VerticalStore>>>,
-}
-
-/// A precomputed snapshot scope — see [`ShardedStore::plan_read`].
-#[derive(Debug, Clone)]
-pub struct ReadSet {
-    /// The declared predicates (exact membership check per query).
-    preds: Vec<NodeId>,
-    /// Sorted, deduplicated indices of the shards owning `preds`.
-    shards: Vec<usize>,
-}
-
-impl<'a> StoreSnapshot<'a> {
-    /// The sub-store of shard `idx` (pinned by construction for every
-    /// in-scope query; see [`StoreSnapshot::store_for`]).
-    #[inline]
-    fn shard(&self, idx: usize) -> &VerticalStore {
-        self.shards[idx]
-            .as_deref()
-            .unwrap_or_else(|| panic!("shard {idx} is outside this snapshot's declared read set"))
-    }
-
-    /// The shard sub-store owning predicate `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside a partial snapshot's declared read set —
-    /// checked by **exact membership**, not by shard, so a
-    /// `Rule::read_predicates` declaration missing a predicate its join
-    /// touches fails deterministically (a shard-level check would let the
-    /// stray predicate slip through whenever it happens to hash to a
-    /// pinned shard).
-    #[inline]
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        if let Some(set) = self.read_set {
-            assert!(
-                set.preds.contains(&p),
-                "predicate {p:?} is outside this snapshot's declared read set"
-            );
-        }
-        self.shard(self.owner.shard_of(p))
-    }
-
-    /// A [`StoreView`] over this snapshot — what rule joins run against.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
-    }
-
-    /// True if `t` is present.
-    pub fn contains(&self, t: Triple) -> bool {
-        self.store_for(t.p).contains(t)
-    }
-
-    /// True if `t` is present and explicitly asserted.
-    pub fn is_explicit(&self, t: Triple) -> bool {
-        self.store_for(t.p).is_explicit(t)
-    }
-
-    /// Objects `o` such that `(s, p, o)` holds.
-    pub fn objects_with(&self, p: NodeId, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.store_for(p).objects_with(p, s)
-    }
-
-    /// Subjects `s` such that `(s, p, o)` holds.
-    pub fn subjects_with(&self, p: NodeId, o: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.store_for(p).subjects_with(p, o)
-    }
-
-    /// All `(s, o)` pairs for predicate `p`.
-    pub fn pairs(&self, p: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.store_for(p).pairs(p)
-    }
-
-    /// Number of triples with predicate `p`.
-    pub fn count_with_p(&self, p: NodeId) -> usize {
-        self.store_for(p).count_with_p(p)
-    }
-
-    /// Iterates over every triple in the snapshot (no ordering
-    /// guarantee; full snapshots only — panics on a partial one).
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.sub_stores().flat_map(VerticalStore::iter)
-    }
-
-    /// Total number of triples in the snapshot (full snapshots only —
-    /// panics on a partial one).
-    pub fn len(&self) -> usize {
-        self.sub_stores().map(VerticalStore::len).sum()
-    }
-
-    /// True if the snapshot holds no triples (full snapshots only —
-    /// panics on a partial one).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All triples matching `pattern`.
-    pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
-        self.view().matches(pattern)
-    }
-}
-
-impl ShardRead for StoreSnapshot<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        StoreSnapshot::store_for(self, p)
-    }
-
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        assert!(
-            self.read_set.is_none(),
-            "full-store walk on a partial snapshot — the rule's declared \
-             read set does not license iter()/len()/predicates()/unbound \
-             matches()"
-        );
-        Box::new(self.shards.iter().map(|guard| {
-            &**guard
-                .as_ref()
-                .expect("a non-partial snapshot pinned every shard")
-        }))
-    }
-}
-
-impl std::fmt::Debug for StoreSnapshot<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreSnapshot")
-            .field("shards", &self.shards.len())
-            .field(
-                "pinned",
-                &self.shards.iter().filter(|g| g.is_some()).count(),
-            )
-            .finish()
     }
 }
 
@@ -816,7 +589,7 @@ impl std::fmt::Debug for ExclusiveStore<'_> {
 /// in read mode) — see [`ShardedStore::write_shard`]. On drop, the
 /// store-wide length counter is adjusted by however much the shard grew or
 /// shrank through this guard, and a fresh epoch is published — mutations
-/// made through the guard become visible to lock-free readers atomically
+/// made through the guard become visible to epoch readers atomically
 /// at release, never mid-edit.
 pub struct ShardWriteGuard<'a> {
     owner: &'a ShardedStore,
@@ -866,7 +639,7 @@ impl std::fmt::Debug for ShardWriteGuard<'_> {
 }
 
 /// An immutable, generation-stamped epoch of the whole store — the
-/// lock-free read path ([`ShardedStore::snapshot`]).
+/// epoch read path ([`ShardedStore::snapshot`]).
 ///
 /// A snapshot holds one `Arc<VerticalStore>` per shard, shared
 /// copy-on-write with the live shards at publication time. It is never
@@ -913,25 +686,19 @@ impl EpochSnapshot {
 
     /// The sub-store owning predicate `p`.
     #[inline]
-    fn shard_store(&self, p: NodeId) -> &VerticalStore {
+    pub(crate) fn shard_store(&self, p: NodeId) -> &VerticalStore {
         &self.shards[self.shard_of(p)]
     }
 
-    /// A [`StoreView`] over the whole epoch — what unscoped queries and
-    /// rule joins without a declared read set run against.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
+    /// Every shard's sub-store, in shard-index order.
+    pub(crate) fn shards(&self) -> &[Arc<VerticalStore>] {
+        &self.shards
     }
 
-    /// A reader scoped to a declared read set — the lock-free analogue
-    /// of [`ShardedStore::read_for`]. The scope is the same contract:
-    /// querying a predicate outside the declared set panics by exact
-    /// membership. `None` scopes nothing (= the full [`EpochSnapshot::view`]).
-    pub fn reader<'a>(&'a self, read_set: Option<&'a ReadSet>) -> EpochReader<'a> {
-        EpochReader {
-            snapshot: self,
-            read_set,
-        }
+    /// A [`StoreView`] over the epoch — what rule joins and external
+    /// queries run against.
+    pub fn view(&self) -> StoreView<'_> {
+        StoreView::Epoch(self)
     }
 
     /// True if `t` is present in this epoch.
@@ -994,16 +761,6 @@ impl EpochSnapshot {
     }
 }
 
-impl ShardRead for EpochSnapshot {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        self.shard_store(p)
-    }
-
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        Box::new(self.shards.iter().map(|s| &**s))
-    }
-}
-
 impl std::fmt::Debug for EpochSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochSnapshot")
@@ -1011,49 +768,6 @@ impl std::fmt::Debug for EpochSnapshot {
             .field("shards", &self.shards.len())
             .field("len", &self.len)
             .finish()
-    }
-}
-
-/// An [`EpochSnapshot`] scoped to a declared read set
-/// ([`EpochSnapshot::reader`]) — the lock-free analogue of the pinned
-/// [`StoreSnapshot`] a rule join used to hold. Queries outside the
-/// declared predicates panic by exact membership, preserving the
-/// loud-failure contract of `Rule::read_predicates`; since the epoch is
-/// immutable, the scope costs nothing at construction (no shards to
-/// pin).
-#[derive(Debug, Clone, Copy)]
-pub struct EpochReader<'a> {
-    snapshot: &'a EpochSnapshot,
-    read_set: Option<&'a ReadSet>,
-}
-
-impl EpochReader<'_> {
-    /// A [`StoreView`] over this scoped reader — what rule joins with a
-    /// declared read set run against.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
-    }
-}
-
-impl ShardRead for EpochReader<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        if let Some(set) = self.read_set {
-            assert!(
-                set.preds.contains(&p),
-                "predicate {p:?} is outside this snapshot's declared read set"
-            );
-        }
-        self.snapshot.shard_store(p)
-    }
-
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        assert!(
-            self.read_set.is_none(),
-            "full-store walk on a partial snapshot — the rule's declared \
-             read set does not license iter()/len()/predicates()/unbound \
-             matches()"
-        );
-        self.snapshot.sub_stores()
     }
 }
 
@@ -1163,7 +877,7 @@ mod tests {
         st.insert(t(1, 10, 2));
         st.insert(t(1, 10, 3));
         st.insert(t(5, 20, 6));
-        let snap = st.read();
+        let snap = st.snapshot();
         assert_eq!(snap.objects_with(NodeId(10), NodeId(1)).count(), 2);
         assert_eq!(snap.subjects_with(NodeId(20), NodeId(6)).count(), 1);
         assert_eq!(snap.pairs(NodeId(10)).count(), 2);
@@ -1232,68 +946,6 @@ mod tests {
         assert!(st.shard_write_conflicts() >= 1, "the blocked write counted");
     }
 
-    /// A partial snapshot pins only its declared read set's shards:
-    /// while a reader holds one family's shard, writes to other shards
-    /// complete, and a write to the pinned shard blocks until the
-    /// snapshot drops.
-    #[test]
-    fn partial_snapshot_only_blocks_declared_shards() {
-        let st = Arc::new(ShardedStore::with_shards(8));
-        let p1 = NodeId(1);
-        let p2 = (2..200)
-            .map(NodeId)
-            .find(|&p| st.shard_of(p) != st.shard_of(p1))
-            .expect("some predicate hashes to another shard");
-        st.insert(Triple::new(NodeId(5), p1, NodeId(6)));
-
-        let plan = st.plan_read(&[p1]);
-        let snap = st.read_for(Some(&plan));
-        assert_eq!(snap.objects_with(p1, NodeId(5)).count(), 1);
-
-        // Untouched shard: a write completes while the snapshot lives.
-        let st2 = Arc::clone(&st);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(st2.insert(Triple::new(NodeId(9), p2, NodeId(9))));
-        });
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(10)),
-            Ok(true),
-            "write to an undeclared shard blocked behind a partial snapshot"
-        );
-
-        // Touched shard: a write blocks until the snapshot drops.
-        let st3 = Arc::clone(&st);
-        let done = Arc::new(AtomicBool::new(false));
-        let done2 = Arc::clone(&done);
-        let blocked = std::thread::spawn(move || {
-            st3.insert(Triple::new(NodeId(9), p1, NodeId(9)));
-            done2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            !done.load(Ordering::SeqCst),
-            "write to the touched shard did not block"
-        );
-        drop(snap);
-        blocked.join().unwrap();
-        assert_eq!(st.len(), 3);
-    }
-
-    /// The read-set contract is exact: an undeclared predicate panics
-    /// even when it hashes to a shard the snapshot pinned for another
-    /// predicate (a shard-level check would let it slip through and make
-    /// the loud-failure guarantee depend on the shard count).
-    #[test]
-    #[should_panic(expected = "outside this snapshot's declared read set")]
-    fn undeclared_predicate_panics_even_on_a_pinned_shard() {
-        let st = ShardedStore::with_shards(1); // every predicate shares shard 0
-        st.insert(t(1, 7, 2));
-        let plan = st.plan_read(&[NodeId(7)]);
-        let snap = st.read_for(Some(&plan));
-        let _ = snap.objects_with(NodeId(8), NodeId(1)).count();
-    }
-
     #[test]
     fn shard_write_guard_mutations_keep_len_in_sync() {
         let st = ShardedStore::with_shards(4);
@@ -1353,7 +1005,7 @@ mod tests {
         for _ in 0..4 {
             let st = Arc::clone(&st);
             handles.push(std::thread::spawn(move || {
-                let snap = st.read();
+                let snap = st.snapshot();
                 (0..100)
                     .map(|i| snap.objects_with(NodeId(7), NodeId(i)).count())
                     .sum::<usize>()
@@ -1383,7 +1035,7 @@ mod tests {
         plain.insert(t(1, 10, 2));
         let st = ShardedStore::from_store(plain);
         // Subjects query still answers via the scan path.
-        let snap = st.read();
+        let snap = st.snapshot();
         assert_eq!(
             snap.subjects_with(NodeId(10), NodeId(2))
                 .collect::<Vec<_>>(),
@@ -1411,7 +1063,7 @@ mod tests {
         assert_eq!(st.stats().triples, 50);
     }
 
-    /// The acceptance pin for the lock-free read path: with a shard's
+    /// The acceptance pin for the epoch read path: with a shard's
     /// write lock held **on this very thread** (the old read path would
     /// self-deadlock acquiring its read lock), every query API answers.
     #[test]
@@ -1474,7 +1126,7 @@ mod tests {
     }
 
     /// Mutations made through a `ShardWriteGuard` are invisible to the
-    /// lock-free read path until the guard drops, then appear atomically.
+    /// epoch read path until the guard drops, then appear atomically.
     #[test]
     fn shard_guard_mutations_publish_on_release() {
         let st = ShardedStore::with_shards(4);
@@ -1492,7 +1144,7 @@ mod tests {
 
     /// Re-asserting a triple already present as *derived* changes only its
     /// provenance — no fresh triple — but the flip must still republish
-    /// the epoch, or the lock-free `stats()`/`is_explicit` would keep
+    /// the epoch, or the epoch's `stats()`/`is_explicit` would keep
     /// serving the stale flag forever.
     #[test]
     fn explicit_reassertion_of_a_derived_triple_republishes_the_epoch() {
@@ -1506,7 +1158,10 @@ mod tests {
         fresh.clear();
         assert_eq!(st.insert_batch_explicit(&[t(1, 7, 2)], &mut fresh), 0);
         assert!(fresh.is_empty(), "provenance flip is not a fresh triple");
-        assert!(st.is_explicit(t(1, 7, 2)), "flip visible lock-free");
+        assert!(
+            st.is_explicit(t(1, 7, 2)),
+            "flip visible on the epoch read path"
+        );
         assert_eq!(st.stats().explicit, 1);
         assert_eq!(st.stats().triples, 1);
         assert!(st.snapshot_generation() > before, "flip published an epoch");
@@ -1517,34 +1172,6 @@ mod tests {
         fresh.clear();
         assert_eq!(st.insert_batch_explicit(&[t(1, 7, 2)], &mut fresh), 0);
         assert_eq!(st.snapshot_generation(), settled);
-    }
-
-    /// The scoped epoch reader preserves the exact-membership read-set
-    /// contract even though nothing is pinned.
-    #[test]
-    #[should_panic(expected = "outside this snapshot's declared read set")]
-    fn epoch_reader_panics_on_undeclared_predicate() {
-        let st = ShardedStore::with_shards(1); // every predicate shares shard 0
-        st.insert(t(1, 7, 2));
-        let plan = st.plan_read(&[NodeId(7)]);
-        let snap = st.snapshot();
-        let reader = snap.reader(Some(&plan));
-        let _ = reader.view().objects_with(NodeId(8), NodeId(1)).count();
-    }
-
-    /// The scoped epoch reader answers declared-predicate queries from
-    /// the epoch and refuses full-store walks, like the pinned snapshot.
-    #[test]
-    fn epoch_reader_scoped_queries_answer() {
-        let st = ShardedStore::with_shards(8);
-        st.insert(t(1, 7, 2));
-        st.insert(t(5, 20, 6));
-        let plan = st.plan_read(&[NodeId(7)]);
-        let snap = st.snapshot();
-        let reader = snap.reader(Some(&plan));
-        assert_eq!(reader.view().objects_with(NodeId(7), NodeId(1)).count(), 1);
-        let unscoped = snap.reader(None);
-        assert_eq!(unscoped.view().len(), 2);
     }
 
     #[test]

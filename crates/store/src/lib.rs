@@ -26,23 +26,22 @@
 //! `slider-core`'s `maintenance` module.
 //!
 //! [`ShardedStore`] shares the store across threads with **two-level
-//! locking** (the paper uses a single `ReentrantReadWriteLock`; we keep
-//! its semantics but not its bottleneck): a global *maintenance gate*
-//! held in read mode by every normal operation and in write mode only by
-//! exclusive (DRed/quiescent) sections, plus per-predicate-shard
-//! readers-writer locks so writers touching disjoint predicate families
-//! run concurrently. Readers join against a [`StoreView`] — either a
-//! plain store borrowed whole or a consistent multi-shard
-//! [`StoreSnapshot`] — so the same rule code serves both worlds. See the
-//! `concurrent` module docs for the lock-order discipline.
+//! write locking** (the paper uses a single `ReentrantReadWriteLock`; we
+//! keep its semantics but not its bottleneck): a global *maintenance gate*
+//! held in read mode by every monotone write and in write mode only by
+//! exclusive (DRed/quiescent) sections and removals, plus
+//! per-predicate-shard locks so writers touching disjoint predicate
+//! families run concurrently. See the `concurrent` module docs for the
+//! lock-order discipline.
 //!
-//! The **query path is lock-free**: every write-release publishes an
+//! There is **one read path**: every write-release publishes an
 //! immutable, generation-stamped [`EpochSnapshot`] (copy-on-write over
-//! the shard tables), and `matches`/`stats`/`to_sorted_vec`/`contains`
-//! answer from the published epoch without taking the gate or any shard
-//! lock. Rule joins with a declared read set run against an
-//! [`EpochReader`], which keeps the exact-membership panic contract of
-//! the pinned snapshots while pinning nothing.
+//! the shard tables), and rule joins as well as
+//! `matches`/`stats`/`to_sorted_vec`/`contains` answer from the published
+//! epoch. Taking one costs a short mutex lock and an `Arc` clone; it never
+//! waits on the gate or a shard lock. Readers see it through a
+//! [`StoreView`] — a plain store borrowed whole or an epoch — so the same
+//! rule code serves both worlds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,10 +53,9 @@ mod vertical;
 mod view;
 
 pub use concurrent::{
-    EpochReader, EpochSnapshot, ExclusiveStore, ReadSet, ShardWriteGuard, ShardedStore,
-    StoreSnapshot, DEFAULT_SHARDS,
+    EpochSnapshot, ExclusiveStore, ShardWriteGuard, ShardedStore, DEFAULT_SHARDS,
 };
 pub use pattern::TriplePattern;
 pub use table::PropertyTable;
-pub use vertical::{subject_bucket, StoreStats, VerticalStore};
-pub use view::{Overlay, ShardRead, StoreView};
+pub use vertical::{StoreStats, VerticalStore};
+pub use view::StoreView;

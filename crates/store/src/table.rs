@@ -184,43 +184,10 @@ impl PropertyTable {
         self.len == 0
     }
 
-    /// Moves every pair whose **subject** satisfies `take` into a new
-    /// table, preserving explicit flags. The new table inherits this
-    /// table's index mode. This is the subject-range carving primitive
-    /// behind `VerticalStore::split_off_subjects`: a predicate partition
-    /// stops being the finest grain a shard can move at.
-    pub fn split_off_subjects(&mut self, take: impl Fn(NodeId) -> bool) -> PropertyTable {
-        let mut carved = if self.by_o.is_some() {
-            PropertyTable::new()
-        } else {
-            PropertyTable::without_object_index()
-        };
-        let doomed: Vec<NodeId> = self.by_s.keys().copied().filter(|&s| take(s)).collect();
-        for s in doomed {
-            let objs = self.by_s.remove(&s).expect("key just enumerated");
-            for &o in &objs {
-                if let Some(by_o) = &mut self.by_o {
-                    if let Some(subs) = by_o.get_mut(&o) {
-                        subs.remove(&s);
-                        if subs.is_empty() {
-                            by_o.remove(&o);
-                        }
-                    }
-                }
-                self.len -= 1;
-                carved.add(s, o);
-                if self.explicit.remove(&(s, o)) {
-                    carved.mark_explicit(s, o);
-                }
-            }
-        }
-        carved
-    }
-
     /// Merges another table of the **same predicate** into this one,
     /// preserving explicit flags. Panics if the two tables share a pair —
-    /// merge partners must be disjoint carvings (subject ranges), so a
-    /// collision means a carve invariant broke upstream.
+    /// merge partners must be disjoint, so a collision means a carve
+    /// invariant broke upstream.
     pub fn merge(&mut self, other: PropertyTable) {
         for (s, o) in other.pairs() {
             assert!(
@@ -361,33 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn split_off_subjects_carves_pairs_and_flags() {
-        let mut t = PropertyTable::new();
-        for (s, o) in [(1, 2), (1, 3), (4, 2), (5, 6)] {
-            t.add(n(s), n(o));
-        }
-        t.mark_explicit(n(1), n(2));
-        t.mark_explicit(n(4), n(2));
-        let carved = t.split_off_subjects(|s| s.0 % 2 == 0); // subject 4 only
-        assert_eq!(carved.len(), 1);
-        assert!(carved.contains(n(4), n(2)));
-        assert!(carved.is_explicit(n(4), n(2)));
-        assert_eq!(t.len(), 3);
-        assert!(!t.contains(n(4), n(2)));
-        assert!(t.is_explicit(n(1), n(2)));
-        // The object index forgot the carved subject.
-        assert_eq!(t.subjects(n(2)).collect::<Vec<_>>(), vec![n(1)]);
-        assert_eq!(t.in_degree(n(2)), 1);
-        // Merge restores the original table exactly.
-        t.merge(carved);
-        assert_eq!(t.len(), 4);
-        assert!(t.is_explicit(n(4), n(2)));
-        let mut subs: Vec<_> = t.subjects(n(2)).collect();
-        subs.sort();
-        assert_eq!(subs, vec![n(1), n(4)]);
-    }
-
-    #[test]
     #[should_panic(expected = "present in both tables")]
     fn merge_rejects_overlapping_tables() {
         let mut a = PropertyTable::new();
@@ -395,28 +335,6 @@ mod tests {
         let mut b = PropertyTable::new();
         b.add(n(1), n(2));
         a.merge(b);
-    }
-
-    #[test]
-    fn split_off_subjects_in_scan_mode_matches_indexed_mode() {
-        let mut indexed = PropertyTable::new();
-        let mut scan = PropertyTable::without_object_index();
-        for (s, o) in [(1, 2), (2, 2), (3, 4), (4, 6)] {
-            indexed.add(n(s), n(o));
-            scan.add(n(s), n(o));
-        }
-        let ci = indexed.split_off_subjects(|s| s.0 <= 2);
-        let cs = scan.split_off_subjects(|s| s.0 <= 2);
-        let sorted = |t: &PropertyTable| {
-            let mut v: Vec<_> = t.pairs().collect();
-            v.sort();
-            v
-        };
-        assert_eq!(sorted(&ci), sorted(&cs));
-        assert_eq!(sorted(&indexed), sorted(&scan));
-        for o in [2, 4, 6] {
-            assert_eq!(indexed.in_degree(n(o)), scan.in_degree(n(o)), "object {o}");
-        }
     }
 
     #[test]

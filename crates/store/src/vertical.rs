@@ -6,22 +6,6 @@ use crate::view::StoreView;
 use slider_model::{FxHashMap, NodeId, Triple};
 use std::sync::Arc;
 
-/// The deterministic subject → bucket map used by subject-range carving.
-///
-/// Every layer that reasons about subject sub-partitions (the store's
-/// [`VerticalStore::split_off_subjects`], the maintenance planner's
-/// sub-split plan, the tests that construct provably-disjoint subject
-/// ranges) must agree on this function, so it lives here and is `pub`.
-/// `k = 1` maps everything to bucket 0 (the "no sub-split" identity);
-/// the hash is the same Fibonacci multiplier the sharded store uses for
-/// predicates, so consecutive subject ids spread evenly.
-pub fn subject_bucket(s: NodeId, k: usize) -> usize {
-    if k <= 1 {
-        return 0;
-    }
-    (s.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % k
-}
-
 /// An in-memory triple store, vertically partitioned by predicate.
 ///
 /// Insertion is idempotent (duplicate triples are detected and rejected),
@@ -270,55 +254,15 @@ impl VerticalStore {
         split
     }
 
-    /// Moves every pair whose **subject** satisfies `take` into a new
-    /// store (same indexing mode), per-triple explicit flags included —
-    /// the subject-range analogue of [`VerticalStore::split_off`].
-    /// Partitions emptied by the carve are dropped; untouched partitions
-    /// stay `Arc`-shared (a table with no taken subject pays no
-    /// copy-on-write clone). This is what lets an intra-partition
-    /// maintenance pass hand *subject sub-buckets of one rule family* to
-    /// parallel workers and [`absorb`](VerticalStore::absorb) them back.
-    pub fn split_off_subjects(&mut self, take: impl Fn(NodeId) -> bool) -> VerticalStore {
-        let mut split = if self.object_index {
-            VerticalStore::new()
-        } else {
-            VerticalStore::without_object_index()
-        };
-        let mut emptied = Vec::new();
-        for (&p, tab) in &mut self.tables {
-            // Copy-on-write discipline: never `make_mut` a table the carve
-            // would not touch.
-            if !tab.subject_keys().any(&take) {
-                continue;
-            }
-            let carved = Arc::make_mut(tab).split_off_subjects(&take);
-            self.len -= carved.len();
-            self.explicit_len -= carved.explicit_len();
-            split.len += carved.len();
-            split.explicit_len += carved.explicit_len();
-            split.tables.insert(p, Arc::new(carved));
-            if tab.is_empty() {
-                emptied.push(p);
-            }
-        }
-        for p in emptied {
-            self.tables.remove(&p);
-        }
-        split
-    }
-
     /// Moves every partition of `other` into this store — the inverse of
-    /// [`VerticalStore::split_off`] *and* of
-    /// [`VerticalStore::split_off_subjects`]. A predicate present in both
-    /// stores is **merged** pair-by-pair (explicit flags preserved) — the
-    /// case where `other` is a subject sub-bucket of a partition this
-    /// store kept the rest of.
+    /// [`VerticalStore::split_off`]. A predicate present in both stores is
+    /// **merged** pair-by-pair (explicit flags preserved).
     ///
     /// # Panics
     ///
     /// Panics if the two stores share a *triple*: absorb re-attaches
-    /// disjoint carvings (by predicate or by subject range); an
-    /// overlapping triple means a carve invariant broke upstream.
+    /// disjoint carvings; an overlapping triple means a carve invariant
+    /// broke upstream.
     pub fn absorb(&mut self, other: VerticalStore) {
         for (p, tab) in other.tables {
             self.len += tab.len();
@@ -733,68 +677,6 @@ mod tests {
         let mut b = VerticalStore::new();
         b.insert(t(1, 10, 2));
         a.absorb(b);
-    }
-
-    #[test]
-    fn split_off_subjects_round_trips_with_provenance() {
-        let mut st = VerticalStore::new();
-        st.insert_explicit(t(1, 10, 2));
-        st.insert(t(2, 10, 3));
-        st.insert_explicit(t(2, 20, 4));
-        st.insert(t(5, 30, 6));
-        let before = st.to_sorted_vec();
-
-        let split = st.split_off_subjects(|s| s.0 == 2);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split.explicit_count(), 1);
-        assert!(split.contains(t(2, 10, 3)));
-        assert!(split.is_explicit(t(2, 20, 4)));
-        assert_eq!(st.len(), 2);
-        assert_eq!(st.explicit_count(), 1);
-        assert!(st.is_explicit(t(1, 10, 2)));
-        assert!(!st.contains(t(2, 10, 3)));
-        // Partition 20 was emptied by the carve and dropped.
-        assert_eq!(st.count_with_p(NodeId(20)), 0);
-        assert!(!st.predicates().any(|p| p == NodeId(20)));
-
-        st.absorb(split);
-        assert_eq!(st.to_sorted_vec(), before);
-        assert_eq!(st.explicit_count(), 2);
-    }
-
-    #[test]
-    fn split_off_subjects_leaves_untouched_tables_shared() {
-        let mut st = VerticalStore::new();
-        st.insert(t(1, 10, 2));
-        st.insert(t(3, 20, 4));
-        let snap = st.clone(); // shares both tables
-        let split = st.split_off_subjects(|s| s.0 == 1);
-        // Partition 20 had no taken subject: still Arc-shared with the
-        // snapshot (no copy-on-write clone was forced).
-        assert!(Arc::ptr_eq(
-            st.tables.get(&NodeId(20)).unwrap(),
-            snap.tables.get(&NodeId(20)).unwrap()
-        ));
-        assert_eq!(split.len(), 1);
-        assert!(snap.contains(t(1, 10, 2)), "snapshot must be immutable");
-    }
-
-    #[test]
-    fn subject_bucket_is_deterministic_and_total() {
-        for s in 0..1_000u64 {
-            assert_eq!(subject_bucket(NodeId(s), 1), 0);
-            for k in [2usize, 4, 8] {
-                let b = subject_bucket(NodeId(s), k);
-                assert!(b < k);
-                assert_eq!(b, subject_bucket(NodeId(s), k));
-            }
-        }
-        // The hash actually spreads: 4 buckets all hit over 1k subjects.
-        let mut hit = [false; 4];
-        for s in 0..1_000u64 {
-            hit[subject_bucket(NodeId(s), 4)] = true;
-        }
-        assert!(hit.iter().all(|&h| h));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! [`StoreView`] — the uniform read interface over a plain store or a
-//! multi-shard snapshot.
+//! published epoch of the sharded store.
 //!
 //! Rules (and every other reader of triple data) are written against this
 //! view instead of a concrete store, so the same join code runs against:
@@ -7,9 +7,9 @@
 //! * a plain [`VerticalStore`] borrowed whole (`StoreView::Store`) — the
 //!   single-threaded baselines, the maintenance subsystem (which holds the
 //!   store exclusively), and unit tests; or
-//! * a [`StoreSnapshot`](crate::StoreSnapshot) of a [`ShardedStore`](crate::ShardedStore)
-//!   (`StoreView::Snapshot`) — the concurrent reasoner's rule instances,
-//!   reading a consistent multi-shard snapshot under per-shard read locks.
+//! * an [`EpochSnapshot`] of a [`ShardedStore`](crate::ShardedStore)
+//!   (`StoreView::Epoch`) — the concurrent reasoner's rule joins and every
+//!   external query, reading one immutable published cut.
 //!
 //! Every predicate-bound access (`objects_with`, `subjects_with`, `pairs`,
 //! `contains`, `table` …) routes to the one sub-store owning that
@@ -17,60 +17,22 @@
 //! the hot join paths. Only the full-walk accessors (`iter`,
 //! `predicates`, unbound-predicate `matches`) traverse all shards.
 
+use crate::concurrent::EpochSnapshot;
 use crate::pattern::TriplePattern;
 use crate::table::PropertyTable;
 use crate::vertical::VerticalStore;
 use slider_model::{NodeId, Triple};
 
-/// The object-safe shard-read interface [`StoreView::Snapshot`] builds
-/// on: route a predicate to its owning sub-store, or walk every
-/// sub-store. [`StoreSnapshot`](crate::StoreSnapshot) implements it over
-/// the shard read guards pinned at snapshot construction.
-pub trait ShardRead {
-    /// The sub-store owning predicate `p`.
-    fn store_for(&self, p: NodeId) -> &VerticalStore;
-    /// Every sub-store (pinning them all first).
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_>;
-}
-
 /// A borrowed, read-only view of triple data — see the module docs.
 ///
-/// Obtained from [`VerticalStore::view`] or [`StoreSnapshot::view`](crate::StoreSnapshot::view).
+/// Obtained from [`VerticalStore::view`] or [`EpochSnapshot::view`].
 /// `Copy`, so it can be passed around freely during one join.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub enum StoreView<'a> {
     /// A plain store borrowed whole.
     Store(&'a VerticalStore),
-    /// A multi-shard read snapshot of a sharded store (all of the
-    /// declared read set's shards pinned at construction — see
-    /// `ShardedStore::read_for`).
-    Snapshot(&'a (dyn ShardRead + 'a)),
-}
-
-impl std::fmt::Debug for StoreView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreView::Store(_) => f.write_str("StoreView::Store"),
-            StoreView::Snapshot(_) => f.write_str("StoreView::Snapshot"),
-        }
-    }
-}
-
-/// Iterator over the sub-stores a view is composed of (1 for
-/// `StoreView::Store`, one per shard for `StoreView::Snapshot`).
-enum SubStores<'a> {
-    One(std::iter::Once<&'a VerticalStore>),
-    Shards(Box<dyn Iterator<Item = &'a VerticalStore> + 'a>),
-}
-
-impl<'a> Iterator for SubStores<'a> {
-    type Item = &'a VerticalStore;
-    fn next(&mut self) -> Option<&'a VerticalStore> {
-        match self {
-            SubStores::One(it) => it.next(),
-            SubStores::Shards(it) => it.next(),
-        }
-    }
+    /// A published epoch of a sharded store.
+    Epoch(&'a EpochSnapshot),
 }
 
 impl<'a> StoreView<'a> {
@@ -78,19 +40,20 @@ impl<'a> StoreView<'a> {
     /// shard). Every predicate-bound accessor routes through here.
     #[inline]
     fn store_for(&self, p: NodeId) -> &'a VerticalStore {
-        match self {
+        match *self {
             StoreView::Store(store) => store,
-            StoreView::Snapshot(snap) => snap.store_for(p),
+            StoreView::Epoch(epoch) => epoch.shard_store(p),
         }
     }
 
-    /// All sub-stores, for the full-walk accessors (pins every shard of a
-    /// snapshot view first).
+    /// All sub-stores, for the full-walk accessors: the store itself, or
+    /// every shard of the epoch.
     fn stores(&self) -> impl Iterator<Item = &'a VerticalStore> {
-        match self {
-            StoreView::Store(store) => SubStores::One(std::iter::once(store)),
-            StoreView::Snapshot(snap) => SubStores::Shards(snap.sub_stores()),
-        }
+        let (whole, shards) = match *self {
+            StoreView::Store(store) => (Some(store), &[][..]),
+            StoreView::Epoch(epoch) => (None, epoch.shards()),
+        };
+        whole.into_iter().chain(shards.iter().map(|s| &**s))
     }
 
     /// The partition for predicate `p`, if any triple uses it.
@@ -179,53 +142,6 @@ impl<'a> From<&'a VerticalStore> for StoreView<'a> {
     }
 }
 
-/// A two-layer [`ShardRead`]: a **primary** store carved out for mutation
-/// (e.g. one subject sub-bucket of a maintenance partition) overlaid on a
-/// read-only **context** store (the rest of the partition's triples).
-///
-/// Predicate-bound reads route to the primary when it owns a partition
-/// for that predicate, falling back to the context otherwise; full walks
-/// traverse both. The two layers must hold **disjoint predicate sets**
-/// (the carve guarantees it: the affected predicates move to the primary,
-/// the remainder stays behind as context) — a predicate present in both
-/// would shadow the context's half.
-///
-/// This is what lets an intra-partition DRed worker mutate its own
-/// subject bucket while joining against the *whole* partition: the
-/// sub-split plan only qualifies rules whose touched inputs are
-/// subject-local, so cross-bucket reads can only hit context predicates —
-/// which no worker mutates.
-pub struct Overlay<'a> {
-    primary: &'a VerticalStore,
-    context: &'a VerticalStore,
-}
-
-impl<'a> Overlay<'a> {
-    /// Overlays `primary` (the mutable carve, borrowed for this read) on
-    /// `context` (the read-only remainder).
-    pub fn new(primary: &'a VerticalStore, context: &'a VerticalStore) -> Self {
-        Overlay { primary, context }
-    }
-
-    /// A [`StoreView`] over this overlay.
-    pub fn view(&'a self) -> StoreView<'a> {
-        StoreView::Snapshot(self)
-    }
-}
-
-impl ShardRead for Overlay<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        if self.primary.table(p).is_some() {
-            self.primary
-        } else {
-            self.context
-        }
-    }
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        Box::new([self.primary, self.context].into_iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +168,7 @@ mod tests {
         let plain: VerticalStore = sample().into_iter().collect();
         for shards in [1, 2, 16] {
             let sharded = ShardedStore::from_store_sharded(plain.clone(), shards);
-            let snap = sharded.read();
+            let snap = sharded.snapshot();
             let a = plain.view();
             let b = snap.view();
             assert_eq!(a.len(), b.len());
@@ -294,7 +210,7 @@ mod tests {
     fn snapshot_matches_agrees_with_reference() {
         let triples = sample();
         let sharded = ShardedStore::from_store_sharded(triples.iter().copied().collect(), 4);
-        let snap = sharded.read();
+        let snap = sharded.snapshot();
         let view = snap.view();
         let ids: Vec<Option<NodeId>> = vec![
             None,
@@ -321,45 +237,6 @@ mod tests {
         }
     }
 
-    /// An overlay view must answer exactly like the union store, for
-    /// every accessor, as long as the layers' predicate sets are disjoint.
-    #[test]
-    fn overlay_view_agrees_with_the_union_store() {
-        let mut primary = VerticalStore::new();
-        primary.insert_explicit(t(1, 10, 2));
-        primary.insert(t(4, 10, 2));
-        let mut context = VerticalStore::new();
-        context.insert(t(1, 20, 2));
-        context.insert_explicit(t(5, 30, 6));
-        let union: VerticalStore = primary.iter().chain(context.iter()).collect();
-
-        let overlay = Overlay::new(&primary, &context);
-        let view = overlay.view();
-        assert_eq!(view.len(), union.len());
-        assert_eq!(view.to_sorted_vec(), union.to_sorted_vec());
-        for p in [10, 20, 30, 99] {
-            let p = NodeId(p);
-            assert_eq!(view.count_with_p(p), union.count_with_p(p));
-            let mut got: Vec<_> = view.pairs(p).collect();
-            let mut want: Vec<_> = union.pairs(p).collect();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "predicate {p:?}");
-        }
-        assert!(view.contains(t(1, 20, 2)));
-        assert!(view.is_explicit(t(1, 10, 2)));
-        assert!(view.is_explicit(t(5, 30, 6)));
-        assert!(!view.is_explicit(t(4, 10, 2)));
-        assert!(!view.contains(t(9, 9, 9)));
-        let mut preds: Vec<_> = view.predicates().collect();
-        preds.sort();
-        assert_eq!(preds, vec![NodeId(10), NodeId(20), NodeId(30)]);
-        assert_eq!(
-            view.matches(TriplePattern::with_p(NodeId(20))),
-            vec![t(1, 20, 2)]
-        );
-    }
-
     #[test]
     fn explicit_flags_visible_through_view() {
         let mut plain = VerticalStore::new();
@@ -368,7 +245,7 @@ mod tests {
         assert!(plain.view().is_explicit(t(1, 10, 2)));
         assert!(!plain.view().is_explicit(t(3, 10, 4)));
         let sharded = ShardedStore::from_store_sharded(plain, 8);
-        let snap = sharded.read();
+        let snap = sharded.snapshot();
         assert!(snap.view().is_explicit(t(1, 10, 2)));
         assert!(!snap.view().is_explicit(t(3, 10, 4)));
     }

@@ -116,22 +116,6 @@ fn replay(events: &[Event], rule_names: &[&'static str], input_size: usize) {
                      ({partitions} parallel partitions)"
                 );
             }
-            EventKind::SubpartitionedRemoval {
-                pending,
-                partitions,
-                subpartitions,
-                retracted,
-                overdeleted,
-                rederived,
-                store_size: size,
-            } => {
-                store_size = *size;
-                println!(
-                    "[{step:>4} {ms:>8.2}ms] flush   {pending} deferred: {retracted} retracted, \
-                     {overdeleted} overdeleted, {rederived} rederived \
-                     ({partitions} partitions, {subpartitions} subject sub-buckets)"
-                );
-            }
             EventKind::RulesetSwap {
                 dropped,
                 added,

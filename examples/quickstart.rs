@@ -57,7 +57,7 @@ fn main() {
         .id_of(&Term::iri("http://example.org/zoo#felix"))
         .unwrap();
     let rdf_type = slider::model::vocab::RDF_TYPE;
-    let store = slider.store().read();
+    let store = slider.store().snapshot();
     let mut classes: Vec<String> = store
         .objects_with(rdf_type, felix)
         .map(|c| dict.lookup(c).unwrap().to_string())

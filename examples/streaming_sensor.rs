@@ -141,7 +141,7 @@ fn main() {
         // Query concurrently with inference — no global lock, no re-run.
         let known_sensors = slider
             .store()
-            .read()
+            .snapshot()
             .subjects_with(rdf_type, sensor_class)
             .count();
         if step.index % 10 == 9 || !step.expiring.is_empty() {
@@ -186,7 +186,7 @@ fn main() {
     let live_batches = window.live_tail().len();
     let sensors = slider
         .store()
-        .read()
+        .snapshot()
         .subjects_with(rdf_type, sensor_class)
         .count();
     println!("sensors currently rdf:type s:Sensor: {sensors} (expected {live_batches})");

@@ -913,64 +913,78 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
 }
 
 /// Parallel deletion path, acceptance pin: two eager removals on
-/// disjoint subject ranges **overlap in wall-clock time** (their
-/// maintenance units run on different threads at once) and land
-/// field-for-field where a serial run does.
+/// disjoint subjects of two independent rule families **overlap in
+/// wall-clock time** (their maintenance units run on different threads
+/// at once) and land field-for-field where a serial run does.
 ///
 /// Shape of the race: a third, slow removal occupies the maintenance
 /// mutex first; the two racing callers enqueue behind it, and whichever
 /// acquires the mutex next becomes the combining leader — it drains both
-/// batches, sub-splits them by subject bucket and runs the two units
-/// concurrently (coordinator inline, the other on the worker pool).
+/// batches, which the planner puts in two maintenance partitions (one per
+/// family), and runs the two units concurrently (coordinator inline, the
+/// other on the worker pool).
 #[test]
 fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     use slider::rules::{InputFilter, OutputSignature, Rule, Subsumption, Transitive};
-    use slider::store::{subject_bucket, StoreView};
+    use slider::store::StoreView;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
     use std::time::Instant;
 
-    const TRANS: NodeId = NodeId(98_000);
-    const IS: NodeId = NodeId(98_001);
-    const MARK: NodeId = NodeId(98_002);
+    /// One family's vocabulary: a hierarchy, a membership and a mark
+    /// predicate. The two families share none, so the dependency graph
+    /// puts them in separate maintenance partitions.
+    #[derive(Clone, Copy)]
+    struct Family {
+        trans: NodeId,
+        is: NodeId,
+        mark: NodeId,
+    }
+    const A: Family = Family {
+        trans: NodeId(98_000),
+        is: NodeId(98_001),
+        mark: NodeId(98_002),
+    };
+    const B: Family = Family {
+        trans: NodeId(98_010),
+        is: NodeId(98_011),
+        mark: NodeId(98_012),
+    };
 
     /// `(x IS c) ⊢ (x MARK c)`, slowly: every application sleeps and
     /// logs its wall-clock interval, so the test can prove two
-    /// maintenance units ran at the same time. `IS` is subject-local
-    /// (the conclusion stays on the delta's subject), so the rule keeps
-    /// the family sub-splittable.
+    /// maintenance units ran at the same time.
     struct SlowMark {
+        name: &'static str,
+        family: Family,
         delay: Duration,
         entered: Arc<AtomicUsize>,
         log: Arc<Mutex<Vec<(Instant, Instant)>>>,
     }
     impl Rule for SlowMark {
         fn name(&self) -> &'static str {
-            "SLOW-MARK"
+            self.name
         }
         fn definition(&self) -> &'static str {
             "(x IS c) ⊢ (x MARK c), slowly"
         }
         fn input_filter(&self) -> InputFilter {
-            InputFilter::Predicates(vec![IS])
+            InputFilter::Predicates(vec![self.family.is])
         }
         fn output_signature(&self) -> OutputSignature {
-            OutputSignature::Predicates(vec![MARK])
+            OutputSignature::Predicates(vec![self.family.mark])
         }
         fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
             self.entered.fetch_add(1, Ordering::SeqCst);
             let start = Instant::now();
             std::thread::sleep(self.delay);
-            for t in delta.iter().filter(|t| t.p == IS) {
-                out.push(Triple::new(t.s, MARK, t.o));
+            for t in delta.iter().filter(|t| t.p == self.family.is) {
+                out.push(Triple::new(t.s, self.family.mark, t.o));
             }
             self.log.lock().unwrap().push((start, Instant::now()));
         }
         fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
-            Some(t.p == MARK && store.contains(Triple::new(t.s, IS, t.o)))
-        }
-        fn subject_local_inputs(&self) -> Vec<NodeId> {
-            vec![IS]
+            Some(t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o)))
         }
     }
 
@@ -978,42 +992,37 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     let log: Arc<Mutex<Vec<(Instant, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
     let ruleset =
         |delay: Duration, entered: &Arc<AtomicUsize>, log: &Arc<Mutex<Vec<(Instant, Instant)>>>| {
-            Ruleset::custom("slow-family")
-                .with(Transitive::new("T", TRANS))
-                .with(Subsumption::new("S", IS, TRANS))
-                .with(SlowMark {
+            let mut rs = Ruleset::custom("two-slow-families");
+            for (f, [t, s, m]) in [(A, ["T-A", "S-A", "MARK-A"]), (B, ["T-B", "S-B", "MARK-B"])] {
+                rs.push(Transitive::new(t, f.trans));
+                rs.push(Subsumption::new(s, f.is, f.trans));
+                rs.push(SlowMark {
+                    name: m,
+                    family: f,
                     delay,
                     entered: Arc::clone(entered),
                     log: Arc::clone(log),
-                })
+                });
+            }
+            rs
         };
 
-    // Members whose subject-hash buckets differ at sub-split width 2 —
-    // the racing removals are guaranteed to land in different units.
-    let member = |want: usize| -> NodeId {
-        (0u64..100)
-            .map(|v| NodeId(98_400 + v))
-            .find(|&s| subject_bucket(s, 2) == want)
-            .expect("a subject hashing into the bucket")
-    };
-    let m0 = member(0);
-    let m1 = member(1);
-    let m2 = NodeId(98_550);
     let cls = |i: u64| NodeId(98_200 + i);
-    let rm = |m: NodeId| Triple::new(m, IS, cls(1));
-    let mut input: Vec<Triple> = (1..4)
-        .map(|i| Triple::new(cls(i), TRANS, cls(i + 1)))
-        .collect();
-    input.extend([m0, m1, m2].map(|m| Triple::new(m, IS, cls(1))));
+    let rm = |f: Family, m: NodeId| Triple::new(m, f.is, cls(1));
+    let (m0, m1, m2) = (NodeId(98_400), NodeId(98_401), NodeId(98_550));
+    let mut input: Vec<Triple> = Vec::new();
+    for f in [A, B] {
+        input.extend((1..4).map(|i| Triple::new(cls(i), f.trans, cls(i + 1))));
+    }
+    input.extend([rm(A, m0), rm(B, m1), rm(A, m2)]);
 
     let par = Arc::new(Slider::new(
         Arc::new(Dictionary::new()),
         ruleset(Duration::from_millis(200), &entered, &log),
-        SliderConfig::default()
-            .with_workers(2)
-            .with_deletion_subsplit(2),
+        SliderConfig::default().with_workers(2),
     ));
     par.materialize(&input);
+    assert_eq!(par.maintenance_partitions(), 2, "one partition per family");
 
     // From here on, only maintenance passes append to the log; the
     // blocker's applications are serial (it holds the maintenance mutex
@@ -1023,7 +1032,7 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     let (o0, o1) = std::thread::scope(|scope| {
         let blocker = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m2)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm(A, m2)]))
         };
         // Wait until the blocker's DRed is inside the slow rule — the
         // maintenance mutex is then certainly held, so both racing
@@ -1038,11 +1047,11 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         }
         let w0 = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m0)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm(A, m0)]))
         };
         let w1 = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m1)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm(B, m1)]))
         };
         blocker.join().unwrap();
         (w0.join().unwrap(), w1.join().unwrap())
@@ -1059,9 +1068,9 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         SliderConfig::default().with_workers(2),
     );
     serial.materialize(&input);
-    serial.remove_triples(&[rm(m2)]);
-    let s0 = serial.remove_triples_outcome(&[rm(m0)]);
-    let s1 = serial.remove_triples_outcome(&[rm(m1)]);
+    serial.remove_triples(&[rm(A, m2)]);
+    let s0 = serial.remove_triples_outcome(&[rm(A, m0)]);
+    let s1 = serial.remove_triples_outcome(&[rm(B, m1)]);
     assert_eq!(o0, s0, "parallel eager outcome diverged from serial");
     assert_eq!(o1, s1, "parallel eager outcome diverged from serial");
     assert_eq!(
@@ -1084,7 +1093,6 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     );
     let stats = par.stats();
     assert!(stats.parallel_eager_runs >= 1, "{stats}");
-    assert!(stats.subpartitioned_runs >= 1, "{stats}");
     assert_eq!(stats.retracted, 3);
 }
 

@@ -165,7 +165,7 @@ fn timed_stream_with_background_knowledge() {
     slider.wait_idle();
 
     // Every fact instance is now typed with all 20 chain classes.
-    let store = slider.store().read();
+    let store = slider.store().snapshot();
     for i in 0..50 {
         let x = dict.id_of(&Term::iri(format!("http://e/x{i}"))).unwrap();
         assert_eq!(store.objects_with(rdf_type, x).count(), 20, "instance {i}");

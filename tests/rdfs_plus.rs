@@ -171,7 +171,7 @@ fn same_as_clique_terminates() {
     assert_eq!(got, expected);
 
     // Every member claims the value (EQ-REP-S over the clique)…
-    let store = slider.store().read();
+    let store = slider.store().snapshot();
     for &m in &members {
         assert!(store.contains(Triple::new(m, p, v)), "{m} lost the fact");
     }
@@ -205,7 +205,7 @@ fn functional_property_chain_of_equalities() {
     );
     slider.add_triples(&input);
     slider.wait_idle();
-    let store = slider.store().read();
+    let store = slider.store().snapshot();
     for &a in &keys {
         for &b in &keys {
             if a != b {

@@ -597,218 +597,30 @@ fn universal_rulesets_never_partition() {
     assert_eq!(slider.stats().partitioned_runs, 0);
 }
 
-// ---------- subject sub-split (two-level) flushes -----------------------------
-
-use slider::store::subject_bucket;
-
-/// The first subject ≥ `n(300)` whose subject-hash bucket at width `k` is
-/// `want` — deterministic bucket-spread members for the sub-split tests.
-fn member_in_bucket(k: usize, want: usize) -> NodeId {
-    (300u64..400)
-        .map(n)
-        .find(|&s| subject_bucket(s, k) == want)
-        .expect("a subject hashing into the bucket")
-}
-
-/// A bursty membership retraction over ONE family sub-splits by subject
-/// (the pre-PR-8 planner had nothing to parallelise here) and lands
-/// exactly where the single-pass baseline and the oracle do.
+/// Eager removals route through the same partition planner as a
+/// coalesced flush: one `remove_triples` call whose seeds span both
+/// families runs as parallel partition units in one pass.
 #[test]
-fn membership_burst_subsplits_and_matches_oracle() {
-    let m0 = member_in_bucket(2, 0);
-    let m1 = member_in_bucket(2, 1);
-    let mut input = family_input();
-    input.push(Triple::new(m0, IS_A, n(1)));
-    input.push(Triple::new(m1, IS_A, n(1)));
-    let removals = [Triple::new(m0, IS_A, n(1)), Triple::new(m1, IS_A, n(1))];
-
-    let split = family_slider(
-        SliderConfig::default()
-            .with_deletion_subsplit(2)
-            .with_trace(true)
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    let baseline = family_slider(
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    split.materialize(&input);
-    baseline.materialize(&input);
-    split.remove_deferred(&removals);
-    baseline.remove_deferred(&removals);
-
-    let outcome = split.flush_maintenance();
-    assert_eq!(
-        outcome,
-        baseline.flush_maintenance(),
-        "sub-split changed the removal outcome"
-    );
-
-    let mut oracle = RecomputeOracle::new(family_ruleset());
-    oracle.add(&input);
-    oracle.remove(&removals);
-    assert_matches_oracle(&split, &oracle, "sub-split flush");
-    assert_matches_oracle(&baseline, &oracle, "single-pass baseline");
-
-    let stats = split.stats();
-    assert_eq!(stats.subpartitioned_runs, 1, "the flush sub-split");
-    assert_eq!(stats.partitioned_runs, 0, "one family only");
-    assert!(stats.coordinator_work > 0, "{stats:?}");
-    assert_eq!(
-        baseline.stats().subpartitioned_runs,
-        0,
-        "subsplit=1 is the old single-pass behaviour"
-    );
-
-    // The trace records the two-level shape.
-    let events = split.events().expect("tracing on");
-    let (pending, partitions, subpartitions) = events
-        .iter()
-        .find_map(|e| match e.kind {
-            EventKind::SubpartitionedRemoval {
-                pending,
-                partitions,
-                subpartitions,
-                ..
-            } => Some((pending, partitions, subpartitions)),
-            _ => None,
-        })
-        .expect("subpartitioned removal event recorded");
-    assert_eq!(pending, 2);
-    assert_eq!(partitions, 1);
-    assert_eq!(subpartitions, 2);
-}
-
-/// Eager removals route through the same two-level planner: one
-/// `remove_triples` call whose seeds spread over subject buckets runs as
-/// parallel sub-partition units.
-#[test]
-fn eager_removals_route_through_the_subsplit_planner() {
-    let m0 = member_in_bucket(2, 0);
-    let m1 = member_in_bucket(2, 1);
-    let mut input = family_input();
-    input.push(Triple::new(m0, IS_A, n(1)));
-    input.push(Triple::new(m1, IS_A, n(1)));
-    let slider = family_slider(SliderConfig::default().with_deletion_subsplit(2));
+fn eager_removals_route_through_the_partition_planner() {
+    let input = family_input();
+    let slider = family_slider(SliderConfig::default());
     slider.materialize(&input);
     let mut oracle = RecomputeOracle::new(family_ruleset());
     oracle.add(&input);
 
-    let removals = [Triple::new(m0, IS_A, n(1)), Triple::new(m1, IS_A, n(1))];
+    let removals = [
+        Triple::new(n(100), IS_A, n(1)),
+        Triple::new(n(101), IS_B, n(3)),
+    ];
     let outcome = slider.remove_triples_outcome(&removals);
     oracle.remove(&removals);
     assert_eq!(outcome.retracted, 2);
-    assert_matches_oracle(&slider, &oracle, "eager sub-split removal");
+    assert_matches_oracle(&slider, &oracle, "eager partitioned removal");
 
     let stats = slider.stats();
     assert_eq!(stats.removal_runs, 1);
-    assert_eq!(stats.subpartitioned_runs, 1, "the eager batch sub-split");
     assert_eq!(stats.parallel_eager_runs, 1, "two units ran in one pass");
     assert_eq!(stats.coalesced_runs, 0);
-}
-
-/// A chain-link retraction disqualifies the sub-split (Transitive's join
-/// is not subject-local) and silently degrades to the single pass.
-#[test]
-fn chain_retractions_never_subsplit() {
-    let slider = family_slider(
-        SliderConfig::default()
-            .with_deletion_subsplit(4)
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    slider.materialize(&family_input());
-    let removals = [
-        Triple::new(n(3), TRANS_A, n(4)),
-        Triple::new(n(100), IS_A, n(1)),
-    ];
-    slider.remove_deferred(&removals);
-    slider.flush_maintenance();
-    assert_eq!(slider.stats().subpartitioned_runs, 0);
-    let mut oracle = RecomputeOracle::new(family_ruleset());
-    oracle.add(&family_input());
-    oracle.remove(&removals);
-    assert_matches_oracle(&slider, &oracle, "disqualified sub-split");
-}
-
-/// ROADMAP item 3 follow-up (a): the membership-shaped domain rule
-/// declares its property subject-local (`(x P y) ⊢ (x IS c)` emits at the
-/// delta's own subject), so a burst of property-assertion retractions
-/// sub-splits by subject bucket — while the range rule's conclusion lands
-/// on the *object* (`(x P y) ⊢ (y IS c)`, not subject-local), so a range
-/// burst silently degrades to the single whole-partition pass. Both land
-/// exactly on the recompute oracle.
-#[test]
-fn domain_burst_subsplits_and_range_burst_degrades() {
-    use slider::rules::{Domain, Range};
-    const WORKS: NodeId = NodeId(700);
-    const IS_EMP: NodeId = NodeId(701);
-    const EMPLOYEE: NodeId = NodeId(702);
-    const FEEDS: NodeId = NodeId(710);
-    const IS_FED: NodeId = NodeId(711);
-    const FED: NodeId = NodeId(712);
-    let ruleset = || {
-        Ruleset::custom("domain-range")
-            .with(Domain::new("DOM", WORKS, IS_EMP, EMPLOYEE))
-            .with(Range::new("RNG", FEEDS, IS_FED, FED))
-    };
-
-    // Members whose subject-hash buckets differ at sub-split width 4 —
-    // the domain burst's seeds are guaranteed to occupy two units.
-    let m0 = member_in_bucket(4, 0);
-    let m1 = member_in_bucket(4, 1);
-    let input = vec![
-        Triple::new(m0, WORKS, n(20)),
-        Triple::new(m1, WORKS, n(21)),
-        Triple::new(n(30), FEEDS, n(31)),
-        Triple::new(n(32), FEEDS, n(33)),
-    ];
-    let slider = Slider::new(
-        Arc::new(Dictionary::new()),
-        ruleset(),
-        SliderConfig::default()
-            .with_deletion_subsplit(4)
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    slider.materialize(&input);
-    let mut oracle = RecomputeOracle::new(ruleset());
-    oracle.add(&input);
-    assert!(slider.store().contains(Triple::new(m0, IS_EMP, EMPLOYEE)));
-    assert!(slider.store().contains(Triple::new(n(31), IS_FED, FED)));
-
-    // Domain burst: two members, two subject buckets → two parallel
-    // intra-partition DRed units.
-    let domain_burst = [Triple::new(m0, WORKS, n(20)), Triple::new(m1, WORKS, n(21))];
-    slider.remove_deferred(&domain_burst);
-    slider.flush_maintenance();
-    oracle.remove(&domain_burst);
-    assert_matches_oracle(&slider, &oracle, "domain burst");
-    assert!(!slider.store().contains(Triple::new(m0, IS_EMP, EMPLOYEE)));
-    assert_eq!(
-        slider.stats().subpartitioned_runs,
-        1,
-        "the domain burst did not sub-split"
-    );
-
-    // Range burst: same shape, but `FEEDS` crosses subjects — the planner
-    // must refuse to sub-split and still match the oracle.
-    let range_burst = [
-        Triple::new(n(30), FEEDS, n(31)),
-        Triple::new(n(32), FEEDS, n(33)),
-    ];
-    slider.remove_deferred(&range_burst);
-    slider.flush_maintenance();
-    oracle.remove(&range_burst);
-    assert_matches_oracle(&slider, &oracle, "range burst");
-    assert!(!slider.store().contains(Triple::new(n(31), IS_FED, FED)));
-    assert_eq!(
-        slider.stats().subpartitioned_runs,
-        1,
-        "a range burst must not sub-split (conclusions cross subjects)"
-    );
 }
 
 /// The empty-maintenance fast path: a flush with nothing pending and an
@@ -910,23 +722,24 @@ fn family_op() -> impl Strategy<Value = DeferredOp> {
     ]
 }
 
-/// One scripted operation of the sub-split property test — the deferred
-/// mix plus *eager* removals, which route through the same planner.
+/// One scripted operation of the mixed eager/deferred property test — the
+/// deferred mix plus *eager* removals, which route through the same
+/// planner.
 #[derive(Debug, Clone)]
-enum SubsplitOp {
+enum MixedOp {
     Add(Vec<Triple>),
     Remove(Vec<Triple>),
     Defer(Vec<Triple>),
     Flush,
 }
 
-fn subsplit_op() -> impl Strategy<Value = SubsplitOp> {
+fn mixed_op() -> impl Strategy<Value = MixedOp> {
     let batch = || prop::collection::vec(family_triple(), 1..8);
     prop_oneof![
-        3 => batch().prop_map(SubsplitOp::Add),
-        2 => batch().prop_map(SubsplitOp::Remove),
-        3 => batch().prop_map(SubsplitOp::Defer),
-        1 => Just(SubsplitOp::Flush),
+        3 => batch().prop_map(MixedOp::Add),
+        2 => batch().prop_map(MixedOp::Remove),
+        3 => batch().prop_map(MixedOp::Defer),
+        1 => Just(MixedOp::Flush),
     ]
 }
 
@@ -1129,21 +942,16 @@ proptest! {
         prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
     }
 
-    /// The sub-split acceptance property: ANY interleaving of adds,
-    /// *eager* removals, deferrals and flushes lands at the recompute
-    /// oracle's closure at EVERY sub-split width — `deletion_subsplit = 1`
-    /// is the pre-sub-split behaviour, 2 and 4 exercise the two-level
-    /// planner (and its degrade-to-single-pass gate) on every flush and
-    /// every eager batch.
+    /// ANY interleaving of adds, *eager* removals, deferrals and flushes
+    /// over the two-family ruleset lands at the recompute oracle's
+    /// closure — the partition planner runs on every flush and every
+    /// eager batch.
     #[test]
-    fn subsplit_interleavings_match_recompute_oracle(
-        subsplit_pick in 0usize..3,
-        ops in prop::collection::vec(subsplit_op(), 1..12),
+    fn eager_and_deferred_interleavings_match_recompute_oracle(
+        ops in prop::collection::vec(mixed_op(), 1..12),
     ) {
-        let subsplit = [1usize, 2, 4][subsplit_pick];
         let slider = family_slider(
             SliderConfig::default()
-                .with_deletion_subsplit(subsplit)
                 .with_maintenance_batch(usize::MAX)
                 .with_maintenance_max_age(None),
         );
@@ -1151,18 +959,18 @@ proptest! {
         let mut pending: Vec<Triple> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
-                SubsplitOp::Add(batch) => {
+                MixedOp::Add(batch) => {
                     slider.add_triples(batch);
                     oracle.add(batch);
                     pending.retain(|t| !batch.contains(t));
                 }
-                SubsplitOp::Remove(batch) => {
+                MixedOp::Remove(batch) => {
                     // Eager: applies now; a pending deferral of the same
                     // triple stays queued (and retracts nothing later).
                     slider.remove_triples(batch);
                     oracle.remove(batch);
                 }
-                SubsplitOp::Defer(batch) => {
+                MixedOp::Defer(batch) => {
                     slider.remove_deferred(batch);
                     for &t in batch {
                         if !pending.contains(&t) {
@@ -1170,7 +978,7 @@ proptest! {
                         }
                     }
                 }
-                SubsplitOp::Flush => {
+                MixedOp::Flush => {
                     let outcome = slider.flush_maintenance();
                     prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
                     oracle.remove(&pending);
@@ -1182,8 +990,7 @@ proptest! {
             prop_assert_eq!(
                 slider.store().to_sorted_vec(),
                 oracle.to_sorted_vec(),
-                "subsplit={} diverged after op {} of {:?}",
-                subsplit,
+                "diverged after op {} of {:?}",
                 i,
                 ops
             );

@@ -196,86 +196,6 @@ fn ruleset_swap_event_round_trips_through_json() {
 }
 
 #[test]
-fn subpartitioned_removal_event_round_trips_through_json() {
-    use slider::rules::{Subsumption, Transitive};
-    use slider::store::subject_bucket;
-    let trans = NodeId(9_100);
-    let is = NodeId(9_101);
-    // Members whose subject-hash buckets differ at sub-split width 2.
-    let member = |want: usize| {
-        (0u64..100)
-            .map(|v| NodeId(9_200 + v))
-            .find(|&s| subject_bucket(s, 2) == want)
-            .expect("a subject hashing into the bucket")
-    };
-    let (m0, m1) = (member(0), member(1));
-    let cls = |i: u64| NodeId(9_500 + i);
-    let slider = Slider::new(
-        Arc::new(Dictionary::new()),
-        Ruleset::custom("one-family")
-            .with(Transitive::new("T", trans))
-            .with(Subsumption::new("S", is, trans)),
-        SliderConfig::default()
-            .with_trace(true)
-            .with_deletion_subsplit(2)
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    let mut input: Vec<Triple> = (1..4)
-        .map(|i| Triple::new(cls(i), trans, cls(i + 1)))
-        .collect();
-    input.extend([m0, m1].map(|m| Triple::new(m, is, cls(1))));
-    slider.materialize(&input);
-    slider.remove_deferred(&[Triple::new(m0, is, cls(1)), Triple::new(m1, is, cls(1))]);
-    slider.flush_maintenance();
-
-    let events = slider.events().expect("tracing on");
-    assert!(
-        events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::SubpartitionedRemoval {
-                pending: 2,
-                partitions: 1,
-                subpartitions: 2,
-                ..
-            }
-        )),
-        "sub-split flush left no trace event"
-    );
-    let json = events_to_json(&events);
-    assert!(
-        json.contains(
-            r#""type":"subpartitioned_removal","pending":2,"partitions":1,"subpartitions":2"#
-        ),
-        "{json}"
-    );
-    // The export stays flat and balanced with the new event kind in it.
-    assert_eq!(json.matches('{').count(), events.len());
-    assert_eq!(json.matches('"').count() % 2, 0);
-
-    // The Display table renders the two-level line from the counters.
-    let stats = slider.stats();
-    assert_eq!(stats.subpartitioned_runs, 1);
-    assert!(stats.coordinator_work > 0, "{stats}");
-    let rendered = stats.to_string();
-    assert!(
-        rendered.contains(&format!(
-            "subsplit: 1 subpartitioned runs, 0 parallel eager runs, {} coordinator work",
-            stats.coordinator_work
-        )),
-        "{rendered}"
-    );
-}
-
-#[test]
-fn subsplit_line_is_omitted_when_the_planner_never_subsplits() {
-    // A plain ρdf run never engages the two-level planner; its stats
-    // table must not render the subsplit line at all.
-    let (slider, _events) = traced_run(PaperOntology::SubClassOf20, 1.0);
-    assert!(!slider.stats().to_string().contains("subsplit:"));
-}
-
-#[test]
 fn batch_mode_counts_forced_flushes_as_timeouts() {
     // With timeout: None and huge buffers, the only flushes are the forced
     // ones from wait_idle, which are accounted as timeout flushes.

@@ -45,7 +45,7 @@ impl NaiveReasoner {
             let snapshot: Vec<Triple> = self.store.iter().collect();
             out.clear();
             for rule in self.ruleset.rules() {
-                rule.apply(&self.store.view(), &snapshot, &mut out);
+                rule.apply(&self.store, &snapshot, &mut out);
             }
             self.stats.derived += out.len();
             let mut fresh = Vec::new();

@@ -42,7 +42,7 @@ impl SemiNaiveReasoner {
             self.stats.rounds += 1;
             out.clear();
             for rule in self.ruleset.rules() {
-                rule.apply(&self.store.view(), &delta, &mut out);
+                rule.apply(&self.store, &delta, &mut out);
             }
             self.stats.derived += out.len();
             delta.clear();

@@ -1,28 +1,24 @@
-//! The `ingest` benchmark: multi-producer ingest + materialise throughput
-//! under the two-level sharded store lock vs the paper's global lock.
+//! The `ingest` benchmark: concurrent readers and writers on the store,
+//! and dictionary interning under contention.
 //!
-//! The workload is the shared [`family`] shape:
-//! several independent rule families (a `Transitive` hierarchy plus a
-//! `Subsumption` membership rule per family, disjoint vocabularies), so
-//! every producer feeds — and every rule's distributor writes back into —
-//! its own predicate family. Under the old global `RwLock` every one of
-//! those writes serialises on a single writer lock; under the sharded
-//! store ([`SliderConfig::with_store_shards`]) disjoint families hash to
-//! disjoint shards and proceed concurrently. `shards = 1` *is* the global
-//! lock (one shard behind the same gate), so the comparison isolates
-//! exactly the locking change.
-//!
-//! A third, **read-heavy** phase races N query threads against one
-//! writer on the raw store, each query answered from the published epoch
-//! (`ShardedStore::matches`).
+//! * **Read-heavy**: N query threads race one writer on the raw store,
+//!   each query answered from the published epoch
+//!   (`ShardedStore::matches`). The writer feeds the shared [`family`]
+//!   workload: several independent predicate families, each a class chain
+//!   plus batches of memberships.
+//! * **Dictionary interning**: threads intern disjoint or overlapping
+//!   vocabularies into a dictionary with one term→id index shard (the
+//!   global-lock baseline) and with sixteen.
+//! * **Dictionary footprint**: a retraction burst followed by the
+//!   automatic sweep, reporting how many dictionary bytes it reclaims.
 //!
 //! ```text
 //! cargo run --release -p slider-bench --bin ingest            # full size
 //! cargo run --release -p slider-bench --bin ingest -- --smoke # CI smoke
 //! ```
 //!
-//! `--smoke` runs a tiny workload and verifies the final store of **every**
-//! (shards × workers) cell against the `RecomputeOracle` closure.
+//! `--smoke` runs a tiny workload and verifies every cell (store
+//! completeness, dictionary agreement, sweep reclamation).
 //! `--json <path>` additionally writes the machine-readable trajectory
 //! (`slider_bench::report`) for cross-commit comparison.
 
@@ -38,8 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Params {
-    /// Independent rule families (= disjoint predicate shards, with high
-    /// probability at 16 shards).
+    /// Independent predicate families.
     families: u64,
     /// Depth of each family's resident class chain.
     depth: u64,
@@ -47,9 +42,10 @@ struct Params {
     batches: u64,
     /// Instance-membership triples per batch.
     members: u64,
-    /// Producer/worker counts to sweep.
-    workers: &'static [usize],
-    /// Verify every cell against the oracle closure.
+    /// Reader threads in the read-heavy cell; interning threads in the
+    /// dictionary cell.
+    threads: usize,
+    /// Verify every cell.
     verify: bool,
 }
 
@@ -58,7 +54,7 @@ const SMOKE: Params = Params {
     depth: 5,
     batches: 6,
     members: 5,
-    workers: &[1, 2],
+    threads: 2,
     verify: true,
 };
 
@@ -67,18 +63,18 @@ const FULL: Params = Params {
     depth: 14,
     batches: 80,
     members: 50,
-    workers: &[1, 2, 4],
+    threads: 4,
     verify: false,
 };
 
-/// Shard counts compared: 1 = the global-lock baseline, 16 = the default
-/// sharded store.
-const SHARD_POINTS: [(&str, usize); 2] = [("global", 1), ("sharded", 16)];
+/// Dictionary shard counts compared: 1 = the global-lock baseline, 16 =
+/// the default sharded term→id index.
+const DICT_SHARD_POINTS: [(&str, usize); 2] = [("global", 1), ("sharded", 16)];
 
-/// Everything one producer feeds for family `f`: the resident chain, then
+/// Everything the writer feeds for family `f`: the resident chain, then
 /// per batch a fresh leaf linked into the chain plus its members. Uses the
-/// shared [`family`] vocabulary helpers so the rules wire up identically
-/// to the retraction bench.
+/// shared [`family`] vocabulary helpers so the predicates match the
+/// retraction bench.
 fn family_feed(f: u64, p: &Params) -> Vec<Triple> {
     let mut feed: Vec<Triple> = (0..p.depth - 1)
         .map(|d| {
@@ -104,79 +100,6 @@ fn family_feed(f: u64, p: &Params) -> Vec<Triple> {
     feed
 }
 
-/// One timed **raw store** cell: `producers` threads concurrently
-/// `insert_batch` their families' feeds straight into a `ShardedStore`
-/// (no reasoner) — the isolated locking comparison. Returns the elapsed
-/// time and the store for verification.
-fn run_store_cell(
-    feeds: &[Vec<Triple>],
-    shards: usize,
-    producers: usize,
-) -> (Duration, slider_store::ShardedStore) {
-    let store = slider_store::ShardedStore::with_shards(shards);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..producers {
-            let store = &store;
-            let mine: Vec<&[Triple]> = feeds
-                .iter()
-                .enumerate()
-                .filter(|(f, _)| f % producers == tid)
-                .map(|(_, feed)| feed.as_slice())
-                .collect();
-            scope.spawn(move || {
-                let mut fresh = Vec::new();
-                for feed in mine {
-                    for chunk in feed.chunks(32) {
-                        fresh.clear();
-                        store.insert_batch(chunk, &mut fresh);
-                    }
-                }
-            });
-        }
-    });
-    (start.elapsed(), store)
-}
-
-/// One timed cell: `producers` threads concurrently feed their families
-/// (family `f` belongs to producer `f % producers`) into a reasoner with
-/// `shards` store shards and `producers` pool workers, then settle.
-fn run_cell(p: &Params, shards: usize, producers: usize) -> (Duration, Slider) {
-    let config = SliderConfig::batch()
-        .with_workers(producers)
-        .with_buffer_capacity(64)
-        .with_store_shards(shards);
-    let slider = Arc::new(Slider::new(
-        Arc::new(Dictionary::new()),
-        family::ruleset(p.families),
-        config,
-    ));
-    let feeds: Vec<Vec<Triple>> = (0..p.families).map(|f| family_feed(f, p)).collect();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..producers {
-            let slider = Arc::clone(&slider);
-            let mine: Vec<&[Triple]> = feeds
-                .iter()
-                .enumerate()
-                .filter(|(f, _)| f % producers == tid)
-                .map(|(_, feed)| feed.as_slice())
-                .collect();
-            scope.spawn(move || {
-                for feed in mine {
-                    for chunk in feed.chunks(32) {
-                        slider.add_triples(chunk);
-                    }
-                }
-            });
-        }
-    });
-    slider.wait_idle();
-    let elapsed = start.elapsed();
-    let slider = Arc::into_inner(slider).expect("producers joined");
-    (elapsed, slider)
-}
-
 /// One timed **read-heavy** cell: `readers` threads each run `sweeps`
 /// rounds of pattern queries over every family predicate while one writer
 /// continuously feeds the workload into the store (cycling once the feed
@@ -191,7 +114,7 @@ fn run_read_cell(
     readers: usize,
     sweeps: u64,
 ) -> (Duration, u64, slider_store::ShardedStore) {
-    let store = slider_store::ShardedStore::with_shards(16);
+    let store = slider_store::ShardedStore::new();
     let done = AtomicBool::new(false);
     let queries = AtomicU64::new(0);
     let start = Instant::now();
@@ -360,73 +283,12 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    // The oracle closure of the whole feed (same for every cell).
-    let expected: Option<Vec<Triple>> = p.verify.then(|| {
-        let mut oracle = RecomputeOracle::new(family::ruleset(p.families));
-        for f in 0..p.families {
-            oracle.add(&family_feed(f, &p));
-        }
-        oracle.to_sorted_vec()
-    });
-
-    // Untimed warm-up (allocator, page cache, thread spin-up) so the first
-    // measured cell is not penalised; then best-of-N per cell to damp
-    // scheduler noise.
-    let _ = run_cell(&p, 1, p.workers[0]);
-
-    // --- phase 1: raw store ingest (locking isolated, no reasoner) -----
-    println!(
-        "raw store ingest ({} producers × disjoint families):",
-        p.workers.last().unwrap()
-    );
     let feeds: Vec<Vec<Triple>> = (0..p.families).map(|f| family_feed(f, &p)).collect();
-    for &workers in p.workers {
-        let mut elapsed = [Duration::ZERO; SHARD_POINTS.len()];
-        for (cell, &(label, shards)) in SHARD_POINTS.iter().enumerate() {
-            let (mut took, mut store) = run_store_cell(&feeds, shards, workers);
-            for _ in 1..runs {
-                let (t, s) = run_store_cell(&feeds, shards, workers);
-                if t < took {
-                    (took, store) = (t, s);
-                }
-            }
-            elapsed[cell] = took;
-            println!(
-                "  {workers} producer(s), {label:>7}: {:>9.2} ms, {:>10.0} triples/s \
-                 ({} shard write conflicts)",
-                took.as_secs_f64() * 1e3,
-                input as f64 / took.as_secs_f64().max(1e-9),
-                store.shard_write_conflicts(),
-            );
-            report.push(
-                Cell::new(format!("raw-store/{label}/{workers}-producers"))
-                    .param("phase", "raw-store")
-                    .param("locking", label)
-                    .param("shards", shards)
-                    .param("producers", workers)
-                    .metric("elapsed_ms", took.as_secs_f64() * 1e3)
-                    .metric(
-                        "triples_per_sec",
-                        input as f64 / took.as_secs_f64().max(1e-9),
-                    ),
-            );
-            if p.verify {
-                let mut want: Vec<Triple> = feeds.iter().flatten().copied().collect();
-                want.sort_unstable();
-                want.dedup();
-                assert_eq!(store.to_sorted_vec(), want, "{label} store lost triples");
-            }
-        }
-        println!(
-            "  {workers} producer(s): sharded is {:.2}x the global-lock baseline",
-            elapsed[0].as_secs_f64() / elapsed[1].as_secs_f64().max(1e-9)
-        );
-    }
 
-    // --- phase 2: read-heavy — N epoch readers vs 1 writer --------------
-    let read_threads = *p.workers.last().unwrap();
+    // --- read-heavy: N epoch readers vs 1 writer ------------------------
+    let read_threads = p.threads;
     let sweeps: u64 = if smoke { 100 } else { 400 };
-    println!("read-heavy ({read_threads} reader(s) × {sweeps} sweeps racing 1 writer, 16 shards):");
+    println!("read-heavy ({read_threads} reader(s) × {sweeps} sweeps racing 1 writer):");
     {
         let (mut took, mut qs, mut store) = run_read_cell(&feeds, p.families, read_threads, sweeps);
         for _ in 1..runs {
@@ -460,58 +322,8 @@ fn main() {
         }
     }
 
-    println!("end-to-end ingest + materialise:");
-
-    for &workers in p.workers {
-        let mut elapsed = [Duration::ZERO; SHARD_POINTS.len()];
-        for (cell, &(label, shards)) in SHARD_POINTS.iter().enumerate() {
-            let (mut took, mut slider) = run_cell(&p, shards, workers);
-            for _ in 1..runs {
-                let (t, s) = run_cell(&p, shards, workers);
-                if t < took {
-                    (took, slider) = (t, s);
-                }
-            }
-            elapsed[cell] = took;
-            let stats = slider.stats();
-            println!(
-                "  {workers} worker(s), {label:>7} ({shards:>2} shard{}): {:>9.2} ms, \
-                 {:>9.0} triples/s  ({} shard write conflicts)",
-                if shards == 1 { "" } else { "s" },
-                took.as_secs_f64() * 1e3,
-                input as f64 / took.as_secs_f64().max(1e-9),
-                stats.shard_write_conflicts,
-            );
-            report.push(
-                Cell::new(format!("end-to-end/{label}/{workers}-workers"))
-                    .param("phase", "end-to-end")
-                    .param("locking", label)
-                    .param("shards", shards)
-                    .param("workers", workers)
-                    .metric("elapsed_ms", took.as_secs_f64() * 1e3)
-                    .metric(
-                        "triples_per_sec",
-                        input as f64 / took.as_secs_f64().max(1e-9),
-                    )
-                    .metric("store_size", stats.store_size as f64),
-            );
-            if let Some(expected) = &expected {
-                assert_eq!(
-                    &slider.store().to_sorted_vec(),
-                    expected,
-                    "{label} store at {workers} worker(s) diverged from the oracle closure"
-                );
-                println!("    ✓ store matches the RecomputeOracle closure");
-            }
-        }
-        println!(
-            "  {workers} worker(s): sharded is {:.2}x the global-lock baseline",
-            elapsed[0].as_secs_f64() / elapsed[1].as_secs_f64().max(1e-9)
-        );
-    }
-
-    // --- phase 4: dictionary interning contention ----------------------
-    let dict_threads = *p.workers.last().unwrap();
+    // --- dictionary interning contention -------------------------------
+    let dict_threads = p.threads;
     let per_thread = if smoke { 2_000 } else { 50_000 };
     println!(
         "dict interning ({dict_threads} thread(s) × {per_thread} terms, \
@@ -520,9 +332,9 @@ fn main() {
     for (mode, overlap) in [("disjoint", false), ("overlapping", true)] {
         let lists = dict_vocab(dict_threads, per_thread, overlap);
         let total: usize = lists.iter().map(Vec::len).sum();
-        let mut elapsed = [Duration::ZERO; SHARD_POINTS.len()];
+        let mut elapsed = [Duration::ZERO; DICT_SHARD_POINTS.len()];
         let mut dicts: Vec<Dictionary> = Vec::new();
-        for (cell, &(label, shards)) in SHARD_POINTS.iter().enumerate() {
+        for (cell, &(label, shards)) in DICT_SHARD_POINTS.iter().enumerate() {
             let (mut took, mut dict) = run_dict_cell(&lists, shards);
             for _ in 1..runs {
                 let (t, d) = run_dict_cell(&lists, shards);
@@ -561,7 +373,7 @@ fn main() {
         }
     }
 
-    // --- phase 5: dictionary footprint & post-retraction compaction ----
+    // --- dictionary footprint & post-retraction compaction -------------
     {
         let members = if smoke { 2_000 } else { 50_000 };
         println!("dict footprint (load {members} members, retract the burst, auto-sweep):");

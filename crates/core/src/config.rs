@@ -71,22 +71,13 @@ pub struct SliderConfig {
     /// modes land on the same store. On by default; the switch exists as
     /// an ablation/cross-check.
     pub maintenance_partitioning: bool,
-    /// Shards of the two-level-locked store (rounded up to a power of two,
-    /// minimum 1): distributor and input writes touching disjoint
-    /// predicate families lock disjoint shards and run concurrently, while
-    /// maintenance still gets full exclusivity through the store's global
-    /// gate. Rule joins take no shard lock — they read a published epoch.
-    /// `1` degenerates to the paper's single global write lock (the
-    /// `ingest` benchmark's baseline). Default:
-    /// [`DEFAULT_SHARDS`](slider_store::DEFAULT_SHARDS).
-    pub store_shards: usize,
     /// Dictionary sweep trigger ratio: after a coalesced DRed flush or an
     /// eager removal, the engine sweeps the term dictionary
     /// ([`Dictionary::sweep`](slider_model::Dictionary::sweep)) once the
     /// number of node ids retired since the last sweep exceeds this
     /// fraction of the dictionary's live-term count (and an absolute floor
     /// of 1024 retirements, so small workloads never pay for a sweep).
-    /// The sweep runs under the store's exclusive gate, tombstones
+    /// The sweep runs with the store held exclusively, tombstones
     /// unreferenced non-vocabulary terms and recycles their ids through a
     /// free-list; ids of live terms never move. `f64::INFINITY` disables
     /// automatic sweeping (explicit
@@ -108,7 +99,6 @@ impl Default for SliderConfig {
             maintenance_batch: 1024,
             maintenance_max_age: Some(Duration::from_millis(100)),
             maintenance_partitioning: true,
-            store_shards: slider_store::DEFAULT_SHARDS,
             dict_sweep_ratio: 0.5,
         }
     }
@@ -190,13 +180,6 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style store shard count (min 1, rounded up to a power of
-    /// two by the store; `1` = the global-lock baseline).
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        self.store_shards = shards.max(1);
-        self
-    }
-
     /// Builder-style dictionary sweep ratio (clamped to be non-negative;
     /// `f64::INFINITY` disables automatic sweeping).
     pub fn with_dict_sweep_ratio(mut self, ratio: f64) -> Self {
@@ -222,7 +205,6 @@ mod tests {
         assert!(c.maintenance_batch >= 1);
         assert!(c.maintenance_max_age.is_some());
         assert!(c.maintenance_partitioning);
-        assert_eq!(c.store_shards, slider_store::DEFAULT_SHARDS);
         assert_eq!(c.dict_sweep_ratio, 0.5);
     }
 
@@ -239,12 +221,6 @@ mod tests {
             .with_dict_sweep_ratio(f64::INFINITY)
             .dict_sweep_ratio
             .is_infinite());
-    }
-
-    #[test]
-    fn store_shards_builder_clamps() {
-        assert_eq!(SliderConfig::default().with_store_shards(0).store_shards, 1);
-        assert_eq!(SliderConfig::default().with_store_shards(8).store_shards, 8);
     }
 
     #[test]

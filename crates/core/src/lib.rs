@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!             ┌────────────────────────────────────────────────┐
-//!  evolving   │   TRIPLE STORE (gate + per-predicate shards)   │
+//!  evolving   │  TRIPLE STORE (vertically partitioned, 1 lock) │
 //!  data ──►   └─▲──▲──────────────▲──────────────▲─────────────┘
 //!   input       │  │ read         │ read         │ write (dedup)
 //!  manager ──► [Buffer R1] ─► (rule instance on thread pool) ─► [Distributor R1]
@@ -14,7 +14,7 @@
 //!               │  ▲───────────── fresh triples routed ◄───────────┘
 //!               │        (rules dependency graph, Figure 2)
 //!  retractions ─┴─► [DRed maintenance: overdelete ▸ rederive]
-//!               (gate-exclusive; explicit/derived provenance flags)
+//!               (store-exclusive; explicit/derived provenance flags)
 //! ```
 //!
 //! * The **input manager** ([`Slider::add_triples`], [`Slider::add_terms`])
@@ -27,10 +27,10 @@
 //!   [`SliderConfig::timeout`] — its content becomes a *rule instance*: a
 //!   job on the **thread pool** that joins the batch against the store's
 //!   published **epoch snapshot** (see `slider_store::EpochSnapshot`),
-//!   taking no gate or shard lock — per paper Algorithm 1.
+//!   taking no store lock — per paper Algorithm 1.
 //! * The rule instance's **distributor** inserts the conclusions into the
-//!   store, locking one predicate shard at a time (writes on disjoint
-//!   shards run concurrently); only the triples that were *actually new*
+//!   store as one batch under the store lock, publishing one new epoch;
+//!   only the triples that were *actually new*
 //!   are dispatched onward, to the buffers selected by the **rules
 //!   dependency graph** — the paper's duplicate-limitation mechanism.
 //! * [`Slider::wait_idle`] detects quiescence (all buffers empty, no
@@ -38,7 +38,7 @@
 //!   just keep feeding triples; timeouts keep buffers moving.
 //! * **Retractions** ([`Slider::remove_triples`], [`Slider::remove_terms`])
 //!   run the [`maintenance`] module's DRed algorithm with the store held
-//!   exclusively (the maintenance gate in write mode): overdelete the
+//!   exclusively: overdelete the
 //!   downward closure of the retracted facts
 //!   through the dependency graph, then rederive the survivors via the
 //!   same rule modules. Afterwards the store equals the closure of the

@@ -153,9 +153,8 @@ pub(crate) fn dred(
     let mut out: Vec<Triple> = Vec::new();
     while !delta.is_empty() {
         out.clear();
-        let view = store.view();
         for &i in &over_rules {
-            rules[i].apply(&view, &delta, &mut out);
+            rules[i].apply(store, &delta, &mut out);
         }
         for &t in &delta {
             store.remove(t);
@@ -214,10 +213,9 @@ fn rederive(
     let mut need_forward = force_forward;
     while !need_forward {
         let mut restored: Vec<Triple> = Vec::new();
-        let view = store.view();
         candidates.retain(|&t| {
             for &i in rule_indices {
-                match rules[i].derives(&view, t) {
+                match rules[i].derives(store, t) {
                     Some(true) => {
                         restored.push(t);
                         return false;
@@ -246,9 +244,8 @@ fn rederive(
         let mut fresh: Vec<Triple> = Vec::new();
         loop {
             out.clear();
-            let view = store.view();
             for &i in rule_indices {
-                rules[i].apply(&view, &delta, &mut out);
+                rules[i].apply(store, &delta, &mut out);
             }
             fresh.clear();
             store.insert_batch(&out, &mut fresh);
@@ -295,7 +292,7 @@ pub(crate) fn retract_rules(
     for &t in &derived {
         let mut seed = false;
         for rule in dropped {
-            match rule.derives(&store.view(), t) {
+            match rule.derives(store, t) {
                 Some(true) => {
                     seed = true;
                     break;
@@ -328,7 +325,7 @@ pub(crate) fn retract_rules(
     while !delta.is_empty() {
         out.clear();
         for rule in old_rules {
-            rule.apply(&store.view(), &delta, &mut out);
+            rule.apply(store, &delta, &mut out);
         }
         for &t in &delta {
             store.remove(t);
@@ -365,7 +362,7 @@ pub(crate) fn evaluate_added(
     let mut fresh: Vec<Triple> = Vec::new();
     let delta0: Vec<Triple> = store.iter().collect();
     for rule in added {
-        rule.apply(&store.view(), &delta0, &mut out);
+        rule.apply(store, &delta0, &mut out);
     }
     store.insert_batch(&out, &mut fresh);
     inferred += fresh.len();
@@ -373,7 +370,7 @@ pub(crate) fn evaluate_added(
     while !delta.is_empty() {
         out.clear();
         for rule in all_rules {
-            rule.apply(&store.view(), &delta, &mut out);
+            rule.apply(store, &delta, &mut out);
         }
         fresh.clear();
         store.insert_batch(&out, &mut fresh);

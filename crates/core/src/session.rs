@@ -102,7 +102,7 @@ fn build_state(
     let probe = Triple::new(NodeId(0), NodeId(0), NodeId(0));
     let backward: Vec<bool> = modules
         .iter()
-        .map(|m| m.rule.derives(&probe_store.view(), probe).is_some())
+        .map(|m| m.rule.derives(&probe_store, probe).is_some())
         .collect();
     RulesetState {
         name: ruleset.name().to_owned(),
@@ -342,16 +342,16 @@ impl Engine {
         let mut out = Vec::new();
         {
             // One epoch read per instance: the join runs against the
-            // published immutable snapshot, taking no gate or shard lock.
+            // published immutable snapshot, taking no store lock.
             // The epoch includes this delta — `insert_batch` publishes
             // before the dispatch that buffered it returned — and
             // possibly newer publications,
             // which is sound (monotone): extra visible triples only
             // produce conclusions earlier; deletion cannot interleave,
-            // it requires the gate in write mode, which implies
+            // it requires the store held exclusively, which implies
             // quiescence — no instance like this one in flight.
             let epoch = self.store.snapshot();
-            module.rule.apply(&epoch.view(), &delta, &mut out);
+            module.rule.apply(&epoch, &delta, &mut out);
         }
         bump(&module.counters.fired, 1);
         bump(&module.counters.derived, out.len() as u64);
@@ -460,24 +460,19 @@ impl Engine {
     }
 
     /// Runs `f` on the quiescent store: drains all in-flight derivations,
-    /// then re-checks quiescence *under the store's maintenance gate,
-    /// held in write mode* — an `add_triples` that slipped in after
-    /// `wait_idle` still holds its inflight token until its routing (and
-    /// pending-retraction cancellation) is done, so a clean check here
-    /// means no rule instance can be holding stale premises and no
+    /// then re-checks quiescence *while holding the store lock*
+    /// ([`ShardedStore::exclusive`]) — an `add_triples` that slipped in
+    /// after `wait_idle` still holds its inflight token until its routing
+    /// (and pending-retraction cancellation) is done, so a clean check
+    /// here means no rule instance can be holding stale premises and no
     /// assertion is midway through cancelling a pending retraction.
-    /// Blocked adders (waiting on the gate in read mode) proceed after
-    /// `f` and join against the post-maintenance store — sound either
-    /// way. The gate is the *only* exclusive lock: normal reads and
-    /// writes never take it in write mode, they serialise on per-shard
-    /// locks instead ([`ShardedStore::exclusive`] merges the shards into
-    /// one [`VerticalStore`] for `f` and re-scatters them on release —
-    /// tables move wholesale, so both directions are O(#predicates)).
-    /// This preserves PR 4's linearisation contract verbatim: `f` sees a
-    /// store no concurrent operation can touch. Returns `f`'s result and
-    /// the store size captured under the gate (racing adders blocked on
-    /// it must not leak into "store size after maintenance" reported by
-    /// the trace events).
+    /// Blocked writers proceed after `f` and join against the
+    /// post-maintenance store — sound either way; readers keep answering
+    /// from the pre-section epoch until the guard publishes on release.
+    /// So `f` sees a store no concurrent operation can touch. Returns
+    /// `f`'s result and the store size captured under the lock (racing
+    /// adders blocked on it must not leak into "store size after
+    /// maintenance" reported by the trace events).
     fn with_quiescent_store<R>(&self, f: impl FnOnce(&mut VerticalStore) -> R) -> (R, usize) {
         let mut f = Some(f);
         loop {
@@ -502,8 +497,8 @@ impl Engine {
     }
 
     /// Post-retraction dictionary compaction hook. Called inside a
-    /// quiescent-store section (maintenance mutex held, store gate in
-    /// write mode) after a DRed run that retired `retired_now` triples
+    /// quiescent-store section (maintenance mutex held, store held
+    /// exclusively) after a DRed run that retired `retired_now` triples
     /// (retracted + overdeleted). Accumulates the retirement count and
     /// sweeps once it clears both the absolute floor
     /// ([`DICT_SWEEP_MIN_RETIRED`]) and the configured fraction of the
@@ -575,8 +570,8 @@ impl Engine {
     /// exactly its own triples, field for field as a serial run would.
     fn remove_eager(&self, triples: &[Triple]) -> RemovalOutcome {
         // Fast path: an empty request retracts nothing by definition —
-        // return without touching the maintenance mutex or the store's
-        // gate (pinned by the `gate_write_acquisitions` stat).
+        // return without touching the maintenance mutex or the store lock
+        // (pinned by the `gate_write_acquisitions` stat).
         if triples.is_empty() {
             return RemovalOutcome::default();
         }
@@ -674,7 +669,7 @@ impl Engine {
     /// leaves the same closure as retracting S₁ ∪ S₂ at once (each pass
     /// ends at the closure of its surviving explicit set), so a sliced
     /// flush converges to exactly the unsliced store — it just releases
-    /// the store (and the quiescence gate) between slices, bounding how
+    /// the store between slices, bounding how
     /// long one tenant's maintenance can hold a shared runtime tick.
     fn flush_maintenance_slice(&self, limit: usize) -> (RemovalOutcome, usize) {
         // One maintenance run at a time, so two racing flushes (threshold
@@ -683,8 +678,8 @@ impl Engine {
         // racing slice drains the queue before it applies it, so an
         // unlocked `pending() == 0` could return while that slice's
         // retractions are still in the store. The mutex is not the
-        // store's gate, so an empty flush still never takes the gate in
-        // write mode (pinned by the `gate_write_acquisitions` stat).
+        // store lock, so an empty flush still never takes the store
+        // exclusively (pinned by the `gate_write_acquisitions` stat).
         let _serial = self.maintenance.lock();
         if self.scheduler.pending() == 0 {
             return (RemovalOutcome::default(), 0);
@@ -693,11 +688,11 @@ impl Engine {
         let rules: Vec<Arc<dyn Rule>> = state.modules.iter().map(|m| Arc::clone(&m.rule)).collect();
         let ((outcome, pending_len, partitions, remaining), store_size) = self
             .with_quiescent_store(|store| {
-                // Drain *under the maintenance gate (write mode), after the quiescence
+                // Drain *under the store lock, after the quiescence
                 // re-check*: this is the flush's linearisation point. Any
                 // assertion either completed earlier (its re-assertion
                 // already cancelled the matching pending retraction) or is
-                // blocked on the gate and lands after the flush —
+                // blocked on the lock and lands after the flush —
                 // a pending retraction can never be applied over a
                 // concurrent re-assertion it should have cancelled.
                 let pending = self.scheduler.drain_up_to(limit);
@@ -957,9 +952,9 @@ impl Engine {
     /// included) and runs as a [`Job::Partition`] on the worker pool, and
     /// the shards are absorbed back as they complete. Sound because the
     /// groups are disjoint by maintenance partition — no unit writes a
-    /// triple another unit reads. The caller holds the store's
-    /// maintenance gate in write mode and the maintenance mutex; the pool
-    /// is quiescent, so partition jobs are the only work.
+    /// triple another unit reads. The caller holds the store exclusively
+    /// and the maintenance mutex; the pool is quiescent, so partition jobs
+    /// are the only work.
     ///
     /// Seeds are labelled by source batch (`batches` of them): within a
     /// unit, batches run as sequential DRed passes in batch order, so the
@@ -1078,7 +1073,7 @@ impl Engine {
             // already at the new program's closure, the new state —
             // program, dependency graph, maintenance partitions, rule
             // modules — becomes what every subsequent resolution sees.
-            // Operations blocked on the gate resume against the new
+            // Operations blocked on the store lock resume against the new
             // program; operations that completed earlier ran entirely
             // under the old one. Nothing observes a mix.
             *self.rstate.write() =
@@ -1190,14 +1185,11 @@ impl Slider {
         config: SliderConfig,
     ) -> Self {
         let base_capacity = config.buffer_capacity.max(1);
-        let store = ShardedStore::from_store_sharded(
-            if config.object_index {
-                VerticalStore::new()
-            } else {
-                VerticalStore::without_object_index()
-            },
-            config.store_shards,
-        );
+        let store = ShardedStore::from_store(if config.object_index {
+            VerticalStore::new()
+        } else {
+            VerticalStore::without_object_index()
+        });
         let state = build_state(&ruleset, base_capacity, None);
         let id = core.allocate_id();
         let engine = Arc::new_cyclic(|self_ref| Engine {
@@ -1607,8 +1599,8 @@ impl Slider {
     /// term **this session's store** no longer references and recycles
     /// the freed ids through the interner's free-list. Ids of live terms
     /// never move — an id held by a caller stays valid as long as its
-    /// triple is in the store. Runs under the maintenance mutex and the
-    /// store's exclusive gate, like a DRed pass; the automatic equivalent
+    /// triple is in the store. Runs under the maintenance mutex with the
+    /// store held exclusively, like a DRed pass; the automatic equivalent
     /// fires after large retraction flushes (see
     /// [`SliderConfig::dict_sweep_ratio`](crate::SliderConfig::dict_sweep_ratio)).
     ///
@@ -2383,43 +2375,6 @@ mod tests {
         );
         assert_eq!(first.join().unwrap().retracted, 1);
         second.join().unwrap();
-    }
-
-    /// The two-level locking pin at the engine level: while one predicate
-    /// family's shard is write-locked, ingest into a different family
-    /// completes — writes on disjoint shards no longer serialise on a
-    /// store-wide writer lock.
-    #[test]
-    fn ingest_proceeds_while_another_shard_is_write_locked() {
-        // Empty ruleset: no rule instances, so the test isolates the
-        // input-manager write path.
-        let slider = Arc::new(Slider::new(
-            Arc::new(Dictionary::new()),
-            Ruleset::custom("none"),
-            SliderConfig::batch(),
-        ));
-        let store = slider.store();
-        let p1 = NodeId(10);
-        let p2 = (11..200)
-            .map(NodeId)
-            .find(|&q| store.shard_of(q) != store.shard_of(p1))
-            .expect("another shard exists");
-
-        let guard = store.write_shard(p1);
-        let slider2 = Arc::clone(&slider);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let added = slider2.add_triples(&[Triple::new(n(1), p2, n(2))]);
-            let _ = tx.send(added);
-        });
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(10)),
-            Ok(1),
-            "ingest into a disjoint shard serialised on the held shard lock"
-        );
-        drop(guard);
-        slider.wait_idle();
-        assert!(slider.store().contains(Triple::new(n(1), p2, n(2))));
     }
 
     #[test]

@@ -160,20 +160,19 @@ pub struct StatsSnapshot {
     /// nothing is pending. Also available without a full snapshot as
     /// [`Slider::pending_staleness`](crate::Slider::pending_staleness).
     pub oldest_pending_age: Option<std::time::Duration>,
-    /// Times the store's maintenance gate was taken in write mode — every
-    /// DRed run / quiescent-store section is one acquisition. Normal
-    /// reads and writes only ever hold the gate in read mode (see
+    /// Times the store was taken exclusively — every DRed run /
+    /// quiescent-store section is one acquisition, and so is every direct
+    /// store removal. Inserts and reads never count here (see
     /// [`ShardedStore`](slider_store::ShardedStore)).
     pub gate_write_acquisitions: u64,
-    /// Times a shard write lock was contended: a distributor or input
-    /// write found its predicate shard held by another writer or a
-    /// snapshot. High values relative to write volume mean hot predicate
-    /// families are colliding — more shards or predicate renumbering would
-    /// help; zero under multi-worker load means the sharding is doing its
-    /// job.
+    /// Times the store lock was contended: a write (distributor, input or
+    /// exclusive section) found the lock held and had to wait. High values
+    /// relative to write volume mean writers are queueing on the one
+    /// store lock.
     pub shard_write_conflicts: u64,
     /// Generation of the published epoch snapshot at snapshot time. Bumps
-    /// once per shard-write release or exclusive-section publication; a
+    /// once per store write that changed something and once per exclusive
+    /// section; a
     /// reader holding an [`EpochSnapshot`](slider_store::EpochSnapshot)
     /// with a lower generation sees an older — but internally consistent —
     /// cut of the store.
@@ -280,7 +279,7 @@ impl std::fmt::Display for StatsSnapshot {
         }
         writeln!(
             f,
-            "locking: {} gate write acquisitions, {} shard write conflicts",
+            "store lock: {} exclusive acquisitions, {} contended writes",
             self.gate_write_acquisitions, self.shard_write_conflicts
         )?;
         writeln!(
@@ -416,7 +415,7 @@ mod tests {
         with_removals.shard_write_conflicts = 2;
         assert!(with_removals
             .to_string()
-            .contains("locking: 6 gate write acquisitions, 2 shard write conflicts"));
+            .contains("store lock: 6 exclusive acquisitions, 2 contended writes"));
         // So does the epoch line.
         with_removals.snapshot_generation = 9;
         with_removals.ruleset_swaps = 1;

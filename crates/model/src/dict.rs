@@ -483,9 +483,8 @@ impl Dictionary {
 
     /// Holds the intern write lock of the shard that owns `term`, blocking
     /// every intern routed there until the guard drops. A diagnostic/test
-    /// hook (mirroring `ShardedStore::write_shard`): the concurrency suite
-    /// uses it to pin that `lookup`/`kind` complete in bounded time while
-    /// interning is write-locked.
+    /// hook: the concurrency suite uses it to pin that `lookup`/`kind`
+    /// complete in bounded time while interning is write-locked.
     pub fn lock_intern_shard(&self, term: &Term) -> InternShardGuard<'_> {
         let hash = self.hasher.hash_one(term);
         InternShardGuard {

@@ -32,7 +32,7 @@
 
 use crate::rule::{InputFilter, OutputSignature, Rule};
 use slider_model::{NodeId, Triple};
-use slider_store::StoreView;
+use slider_store::VerticalStore;
 
 /// `(x P y), (y P z) ⊢ (x P z)` — transitivity over a configurable
 /// predicate `P` (the generic [`ScmSco`](crate::ScmSco)).
@@ -67,7 +67,7 @@ impl Rule for Transitive {
         OutputSignature::Predicates(vec![self.pred])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p != self.pred {
                 continue;
@@ -83,7 +83,7 @@ impl Rule for Transitive {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x P z) ⇐ ∃y: (x P y) ∧ (y P z).
         Some(
             t.p == self.pred
@@ -129,7 +129,7 @@ impl Rule for Subsumption {
         OutputSignature::Predicates(vec![self.is])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == self.sub {
                 // new (c SUB d) × store (x IS c)
@@ -145,7 +145,7 @@ impl Rule for Subsumption {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x IS d) ⇐ ∃c: (c SUB d) ∧ (x IS c).
         Some(
             t.p == self.is
@@ -198,7 +198,7 @@ impl Rule for Domain {
         OutputSignature::Predicates(vec![self.is])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == self.pred {
                 out.push(Triple::new(t.s, self.is, self.class));
@@ -206,7 +206,7 @@ impl Rule for Domain {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x IS c) ⇐ ∃y: (x P y).
         Some(
             t.p == self.is
@@ -256,7 +256,7 @@ impl Rule for Range {
         OutputSignature::Predicates(vec![self.is])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == self.pred {
                 out.push(Triple::new(t.o, self.is, self.class));
@@ -264,7 +264,7 @@ impl Rule for Range {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (y IS c) ⇐ ∃x: (x P y).
         Some(
             t.p == self.is
@@ -279,7 +279,6 @@ mod tests {
     use super::*;
     use crate::ruleset::Ruleset;
     use crate::DependencyGraph;
-    use slider_store::VerticalStore;
 
     fn n(v: u64) -> NodeId {
         NodeId(v)
@@ -330,7 +329,7 @@ mod tests {
         let all: Vec<Triple> = store.iter().collect();
         for rule in family().rules() {
             let mut out = Vec::new();
-            rule.apply(&store.view(), &all, &mut out);
+            rule.apply(&store, &all, &mut out);
             out.sort_unstable();
             out.dedup();
             for s in 1..10u64 {
@@ -338,7 +337,7 @@ mod tests {
                     for o in 1..10u64 {
                         let probe = Triple::new(n(s), p, n(o));
                         assert_eq!(
-                            rule.derives(&store.view(), probe),
+                            rule.derives(&store, probe),
                             Some(out.binary_search(&probe).is_ok()),
                             "{}: derives disagrees with apply on {probe:?}",
                             rule.name()
@@ -378,7 +377,7 @@ mod tests {
         ];
         for rule in &rules {
             let mut out = Vec::new();
-            rule.apply(&store.view(), &all, &mut out);
+            rule.apply(&store, &all, &mut out);
             out.sort_unstable();
             out.dedup();
             for s in 1..10u64 {
@@ -386,7 +385,7 @@ mod tests {
                     for o in 1..10u64 {
                         let probe = Triple::new(n(s), p, n(o));
                         assert_eq!(
-                            rule.derives(&store.view(), probe),
+                            rule.derives(&store, probe),
                             Some(out.binary_search(&probe).is_ok()),
                             "{}: derives disagrees with apply on {probe:?}",
                             rule.name()
@@ -437,7 +436,7 @@ mod tests {
             while !delta.is_empty() {
                 out.clear();
                 for rule in rs.rules() {
-                    rule.apply(&store.view(), &delta, &mut out);
+                    rule.apply(&store, &delta, &mut out);
                 }
                 fresh.clear();
                 store.insert_batch(&out, &mut fresh);

@@ -20,7 +20,7 @@ use slider_model::vocab::{
     RDFS_RESOURCE, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_PROPERTY, RDF_TYPE,
 };
 use slider_model::{Dictionary, Triple};
-use slider_store::StoreView;
+use slider_store::VerticalStore;
 use std::sync::Arc;
 
 /// `rdfs1`: `(x p l), l is a literal ⊢ (l type Literal)` *(generalised)*.
@@ -54,7 +54,7 @@ impl Rule for Rdfs1 {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         // One guard for the whole batch (hot path — see Dictionary::kinds).
         let kinds = self.dict.kinds();
         for &t in delta {
@@ -64,7 +64,7 @@ impl Rule for Rdfs1 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (l type Literal) ⇐ l is a literal ∧ ∃p: (_ p l).
         Some(
             t.p == RDF_TYPE
@@ -100,13 +100,13 @@ impl Rule for Rdfs4a {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             out.push(Triple::new(t.s, RDF_TYPE, RDFS_RESOURCE));
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x type Resource) ⇐ ∃p: (x p _).
         Some(
             t.p == RDF_TYPE
@@ -162,7 +162,7 @@ impl Rule for Rdfs4b {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         let kinds = self.dict.kinds();
         for &t in delta {
             if self.include_literals || !kinds.is_literal(t.o) {
@@ -171,7 +171,7 @@ impl Rule for Rdfs4b {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (y type Resource) ⇐ ∃p: (_ p y), with the literal gate.
         Some(
             t.p == RDF_TYPE
@@ -207,7 +207,7 @@ impl Rule for Rdfs6 {
         OutputSignature::Predicates(vec![RDFS_SUB_PROPERTY_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == RDF_PROPERTY {
                 out.push(Triple::new(t.s, RDFS_SUB_PROPERTY_OF, t.s));
@@ -215,7 +215,7 @@ impl Rule for Rdfs6 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         Some(
             t.p == RDFS_SUB_PROPERTY_OF
                 && t.s == t.o
@@ -247,7 +247,7 @@ impl Rule for Rdfs8 {
         OutputSignature::Predicates(vec![RDFS_SUB_CLASS_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == RDFS_CLASS {
                 out.push(Triple::new(t.s, RDFS_SUB_CLASS_OF, RDFS_RESOURCE));
@@ -255,7 +255,7 @@ impl Rule for Rdfs8 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         Some(
             t.p == RDFS_SUB_CLASS_OF
                 && t.o == RDFS_RESOURCE
@@ -287,7 +287,7 @@ impl Rule for Rdfs10 {
         OutputSignature::Predicates(vec![RDFS_SUB_CLASS_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == RDFS_CLASS {
                 out.push(Triple::new(t.s, RDFS_SUB_CLASS_OF, t.s));
@@ -295,7 +295,7 @@ impl Rule for Rdfs10 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         Some(
             t.p == RDFS_SUB_CLASS_OF
                 && t.s == t.o
@@ -327,7 +327,7 @@ impl Rule for Rdfs12 {
         OutputSignature::Predicates(vec![RDFS_SUB_PROPERTY_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == RDFS_CONTAINER_MEMBERSHIP_PROPERTY {
                 out.push(Triple::new(t.s, RDFS_SUB_PROPERTY_OF, RDFS_MEMBER));
@@ -335,7 +335,7 @@ impl Rule for Rdfs12 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         Some(
             t.p == RDFS_SUB_PROPERTY_OF
                 && t.o == RDFS_MEMBER
@@ -371,7 +371,7 @@ impl Rule for Rdfs13 {
         OutputSignature::Predicates(vec![RDFS_SUB_CLASS_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == RDFS_DATATYPE {
                 out.push(Triple::new(t.s, RDFS_SUB_CLASS_OF, RDFS_LITERAL));
@@ -379,7 +379,7 @@ impl Rule for Rdfs13 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         Some(
             t.p == RDFS_SUB_CLASS_OF
                 && t.o == RDFS_LITERAL
@@ -392,7 +392,6 @@ impl Rule for Rdfs13 {
 mod tests {
     use super::*;
     use slider_model::{NodeId, Term};
-    use slider_store::VerticalStore;
 
     fn n(v: u64) -> NodeId {
         NodeId(1000 + v)
@@ -401,7 +400,7 @@ mod tests {
     fn run(rule: &dyn Rule, delta: &[Triple]) -> Vec<Triple> {
         let store: VerticalStore = delta.iter().copied().collect();
         let mut out = Vec::new();
-        rule.apply(&store.view(), delta, &mut out);
+        rule.apply(&store, delta, &mut out);
         out.sort_unstable();
         out.dedup();
         out

@@ -23,7 +23,7 @@ use slider_model::vocab::{
     OWL_TRANSITIVE_PROPERTY, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE,
 };
 use slider_model::Triple;
-use slider_store::StoreView;
+use slider_store::VerticalStore;
 
 /// `EQ-SYM`: `(x sameAs y) ⊢ (y sameAs x)`.
 #[derive(Debug, Default, Clone, Copy)]
@@ -46,7 +46,7 @@ impl Rule for EqSym {
         OutputSignature::Predicates(vec![OWL_SAME_AS])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_SAME_AS {
                 out.push(Triple::new(t.o, OWL_SAME_AS, t.s));
@@ -76,7 +76,7 @@ impl Rule for EqTrans {
         OutputSignature::Predicates(vec![OWL_SAME_AS])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p != OWL_SAME_AS {
                 continue;
@@ -112,7 +112,7 @@ impl Rule for EqRepS {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_SAME_AS {
                 // New equality: rewrite every fact about s. The store has
@@ -153,7 +153,7 @@ impl Rule for EqRepP {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_SAME_AS {
                 for (s, o) in store.pairs(t.s) {
@@ -188,7 +188,7 @@ impl Rule for EqRepO {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_SAME_AS {
                 for p in store.predicates() {
@@ -225,7 +225,7 @@ impl Rule for PrpInv {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_INVERSE_OF {
                 for (x, y) in store.pairs(t.s) {
@@ -266,7 +266,7 @@ impl Rule for PrpSymp {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == OWL_SYMMETRIC_PROPERTY {
                 for (x, y) in store.pairs(t.s) {
@@ -301,7 +301,7 @@ impl Rule for PrpTrp {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == OWL_TRANSITIVE_PROPERTY {
                 // One transitive step over the whole partition; the
@@ -345,7 +345,7 @@ impl Rule for PrpFp {
         OutputSignature::Predicates(vec![OWL_SAME_AS])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == OWL_FUNCTIONAL_PROPERTY {
                 for (x, y1) in store.pairs(t.s) {
@@ -388,7 +388,7 @@ impl Rule for PrpIfp {
         OutputSignature::Predicates(vec![OWL_SAME_AS])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDF_TYPE && t.o == OWL_INVERSE_FUNCTIONAL_PROPERTY {
                 for (x1, y) in store.pairs(t.s) {
@@ -431,7 +431,7 @@ impl Rule for ScmEqc {
         OutputSignature::Predicates(vec![RDFS_SUB_CLASS_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_EQUIVALENT_CLASS {
                 out.push(Triple::new(t.s, RDFS_SUB_CLASS_OF, t.o));
@@ -462,7 +462,7 @@ impl Rule for ScmEqp {
         OutputSignature::Predicates(vec![RDFS_SUB_PROPERTY_OF])
     }
 
-    fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == OWL_EQUIVALENT_PROPERTY {
                 out.push(Triple::new(t.s, RDFS_SUB_PROPERTY_OF, t.o));
@@ -476,7 +476,6 @@ impl Rule for ScmEqp {
 mod tests {
     use super::*;
     use slider_model::NodeId;
-    use slider_store::VerticalStore;
 
     fn n(v: u64) -> NodeId {
         NodeId(1000 + v)
@@ -489,7 +488,7 @@ mod tests {
             store.insert(t);
         }
         let mut out = Vec::new();
-        rule.apply(&store.view(), delta, &mut out);
+        rule.apply(&store, delta, &mut out);
         out.retain(|&t| !store.contains(t));
         out.sort_unstable();
         out.dedup();

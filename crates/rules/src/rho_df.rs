@@ -15,7 +15,7 @@ use slider_model::vocab::{
     RDFS_DOMAIN, RDFS_RANGE, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE,
 };
 use slider_model::Triple;
-use slider_store::StoreView;
+use slider_store::VerticalStore;
 
 /// `CAX-SCO`: `(c1 subClassOf c2), (x type c1) ⊢ (x type c2)`.
 ///
@@ -40,7 +40,7 @@ impl Rule for CaxSco {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_SUB_CLASS_OF {
                 // new (c1 sco c2) × store (x type c1)
@@ -56,7 +56,7 @@ impl Rule for CaxSco {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x type c2) ⇐ ∃c1: (c1 sco c2) ∧ (x type c1).
         Some(
             t.p == RDF_TYPE
@@ -91,7 +91,7 @@ impl Rule for ScmSco {
         OutputSignature::Predicates(vec![RDFS_SUB_CLASS_OF])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p != RDFS_SUB_CLASS_OF {
                 continue;
@@ -107,7 +107,7 @@ impl Rule for ScmSco {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (c1 sco c3) ⇐ ∃c2: (c1 sco c2) ∧ (c2 sco c3).
         Some(
             t.p == RDFS_SUB_CLASS_OF
@@ -139,7 +139,7 @@ impl Rule for ScmSpo {
         OutputSignature::Predicates(vec![RDFS_SUB_PROPERTY_OF])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p != RDFS_SUB_PROPERTY_OF {
                 continue;
@@ -153,7 +153,7 @@ impl Rule for ScmSpo {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (p1 spo p3) ⇐ ∃p2: (p1 spo p2) ∧ (p2 spo p3).
         Some(
             t.p == RDFS_SUB_PROPERTY_OF
@@ -185,7 +185,7 @@ impl Rule for ScmDom2 {
         OutputSignature::Predicates(vec![RDFS_DOMAIN])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_DOMAIN {
                 // new (p2 dom c) × store (p1 spo p2)
@@ -201,7 +201,7 @@ impl Rule for ScmDom2 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (p1 dom c) ⇐ ∃p2: (p1 spo p2) ∧ (p2 dom c).
         Some(
             t.p == RDFS_DOMAIN
@@ -233,7 +233,7 @@ impl Rule for ScmRng2 {
         OutputSignature::Predicates(vec![RDFS_RANGE])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_RANGE {
                 for p1 in store.subjects_with(RDFS_SUB_PROPERTY_OF, t.s) {
@@ -247,7 +247,7 @@ impl Rule for ScmRng2 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (p1 rng c) ⇐ ∃p2: (p1 spo p2) ∧ (p2 rng c).
         Some(
             t.p == RDFS_RANGE
@@ -282,7 +282,7 @@ impl Rule for PrpDom {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_DOMAIN {
                 // new (p dom c) × store (x p y): walk the p-partition.
@@ -297,7 +297,7 @@ impl Rule for PrpDom {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x type c) ⇐ ∃p: (p dom c) ∧ (x p _).
         Some(
             t.p == RDF_TYPE
@@ -331,7 +331,7 @@ impl Rule for PrpRng {
         OutputSignature::Predicates(vec![RDF_TYPE])
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_RANGE {
                 for (_x, y) in store.pairs(t.s) {
@@ -344,7 +344,7 @@ impl Rule for PrpRng {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (y type c) ⇐ ∃p: (p rng c) ∧ (_ p y).
         Some(
             t.p == RDF_TYPE
@@ -379,7 +379,7 @@ impl Rule for PrpSpo1 {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == RDFS_SUB_PROPERTY_OF {
                 // new (p1 spo p2) × store (x p1 y).
@@ -394,7 +394,7 @@ impl Rule for PrpSpo1 {
         }
     }
 
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         // (x p2 y) ⇐ ∃p1: (p1 spo p2) ∧ (x p1 y).
         Some(
             store
@@ -408,7 +408,6 @@ impl Rule for PrpSpo1 {
 mod tests {
     use super::*;
     use slider_model::NodeId;
-    use slider_store::VerticalStore;
 
     // Test node ids, clear of the vocabulary range.
     fn n(v: u64) -> NodeId {
@@ -424,7 +423,7 @@ mod tests {
             store.insert(t);
         }
         let mut out = Vec::new();
-        rule.apply(&store.view(), new, &mut out);
+        rule.apply(&store, new, &mut out);
         out.retain(|&t| !store.contains(t));
         out.sort_unstable();
         out.dedup();

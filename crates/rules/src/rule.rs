@@ -1,7 +1,7 @@
 //! The [`Rule`] trait and rule I/O signatures.
 
 use slider_model::{NodeId, Triple};
-use slider_store::StoreView;
+use slider_store::VerticalStore;
 
 /// Which incoming triples a rule's buffer accepts.
 ///
@@ -118,7 +118,7 @@ pub trait Rule: Send + Sync {
     /// `store`) against `store` in both directions, appending conclusions
     /// to `out`. Conclusions may repeat; the distributor deduplicates
     /// against the store.
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>);
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>);
 
     /// Backward support check — the optional fast path for DRed
     /// rederivation: is `t` derivable by this rule **in one step** from
@@ -131,7 +131,7 @@ pub trait Rule: Send + Sync {
     /// default `None` means "no backward matcher"; maintenance then falls
     /// back to a forward full-store pass — sound for any rule, just
     /// slower. All built-in ρdf and RDFS rules implement this.
-    fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         let _ = (store, t);
         None
     }

@@ -361,7 +361,7 @@ mod tests {
         for ruleset in [Ruleset::rho_df(), Ruleset::rdfs(&dict)] {
             for rule in ruleset.rules() {
                 let mut out = Vec::new();
-                rule.apply(&store.view(), &all, &mut out);
+                rule.apply(&store, &all, &mut out);
                 out.sort_unstable();
                 out.dedup();
                 for &s in &nodes {
@@ -369,7 +369,7 @@ mod tests {
                         for &o in &nodes {
                             let probe = Triple::new(s, p, o);
                             assert_eq!(
-                                rule.derives(&store.view(), probe),
+                                rule.derives(&store, probe),
                                 Some(out.binary_search(&probe).is_ok()),
                                 "{}: derives disagrees with apply on {probe:?}",
                                 rule.name()
@@ -397,7 +397,7 @@ mod tests {
         // The RDFS-Plus extension rules fall back to the forward pass.
         let rs = Ruleset::rdfs_plus(&dict);
         let eq_sym = &rs.rules()[rs.index_of("EQ-SYM").unwrap()];
-        assert_eq!(eq_sym.derives(&store.view(), probe), None);
+        assert_eq!(eq_sym.derives(&store, probe), None);
     }
 
     #[test]

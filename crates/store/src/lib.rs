@@ -25,23 +25,18 @@
 //! subsystem builds on exactly these two primitives — see
 //! `slider-core`'s `maintenance` module.
 //!
-//! [`ShardedStore`] shares the store across threads with **two-level
-//! write locking** (the paper uses a single `ReentrantReadWriteLock`; we
-//! keep its semantics but not its bottleneck): a global *maintenance gate*
-//! held in read mode by every monotone write and in write mode only by
-//! exclusive (DRed/quiescent) sections and removals, plus
-//! per-predicate-shard locks so writers touching disjoint predicate
-//! families run concurrently. See the `concurrent` module docs for the
-//! lock-order discipline.
+//! [`ShardedStore`] shares the store across threads the way the paper
+//! does: one [`VerticalStore`] behind one writer lock, taken by every write
+//! batch and held across exclusive (DRed/quiescent) sections.
 //!
-//! There is **one read path**: every write-release publishes an
-//! immutable, generation-stamped [`EpochSnapshot`] (copy-on-write over
-//! the shard tables), and rule joins as well as
+//! There is **one read path**: every write publishes one immutable,
+//! generation-stamped [`EpochSnapshot`] — a copy-on-write clone of the
+//! store — and rule joins as well as
 //! `matches`/`stats`/`to_sorted_vec`/`contains` answer from the published
 //! epoch. Taking one costs a short mutex lock and an `Arc` clone; it never
-//! waits on the gate or a shard lock. Readers see it through a
-//! [`StoreView`] — a plain store borrowed whole or an epoch — so the same
-//! rule code serves both worlds.
+//! waits on the writer lock. An epoch dereferences to a [`VerticalStore`],
+//! so rules join against `&VerticalStore` whether they read an epoch or
+//! hold the store exclusively.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,12 +45,10 @@ mod concurrent;
 mod pattern;
 mod table;
 mod vertical;
+#[cfg(test)]
 mod view;
 
-pub use concurrent::{
-    EpochSnapshot, ExclusiveStore, ShardWriteGuard, ShardedStore, DEFAULT_SHARDS,
-};
+pub use concurrent::{EpochSnapshot, ExclusiveStore, ShardedStore};
 pub use pattern::TriplePattern;
 pub use table::PropertyTable;
 pub use vertical::{StoreStats, VerticalStore};
-pub use view::StoreView;

@@ -2,7 +2,6 @@
 
 use crate::pattern::TriplePattern;
 use crate::table::PropertyTable;
-use crate::view::StoreView;
 use slider_model::{FxHashMap, NodeId, Triple};
 use std::sync::Arc;
 
@@ -27,9 +26,9 @@ use std::sync::Arc;
 /// Each partition lives behind an [`Arc`], so **`Clone` is O(#predicates)**
 /// (reference bumps, no triple copies). A mutation on a shared table
 /// ([`Arc::make_mut`]) deep-clones that one table first — the mechanism the
-/// concurrent store's epoch snapshots are built on: publishing a snapshot
-/// clones the store cheaply, and only the tables touched afterwards pay a
-/// copy, once per publish cycle.
+/// concurrent store's epoch snapshots are built on: an epoch *is* a clone
+/// of the store, so publishing one is cheap, and a table written after a
+/// publication pays one copy on its first write.
 #[derive(Debug, Clone)]
 pub struct VerticalStore {
     tables: FxHashMap<NodeId, Arc<PropertyTable>>,
@@ -303,24 +302,15 @@ impl VerticalStore {
     }
 
     /// Iterates over every partition as a `(predicate, table)` pair (no
-    /// ordering guarantee) — the per-shard walk the multi-shard
-    /// [`StoreView`] composes across sub-stores.
+    /// ordering guarantee).
     pub fn tables(&self) -> impl Iterator<Item = (NodeId, &PropertyTable)> + '_ {
         self.tables.iter().map(|(&p, tab)| (p, &**tab))
     }
 
     /// True if this store maintains the per-predicate object index (see
-    /// [`VerticalStore::without_object_index`]). Sharded wrappers use this
-    /// to build shards in the matching indexing mode.
+    /// [`VerticalStore::without_object_index`]).
     pub fn has_object_index(&self) -> bool {
         self.object_index
-    }
-
-    /// A [`StoreView`] borrowing this store whole — the read interface
-    /// rules are written against, so the same rule code joins against a
-    /// plain store or a multi-shard snapshot.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Store(self)
     }
 
     /// Objects `o` such that `(s, p, o)` holds — the `(p, s, ?)` pattern.
@@ -356,33 +346,26 @@ impl VerticalStore {
             .flat_map(|(&p, tab)| tab.pairs().map(move |(s, o)| Triple::new(s, p, o)))
     }
 
-    /// All triples matching `pattern`, routed through the best index.
+    /// All triples matching `pattern`, routed through the best index. A
+    /// bound predicate resolves in its own table; an unbound one probes
+    /// every table the same way — by subject if `s` is bound, by object if
+    /// only `o` is (a scan of each table when the object index is off) —
+    /// so only the all-unbound pattern walks every triple.
     pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
-        match (pattern.s, pattern.p, pattern.o) {
-            (_, Some(p), _) => self.matches_with_p(p, pattern),
-            // Unbound predicate: walk every partition (the paper notes some
-            // OWL rules need the full walk; ρdf/RDFS never take this path in
-            // hot loops).
-            _ => self.iter().filter(|&t| pattern.matches(t)).collect(),
-        }
-    }
-
-    fn matches_with_p(&self, p: NodeId, pattern: TriplePattern) -> Vec<Triple> {
-        let Some(tab) = self.tables.get(&p) else {
-            return Vec::new();
-        };
-        match (pattern.s, pattern.o) {
-            (Some(s), Some(o)) => {
-                if tab.contains(s, o) {
-                    vec![Triple::new(s, p, o)]
-                } else {
-                    Vec::new()
+        let mut out = Vec::new();
+        match pattern.p {
+            Some(p) => {
+                if let Some(tab) = self.tables.get(&p) {
+                    match_table(p, tab, pattern, &mut out);
                 }
             }
-            (Some(s), None) => tab.objects(s).map(|o| Triple::new(s, p, o)).collect(),
-            (None, Some(o)) => tab.subjects(o).map(|s| Triple::new(s, p, o)).collect(),
-            (None, None) => tab.pairs().map(|(s, o)| Triple::new(s, p, o)).collect(),
+            None => {
+                for (&p, tab) in &self.tables {
+                    match_table(p, tab, pattern, &mut out);
+                }
+            }
         }
+        out
     }
 
     /// Number of triples with predicate `p`.
@@ -406,6 +389,21 @@ impl VerticalStore {
         let mut v: Vec<Triple> = self.iter().collect();
         v.sort_unstable();
         v
+    }
+}
+
+/// Appends the triples of predicate `p`'s table matching `pattern`'s
+/// subject and object to `out`.
+fn match_table(p: NodeId, tab: &PropertyTable, pattern: TriplePattern, out: &mut Vec<Triple>) {
+    match (pattern.s, pattern.o) {
+        (Some(s), Some(o)) => {
+            if tab.contains(s, o) {
+                out.push(Triple::new(s, p, o));
+            }
+        }
+        (Some(s), None) => out.extend(tab.objects(s).map(|o| Triple::new(s, p, o))),
+        (None, Some(o)) => out.extend(tab.subjects(o).map(|s| Triple::new(s, p, o))),
+        (None, None) => out.extend(tab.pairs().map(|(s, o)| Triple::new(s, p, o))),
     }
 }
 
@@ -494,7 +492,8 @@ mod tests {
         assert_eq!(st.predicates().count(), 3);
     }
 
-    /// `matches` must agree with a brute-force scan for every pattern shape.
+    /// `matches` must agree with a brute-force scan for every pattern
+    /// shape — bound and unbound predicate alike — in both indexing modes.
     #[test]
     fn matches_agrees_with_reference() {
         let triples = [
@@ -503,8 +502,8 @@ mod tests {
             t(4, 10, 2),
             t(1, 20, 2),
             t(5, 20, 6),
+            t(2, 30, 1),
         ];
-        let st: VerticalStore = triples.iter().copied().collect();
         let ids: Vec<Option<NodeId>> = vec![
             None,
             Some(NodeId(1)),
@@ -512,19 +511,27 @@ mod tests {
             Some(NodeId(2)),
             Some(NodeId(99)),
         ];
-        for &s in &ids {
-            for &p in &ids {
-                for &o in &ids {
-                    let pat = TriplePattern::new(s, p, o);
-                    let mut got = st.matches(pat);
-                    got.sort_unstable();
-                    let mut want: Vec<Triple> = triples
-                        .iter()
-                        .copied()
-                        .filter(|&x| pat.matches(x))
-                        .collect();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "pattern {pat:?}");
+        for mut st in [VerticalStore::new(), VerticalStore::without_object_index()] {
+            st.extend(triples);
+            for &s in &ids {
+                for &p in &ids {
+                    for &o in &ids {
+                        let pat = TriplePattern::new(s, p, o);
+                        let mut got = st.matches(pat);
+                        got.sort_unstable();
+                        let mut want: Vec<Triple> = triples
+                            .iter()
+                            .copied()
+                            .filter(|&x| pat.matches(x))
+                            .collect();
+                        want.sort_unstable();
+                        assert_eq!(
+                            got,
+                            want,
+                            "pattern {pat:?}, object index {}",
+                            st.has_object_index()
+                        );
+                    }
                 }
             }
         }

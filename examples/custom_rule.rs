@@ -19,7 +19,7 @@
 
 use slider::prelude::*;
 use slider::rules::{InputFilter, OutputSignature};
-use slider::store::StoreView;
+use slider::store::VerticalStore;
 use std::sync::Arc;
 
 const OWL_INVERSE_OF: &str = "http://www.w3.org/2002/07/owl#inverseOf";
@@ -58,7 +58,7 @@ impl Rule for PrpInv {
         OutputSignature::Universal
     }
 
-    fn apply(&self, store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
         for &t in delta {
             if t.p == self.inverse_of {
                 // New schema: flip every existing fact using p1 or p2.

@@ -227,14 +227,12 @@ fn main() {
         None => println!("staleness bound: no pending retractions (queries are exact)"),
     }
 
-    // Store-lock contention over the run: how often exclusive (gate-write)
-    // access was taken, and how often a shard write found its shard busy.
+    // Store-lock contention over the run: how often the store was taken
+    // exclusively, and how often a write found the lock busy.
     let stats = slider.stats();
     println!(
-        "store locking: {} shards, {} gate write acquisitions, {} shard write conflicts",
-        slider.store().shard_count(),
-        stats.gate_write_acquisitions,
-        stats.shard_write_conflicts
+        "store lock: {} exclusive acquisitions, {} contended writes",
+        stats.gate_write_acquisitions, stats.shard_write_conflicts
     );
     println!(
         "runtime: {} session(s) on the pool, {} budget deferrals",

@@ -214,7 +214,7 @@ pub mod prelude {
     };
     pub use slider_parser::{NTriplesParser, TurtleParser};
     pub use slider_rules::{DependencyGraph, Fragment, Rule, Ruleset};
-    pub use slider_store::{EpochSnapshot, ShardedStore, StoreView, TriplePattern, VerticalStore};
+    pub use slider_store::{EpochSnapshot, ShardedStore, TriplePattern, VerticalStore};
 }
 
 #[cfg(test)]

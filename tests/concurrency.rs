@@ -371,52 +371,6 @@ fn producers_race_parallel_partition_flushes() {
     );
 }
 
-/// Lock-free read path, acceptance pin (a): `matches`/`stats`/
-/// `to_sorted_vec` complete while a shard write lock is held
-/// **indefinitely** — the reader answers from the published epoch and
-/// never touches the shard lock. Bounded-time via a channel timeout: a
-/// regression back to lock-pinned reads deadlocks the reader thread and
-/// trips the `recv_timeout`.
-#[test]
-fn queries_complete_while_a_shard_write_lock_is_held() {
-    use slider::model::vocab::RDFS_SUB_CLASS_OF;
-    let dict = Arc::new(Dictionary::new());
-    let slider = Arc::new(Slider::new(
-        Arc::clone(&dict),
-        Ruleset::rho_df(),
-        SliderConfig::default(),
-    ));
-    let chain: Vec<Triple> = (1..20)
-        .map(|i| Triple::new(NodeId(1_000 + i), RDFS_SUB_CLASS_OF, NodeId(1_001 + i)))
-        .collect();
-    slider.materialize(&chain);
-    let expected = slider.store().to_sorted_vec();
-
-    // Hold the write lock of the shard every subClassOf triple lives in —
-    // the worst case for the old lock-pinned read path.
-    let guard = slider.store().write_shard(RDFS_SUB_CLASS_OF);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let reader = {
-        let slider = Arc::clone(&slider);
-        std::thread::spawn(move || {
-            let sorted = slider.store().to_sorted_vec();
-            let stats = slider.stats();
-            let scoped = slider
-                .store()
-                .matches(TriplePattern::with_p(RDFS_SUB_CLASS_OF));
-            let _ = tx.send((sorted, stats, scoped));
-        })
-    };
-    let (sorted, stats, scoped) = rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("reads blocked behind a held shard write lock");
-    assert_eq!(sorted, expected, "epoch read returned a torn cut");
-    assert_eq!(stats.store_size, expected.len());
-    assert_eq!(scoped.len(), expected.len(), "all triples are subClassOf");
-    drop(guard);
-    reader.join().unwrap();
-}
-
 /// Dictionary tentpole, acceptance pin: id→term and id→kind lookups take
 /// **zero locks** — they answer from the append-only segmented slot table
 /// and complete in bounded time while an intern write lock is held
@@ -462,10 +416,58 @@ fn dict_lookups_complete_while_an_intern_write_lock_is_held() {
     reader.join().unwrap();
 }
 
-/// Lock-free read path (c): reads complete while `exclusive()` holds the
-/// whole store gathered behind the maintenance gate in write mode — and
-/// they see the **pre-exclusive** epoch until the section releases, at
-/// which point the mutation becomes visible as one atomic publication.
+/// Lock-free read path, acceptance pin (a): `matches`/`stats`/
+/// `to_sorted_vec` complete while the store's write lock — the one shard
+/// every subClassOf triple lives in — is held **indefinitely**: the reader
+/// answers from the published epoch and never touches the lock.
+/// Bounded-time via a channel timeout: a regression back to lock-pinned
+/// reads deadlocks the reader thread and trips the `recv_timeout`.
+#[test]
+fn queries_complete_while_a_shard_write_lock_is_held() {
+    use slider::model::vocab::RDFS_SUB_CLASS_OF;
+    let dict = Arc::new(Dictionary::new());
+    let slider = Arc::new(Slider::new(
+        Arc::clone(&dict),
+        Ruleset::rho_df(),
+        SliderConfig::default(),
+    ));
+    let chain: Vec<Triple> = (1..20)
+        .map(|i| Triple::new(NodeId(1_000 + i), RDFS_SUB_CLASS_OF, NodeId(1_001 + i)))
+        .collect();
+    slider.materialize(&chain);
+    let expected = slider.store().to_sorted_vec();
+
+    let guard = slider.store().exclusive();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = {
+        let slider = Arc::clone(&slider);
+        std::thread::spawn(move || {
+            let sorted = slider.store().to_sorted_vec();
+            let stats = slider.stats();
+            let scoped = slider
+                .store()
+                .matches(TriplePattern::with_p(RDFS_SUB_CLASS_OF));
+            let _ = tx.send((sorted, stats, scoped));
+        })
+    };
+    let (sorted, stats, scoped) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("reads blocked behind a held store write lock");
+    assert_eq!(sorted, expected, "epoch read returned a torn cut");
+    assert_eq!(stats.store_size, expected.len());
+    assert_eq!(scoped.len(), expected.len(), "all triples are subClassOf");
+    drop(guard);
+    reader.join().unwrap();
+}
+
+/// Lock-free read path: `matches`/`stats`/`to_sorted_vec` and snapshot
+/// reads complete while `exclusive()` holds the store lock
+/// **indefinitely** — the reader answers from the published epoch and
+/// never touches the lock — and they see the **pre-exclusive** epoch until
+/// the section releases, at which point the mutation becomes visible as
+/// one atomic publication. Bounded-time via a channel timeout: a
+/// regression back to lock-pinned reads deadlocks the reader thread and
+/// trips the `recv_timeout`.
 #[test]
 fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
     let p = NodeId(40_123);
@@ -481,14 +483,21 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
     let mut exclusive = slider.store().exclusive();
     exclusive.insert(t2);
     let (tx, rx) = std::sync::mpsc::channel();
-    {
+    let reader = {
         let slider = Arc::clone(&slider);
         std::thread::spawn(move || {
             let snap = slider.store().snapshot();
-            let _ = tx.send((snap.contains(t1), snap.contains(t2), snap.len()));
-        });
-    }
-    let (has_t1, has_t2, len) = rx
+            let _ = tx.send((
+                snap.contains(t1),
+                snap.contains(t2),
+                snap.len(),
+                slider.store().to_sorted_vec(),
+                slider.stats(),
+                slider.store().matches(TriplePattern::with_p(p)),
+            ));
+        })
+    };
+    let (has_t1, has_t2, len, sorted, stats, scoped) = rx
         .recv_timeout(Duration::from_secs(10))
         .expect("reads blocked behind the exclusive section");
     assert!(has_t1, "pre-exclusive triple missing from the epoch");
@@ -497,7 +506,11 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
         "uncommitted exclusive mutation leaked into readers"
     );
     assert_eq!(len, 1);
+    assert_eq!(sorted, vec![t1], "epoch read returned a torn cut");
+    assert_eq!(stats.store_size, 1);
+    assert_eq!(scoped, vec![t1]);
     drop(exclusive);
+    reader.join().unwrap();
     // Release republishes: the mutation is now visible atomically.
     assert!(slider.store().contains(t2));
     assert_eq!(slider.store().len(), 2);
@@ -508,7 +521,7 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
 /// on both sides), generations never regress, and **every observed cut is
 /// one of the legal store states** — the pre-flush closure or the
 /// post-flush closure — never a torn intermediate (DRed's overdeletions
-/// and rederivations publish as one epoch at gate release).
+/// and rederivations publish as one epoch when the section releases).
 #[test]
 fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
     use slider::rules::Transitive;
@@ -757,7 +770,7 @@ fn registering_a_deadlined_session_wakes_a_parked_flusher() {
 #[test]
 fn a_panicking_rule_is_contained_to_its_session() {
     use slider::rules::{InputFilter, OutputSignature, Rule, Transitive};
-    use slider::store::StoreView;
+    use slider::store::VerticalStore;
 
     /// Detonates on every application; accepts only its trigger predicate.
     struct Grenade {
@@ -776,7 +789,7 @@ fn a_panicking_rule_is_contained_to_its_session() {
         fn output_signature(&self) -> OutputSignature {
             OutputSignature::Predicates(vec![])
         }
-        fn apply(&self, _store: &StoreView, _delta: &[Triple], _out: &mut Vec<Triple>) {
+        fn apply(&self, _store: &VerticalStore, _delta: &[Triple], _out: &mut Vec<Triple>) {
             panic!("grenade detonated (deliberately, in a test)");
         }
     }
@@ -926,7 +939,7 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
 #[test]
 fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     use slider::rules::{InputFilter, OutputSignature, Rule, Subsumption, Transitive};
-    use slider::store::StoreView;
+    use slider::store::VerticalStore;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
     use std::time::Instant;
@@ -974,7 +987,7 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         fn output_signature(&self) -> OutputSignature {
             OutputSignature::Predicates(vec![self.family.mark])
         }
-        fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
+        fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
             self.entered.fetch_add(1, Ordering::SeqCst);
             let start = Instant::now();
             std::thread::sleep(self.delay);
@@ -983,7 +996,7 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
             }
             self.log.lock().unwrap().push((start, Instant::now()));
         }
-        fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
+        fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
             Some(t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o)))
         }
     }
@@ -1096,13 +1109,12 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     assert_eq!(stats.retracted, 3);
 }
 
-/// Two-level locking under contention: producers feed **disjoint
-/// predicate families** concurrently, so their input writes (and their
-/// rules' distributor writes) land on different store shards and no
-/// longer serialise on a global writer lock. Whatever the interleaving,
-/// no fresh triple may be lost or double-counted: every producer-reported
-/// fresh count sums to the explicit population, and the closure equals a
-/// single-threaded feed of the same input.
+/// Store locking under contention: producers feed **disjoint predicate
+/// families** concurrently, so their input writes and their rules'
+/// distributor writes race on the one store lock. Whatever the
+/// interleaving, no fresh triple may be lost or double-counted: every
+/// producer-reported fresh count sums to the explicit population, and the
+/// closure equals a single-threaded feed of the same input.
 #[test]
 fn disjoint_family_producers_lose_no_fresh_triples() {
     use slider::model::NodeId;
@@ -1148,41 +1160,39 @@ fn disjoint_family_producers_lose_no_fresh_triples() {
         slider.store().to_sorted_vec()
     };
 
-    for shards in [1usize, 16] {
-        let slider = Arc::new(Slider::new(
-            Arc::new(Dictionary::new()),
-            ruleset(),
-            SliderConfig::default().with_store_shards(shards),
-        ));
-        let mut total_fresh = 0usize;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..FAMILIES)
-                .map(|f| {
-                    let slider = Arc::clone(&slider);
-                    scope.spawn(move || {
-                        let feed = family_feed(f);
-                        let mut fresh = 0;
-                        for chunk in feed.chunks(7) {
-                            fresh += slider.add_triples(chunk);
-                        }
-                        fresh
-                    })
+    let slider = Arc::new(Slider::new(
+        Arc::new(Dictionary::new()),
+        ruleset(),
+        SliderConfig::default(),
+    ));
+    let mut total_fresh = 0usize;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..FAMILIES)
+            .map(|f| {
+                let slider = Arc::clone(&slider);
+                scope.spawn(move || {
+                    let feed = family_feed(f);
+                    let mut fresh = 0;
+                    for chunk in feed.chunks(7) {
+                        fresh += slider.add_triples(chunk);
+                    }
+                    fresh
                 })
-                .collect();
-            total_fresh = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        });
-        slider.wait_idle();
-        let stats = slider.stats();
-        assert_eq!(
-            slider.store().to_sorted_vec(),
-            expected,
-            "shards={shards}: closure diverged under concurrent family feeds"
-        );
-        assert_eq!(
-            total_fresh, stats.store.explicit,
-            "shards={shards}: a fresh triple was lost or double-reported"
-        );
-        assert_eq!(total_fresh as u64, stats.input_fresh);
-        assert_eq!(slider.store().len(), expected.len(), "len counter drift");
-    }
+            })
+            .collect();
+        total_fresh = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    });
+    slider.wait_idle();
+    let stats = slider.stats();
+    assert_eq!(
+        slider.store().to_sorted_vec(),
+        expected,
+        "closure diverged under concurrent family feeds"
+    );
+    assert_eq!(
+        total_fresh, stats.store.explicit,
+        "a fresh triple was lost or double-reported"
+    );
+    assert_eq!(total_fresh as u64, stats.input_fresh);
+    assert_eq!(slider.store().len(), expected.len(), "len counter drift");
 }

@@ -625,7 +625,7 @@ fn eager_removals_route_through_the_partition_planner() {
 
 /// The empty-maintenance fast path: a flush with nothing pending and an
 /// eager removal of nothing return the zero outcome WITHOUT taking the
-/// store's exclusive write gate.
+/// store exclusively.
 #[test]
 fn empty_maintenance_calls_skip_the_store_gate() {
     let slider = manual_flush_slider();
@@ -636,7 +636,7 @@ fn empty_maintenance_calls_skip_the_store_gate() {
     let stats = slider.stats();
     assert_eq!(
         stats.gate_write_acquisitions, before,
-        "empty maintenance acquired the write gate"
+        "empty maintenance took the store exclusively"
     );
     assert_eq!(stats.removal_runs, 0);
     assert_eq!(stats.coalesced_runs, 0);
@@ -1030,30 +1030,24 @@ proptest! {
     }
 }
 
-// ---------- the sharded-store property test ----------------------------------
+// ---------- the shared-store property test -----------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// The two-level-locking acceptance property: random add / defer /
-    /// flush interleavings over the multi-partition family workload leave
-    /// a store sharded at ANY width — including the 1-shard degenerate
-    /// that reproduces the old global lock — store-identical to the
-    /// recompute-from-scratch oracle, with the lock-free length counter
-    /// in exact agreement.
+    /// The shared-store acceptance property: random add / defer / flush
+    /// interleavings over the multi-partition family workload leave the
+    /// store identical to the recompute-from-scratch oracle, with the
+    /// lock-free length counter in exact agreement.
     #[test]
     fn sharded_store_interleavings_match_recompute_oracle(
-        shard_pick in 0usize..4,
         ops in prop::collection::vec(family_op(), 1..12),
     ) {
-        let shards = [1usize, 2, 4, 16][shard_pick];
         let slider = family_slider(
             SliderConfig::default()
-                .with_store_shards(shards)
                 .with_maintenance_batch(usize::MAX)
                 .with_maintenance_max_age(None),
         );
-        prop_assert_eq!(slider.store().shard_count(), shards);
         let mut oracle = RecomputeOracle::new(family_ruleset());
         let mut pending: Vec<Triple> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
@@ -1081,8 +1075,7 @@ proptest! {
             prop_assert_eq!(
                 slider.store().to_sorted_vec(),
                 oracle.to_sorted_vec(),
-                "shards={} diverged after op {} of {:?}",
-                shards,
+                "diverged after op {} of {:?}",
                 i,
                 ops
             );
@@ -1091,7 +1084,7 @@ proptest! {
         oracle.remove(&pending);
         prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
         prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
-        // The sharded store's lock-free length counter never drifts from
+        // The store's lock-free length counter never drifts from
         // the actual table population, whatever the interleaving.
         prop_assert_eq!(slider.store().len(), slider.store().to_sorted_vec().len());
     }

@@ -1,8 +1,5 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! * **object index** — §2.2's "multiple indexing (on predicates, subjects
-//!   and objects)": with the object index off, `(p, ?, o)` lookups scan the
-//!   partition;
 //! * **pool size** — §1's "multiple instances of same rule to run in
 //!   parallel": worker count 1 vs N;
 //! * **duplicate limitation** — Slider's distributor-level dedup vs the
@@ -15,30 +12,6 @@ use slider_bench::{generate_ntriples, run_baseline, run_slider};
 use slider_core::SliderConfig;
 use slider_rules::Fragment;
 use slider_workloads::PaperOntology;
-
-fn object_index(c: &mut Criterion) {
-    // Wikipedia is CAX-SCO-heavy: the `(type, ?, class)` lookups need the
-    // object index.
-    let text = generate_ntriples(PaperOntology::Wikipedia, 0.01);
-    let mut group = c.benchmark_group("ablation/object_index");
-    group.sample_size(10);
-    for (label, enabled) in [("on", true), ("off", false)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &enabled,
-            |b, &enabled| {
-                b.iter(|| {
-                    run_slider(
-                        &text,
-                        Fragment::RhoDf,
-                        SliderConfig::default().with_object_index(enabled),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
 
 fn pool_size(c: &mut Criterion) {
     let text = generate_ntriples(PaperOntology::Bsbm100k, 0.05);
@@ -78,40 +51,7 @@ fn duplicate_limitation(c: &mut Criterion) {
     group.finish();
 }
 
-fn adaptive_scheduling(c: &mut Criterion) {
-    // The §5 future-work extension: run-time dynamic plans vs static
-    // buffer capacities, on the duplicate-heavy chain workload where
-    // retuning has the most to gain.
-    let text = generate_ntriples(PaperOntology::SubClassOf200, 1.0);
-    let mut group = c.benchmark_group("ablation/adaptive_scheduling");
-    group.sample_size(10);
-    for (label, adaptive) in [("static", false), ("adaptive", true)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &adaptive,
-            |b, &adaptive| {
-                b.iter(|| {
-                    run_slider(
-                        &text,
-                        Fragment::RhoDf,
-                        SliderConfig::default()
-                            .with_buffer_capacity(64)
-                            .with_adaptive_buffers(adaptive),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    ablation,
-    object_index,
-    pool_size,
-    duplicate_limitation,
-    adaptive_scheduling
-);
+criterion_group!(ablation, pool_size, duplicate_limitation);
 
 /// Custom harness entry: run the criterion groups, then emit the shim's
 /// collected summaries as a `slider_bench::report` trajectory via
@@ -123,7 +63,7 @@ fn main() {
     };
     let mut report = BenchReport::new(
         "ablation_criterion",
-        "object index / pool size / duplicate limitation / adaptive scheduling ablations",
+        "pool size / duplicate limitation ablations",
     )
     .best_of(1);
     for s in criterion::take_summaries() {

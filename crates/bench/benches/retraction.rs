@@ -1,7 +1,7 @@
 //! Criterion bench: sliding-window maintenance — add a batch, retract the
 //! expiring batch(es) — comparing incremental DRed vs recompute, per-batch
-//! eager DRed vs one coalesced run per step, and single-pass vs
-//! partitioned coalesced flushes over independent rule families.
+//! eager DRed vs one coalesced run per step, and partitioned coalesced
+//! flushes over independent rule families.
 
 use criterion::{criterion_group, Criterion};
 use slider_baseline::RecomputeOracle;
@@ -157,34 +157,28 @@ const FAMILY_SHAPE: FamilyParams = FamilyParams {
 };
 
 /// Each step expires `CHURN` batches whose retractions span all four
-/// families: the single-pass flush walks every family's footprint
-/// sequentially, the partitioned flush fans the families out across the
-/// worker pool.
+/// families, and the flush fans the families out across the worker pool.
 fn partitioned_flush(c: &mut Criterion) {
     let mut group = c.benchmark_group("retraction/partitioned_flush");
     group.sample_size(10);
-
-    for (label, partitioning) in [("single_pass", false), ("partitioned", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let slider = family::deferred_slider(FAMILY_SHAPE.families, partitioning);
-                slider.materialize(&family::taxonomy(&FAMILY_SHAPE));
-                for i in 0..STEPS {
-                    slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i));
-                    slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i + 1));
-                    if let Some(j) = i.checked_sub(WINDOW as u64) {
-                        for k in 0..CHURN {
-                            slider.remove_deferred(&family::batch(&FAMILY_SHAPE, 2 * j + k));
-                        }
-                        slider.flush_maintenance();
+    group.bench_function("partitioned", |b| {
+        b.iter(|| {
+            let slider = family::deferred_slider(FAMILY_SHAPE.families);
+            slider.materialize(&family::taxonomy(&FAMILY_SHAPE));
+            for i in 0..STEPS {
+                slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i));
+                slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i + 1));
+                if let Some(j) = i.checked_sub(WINDOW as u64) {
+                    for k in 0..CHURN {
+                        slider.remove_deferred(&family::batch(&FAMILY_SHAPE, 2 * j + k));
                     }
-                    slider.wait_idle();
+                    slider.flush_maintenance();
                 }
-                black_box(slider.store().len())
-            })
-        });
-    }
-
+                slider.wait_idle();
+            }
+            black_box(slider.store().len())
+        })
+    });
     group.finish();
 }
 

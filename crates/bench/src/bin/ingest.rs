@@ -7,8 +7,8 @@
 //!   workload: several independent predicate families, each a class chain
 //!   plus batches of memberships.
 //! * **Dictionary interning**: threads intern disjoint or overlapping
-//!   vocabularies into a dictionary with one term→id index shard (the
-//!   global-lock baseline) and with sixteen.
+//!   vocabularies into one shared dictionary; under `--smoke` the result
+//!   is checked against a single-threaded reference.
 //! * **Dictionary footprint**: a retraction burst followed by the
 //!   automatic sweep, reporting how many dictionary bytes it reclaims.
 //!
@@ -26,7 +26,7 @@ use slider_baseline::RecomputeOracle;
 use slider_bench::report::{BenchReport, Cell};
 use slider_bench::{family, parse_bench_args};
 use slider_core::{Slider, SliderConfig};
-use slider_model::{DictConfig, Dictionary, NodeId, Term, TermTriple, Triple};
+use slider_model::{Dictionary, NodeId, Term, TermTriple, Triple};
 use slider_rules::Ruleset;
 use slider_store::TriplePattern;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,10 +66,6 @@ const FULL: Params = Params {
     threads: 4,
     verify: false,
 };
-
-/// Dictionary shard counts compared: 1 = the global-lock baseline, 16 =
-/// the default sharded term→id index.
-const DICT_SHARD_POINTS: [(&str, usize); 2] = [("global", 1), ("sharded", 16)];
 
 /// Everything the writer feeds for family `f`: the resident chain, then
 /// per batch a fresh leaf linked into the chain plus its members. Uses the
@@ -183,11 +179,10 @@ fn dict_vocab(threads: usize, per_thread: usize, overlap: bool) -> Vec<Vec<Term>
 }
 
 /// One timed dictionary-interning cell: one thread per vocabulary list,
-/// all interning into a dictionary with `shards` term→id index shards
-/// (`1` = the global-lock baseline). Returns the elapsed time and the
+/// all interning into one dictionary. Returns the elapsed time and the
 /// dictionary for verification.
-fn run_dict_cell(lists: &[Vec<Term>], shards: usize) -> (Duration, Dictionary) {
-    let dict = Dictionary::with_config(DictConfig { shards });
+fn run_dict_cell(lists: &[Vec<Term>]) -> (Duration, Dictionary) {
+    let dict = Dictionary::new();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for list in lists {
@@ -202,18 +197,23 @@ fn run_dict_cell(lists: &[Vec<Term>], shards: usize) -> (Duration, Dictionary) {
     (start.elapsed(), dict)
 }
 
-/// Smoke check for the dictionary-contention cells: whatever the shard
-/// count, interning the same vocabulary must yield the same **dense** id
-/// set (one id per distinct term, no holes above the vocabulary), every
-/// term must round-trip through id→term lookup, and a closure computed
-/// over triples encoded by each dictionary must decode identically — the
-/// sharded index changes contention, never term assignments.
-fn verify_dict_agreement(lists: &[Vec<Term>], global: &Dictionary, sharded: &Dictionary) {
+/// Smoke check for the dictionary-contention cells: the concurrently
+/// built dictionary and a single-threaded reference over the same
+/// vocabulary must both hold a **dense** id set (one id per distinct
+/// term, no holes above the vocabulary), every term must round-trip
+/// through id→term lookup, and a closure computed over triples encoded
+/// by each dictionary must decode identically — concurrency changes
+/// contention, never term assignments.
+fn verify_dict_agreement(lists: &[Vec<Term>], concurrent: &Dictionary) {
     let mut distinct: Vec<&Term> = lists.iter().flatten().collect();
     distinct.sort_unstable();
     distinct.dedup();
+    let reference = Dictionary::new();
+    for term in lists.iter().flatten() {
+        reference.intern(term);
+    }
     let base = slider_model::vocab::VOCAB_LEN as u64;
-    for dict in [global, sharded] {
+    for dict in [&reference, concurrent] {
         assert_eq!(dict.len(), slider_model::vocab::VOCAB_LEN + distinct.len());
         let mut ids: Vec<u64> = distinct
             .iter()
@@ -250,9 +250,9 @@ fn verify_dict_agreement(lists: &[Vec<Term>], global: &Dictionary, sharded: &Dic
         decoded
     };
     assert_eq!(
-        closure_terms(global),
-        closure_terms(sharded),
-        "oracle closure diverged across dictionary shard counts"
+        closure_terms(&reference),
+        closure_terms(concurrent),
+        "oracle closure diverged from the single-threaded reference"
     );
 }
 
@@ -325,51 +325,36 @@ fn main() {
     // --- dictionary interning contention -------------------------------
     let dict_threads = p.threads;
     let per_thread = if smoke { 2_000 } else { 50_000 };
-    println!(
-        "dict interning ({dict_threads} thread(s) × {per_thread} terms, \
-         global vs sharded term→id index):"
-    );
+    println!("dict interning ({dict_threads} thread(s) × {per_thread} terms):");
     for (mode, overlap) in [("disjoint", false), ("overlapping", true)] {
         let lists = dict_vocab(dict_threads, per_thread, overlap);
         let total: usize = lists.iter().map(Vec::len).sum();
-        let mut elapsed = [Duration::ZERO; DICT_SHARD_POINTS.len()];
-        let mut dicts: Vec<Dictionary> = Vec::new();
-        for (cell, &(label, shards)) in DICT_SHARD_POINTS.iter().enumerate() {
-            let (mut took, mut dict) = run_dict_cell(&lists, shards);
-            for _ in 1..runs {
-                let (t, d) = run_dict_cell(&lists, shards);
-                if t < took {
-                    (took, dict) = (t, d);
-                }
+        let (mut took, mut dict) = run_dict_cell(&lists);
+        for _ in 1..runs {
+            let (t, d) = run_dict_cell(&lists);
+            if t < took {
+                (took, dict) = (t, d);
             }
-            elapsed[cell] = took;
-            let stats = dict.stats();
-            println!(
-                "  {mode:>11}, {label:>7}: {:>9.2} ms, {:>10.0} terms/s \
-                 ({} shard conflicts)",
-                took.as_secs_f64() * 1e3,
-                total as f64 / took.as_secs_f64().max(1e-9),
-                stats.shard_conflicts,
-            );
-            report.push(
-                Cell::new(format!("dict-intern/{mode}/{label}"))
-                    .param("phase", "dict-intern")
-                    .param("vocabularies", mode)
-                    .param("dict_shards", shards)
-                    .param("threads", dict_threads)
-                    .metric("elapsed_ms", took.as_secs_f64() * 1e3)
-                    .metric("terms_per_sec", total as f64 / took.as_secs_f64().max(1e-9))
-                    .metric("shard_conflicts", stats.shard_conflicts as f64),
-            );
-            dicts.push(dict);
         }
+        let stats = dict.stats();
         println!(
-            "  {mode:>11}: sharded is {:.2}x the global-index baseline",
-            elapsed[0].as_secs_f64() / elapsed[1].as_secs_f64().max(1e-9)
+            "  {mode:>11}: {:>9.2} ms, {:>10.0} terms/s ({} shard conflicts)",
+            took.as_secs_f64() * 1e3,
+            total as f64 / took.as_secs_f64().max(1e-9),
+            stats.shard_conflicts,
+        );
+        report.push(
+            Cell::new(format!("dict-intern/{mode}"))
+                .param("phase", "dict-intern")
+                .param("vocabularies", mode)
+                .param("threads", dict_threads)
+                .metric("elapsed_ms", took.as_secs_f64() * 1e3)
+                .metric("terms_per_sec", total as f64 / took.as_secs_f64().max(1e-9))
+                .metric("shard_conflicts", stats.shard_conflicts as f64),
         );
         if p.verify {
-            verify_dict_agreement(&lists, &dicts[0], &dicts[1]);
-            println!("    ✓ global and sharded agree: dense ids, round-trips, same closure");
+            verify_dict_agreement(&lists, &dict);
+            println!("    ✓ agrees with a single-threaded reference: dense ids, round-trips, same closure");
         }
     }
 

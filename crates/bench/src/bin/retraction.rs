@@ -1,18 +1,15 @@
 //! The `retraction` benchmark: sliding-window streaming with incremental
-//! deletion (DRed), comparing **four** maintainers on an identical bursty
+//! deletion (DRed), comparing **three** maintainers on an identical bursty
 //! multi-predicate schedule:
 //!
 //! * **eager (per-batch DRed)** — every expiring batch pays its own
 //!   overdelete/rederive cycle (`Slider::remove_triples`), exactly what a
 //!   count-based window does per step;
-//! * **coalesced (single pass)** — expiring batches are deferred
+//! * **partitioned** — expiring batches are deferred
 //!   (`Slider::remove_deferred`) and each step with expiries ends in one
-//!   `Slider::flush_maintenance` running a single sequential DRed pass
-//!   over the union (PR 3's mode, pinned via
-//!   `SliderConfig::maintenance_partitioning(false)`);
-//! * **partitioned** — same deferrals, but the flush buckets the pending
-//!   set by dependency-graph partition and runs one DRed pass per
-//!   partition in parallel on the worker pool;
+//!   `Slider::flush_maintenance`, which buckets the pending set by
+//!   dependency-graph partition and runs one DRed pass per partition in
+//!   parallel on the worker pool;
 //! * **recompute** — the closure of the surviving explicit set is rebuilt
 //!   from scratch every step (`slider_baseline::RecomputeOracle`).
 //!
@@ -23,9 +20,9 @@
 //! the dependency graph reports one maintenance partition per family and a
 //! flush spanning families fans out. Within each family, every live batch
 //! types the same shared subjects at its own per-batch leaf class, so
-//! expiring batches share a downward closure that coalescing amortises —
-//! the same shape PR 3's bench used, minus the universal `PRP-*` rules
-//! (which would collapse all partitions into one).
+//! expiring batches share a downward closure that coalescing amortises.
+//! The universal `PRP-*` rules are left out: they would collapse all
+//! partitions into one.
 //!
 //! ```text
 //! cargo run --release -p slider-bench --bin retraction            # full size
@@ -37,8 +34,8 @@
 //! step** — and the multi-family schedule deliberately **re-asserts
 //! triples whose retraction is still pending** before some flushes,
 //! verifying the cancellation semantics (the re-asserted fact and its
-//! consequences must survive the flush) in eager, single-pass and
-//! partitioned modes alike. `--json <path>` writes the machine-readable
+//! consequences must survive the flush) in eager and partitioned modes
+//! alike. `--json <path>` writes the machine-readable
 //! trajectory (`slider_bench::report`).
 
 use slider_baseline::RecomputeOracle;
@@ -149,13 +146,10 @@ fn main() {
     );
 
     // --- eager: one DRed run per expiring batch ------------------------
-    let eager = family::deferred_slider(p.shape.families, false);
+    let eager = family::deferred_slider(p.shape.families);
     eager.materialize(&schema);
-    // --- coalesced single pass (PR 3's mode) ---------------------------
-    let coalesced = family::deferred_slider(p.shape.families, false);
-    coalesced.materialize(&schema);
     // --- partitioned parallel flushes ----------------------------------
-    let partitioned = family::deferred_slider(p.shape.families, true);
+    let partitioned = family::deferred_slider(p.shape.families);
     partitioned.materialize(&schema);
     assert_eq!(
         partitioned.maintenance_partitions(),
@@ -167,7 +161,6 @@ fn main() {
     oracle.add(&schema);
 
     let mut eager_elapsed = Duration::ZERO;
-    let mut coalesced_elapsed = Duration::ZERO;
     let mut partitioned_elapsed = Duration::ZERO;
     let mut oracle_elapsed = Duration::ZERO;
     for (i, arriving) in batches.iter().enumerate() {
@@ -190,24 +183,19 @@ fn main() {
         eager.wait_idle();
         eager_elapsed += start.elapsed();
 
-        for (slider, elapsed) in [
-            (&coalesced, &mut coalesced_elapsed),
-            (&partitioned, &mut partitioned_elapsed),
-        ] {
-            let start = Instant::now();
-            slider.add_triples(arriving);
-            for &j in expiring {
-                slider.remove_deferred(&batches[j]);
-            }
-            // The re-assertion lands while the retractions are pending and
-            // must cancel them.
-            slider.add_triples(&readd);
-            if !expiring.is_empty() {
-                slider.flush_maintenance();
-            }
-            slider.wait_idle();
-            *elapsed += start.elapsed();
+        let start = Instant::now();
+        partitioned.add_triples(arriving);
+        for &j in expiring {
+            partitioned.remove_deferred(&batches[j]);
         }
+        // The re-assertion lands while the retractions are pending and
+        // must cancel them.
+        partitioned.add_triples(&readd);
+        if !expiring.is_empty() {
+            partitioned.flush_maintenance();
+        }
+        partitioned.wait_idle();
+        partitioned_elapsed += start.elapsed();
 
         let start = Instant::now();
         oracle.add(arriving);
@@ -226,11 +214,6 @@ fn main() {
                 "eager DRed diverged from recompute at step {i}"
             );
             assert_eq!(
-                coalesced.store().to_sorted_vec(),
-                expected,
-                "single-pass coalesced DRed diverged from recompute at step {i}"
-            );
-            assert_eq!(
                 partitioned.store().to_sorted_vec(),
                 expected,
                 "partitioned DRed diverged from recompute at step {i}"
@@ -239,19 +222,12 @@ fn main() {
     }
 
     let eager_stats = eager.stats();
-    let co_stats = coalesced.stats();
     let part_stats = partitioned.stats();
     println!(
         "  eager (per-batch DRed):  {} total, {} / step  ({} maintenance runs)",
         fmt_ms(eager_elapsed),
         fmt_ms(eager_elapsed / p.steps as u32),
         eager_stats.removal_runs
-    );
-    println!(
-        "  coalesced (single pass): {} total, {} / step  ({} coalesced runs)",
-        fmt_ms(coalesced_elapsed),
-        fmt_ms(coalesced_elapsed / p.steps as u32),
-        co_stats.coalesced_runs
     );
     println!(
         "  partitioned flushes:     {} total, {} / step  ({} runs, {} partitioned)",
@@ -266,10 +242,8 @@ fn main() {
         fmt_ms(oracle_elapsed / p.steps as u32)
     );
     println!(
-        "  partitioned vs single-pass: {:.2}x   coalesced vs eager: {:.2}x   \
-         partitioned vs recompute: {:.2}x",
-        coalesced_elapsed.as_secs_f64() / partitioned_elapsed.as_secs_f64().max(1e-9),
-        eager_elapsed.as_secs_f64() / coalesced_elapsed.as_secs_f64().max(1e-9),
+        "  partitioned vs eager: {:.2}x   partitioned vs recompute: {:.2}x",
+        eager_elapsed.as_secs_f64() / partitioned_elapsed.as_secs_f64().max(1e-9),
         oracle_elapsed.as_secs_f64() / partitioned_elapsed.as_secs_f64().max(1e-9),
     );
     println!(
@@ -282,23 +256,15 @@ fn main() {
         part_stats.rederived,
         part_stats.cancelled_removals
     );
-    assert_eq!(
-        co_stats.retracted, part_stats.retracted,
-        "both coalesced maintainers retracted the same assertions"
-    );
     assert!(
-        co_stats.coalesced_runs < eager_stats.removal_runs,
+        part_stats.coalesced_runs < eager_stats.removal_runs,
         "coalescing must batch runs: {} coalesced vs {} eager",
-        co_stats.coalesced_runs,
+        part_stats.coalesced_runs,
         eager_stats.removal_runs
     );
     assert!(
         part_stats.partitioned_runs > 0,
         "no flush split into partitions"
-    );
-    assert_eq!(
-        co_stats.partitioned_runs, 0,
-        "the single-pass maintainer must not partition"
     );
     if p.verify {
         assert!(
@@ -306,8 +272,8 @@ fn main() {
             "the smoke schedule must exercise re-assertion-while-pending"
         );
         println!(
-            "  verified: eager, single-pass and partitioned stores == recompute closure at \
-             every step (incl. {} re-assertions cancelling pending retractions)",
+            "  verified: eager and partitioned stores == recompute closure at every step \
+             (incl. {} re-assertions cancelling pending retractions)",
             part_stats.cancelled_removals
         );
     }
@@ -334,7 +300,6 @@ fn main() {
         let per_step = |total: Duration| total.as_secs_f64() * 1e3 / p.steps as f64;
         for (label, elapsed, runs) in [
             ("eager", eager_elapsed, eager_stats.removal_runs),
-            ("coalesced", coalesced_elapsed, co_stats.coalesced_runs),
             (
                 "partitioned",
                 partitioned_elapsed,

@@ -17,15 +17,16 @@
 //!   BSBM_5M, as in the paper's figure), with an ASCII rendering and CSV;
 //! * `figure2` — the ρdf rules dependency graph as DOT;
 //! * `retraction` — sliding-window streaming with incremental deletion:
-//!   eager per-batch DRed vs single-pass coalesced vs partitioned parallel
-//!   flushes vs recompute-from-scratch, over the shared [`family`]
+//!   eager per-batch DRed vs partitioned parallel flushes vs
+//!   recompute-from-scratch, over the shared [`family`]
 //!   workload; `--smoke` runs the tiny CI configuration with per-step
 //!   oracle verification (including re-assertions that must cancel
 //!   pending retractions).
 //!
 //! Criterion benches: `table1` (scaled-down row set), `buffer_params`
 //! (buffer size / timeout sweeps — the demo's §4 parameters), `ablation`
-//! (object index, pool size), `store_micro` (substrate microbenchmarks),
+//! (pool size, duplicate limitation), `store_micro` (substrate
+//! microbenchmarks),
 //! `retraction` (one sliding-window maintenance step, both engines).
 
 #![forbid(unsafe_code)]
@@ -391,9 +392,8 @@ pub mod family {
     /// leaf. Each membership derives the whole chain of super-memberships;
     /// the shared subjects' derived memberships are supported by *every*
     /// live batch of the family, so retracting one batch overdeletes and
-    /// rederives that overlapping closure — per batch in eager mode, once
-    /// per flush in the coalesced modes, and once per family-partition
-    /// (in parallel) in partitioned mode.
+    /// rederives that overlapping closure — per batch in eager mode, and
+    /// once per family-partition (in parallel) per deferred flush.
     pub fn batch(p: &FamilyParams, i: u64) -> Vec<Triple> {
         (0..p.families)
             .flat_map(move |f| {
@@ -413,13 +413,11 @@ pub mod family {
 
     /// A family-ruleset reasoner whose deferred queue only flushes
     /// explicitly (no threshold, no deadline — timings measure the
-    /// maintenance itself, not flusher scheduling), with partitioned
-    /// flushes on or off.
-    pub fn deferred_slider(families: u64, partitioning: bool) -> Slider {
+    /// maintenance itself, not flusher scheduling).
+    pub fn deferred_slider(families: u64) -> Slider {
         let config = SliderConfig::batch()
             .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None)
-            .with_maintenance_partitioning(partitioning);
+            .with_maintenance_max_age(None);
         Slider::new(Arc::new(Dictionary::new()), ruleset(families), config)
     }
 }

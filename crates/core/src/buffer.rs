@@ -15,20 +15,6 @@ struct Inner {
     last_activity: Instant,
 }
 
-impl Inner {
-    /// Splits every complete `capacity`-sized chunk off the front of the
-    /// queue (FIFO), leaving the remainder buffered.
-    fn split_full_chunks(&mut self, capacity: usize) -> Vec<Vec<Triple>> {
-        let mut chunks = Vec::new();
-        while self.queue.len() >= capacity {
-            let rest = self.queue.split_off(capacity);
-            let chunk = std::mem::replace(&mut self.queue, rest);
-            chunks.push(chunk);
-        }
-        chunks
-    }
-}
-
 /// A bounded triple buffer with full- and timeout-flush semantics.
 ///
 /// `push_batch` appends and drains complete capacity-sized chunks — each
@@ -59,36 +45,19 @@ impl Buffer {
     }
 
     /// Appends `triples`; returns the full chunks to execute (empty vec if
-    /// the buffer has not filled).
+    /// the buffer has not filled). Chunks split off the front of the queue
+    /// (FIFO), leaving the remainder buffered.
     pub fn push_batch(&self, triples: &[Triple]) -> Vec<Vec<Triple>> {
-        self.push_batch_with(triples, self.capacity)
-    }
-
-    /// Like [`Buffer::push_batch`] with an explicit fire threshold — used
-    /// by the adaptive scheduler, which retunes per-rule capacities at run
-    /// time (see `SliderConfig::adaptive_buffers`).
-    pub fn push_batch_with(&self, triples: &[Triple], capacity: usize) -> Vec<Vec<Triple>> {
-        let capacity = capacity.max(1);
         if triples.is_empty() {
             return Vec::new();
         }
         let mut inner = self.inner.lock();
         inner.queue.extend_from_slice(triples);
         inner.last_activity = Instant::now();
-        inner.split_full_chunks(capacity)
-    }
-
-    /// Drains every complete `capacity`-sized chunk already buffered,
-    /// without adding anything — used when the adaptive scheduler lowers a
-    /// module's fire threshold below its current queue length, so the
-    /// now-eligible triples fire immediately instead of stalling until the
-    /// next push or a timeout flush.
-    pub fn take_full_chunks(&self, capacity: usize) -> Vec<Vec<Triple>> {
-        let capacity = capacity.max(1);
-        let mut inner = self.inner.lock();
-        let chunks = inner.split_full_chunks(capacity);
-        if !chunks.is_empty() {
-            inner.last_activity = Instant::now();
+        let mut chunks = Vec::new();
+        while inner.queue.len() >= self.capacity {
+            let rest = inner.queue.split_off(self.capacity);
+            chunks.push(std::mem::replace(&mut inner.queue, rest));
         }
         chunks
     }
@@ -200,33 +169,6 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = Buffer::new(0);
-    }
-
-    #[test]
-    fn explicit_capacity_overrides_default() {
-        let b = Buffer::new(100);
-        let chunks = b.push_batch_with(&[t(1), t(2), t(3)], 2);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(b.len(), 1);
-        // Zero is clamped to 1 rather than panicking (adaptive path).
-        let chunks = b.push_batch_with(&[t(4)], 0);
-        assert_eq!(chunks.len(), 2); // drains t(3) then t(4)
-    }
-
-    #[test]
-    fn take_full_chunks_fires_eligible_without_pushing() {
-        let b = Buffer::new(100);
-        b.push_batch(&[t(1), t(2), t(3), t(4), t(5)]);
-        // Nothing eligible at a threshold above the queue length.
-        assert!(b.take_full_chunks(6).is_empty());
-        assert_eq!(b.len(), 5);
-        // Lowering the threshold fires the complete chunks, keeps the rest.
-        let chunks = b.take_full_chunks(2);
-        assert_eq!(chunks, vec![vec![t(1), t(2)], vec![t(3), t(4)]]);
-        assert_eq!(b.drain(), vec![t(5)]);
-        // Empty buffer yields nothing (and zero is clamped, not a panic).
-        assert!(b.take_full_chunks(0).is_empty());
     }
 
     #[test]

@@ -4,10 +4,13 @@ use std::time::Duration;
 
 /// Configuration of a [`Slider`](crate::Slider) instance.
 ///
-/// These are exactly the parameters the paper's demonstration exposes:
-/// buffer size, buffer timeout and the fragment (the fragment is passed
-/// separately as a [`Ruleset`](slider_rules::Ruleset)); plus the pool size
-/// and instrumentation switches this reproduction adds.
+/// The paper's demonstration exposes three parameters: buffer size,
+/// buffer timeout and the fragment (the fragment is passed separately as
+/// a [`Ruleset`](slider_rules::Ruleset)). This reproduction adds the pool
+/// size, a tracing switch, the retraction analogues of buffer size and
+/// timeout, and the dictionary sweep trigger. Everything else the engine
+/// decides for itself: the object index is always built, and a coalesced
+/// flush partitions whenever the ruleset's dependency graph allows.
 #[derive(Debug, Clone)]
 pub struct SliderConfig {
     /// How many triples a buffer holds before it "fires a new rule
@@ -23,25 +26,6 @@ pub struct SliderConfig {
     /// Record an [`EventLog`](crate::EventLog) of module activity (the demo
     /// player's data source). Off by default: tracing serialises events.
     pub trace: bool,
-    /// Maintain the per-predicate object index (paper §2.2 "multiple
-    /// indexing"). Disabled only by the ablation benchmark.
-    pub object_index: bool,
-    /// Run-time dynamic scheduling (the paper's §5 future work: "migrating
-    /// from 'static' plans … to run-time dynamic plans"): each rule's fire
-    /// threshold is retuned after every instance based on its observed
-    /// duplicate ratio — duplicate-heavy rules get larger batches (fewer,
-    /// cheaper instances), productive rules smaller ones (lower latency).
-    /// Off by default.
-    pub adaptive_buffers: bool,
-    /// Conservative truth maintenance: when `true`, DRed retraction
-    /// (see [`Slider::remove_triples`](crate::Slider::remove_triples)) runs
-    /// **every** rule in both the overdeletion and rederivation phases,
-    /// instead of restricting overdeletion to the dependency-graph
-    /// downward closure of the retracted predicates and rederivation to
-    /// the rules whose output signature can emit an overdeleted predicate.
-    /// The two modes compute the same store; the restricted default just
-    /// does less work. Off by default; useful as a cross-check/ablation.
-    pub full_rederive: bool,
     /// Coalesced-maintenance threshold: how many *distinct* pending
     /// retractions [`Slider::remove_deferred`](crate::Slider::remove_deferred)
     /// accumulates before it triggers one coalesced DRed run over the whole
@@ -57,20 +41,6 @@ pub struct SliderConfig {
     /// [`Slider::flush_maintenance`](crate::Slider::flush_maintenance).
     /// Default: 100 ms.
     pub maintenance_max_age: Option<Duration>,
-    /// Partitioned coalesced flushes: when a coalesced run's pending
-    /// retractions fall into several independent maintenance partitions of
-    /// the rules dependency graph (disjoint
-    /// overdeletion/rederivation footprints — see
-    /// [`DependencyGraph::component_of`](slider_rules::DependencyGraph::component_of)),
-    /// run one DRed pass per partition **in parallel on the worker pool**
-    /// instead of a single sequential pass. Falls back to the single pass
-    /// automatically when the pending set maps to one partition, a
-    /// partition owns every predicate (universal rules — ρdf/RDFS always
-    /// do), a rule involved lacks a backward matcher, or
-    /// [`full_rederive`](SliderConfig::full_rederive) is set. The two
-    /// modes land on the same store. On by default; the switch exists as
-    /// an ablation/cross-check.
-    pub maintenance_partitioning: bool,
     /// Dictionary sweep trigger ratio: after a coalesced DRed flush or an
     /// eager removal, the engine sweeps the term dictionary
     /// ([`Dictionary::sweep`](slider_model::Dictionary::sweep)) once the
@@ -82,7 +52,9 @@ pub struct SliderConfig {
     /// free-list; ids of live terms never move. `f64::INFINITY` disables
     /// automatic sweeping (explicit
     /// [`Slider::sweep_dictionary`](crate::Slider::sweep_dictionary) still
-    /// works). Default: 0.5.
+    /// works). A dictionary shared with other sessions needs
+    /// `f64::INFINITY`: a sweep's live roots are this session's store
+    /// only. Default: 0.5.
     pub dict_sweep_ratio: f64,
 }
 
@@ -93,12 +65,8 @@ impl Default for SliderConfig {
             timeout: Some(Duration::from_millis(20)),
             workers: std::thread::available_parallelism().map_or(4, usize::from),
             trace: false,
-            object_index: true,
-            adaptive_buffers: false,
-            full_rederive: false,
             maintenance_batch: 1024,
             maintenance_max_age: Some(Duration::from_millis(100)),
-            maintenance_partitioning: true,
             dict_sweep_ratio: 0.5,
         }
     }
@@ -144,24 +112,6 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style object-index switch (ablation only).
-    pub fn with_object_index(mut self, object_index: bool) -> Self {
-        self.object_index = object_index;
-        self
-    }
-
-    /// Builder-style adaptive-scheduling switch.
-    pub fn with_adaptive_buffers(mut self, adaptive: bool) -> Self {
-        self.adaptive_buffers = adaptive;
-        self
-    }
-
-    /// Builder-style conservative-maintenance switch.
-    pub fn with_full_rederive(mut self, full: bool) -> Self {
-        self.full_rederive = full;
-        self
-    }
-
     /// Builder-style coalesced-maintenance threshold (min 1).
     pub fn with_maintenance_batch(mut self, batch: usize) -> Self {
         self.maintenance_batch = batch.max(1);
@@ -171,12 +121,6 @@ impl SliderConfig {
     /// Builder-style coalesced-maintenance deadline.
     pub fn with_maintenance_max_age(mut self, max_age: Option<Duration>) -> Self {
         self.maintenance_max_age = max_age;
-        self
-    }
-
-    /// Builder-style partitioned-flush switch (ablation/cross-check).
-    pub fn with_maintenance_partitioning(mut self, partitioning: bool) -> Self {
-        self.maintenance_partitioning = partitioning;
         self
     }
 
@@ -199,12 +143,8 @@ mod tests {
         assert!(c.workers >= 1);
         assert!(c.timeout.is_some());
         assert!(!c.trace);
-        assert!(c.object_index);
-        assert!(!c.adaptive_buffers);
-        assert!(!c.full_rederive);
         assert!(c.maintenance_batch >= 1);
         assert!(c.maintenance_max_age.is_some());
-        assert!(c.maintenance_partitioning);
         assert_eq!(c.dict_sweep_ratio, 0.5);
     }
 
@@ -224,24 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn full_rederive_builder() {
-        assert!(
-            SliderConfig::default()
-                .with_full_rederive(true)
-                .full_rederive
-        );
-    }
-
-    #[test]
-    fn adaptive_builder() {
-        assert!(
-            SliderConfig::default()
-                .with_adaptive_buffers(true)
-                .adaptive_buffers
-        );
-    }
-
-    #[test]
     fn builders_clamp() {
         let c = SliderConfig::default()
             .with_buffer_capacity(0)
@@ -256,11 +178,9 @@ mod tests {
     fn maintenance_builders() {
         let c = SliderConfig::default()
             .with_maintenance_batch(7)
-            .with_maintenance_max_age(None)
-            .with_maintenance_partitioning(false);
+            .with_maintenance_max_age(None);
         assert_eq!(c.maintenance_batch, 7);
         assert!(c.maintenance_max_age.is_none());
-        assert!(!c.maintenance_partitioning);
     }
 
     #[test]

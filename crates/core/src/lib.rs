@@ -54,8 +54,10 @@
 //!   flush always lands on the closure of the surviving explicit set;
 //!   [`Slider::pending_staleness`] bounds how stale pre-flush queries may
 //!   be. A flush whose pending set spans several independent
-//!   dependency-graph partitions splits the store into shards and runs
-//!   one DRed pass per partition **in parallel on the worker pool**.
+//!   dependency-graph partitions moves each partition's tables out of the
+//!   store and runs one DRed pass per partition **in parallel on the
+//!   worker pool**. ρdf, RDFS and RDFS-Plus never split: their universal
+//!   rules put every predicate in one partition.
 //!
 //! Termination is guaranteed because every dispatched triple was new to the
 //! store and rules never invent new term ids, so the reachable closure is

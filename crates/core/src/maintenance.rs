@@ -25,15 +25,12 @@
 //!    the surviving store as the delta, then the usual fixpoint on fresh
 //!    conclusions. Both paths restore exactly the same triples.
 //!
-//! Both phases restrict the rules they run (unless
-//! [`SliderConfig::full_rederive`](crate::SliderConfig::full_rederive) asks
-//! for the conservative mode): overdeletion to the dependency graph's
-//! [`reachable`](slider_rules::DependencyGraph::reachable) set of the rules
-//! consuming a retracted predicate — no other rule can have consumed a
-//! deleted triple — and rederivation to the rules whose
+//! Both phases restrict the rules they run: overdeletion to the dependency
+//! graph's [`reachable`](slider_rules::DependencyGraph::reachable) set of
+//! the rules consuming a retracted predicate — no other rule can have
+//! consumed a deleted triple — and rederivation to the rules whose
 //! [`OutputSignature`] can emit a deleted predicate — no other rule can
-//! rederive a deleted triple. The conservative mode always uses the
-//! forward-pass rederivation.
+//! rederive a deleted triple.
 //!
 //! The result invariant, asserted by `tests/retraction.rs` against the
 //! recompute-from-scratch oracle: after maintenance the store equals the
@@ -81,7 +78,8 @@ impl RemovalOutcome {
     }
 
     /// Accumulates `other` into `self` — used to combine the per-partition
-    /// outcomes of one partitioned coalesced flush into the run's total.
+    /// outcomes of one partitioned coalesced flush into the run's total,
+    /// and the slices of one budgeted flush into the flush's total.
     pub fn merge(&mut self, other: RemovalOutcome) {
         self.requested += other.requested;
         self.retracted += other.retracted;
@@ -101,7 +99,6 @@ pub(crate) fn dred(
     rules: &[Arc<dyn Rule>],
     graph: &DependencyGraph,
     retracted: &[Triple],
-    full_rederive: bool,
 ) -> RemovalOutcome {
     let mut outcome = RemovalOutcome {
         requested: retracted.len(),
@@ -136,12 +133,8 @@ pub(crate) fn dred(
 
     // Overdeletion scope: only rules transitively reachable from the rules
     // that consume a retracted predicate can have used a deleted triple.
-    let over_rules: Vec<usize> = if full_rederive {
-        (0..rules.len()).collect()
-    } else {
-        let seeds: Vec<usize> = delta.iter().flat_map(|t| graph.entry_routes(t.p)).collect();
-        graph.reachable(seeds)
-    };
+    let seeds: Vec<usize> = delta.iter().flat_map(|t| graph.entry_routes(t.p)).collect();
+    let over_rules = graph.reachable(seeds);
 
     // Phase 1: overdelete. Each round joins the deletion delta against the
     // store *before* removing it (the rules' `delta ⊆ store` contract also
@@ -170,33 +163,27 @@ pub(crate) fn dred(
 
     // Rederivation scope: a deleted triple can only be rederived by a rule
     // whose output signature may emit its predicate.
-    let rederive_rules: Vec<usize> = if full_rederive {
-        (0..rules.len()).collect()
-    } else {
-        (0..rules.len())
-            .filter(|&i| match rules[i].output_signature() {
-                OutputSignature::Universal => true,
-                OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
-            })
-            .collect()
-    };
+    let rederive_rules: Vec<usize> = (0..rules.len())
+        .filter(|&i| match rules[i].output_signature() {
+            OutputSignature::Universal => true,
+            OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
+        })
+        .collect();
 
     // Phase 2: rederive (shared with ruleset-swap retraction).
-    outcome.rederived = rederive(store, rules, &rederive_rules, &scheduled, full_rederive);
+    outcome.rederived = rederive(store, rules, &rederive_rules, &scheduled);
     outcome
 }
 
 /// DRed phase 2, shared between [`dred`] and [`retract_rules`]: restores
 /// every triple in `scheduled` (the overdeleted set) that still has a
 /// derivation from the surviving store, using `rule_indices` into
-/// `rules`. `force_forward` skips the backward fast path (the
-/// conservative mode). Returns how many triples were restored.
+/// `rules`. Returns how many triples were restored.
 fn rederive(
     store: &mut VerticalStore,
     rules: &[Arc<dyn Rule>],
     rule_indices: &[usize],
     scheduled: &FxHashSet<Triple>,
-    force_forward: bool,
 ) -> usize {
     if rule_indices.is_empty() || store.is_empty() {
         return 0;
@@ -210,7 +197,7 @@ fn rederive(
     // we fall back to the forward pass below.
     let mut candidates: Vec<Triple> = scheduled.iter().copied().collect();
     candidates.sort_unstable(); // deterministic restoration order
-    let mut need_forward = force_forward;
+    let mut need_forward = false;
     while !need_forward {
         let mut restored: Vec<Triple> = Vec::new();
         candidates.retain(|&t| {
@@ -282,7 +269,6 @@ pub(crate) fn retract_rules(
     old_rules: &[Arc<dyn Rule>],
     dropped: &[Arc<dyn Rule>],
     surviving: &[Arc<dyn Rule>],
-    full_rederive: bool,
 ) -> (usize, usize) {
     // Seed: derived triples a dropped rule one-step supports from the
     // current closure (or might emit, absent a backward matcher).
@@ -341,7 +327,7 @@ pub(crate) fn retract_rules(
     // Rederive with the surviving rules: whatever still has a derivation
     // under the new program comes back.
     let indices: Vec<usize> = (0..surviving.len()).collect();
-    let rederived = rederive(store, surviving, &indices, &scheduled, full_rederive);
+    let rederived = rederive(store, surviving, &indices, &scheduled);
     (overdeleted, rederived)
 }
 
@@ -412,11 +398,10 @@ mod tests {
         ruleset: &Ruleset,
         explicit: &[Triple],
         retract: &[Triple],
-        full: bool,
     ) -> (VerticalStore, RemovalOutcome) {
         let mut store = closed_store(ruleset, explicit);
         let graph = DependencyGraph::build(ruleset);
-        let outcome = dred(&mut store, ruleset.rules(), &graph, retract, full);
+        let outcome = dred(&mut store, ruleset.rules(), &graph, retract);
         (store, outcome)
     }
 
@@ -438,18 +423,15 @@ mod tests {
     fn chain_link_removal_drops_exactly_the_lost_paths() {
         let rs = Ruleset::rho_df();
         let explicit: Vec<Triple> = (1..6).map(|i| sco(i, i + 1)).collect();
-        for full in [false, true] {
-            let (store, outcome) = run(&rs, &explicit, &[sco(3, 4)], full);
-            assert_eq!(
-                store.to_sorted_vec(),
-                surviving_closure(&rs, &explicit, &[sco(3, 4)]),
-                "full_rederive={full}"
-            );
-            assert_eq!(outcome.retracted, 1);
-            assert!(outcome.overdeleted > 0);
-            // A broken chain has no alternative derivations.
-            assert_eq!(outcome.rederived, 0);
-        }
+        let (store, outcome) = run(&rs, &explicit, &[sco(3, 4)]);
+        assert_eq!(
+            store.to_sorted_vec(),
+            surviving_closure(&rs, &explicit, &[sco(3, 4)])
+        );
+        assert_eq!(outcome.retracted, 1);
+        assert!(outcome.overdeleted > 0);
+        // A broken chain has no alternative derivations.
+        assert_eq!(outcome.rederived, 0);
     }
 
     #[test]
@@ -458,7 +440,7 @@ mod tests {
         // sco(1,4), which the 1→3→4 path rederives.
         let rs = Ruleset::rho_df();
         let explicit = [sco(1, 2), sco(2, 4), sco(1, 3), sco(3, 4)];
-        let (store, outcome) = run(&rs, &explicit, &[sco(2, 4)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(2, 4)]);
         assert_eq!(
             store.to_sorted_vec(),
             surviving_closure(&rs, &explicit, &[sco(2, 4)])
@@ -472,7 +454,7 @@ mod tests {
         let rs = Ruleset::rho_df();
         // sco(1,3) asserted AND derivable from the chain.
         let explicit = [sco(1, 2), sco(2, 3), sco(1, 3)];
-        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3)]);
         assert!(store.contains(sco(1, 3)), "still derivable");
         assert!(!store.is_explicit(sco(1, 3)), "no longer asserted");
         assert_eq!(outcome.retracted, 1);
@@ -488,7 +470,7 @@ mod tests {
         let explicit = [sco(1, 2), sco(2, 3)];
         let before = closed_store(&rs, &explicit).to_sorted_vec();
         // sco(1,3) is derived-only; ty(9,9) is absent.
-        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3), ty(9, 9)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3), ty(9, 9)]);
         assert_eq!(store.to_sorted_vec(), before);
         assert_eq!(outcome.requested, 2);
         assert_eq!(outcome.retracted, 0);
@@ -513,7 +495,7 @@ mod tests {
             ty(9, 9),
             ty(9, 9),
         ];
-        let (_, outcome) = run(&rs, &explicit, &retract, false);
+        let (_, outcome) = run(&rs, &explicit, &retract);
         assert_eq!(outcome.requested, 6);
         assert_eq!(outcome.retracted, 1);
         assert_eq!(outcome.ignored_derived, 1);
@@ -526,7 +508,7 @@ mod tests {
         // a ⊑ b ⊑ a derives the reflexive edges; retracting one direction
         // must tear the whole cycle's derived closure down.
         let explicit = [sco(1, 2), sco(2, 1)];
-        let (store, _) = run(&rs, &explicit, &[sco(1, 2)], false);
+        let (store, _) = run(&rs, &explicit, &[sco(1, 2)]);
         assert_eq!(
             store.to_sorted_vec(),
             surviving_closure(&rs, &explicit, &[sco(1, 2)])
@@ -553,14 +535,12 @@ mod tests {
             vec![ty(9, 1), sco(1, 2)],
             vec![Triple::new(n(7), n(5), n(8))],
         ] {
-            for full in [false, true] {
-                let (store, _) = run(&rs, &explicit, &retract, full);
-                assert_eq!(
-                    store.to_sorted_vec(),
-                    surviving_closure(&rs, &explicit, &retract),
-                    "retract {retract:?} full_rederive={full}"
-                );
-            }
+            let (store, _) = run(&rs, &explicit, &retract);
+            assert_eq!(
+                store.to_sorted_vec(),
+                surviving_closure(&rs, &explicit, &retract),
+                "retract {retract:?}"
+            );
         }
     }
 
@@ -568,7 +548,7 @@ mod tests {
     fn empty_ruleset_just_deletes() {
         let rs = Ruleset::custom("none");
         let explicit = [ty(1, 2), ty(3, 4)];
-        let (store, outcome) = run(&rs, &explicit, &[ty(1, 2)], false);
+        let (store, outcome) = run(&rs, &explicit, &[ty(1, 2)]);
         assert_eq!(store.to_sorted_vec(), vec![ty(3, 4)]);
         assert_eq!(outcome.retracted, 1);
         assert_eq!(outcome.net_deleted(), 1);

@@ -33,9 +33,6 @@ pub(crate) struct Module {
     /// `successors` in the dependency graph.
     successors: Vec<usize>,
     counters: RuleCounters,
-    /// Current fire threshold; fixed to the configured capacity unless the
-    /// adaptive scheduler is on (then retuned after every instance).
-    capacity: AtomicUsize,
 }
 
 /// Everything derived from the loaded ruleset — the **swappable half** of
@@ -63,14 +60,9 @@ pub(crate) struct RulesetState {
 
 /// Builds the ruleset-derived state: dependency graph, modules, and the
 /// backward-matcher probe results. For rules also present in `carried`
-/// (matched by name + definition), the counters and the adaptive
-/// fire-threshold plan carry over — a hot-swap keeps a kept rule's
-/// history and tuning.
-fn build_state(
-    ruleset: &Ruleset,
-    base_capacity: usize,
-    carried: Option<&RulesetState>,
-) -> RulesetState {
+/// (matched by name + definition), the counters carry over — a hot-swap
+/// keeps a kept rule's history.
+fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState>) -> RulesetState {
     let graph = DependencyGraph::build(ruleset);
     let modules: Vec<Module> = ruleset
         .rules()
@@ -85,13 +77,9 @@ fn build_state(
             Module {
                 rule: Arc::clone(rule),
                 filter: rule.input_filter(),
-                buffer: Buffer::new(base_capacity),
+                buffer: Buffer::new(capacity),
                 successors: graph.successors(i).to_vec(),
                 counters: kept.map(|m| m.counters.carry()).unwrap_or_default(),
-                capacity: AtomicUsize::new(
-                    kept.map(|m| m.capacity.load(Ordering::Relaxed))
-                        .unwrap_or(base_capacity),
-                ),
             }
         })
         .collect();
@@ -136,16 +124,9 @@ pub(crate) struct Engine {
     pub(crate) inflight: Inflight,
     pub(crate) globals: GlobalCounters,
     log: Option<EventLog>,
-    /// Adaptive-scheduling bounds: `Some((base, max))` when enabled.
-    adaptive: Option<(usize, usize)>,
     /// Serialises DRed maintenance runs (see [`Slider::remove_triples`])
     /// and ruleset swaps — a swap is a maintenance operation.
     maintenance: Mutex<()>,
-    /// Conservative-maintenance switch (see `SliderConfig::full_rederive`).
-    full_rederive: bool,
-    /// Partitioned-flush switch (see
-    /// `SliderConfig::maintenance_partitioning`).
-    partitioning: bool,
     /// Eager removals waiting to be combined: a caller enqueues its batch
     /// here before blocking on the maintenance mutex, and whichever
     /// caller acquires the mutex with an unserved slot drains the queue
@@ -164,10 +145,8 @@ pub(crate) struct Engine {
     /// The runtime state shared with the flusher thread, so `unpark` can
     /// nudge it awake (with every session parked it sleeps indefinitely).
     flusher: Arc<RuntimeShared>,
-    /// Configured buffer capacity — the baseline for modules built by a
-    /// ruleset swap (rules added mid-life start from the same plan a
-    /// fresh reasoner would give them).
-    base_capacity: usize,
+    /// Configured buffer capacity, for the modules a ruleset swap builds.
+    buffer_capacity: usize,
     /// Dictionary sweep trigger ratio (see
     /// `SliderConfig::dict_sweep_ratio`); `f64::INFINITY` disables the
     /// automatic post-retraction sweep.
@@ -229,7 +208,7 @@ fn run_unit(
         if ts.is_empty() {
             continue;
         }
-        outcomes[b] = maintenance::dred(store, rules, graph, ts, false);
+        outcomes[b] = maintenance::dred(store, rules, graph, ts);
     }
     outcomes
 }
@@ -299,35 +278,18 @@ impl Engine {
             }
             buffered_any = true;
             bump(&module.counters.buffered, accepted.len() as u64);
-            let capacity = module.capacity.load(Ordering::Relaxed);
-            self.fire_chunks(state, i, module.buffer.push_batch_with(&accepted, capacity));
-            // A racing retune may have shrunk the threshold between the
-            // load above and the push (its own chunk-firing can miss our
-            // triples); the buffer lock we just released makes the new
-            // capacity visible here, so fire anything now eligible rather
-            // than letting it stall until the next push or timeout.
-            let current = module.capacity.load(Ordering::Relaxed);
-            if current < capacity {
-                self.fire_chunks(state, i, module.buffer.take_full_chunks(current));
+            for chunk in module.buffer.push_batch(&accepted) {
+                bump(&module.counters.full_flushes, 1);
+                if let Some(log) = &self.log {
+                    log.record(EventKind::BufferFull { rule: i });
+                }
+                self.submit(i, chunk);
             }
         }
         if buffered_any {
             // New buffered work may need timeout service: leave the
             // flusher's parked lane (no-op while unparked).
             self.unpark();
-        }
-    }
-
-    /// Submits capacity-triggered chunks as rule instances, with the
-    /// full-flush accounting every such fire shares.
-    fn fire_chunks(&self, state: &RulesetState, rule: usize, chunks: Vec<Vec<Triple>>) {
-        let module = &state.modules[rule];
-        for chunk in chunks {
-            bump(&module.counters.full_flushes, 1);
-            if let Some(log) = &self.log {
-                log.record(EventKind::BufferFull { rule });
-            }
-            self.submit(rule, chunk);
         }
     }
 
@@ -362,9 +324,6 @@ impl Engine {
             self.store.insert_batch(&out, &mut fresh);
             bump(&module.counters.fresh, fresh.len() as u64);
         }
-        if !out.is_empty() {
-            self.retune(&state, rule, out.len(), fresh.len());
-        }
         if let Some(log) = &self.log {
             log.record(EventKind::RuleFired {
                 rule,
@@ -377,38 +336,6 @@ impl Engine {
         if !fresh.is_empty() {
             // Distributor step 3: dispatch to dependent buffers only.
             self.dispatch(&state, &module.successors, &fresh);
-        }
-    }
-
-    /// The run-time dynamic plan (§5 future work): a rule whose conclusions
-    /// are mostly duplicates gains nothing from low-latency firing — grow
-    /// its batch so the join cost is amortised; a productive rule shrinks
-    /// back towards the configured capacity for low inference latency.
-    /// No-op unless adaptive scheduling is enabled.
-    pub(crate) fn retune(&self, state: &RulesetState, rule: usize, derived: usize, fresh: usize) {
-        let Some((base, max)) = self.adaptive else {
-            return;
-        };
-        let module = &state.modules[rule];
-        let ratio = fresh as f64 / derived as f64;
-        let cap = module.capacity.load(Ordering::Relaxed);
-        let retuned = if ratio < 0.1 {
-            (cap.saturating_mul(2)).min(max)
-        } else if ratio > 0.5 {
-            (cap / 2).max(base)
-        } else {
-            cap
-        };
-        if retuned == cap {
-            return;
-        }
-        module.capacity.store(retuned, Ordering::Relaxed);
-        if retuned < cap {
-            // Shrinking can leave the buffer already over the new fire
-            // threshold; without this, those triples would stall until the
-            // next push or a timeout flush (with `timeout: None`, forever).
-            // Fire every now-eligible chunk immediately.
-            self.fire_chunks(state, rule, module.buffer.take_full_chunks(retuned));
         }
     }
 
@@ -609,15 +536,7 @@ impl Engine {
                 None => {
                     let outcomes: Vec<RemovalOutcome> = batches
                         .iter()
-                        .map(|eb| {
-                            maintenance::dred(
-                                store,
-                                &rules,
-                                &state.graph,
-                                &eb.triples,
-                                self.full_rederive,
-                            )
-                        })
+                        .map(|eb| maintenance::dred(store, &rules, &state.graph, &eb.triples))
                         .collect();
                     (outcomes, false)
                 }
@@ -716,16 +635,7 @@ impl Engine {
                         let outcomes = self.run_partitions(&state, store, &rules, groups, 1);
                         (outcomes[0], partitions)
                     }
-                    None => (
-                        maintenance::dred(
-                            store,
-                            &rules,
-                            &state.graph,
-                            &pending,
-                            self.full_rederive,
-                        ),
-                        1,
-                    ),
+                    None => (maintenance::dred(store, &rules, &state.graph, &pending), 1),
                 };
                 self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
                 (outcome, pending.len(), partitions, remaining)
@@ -881,10 +791,10 @@ impl Engine {
 
     /// The maintenance planner: buckets `pending` by maintenance
     /// partition ([`DependencyGraph::component_of_predicate`]). Returns
-    /// `None` when the flush must stay single-pass: partitioning disabled,
-    /// conservative (`full_rederive`) mode, fewer than two buckets, a
-    /// bucket whose partition owns every predicate (universal rules), or
-    /// an involved rule without a backward matcher.
+    /// `None` when the flush must stay single-pass: fewer than two
+    /// buckets, a bucket whose partition owns every predicate (universal
+    /// rules — ρdf, RDFS and RDFS-Plus always have one), or an involved
+    /// rule without a backward matcher.
     ///
     /// The returned groups are **size-ordered, largest footprint first**
     /// (a bucket's footprint is the store population of the predicates
@@ -901,9 +811,6 @@ impl Engine {
         pending: &[(usize, Triple)],
     ) -> Option<Vec<PendingGroup>> {
         use slider_model::FxHashMap;
-        if !self.partitioning || self.full_rederive {
-            return None;
-        }
         let mut pred_comp: FxHashMap<NodeId, Option<usize>> = FxHashMap::default();
         let mut by_comp: FxHashMap<Option<usize>, Vec<(usize, Triple)>> = FxHashMap::default();
         for &(b, t) in pending {
@@ -1056,13 +963,7 @@ impl Engine {
             let (overdeleted, rederived) = if dropped.is_empty() {
                 (0, 0)
             } else {
-                maintenance::retract_rules(
-                    store,
-                    &old_rules,
-                    &dropped,
-                    &surviving,
-                    self.full_rederive,
-                )
+                maintenance::retract_rules(store, &old_rules, &dropped, &surviving)
             };
             let inferred = if added.is_empty() {
                 0
@@ -1076,8 +977,11 @@ impl Engine {
             // Operations blocked on the store lock resume against the new
             // program; operations that completed earlier ran entirely
             // under the old one. Nothing observes a mix.
-            *self.rstate.write() =
-                Arc::new(build_state(&ruleset, self.base_capacity, Some(&old_state)));
+            *self.rstate.write() = Arc::new(build_state(
+                &ruleset,
+                self.buffer_capacity,
+                Some(&old_state),
+            ));
             (overdeleted, rederived, inferred)
         });
         bump(&self.globals.ruleset_swaps, 1);
@@ -1111,7 +1015,7 @@ pub struct SwapOutcome {
     /// Rules introduced by the swap.
     pub added: usize,
     /// Rules present in both programs (matched by name + definition;
-    /// their counters and adaptive plans carried over).
+    /// their counters carried over).
     pub kept: usize,
     /// Derived triples deleted while retracting dropped-rule support
     /// (including the seeds — every deletion the swap performed).
@@ -1184,17 +1088,12 @@ impl Slider {
         ruleset: Ruleset,
         config: SliderConfig,
     ) -> Self {
-        let base_capacity = config.buffer_capacity.max(1);
-        let store = ShardedStore::from_store(if config.object_index {
-            VerticalStore::new()
-        } else {
-            VerticalStore::without_object_index()
-        });
-        let state = build_state(&ruleset, base_capacity, None);
+        let buffer_capacity = config.buffer_capacity.max(1);
+        let state = build_state(&ruleset, buffer_capacity, None);
         let id = core.allocate_id();
         let engine = Arc::new_cyclic(|self_ref| Engine {
             dict,
-            store,
+            store: ShardedStore::new(),
             rstate: RwLock::new(Arc::new(state)),
             queue: Arc::clone(&core.queue),
             session: id,
@@ -1203,12 +1102,7 @@ impl Slider {
             inflight: Inflight::new(),
             globals: GlobalCounters::default(),
             log: config.trace.then(EventLog::new),
-            adaptive: config
-                .adaptive_buffers
-                .then(|| (base_capacity, base_capacity.saturating_mul(64))),
             maintenance: Mutex::new(()),
-            full_rederive: config.full_rederive,
-            partitioning: config.maintenance_partitioning,
             eager_queue: Mutex::new(Vec::new()),
             scheduler: MaintenanceScheduler::new(
                 config.maintenance_batch,
@@ -1216,7 +1110,7 @@ impl Slider {
             ),
             parked: AtomicBool::new(false),
             flusher: Arc::clone(core.shared()),
-            base_capacity,
+            buffer_capacity,
             dict_sweep_ratio: config.dict_sweep_ratio,
             retired_since_sweep: AtomicUsize::new(0),
             #[cfg(test)]
@@ -1396,9 +1290,13 @@ impl Slider {
     /// final coalesced run), mirroring how buffered triples drain.
     ///
     /// When the pending set spans several independent partitions of the
-    /// rules dependency graph, the flush runs one DRed pass per partition
-    /// in parallel on the worker pool (see
-    /// [`SliderConfig::maintenance_partitioning`](crate::SliderConfig::maintenance_partitioning)).
+    /// rules dependency graph (disjoint overdeletion/rederivation
+    /// footprints, see
+    /// [`DependencyGraph::component_of`](slider_rules::DependencyGraph::component_of)),
+    /// the flush runs one DRed pass per partition in parallel on the
+    /// worker pool; the passes land on the same store a single pass
+    /// would. ρdf, RDFS and RDFS-Plus never split: their universal rules
+    /// put every predicate in one partition.
     ///
     /// [`StatsSnapshot::cancelled_removals`]: crate::StatsSnapshot::cancelled_removals
     pub fn remove_deferred(&self, triples: &[Triple]) -> usize {
@@ -1543,8 +1441,7 @@ impl Slider {
     ///   survivors).
     /// * **Added** rules: evaluated semi-naively with the whole store as
     ///   their first delta, then the usual fixpoint.
-    /// * **Kept** rules: untouched — their counters and adaptive buffer
-    ///   plans carry over.
+    /// * **Kept** rules: untouched — their counters carry over.
     ///
     /// Afterwards the store equals the closure of its explicit triples
     /// under the new program, exactly as if the reasoner had been built
@@ -1639,7 +1536,7 @@ impl Slider {
                 buffered: m.counters.buffered.load(Ordering::Relaxed),
                 derived: m.counters.derived.load(Ordering::Relaxed),
                 fresh: m.counters.fresh.load(Ordering::Relaxed),
-                buffer_capacity: m.capacity.load(Ordering::Relaxed),
+                buffer_capacity: m.buffer.capacity(),
             })
             .collect();
         let store = engine.store.stats();
@@ -1956,15 +1853,6 @@ mod tests {
     }
 
     #[test]
-    fn object_index_ablation_same_closure() {
-        let input = chain(20);
-        let slider = rho_slider(SliderConfig::default().with_object_index(false));
-        slider.materialize(&input);
-        let oracle = closure(Ruleset::rho_df(), &input);
-        assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-    }
-
-    #[test]
     fn dependency_graph_accessible() {
         let slider = rho_slider(SliderConfig::default());
         assert_eq!(slider.dependency_graph().len(), 8);
@@ -2019,49 +1907,6 @@ mod tests {
         assert_eq!(slider.dict().len(), interned);
         assert_eq!(slider.remove_terms(&[(cat, sco_term, animal)]), 1);
         assert!(slider.store().is_empty());
-    }
-
-    #[test]
-    fn adaptive_scheduling_same_closure() {
-        let input = chain(60);
-        let oracle = closure(Ruleset::rho_df(), &input);
-        let slider = rho_slider(
-            SliderConfig::default()
-                .with_buffer_capacity(16)
-                .with_adaptive_buffers(true),
-        );
-        slider.materialize(&input);
-        assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-    }
-
-    #[test]
-    fn adaptive_scheduling_retunes_capacities() {
-        // CAX-SCO on a chain derives only duplicates (the type triples all
-        // target rdfs:Class, which has no superclasses), so its instances
-        // have fresh/derived = 0 — the adaptive plan must grow its batch.
-        let input = chain(120);
-        let base = 8;
-        let slider = rho_slider(
-            SliderConfig::default()
-                .with_buffer_capacity(base)
-                .with_adaptive_buffers(true),
-        );
-        slider.materialize(&input);
-        let stats = slider.stats();
-        let grown = stats
-            .rules
-            .iter()
-            .filter(|r| r.fired > 0 && r.buffer_capacity > base)
-            .count();
-        assert!(grown > 0, "no rule's plan was retuned\n{stats}");
-        // Bounds are respected.
-        for r in &stats.rules {
-            assert!(
-                r.buffer_capacity >= base && r.buffer_capacity <= base * 64,
-                "{}",
-                r.name
-            );
-        }
     }
 
     #[test]
@@ -2191,19 +2036,22 @@ mod tests {
         );
     }
 
-    /// The partitioning ablation switch forces the single-pass path; both
-    /// modes land on the same store.
+    /// One flush spanning both families partitions; one flush per family
+    /// stays single-pass (a lone bucket is never split). Both land on the
+    /// same store.
     #[test]
     fn partitioning_ablation_agrees_with_single_pass() {
         use slider_rules::Transitive;
         let p = |v: u64| NodeId(5_000 + v);
-        let build = |partitioning: bool| {
+        let retractions = [
+            Triple::new(n(3), p(0), n(4)),
+            Triple::new(n(5), p(10), n(6)),
+        ];
+        let build = |together: bool| {
             let ruleset = Ruleset::custom("two-chains")
                 .with(Transitive::new("T-A", p(0)))
                 .with(Transitive::new("T-B", p(10)));
-            let config = SliderConfig::batch()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_partitioning(partitioning);
+            let config = SliderConfig::batch().with_maintenance_batch(usize::MAX);
             let slider = Slider::new(Arc::new(Dictionary::new()), ruleset, config);
             for base in [0, 10] {
                 let links: Vec<Triple> = (1..8)
@@ -2211,11 +2059,15 @@ mod tests {
                     .collect();
                 slider.materialize(&links);
             }
-            slider.remove_deferred(&[
-                Triple::new(n(3), p(0), n(4)),
-                Triple::new(n(5), p(10), n(6)),
-            ]);
-            slider.flush_maintenance();
+            if together {
+                slider.remove_deferred(&retractions);
+                slider.flush_maintenance();
+            } else {
+                for t in retractions {
+                    slider.remove_deferred(&[t]);
+                    slider.flush_maintenance();
+                }
+            }
             slider
         };
         let partitioned = build(true);
@@ -2225,8 +2077,9 @@ mod tests {
             single.store().to_sorted_vec()
         );
         assert_eq!(partitioned.stats().partitioned_runs, 1);
+        assert_eq!(partitioned.stats().coalesced_runs, 1);
         assert_eq!(single.stats().partitioned_runs, 0);
-        assert_eq!(single.stats().coalesced_runs, 1);
+        assert_eq!(single.stats().coalesced_runs, 2);
     }
 
     /// Size-aware bucket ordering: the bucket with the largest store
@@ -2273,50 +2126,44 @@ mod tests {
         }
     }
 
-    /// Satellite check for partitioned-flush accounting: the merged
-    /// [`RemovalOutcome`] of a partitioned flush must equal, counter for
-    /// counter, the single-pass outcome on the same workload — including
-    /// the no-op classifications.
+    /// The partitioned flush must land on the store a single DRed pass
+    /// over the same pending set gives, with the merged
+    /// [`RemovalOutcome`] equal counter for counter — the no-op
+    /// classifications included.
     #[test]
     fn partitioned_outcome_counters_match_single_pass() {
         use slider_rules::Transitive;
         let p = |v: u64| NodeId(5_000 + v);
-        let build = |partitioning: bool| -> (Slider, RemovalOutcome) {
-            let ruleset = Ruleset::custom("two-chains")
-                .with(Transitive::new("T-A", p(0)))
-                .with(Transitive::new("T-B", p(10)));
-            let config = SliderConfig::batch()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_partitioning(partitioning);
-            let slider = Slider::new(Arc::new(Dictionary::new()), ruleset, config);
-            for base in [0, 10] {
-                let links: Vec<Triple> = (1..8)
-                    .map(|i| Triple::new(n(i), p(base), n(i + 1)))
-                    .collect();
-                slider.materialize(&links);
-            }
-            // Mix genuine retractions with the two no-op flavours (a
-            // derived-only triple and an absent one) across both
-            // partitions, so every counter is exercised per bucket.
-            slider.remove_deferred(&[
-                Triple::new(n(3), p(0), n(4)),
-                Triple::new(n(5), p(10), n(6)),
-                Triple::new(n(1), p(0), n(3)), // derived-only (chain hop)
-                Triple::new(n(90), p(10), n(91)), // absent
-            ]);
-            let outcome = slider.flush_maintenance();
-            (slider, outcome)
-        };
-        let (partitioned, merged) = build(true);
-        let (single, single_pass) = build(false);
-        assert_eq!(partitioned.stats().partitioned_runs, 1);
-        assert_eq!(single.stats().partitioned_runs, 0);
-        assert_eq!(
-            partitioned.store().to_sorted_vec(),
-            single.store().to_sorted_vec()
-        );
-        // Counter-for-counter equality: requested, retracted,
-        // ignored_derived, not_found, overdeleted, rederived.
+        let ruleset = Ruleset::custom("two-chains")
+            .with(Transitive::new("T-A", p(0)))
+            .with(Transitive::new("T-B", p(10)));
+        let config = SliderConfig::batch().with_maintenance_batch(usize::MAX);
+        let slider = Slider::new(Arc::new(Dictionary::new()), ruleset.clone(), config);
+        for base in [0, 10] {
+            let links: Vec<Triple> = (1..8)
+                .map(|i| Triple::new(n(i), p(base), n(i + 1)))
+                .collect();
+            slider.materialize(&links);
+        }
+        // Genuine retractions in both partitions plus the two no-op
+        // flavours (a derived-only triple and an absent one), so every
+        // counter is exercised per bucket.
+        let pending = [
+            Triple::new(n(3), p(0), n(4)),
+            Triple::new(n(5), p(10), n(6)),
+            Triple::new(n(1), p(0), n(3)), // derived-only (chain hop)
+            Triple::new(n(90), p(10), n(91)), // absent
+        ];
+        // The single-pass reference: one DRed run on a copy of the
+        // pre-flush store.
+        let mut single = VerticalStore::clone(&slider.store().snapshot());
+        let graph = DependencyGraph::build(&ruleset);
+        let single_pass = maintenance::dred(&mut single, ruleset.rules(), &graph, &pending);
+
+        slider.remove_deferred(&pending);
+        let merged = slider.flush_maintenance();
+        assert_eq!(slider.stats().partitioned_runs, 1);
+        assert_eq!(slider.store().to_sorted_vec(), single.to_sorted_vec());
         assert_eq!(merged, single_pass, "partitioned outcome merge drifted");
         assert_eq!(merged.retracted, 2);
         assert_eq!(merged.ignored_derived, 1);
@@ -2389,54 +2236,6 @@ mod tests {
         assert!(slider.stats().oldest_pending_age.is_some());
         slider.flush_maintenance();
         assert_eq!(slider.pending_staleness(), None);
-    }
-
-    /// Regression (adaptive shrink stall): when a retune lowers a module's
-    /// capacity below its current queue length, the now-eligible chunks
-    /// must fire *at retune time* — with no timeout flusher and no further
-    /// pushes, they previously stalled until an explicit flush.
-    #[test]
-    fn adaptive_shrink_fires_already_buffered_chunks() {
-        // No buffer timeout and no maintenance deadline: nothing but the
-        // retune itself can flush a stalled buffer.
-        let config = SliderConfig::batch()
-            .with_buffer_capacity(4)
-            .with_adaptive_buffers(true)
-            .with_maintenance_max_age(None);
-        let slider = rho_slider(config);
-        let engine = &slider.engine;
-
-        // Find the subClassOf-transitivity module and simulate a grown
-        // plan: capacity 16 with 8 triples sitting in its buffer (inserted
-        // into the store first, as the real dispatch path does).
-        let input = chain(9); // 8 sco links
-        let state = engine.rstate();
-        let rule = state
-            .modules
-            .iter()
-            .position(|m| m.rule.name() == "SCM-SCO")
-            .expect("the subClassOf-transitivity module");
-        let module = &state.modules[rule];
-        module.capacity.store(16, Ordering::Relaxed);
-        let mut fresh = Vec::new();
-        engine.store.insert_batch_explicit(&input, &mut fresh);
-        assert!(module.buffer.push_batch_with(&input, 16).is_empty());
-        assert_eq!(module.buffer.len(), 8);
-
-        // A productive instance (fresh/derived > 0.5) shrinks 16 → 8: the
-        // 8 buffered triples are exactly one now-eligible chunk.
-        engine.retune(&state, rule, 10, 9);
-        assert_eq!(module.capacity.load(Ordering::Relaxed), 8);
-        engine.inflight.wait_zero();
-        // The fired instance really ran: the chain's 2-step closure exists.
-        // (The buffer need not be empty — the instance's own conclusions
-        // legitimately re-buffer, SCM-SCO being its own successor.)
-        assert!(
-            slider.store().contains(sco(1, 3)),
-            "buffered chunk stalled through the shrink"
-        );
-        let stats = slider.stats();
-        assert!(stats.rules[rule].full_flushes >= 1);
     }
 
     #[test]

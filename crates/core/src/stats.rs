@@ -10,7 +10,7 @@ pub(crate) struct RuleCounters {
     pub fired: AtomicU64,
     /// Instances triggered by a full buffer.
     pub full_flushes: AtomicU64,
-    /// Instances triggered by a buffer timeout.
+    /// Instances triggered by a buffer timeout or a forced flush.
     pub timeout_flushes: AtomicU64,
     /// Triples routed into this rule's buffer.
     pub buffered: AtomicU64,
@@ -89,7 +89,11 @@ pub struct RuleStats {
     pub fired: u64,
     /// Instances triggered by a full buffer.
     pub full_flushes: u64,
-    /// Instances triggered by a buffer timeout.
+    /// Instances triggered by draining a partly filled buffer: a buffer
+    /// timeout, and also every forced flush
+    /// ([`Slider::wait_idle`](crate::Slider::wait_idle),
+    /// [`Slider::flush`](crate::Slider::flush)). In batch mode
+    /// (`timeout: None`) every count here is a forced flush.
     pub timeout_flushes: u64,
     /// Triples routed into this rule's buffer.
     pub buffered: u64,
@@ -97,8 +101,8 @@ pub struct RuleStats {
     pub derived: u64,
     /// Conclusions new to the store.
     pub fresh: u64,
-    /// The module's current fire threshold (differs from the configured
-    /// capacity only under adaptive scheduling).
+    /// The module's fire threshold: the configured
+    /// [`SliderConfig::buffer_capacity`](crate::SliderConfig::buffer_capacity).
     pub buffer_capacity: usize,
 }
 
@@ -147,7 +151,9 @@ pub struct StatsSnapshot {
     pub coalesced_runs: u64,
     /// Coalesced runs that split into ≥ 2 independent partition passes
     /// executed in parallel on the worker pool (see
-    /// [`SliderConfig::maintenance_partitioning`](crate::SliderConfig::maintenance_partitioning)).
+    /// [`Slider::remove_deferred`](crate::Slider::remove_deferred)). Always
+    /// 0 under ρdf, RDFS and RDFS-Plus, whose universal rules make one
+    /// partition.
     pub partitioned_runs: u64,
     /// Eager removal passes that dispatched ≥ 2 concurrent DRed units:
     /// independent `remove_triples` callers whose closures proved
@@ -203,9 +209,8 @@ pub struct StatsSnapshot {
     /// the id→term slot and the term→id index key share one allocation.
     pub dict_bytes_estimate: usize,
     /// Times an interning write found its dictionary shard's write lock
-    /// contended. High values relative to intern volume mean concurrent
-    /// loaders are colliding on shards — more
-    /// [`DictConfig::shards`](slider_model::DictConfig::shards) would help.
+    /// contended (the term index has 16 shards). High values relative to
+    /// intern volume mean concurrent loaders are colliding on shards.
     pub dict_shard_conflicts: u64,
     /// Dictionary compaction sweeps completed (automatic post-retraction
     /// sweeps and explicit

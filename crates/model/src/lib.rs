@@ -27,7 +27,7 @@ pub mod term;
 pub mod triple;
 pub mod vocab;
 
-pub use dict::{DictConfig, DictStats, Dictionary, SweepOutcome};
+pub use dict::{DictStats, Dictionary, SweepOutcome};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use term::{Literal, LiteralKind, Term, TermKind};
 pub use triple::{TermTriple, Triple};

@@ -36,12 +36,12 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// An empty store with full indexing.
+    /// An empty store.
     pub fn new() -> Self {
         ShardedStore::default()
     }
 
-    /// Wraps an existing store, indexing mode included, as epoch 0.
+    /// Wraps an existing store as epoch 0.
     pub fn from_store(store: VerticalStore) -> Self {
         let epoch = EpochSnapshot {
             generation: 0,
@@ -402,18 +402,6 @@ mod tests {
         let st2 = ShardedStore::from_store(inner);
         assert_eq!(st2.len(), 2);
         assert!(st2.contains(t(4, 5, 6)));
-    }
-
-    #[test]
-    fn from_store_preserves_indexing_mode() {
-        let mut plain = VerticalStore::without_object_index();
-        plain.insert(t(1, 10, 2));
-        let st = ShardedStore::from_store(plain);
-        // The subjects query still answers, via the scan path.
-        let subjects: Vec<NodeId> = st.snapshot().subjects_with(NodeId(10), NodeId(2)).collect();
-        assert_eq!(subjects, vec![NodeId(1)]);
-        assert!(!st.exclusive().has_object_index());
-        assert_eq!(st.len(), 1);
     }
 
     /// The acceptance pin for the epoch read path: with the store's one

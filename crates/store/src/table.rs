@@ -7,17 +7,10 @@ use slider_model::{FxHashMap, FxHashSet, NodeId};
 /// This is the unit of vertical partitioning: `by_s` answers `(p, s, ?)`,
 /// `by_o` answers `(p, ?, o)`. Both indexes are kept in lock-step by
 /// [`PropertyTable::add`].
-///
-/// The object index can be disabled
-/// ([`PropertyTable::without_object_index`]) to measure the value of the
-/// paper's "multiple indexing (on predicates, subjects and objects)"
-/// claim — `subjects` then degrades to a partition scan. Used by the
-/// ablation benchmark only.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PropertyTable {
     by_s: FxHashMap<NodeId, FxHashSet<NodeId>>,
-    /// `None` when the object index is disabled.
-    by_o: Option<FxHashMap<NodeId, FxHashSet<NodeId>>>,
+    by_o: FxHashMap<NodeId, FxHashSet<NodeId>>,
     len: usize,
     /// The explicitly asserted subset of this partition (`explicit ⊆
     /// pairs`; [`PropertyTable::remove`] clears the flag). Keeping the
@@ -27,40 +20,17 @@ pub struct PropertyTable {
     explicit: FxHashSet<(NodeId, NodeId)>,
 }
 
-impl Default for PropertyTable {
-    fn default() -> Self {
-        PropertyTable::new()
-    }
-}
-
 impl PropertyTable {
     /// An empty table with both indexes.
     pub fn new() -> Self {
-        PropertyTable {
-            by_s: FxHashMap::default(),
-            by_o: Some(FxHashMap::default()),
-            len: 0,
-            explicit: FxHashSet::default(),
-        }
-    }
-
-    /// An empty table with the object index disabled (ablation mode).
-    pub fn without_object_index() -> Self {
-        PropertyTable {
-            by_s: FxHashMap::default(),
-            by_o: None,
-            len: 0,
-            explicit: FxHashSet::default(),
-        }
+        PropertyTable::default()
     }
 
     /// Inserts the pair; returns `true` if it was not present.
     pub fn add(&mut self, s: NodeId, o: NodeId) -> bool {
         let inserted = self.by_s.entry(s).or_default().insert(o);
         if inserted {
-            if let Some(by_o) = &mut self.by_o {
-                by_o.entry(o).or_default().insert(s);
-            }
+            self.by_o.entry(o).or_default().insert(s);
             self.len += 1;
         }
         inserted
@@ -80,12 +50,10 @@ impl PropertyTable {
         if objs.is_empty() {
             self.by_s.remove(&s);
         }
-        if let Some(by_o) = &mut self.by_o {
-            if let Some(subs) = by_o.get_mut(&o) {
-                subs.remove(&s);
-                if subs.is_empty() {
-                    by_o.remove(&o);
-                }
+        if let Some(subs) = self.by_o.get_mut(&o) {
+            subs.remove(&s);
+            if subs.is_empty() {
+                self.by_o.remove(&o);
             }
         }
         self.explicit.remove(&(s, o));
@@ -134,19 +102,8 @@ impl PropertyTable {
     }
 
     /// Subjects `s` with `(s, o)` in the table.
-    ///
-    /// Indexed lookup normally; a partition scan when the object index is
-    /// disabled.
-    pub fn subjects(&self, o: NodeId) -> Box<dyn Iterator<Item = NodeId> + '_> {
-        match &self.by_o {
-            Some(by_o) => Box::new(by_o.get(&o).into_iter().flatten().copied()),
-            None => Box::new(
-                self.by_s
-                    .iter()
-                    .filter(move |(_, objs)| objs.contains(&o))
-                    .map(|(&s, _)| s),
-            ),
-        }
+    pub fn subjects(&self, o: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.by_o.get(&o).into_iter().flatten().copied()
     }
 
     /// All `(s, o)` pairs.
@@ -161,17 +118,9 @@ impl PropertyTable {
         self.by_s.keys().copied()
     }
 
-    /// Distinct objects (computed by scan when the object index is off).
-    pub fn object_keys(&self) -> Vec<NodeId> {
-        match &self.by_o {
-            Some(by_o) => by_o.keys().copied().collect(),
-            None => {
-                let mut all: Vec<NodeId> = self.by_s.values().flatten().copied().collect();
-                all.sort_unstable();
-                all.dedup();
-                all
-            }
-        }
+    /// Distinct objects.
+    pub fn object_keys(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.by_o.keys().copied()
     }
 
     /// Number of pairs.
@@ -207,10 +156,7 @@ impl PropertyTable {
 
     /// Fan-in of object `o` (number of subjects), 0 if absent.
     pub fn in_degree(&self, o: NodeId) -> usize {
-        match &self.by_o {
-            Some(by_o) => by_o.get(&o).map_or(0, FxHashSet::len),
-            None => self.subjects(o).count(),
-        }
+        self.by_o.get(&o).map_or(0, FxHashSet::len)
     }
 }
 
@@ -280,7 +226,7 @@ mod tests {
         t.add(n(1), n(2));
         t.add(n(1), n(3));
         assert_eq!(t.subject_keys().count(), 1);
-        assert_eq!(t.object_keys().len(), 2);
+        assert_eq!(t.object_keys().count(), 2);
     }
 
     #[test]
@@ -299,11 +245,11 @@ mod tests {
         // Emptied keys disappear from both key sets.
         assert!(t.remove(n(1), n(3)));
         assert!(!t.subject_keys().any(|s| s == n(1)));
-        assert!(!t.object_keys().contains(&n(3)));
+        assert!(!t.object_keys().any(|o| o == n(3)));
         assert!(t.remove(n(4), n(2)));
         assert!(t.is_empty());
         assert_eq!(t.subject_keys().count(), 0);
-        assert!(t.object_keys().is_empty());
+        assert_eq!(t.object_keys().count(), 0);
     }
 
     #[test]
@@ -335,49 +281,5 @@ mod tests {
         let mut b = PropertyTable::new();
         b.add(n(1), n(2));
         a.merge(b);
-    }
-
-    #[test]
-    fn remove_in_scan_mode_matches_indexed_mode() {
-        let mut indexed = PropertyTable::new();
-        let mut scan = PropertyTable::without_object_index();
-        for (s, o) in [(1, 2), (1, 3), (4, 2), (5, 6)] {
-            indexed.add(n(s), n(o));
-            scan.add(n(s), n(o));
-        }
-        for (s, o) in [(1, 2), (9, 9), (5, 6)] {
-            assert_eq!(indexed.remove(n(s), n(o)), scan.remove(n(s), n(o)));
-        }
-        assert_eq!(indexed.len(), scan.len());
-        for o in [2, 3, 6] {
-            let mut a: Vec<_> = indexed.subjects(n(o)).collect();
-            let mut b: Vec<_> = scan.subjects(n(o)).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "object {o}");
-        }
-    }
-
-    #[test]
-    fn scan_mode_matches_indexed_mode() {
-        let mut indexed = PropertyTable::new();
-        let mut scan = PropertyTable::without_object_index();
-        for (s, o) in [(1, 2), (1, 3), (4, 2), (5, 6), (7, 2)] {
-            assert_eq!(indexed.add(n(s), n(o)), scan.add(n(s), n(o)));
-        }
-        for o in [2, 3, 6, 99] {
-            let mut a: Vec<_> = indexed.subjects(n(o)).collect();
-            let mut b: Vec<_> = scan.subjects(n(o)).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "object {o}");
-            assert_eq!(indexed.in_degree(n(o)), scan.in_degree(n(o)));
-        }
-        let mut a = indexed.object_keys();
-        let mut b = scan.object_keys();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(indexed.len(), scan.len());
     }
 }

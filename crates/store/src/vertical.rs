@@ -29,23 +29,16 @@ use std::sync::Arc;
 /// concurrent store's epoch snapshots are built on: an epoch *is* a clone
 /// of the store, so publishing one is cheap, and a table written after a
 /// publication pays one copy on its first write.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerticalStore {
     tables: FxHashMap<NodeId, Arc<PropertyTable>>,
     len: usize,
-    object_index: bool,
     /// Number of explicitly asserted triples. The flags themselves live in
     /// the per-predicate tables (`explicit ⊆ store` always holds: removal
     /// clears the flag, and marking inserts the triple), so moving a table
     /// between stores — [`VerticalStore::split_off`] /
     /// [`VerticalStore::absorb`] — carries provenance with it.
     explicit_len: usize,
-}
-
-impl Default for VerticalStore {
-    fn default() -> Self {
-        VerticalStore::new()
-    }
 }
 
 /// Summary statistics of a store (used by the demo player and reports).
@@ -68,37 +61,14 @@ pub struct StoreStats {
 }
 
 impl VerticalStore {
-    /// An empty store with full indexing.
+    /// An empty store.
     pub fn new() -> Self {
-        VerticalStore {
-            tables: FxHashMap::default(),
-            len: 0,
-            object_index: true,
-            explicit_len: 0,
-        }
-    }
-
-    /// An empty store without the per-predicate object index — the
-    /// "predicate + subject only" indexing ablation (see `PropertyTable`).
-    pub fn without_object_index() -> Self {
-        VerticalStore {
-            tables: FxHashMap::default(),
-            len: 0,
-            object_index: false,
-            explicit_len: 0,
-        }
+        VerticalStore::default()
     }
 
     /// Inserts `t`; returns `true` if it was new.
     pub fn insert(&mut self, t: Triple) -> bool {
-        let object_index = self.object_index;
-        let tab = self.tables.entry(t.p).or_insert_with(|| {
-            Arc::new(if object_index {
-                PropertyTable::new()
-            } else {
-                PropertyTable::without_object_index()
-            })
-        });
+        let tab = self.tables.entry(t.p).or_default();
         // Duplicate check before `make_mut`: a no-op insert must not force
         // a copy-on-write clone of a snapshot-shared table.
         if tab.contains(t.s, t.o) {
@@ -228,18 +198,14 @@ impl VerticalStore {
             .flat_map(|(&p, tab)| tab.explicit_pairs().map(move |(s, o)| Triple::new(s, p, o)))
     }
 
-    /// Moves the partitions of `preds` out into a new store (same indexing
-    /// mode), per-triple explicit flags included. Predicates with no
+    /// Moves the partitions of `preds` out into a new store, per-triple
+    /// explicit flags included. Predicates with no
     /// triples are skipped. O(#preds) — the tables move wholesale, which
     /// is what lets a partitioned maintenance pass hand disjoint shards of
     /// one store to parallel workers and [`absorb`](VerticalStore::absorb)
     /// them back.
     pub fn split_off(&mut self, preds: &[NodeId]) -> VerticalStore {
-        let mut split = if self.object_index {
-            VerticalStore::new()
-        } else {
-            VerticalStore::without_object_index()
-        };
+        let mut split = VerticalStore::new();
         for &p in preds {
             let Some(tab) = self.tables.remove(&p) else {
                 continue;
@@ -307,12 +273,6 @@ impl VerticalStore {
         self.tables.iter().map(|(&p, tab)| (p, &**tab))
     }
 
-    /// True if this store maintains the per-predicate object index (see
-    /// [`VerticalStore::without_object_index`]).
-    pub fn has_object_index(&self) -> bool {
-        self.object_index
-    }
-
     /// Objects `o` such that `(s, p, o)` holds — the `(p, s, ?)` pattern.
     pub fn objects_with(&self, p: NodeId, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.tables
@@ -349,8 +309,7 @@ impl VerticalStore {
     /// All triples matching `pattern`, routed through the best index. A
     /// bound predicate resolves in its own table; an unbound one probes
     /// every table the same way — by subject if `s` is bound, by object if
-    /// only `o` is (a scan of each table when the object index is off) —
-    /// so only the all-unbound pattern walks every triple.
+    /// only `o` is — so only the all-unbound pattern walks every triple.
     pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
         match pattern.p {
@@ -493,7 +452,7 @@ mod tests {
     }
 
     /// `matches` must agree with a brute-force scan for every pattern
-    /// shape — bound and unbound predicate alike — in both indexing modes.
+    /// shape, bound and unbound predicate alike.
     #[test]
     fn matches_agrees_with_reference() {
         let triples = [
@@ -511,27 +470,20 @@ mod tests {
             Some(NodeId(2)),
             Some(NodeId(99)),
         ];
-        for mut st in [VerticalStore::new(), VerticalStore::without_object_index()] {
-            st.extend(triples);
-            for &s in &ids {
-                for &p in &ids {
-                    for &o in &ids {
-                        let pat = TriplePattern::new(s, p, o);
-                        let mut got = st.matches(pat);
-                        got.sort_unstable();
-                        let mut want: Vec<Triple> = triples
-                            .iter()
-                            .copied()
-                            .filter(|&x| pat.matches(x))
-                            .collect();
-                        want.sort_unstable();
-                        assert_eq!(
-                            got,
-                            want,
-                            "pattern {pat:?}, object index {}",
-                            st.has_object_index()
-                        );
-                    }
+        let st: VerticalStore = triples.into_iter().collect();
+        for &s in &ids {
+            for &p in &ids {
+                for &o in &ids {
+                    let pat = TriplePattern::new(s, p, o);
+                    let mut got = st.matches(pat);
+                    got.sort_unstable();
+                    let mut want: Vec<Triple> = triples
+                        .iter()
+                        .copied()
+                        .filter(|&x| pat.matches(x))
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "pattern {pat:?}");
                 }
             }
         }
@@ -639,21 +591,6 @@ mod tests {
         assert_eq!(st.explicit_count(), 2);
         assert!(st.is_explicit(t(1, 10, 2)));
         assert_eq!(st.stats().predicates, 3);
-    }
-
-    #[test]
-    fn split_off_preserves_indexing_mode() {
-        let mut st = VerticalStore::without_object_index();
-        st.insert(t(1, 10, 2));
-        let split = st.split_off(&[NodeId(10)]);
-        // A store without the object index splits into one without it too:
-        // subjects() falls back to the scan path, which still answers.
-        assert_eq!(
-            split
-                .subjects_with(NodeId(10), NodeId(2))
-                .collect::<Vec<_>>(),
-            vec![NodeId(1)]
-        );
     }
 
     #[test]

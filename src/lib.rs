@@ -99,8 +99,9 @@
 //! * when the pending set spans several independent dependency-graph
 //!   partitions (disjoint rule families — see
 //!   `DependencyGraph::component_of`), the flush runs one DRed pass per
-//!   partition in parallel on the worker pool
-//!   (`SliderConfig::maintenance_partitioning`).
+//!   partition in parallel on the worker pool, landing on the store a
+//!   single pass would. ρdf, RDFS and RDFS-Plus never split: their
+//!   universal rules put every predicate in one partition.
 //!
 //! Use eager `remove_triples` when retractions must be visible
 //! immediately.
@@ -210,7 +211,7 @@ pub mod prelude {
         RemovalOutcome, Runtime, RuntimeConfig, SessionHandle, Slider, SliderConfig, SwapOutcome,
     };
     pub use slider_model::{
-        DictConfig, DictStats, Dictionary, Literal, NodeId, SweepOutcome, Term, TermTriple, Triple,
+        DictStats, Dictionary, Literal, NodeId, SweepOutcome, Term, TermTriple, Triple,
     };
     pub use slider_parser::{NTriplesParser, TurtleParser};
     pub use slider_rules::{DependencyGraph, Fragment, Rule, Ruleset};

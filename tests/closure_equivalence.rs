@@ -105,7 +105,6 @@ fn configuration_independence() {
         SliderConfig::default().with_workers(16),
         SliderConfig::batch(),
         SliderConfig::default().with_timeout(Some(Duration::from_millis(1))),
-        SliderConfig::default().with_object_index(false),
         SliderConfig::default().with_trace(true),
     ];
     for fragment in [Fragment::RhoDf, Fragment::Rdfs] {

@@ -374,22 +374,22 @@ fn producers_race_parallel_partition_flushes() {
 /// Dictionary tentpole, acceptance pin: id→term and id→kind lookups take
 /// **zero locks** — they answer from the append-only segmented slot table
 /// and complete in bounded time while an intern write lock is held
-/// indefinitely. `shards: 1` is the worst case: the single shard's lock
-/// covers every term, so a regression back to lock-pinned lookups (the
-/// old `RwLock<Inner>` design) deadlocks the reader thread and trips the
+/// indefinitely. The held lock is the one of the shard owning the very
+/// term looked up, so a regression back to lock-pinned lookups (the old
+/// `RwLock<Inner>` design) deadlocks the reader thread and trips the
 /// `recv_timeout`.
 #[test]
 fn dict_lookups_complete_while_an_intern_write_lock_is_held() {
     use slider::model::vocab::VOCAB_LEN;
-    use slider::model::{DictConfig, TermKind};
+    use slider::model::TermKind;
 
-    let dict = Arc::new(Dictionary::with_config(DictConfig { shards: 1 }));
+    let dict = Arc::new(Dictionary::new());
     let iri = Term::iri("http://example.org/held-shard");
     let lit = Term::literal("forty-two");
     let iri_id = dict.intern(&iri);
     let lit_id = dict.intern(&lit);
 
-    // One shard ⇒ this guard write-locks the entire term→id index.
+    // Write-locks the index shard that owns `iri`.
     let guard = dict.lock_intern_shard(&iri);
     let (tx, rx) = std::sync::mpsc::channel();
     let reader = {

@@ -131,7 +131,7 @@ fn interleaved_adds_and_removes_match_oracle_at_each_quiescence() {
 }
 
 #[test]
-fn full_rederive_mode_agrees_with_restricted_mode() {
+fn mixed_schema_removals_match_oracle() {
     let input = vec![
         sco(1, 2),
         sco(2, 3),
@@ -147,18 +147,14 @@ fn full_rederive_mode_agrees_with_restricted_mode() {
         vec![sco(1, 3), sco(2, 3)],
         vec![Triple::new(n(7), n(5), n(8)), ty(9, 1)],
     ];
-    let restricted = rho_slider(SliderConfig::default());
-    let full = rho_slider(SliderConfig::default().with_full_rederive(true));
+    let slider = rho_slider(SliderConfig::default());
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-    restricted.materialize(&input);
-    full.materialize(&input);
+    slider.materialize(&input);
     oracle.add(&input);
     for (i, batch) in removals.iter().enumerate() {
-        restricted.remove_triples(batch);
-        full.remove_triples(batch);
+        slider.remove_triples(batch);
         oracle.remove(batch);
-        assert_matches_oracle(&restricted, &oracle, &format!("restricted, removal {i}"));
-        assert_matches_oracle(&full, &oracle, &format!("full_rederive, removal {i}"));
+        assert_matches_oracle(&slider, &oracle, &format!("removal {i}"));
     }
 }
 
@@ -585,16 +581,32 @@ fn single_family_pending_set_stays_single_pass() {
     assert_matches_oracle(&deferred, &oracle, "single-partition flush");
 }
 
-/// ρdf's universal rules collapse to one partition: partitioned mode can
-/// never trigger there, whatever the pending set.
+/// ρdf, RDFS and RDFS-Plus each collapse to one partition (their
+/// universal `PRP-*` rules read every predicate), so a flush never takes
+/// the partitioned path under them, whatever predicates the pending set
+/// spans.
 #[test]
 fn universal_rulesets_never_partition() {
-    let slider = manual_flush_slider();
-    slider.materialize(&chain(10));
-    assert_eq!(slider.maintenance_partitions(), 1);
-    slider.remove_deferred(&[sco(2, 3), sco(7, 8), ty(9, 9)]);
-    slider.flush_maintenance();
-    assert_eq!(slider.stats().partitioned_runs, 0);
+    for fragment in [Fragment::RhoDf, Fragment::Rdfs, Fragment::RdfsPlus] {
+        let dict = Arc::new(Dictionary::new());
+        let slider = Slider::new(
+            Arc::clone(&dict),
+            Ruleset::fragment(fragment, &dict),
+            SliderConfig::default()
+                .with_maintenance_batch(usize::MAX)
+                .with_maintenance_max_age(None),
+        );
+        let plain = Triple::new(n(20), n(21), n(22));
+        let mut input = chain(10);
+        input.extend([ty(9, 1), plain]);
+        slider.materialize(&input);
+        assert_eq!(slider.maintenance_partitions(), 1, "{fragment}");
+        slider.remove_deferred(&[sco(2, 3), ty(9, 1), plain]);
+        slider.flush_maintenance();
+        let stats = slider.stats();
+        assert_eq!(stats.coalesced_runs, 1, "{fragment}");
+        assert_eq!(stats.partitioned_runs, 0, "{fragment}");
+    }
 }
 
 /// Eager removals route through the same partition planner as a
@@ -1001,14 +1013,12 @@ proptest! {
         prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
     }
 
-    /// Same property under pathological buffering and the conservative
-    /// maintenance mode.
+    /// Same property under pathological buffering.
     #[test]
-    fn random_interleavings_tiny_buffers_full_rederive(ops in prop::collection::vec(op(), 1..8)) {
+    fn random_interleavings_tiny_buffers(ops in prop::collection::vec(op(), 1..8)) {
         let config = SliderConfig::default()
             .with_buffer_capacity(1)
-            .with_workers(2)
-            .with_full_rederive(true);
+            .with_workers(2);
         let slider = rho_slider(config);
         let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
         for (is_add, batch) in &ops {

@@ -2,8 +2,10 @@
 //! and dictionary interning under contention.
 //!
 //! * **Read-heavy**: N query threads race one writer on the raw store,
-//!   each query answered from the published epoch
-//!   (`ShardedStore::matches`). The writer feeds the shared [`family`]
+//!   each query answered from an epoch (`ShardedStore::matches`). The
+//!   first query to find the epoch stale waits for the writer's batch;
+//!   from then on the writer builds the epoch at every write, so queries
+//!   stop waiting. The writer feeds the shared [`family`]
 //!   workload: several independent predicate families, each a class chain
 //!   plus batches of memberships.
 //! * **Dictionary interning**: threads intern disjoint or overlapping
@@ -100,8 +102,10 @@ fn family_feed(f: u64, p: &Params) -> Vec<Triple> {
 /// rounds of pattern queries over every family predicate while one writer
 /// continuously feeds the workload into the store (cycling once the feed
 /// is exhausted, so writes contend for the cell's whole duration).
-/// Readers answer from the published epoch
-/// ([`slider_store::ShardedStore::matches`]). Returns the time for all
+/// Readers answer from an epoch
+/// ([`slider_store::ShardedStore::matches`]); the first reader to find it
+/// stale waits for the writer's batch, which switches the store to
+/// building the epoch at every write. Returns the time for all
 /// readers to finish, the total queries completed, and the store for
 /// verification.
 fn run_read_cell(

@@ -25,12 +25,13 @@
 //! * Each rule module owns a **buffer**; when it reaches
 //!   [`SliderConfig::buffer_capacity`] triples — or sits idle longer than
 //!   [`SliderConfig::timeout`] — its content becomes a *rule instance*: a
-//!   job on the **thread pool** that joins the batch against the store's
-//!   published **epoch snapshot** (see `slider_store::EpochSnapshot`),
-//!   taking no store lock — per paper Algorithm 1.
-//! * The rule instance's **distributor** inserts the conclusions into the
-//!   store as one batch under the store lock, publishing one new epoch;
-//!   only the triples that were *actually new*
+//!   job on the **thread pool** that joins the batch against the live
+//!   store under a shared read lock, beside other joins, and drops the
+//!   conclusions already present under the same read — per paper
+//!   Algorithm 1.
+//! * The rule instance's **distributor** inserts the remaining conclusions
+//!   into the store as one batch under the write lock, bumping the store
+//!   generation once; only the triples that were *actually new*
 //!   are dispatched onward, to the buffers selected by the **rules
 //!   dependency graph** — the paper's duplicate-limitation mechanism.
 //! * [`Slider::wait_idle`] detects quiescence (all buffers empty, no

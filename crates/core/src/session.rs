@@ -302,21 +302,22 @@ impl Engine {
         let state = self.rstate();
         let module = &state.modules[rule];
         let mut out = Vec::new();
-        {
-            // One epoch read per instance: the join runs against the
-            // published immutable snapshot, taking no store lock.
-            // The epoch includes this delta — `insert_batch` publishes
-            // before the dispatch that buffered it returned — and
-            // possibly newer publications,
-            // which is sound (monotone): extra visible triples only
-            // produce conclusions earlier; deletion cannot interleave,
-            // it requires the store held exclusively, which implies
-            // quiescence — no instance like this one in flight.
-            let epoch = self.store.snapshot();
-            module.rule.apply(&epoch, &delta, &mut out);
-        }
+        // The join reads the live store under a shared lock, beside other
+        // joins. The store holds this delta — `insert_batch` wrote it
+        // before the dispatch that buffered it returned — and possibly
+        // newer writes, which is sound (monotone): extra visible triples
+        // only produce conclusions earlier; deletion cannot interleave, it
+        // requires the store held exclusively, which implies quiescence —
+        // no instance like this one in flight. Conclusions already present
+        // are dropped under the same read, so the write lock covers only
+        // candidate-fresh triples.
+        let store = self.store.read();
+        module.rule.apply(&store, &delta, &mut out);
+        let derived = out.len();
+        out.retain(|&t| !store.contains(t));
+        drop(store);
         bump(&module.counters.fired, 1);
-        bump(&module.counters.derived, out.len() as u64);
+        bump(&module.counters.derived, derived as u64);
 
         let mut fresh = Vec::new();
         if !out.is_empty() {
@@ -328,7 +329,7 @@ impl Engine {
             log.record(EventKind::RuleFired {
                 rule,
                 delta: delta.len(),
-                derived: out.len(),
+                derived,
                 fresh: fresh.len(),
                 store_size: self.store.len(),
             });
@@ -395,7 +396,7 @@ impl Engine {
     /// assertion is midway through cancelling a pending retraction.
     /// Blocked writers proceed after `f` and join against the
     /// post-maintenance store — sound either way; readers keep answering
-    /// from the pre-section epoch until the guard publishes on release.
+    /// from the pre-section epoch until the guard releases.
     /// So `f` sees a store no concurrent operation can touch. Returns
     /// `f`'s result and the store size captured under the lock (racing
     /// adders blocked on it must not leak into "store size after
@@ -1452,8 +1453,8 @@ impl Slider {
     /// store held exclusively. Concurrent `add_triples`/queries are safe
     /// throughout — they either complete entirely under the old program
     /// or run entirely under the new one; epoch readers keep
-    /// answering from the last published epoch during the swap and
-    /// observe the new closure as one atomic publication. Pending
+    /// answering from the pre-swap epoch during the swap and observe
+    /// the new closure as one atomic generation bump. Pending
     /// deferred retractions survive the swap and apply under the new
     /// program at their next flush.
     ///

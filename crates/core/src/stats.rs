@@ -172,16 +172,16 @@ pub struct StatsSnapshot {
     /// [`ShardedStore`](slider_store::ShardedStore)).
     pub gate_write_acquisitions: u64,
     /// Times the store lock was contended: a write (distributor, input or
-    /// exclusive section) found the lock held and had to wait. High values
-    /// relative to write volume mean writers are queueing on the one
-    /// store lock.
+    /// exclusive section) found the lock held — by another writer or by a
+    /// rule join's shared read — and had to wait. High values relative to
+    /// write volume mean writers are queueing on the one store lock.
     pub shard_write_conflicts: u64,
-    /// Generation of the published epoch snapshot at snapshot time. Bumps
-    /// once per store write that changed something and once per exclusive
-    /// section; a
-    /// reader holding an [`EpochSnapshot`](slider_store::EpochSnapshot)
-    /// with a lower generation sees an older — but internally consistent —
-    /// cut of the store.
+    /// The store's generation at snapshot time: one per store write that
+    /// changed something and one per exclusive section — changes, not
+    /// epoch builds (an epoch is built when a query asks). A reader
+    /// holding an [`EpochSnapshot`](slider_store::EpochSnapshot) with a
+    /// lower generation sees an older — but internally consistent — cut
+    /// of the store.
     pub snapshot_generation: u64,
     /// Live ruleset replacements completed by
     /// [`Slider::swap_ruleset`](crate::Slider::swap_ruleset).

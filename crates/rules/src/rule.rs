@@ -99,8 +99,8 @@ impl OutputSignature {
 /// One inference rule — the unit the reasoner maps to a module (§2).
 ///
 /// Implementations must be `Send + Sync`: the thread pool runs many
-/// instances of the same rule concurrently against a shared published
-/// epoch of the store.
+/// instances of the same rule concurrently against the store, read under
+/// a shared lock.
 pub trait Rule: Send + Sync {
     /// Rule name as used in the paper/figures (e.g. `"CAX-SCO"`).
     fn name(&self) -> &'static str;

@@ -1,37 +1,65 @@
-//! The concurrent reasoner's store: the paper's one lock over one
-//! vertically partitioned store (§2.2), read through published epochs.
+//! The concurrent reasoner's store: the paper's one vertically
+//! partitioned store (§2.2) behind one reader-writer lock, with epochs
+//! built for readers outside the engine when they ask.
 //!
-//! **Writers** — an insert or removal batch, or an
-//! [`ShardedStore::exclusive`] section (DRed, ruleset swaps, dictionary
-//! sweeps) — take the lock, apply their changes in order, publish **one**
-//! new epoch if anything changed, and release. **Readers** never take it:
-//! [`ShardedStore::snapshot`] clones the `Arc` of the published
-//! [`EpochSnapshot`], a generation-stamped copy-on-write clone of the store
-//! (tables are `Arc`-shared: a clone costs O(#predicates), and a table is
-//! deep-copied on its first write after a publication). Reads never wait,
-//! never see a half-applied write, and a pinned epoch never changes.
+//! **Rule joins** read the live store under a shared lock
+//! ([`ShardedStore::read`]), so joins run side by side and drop the
+//! conclusions already present before they write. **Writers** — an insert
+//! or removal batch, or an [`ShardedStore::exclusive`] section (DRed,
+//! ruleset swaps, dictionary sweeps) — take the lock exclusively, apply
+//! their changes in order, bump the generation **once** if anything
+//! changed, and release. **Queries** ([`ShardedStore::snapshot`] and the
+//! wrappers over it) read an [`EpochSnapshot`]: a generation-stamped
+//! copy-on-write clone of the store (tables are `Arc`-shared, so a clone
+//! costs O(#predicates)). A write marks the epoch stale; the next query
+//! rebuilds it under a shared read. A write that finds the epoch held by
+//! no reader retires it before mutating, so the live tables are owned by
+//! one `Arc` again and change in place: a table is deep-copied only while
+//! a query pins an epoch that shares it. Queries never wait for an
+//! exclusive section (it publishes the pre-section epoch on entry), never
+//! see a half-applied write, and a pinned epoch never changes.
+//!
+//! A query that finds the epoch stale while a writer holds the lock has
+//! to wait for that write. Once that happens, queries overlap writes, and
+//! the store stops being lazy for good: every write keeps the old epoch
+//! for readers during the write and builds the next before it releases,
+//! so no query waits again. A store queried only between loads never
+//! switches.
 
 use crate::pattern::TriplePattern;
 use crate::vertical::{StoreStats, VerticalStore};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use slider_model::Triple;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// One [`VerticalStore`] behind one writer lock, read through epochs.
-/// Writes report the triples actually new (or removed) — the paper's
-/// duplicate limitation.
+/// One [`VerticalStore`] behind one reader-writer lock, queried through
+/// epochs. Writes report the triples actually new (or removed) — the
+/// paper's duplicate limitation.
 #[derive(Debug, Default)]
 pub struct ShardedStore {
-    /// The live store; only writers lock it.
-    store: Mutex<VerticalStore>,
-    /// The published epoch, locked only to clone or swap the `Arc`.
-    published: Mutex<Arc<EpochSnapshot>>,
-    /// Triples as of the last publication, so `len()` takes no lock.
+    /// The live store: shared by rule joins, exclusive for writers.
+    store: RwLock<VerticalStore>,
+    /// The current epoch, `None` while stale. Filled only under a lock on
+    /// `store` with its state (by `exclusive` on entry, not mid-section),
+    /// emptied only under its write lock, so a filled slot matches the live
+    /// store outside an exclusive section, and the pre-section store inside
+    /// one.
+    published: Mutex<Option<Arc<EpochSnapshot>>>,
+    /// Set for good once a query found the epoch stale while a writer held
+    /// or awaited the lock: queries overlap writes, so from then on every
+    /// write keeps the epoch current.
+    overlapped: AtomicBool,
+    /// Write batches that changed the store, plus exclusive sections.
+    /// Bumped under the write lock and read under a lock to stamp an epoch,
+    /// so the lock orders it; `Relaxed` suffices.
+    generation: AtomicU64,
+    /// Triples as of the last write, so `len()` takes no lock.
     len: AtomicUsize,
     /// Exclusive acquisitions: `exclusive`, `remove` and `remove_batch`.
     gate_writes: AtomicU64,
-    /// Writes that found the lock held (the fast path is a `try_lock`).
+    /// Writes that found the lock held, shared or exclusive (the fast path
+    /// is a `try_write`).
     conflicts: AtomicU64,
 }
 
@@ -41,50 +69,83 @@ impl ShardedStore {
         ShardedStore::default()
     }
 
-    /// Wraps an existing store as epoch 0.
+    /// Wraps an existing store as generation 0.
     pub fn from_store(store: VerticalStore) -> Self {
-        let epoch = EpochSnapshot {
-            generation: 0,
-            store: store.clone(),
-        };
         ShardedStore {
             len: AtomicUsize::new(store.len()),
-            published: Mutex::new(Arc::new(epoch)),
-            store: Mutex::new(store),
+            store: RwLock::new(store),
             ..ShardedStore::default()
         }
     }
 
-    /// Locks the store, counting a conflict if it was held.
-    fn lock(&self) -> MutexGuard<'_, VerticalStore> {
-        self.store.try_lock().unwrap_or_else(|| {
+    /// Locks the store exclusively, counting a conflict if it was held.
+    fn write(&self) -> RwLockWriteGuard<'_, VerticalStore> {
+        self.store.try_write().unwrap_or_else(|| {
             self.conflicts.fetch_add(1, Ordering::Relaxed);
-            self.store.lock()
+            self.store.write()
         })
     }
 
-    /// Publishes a clone of `store` as the next epoch. Callers hold the
-    /// store lock, so generations follow mutation order.
-    fn publish(&self, store: &VerticalStore) {
+    /// Records a change made under the write lock: one generation, and the
+    /// epoch goes stale — or, once queries overlap writes, is rebuilt now.
+    fn changed(&self, store: &VerticalStore) {
         self.len.store(store.len(), Ordering::Relaxed);
-        let generation = self.snapshot_generation() + 1;
-        let epoch = Arc::new(EpochSnapshot {
-            generation,
-            store: store.clone(),
-        });
-        // Drop the old epoch outside the mutex: it may free whole tables.
+        self.generation.fetch_add(1, Ordering::Relaxed);
+        let overlapped = self.overlapped.load(Ordering::Relaxed);
+        let epoch = overlapped.then(|| self.build(store));
+        // Drop outside the mutex: the old epoch may own whole table copies.
         let old = std::mem::replace(&mut *self.published.lock(), epoch);
         drop(old);
     }
 
-    /// The published epoch — the read path; never waits on a writer.
-    pub fn snapshot(&self) -> Arc<EpochSnapshot> {
-        Arc::clone(&self.published.lock())
+    /// A new epoch of `store`, stamped with the current generation.
+    fn build(&self, store: &VerticalStore) -> Arc<EpochSnapshot> {
+        Arc::new(EpochSnapshot {
+            generation: self.snapshot_generation(),
+            store: store.clone(),
+        })
     }
 
-    /// Generation of the most recently published epoch (monotone).
+    /// The epoch of `store`, built if stale. Callers hold the lock on
+    /// `store`, shared or exclusive.
+    fn refresh(&self, store: &VerticalStore) -> Arc<EpochSnapshot> {
+        let mut slot = self.published.lock();
+        Arc::clone(slot.get_or_insert_with(|| self.build(store)))
+    }
+
+    /// The current epoch — the query path. Repeated calls with no changing
+    /// write in between return the same `Arc`; after one, the first call
+    /// builds a new epoch under a shared read. If that has to wait for a
+    /// writer, queries overlap writes and from then on every write builds
+    /// the epoch before it releases, so no query waits again. Never waits
+    /// for an exclusive section, which publishes its pre-section epoch on
+    /// entry: a blocking `read()` would queue behind the waiting section,
+    /// so the stale path retries `try_read` and re-checks the slot instead.
+    pub fn snapshot(&self) -> Arc<EpochSnapshot> {
+        loop {
+            if let Some(epoch) = &*self.published.lock() {
+                return Arc::clone(epoch);
+            }
+            if let Some(store) = self.store.try_read() {
+                return self.refresh(&store);
+            }
+            self.overlapped.store(true, Ordering::Relaxed);
+            std::thread::yield_now();
+        }
+    }
+
+    /// Write batches that changed the store, plus exclusive sections — a
+    /// monotone count of changes, not of epoch builds. The next epoch
+    /// built carries this generation.
     pub fn snapshot_generation(&self) -> u64 {
-        self.published.lock().generation
+        self.generation.load(Ordering::Relaxed)
+    }
+
+    /// A shared read of the live store — the rule-join path. Writers wait
+    /// while it is held, and it waits for a running or queued writer. Do
+    /// not write or take a snapshot while holding it.
+    pub fn read(&self) -> RwLockReadGuard<'_, VerticalStore> {
+        self.store.read()
     }
 
     /// Inserts a batch as derived triples; appends the *new* ones to
@@ -108,8 +169,9 @@ impl ShardedStore {
         self.write_batch(triples, removed, VerticalStore::remove)
     }
 
-    /// Locks once, applies `op` in input order collecting its hits, and
-    /// publishes once if anything changed — a provenance-only flip (a
+    /// Locks once, retires the epoch if no query holds it (until queries
+    /// overlap writes), applies `op` in input order collecting its hits,
+    /// and records a change if anything changed — a provenance-only flip (a
     /// derived triple re-asserted) included.
     fn write_batch(
         &self,
@@ -121,11 +183,25 @@ impl ShardedStore {
             return 0;
         }
         let before = hits.len();
-        let mut store = self.lock();
+        let mut store = self.write();
+        // An epoch no query holds shares every table with the live store,
+        // so retiring it frees none and the tables change in place. Readers
+        // clone the `Arc` only under this mutex, so a count of one cannot
+        // rise before the take. Once queries overlap writes, they keep
+        // reading the old epoch during the write instead, and the tables the
+        // batch touches are copied.
+        let retired = !self.overlapped.load(Ordering::Relaxed) && {
+            let mut slot = self.published.lock();
+            matches!(&*slot, Some(epoch) if Arc::strong_count(epoch) == 1) && slot.take().is_some()
+        };
         let explicit = store.explicit_count();
         hits.extend(triples.iter().copied().filter(|&t| op(&mut store, t)));
         if hits.len() > before || store.explicit_count() != explicit {
-            self.publish(&store);
+            self.changed(&store);
+        } else if retired || self.overlapped.load(Ordering::Relaxed) {
+            // No table was touched (`op` copies only to change), so this
+            // clone shares them all: O(#predicates).
+            self.refresh(&store);
         }
         hits.len() - before
     }
@@ -140,20 +216,20 @@ impl ShardedStore {
         self.remove_batch(&[t], &mut Vec::new()) == 1
     }
 
-    /// True if `t` is in the published epoch.
+    /// True if `t` is in the current epoch.
     pub fn contains(&self, t: Triple) -> bool {
         self.snapshot().contains(t)
     }
 
-    /// Holds the store lock for a compound mutation such as a DRed run —
-    /// the only `&mut VerticalStore` access. Readers see the pre-section
-    /// epoch until the guard drops and publishes once.
+    /// Holds the store lock exclusively for a compound mutation such as a
+    /// DRed run — the only `&mut VerticalStore` access. Builds the epoch on
+    /// entry if stale, so queries keep answering the pre-section state
+    /// without waiting; dropping the guard bumps the generation once.
     pub fn exclusive(&self) -> ExclusiveStore<'_> {
         self.gate_writes.fetch_add(1, Ordering::Relaxed);
-        ExclusiveStore {
-            owner: self,
-            store: self.lock(),
-        }
+        let store = self.write();
+        self.refresh(&store);
+        ExclusiveStore { owner: self, store }
     }
 
     /// Total number of triples (lock-free).
@@ -171,22 +247,23 @@ impl ShardedStore {
         self.gate_writes.load(Ordering::Relaxed)
     }
 
-    /// Writes and exclusive sections that had to wait for the lock.
+    /// Writes and exclusive sections that had to wait for the lock — behind
+    /// another writer or behind a rule join's shared read.
     pub fn shard_write_conflicts(&self) -> u64 {
         self.conflicts.load(Ordering::Relaxed)
     }
 
-    /// Statistics of the published epoch.
+    /// Statistics of the current epoch.
     pub fn stats(&self) -> StoreStats {
         self.snapshot().stats()
     }
 
-    /// Every triple of the published epoch, sorted (deterministic).
+    /// Every triple of the current epoch, sorted (deterministic).
     pub fn to_sorted_vec(&self) -> Vec<Triple> {
         self.snapshot().to_sorted_vec()
     }
 
-    /// The published epoch's triples matching `pattern`.
+    /// The current epoch's triples matching `pattern`.
     pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
         self.snapshot().matches(pattern)
     }
@@ -198,10 +275,12 @@ impl ShardedStore {
 }
 
 /// The store lock held by [`ShardedStore::exclusive`]. Dereferences to the
-/// live [`VerticalStore`]; dropping it publishes one epoch and releases.
+/// live [`VerticalStore`]; dropping it bumps the generation once, marks
+/// the epoch stale (or, once queries overlap writes, rebuilds it) and
+/// releases.
 pub struct ExclusiveStore<'a> {
     owner: &'a ShardedStore,
-    store: MutexGuard<'a, VerticalStore>,
+    store: RwLockWriteGuard<'a, VerticalStore>,
 }
 
 impl std::ops::Deref for ExclusiveStore<'_> {
@@ -220,13 +299,13 @@ impl std::ops::DerefMut for ExclusiveStore<'_> {
 impl Drop for ExclusiveStore<'_> {
     fn drop(&mut self) {
         // Runs before the guard field releases the lock.
-        self.owner.publish(&self.store);
+        self.owner.changed(&self.store);
     }
 }
 
-/// An immutable, generation-stamped epoch — the read path. Dereferences to
-/// the [`VerticalStore`] as of its publication; queries take no lock, and
-/// an epoch taken before a flush keeps answering from the pre-flush state.
+/// An immutable, generation-stamped epoch — the query path. Dereferences to
+/// the [`VerticalStore`] as of its build; queries take no lock, and an
+/// epoch taken before a flush keeps answering from the pre-flush state.
 #[derive(Debug, Default)]
 pub struct EpochSnapshot {
     generation: u64,
@@ -234,7 +313,8 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    /// The publication stamp, strictly increasing per owning store.
+    /// The owning store's [`ShardedStore::snapshot_generation`] when this
+    /// epoch was built: epochs with equal generations hold the same state.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -254,6 +334,11 @@ mod tests {
 
     fn t(s: u64, p: u64, o: u64) -> Triple {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
+    }
+
+    /// The epoch slot as it stands, without building one.
+    fn slot(st: &ShardedStore) -> Option<Arc<EpochSnapshot>> {
+        st.published.lock().clone()
     }
 
     #[test]
@@ -459,19 +544,141 @@ mod tests {
     }
 
     /// A held snapshot keeps answering exactly as acquired across later
-    /// inserts and removals, and generations strictly increase.
+    /// inserts and removals — a write retires only an epoch no reader
+    /// holds — and generations strictly increase. Epochs are built on
+    /// demand: with no write in between, two snapshots are one `Arc`, a
+    /// duplicate-only write keeps the epoch, and the generation counts
+    /// write batches, not epoch builds.
     #[test]
     fn epoch_snapshots_are_immutable_and_generations_monotone() {
         let st = ShardedStore::new();
         st.insert(t(1, 7, 2));
         let before = st.snapshot();
+        assert!(Arc::ptr_eq(&before, &st.snapshot()), "no write, new epoch");
         st.insert(t(3, 7, 4));
+        st.insert(t(3, 7, 4)); // duplicate: no change
         st.remove(t(1, 7, 2));
         let after = st.snapshot();
+        assert!(Arc::ptr_eq(&after, &st.snapshot()), "no write, new epoch");
         assert!(after.generation() > before.generation());
         assert_eq!(st.snapshot_generation(), after.generation());
+        assert_eq!(st.snapshot_generation(), 3, "three changing writes");
         assert_eq!(before.to_sorted_vec(), vec![t(1, 7, 2)], "epoch changed");
         assert_eq!(after.to_sorted_vec(), vec![t(3, 7, 4)]);
+        // A duplicate-only write keeps a pinned epoch, and puts back an
+        // unpinned one it retired: either way no query has to rebuild.
+        st.insert(t(3, 7, 4));
+        assert!(Arc::ptr_eq(&after, &st.snapshot()), "duplicate, new epoch");
+        drop((before, after));
+        st.insert(t(3, 7, 4));
+        let kept = slot(&st).expect("duplicate emptied the slot");
+        assert_eq!((kept.generation(), st.snapshot_generation()), (3, 3));
+        // A change leaves the epoch stale: no write builds one unasked.
+        st.insert(t(5, 7, 6));
+        assert!(slot(&st).is_none(), "a write built an epoch");
+        assert_eq!(kept.to_sorted_vec(), vec![t(3, 7, 4)]);
+    }
+
+    /// A query that finds the epoch stale while a writer holds the lock
+    /// waits for the writer, and marks queries as overlapping writes: from
+    /// then on every write builds the epoch before it releases, so no query
+    /// waits again. (A store whose queries never overlapped stays lazy; see
+    /// the test above.)
+    #[test]
+    fn a_query_that_waits_for_a_writer_keeps_epochs_current() {
+        let st = ShardedStore::new();
+        st.insert(t(1, 7, 2));
+        assert!(slot(&st).is_none(), "no query yet: stale");
+        let held = st.store.write();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        std::thread::scope(|scope| {
+            let query = scope.spawn(|| st.contains(t(1, 7, 2)));
+            // A panic here drops `held`, so the query still finishes.
+            while !st.overlapped.load(Ordering::Relaxed) {
+                assert!(std::time::Instant::now() < deadline, "no overlap marked");
+                std::thread::yield_now();
+            }
+            drop(held);
+            assert!(query.join().unwrap());
+        });
+        st.insert(t(3, 7, 4));
+        let epoch = slot(&st).expect("the write left it stale");
+        assert_eq!(epoch.generation(), 2);
+        assert!(epoch.contains(t(3, 7, 4)));
+        st.insert(t(3, 7, 4)); // duplicate: the epoch stays
+        assert!(Arc::ptr_eq(&epoch, &st.snapshot()));
+    }
+
+    /// A query never waits for an exclusive section, even one queued
+    /// behind a rule join's shared read when the query finds the epoch
+    /// stale: it gets the pre-section state, including the last write. A
+    /// blocking `read()` on the stale path would queue behind the section,
+    /// and the section here stays open until the query returns, so it
+    /// would deadlock; the test thread is the watchdog.
+    #[test]
+    fn stale_snapshot_does_not_wait_for_a_queued_exclusive_section() {
+        use std::sync::mpsc;
+        use std::thread::{spawn, yield_now};
+        use std::time::{Duration, Instant};
+
+        let st = Arc::new(ShardedStore::new());
+        st.insert(t(1, 7, 2)); // a completed write: the epoch is stale
+        let queued = |st: &ShardedStore| {
+            while st.shard_write_conflicts() == 0 {
+                yield_now();
+            }
+        };
+        let (tx, rx) = mpsc::channel();
+        let main = {
+            let st = Arc::clone(&st);
+            spawn(move || {
+                let (held_tx, held_rx) = mpsc::channel();
+                let join = {
+                    let st = Arc::clone(&st);
+                    spawn(move || {
+                        let _read = st.read();
+                        held_tx.send(()).unwrap();
+                        queued(&st);
+                        // Hold until the query is on the stale path: its
+                        // `try_read` failed behind the parked section. The
+                        // deadline only keeps a broken stale path (one that
+                        // never marks this) from hanging here.
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while !st.overlapped.load(Ordering::Relaxed) && Instant::now() < deadline {
+                            yield_now();
+                        }
+                    })
+                };
+                held_rx.recv().unwrap();
+                let query_done = Arc::new(AtomicBool::new(false));
+                let section = {
+                    let (st, query_done) = (Arc::clone(&st), Arc::clone(&query_done));
+                    spawn(move || {
+                        let mut guard = st.exclusive();
+                        guard.remove(t(1, 7, 2));
+                        while !query_done.load(Ordering::Acquire) {
+                            yield_now();
+                        }
+                    })
+                };
+                queued(&st);
+                // Wait until the section is parked, so `try_read` fails.
+                while st.store.try_read().is_some() {
+                    yield_now();
+                }
+                let seen = st.contains(t(1, 7, 2));
+                query_done.store(true, Ordering::Release);
+                join.join().unwrap();
+                section.join().unwrap();
+                tx.send(seen).unwrap();
+            })
+        };
+        let seen = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the query waited for the exclusive section: deadlock");
+        assert!(seen, "the query must see the pre-section state");
+        main.join().unwrap();
+        assert!(!st.contains(t(1, 7, 2)), "the section applied at release");
     }
 
     /// Re-asserting a *derived* triple changes only its provenance — no

@@ -26,17 +26,19 @@
 //! `slider-core`'s `maintenance` module.
 //!
 //! [`ShardedStore`] shares the store across threads the way the paper
-//! does: one [`VerticalStore`] behind one writer lock, taken by every write
-//! batch and held across exclusive (DRed/quiescent) sections.
+//! does: one [`VerticalStore`] behind one reader-writer lock. Rule joins
+//! hold it shared; every write batch takes it exclusively, and so do
+//! exclusive (DRed/quiescent) sections, for their whole length.
 //!
-//! There is **one read path**: every write publishes one immutable,
-//! generation-stamped [`EpochSnapshot`] — a copy-on-write clone of the
-//! store — and rule joins as well as
-//! `matches`/`stats`/`to_sorted_vec`/`contains` answer from the published
-//! epoch. Taking one costs a short mutex lock and an `Arc` clone; it never
-//! waits on the writer lock. An epoch dereferences to a [`VerticalStore`],
-//! so rules join against `&VerticalStore` whether they read an epoch or
-//! hold the store exclusively.
+//! Queries outside the engine — `matches`/`stats`/`to_sorted_vec`/
+//! `contains` — answer from an immutable, generation-stamped
+//! [`EpochSnapshot`], a copy-on-write clone of the store built by the
+//! first query after a write (by every write, once a query has had to
+//! wait for one). Taking one costs a short mutex lock and an `Arc` clone,
+//! and it never waits for an exclusive section. An epoch
+//! dereferences to a [`VerticalStore`], so rules join against
+//! `&VerticalStore` whether they read the live store, an epoch, or hold
+//! the store exclusively.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

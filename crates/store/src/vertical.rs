@@ -27,8 +27,8 @@ use std::sync::Arc;
 /// (reference bumps, no triple copies). A mutation on a shared table
 /// ([`Arc::make_mut`]) deep-clones that one table first — the mechanism the
 /// concurrent store's epoch snapshots are built on: an epoch *is* a clone
-/// of the store, so publishing one is cheap, and a table written after a
-/// publication pays one copy on its first write.
+/// of the store, so building one is cheap, and a table written while an
+/// epoch shares it pays one copy on its first write.
 #[derive(Debug, Clone, Default)]
 pub struct VerticalStore {
     tables: FxHashMap<NodeId, Arc<PropertyTable>>,

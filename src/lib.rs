@@ -144,18 +144,20 @@
 //! Dropping a session detaches it; the pool's threads only join when the
 //! last session *and* the last `Runtime` handle are gone.
 //!
-//! ## Lock-free reads & ruleset hot-swap
+//! ## Epoch reads & ruleset hot-swap
 //!
-//! Queries (`contains`, `matches`, `stats`, `to_sorted_vec`) and rule
-//! joins answer from the store's published **epoch snapshot**
-//! (`slider_store::EpochSnapshot`) — an immutable, generation-stamped
-//! copy-on-write image republished at every write release — so the read
-//! path takes **zero locks** and never blocks behind ingest or
-//! maintenance. `Slider::swap_ruleset` replaces the loaded ruleset on the
-//! live reasoner: derivations supported only by dropped rules are
-//! retracted with DRed, added rules are evaluated semi-naively, and the
-//! dependency graph / read plans / maintenance partitions are rebuilt
-//! atomically at the swap's linearisation point:
+//! Rule joins read the live store under a shared lock, side by side.
+//! Queries (`contains`, `matches`, `stats`, `to_sorted_vec`) answer from
+//! the store's **epoch snapshot** (`slider_store::EpochSnapshot`) — an
+//! immutable, generation-stamped copy-on-write image, built by the first
+//! query after a write (or, once a query has had to wait for a running
+//! write batch, by every write) — so a query never sees a half-applied
+//! write and never waits for maintenance: an exclusive section publishes
+//! its pre-section epoch on entry. `Slider::swap_ruleset` replaces the loaded
+//! ruleset on the live reasoner: derivations supported only by dropped
+//! rules are retracted with DRed, added rules are evaluated semi-naively,
+//! and the dependency graph / read plans / maintenance partitions are
+//! rebuilt atomically at the swap's linearisation point:
 //!
 //! ```
 //! use slider::prelude::*;

@@ -419,7 +419,8 @@ fn dict_lookups_complete_while_an_intern_write_lock_is_held() {
 /// Lock-free read path, acceptance pin (a): `matches`/`stats`/
 /// `to_sorted_vec` complete while the store's write lock — the one shard
 /// every subClassOf triple lives in — is held **indefinitely**: the reader
-/// answers from the published epoch and never touches the lock.
+/// answers from the epoch `exclusive()` built on entry and never waits
+/// for the section.
 /// Bounded-time via a channel timeout: a regression back to lock-pinned
 /// reads deadlocks the reader thread and trips the `recv_timeout`.
 #[test]
@@ -462,8 +463,9 @@ fn queries_complete_while_a_shard_write_lock_is_held() {
 
 /// Lock-free read path: `matches`/`stats`/`to_sorted_vec` and snapshot
 /// reads complete while `exclusive()` holds the store lock
-/// **indefinitely** — the reader answers from the published epoch and
-/// never touches the lock — and they see the **pre-exclusive** epoch until
+/// **indefinitely** — `exclusive()` builds the epoch on entry, so the
+/// reader answers from it and never waits for the section — and they see
+/// the **pre-exclusive** epoch until
 /// the section releases, at which point the mutation becomes visible as
 /// one atomic publication. Bounded-time via a channel timeout: a
 /// regression back to lock-pinned reads deadlocks the reader thread and

@@ -136,8 +136,8 @@ fn json_export_of_a_real_run_is_well_formed() {
 fn epoch_counters_track_publications_and_swaps() {
     let (slider, _events) = traced_run(PaperOntology::SubClassOf50, 1.0);
     let stats = slider.stats();
-    // Every write release published an epoch: a run that inserted
-    // anything must have advanced the generation past the empty store's.
+    // Every changing write bumps the generation: a run that inserted
+    // anything must have advanced it past the empty store's.
     assert!(stats.snapshot_generation > 0, "no epoch was ever published");
     assert_eq!(
         stats.snapshot_generation,

@@ -1,11 +1,9 @@
 //! Criterion bench: sliding-window maintenance — add a batch, retract the
-//! expiring batch(es) — comparing incremental DRed vs recompute, per-batch
-//! eager DRed vs one coalesced run per step, and partitioned coalesced
-//! flushes over independent rule families.
+//! expiring batch(es) — comparing incremental DRed vs recompute, and
+//! per-batch eager DRed vs one coalesced run per step.
 
 use criterion::{criterion_group, Criterion};
 use slider_baseline::RecomputeOracle;
-use slider_bench::family::{self, FamilyParams};
 use slider_bench::report::{BenchReport, Cell};
 use slider_core::{Slider, SliderConfig};
 use slider_model::vocab::{RDFS_DOMAIN, RDFS_SUB_CLASS_OF, RDF_TYPE};
@@ -144,45 +142,7 @@ fn coalesced_step(c: &mut Criterion) {
     group.finish();
 }
 
-// --- partitioned flushes over independent rule families ----------------
-
-/// Shape of the partitioned-flush comparison: four families (= four
-/// maintenance partitions), generated by the same [`family`] module the
-/// `retraction` bin's CI smoke gate verifies against the oracle.
-const FAMILY_SHAPE: FamilyParams = FamilyParams {
-    families: 4,
-    depth: 10,
-    batch: 40,
-    shared: 0,
-};
-
-/// Each step expires `CHURN` batches whose retractions span all four
-/// families, and the flush fans the families out across the worker pool.
-fn partitioned_flush(c: &mut Criterion) {
-    let mut group = c.benchmark_group("retraction/partitioned_flush");
-    group.sample_size(10);
-    group.bench_function("partitioned", |b| {
-        b.iter(|| {
-            let slider = family::deferred_slider(FAMILY_SHAPE.families);
-            slider.materialize(&family::taxonomy(&FAMILY_SHAPE));
-            for i in 0..STEPS {
-                slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i));
-                slider.add_triples(&family::batch(&FAMILY_SHAPE, 2 * i + 1));
-                if let Some(j) = i.checked_sub(WINDOW as u64) {
-                    for k in 0..CHURN {
-                        slider.remove_deferred(&family::batch(&FAMILY_SHAPE, 2 * j + k));
-                    }
-                    slider.flush_maintenance();
-                }
-                slider.wait_idle();
-            }
-            black_box(slider.store().len())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(retraction, window_step, coalesced_step, partitioned_flush);
+criterion_group!(retraction, window_step, coalesced_step);
 
 /// Custom harness entry: run the criterion groups, then emit the shim's
 /// collected summaries as a `slider_bench::report` trajectory —

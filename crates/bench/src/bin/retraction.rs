@@ -5,24 +5,20 @@
 //! * **eager (per-batch DRed)** — every expiring batch pays its own
 //!   overdelete/rederive cycle (`Slider::remove_triples`), exactly what a
 //!   count-based window does per step;
-//! * **partitioned** — expiring batches are deferred
+//! * **coalesced** — expiring batches are deferred
 //!   (`Slider::remove_deferred`) and each step with expiries ends in one
-//!   `Slider::flush_maintenance`, which buckets the pending set by
-//!   dependency-graph partition and runs one DRed pass per partition in
-//!   parallel on the worker pool;
+//!   `Slider::flush_maintenance`, a single DRed pass over the whole
+//!   pending set;
 //! * **recompute** — the closure of the surviving explicit set is rebuilt
 //!   from scratch every step (`slider_baseline::RecomputeOracle`).
 //!
-//! The workload is built to have **disjoint downward closures**: several
-//! independent rule *families* (a [`Transitive`](slider_rules::Transitive)
-//! hierarchy plus a [`Subsumption`](slider_rules::Subsumption) membership
-//! rule per family, disjoint vocabularies — see [`slider_bench::family`]), so
-//! the dependency graph reports one maintenance partition per family and a
-//! flush spanning families fans out. Within each family, every live batch
-//! types the same shared subjects at its own per-batch leaf class, so
-//! expiring batches share a downward closure that coalescing amortises.
-//! The universal `PRP-*` rules are left out: they would collapse all
-//! partitions into one.
+//! The workload runs several independent rule *families* (a
+//! [`Transitive`](slider_rules::Transitive) hierarchy plus a
+//! [`Subsumption`](slider_rules::Subsumption) membership rule per family,
+//! disjoint vocabularies — see [`slider_bench::family`]), so one step's
+//! expiries span several downward closures. Within each family, every live
+//! batch types the same shared subjects at its own per-batch leaf class,
+//! so expiring batches share a downward closure that coalescing amortises.
 //!
 //! ```text
 //! cargo run --release -p slider-bench --bin retraction            # full size
@@ -34,7 +30,7 @@
 //! step** — and the multi-family schedule deliberately **re-asserts
 //! triples whose retraction is still pending** before some flushes,
 //! verifying the cancellation semantics (the re-asserted fact and its
-//! consequences must survive the flush) in eager and partitioned modes
+//! consequences must survive the flush) in eager and coalesced modes
 //! alike. `--json <path>` writes the machine-readable
 //! trajectory (`slider_bench::report`).
 
@@ -48,8 +44,7 @@ use std::time::{Duration, Instant};
 
 struct Params {
     /// Workload shape: families, chain depth, batch and shared-subject
-    /// sizes (see [`slider_bench::family`] — the same generators back the
-    /// criterion `retraction/partitioned_flush` group).
+    /// sizes (see [`slider_bench::family`]).
     shape: FamilyParams,
     /// Window length, in bursty-clock ticks.
     window_ticks: u32,
@@ -148,20 +143,15 @@ fn main() {
     // --- eager: one DRed run per expiring batch ------------------------
     let eager = family::deferred_slider(p.shape.families);
     eager.materialize(&schema);
-    // --- partitioned parallel flushes ----------------------------------
-    let partitioned = family::deferred_slider(p.shape.families);
-    partitioned.materialize(&schema);
-    assert_eq!(
-        partitioned.maintenance_partitions(),
-        p.shape.families as usize,
-        "one maintenance partition per family"
-    );
+    // --- coalesced flushes: one DRed run per step ----------------------
+    let coalesced = family::deferred_slider(p.shape.families);
+    coalesced.materialize(&schema);
     // --- recompute baseline --------------------------------------------
     let mut oracle = RecomputeOracle::new(family::ruleset(p.shape.families));
     oracle.add(&schema);
 
     let mut eager_elapsed = Duration::ZERO;
-    let mut partitioned_elapsed = Duration::ZERO;
+    let mut coalesced_elapsed = Duration::ZERO;
     let mut oracle_elapsed = Duration::ZERO;
     for (i, arriving) in batches.iter().enumerate() {
         let expiring = &expiry[i];
@@ -184,18 +174,18 @@ fn main() {
         eager_elapsed += start.elapsed();
 
         let start = Instant::now();
-        partitioned.add_triples(arriving);
+        coalesced.add_triples(arriving);
         for &j in expiring {
-            partitioned.remove_deferred(&batches[j]);
+            coalesced.remove_deferred(&batches[j]);
         }
         // The re-assertion lands while the retractions are pending and
         // must cancel them.
-        partitioned.add_triples(&readd);
+        coalesced.add_triples(&readd);
         if !expiring.is_empty() {
-            partitioned.flush_maintenance();
+            coalesced.flush_maintenance();
         }
-        partitioned.wait_idle();
-        partitioned_elapsed += start.elapsed();
+        coalesced.wait_idle();
+        coalesced_elapsed += start.elapsed();
 
         let start = Instant::now();
         oracle.add(arriving);
@@ -214,15 +204,15 @@ fn main() {
                 "eager DRed diverged from recompute at step {i}"
             );
             assert_eq!(
-                partitioned.store().to_sorted_vec(),
+                coalesced.store().to_sorted_vec(),
                 expected,
-                "partitioned DRed diverged from recompute at step {i}"
+                "coalesced DRed diverged from recompute at step {i}"
             );
         }
     }
 
     let eager_stats = eager.stats();
-    let part_stats = partitioned.stats();
+    let coal_stats = coalesced.stats();
     println!(
         "  eager (per-batch DRed):  {} total, {} / step  ({} maintenance runs)",
         fmt_ms(eager_elapsed),
@@ -230,11 +220,10 @@ fn main() {
         eager_stats.removal_runs
     );
     println!(
-        "  partitioned flushes:     {} total, {} / step  ({} runs, {} partitioned)",
-        fmt_ms(partitioned_elapsed),
-        fmt_ms(partitioned_elapsed / p.steps as u32),
-        part_stats.coalesced_runs,
-        part_stats.partitioned_runs
+        "  coalesced flushes:       {} total, {} / step  ({} runs)",
+        fmt_ms(coalesced_elapsed),
+        fmt_ms(coalesced_elapsed / p.steps as u32),
+        coal_stats.coalesced_runs
     );
     println!(
         "  recompute baseline:      {} total, {} / step",
@@ -242,39 +231,35 @@ fn main() {
         fmt_ms(oracle_elapsed / p.steps as u32)
     );
     println!(
-        "  partitioned vs eager: {:.2}x   partitioned vs recompute: {:.2}x",
-        eager_elapsed.as_secs_f64() / partitioned_elapsed.as_secs_f64().max(1e-9),
-        oracle_elapsed.as_secs_f64() / partitioned_elapsed.as_secs_f64().max(1e-9),
+        "  coalesced vs eager: {:.2}x   coalesced vs recompute: {:.2}x",
+        eager_elapsed.as_secs_f64() / coalesced_elapsed.as_secs_f64().max(1e-9),
+        oracle_elapsed.as_secs_f64() / coalesced_elapsed.as_secs_f64().max(1e-9),
     );
     println!(
-        "  (store: {} triples, {} explicit; partitioned: {} retracted, {} overdeleted, \
+        "  (store: {} triples, {} explicit; coalesced: {} retracted, {} overdeleted, \
          {} rederived, {} cancelled)",
-        part_stats.store_size,
-        part_stats.store.explicit,
-        part_stats.retracted,
-        part_stats.overdeleted,
-        part_stats.rederived,
-        part_stats.cancelled_removals
+        coal_stats.store_size,
+        coal_stats.store.explicit,
+        coal_stats.retracted,
+        coal_stats.overdeleted,
+        coal_stats.rederived,
+        coal_stats.cancelled_removals
     );
     assert!(
-        part_stats.coalesced_runs < eager_stats.removal_runs,
+        coal_stats.coalesced_runs < eager_stats.removal_runs,
         "coalescing must batch runs: {} coalesced vs {} eager",
-        part_stats.coalesced_runs,
+        coal_stats.coalesced_runs,
         eager_stats.removal_runs
-    );
-    assert!(
-        part_stats.partitioned_runs > 0,
-        "no flush split into partitions"
     );
     if p.verify {
         assert!(
-            part_stats.cancelled_removals > 0,
+            coal_stats.cancelled_removals > 0,
             "the smoke schedule must exercise re-assertion-while-pending"
         );
         println!(
-            "  verified: eager and partitioned stores == recompute closure at every step \
+            "  verified: eager and coalesced stores == recompute closure at every step \
              (incl. {} re-assertions cancelling pending retractions)",
-            part_stats.cancelled_removals
+            coal_stats.cancelled_removals
         );
     }
 
@@ -300,11 +285,7 @@ fn main() {
         let per_step = |total: Duration| total.as_secs_f64() * 1e3 / p.steps as f64;
         for (label, elapsed, runs) in [
             ("eager", eager_elapsed, eager_stats.removal_runs),
-            (
-                "partitioned",
-                partitioned_elapsed,
-                part_stats.coalesced_runs,
-            ),
+            ("coalesced", coalesced_elapsed, coal_stats.coalesced_runs),
             ("recompute", oracle_elapsed, 0),
         ] {
             report.push(

@@ -17,7 +17,7 @@
 //!   BSBM_5M, as in the paper's figure), with an ASCII rendering and CSV;
 //! * `figure2` — the ρdf rules dependency graph as DOT;
 //! * `retraction` — sliding-window streaming with incremental deletion:
-//!   eager per-batch DRed vs partitioned parallel flushes vs
+//!   eager per-batch DRed vs coalesced flushes vs
 //!   recompute-from-scratch, over the shared [`family`]
 //!   workload; `--smoke` runs the tiny CI configuration with per-step
 //!   oracle verification (including re-assertions that must cancel
@@ -303,17 +303,14 @@ pub fn render_csv(rows: &[TableRow]) -> String {
     s
 }
 
-/// The multi-family partitioned-maintenance workload, shared by the
-/// `retraction` bin and the criterion `retraction/partitioned_flush`
-/// group so the CI smoke gate and the microbenchmark measure the same
-/// thing.
+/// The multi-family maintenance workload of the `retraction` bin, also
+/// fed by the `ingest` bin.
 ///
 /// Each *family* `f` is an independent rule pair — a
 /// [`Transitive`](slider_rules::Transitive) hierarchy over its own
 /// predicate plus a [`Subsumption`](slider_rules::Subsumption) membership
 /// rule — with a vocabulary disjoint from every other family, so the
-/// dependency graph reports one maintenance partition per family and a
-/// flush spanning families fans out into parallel DRed passes.
+/// dependency graph keeps each family's downward closure to itself.
 pub mod family {
     use slider_core::{Slider, SliderConfig};
     use slider_model::{Dictionary, NodeId, Triple};
@@ -323,8 +320,7 @@ pub mod family {
     /// Shape of the workload (stream scheduling stays with the caller).
     #[derive(Debug, Clone, Copy)]
     pub struct FamilyParams {
-        /// Independent rule families (= maintenance partitions); at most
-        /// [`MAX_FAMILIES`].
+        /// Independent rule families; at most [`MAX_FAMILIES`].
         pub families: u64,
         /// Depth of each family's resident class chain.
         pub depth: u64,
@@ -361,7 +357,7 @@ pub mod family {
         NodeId(2_000_000 + f * 100_000 + s)
     }
 
-    /// The `families`-partition ruleset: one `Transitive` + `Subsumption`
+    /// The `families`-family ruleset: one `Transitive` + `Subsumption`
     /// pair per family, disjoint vocabularies.
     pub fn ruleset(families: u64) -> Ruleset {
         assert!(families as usize <= MAX_FAMILIES);
@@ -393,7 +389,7 @@ pub mod family {
     /// the shared subjects' derived memberships are supported by *every*
     /// live batch of the family, so retracting one batch overdeletes and
     /// rederives that overlapping closure — per batch in eager mode, and
-    /// once per family-partition (in parallel) per deferred flush.
+    /// once per deferred flush.
     pub fn batch(p: &FamilyParams, i: u64) -> Vec<Triple> {
         (0..p.families)
             .flat_map(move |f| {

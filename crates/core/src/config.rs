@@ -9,8 +9,8 @@ use std::time::Duration;
 /// a [`Ruleset`](slider_rules::Ruleset)). This reproduction adds the pool
 /// size, a tracing switch, the retraction analogues of buffer size and
 /// timeout, and the dictionary sweep trigger. Everything else the engine
-/// decides for itself: the object index is always built, and a coalesced
-/// flush partitions whenever the ruleset's dependency graph allows.
+/// decides for itself: the object index is always built, and every
+/// removal or flush is one DRed pass.
 #[derive(Debug, Clone)]
 pub struct SliderConfig {
     /// How many triples a buffer holds before it "fires a new rule

@@ -77,9 +77,8 @@ impl RemovalOutcome {
         self.retracted + self.overdeleted - self.rederived
     }
 
-    /// Accumulates `other` into `self` — used to combine the per-partition
-    /// outcomes of one partitioned coalesced flush into the run's total,
-    /// and the slices of one budgeted flush into the flush's total.
+    /// Accumulates `other` into `self` — used to combine the slices of one
+    /// budgeted flush into the flush's total.
     pub fn merge(&mut self, other: RemovalOutcome) {
         self.requested += other.requested;
         self.retracted += other.retracted;

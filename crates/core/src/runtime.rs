@@ -90,20 +90,14 @@ impl RuntimeConfig {
     }
 }
 
-/// A unit of pool work. Each job carries its session's engine, so worker
-/// panics and inflight tokens stay session-contained: a poisoned rule in
-/// one tenant releases that tenant's token and nothing else.
-pub(crate) enum Job {
-    /// One rule instance over one buffered batch.
-    Run {
-        engine: Arc<Engine>,
-        rule: usize,
-        delta: Vec<Triple>,
-    },
-    /// A self-contained DRed pass over a split-off store shard (see
-    /// `Engine::run_partitions`); the closure owns the shard and reports
-    /// it back on a per-flush channel.
-    Partition(Box<dyn FnOnce() + Send>),
+/// A unit of pool work: one rule instance over one buffered batch. Each
+/// job carries its session's engine, so worker panics and inflight tokens
+/// stay session-contained: a poisoned rule in one tenant releases that
+/// tenant's token and nothing else.
+pub(crate) struct Job {
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) rule: usize,
+    pub(crate) delta: Vec<Triple>,
 }
 
 /// Per-session FIFO lanes with round-robin service order.
@@ -484,43 +478,33 @@ impl Drop for RuntimeCore {
 }
 
 fn worker_loop(queue: &JobQueue) {
-    while let Some(job) = queue.pop() {
-        match job {
-            Job::Run {
-                engine,
-                rule,
-                delta,
-            } => {
-                // A panicking rule instance (e.g. a buggy custom rule)
-                // must not wedge its session — the
-                // inflight token is released either way, or every
-                // wait_idle/flush/Drop on that session would hang — and
-                // must not touch any *other* session: the job carries its
-                // own engine, so the token and the error stay
-                // session-contained, and the worker survives to run the
-                // remaining jobs. The panic itself already printed via the
-                // default hook; add which rule died.
-                let instance = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.run_job(rule, delta);
-                }));
-                if instance.is_err() {
-                    // Resolve the name *before* releasing the token: the
-                    // token still pins the submission-time state, so the
-                    // index is in bounds; after dec() a swap could install
-                    // a smaller ruleset.
-                    let state = engine.rstate();
-                    eprintln!(
-                        "slider: rule instance for {:?} panicked; its conclusions are lost",
-                        state.modules[rule].rule.name()
-                    );
-                }
-                engine.inflight.dec();
-            }
-            // Partition passes carry no inflight token: they only exist
-            // while their flush coordinator holds its store exclusively,
-            // and it collects every pass before releasing it.
-            Job::Partition(task) => task(),
+    while let Some(Job {
+        engine,
+        rule,
+        delta,
+    }) = queue.pop()
+    {
+        // A panicking rule instance (e.g. a buggy custom rule) must not
+        // wedge its session — the inflight token is released either way,
+        // or every wait_idle/flush/Drop on that session would hang — and
+        // must not touch any *other* session: the job carries its own
+        // engine, so the token and the error stay session-contained, and
+        // the worker survives to run the remaining jobs. The panic itself
+        // already printed via the default hook; add which rule died.
+        let instance = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_job(rule, delta);
+        }));
+        if instance.is_err() {
+            // Resolve the name *before* releasing the token: the token
+            // still pins the submission-time state, so the index is in
+            // bounds; after dec() a swap could install a smaller ruleset.
+            let state = engine.rstate();
+            eprintln!(
+                "slider: rule instance for {:?} panicked; its conclusions are lost",
+                state.modules[rule].rule.name()
+            );
         }
+        engine.inflight.dec();
     }
 }
 
@@ -713,55 +697,53 @@ impl std::fmt::Debug for SessionHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn marker(hits: &Arc<AtomicUsize>) -> Job {
-        let hits = Arc::clone(hits);
-        Job::Partition(Box::new(move || {
-            hits.fetch_add(1, Ordering::Relaxed);
-        }))
+    /// An empty-delta instance of `rule` on `slider`'s engine. Test jobs
+    /// go to a test-local queue, never to the session's own pool.
+    fn job(slider: &Slider, rule: usize) -> Job {
+        Job {
+            engine: Arc::clone(slider.engine_for_tests()),
+            rule,
+            delta: Vec::new(),
+        }
     }
 
     #[test]
     fn queue_round_robins_across_sessions() {
+        let slider = Slider::fragment(Fragment::RhoDf, SliderConfig::batch());
         let queue = JobQueue::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let tagged = |tag: u64| -> Job {
-            let order = Arc::clone(&order);
-            Job::Partition(Box::new(move || {
-                order.lock().unwrap().push(tag);
-            }))
-        };
-        // Session 1 floods three jobs before session 2 submits one.
-        queue.push(1, tagged(10)).ok().unwrap();
-        queue.push(1, tagged(11)).ok().unwrap();
-        queue.push(1, tagged(12)).ok().unwrap();
-        queue.push(2, tagged(20)).ok().unwrap();
+        // Session 1 floods three jobs before session 2 submits one; the
+        // rule index tags each job.
+        queue.push(1, job(&slider, 0)).ok().unwrap();
+        queue.push(1, job(&slider, 1)).ok().unwrap();
+        queue.push(1, job(&slider, 2)).ok().unwrap();
+        queue.push(2, job(&slider, 3)).ok().unwrap();
         queue.close(); // queued jobs drain in service order
-        while let Some(job) = queue.pop() {
-            match job {
-                Job::Partition(task) => task(),
-                Job::Run { .. } => unreachable!("test enqueues only Partition jobs"),
-            }
-        }
+        let order: Vec<usize> = std::iter::from_fn(|| queue.pop()).map(|j| j.rule).collect();
         // Fair service: session 2's job runs second, not last.
-        assert_eq!(*order.lock().unwrap(), vec![10, 20, 11, 12]);
+        assert_eq!(order, vec![0, 3, 1, 2]);
     }
 
     #[test]
     fn closed_queue_refuses_pushes_and_drains() {
+        let slider = Slider::fragment(Fragment::RhoDf, SliderConfig::batch());
+        let engine = slider.engine_for_tests();
         let queue = Arc::new(JobQueue::new());
-        let hits = Arc::new(AtomicUsize::new(0));
-        queue.push(1, marker(&hits)).ok().unwrap();
-        queue.push(2, marker(&hits)).ok().unwrap();
+        // Every queued job carries an inflight token, as a submitted one
+        // does; the worker releases it after the run.
+        for session in [1, 2] {
+            engine.inflight.inc();
+            queue.push(session, job(&slider, 0)).ok().unwrap();
+        }
         queue.close();
-        assert!(queue.push(1, marker(&hits)).is_err(), "closed queue");
+        assert!(queue.push(1, job(&slider, 0)).is_err(), "closed queue");
         let worker = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || worker_loop(&queue))
         };
         worker.join().unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 2, "queued jobs drained");
+        assert_eq!(slider.stats().total_fired(), 2, "queued jobs drained");
+        assert_eq!(engine.inflight.current(), 0, "tokens released");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::runtime::{
 use crate::scheduler::MaintenanceScheduler;
 use crate::stats::{bump, GlobalCounters, RuleCounters, RuleStats, StatsSnapshot};
 use crate::trace::{Event, EventKind, EventLog};
-use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, FxHashSet, NodeId, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, InputFilter, Rule, Ruleset};
@@ -47,21 +46,21 @@ pub(crate) struct RulesetState {
     /// Ruleset name ("rho-df", "RDFS", custom).
     name: String,
     pub(crate) modules: Vec<Module>,
-    /// Shared with partition-pass jobs, which run DRed off-thread.
+    /// Shared with [`Slider::dependency_graph`] callers, whose handles
+    /// outlive a swap.
     graph: Arc<DependencyGraph>,
-    /// Per rule: whether `Rule::derives` answered on an empty-store probe —
-    /// a backward matcher exists. Partitioned flushes require one for every
-    /// involved rule (the heuristic is conservative at worst: a partition
-    /// pass that still hits `derives → None` at run time falls back to the
-    /// forward pass *over its own shard*, which holds the partition's full
-    /// footprint, so it stays sound either way).
-    backward: Vec<bool>,
 }
 
-/// Builds the ruleset-derived state: dependency graph, modules, and the
-/// backward-matcher probe results. For rules also present in `carried`
-/// (matched by name + definition), the counters carry over — a hot-swap
-/// keeps a kept rule's history.
+impl RulesetState {
+    /// The loaded rules, in module order — the rule list DRed runs over.
+    fn rules(&self) -> Vec<Arc<dyn Rule>> {
+        self.modules.iter().map(|m| Arc::clone(&m.rule)).collect()
+    }
+}
+
+/// Builds the ruleset-derived state: dependency graph and modules. For
+/// rules also present in `carried` (matched by name + definition), the
+/// counters carry over — a hot-swap keeps a kept rule's history.
 fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState>) -> RulesetState {
     let graph = DependencyGraph::build(ruleset);
     let modules: Vec<Module> = ruleset
@@ -83,20 +82,10 @@ fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState
             }
         })
         .collect();
-    // Probe each rule's backward matcher once (an empty store answers
-    // `Some(false)` from any implementation, `None` from the default):
-    // partitioned flushes are gated on every involved rule having one.
-    let probe_store = VerticalStore::new();
-    let probe = Triple::new(NodeId(0), NodeId(0), NodeId(0));
-    let backward: Vec<bool> = modules
-        .iter()
-        .map(|m| m.rule.derives(&probe_store, probe).is_some())
-        .collect();
     RulesetState {
         name: ruleset.name().to_owned(),
         modules,
         graph: Arc::new(graph),
-        backward,
     }
 }
 
@@ -127,11 +116,6 @@ pub(crate) struct Engine {
     /// Serialises DRed maintenance runs (see [`Slider::remove_triples`])
     /// and ruleset swaps — a swap is a maintenance operation.
     maintenance: Mutex<()>,
-    /// Eager removals waiting to be combined: a caller enqueues its batch
-    /// here before blocking on the maintenance mutex, and whichever
-    /// caller acquires the mutex with an unserved slot drains the queue
-    /// and runs every waiting batch through one planned pass.
-    eager_queue: Mutex<Vec<Arc<EagerBatch>>>,
     /// Deferred retractions awaiting a coalesced DRed run (see
     /// [`Slider::remove_deferred`]).
     pub(crate) scheduler: MaintenanceScheduler,
@@ -166,53 +150,6 @@ pub(crate) struct Engine {
 /// for its liveness scan, whatever the ratio says.
 const DICT_SWEEP_MIN_RETIRED: usize = 1024;
 
-/// One bucket of a partitioned maintenance plan: the pending
-/// retractions that map to one maintenance partition, plus the predicates
-/// whose tables that partition's DRed pass may touch (split off as a
-/// store shard).
-struct PendingGroup {
-    preds: Vec<slider_model::NodeId>,
-    /// The group's retractions, labelled by source batch. A coalesced
-    /// flush is a single batch 0; an eager combining run keeps one batch
-    /// per caller so each caller gets its own [`RemovalOutcome`].
-    triples: Vec<(usize, Triple)>,
-}
-
-/// One caller's batch in a combining eager-removal run: the leader that
-/// holds the maintenance mutex drains every queued batch, plans them
-/// together, and deposits each batch's outcome in its slot before
-/// releasing the mutex — so a blocked caller either finds its result
-/// ready or becomes the next leader.
-struct EagerBatch {
-    triples: Vec<Triple>,
-    done: Mutex<Option<RemovalOutcome>>,
-}
-
-/// Runs one unit of deletion work: the batch-labelled `seeds` grouped by
-/// batch, one DRed pass per non-empty batch in batch order. Returns one
-/// outcome per batch — empty batches stay zeroed, exactly what a serial
-/// run would report.
-fn run_unit(
-    store: &mut VerticalStore,
-    rules: &[Arc<dyn Rule>],
-    graph: &DependencyGraph,
-    seeds: &[(usize, Triple)],
-    batches: usize,
-) -> Vec<RemovalOutcome> {
-    let mut outcomes = vec![RemovalOutcome::default(); batches];
-    let mut by_batch: Vec<Vec<Triple>> = vec![Vec::new(); batches];
-    for &(b, t) in seeds {
-        by_batch[b].push(t);
-    }
-    for (b, ts) in by_batch.iter().enumerate() {
-        if ts.is_empty() {
-            continue;
-        }
-        outcomes[b] = maintenance::dred(store, rules, graph, ts);
-    }
-    outcomes
-}
-
 impl Engine {
     /// Resolves the current ruleset state. The returned `Arc` stays valid
     /// forever (a swap retires the *engine's* pointer, not the state), but
@@ -240,7 +177,7 @@ impl Engine {
             .queue
             .push(
                 self.session,
-                Job::Run {
+                Job {
                     engine,
                     rule,
                     delta,
@@ -488,14 +425,7 @@ impl Engine {
     }
 
     /// One eager DRed run over `triples` (see [`Slider::remove_triples`]
-    /// for the linearisation contract), with **combining**: callers
-    /// blocked behind a running maintenance pass are drained together by
-    /// whichever caller acquires the mutex next, and their batches go
-    /// through the same planner as a coalesced flush — eager removals in
-    /// different maintenance partitions (disjoint rule families) run as
-    /// concurrent units under one quiescent section.
-    /// Batch boundaries are preserved: each caller's outcome counts
-    /// exactly its own triples, field for field as a serial run would.
+    /// for the linearisation contract).
     fn remove_eager(&self, triples: &[Triple]) -> RemovalOutcome {
         // Fast path: an empty request retracts nothing by definition —
         // return without touching the maintenance mutex or the store lock
@@ -503,78 +433,32 @@ impl Engine {
         if triples.is_empty() {
             return RemovalOutcome::default();
         }
-        let batch = Arc::new(EagerBatch {
-            triples: triples.to_vec(),
-            done: Mutex::new(None),
-        });
-        self.eager_queue.lock().push(Arc::clone(&batch));
         // One maintenance run at a time; concurrent removers queue here.
         // The maintenance mutex also excludes ruleset swaps, so the state
         // resolved below stays current for the whole run.
-        let serial = self.maintenance.lock();
-        if let Some(outcome) = batch.done.lock().take() {
-            // A combining leader already ran this batch while we were
-            // blocked; the mutex hand-off is the only synchronisation
-            // needed — the leader filled the slot before releasing it.
-            return outcome;
-        }
-        // Leader: drain every waiting batch (ours included) and run them
-        // through the planner under one quiescent section.
-        let batches: Vec<Arc<EagerBatch>> = std::mem::take(&mut *self.eager_queue.lock());
+        let _serial = self.maintenance.lock();
         let state = self.rstate();
-        let rules: Vec<Arc<dyn Rule>> = state.modules.iter().map(|m| Arc::clone(&m.rule)).collect();
-        let labelled: Vec<(usize, Triple)> = batches
-            .iter()
-            .enumerate()
-            .flat_map(|(b, eb)| eb.triples.iter().map(move |&t| (b, t)))
-            .collect();
-        let ((outcomes, parallel), store_size) = self.with_quiescent_store(|store| {
-            let (outcomes, parallel) = match self.plan_flush(&state, store, &labelled) {
-                Some(groups) => (
-                    self.run_partitions(&state, store, &rules, groups, batches.len()),
-                    true,
-                ),
-                None => {
-                    let outcomes: Vec<RemovalOutcome> = batches
-                        .iter()
-                        .map(|eb| maintenance::dred(store, &rules, &state.graph, &eb.triples))
-                        .collect();
-                    (outcomes, false)
-                }
-            };
-            let retired: usize = outcomes.iter().map(|o| o.retracted + o.overdeleted).sum();
-            self.maybe_sweep_dict(store, retired);
-            (outcomes, parallel)
+        let rules = state.rules();
+        let (outcome, store_size) = self.with_quiescent_store(|store| {
+            let outcome = maintenance::dred(store, &rules, &state.graph, triples);
+            self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
+            outcome
         });
-        if parallel {
-            bump(&self.globals.parallel_eager_runs, 1);
+        self.bump_removal_counters(&outcome);
+        if let Some(log) = &self.log {
+            log.record(EventKind::Removal {
+                requested: outcome.requested,
+                retracted: outcome.retracted,
+                overdeleted: outcome.overdeleted,
+                rederived: outcome.rederived,
+                store_size,
+            });
         }
-        for (eb, outcome) in batches.iter().zip(&outcomes) {
-            self.bump_removal_counters(outcome);
-            if let Some(log) = &self.log {
-                log.record(EventKind::Removal {
-                    requested: outcome.requested,
-                    retracted: outcome.retracted,
-                    overdeleted: outcome.overdeleted,
-                    rederived: outcome.rederived,
-                    store_size,
-                });
-            }
-            *eb.done.lock() = Some(*outcome);
-        }
-        drop(serial);
-        let own = batch
-            .done
-            .lock()
-            .take()
-            .expect("the leader serves every batch it drained, its own included");
-        own
+        outcome
     }
 
-    /// Drains the deferred-retraction queue and applies it: one DRed pass
-    /// over the union, or — when the pending set spans several independent
-    /// maintenance partitions — one pass per partition, in parallel on the
-    /// worker pool (see [`Slider::flush_maintenance`]).
+    /// Drains the deferred-retraction queue and applies it in one DRed
+    /// pass over the union (see [`Slider::flush_maintenance`]).
     fn flush_maintenance(&self) -> RemovalOutcome {
         self.flush_maintenance_slice(usize::MAX).0
     }
@@ -605,69 +489,44 @@ impl Engine {
             return (RemovalOutcome::default(), 0);
         }
         let state = self.rstate();
-        let rules: Vec<Arc<dyn Rule>> = state.modules.iter().map(|m| Arc::clone(&m.rule)).collect();
-        let ((outcome, pending_len, partitions, remaining), store_size) = self
-            .with_quiescent_store(|store| {
-                // Drain *under the store lock, after the quiescence
-                // re-check*: this is the flush's linearisation point. Any
-                // assertion either completed earlier (its re-assertion
-                // already cancelled the matching pending retraction) or is
-                // blocked on the lock and lands after the flush —
-                // a pending retraction can never be applied over a
-                // concurrent re-assertion it should have cancelled.
-                let pending = self.scheduler.drain_up_to(limit);
-                let remaining = self.scheduler.pending();
-                #[cfg(test)]
-                {
-                    let hook = self.slice_drained_hook.lock().take();
-                    if let Some(hook) = hook {
-                        hook();
-                    }
+        let rules = state.rules();
+        let ((outcome, pending_len, remaining), store_size) = self.with_quiescent_store(|store| {
+            // Drain *under the store lock, after the quiescence
+            // re-check*: this is the flush's linearisation point. Any
+            // assertion either completed earlier (its re-assertion
+            // already cancelled the matching pending retraction) or is
+            // blocked on the lock and lands after the flush —
+            // a pending retraction can never be applied over a
+            // concurrent re-assertion it should have cancelled.
+            let pending = self.scheduler.drain_up_to(limit);
+            let remaining = self.scheduler.pending();
+            #[cfg(test)]
+            {
+                let hook = self.slice_drained_hook.lock().take();
+                if let Some(hook) = hook {
+                    hook();
                 }
-                if pending.is_empty() {
-                    return (RemovalOutcome::default(), 0, 1, remaining);
-                }
-                // A coalesced flush is one source batch (label 0): the
-                // planner's batch labels only matter to eager combining.
-                let labelled: Vec<(usize, Triple)> = pending.iter().map(|&t| (0, t)).collect();
-                let (outcome, partitions) = match self.plan_flush(&state, store, &labelled) {
-                    Some(groups) => {
-                        let partitions = groups.len();
-                        let outcomes = self.run_partitions(&state, store, &rules, groups, 1);
-                        (outcomes[0], partitions)
-                    }
-                    None => (maintenance::dred(store, &rules, &state.graph, &pending), 1),
-                };
-                self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
-                (outcome, pending.len(), partitions, remaining)
-            });
+            }
+            if pending.is_empty() {
+                return (RemovalOutcome::default(), 0, remaining);
+            }
+            let outcome = maintenance::dred(store, &rules, &state.graph, &pending);
+            self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
+            (outcome, pending.len(), remaining)
+        });
         if pending_len == 0 {
             return (outcome, remaining);
         }
         self.bump_removal_counters(&outcome);
         bump(&self.globals.coalesced_runs, 1);
-        if partitions > 1 {
-            bump(&self.globals.partitioned_runs, 1);
-        }
         if let Some(log) = &self.log {
-            if partitions > 1 {
-                log.record(EventKind::PartitionedRemoval {
-                    pending: pending_len,
-                    partitions,
-                    retracted: outcome.retracted,
-                    overdeleted: outcome.overdeleted,
-                    rederived: outcome.rederived,
-                    store_size,
-                });
-            } else {
-                log.record(EventKind::CoalescedRemoval {
-                    pending: pending_len,
-                    retracted: outcome.retracted,
-                    overdeleted: outcome.overdeleted,
-                    rederived: outcome.rederived,
-                    store_size,
-                });
-            }
+            log.record(EventKind::CoalescedRemoval {
+                pending: pending_len,
+                retracted: outcome.retracted,
+                overdeleted: outcome.overdeleted,
+                rederived: outcome.rederived,
+                store_size,
+            });
         }
         (outcome, remaining)
     }
@@ -790,139 +649,6 @@ impl Engine {
         }
     }
 
-    /// The maintenance planner: buckets `pending` by maintenance
-    /// partition ([`DependencyGraph::component_of_predicate`]). Returns
-    /// `None` when the flush must stay single-pass: fewer than two
-    /// buckets, a bucket whose partition owns every predicate (universal
-    /// rules — ρdf, RDFS and RDFS-Plus always have one), or an involved
-    /// rule without a backward matcher.
-    ///
-    /// The returned groups are **size-ordered, largest footprint first**
-    /// (a bucket's footprint is the store population of the predicates
-    /// its DRed pass owns): [`Engine::run_partitions`] keeps the largest
-    /// unit on the coordinator thread while the rest execute on the
-    /// pool, so the group most likely to dominate the flush's critical
-    /// path never waits behind a busy worker queue. Ties break on
-    /// component id, the inert bucket last, keeping the plan
-    /// deterministic.
-    fn plan_flush(
-        &self,
-        state: &RulesetState,
-        store: &VerticalStore,
-        pending: &[(usize, Triple)],
-    ) -> Option<Vec<PendingGroup>> {
-        use slider_model::FxHashMap;
-        let mut pred_comp: FxHashMap<NodeId, Option<usize>> = FxHashMap::default();
-        let mut by_comp: FxHashMap<Option<usize>, Vec<(usize, Triple)>> = FxHashMap::default();
-        for &(b, t) in pending {
-            let comp = *pred_comp
-                .entry(t.p)
-                .or_insert_with(|| state.graph.component_of_predicate(t.p));
-            by_comp.entry(comp).or_default().push((b, t));
-        }
-        if by_comp.len() < 2 {
-            return None;
-        }
-        let mut buckets: Vec<_> = by_comp.into_iter().collect();
-        // Pre-sort for determinism before weighing (hash-map order is
-        // arbitrary); the weight sort below is stable.
-        buckets.sort_by_key(|(comp, _)| (comp.is_none(), comp.unwrap_or(0)));
-        let mut groups = Vec::with_capacity(buckets.len());
-        for (comp, triples) in buckets {
-            let preds = match comp {
-                Some(c) => {
-                    if (0..state.graph.len())
-                        .any(|i| state.graph.component_of(i) == c && !state.backward[i])
-                    {
-                        return None;
-                    }
-                    state.graph.component_predicates(c)?.to_vec()
-                }
-                None => {
-                    let mut preds: Vec<NodeId> = triples.iter().map(|&(_, t)| t.p).collect();
-                    preds.sort_unstable();
-                    preds.dedup();
-                    preds
-                }
-            };
-            let weight: usize = preds.iter().map(|&p| store.count_with_p(p)).sum();
-            groups.push((weight, PendingGroup { preds, triples }));
-        }
-        groups.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
-        Some(groups.into_iter().map(|(_, g)| g).collect())
-    }
-
-    /// Executes one planned maintenance run, one DRed unit per group. The
-    /// largest group (the plan's head) runs on the calling thread directly
-    /// against the main store — its pass only touches its own partition's
-    /// tables; every other group has its footprint split off as a
-    /// self-contained shard (tables move wholesale, provenance flags
-    /// included) and runs as a [`Job::Partition`] on the worker pool, and
-    /// the shards are absorbed back as they complete. Sound because the
-    /// groups are disjoint by maintenance partition — no unit writes a
-    /// triple another unit reads. The caller holds the store exclusively
-    /// and the maintenance mutex; the pool is quiescent, so partition jobs
-    /// are the only work.
-    ///
-    /// Seeds are labelled by source batch (`batches` of them): within a
-    /// unit, batches run as sequential DRed passes in batch order, so the
-    /// returned per-batch outcomes match a serial run field for field.
-    fn run_partitions(
-        &self,
-        state: &RulesetState,
-        store: &mut VerticalStore,
-        rules: &[Arc<dyn Rule>],
-        groups: Vec<PendingGroup>,
-        batches: usize,
-    ) -> Vec<RemovalOutcome> {
-        let mut groups = groups.into_iter();
-        let head = groups.next().expect("a plan has at least two groups");
-        let (tx, rx) = unbounded();
-        let mut expected = 0usize;
-        for group in groups {
-            let carve = store.split_off(&group.preds);
-            let seeds = group.triples;
-            let rules = rules.to_vec();
-            let graph = Arc::clone(&state.graph);
-            let tx = tx.clone();
-            let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let mut carve = carve;
-                let outcomes = run_unit(&mut carve, &rules, &graph, &seeds, batches);
-                // Receiver outliving the flush is guaranteed: the
-                // coordinator below collects exactly this many results.
-                let _ = tx.send((carve, outcomes));
-            });
-            expected += 1;
-            if let Err(job) = self.queue.push(self.session, Job::Partition(task)) {
-                // A closed queue means teardown stopped the runtime —
-                // unreachable from the public API (Drop flushes before
-                // the core's teardown closes it), but never lose a
-                // shard: run inline.
-                match job {
-                    Job::Partition(task) => task(),
-                    Job::Run { .. } => unreachable!("the failed push returns the partition job"),
-                }
-            }
-        }
-        // Drop the coordinator's sender: once every dispatched pass has
-        // either sent or been dropped (a worker panic drops its clone
-        // without sending), the channel disconnects — so a lost shard
-        // surfaces as the `expect` below instead of a recv() that blocks
-        // forever while holding the store exclusively.
-        drop(tx);
-        let mut merged = run_unit(store, rules, &state.graph, &head.triples, batches);
-        for _ in 0..expected {
-            let (carve, outcomes) = rx
-                .recv()
-                .expect("partition shard lost — a worker panicked mid-pass");
-            store.absorb(carve);
-            for (m, o) in merged.iter_mut().zip(&outcomes) {
-                m.merge(*o);
-            }
-        }
-        merged
-    }
-
     /// Replaces the ruleset on the live engine (see
     /// [`Slider::swap_ruleset`] for the public contract).
     fn swap_ruleset(&self, ruleset: Ruleset) -> SwapOutcome {
@@ -931,11 +657,7 @@ impl Engine {
         // below cannot be replaced under us.
         let _serial = self.maintenance.lock();
         let old_state = self.rstate();
-        let old_rules: Vec<Arc<dyn Rule>> = old_state
-            .modules
-            .iter()
-            .map(|m| Arc::clone(&m.rule))
-            .collect();
+        let old_rules = old_state.rules();
         let new_rules: Vec<Arc<dyn Rule>> = ruleset.rules().to_vec();
         // Rule identity is (name, definition): same-named rules with a
         // different definition count as drop + add.
@@ -957,7 +679,7 @@ impl Engine {
             .collect();
         let kept = surviving.len();
         // Even an identical-ruleset swap goes through the quiescent
-        // section: the fresh state (rebuilt modules, graph, partitions)
+        // section: the fresh state (rebuilt modules and graph)
         // must install at a point where no in-flight instance holds the
         // old one — only the store-delta work is skipped.
         let ((overdeleted, rederived, inferred), store_size) = self.with_quiescent_store(|store| {
@@ -973,9 +695,8 @@ impl Engine {
             };
             // Linearisation point: with the store held exclusively and
             // already at the new program's closure, the new state —
-            // program, dependency graph, maintenance partitions, rule
-            // modules — becomes what every subsequent resolution sees.
-            // Operations blocked on the store lock resume against the new
+            // program, dependency graph, rule modules — becomes what
+            // every subsequent resolution sees. Operations blocked on the store lock resume against the new
             // program; operations that completed earlier ran entirely
             // under the old one. Nothing observes a mix.
             *self.rstate.write() = Arc::new(build_state(
@@ -1056,9 +777,9 @@ pub struct SwapOutcome {
 /// ```
 ///
 /// A `Slider` built with [`Slider::new`] owns a private single-session
-/// [`Runtime`](crate::Runtime); to multiplex several reasoners over one
+/// [`Runtime`]; to multiplex several reasoners over one
 /// worker pool, build the runtime explicitly and attach sessions with
-/// [`Runtime::session`](crate::Runtime::session) — each gets its own
+/// [`Runtime::session`] — each gets its own
 /// store, ruleset, scheduler and stats, with the execution threads shared.
 pub struct Slider {
     // Field order is drop order: the engine's strong reference goes
@@ -1104,7 +825,6 @@ impl Slider {
             globals: GlobalCounters::default(),
             log: config.trace.then(EventLog::new),
             maintenance: Mutex::new(()),
-            eager_queue: Mutex::new(Vec::new()),
             scheduler: MaintenanceScheduler::new(
                 config.maintenance_batch,
                 config.maintenance_max_age,
@@ -1229,7 +949,7 @@ impl Slider {
     }
 
     /// Retracts encoded triples and runs DRed truth maintenance (see the
-    /// [`maintenance`](crate::maintenance) module): the retracted facts and
+    /// [`maintenance`] module): the retracted facts and
     /// every conclusion that depended on them are deleted, then conclusions
     /// with an alternative derivation from surviving facts are restored.
     /// Afterwards the store equals the closure of the surviving explicit
@@ -1290,15 +1010,6 @@ impl Slider {
     /// visible immediately. On drop, pending retractions are flushed (one
     /// final coalesced run), mirroring how buffered triples drain.
     ///
-    /// When the pending set spans several independent partitions of the
-    /// rules dependency graph (disjoint overdeletion/rederivation
-    /// footprints, see
-    /// [`DependencyGraph::component_of`](slider_rules::DependencyGraph::component_of)),
-    /// the flush runs one DRed pass per partition in parallel on the
-    /// worker pool; the passes land on the same store a single pass
-    /// would. ρdf, RDFS and RDFS-Plus never split: their universal rules
-    /// put every predicate in one partition.
-    ///
     /// [`StatsSnapshot::cancelled_removals`]: crate::StatsSnapshot::cancelled_removals
     pub fn remove_deferred(&self, triples: &[Triple]) -> usize {
         let engine = &self.engine;
@@ -1323,10 +1034,8 @@ impl Slider {
     }
 
     /// Flushes the deferred-retraction queue now: drains every pending
-    /// retraction and runs one coalesced DRed pass over the union — or,
-    /// when the pending set spans several independent dependency-graph
-    /// partitions, one pass per partition in parallel on the worker pool
-    /// (see [`Slider::remove_deferred`]). A no-op returning an empty
+    /// retraction and runs one coalesced DRed pass over the union (see
+    /// [`Slider::remove_deferred`]). A no-op returning an empty
     /// outcome when nothing is pending. The outcome's
     /// [`requested`](RemovalOutcome::requested) equals the number of
     /// distinct pending retractions drained.
@@ -1416,13 +1125,6 @@ impl Slider {
         Arc::clone(&self.engine.rstate().graph)
     }
 
-    /// Number of independent maintenance partitions of the loaded ruleset
-    /// (see [`DependencyGraph::partition_count`]): an upper bound on how
-    /// many parallel DRed passes one coalesced flush can split into.
-    pub fn maintenance_partitions(&self) -> usize {
-        self.engine.rstate().graph.partition_count()
-    }
-
     /// Name of the loaded ruleset ("rho-df", "RDFS", custom). Owned
     /// because the ruleset is swappable ([`Slider::swap_ruleset`]) — a
     /// borrow could outlive the program it names.
@@ -1446,8 +1148,8 @@ impl Slider {
     ///
     /// Afterwards the store equals the closure of its explicit triples
     /// under the new program, exactly as if the reasoner had been built
-    /// with it from the start. The dependency graph, maintenance
-    /// partitions and rule modules are rebuilt and installed
+    /// with it from the start. The dependency graph and rule modules are
+    /// rebuilt and installed
     /// **atomically at the swap's linearisation point**: a quiescent
     /// instant (no rule instance in flight, all buffers empty) with the
     /// store held exclusively. Concurrent `add_triples`/queries are safe
@@ -1556,8 +1258,6 @@ impl Slider {
             cancelled_removals: engine.globals.cancelled.load(Ordering::Relaxed),
             pending_removals: engine.scheduler.pending(),
             coalesced_runs: engine.globals.coalesced_runs.load(Ordering::Relaxed),
-            partitioned_runs: engine.globals.partitioned_runs.load(Ordering::Relaxed),
-            parallel_eager_runs: engine.globals.parallel_eager_runs.load(Ordering::Relaxed),
             oldest_pending_age: engine.scheduler.oldest_age(),
             gate_write_acquisitions: engine.store.gate_write_acquisitions(),
             shard_write_conflicts: engine.store.shard_write_conflicts(),
@@ -1584,9 +1284,10 @@ impl Drop for Slider {
         // Pending deferred retractions must not be silently discarded:
         // apply them in one final coalesced flush, mirroring how buffered
         // triples drain at quiescence. This must happen while the shared
-        // pool is still running — the flush waits for quiescence (and may
-        // farm partition passes out to the pool) — which is guaranteed:
-        // this session's handle still holds the runtime core alive.
+        // pool is still running — the flush waits for quiescence, and
+        // queued rule instances drain through the pool — which is
+        // guaranteed: this session's handle still holds the runtime core
+        // alive.
         if self.engine.scheduler.pending() > 0 {
             self.engine.flush_maintenance();
         }
@@ -1973,75 +1674,10 @@ mod tests {
         assert_ne!(slider.store().to_sorted_vec(), full);
     }
 
-    /// A pending set spanning two independent rule families splits into a
-    /// partitioned flush: parallel DRed passes, same final store.
+    /// DRed composes over sub-batches: one flush over two retractions
+    /// lands on the store that one flush per retraction gives.
     #[test]
-    fn partitioned_flush_runs_independent_partitions() {
-        use slider_rules::{Subsumption, Transitive};
-        let p = |v: u64| NodeId(5_000 + v);
-        let ruleset = Ruleset::custom("two-families")
-            .with(Transitive::new("T-A", p(0)))
-            .with(Subsumption::new("S-A", p(1), p(0)))
-            .with(Transitive::new("T-B", p(10)))
-            .with(Subsumption::new("S-B", p(11), p(10)));
-        let config = SliderConfig::batch()
-            .with_maintenance_batch(usize::MAX)
-            .with_trace(true);
-        let slider = Slider::new(Arc::new(Dictionary::new()), ruleset.clone(), config);
-        assert_eq!(slider.maintenance_partitions(), 2);
-
-        // Two chains, one per family, plus memberships at the chain heads;
-        // an inert (rule-free) predicate rides along as a third bucket.
-        let chain_a: Vec<Triple> = (1..6).map(|i| Triple::new(n(i), p(0), n(i + 1))).collect();
-        let chain_b: Vec<Triple> = (1..6).map(|i| Triple::new(n(i), p(10), n(i + 1))).collect();
-        let members = [
-            Triple::new(n(100), p(1), n(1)),
-            Triple::new(n(100), p(11), n(1)),
-        ];
-        let inert = Triple::new(n(200), NodeId(9_999), n(201));
-        slider.materialize(&chain_a);
-        slider.materialize(&chain_b);
-        slider.materialize(&members);
-        slider.materialize(&[inert]);
-
-        // Defer one link from each family plus the inert triple, flush.
-        slider.remove_deferred(&[chain_a[2], chain_b[2], inert]);
-        let outcome = slider.flush_maintenance();
-        assert_eq!(outcome.requested, 3);
-        assert_eq!(outcome.retracted, 3);
-
-        let stats = slider.stats();
-        assert_eq!(stats.partitioned_runs, 1, "flush did not partition");
-        assert_eq!(stats.coalesced_runs, 1);
-        let events = slider.events().expect("tracing on");
-        let partitions = events
-            .iter()
-            .find_map(|e| match e.kind {
-                EventKind::PartitionedRemoval { partitions, .. } => Some(partitions),
-                _ => None,
-            })
-            .expect("partitioned removal event");
-        assert_eq!(partitions, 3, "family A + family B + inert bucket");
-
-        // The store equals the closure of the surviving explicit set.
-        let survivors: Vec<Triple> = chain_a
-            .iter()
-            .chain(chain_b.iter())
-            .chain(members.iter())
-            .copied()
-            .filter(|&t| t != chain_a[2] && t != chain_b[2])
-            .collect();
-        assert_eq!(
-            slider.store().to_sorted_vec(),
-            closure(ruleset, &survivors).to_sorted_vec()
-        );
-    }
-
-    /// One flush spanning both families partitions; one flush per family
-    /// stays single-pass (a lone bucket is never split). Both land on the
-    /// same store.
-    #[test]
-    fn partitioning_ablation_agrees_with_single_pass() {
+    fn one_flush_lands_where_per_retraction_flushes_do() {
         use slider_rules::Transitive;
         let p = |v: u64| NodeId(5_000 + v);
         let retractions = [
@@ -2071,68 +1707,21 @@ mod tests {
             }
             slider
         };
-        let partitioned = build(true);
-        let single = build(false);
+        let together = build(true);
+        let apart = build(false);
         assert_eq!(
-            partitioned.store().to_sorted_vec(),
-            single.store().to_sorted_vec()
+            together.store().to_sorted_vec(),
+            apart.store().to_sorted_vec()
         );
-        assert_eq!(partitioned.stats().partitioned_runs, 1);
-        assert_eq!(partitioned.stats().coalesced_runs, 1);
-        assert_eq!(single.stats().partitioned_runs, 0);
-        assert_eq!(single.stats().coalesced_runs, 2);
+        assert_eq!(together.stats().coalesced_runs, 1);
+        assert_eq!(apart.stats().coalesced_runs, 2);
     }
 
-    /// Size-aware bucket ordering: the bucket with the largest store
-    /// footprint must come first in the plan — it runs on the flush
-    /// coordinator while the rest are dispatched to the pool.
+    /// A flush reports the [`RemovalOutcome`] a direct DRed pass over the
+    /// same pending set gives, counter for counter — the no-op
+    /// classifications included — and lands on the same store.
     #[test]
-    fn plan_flush_puts_largest_bucket_on_the_coordinator() {
-        use slider_rules::Transitive;
-        let p = |v: u64| NodeId(5_000 + v);
-        let links = |base: u64, count: u64| -> Vec<Triple> {
-            (1..=count)
-                .map(|i| Triple::new(n(100 * base + i), p(base), n(100 * base + i + 1)))
-                .collect()
-        };
-        for (small, big) in [(0u64, 10u64), (10, 0)] {
-            let ruleset = Ruleset::custom("two-sizes")
-                .with(Transitive::new("T-A", p(0)))
-                .with(Transitive::new("T-B", p(10)));
-            let slider = Slider::new(
-                Arc::new(Dictionary::new()),
-                ruleset,
-                SliderConfig::batch().with_maintenance_batch(usize::MAX),
-            );
-            // One family dwarfs the other; which one varies per iteration,
-            // so the assertion cannot pass by accident of component ids.
-            slider.materialize(&links(small, 3));
-            slider.materialize(&links(big, 14));
-            let pending = vec![(0, links(small, 3)[0]), (0, links(big, 14)[0])];
-            let engine = &slider.engine;
-            let state = engine.rstate();
-            let store = engine.store.exclusive();
-            let groups = engine
-                .plan_flush(&state, &store, &pending)
-                .expect("two buckets");
-            assert_eq!(groups.len(), 2);
-            let weight = |g: &PendingGroup| -> usize {
-                g.preds.iter().map(|&q| store.count_with_p(q)).sum()
-            };
-            assert!(
-                groups[0].preds.contains(&p(big)),
-                "largest family must be first (coordinator-run)"
-            );
-            assert!(weight(&groups[0]) > weight(&groups[1]));
-        }
-    }
-
-    /// The partitioned flush must land on the store a single DRed pass
-    /// over the same pending set gives, with the merged
-    /// [`RemovalOutcome`] equal counter for counter — the no-op
-    /// classifications included.
-    #[test]
-    fn partitioned_outcome_counters_match_single_pass() {
+    fn flush_outcome_counters_match_a_direct_dred_pass() {
         use slider_rules::Transitive;
         let p = |v: u64| NodeId(5_000 + v);
         let ruleset = Ruleset::custom("two-chains")
@@ -2146,29 +1735,27 @@ mod tests {
                 .collect();
             slider.materialize(&links);
         }
-        // Genuine retractions in both partitions plus the two no-op
-        // flavours (a derived-only triple and an absent one), so every
-        // counter is exercised per bucket.
+        // Genuine retractions in both chains plus the two no-op flavours
+        // (a derived-only triple and an absent one), so every counter is
+        // exercised.
         let pending = [
             Triple::new(n(3), p(0), n(4)),
             Triple::new(n(5), p(10), n(6)),
             Triple::new(n(1), p(0), n(3)), // derived-only (chain hop)
             Triple::new(n(90), p(10), n(91)), // absent
         ];
-        // The single-pass reference: one DRed run on a copy of the
-        // pre-flush store.
-        let mut single = VerticalStore::clone(&slider.store().snapshot());
+        // The reference: one DRed run on a copy of the pre-flush store.
+        let mut direct = VerticalStore::clone(&slider.store().snapshot());
         let graph = DependencyGraph::build(&ruleset);
-        let single_pass = maintenance::dred(&mut single, ruleset.rules(), &graph, &pending);
+        let direct_pass = maintenance::dred(&mut direct, ruleset.rules(), &graph, &pending);
 
         slider.remove_deferred(&pending);
-        let merged = slider.flush_maintenance();
-        assert_eq!(slider.stats().partitioned_runs, 1);
-        assert_eq!(slider.store().to_sorted_vec(), single.to_sorted_vec());
-        assert_eq!(merged, single_pass, "partitioned outcome merge drifted");
-        assert_eq!(merged.retracted, 2);
-        assert_eq!(merged.ignored_derived, 1);
-        assert_eq!(merged.not_found, 1);
+        let flushed = slider.flush_maintenance();
+        assert_eq!(slider.store().to_sorted_vec(), direct.to_sorted_vec());
+        assert_eq!(flushed, direct_pass, "flush outcome drifted");
+        assert_eq!(flushed.retracted, 2);
+        assert_eq!(flushed.ignored_derived, 1);
+        assert_eq!(flushed.not_found, 1);
     }
 
     /// `flush_maintenance` is a barrier: while another thread's slice is

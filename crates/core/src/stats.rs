@@ -60,14 +60,8 @@ pub(crate) struct GlobalCounters {
     /// while its retraction was still pending.
     pub cancelled: AtomicU64,
     /// Coalesced maintenance runs: flushes of the deferred queue that
-    /// drained at least one pending retraction (single-pass or
-    /// partitioned).
+    /// drained at least one pending retraction.
     pub coalesced_runs: AtomicU64,
-    /// Coalesced runs that split into ≥ 2 parallel partition passes.
-    pub partitioned_runs: AtomicU64,
-    /// Eager removal passes that dispatched ≥ 2 concurrent DRed units
-    /// (independent eager callers combined under one quiescent section).
-    pub parallel_eager_runs: AtomicU64,
     /// Live ruleset replacements completed by `swap_ruleset`.
     pub ruleset_swaps: AtomicU64,
     /// Deadline-triggered flushes cut short by the runtime's per-tick
@@ -149,17 +143,6 @@ pub struct StatsSnapshot {
     /// run also counts towards [`StatsSnapshot::removal_runs`] when it
     /// retracted at least one explicit triple.
     pub coalesced_runs: u64,
-    /// Coalesced runs that split into ≥ 2 independent partition passes
-    /// executed in parallel on the worker pool (see
-    /// [`Slider::remove_deferred`](crate::Slider::remove_deferred)). Always
-    /// 0 under ρdf, RDFS and RDFS-Plus, whose universal rules make one
-    /// partition.
-    pub partitioned_runs: u64,
-    /// Eager removal passes that dispatched ≥ 2 concurrent DRed units:
-    /// independent `remove_triples` callers whose closures proved
-    /// disjoint were combined by one leader and maintained in parallel
-    /// under a single quiescent section.
-    pub parallel_eager_runs: u64,
     /// Age of the oldest pending retraction at snapshot time — the
     /// **staleness bound**: every query answered now reflects a closure at
     /// most this much older than the retraction stream. `None` when
@@ -266,21 +249,13 @@ impl std::fmt::Display for StatsSnapshot {
         if self.deferred > 0 {
             write!(
                 f,
-                "deferred: {} enqueued, {} pending, {} coalesced runs, {} partitioned, \
-                 {} cancelled",
-                self.deferred,
-                self.pending_removals,
-                self.coalesced_runs,
-                self.partitioned_runs,
-                self.cancelled_removals
+                "deferred: {} enqueued, {} pending, {} coalesced runs, {} cancelled",
+                self.deferred, self.pending_removals, self.coalesced_runs, self.cancelled_removals
             )?;
             if let Some(age) = self.oldest_pending_age {
                 write!(f, ", oldest pending {:.1} ms", age.as_secs_f64() * 1e3)?;
             }
             writeln!(f)?;
-        }
-        if self.parallel_eager_runs > 0 {
-            writeln!(f, "eager: {} parallel runs", self.parallel_eager_runs)?;
         }
         writeln!(
             f,
@@ -354,8 +329,6 @@ mod tests {
             cancelled_removals: 0,
             pending_removals: 0,
             coalesced_runs: 0,
-            partitioned_runs: 0,
-            parallel_eager_runs: 0,
             oldest_pending_age: None,
             gate_write_acquisitions: 0,
             shard_write_conflicts: 0,
@@ -401,16 +374,9 @@ mod tests {
         with_removals.deferred = 5;
         with_removals.pending_removals = 2;
         with_removals.coalesced_runs = 1;
-        with_removals.partitioned_runs = 1;
         with_removals.cancelled_removals = 3;
         let text = with_removals.to_string();
-        assert!(text.contains(
-            "deferred: 5 enqueued, 2 pending, 1 coalesced runs, 1 partitioned, 3 cancelled"
-        ));
-        // The eager line only appears once eager callers were combined.
-        assert!(!text.contains("eager:"));
-        with_removals.parallel_eager_runs = 1;
-        assert!(with_removals.to_string().contains("eager: 1 parallel runs"));
+        assert!(text.contains("deferred: 5 enqueued, 2 pending, 1 coalesced runs, 3 cancelled"));
         // The staleness bound only renders while something is pending.
         assert!(!text.contains("oldest pending"));
         with_removals.oldest_pending_age = Some(std::time::Duration::from_millis(4));

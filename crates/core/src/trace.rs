@@ -69,23 +69,6 @@ pub enum EventKind {
         /// Store size after maintenance.
         store_size: usize,
     },
-    /// A coalesced maintenance run that split into independent partition
-    /// passes executed in parallel on the worker pool (pending retractions
-    /// fell into ≥ 2 disjoint dependency-graph partitions).
-    PartitionedRemoval {
-        /// Distinct pending retractions drained into this run.
-        pending: usize,
-        /// Independent DRed passes the run split into.
-        partitions: usize,
-        /// Explicit triples actually retracted (all partitions).
-        retracted: usize,
-        /// Derived triples deleted during overdeletion (all partitions).
-        overdeleted: usize,
-        /// Overdeleted triples restored by rederivation (all partitions).
-        rederived: usize,
-        /// Store size after maintenance.
-        store_size: usize,
-    },
     /// A live ruleset replacement completed (`swap_ruleset`): the program
     /// was diffed against the running one, derivations supported only by
     /// dropped rules were retracted (DRed), added rules were evaluated
@@ -263,19 +246,6 @@ pub fn events_to_json(events: &[Event]) -> String {
                     r#"{{"at_us":{us},"type":"coalesced_removal","pending":{pending},"retracted":{retracted},"overdeleted":{overdeleted},"rederived":{rederived},"store_size":{store_size}}}"#
                 );
             }
-            EventKind::PartitionedRemoval {
-                pending,
-                partitions,
-                retracted,
-                overdeleted,
-                rederived,
-                store_size,
-            } => {
-                let _ = write!(
-                    out,
-                    r#"{{"at_us":{us},"type":"partitioned_removal","pending":{pending},"partitions":{partitions},"retracted":{retracted},"overdeleted":{overdeleted},"rederived":{rederived},"store_size":{store_size}}}"#
-                );
-            }
             EventKind::RulesetSwap {
                 dropped,
                 added,
@@ -398,14 +368,6 @@ mod tests {
             rederived: 2,
             store_size: 4,
         });
-        log.record(EventKind::PartitionedRemoval {
-            pending: 8,
-            partitions: 3,
-            retracted: 7,
-            overdeleted: 5,
-            rederived: 1,
-            store_size: 9,
-        });
         log.record(EventKind::RulesetSwap {
             dropped: 1,
             added: 2,
@@ -437,7 +399,6 @@ mod tests {
             r#""type":"rule_fired","rule":2,"delta":4,"derived":6,"fresh":1,"store_size":5"#,
             r#""type":"removal","requested":3,"retracted":2,"overdeleted":4,"rederived":1,"store_size":2"#,
             r#""type":"coalesced_removal","pending":7,"retracted":6,"overdeleted":9,"rederived":2,"store_size":4"#,
-            r#""type":"partitioned_removal","pending":8,"partitions":3,"retracted":7,"overdeleted":5,"rederived":1,"store_size":9"#,
             r#""type":"ruleset_swap","dropped":1,"added":2,"kept":6,"overdeleted":4,"rederived":1,"inferred":3,"store_size":8"#,
             r#""type":"budget_slice","applied":128,"remaining":72"#,
             r#""type":"dict_sweep","scanned":50,"swept":30,"live":20,"bytes_before":9000,"bytes_after":4000"#,
@@ -445,8 +406,8 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        // 10 separators for 11 events.
-        assert_eq!(json.matches("},{").count(), 10);
+        // 9 separators for 10 events.
+        assert_eq!(json.matches("},{").count(), 9);
     }
 
     #[test]

@@ -19,16 +19,14 @@
 //!     .with(Subsumption::new("WITHIN", within, part_of))
 //!     .with(Transitive::new("LOCATED-IN", located_in));
 //!
-//! // The two families never exchange triples: the dependency graph
-//! // reports two maintenance partitions, so their retractions can be
-//! // flushed by independent (parallel) DRed passes.
+//! // The two families never exchange triples: retracting a located-in
+//! // link can only touch LOCATED-IN's conclusions.
 //! let graph = DependencyGraph::build(&rs);
-//! assert_eq!(graph.partition_count(), 2);
+//! assert_eq!(graph.affected_by(located_in), vec![2]);
 //! ```
 //!
 //! Both rules implement the backward [`Rule::derives`] check, so DRed
-//! rederivation over them stays proportional to the deleted set — and
-//! partitioned maintenance never needs the forward fallback.
+//! rederivation over them stays proportional to the deleted set.
 
 use crate::rule::{InputFilter, OutputSignature, Rule};
 use slider_model::{NodeId, Triple};
@@ -159,7 +157,7 @@ impl Rule for Subsumption {
 /// `(x P y) ⊢ (x IS c)` — domain typing over a configurable property
 /// (the generic `PRP-DOM` for one known property/class pair; the built-in
 /// [`PrpDom`](crate::PrpDom) reads the schema at run time and is therefore
-/// universal-input, which bars its component from every partitioned plan).
+/// universal-input).
 #[derive(Debug, Clone, Copy)]
 pub struct Domain {
     name: &'static str,
@@ -404,23 +402,13 @@ mod tests {
             .with(Transitive::new("T-B", n(200)))
             .with(Subsumption::new("S-B", n(201), n(200)));
         let g = DependencyGraph::build(&rs);
-        assert_eq!(g.partition_count(), 2);
-        assert_eq!(g.component_of(0), g.component_of(1));
-        assert_eq!(g.component_of(2), g.component_of(3));
-        assert_ne!(g.component_of(0), g.component_of(2));
-        // Predicate → owning component, in both consumer and emitter roles.
-        assert_eq!(g.component_of_predicate(n(100)), Some(g.component_of(0)));
-        assert_eq!(g.component_of_predicate(n(201)), Some(g.component_of(2)));
-        assert_eq!(g.component_of_predicate(n(999)), None, "inert predicate");
-        // Owned predicate lists are exactly the family vocabularies.
-        assert_eq!(
-            g.component_predicates(g.component_of(0)),
-            Some([n(100), n(101)].as_slice())
-        );
-        assert_eq!(
-            g.component_predicates(g.component_of(2)),
-            Some([n(200), n(201)].as_slice())
-        );
+        // Each family's rules reach only each other.
+        assert_eq!(g.reachable([0]), vec![0, 1]);
+        assert_eq!(g.reachable([2]), vec![2, 3]);
+        // A retraction's downward closure stays inside its family.
+        assert_eq!(g.affected_by(n(100)), vec![0, 1]);
+        assert_eq!(g.affected_by(n(201)), vec![3]);
+        assert!(g.affected_by(n(999)).is_empty(), "inert predicate");
     }
 
     /// Minimal fixpoint helper for these tests (the real baselines live in

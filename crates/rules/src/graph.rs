@@ -24,110 +24,6 @@ pub struct DependencyGraph {
     succ: Vec<Vec<usize>>,
     /// Input filters, cached for routing raw input.
     filters: Vec<InputFilter>,
-    /// Output signatures, cached for the partition/emitter queries.
-    outputs: Vec<OutputSignature>,
-    /// Maintenance partitions (see [`DependencyGraph::component_of`]).
-    partitions: Partitions,
-}
-
-/// The graph's *maintenance partitions*: the finest grouping of rules such
-/// that truth maintenance scoped to one group can never read or write a
-/// triple that maintenance in another group writes.
-///
-/// Two rules land in the same component when any of these hold, closed
-/// transitively:
-///
-/// * one **feeds** the other (a dependency edge either way) — group A's
-///   overdeletion could invalidate conclusions of group B;
-/// * their **input filters overlap** — a retracted predicate would seed
-///   both rules' downward closures, so they must run in one pass;
-/// * their **output signatures overlap** — both can emit some predicate,
-///   so rederiving a deleted triple of that predicate must consult both.
-///
-/// Within one component, every predicate any member consumes or emits is
-/// *owned* by the component, and ownership is exclusive: a predicate's
-/// consumers and emitters are all in one component by construction. A rule
-/// with a universal input or output owns every predicate — its component
-/// reports no finite predicate list and partitioned maintenance falls back
-/// to a single pass (in ρdf/RDFS the `PRP-*` rules collapse everything
-/// into one component; partitioning pays off for predicate-scoped rulesets
-/// such as [`Transitive`](crate::Transitive) families).
-#[derive(Debug, Clone, Default)]
-struct Partitions {
-    /// Component id per rule, compacted to `0..count` in rule order.
-    comp: Vec<usize>,
-    /// Number of components.
-    count: usize,
-    /// Per component: the sorted, deduplicated predicates its rules consume
-    /// or emit — `None` when a member has a universal input or output (the
-    /// component then owns every predicate).
-    owned: Vec<Option<Vec<NodeId>>>,
-}
-
-impl Partitions {
-    fn build(succ: &[Vec<usize>], filters: &[InputFilter], outputs: &[OutputSignature]) -> Self {
-        let n = filters.len();
-        // Union-find over the rules; path-halving is overkill at n ≈ 10,
-        // but keeps the closure transitive regardless of pair order.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let union = |parent: &mut [usize], a: usize, b: usize| {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        };
-        for (i, succs) in succ.iter().enumerate() {
-            for &j in succs {
-                union(&mut parent, i, j);
-            }
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                if filters[i].overlaps(&filters[j]) || outputs[i].overlaps(&outputs[j]) {
-                    union(&mut parent, i, j);
-                }
-            }
-        }
-
-        // Compact the roots to 0..count in rule order.
-        let mut comp = vec![usize::MAX; n];
-        let mut count = 0;
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            if comp[root] == usize::MAX {
-                comp[root] = count;
-                count += 1;
-            }
-            comp[i] = comp[root];
-        }
-
-        // Owned predicates per component; `None` once a member is
-        // universal on either side.
-        let mut owned: Vec<Option<Vec<NodeId>>> = vec![Some(Vec::new()); count];
-        for i in 0..n {
-            let slot = &mut owned[comp[i]];
-            match (&filters[i], &outputs[i]) {
-                (InputFilter::Universal, _) | (_, OutputSignature::Universal) => *slot = None,
-                (InputFilter::Predicates(ins), OutputSignature::Predicates(outs)) => {
-                    if let Some(preds) = slot {
-                        preds.extend(ins.iter().chain(outs.iter()).copied());
-                    }
-                }
-            }
-        }
-        for preds in owned.iter_mut().flatten() {
-            preds.sort_unstable();
-            preds.dedup();
-        }
-        Partitions { comp, count, owned }
-    }
 }
 
 impl DependencyGraph {
@@ -148,13 +44,10 @@ impl DependencyGraph {
                     .collect()
             })
             .collect();
-        let partitions = Partitions::build(&succ, &filters, &outputs);
         DependencyGraph {
             names: rules.iter().map(|r| r.name()).collect(),
             succ,
             filters,
-            outputs,
-            partitions,
         }
     }
 
@@ -218,7 +111,7 @@ impl DependencyGraph {
 
     /// Rules whose buffer should receive a raw input triple with
     /// predicate `p`.
-    pub fn entry_routes(&self, p: slider_model::NodeId) -> impl Iterator<Item = usize> + '_ {
+    pub fn entry_routes(&self, p: NodeId) -> impl Iterator<Item = usize> + '_ {
         self.filters
             .iter()
             .enumerate()
@@ -253,50 +146,8 @@ impl DependencyGraph {
     /// The rules that may participate in the downward closure of a deleted
     /// triple with predicate `p`: the [`DependencyGraph::reachable`] set of
     /// its [`DependencyGraph::entry_routes`].
-    pub fn affected_by(&self, p: slider_model::NodeId) -> Vec<usize> {
+    pub fn affected_by(&self, p: NodeId) -> Vec<usize> {
         self.reachable(self.entry_routes(p).collect::<Vec<_>>())
-    }
-
-    /// Number of maintenance partitions: the finest grouping of rules such
-    /// that maintenance scoped to one group never reads or writes a triple
-    /// that maintenance in another group writes (see
-    /// [`DependencyGraph::component_of`] for the grouping criterion).
-    pub fn partition_count(&self) -> usize {
-        self.partitions.count
-    }
-
-    /// The maintenance partition (component id in
-    /// `0..`[`partition_count`](DependencyGraph::partition_count)) of rule
-    /// `i`.
-    ///
-    /// Two rules share a component when (transitively) one feeds the
-    /// other, their input filters overlap, or their output signatures
-    /// overlap — the union of everything that could make their
-    /// overdeletion/rederivation footprints touch. Retractions whose
-    /// predicates map to *different* components
-    /// ([`DependencyGraph::component_of_predicate`]) can therefore be
-    /// maintained by independent DRed passes, in parallel.
-    pub fn component_of(&self, i: usize) -> usize {
-        self.partitions.comp[i]
-    }
-
-    /// The maintenance partition responsible for predicate `p`: the
-    /// component of the rules that consume or emit `p`. By construction
-    /// all of them share one component, so the answer is unique; `None`
-    /// means no rule touches `p` — retracting such a triple is a plain
-    /// delete with no derived consequences (an *inert* retraction).
-    pub fn component_of_predicate(&self, p: NodeId) -> Option<usize> {
-        (0..self.len())
-            .find(|&i| self.filters[i].accepts_predicate(p) || self.outputs[i].may_emit(p))
-            .map(|i| self.partitions.comp[i])
-    }
-
-    /// Every predicate component `c`'s rules consume or emit (sorted,
-    /// deduplicated) — the tables a maintenance pass scoped to `c` may
-    /// touch. `None` when a member rule has a universal input or output:
-    /// the component owns every predicate and cannot be split off.
-    pub fn component_predicates(&self, c: usize) -> Option<&[NodeId]> {
-        self.partitions.owned[c].as_deref()
     }
 
     /// Renders the graph in Graphviz DOT, reproducing Figure 2's layout
@@ -497,82 +348,6 @@ mod tests {
             .collect();
         // sco enters CAX-SCO + SCM-SCO; SCM-SPO stays untouched.
         assert_eq!(affected, vec!["CAX-SCO", "SCM-SCO"]);
-    }
-
-    #[test]
-    fn rho_df_collapses_to_one_partition() {
-        // The PRP-* rules are universal on input (PRP-DOM/RNG) or output
-        // (PRP-SPO1): everything overlaps, so ρdf has a single maintenance
-        // partition that owns every predicate.
-        let g = DependencyGraph::build(&Ruleset::rho_df());
-        assert_eq!(g.partition_count(), 1);
-        for i in 0..g.len() {
-            assert_eq!(g.component_of(i), 0);
-        }
-        assert_eq!(g.component_predicates(0), None, "universal ownership");
-        assert_eq!(g.component_of_predicate(RDF_TYPE), Some(0));
-        assert_eq!(
-            g.component_of_predicate(slider_model::NodeId(99_999)),
-            Some(0),
-            "universal input consumes every predicate"
-        );
-    }
-
-    #[test]
-    fn predicate_scoped_rules_partition() {
-        // {CAX-SCO, SCM-SCO} share sco; SCM-SPO's spo vocabulary is
-        // disjoint from both — two partitions.
-        let rs = Ruleset::custom("scoped")
-            .with(crate::rho_df::CaxSco)
-            .with(crate::rho_df::ScmSco)
-            .with(crate::rho_df::ScmSpo);
-        let g = DependencyGraph::build(&rs);
-        assert_eq!(g.partition_count(), 2);
-        let sco_comp = g.component_of(g.index_of("CAX-SCO").unwrap());
-        assert_eq!(g.component_of(g.index_of("SCM-SCO").unwrap()), sco_comp);
-        let spo_comp = g.component_of(g.index_of("SCM-SPO").unwrap());
-        assert_ne!(sco_comp, spo_comp);
-        // Consumers and emitters agree on ownership.
-        assert_eq!(g.component_of_predicate(RDFS_SUB_CLASS_OF), Some(sco_comp));
-        assert_eq!(g.component_of_predicate(RDF_TYPE), Some(sco_comp));
-        use slider_model::vocab::RDFS_SUB_PROPERTY_OF;
-        assert_eq!(
-            g.component_of_predicate(RDFS_SUB_PROPERTY_OF),
-            Some(spo_comp)
-        );
-        // Unknown predicates are inert.
-        assert_eq!(g.component_of_predicate(slider_model::NodeId(42)), None);
-        // Owned vocabularies are finite, sorted and disjoint.
-        let sco_owned = g.component_predicates(sco_comp).unwrap();
-        let spo_owned = g.component_predicates(spo_comp).unwrap();
-        assert!(sco_owned.contains(&RDFS_SUB_CLASS_OF));
-        assert!(sco_owned.contains(&RDF_TYPE));
-        assert_eq!(spo_owned, [RDFS_SUB_PROPERTY_OF]);
-        assert!(sco_owned.iter().all(|p| !spo_owned.contains(p)));
-    }
-
-    #[test]
-    fn output_overlap_joins_partitions_without_edges() {
-        // Two rules that both emit type but never feed each other must
-        // share a partition: rederiving a deleted type triple consults
-        // both. (CAX-SCO feeds itself; the second family's Subsumption
-        // emits into the same `type` predicate.)
-        let rs = Ruleset::custom("shared-output")
-            .with(crate::rho_df::CaxSco)
-            .with(crate::Subsumption::new(
-                "S-B",
-                RDF_TYPE,
-                slider_model::NodeId(7_000),
-            ));
-        let g = DependencyGraph::build(&rs);
-        assert_eq!(g.partition_count(), 1);
-    }
-
-    #[test]
-    fn empty_graph_has_no_partitions() {
-        let g = DependencyGraph::build(&Ruleset::custom("empty"));
-        assert_eq!(g.partition_count(), 0);
-        assert_eq!(g.component_of_predicate(RDF_TYPE), None);
     }
 
     #[test]

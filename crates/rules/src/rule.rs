@@ -32,19 +32,6 @@ impl InputFilter {
     pub fn accepts(&self, t: Triple) -> bool {
         self.accepts_predicate(t.p)
     }
-
-    /// True if some triple is relevant to both filters (a retraction of a
-    /// shared predicate would seed both rules' downward closures — the
-    /// partition criterion in
-    /// [`DependencyGraph`](crate::DependencyGraph)).
-    pub fn overlaps(&self, other: &InputFilter) -> bool {
-        match (self, other) {
-            (InputFilter::Universal, _) | (_, InputFilter::Universal) => true,
-            (InputFilter::Predicates(a), InputFilter::Predicates(b)) => {
-                a.iter().any(|p| b.contains(p))
-            }
-        }
-    }
 }
 
 /// Which predicates a rule's conclusions can carry.
@@ -69,28 +56,6 @@ impl OutputSignature {
             (OutputSignature::Universal, _) => true,
             (OutputSignature::Predicates(outs), InputFilter::Predicates(ins)) => {
                 outs.iter().any(|p| ins.contains(p))
-            }
-        }
-    }
-
-    /// True if the rule can emit a triple with predicate `p`.
-    #[inline]
-    pub fn may_emit(&self, p: NodeId) -> bool {
-        match self {
-            OutputSignature::Universal => true,
-            OutputSignature::Predicates(ps) => ps.contains(&p),
-        }
-    }
-
-    /// True if both signatures can emit some common predicate (rederiving
-    /// a deleted triple of that predicate must consult both rules — the
-    /// partition criterion in
-    /// [`DependencyGraph`](crate::DependencyGraph)).
-    pub fn overlaps(&self, other: &OutputSignature) -> bool {
-        match (self, other) {
-            (OutputSignature::Universal, _) | (_, OutputSignature::Universal) => true,
-            (OutputSignature::Predicates(a), OutputSignature::Predicates(b)) => {
-                a.iter().any(|p| b.contains(p))
             }
         }
     }

@@ -13,10 +13,7 @@ pub struct PropertyTable {
     by_o: FxHashMap<NodeId, FxHashSet<NodeId>>,
     len: usize,
     /// The explicitly asserted subset of this partition (`explicit ⊆
-    /// pairs`; [`PropertyTable::remove`] clears the flag). Keeping the
-    /// provenance flag *inside* the partition makes a table a
-    /// self-contained shard: moving it between stores (see
-    /// `VerticalStore::split_off`) carries the flags along for free.
+    /// pairs`; [`PropertyTable::remove`] clears the flag).
     explicit: FxHashSet<(NodeId, NodeId)>,
 }
 
@@ -131,22 +128,6 @@ impl PropertyTable {
     /// True if the table holds no pairs.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Merges another table of the **same predicate** into this one,
-    /// preserving explicit flags. Panics if the two tables share a pair —
-    /// merge partners must be disjoint, so a collision means a carve
-    /// invariant broke upstream.
-    pub fn merge(&mut self, other: PropertyTable) {
-        for (s, o) in other.pairs() {
-            assert!(
-                self.add(s, o),
-                "merge: pair ({s:?}, {o:?}) present in both tables"
-            );
-        }
-        for (s, o) in other.explicit_pairs() {
-            self.mark_explicit(s, o);
-        }
     }
 
     /// Fan-out of subject `s` (number of objects), 0 if absent.
@@ -271,15 +252,5 @@ mod tests {
         t.mark_explicit(n(1), n(2));
         assert!(t.remove(n(1), n(2)));
         assert_eq!(t.explicit_len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "present in both tables")]
-    fn merge_rejects_overlapping_tables() {
-        let mut a = PropertyTable::new();
-        a.add(n(1), n(2));
-        let mut b = PropertyTable::new();
-        b.add(n(1), n(2));
-        a.merge(b);
     }
 }

@@ -35,9 +35,7 @@ pub struct VerticalStore {
     len: usize,
     /// Number of explicitly asserted triples. The flags themselves live in
     /// the per-predicate tables (`explicit ⊆ store` always holds: removal
-    /// clears the flag, and marking inserts the triple), so moving a table
-    /// between stores — [`VerticalStore::split_off`] /
-    /// [`VerticalStore::absorb`] — carries provenance with it.
+    /// clears the flag, and marking inserts the triple).
     explicit_len: usize,
 }
 
@@ -196,53 +194,6 @@ impl VerticalStore {
         self.tables
             .iter()
             .flat_map(|(&p, tab)| tab.explicit_pairs().map(move |(s, o)| Triple::new(s, p, o)))
-    }
-
-    /// Moves the partitions of `preds` out into a new store, per-triple
-    /// explicit flags included. Predicates with no
-    /// triples are skipped. O(#preds) — the tables move wholesale, which
-    /// is what lets a partitioned maintenance pass hand disjoint shards of
-    /// one store to parallel workers and [`absorb`](VerticalStore::absorb)
-    /// them back.
-    pub fn split_off(&mut self, preds: &[NodeId]) -> VerticalStore {
-        let mut split = VerticalStore::new();
-        for &p in preds {
-            let Some(tab) = self.tables.remove(&p) else {
-                continue;
-            };
-            self.len -= tab.len();
-            self.explicit_len -= tab.explicit_len();
-            split.len += tab.len();
-            split.explicit_len += tab.explicit_len();
-            split.tables.insert(p, tab);
-        }
-        split
-    }
-
-    /// Moves every partition of `other` into this store — the inverse of
-    /// [`VerticalStore::split_off`]. A predicate present in both stores is
-    /// **merged** pair-by-pair (explicit flags preserved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two stores share a *triple*: absorb re-attaches
-    /// disjoint carvings; an overlapping triple means a carve invariant
-    /// broke upstream.
-    pub fn absorb(&mut self, other: VerticalStore) {
-        for (p, tab) in other.tables {
-            self.len += tab.len();
-            self.explicit_len += tab.explicit_len();
-            match self.tables.entry(p) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(tab);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let mine = Arc::make_mut(slot.get_mut());
-                    let theirs = Arc::try_unwrap(tab).unwrap_or_else(|arc| (*arc).clone());
-                    mine.merge(theirs);
-                }
-            }
-        }
     }
 
     /// True if `t` is present.
@@ -558,69 +509,6 @@ mod tests {
         assert!(st.remove(t(4, 5, 6)));
         assert!(!st.is_explicit(t(4, 5, 6)));
         assert_eq!(st.explicit_iter().count(), 0);
-    }
-
-    #[test]
-    fn split_off_and_absorb_round_trip_with_provenance() {
-        let mut st = VerticalStore::new();
-        st.insert_explicit(t(1, 10, 2));
-        st.insert(t(3, 10, 4));
-        st.insert_explicit(t(5, 20, 6));
-        st.insert(t(7, 30, 8));
-        let before = st.to_sorted_vec();
-
-        // Split two of the three partitions (plus an absent predicate).
-        let split = st.split_off(&[NodeId(10), NodeId(30), NodeId(99)]);
-        assert_eq!(split.len(), 3);
-        assert_eq!(split.explicit_count(), 1);
-        assert!(split.is_explicit(t(1, 10, 2)));
-        assert!(!split.is_explicit(t(3, 10, 4)));
-        assert_eq!(st.len(), 1);
-        assert_eq!(st.explicit_count(), 1);
-        assert!(!st.contains(t(1, 10, 2)));
-        assert!(st.is_explicit(t(5, 20, 6)));
-        assert_eq!(st.predicates().count(), 1);
-
-        // The shard is a fully functional store.
-        let mut split = split;
-        assert!(split.remove(t(3, 10, 4)));
-        assert!(split.insert(t(3, 10, 4)));
-
-        st.absorb(split);
-        assert_eq!(st.to_sorted_vec(), before);
-        assert_eq!(st.explicit_count(), 2);
-        assert!(st.is_explicit(t(1, 10, 2)));
-        assert_eq!(st.stats().predicates, 3);
-    }
-
-    #[test]
-    fn absorb_merges_same_predicate_disjoint_subjects() {
-        let mut a = VerticalStore::new();
-        a.insert_explicit(t(1, 10, 2));
-        a.insert(t(3, 10, 4));
-        let mut b = VerticalStore::new();
-        b.insert_explicit(t(5, 10, 6));
-        b.insert(t(7, 20, 8));
-        a.absorb(b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.explicit_count(), 2);
-        assert!(a.is_explicit(t(5, 10, 6)));
-        assert!(a.contains(t(3, 10, 4)));
-        // The merged partition's object index answers across both halves.
-        assert_eq!(
-            a.subjects_with(NodeId(10), NodeId(6)).collect::<Vec<_>>(),
-            vec![NodeId(5)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "present in both tables")]
-    fn absorb_rejects_overlapping_triples() {
-        let mut a = VerticalStore::new();
-        a.insert(t(1, 10, 2));
-        let mut b = VerticalStore::new();
-        b.insert(t(1, 10, 2));
-        a.absorb(b);
     }
 
     #[test]

@@ -101,21 +101,6 @@ fn replay(events: &[Event], rule_names: &[&'static str], input_size: usize) {
                      {overdeleted} overdeleted, {rederived} rederived (coalesced)"
                 );
             }
-            EventKind::PartitionedRemoval {
-                pending,
-                partitions,
-                retracted,
-                overdeleted,
-                rederived,
-                store_size: size,
-            } => {
-                store_size = *size;
-                println!(
-                    "[{step:>4} {ms:>8.2}ms] flush   {pending} deferred: {retracted} retracted, \
-                     {overdeleted} overdeleted, {rederived} rederived \
-                     ({partitions} parallel partitions)"
-                );
-            }
             EventKind::RulesetSwap {
                 dropped,
                 added,

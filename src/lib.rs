@@ -96,12 +96,8 @@
 //!   oldest pending retraction);
 //! * dropping the reasoner flushes the pending set — retractions apply
 //!   on teardown rather than being discarded;
-//! * when the pending set spans several independent dependency-graph
-//!   partitions (disjoint rule families — see
-//!   `DependencyGraph::component_of`), the flush runs one DRed pass per
-//!   partition in parallel on the worker pool, landing on the store a
-//!   single pass would. ρdf, RDFS and RDFS-Plus never split: their
-//!   universal rules put every predicate in one partition.
+//! * a flush is one DRed pass over the whole pending set, exactly what an
+//!   eager `remove_triples` of the same set runs.
 //!
 //! Use eager `remove_triples` when retractions must be visible
 //! immediately.
@@ -156,8 +152,8 @@
 //! its pre-section epoch on entry. `Slider::swap_ruleset` replaces the loaded
 //! ruleset on the live reasoner: derivations supported only by dropped
 //! rules are retracted with DRed, added rules are evaluated semi-naively,
-//! and the dependency graph / read plans / maintenance partitions are
-//! rebuilt atomically at the swap's linearisation point:
+//! and the dependency graph and rule modules are rebuilt atomically at
+//! the swap's linearisation point:
 //!
 //! ```
 //! use slider::prelude::*;

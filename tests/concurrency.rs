@@ -275,14 +275,12 @@ fn deferred_removals_race_insertions_and_flushes() {
 }
 
 #[test]
-fn producers_race_parallel_partition_flushes() {
-    // Two independent rule families (disjoint vocabularies → two
-    // maintenance partitions) plus an inert predicate. Producers keep
-    // asserting chain links in both families while deferred removers
-    // retract earlier links and force flushes whose pending sets span the
-    // partitions — every such flush runs as parallel DRed passes that
-    // split the store, maintain the shards concurrently and merge them
-    // back, racing the blocked producers.
+fn producers_race_multi_family_flushes() {
+    // Two independent rule families (disjoint vocabularies) plus an inert
+    // predicate. Producers keep asserting chain links in both families
+    // while deferred removers retract earlier links and force flushes
+    // whose pending sets span both families, racing the blocked
+    // producers.
     use slider::rules::{Subsumption, Transitive};
     let trans_a = NodeId(90_000);
     let is_a = NodeId(90_001);
@@ -296,7 +294,7 @@ fn producers_race_parallel_partition_flushes() {
     // Spaced chains: links (2k)→(2k+1) never concatenate, so each family's
     // closure is exactly its explicit links — the expected final store is
     // enumerable even under full racing — while retractions still exercise
-    // the real DRed machinery per partition.
+    // the real DRed machinery in both families.
     let link = |p: NodeId, k: u64| Triple::new(NodeId(100_000 + 2 * k), p, NodeId(100_001 + 2 * k));
     let preload: Vec<Triple> = (0..200)
         .flat_map(|k| [link(trans_a, k), link(trans_b, k)])
@@ -318,7 +316,6 @@ fn producers_race_parallel_partition_flushes() {
     let slider = Arc::new(Slider::new(Arc::clone(&dict), ruleset, config));
     slider.add_triples(&preload);
     slider.wait_idle();
-    assert_eq!(slider.maintenance_partitions(), 2);
 
     std::thread::scope(|scope| {
         // 3 producers keep inserting fresh links in both families…
@@ -331,7 +328,7 @@ fn producers_race_parallel_partition_flushes() {
                 }
             });
         }
-        // …while 2 deferred removers enqueue cross-partition retractions;
+        // …while 2 deferred removers enqueue cross-family retractions;
         // one interleaves explicit flushes on top of the threshold ones.
         for (remover, slice) in doomed.chunks(125).enumerate() {
             let slider = Arc::clone(&slider);
@@ -365,10 +362,6 @@ fn producers_race_parallel_partition_flushes() {
     assert_eq!(stats.retracted, 250);
     assert_eq!(stats.pending_removals, 0);
     assert!(stats.coalesced_runs > 0);
-    assert!(
-        stats.partitioned_runs > 0,
-        "no flush spanned both partitions\n{stats}"
-    );
 }
 
 /// Dictionary tentpole, acceptance pin: id→term and id→kind lookups take
@@ -519,13 +512,13 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
 }
 
 /// Lock-free read path (b): a reader loops `stats`/`to_sorted_vec` while
-/// partitioned DRed flushes run. Reads never block (progress is asserted
+/// a DRed flush spanning two rule families runs. Reads never block (progress is asserted
 /// on both sides), generations never regress, and **every observed cut is
 /// one of the legal store states** — the pre-flush closure or the
 /// post-flush closure — never a torn intermediate (DRed's overdeletions
 /// and rederivations publish as one epoch when the section releases).
 #[test]
-fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
+fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
     use slider::rules::Transitive;
     let pa = NodeId(91_000);
     let pb = NodeId(91_010);
@@ -537,14 +530,13 @@ fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
         ruleset,
         SliderConfig::default().with_maintenance_batch(usize::MAX),
     ));
-    assert_eq!(slider.maintenance_partitions(), 2);
     let link = |p: NodeId, i: u64| Triple::new(NodeId(92_000 + i), p, NodeId(92_001 + i));
     let chains: Vec<Triple> = (1..6).flat_map(|i| [link(pa, i), link(pb, i)]).collect();
     slider.materialize(&chains);
     let before = slider.store().to_sorted_vec();
 
-    // The flush will retract one middle link per family (a partitioned
-    // run), landing exactly on this closure:
+    // The flush will retract one middle link per family, landing exactly
+    // on this closure:
     let doomed = [link(pa, 3), link(pb, 3)];
     let survivors: Vec<Triple> = chains
         .iter()
@@ -564,14 +556,19 @@ fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
     };
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The flush starts only once the reader has made its first read: a
+    // one-pass flush over this small store can finish before a freshly
+    // spawned thread is scheduled at all.
+    let reading = Arc::new(std::sync::Barrier::new(2));
     let reader = {
         let slider = Arc::clone(&slider);
         let stop = Arc::clone(&stop);
+        let reading = Arc::clone(&reading);
         let (before, after) = (before.clone(), after.clone());
         std::thread::spawn(move || {
             let mut last_generation = 0u64;
             let mut observations = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let snap = slider.store().snapshot();
                 assert!(
                     snap.generation() >= last_generation,
@@ -586,20 +583,23 @@ fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
                     cut.len()
                 );
                 observations += 1;
+                if observations == 1 {
+                    reading.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             observations
         })
     };
+    reading.wait();
     slider.remove_deferred(&doomed);
     slider.flush_maintenance();
     stop.store(true, Ordering::Relaxed);
     assert!(reader.join().unwrap() > 0, "reader made no progress");
     assert_eq!(slider.store().to_sorted_vec(), after);
-    assert_eq!(
-        slider.stats().partitioned_runs,
-        1,
-        "flush did not partition"
-    );
+    assert_eq!(slider.stats().coalesced_runs, 1);
 }
 
 /// Generation-monotonicity regression: an epoch acquired **before** a
@@ -927,28 +927,24 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
     assert_eq!(churn.store().len(), 500);
 }
 
-/// Parallel deletion path, acceptance pin: two eager removals on
-/// disjoint subjects of two independent rule families **overlap in
-/// wall-clock time** (their maintenance units run on different threads
-/// at once) and land field-for-field where a serial run does.
+/// A panicking DRed pass strands no other caller: two eager removals on
+/// disjoint subjects of two independent rule families race behind a slow
+/// third one, and family A's mark rule panics in its backward check on
+/// one poisoned subject. Caller A sees the panic; caller B's retraction
+/// still applies, with the outcome a serial run of B's batch reports.
 ///
-/// Shape of the race: a third, slow removal occupies the maintenance
-/// mutex first; the two racing callers enqueue behind it, and whichever
-/// acquires the mutex next becomes the combining leader — it drains both
-/// batches, which the planner puts in two maintenance partitions (one per
-/// family), and runs the two units concurrently (coordinator inline, the
-/// other on the worker pool).
+/// Shape of the race: a slow removal holds the maintenance mutex first,
+/// so both racing callers are blocked on it before either runs.
 #[test]
-fn disjoint_subject_eager_removals_overlap_and_match_serial() {
+fn panicking_eager_removal_strands_no_racing_caller() {
     use slider::rules::{InputFilter, OutputSignature, Rule, Subsumption, Transitive};
     use slider::store::VerticalStore;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex;
     use std::time::Instant;
 
     /// One family's vocabulary: a hierarchy, a membership and a mark
-    /// predicate. The two families share none, so the dependency graph
-    /// puts them in separate maintenance partitions.
+    /// predicate. The two families share none, so a retraction in one
+    /// never reaches the other's rules.
     #[derive(Clone, Copy)]
     struct Family {
         trans: NodeId,
@@ -967,14 +963,14 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     };
 
     /// `(x IS c) ⊢ (x MARK c)`, slowly: every application sleeps and
-    /// logs its wall-clock interval, so the test can prove two
-    /// maintenance units ran at the same time.
+    /// counts itself, so the test knows when a removal is inside DRed.
+    /// Its backward check panics on the `poison` subject.
     struct SlowMark {
         name: &'static str,
         family: Family,
         delay: Duration,
         entered: Arc<AtomicUsize>,
-        log: Arc<Mutex<Vec<(Instant, Instant)>>>,
+        poison: Option<NodeId>,
     }
     impl Rule for SlowMark {
         fn name(&self) -> &'static str {
@@ -991,67 +987,61 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         }
         fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
             self.entered.fetch_add(1, Ordering::SeqCst);
-            let start = Instant::now();
             std::thread::sleep(self.delay);
             for t in delta.iter().filter(|t| t.p == self.family.is) {
                 out.push(Triple::new(t.s, self.family.mark, t.o));
             }
-            self.log.lock().unwrap().push((start, Instant::now()));
         }
         fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+            assert!(Some(t.s) != self.poison, "{}: poisoned subject", self.name);
             Some(t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o)))
         }
     }
 
-    let entered = Arc::new(AtomicUsize::new(0));
-    let log: Arc<Mutex<Vec<(Instant, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
-    let ruleset =
-        |delay: Duration, entered: &Arc<AtomicUsize>, log: &Arc<Mutex<Vec<(Instant, Instant)>>>| {
-            let mut rs = Ruleset::custom("two-slow-families");
-            for (f, [t, s, m]) in [(A, ["T-A", "S-A", "MARK-A"]), (B, ["T-B", "S-B", "MARK-B"])] {
-                rs.push(Transitive::new(t, f.trans));
-                rs.push(Subsumption::new(s, f.is, f.trans));
-                rs.push(SlowMark {
-                    name: m,
-                    family: f,
-                    delay,
-                    entered: Arc::clone(entered),
-                    log: Arc::clone(log),
-                });
-            }
-            rs
-        };
-
     let cls = |i: u64| NodeId(98_200 + i);
     let rm = |f: Family, m: NodeId| Triple::new(m, f.is, cls(1));
     let (m0, m1, m2) = (NodeId(98_400), NodeId(98_401), NodeId(98_550));
+    let ruleset = |delay: Duration, entered: &Arc<AtomicUsize>| {
+        let mut rs = Ruleset::custom("two-slow-families");
+        for (f, [t, s, m], poison) in [
+            (A, ["T-A", "S-A", "MARK-A"], Some(m0)),
+            (B, ["T-B", "S-B", "MARK-B"], None),
+        ] {
+            rs.push(Transitive::new(t, f.trans));
+            rs.push(Subsumption::new(s, f.is, f.trans));
+            rs.push(SlowMark {
+                name: m,
+                family: f,
+                delay,
+                entered: Arc::clone(entered),
+                poison,
+            });
+        }
+        rs
+    };
     let mut input: Vec<Triple> = Vec::new();
     for f in [A, B] {
         input.extend((1..4).map(|i| Triple::new(cls(i), f.trans, cls(i + 1))));
     }
     input.extend([rm(A, m0), rm(B, m1), rm(A, m2)]);
 
+    let entered = Arc::new(AtomicUsize::new(0));
     let par = Arc::new(Slider::new(
         Arc::new(Dictionary::new()),
-        ruleset(Duration::from_millis(200), &entered, &log),
+        ruleset(Duration::from_millis(200), &entered),
         SliderConfig::default().with_workers(2),
     ));
     par.materialize(&input);
-    assert_eq!(par.maintenance_partitions(), 2, "one partition per family");
 
-    // From here on, only maintenance passes append to the log; the
-    // blocker's applications are serial (it holds the maintenance mutex
-    // alone), so any overlapping pair proves two *units* ran at once.
-    let start_idx = log.lock().unwrap().len();
     let entered_before = entered.load(Ordering::SeqCst);
-    let (o0, o1) = std::thread::scope(|scope| {
+    let (a, b) = std::thread::scope(|scope| {
         let blocker = {
             let par = Arc::clone(&par);
             scope.spawn(move || par.remove_triples_outcome(&[rm(A, m2)]))
         };
         // Wait until the blocker's DRed is inside the slow rule — the
         // maintenance mutex is then certainly held, so both racing
-        // callers enqueue behind it and combine under the next leader.
+        // callers block behind it.
         let deadline = Instant::now() + Duration::from_secs(10);
         while entered.load(Ordering::SeqCst) == entered_before {
             assert!(
@@ -1060,55 +1050,42 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
             );
             std::thread::yield_now();
         }
-        let w0 = {
+        let a = {
             let par = Arc::clone(&par);
             scope.spawn(move || par.remove_triples_outcome(&[rm(A, m0)]))
         };
-        let w1 = {
+        let b = {
             let par = Arc::clone(&par);
             scope.spawn(move || par.remove_triples_outcome(&[rm(B, m1)]))
         };
-        blocker.join().unwrap();
-        (w0.join().unwrap(), w1.join().unwrap())
+        blocker
+            .join()
+            .expect("the blocker touches no poisoned subject");
+        (a.join(), b.join())
     });
+    assert!(a.is_err(), "caller A's DRed hit the poisoned subject");
+    let b = b.expect("caller B was stranded by A's panic");
 
-    // Identical-to-serial outcomes, per caller and for the final store.
+    // B's outcome and B's family match a serial run of B's batch.
     let serial = Slider::new(
         Arc::new(Dictionary::new()),
-        ruleset(
-            Duration::ZERO,
-            &Arc::new(AtomicUsize::new(0)),
-            &Arc::new(Mutex::new(Vec::new())),
-        ),
+        ruleset(Duration::ZERO, &Arc::new(AtomicUsize::new(0))),
         SliderConfig::default().with_workers(2),
     );
     serial.materialize(&input);
     serial.remove_triples(&[rm(A, m2)]);
-    let s0 = serial.remove_triples_outcome(&[rm(A, m0)]);
-    let s1 = serial.remove_triples_outcome(&[rm(B, m1)]);
-    assert_eq!(o0, s0, "parallel eager outcome diverged from serial");
-    assert_eq!(o1, s1, "parallel eager outcome diverged from serial");
-    assert_eq!(
-        par.store().to_sorted_vec(),
-        serial.store().to_sorted_vec(),
-        "parallel eager removals diverged from the serial store"
-    );
-
-    // The demonstrable overlap: two slow-rule applications from the
-    // combined run were in flight at the same time.
-    let intervals: Vec<(Instant, Instant)> = log.lock().unwrap()[start_idx..].to_vec();
-    let overlapped = intervals
-        .iter()
-        .enumerate()
-        .any(|(i, a)| intervals[i + 1..].iter().any(|b| a.0 < b.1 && b.0 < a.1));
-    assert!(
-        overlapped,
-        "no two maintenance units overlapped in time ({} intervals)",
-        intervals.len()
-    );
-    let stats = par.stats();
-    assert!(stats.parallel_eager_runs >= 1, "{stats}");
-    assert_eq!(stats.retracted, 3);
+    assert_eq!(b, serial.remove_triples_outcome(&[rm(B, m1)]));
+    assert_eq!(b.retracted, 1);
+    let family_b = |slider: &Slider| -> Vec<Triple> {
+        let mut triples: Vec<Triple> = [B.trans, B.is, B.mark]
+            .into_iter()
+            .flat_map(|p| slider.store().matches(TriplePattern::with_p(p)))
+            .collect();
+        triples.sort_unstable();
+        triples
+    };
+    assert_eq!(family_b(&par), family_b(&serial));
+    assert!(!par.store().contains(rm(B, m1)));
 }
 
 /// Store locking under contention: producers feed **disjoint predicate

@@ -18,7 +18,7 @@ fn n(v: u64) -> NodeId {
 }
 
 /// Predicates of two independent rule families plus an inert one (same
-/// vocabulary as the partitioned-maintenance suite).
+/// vocabulary as the two-family suite in `tests/retraction.rs`).
 const TRANS_A: NodeId = NodeId(600);
 const IS_A: NodeId = NodeId(601);
 const TRANS_B: NodeId = NodeId(610);

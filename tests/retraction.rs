@@ -473,7 +473,7 @@ fn outcome_reports_ignored_derived_distinct_from_not_found() {
     assert_eq!(outcome.not_found, 1);
 }
 
-// ---------- partitioned coalesced flushes ------------------------------------
+// ---------- coalesced flushes across rule families ---------------------------
 
 use slider::rules::{Subsumption, Transitive};
 
@@ -484,8 +484,8 @@ const TRANS_B: NodeId = NodeId(610);
 const IS_B: NodeId = NodeId(611);
 const INERT: NodeId = NodeId(666);
 
-/// Two transitive-hierarchy families with disjoint vocabularies — the
-/// dependency graph splits them into two maintenance partitions.
+/// Two transitive-hierarchy families with disjoint vocabularies — a
+/// retraction's downward closure stays inside its family.
 fn family_ruleset() -> Ruleset {
     Ruleset::custom("two-families")
         .with(Transitive::new("T-A", TRANS_A))
@@ -509,11 +509,11 @@ fn family_input() -> Vec<Triple> {
     input
 }
 
-/// Eager-equality for partitioned flushes: a flush whose pending set spans
-/// both families (and the inert predicate) runs as parallel partition
-/// passes and lands exactly where eager removals do.
+/// Eager-equality across families: one flush whose pending set spans
+/// both families (and the inert predicate) lands exactly where eager
+/// removals do.
 #[test]
-fn partitioned_flush_equals_eager_removals() {
+fn multi_family_flush_equals_eager_removals() {
     let input = family_input();
     let removals = [
         Triple::new(n(3), TRANS_A, n(4)),
@@ -542,78 +542,21 @@ fn partitioned_flush_equals_eager_removals() {
     assert_eq!(
         deferred.store().to_sorted_vec(),
         eager.store().to_sorted_vec(),
-        "partitioned flush diverged from eager removals"
+        "multi-family flush diverged from eager removals"
     );
     let stats = deferred.stats();
-    assert_eq!(stats.partitioned_runs, 1, "pending set spanned partitions");
     assert_eq!(stats.coalesced_runs, 1);
     assert_eq!(
         stats.store.explicit,
         eager.stats().store.explicit,
-        "provenance survived the split/absorb round trip"
+        "explicit provenance diverged from eager removals"
     );
 }
 
-/// A single-family pending set must NOT partition (nothing to parallelise)
-/// and still agrees with the oracle.
+/// One `remove_triples` call whose seeds span both families is one
+/// maintenance run and lands on the oracle's closure.
 #[test]
-fn single_family_pending_set_stays_single_pass() {
-    let deferred = family_slider(
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    deferred.materialize(&family_input());
-    deferred.remove_deferred(&[
-        Triple::new(n(3), TRANS_A, n(4)),
-        Triple::new(n(100), IS_A, n(1)),
-    ]);
-    deferred.flush_maintenance();
-    let stats = deferred.stats();
-    assert_eq!(stats.coalesced_runs, 1);
-    assert_eq!(stats.partitioned_runs, 0);
-    let mut oracle = RecomputeOracle::new(family_ruleset());
-    oracle.add(&family_input());
-    oracle.remove(&[
-        Triple::new(n(3), TRANS_A, n(4)),
-        Triple::new(n(100), IS_A, n(1)),
-    ]);
-    assert_matches_oracle(&deferred, &oracle, "single-partition flush");
-}
-
-/// ρdf, RDFS and RDFS-Plus each collapse to one partition (their
-/// universal `PRP-*` rules read every predicate), so a flush never takes
-/// the partitioned path under them, whatever predicates the pending set
-/// spans.
-#[test]
-fn universal_rulesets_never_partition() {
-    for fragment in [Fragment::RhoDf, Fragment::Rdfs, Fragment::RdfsPlus] {
-        let dict = Arc::new(Dictionary::new());
-        let slider = Slider::new(
-            Arc::clone(&dict),
-            Ruleset::fragment(fragment, &dict),
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
-        let plain = Triple::new(n(20), n(21), n(22));
-        let mut input = chain(10);
-        input.extend([ty(9, 1), plain]);
-        slider.materialize(&input);
-        assert_eq!(slider.maintenance_partitions(), 1, "{fragment}");
-        slider.remove_deferred(&[sco(2, 3), ty(9, 1), plain]);
-        slider.flush_maintenance();
-        let stats = slider.stats();
-        assert_eq!(stats.coalesced_runs, 1, "{fragment}");
-        assert_eq!(stats.partitioned_runs, 0, "{fragment}");
-    }
-}
-
-/// Eager removals route through the same partition planner as a
-/// coalesced flush: one `remove_triples` call whose seeds span both
-/// families runs as parallel partition units in one pass.
-#[test]
-fn eager_removals_route_through_the_partition_planner() {
+fn eager_multi_family_removal_is_one_run_matching_oracle() {
     let input = family_input();
     let slider = family_slider(SliderConfig::default());
     slider.materialize(&input);
@@ -627,11 +570,10 @@ fn eager_removals_route_through_the_partition_planner() {
     let outcome = slider.remove_triples_outcome(&removals);
     oracle.remove(&removals);
     assert_eq!(outcome.retracted, 2);
-    assert_matches_oracle(&slider, &oracle, "eager partitioned removal");
+    assert_matches_oracle(&slider, &oracle, "eager multi-family removal");
 
     let stats = slider.stats();
     assert_eq!(stats.removal_runs, 1);
-    assert_eq!(stats.parallel_eager_runs, 1, "two units ran in one pass");
     assert_eq!(stats.coalesced_runs, 0);
 }
 
@@ -707,7 +649,7 @@ fn deferred_op() -> impl Strategy<Value = DeferredOp> {
 }
 
 /// Triples over the two independent families' vocabularies plus the inert
-/// predicate — deferrals bucket into up to three maintenance partitions.
+/// predicate — one flush can span both families' downward closures.
 fn family_triple() -> impl Strategy<Value = Triple> {
     let node = || (0u64..8).prop_map(n);
     (
@@ -724,7 +666,7 @@ fn family_triple() -> impl Strategy<Value = Triple> {
         .prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
-/// The deferred-op mix over the partitioned families' pool.
+/// The deferred-op mix over the two families' pool.
 fn family_op() -> impl Strategy<Value = DeferredOp> {
     let batch = || prop::collection::vec(family_triple(), 1..8);
     prop_oneof![
@@ -735,8 +677,7 @@ fn family_op() -> impl Strategy<Value = DeferredOp> {
 }
 
 /// One scripted operation of the mixed eager/deferred property test — the
-/// deferred mix plus *eager* removals, which route through the same
-/// planner.
+/// deferred mix plus *eager* removals, which run the same DRed pass.
 #[derive(Debug, Clone)]
 enum MixedOp {
     Add(Vec<Triple>),
@@ -900,14 +841,14 @@ proptest! {
         }
     }
 
-    /// The partitioned acceptance property: over a ruleset with several
-    /// maintenance partitions, ANY interleaving of adds, deferrals and
-    /// flushes — including re-assertions of pending triples — leaves the
-    /// store at the from-scratch closure of the surviving explicit set.
-    /// The triple pool spans both families plus an inert predicate, so
-    /// flushes routinely split into 2–3 parallel partition passes.
+    /// Over a ruleset of two independent families, ANY interleaving of
+    /// adds, deferrals and flushes — including re-assertions of pending
+    /// triples — leaves the store at the from-scratch closure of the
+    /// surviving explicit set. The triple pool spans both families plus
+    /// an inert predicate, so flushes routinely span several downward
+    /// closures.
     #[test]
-    fn partitioned_deferred_interleavings_match_oracle(
+    fn multi_family_deferred_interleavings_match_oracle(
         ops in prop::collection::vec(family_op(), 1..14),
     ) {
         let slider = family_slider(
@@ -956,8 +897,7 @@ proptest! {
 
     /// ANY interleaving of adds, *eager* removals, deferrals and flushes
     /// over the two-family ruleset lands at the recompute oracle's
-    /// closure — the partition planner runs on every flush and every
-    /// eager batch.
+    /// closure.
     #[test]
     fn eager_and_deferred_interleavings_match_recompute_oracle(
         ops in prop::collection::vec(mixed_op(), 1..12),
@@ -1046,7 +986,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// The shared-store acceptance property: random add / defer / flush
-    /// interleavings over the multi-partition family workload leave the
+    /// interleavings over the two-family workload leave the
     /// store identical to the recompute-from-scratch oracle, with the
     /// lock-free length counter in exact agreement.
     #[test]

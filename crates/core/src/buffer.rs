@@ -46,7 +46,9 @@ impl Buffer {
 
     /// Appends `triples`; returns the full chunks to execute (empty vec if
     /// the buffer has not filled). Chunks split off the front of the queue
-    /// (FIFO), leaving the remainder buffered.
+    /// (FIFO), leaving the remainder buffered. Linear in the queue: every
+    /// full chunk is cut in one pass, where splitting one chunk at a time
+    /// would re-copy the tail per chunk.
     pub fn push_batch(&self, triples: &[Triple]) -> Vec<Vec<Triple>> {
         if triples.is_empty() {
             return Vec::new();
@@ -54,11 +56,21 @@ impl Buffer {
         let mut inner = self.inner.lock();
         inner.queue.extend_from_slice(triples);
         inner.last_activity = Instant::now();
-        let mut chunks = Vec::new();
-        while inner.queue.len() >= self.capacity {
-            let rest = inner.queue.split_off(self.capacity);
-            chunks.push(std::mem::replace(&mut inner.queue, rest));
+        let full = inner.queue.len() - inner.queue.len() % self.capacity;
+        if full == 0 {
+            return Vec::new();
         }
+        let rest = inner.queue.split_off(full);
+        let mut head = std::mem::replace(&mut inner.queue, rest);
+        drop(inner);
+        // The chunks after the first are copied out once; the first keeps
+        // the queue's allocation.
+        let mut chunks: Vec<Vec<Triple>> = head[self.capacity..]
+            .chunks_exact(self.capacity)
+            .map(<[Triple]>::to_vec)
+            .collect();
+        head.truncate(self.capacity);
+        chunks.insert(0, head);
         chunks
     }
 
@@ -127,6 +139,17 @@ mod tests {
         assert_eq!(chunks.len(), 3);
         assert!(chunks.iter().all(|c| c.len() == 2));
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn one_push_cuts_every_full_chunk_in_order() {
+        let b = Buffer::new(8);
+        let batch: Vec<Triple> = (0..8 * 100 + 3).map(t).collect();
+        let chunks = b.push_batch(&batch);
+        assert_eq!(chunks.len(), 100);
+        assert!(chunks.iter().all(|c| c.len() == 8));
+        assert_eq!(chunks.concat(), batch[..800]);
+        assert_eq!(b.drain(), batch[800..]);
     }
 
     #[test]

@@ -29,8 +29,13 @@ pub(crate) struct Module {
     filter: InputFilter,
     buffer: Buffer,
     /// Rules whose buffers receive this module's fresh conclusions —
-    /// `successors` in the dependency graph.
+    /// `successors` in the dependency graph, minus the module itself when
+    /// it runs as a closure.
     successors: Vec<usize>,
+    /// `Some((p, serial))` for a rule transitive over `p`
+    /// ([`Rule::transitive_predicate`]): its instances run
+    /// [`Engine::close_edges`] one at a time under `serial`.
+    closure: Option<(NodeId, Mutex<()>)>,
     counters: RuleCounters,
 }
 
@@ -73,11 +78,19 @@ fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState
                     m.rule.name() == rule.name() && m.rule.definition() == rule.definition()
                 })
             });
+            let closure = rule.transitive_predicate().map(|p| (p, Mutex::new(())));
+            let mut successors = graph.successors(i).to_vec();
+            if closure.is_some() {
+                // A closure instance emits everything its edges imply, so
+                // its own conclusions need no second pass through it.
+                successors.retain(|&j| j != i);
+            }
             Module {
                 rule: Arc::clone(rule),
                 filter: rule.input_filter(),
                 buffer: Buffer::new(capacity),
-                successors: graph.successors(i).to_vec(),
+                successors,
+                closure,
                 counters: kept.map(|m| m.counters.carry()).unwrap_or_default(),
             }
         })
@@ -238,30 +251,14 @@ impl Engine {
         // have linearised in between.
         let state = self.rstate();
         let module = &state.modules[rule];
-        let mut out = Vec::new();
-        // The join reads the live store under a shared lock, beside other
-        // joins. The store holds this delta — `insert_batch` wrote it
-        // before the dispatch that buffered it returned — and possibly
-        // newer writes, which is sound (monotone): extra visible triples
-        // only produce conclusions earlier; deletion cannot interleave, it
-        // requires the store held exclusively, which implies quiescence —
-        // no instance like this one in flight. Conclusions already present
-        // are dropped under the same read, so the write lock covers only
-        // candidate-fresh triples.
-        let store = self.store.read();
-        module.rule.apply(&store, &delta, &mut out);
-        let derived = out.len();
-        out.retain(|&t| !store.contains(t));
-        drop(store);
+        let mut fresh = Vec::new();
+        let derived = match &module.closure {
+            Some((p, serial)) => self.close_edges(*p, serial, &delta, &mut fresh),
+            None => self.join(module.rule.as_ref(), &delta, &mut fresh),
+        };
         bump(&module.counters.fired, 1);
         bump(&module.counters.derived, derived as u64);
-
-        let mut fresh = Vec::new();
-        if !out.is_empty() {
-            // Distributor step 1+2: add to store, keep only the new ones.
-            self.store.insert_batch(&out, &mut fresh);
-            bump(&module.counters.fresh, fresh.len() as u64);
-        }
+        bump(&module.counters.fresh, fresh.len() as u64);
         if let Some(log) = &self.log {
             log.record(EventKind::RuleFired {
                 rule,
@@ -275,6 +272,77 @@ impl Engine {
             // Distributor step 3: dispatch to dependent buffers only.
             self.dispatch(&state, &module.successors, &fresh);
         }
+    }
+
+    /// One semi-naive step: `rule.apply` on `delta`, then the distributor's
+    /// steps 1 and 2 — add the conclusions to the store and append the new
+    /// ones to `fresh`. Returns how many conclusions the join derived.
+    fn join(&self, rule: &dyn Rule, delta: &[Triple], fresh: &mut Vec<Triple>) -> usize {
+        let mut out = Vec::new();
+        // The join reads the live store under a shared lock, beside other
+        // joins. The store holds this delta — `insert_batch` wrote it
+        // before the dispatch that buffered it returned — and possibly
+        // newer writes, which is sound (monotone): extra visible triples
+        // only produce conclusions earlier; deletion cannot interleave, it
+        // requires the store held exclusively, which implies quiescence —
+        // no instance like this one in flight. Conclusions already present
+        // are dropped under the same read, so the write lock covers only
+        // candidate-fresh triples.
+        let store = self.store.read();
+        rule.apply(&store, delta, &mut out);
+        let derived = out.len();
+        out.retain(|&t| !store.contains(t));
+        drop(store);
+        self.store.insert_batch(&out, fresh);
+        derived
+    }
+
+    /// Incremental transitive closure over `p` (Swift's tabled closure):
+    /// each non-reflexive edge `(a, b)` of `delta` emits
+    /// `({a} ∪ anc(a)) × ({b} ∪ desc(b))`, minus `(a, b)` and what the
+    /// store holds, and inserts it before the next edge is read. Returns
+    /// how many candidates the edges produced; appends the new ones to
+    /// `fresh`.
+    ///
+    /// Sound because `serial` runs one instance at a time: when an edge is
+    /// read, the store holds the closure of every edge processed before it
+    /// (and of the store as the last quiescent point left it), so joining
+    /// the edge to its ancestors and descendants closes it in one step. A
+    /// `p` triple this module did not emit was dispatched to it and gets
+    /// its own turn. A reflexive edge `(x, x)` adds no path. The lock is
+    /// released before the caller dispatches `fresh`.
+    fn close_edges(
+        &self,
+        p: NodeId,
+        serial: &Mutex<()>,
+        delta: &[Triple],
+        fresh: &mut Vec<Triple>,
+    ) -> usize {
+        let _serial = serial.lock();
+        let (mut above, mut below, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut derived = 0;
+        for &edge in delta.iter().filter(|t| t.p == p && t.s != t.o) {
+            let store = self.store.read();
+            above.clear();
+            above.push(edge.s);
+            above.extend(store.subjects_with(p, edge.s).filter(|&x| x != edge.s));
+            below.clear();
+            below.push(edge.o);
+            below.extend(store.objects_with(p, edge.o).filter(|&y| y != edge.o));
+            derived += above.len() * below.len() - 1;
+            out.clear();
+            for &x in &above {
+                out.extend(
+                    below
+                        .iter()
+                        .map(|&y| Triple::new(x, p, y))
+                        .filter(|&t| t != edge && !store.contains(t)),
+                );
+            }
+            drop(store);
+            self.store.insert_batch(&out, fresh);
+        }
+        derived
     }
 
     fn buffers_empty(&self, state: &RulesetState) -> bool {

@@ -90,6 +90,10 @@ impl Rule for Transitive {
                     .any(|y| store.contains(Triple::new(y, self.pred, t.o))),
         )
     }
+
+    fn transitive_predicate(&self) -> Option<NodeId> {
+        Some(self.pred)
+    }
 }
 
 /// `(x IS c), (c SUB d) ⊢ (x IS d)` — membership propagation up a

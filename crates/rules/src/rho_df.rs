@@ -14,7 +14,7 @@ use crate::rule::{InputFilter, OutputSignature, Rule};
 use slider_model::vocab::{
     RDFS_DOMAIN, RDFS_RANGE, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE,
 };
-use slider_model::Triple;
+use slider_model::{NodeId, Triple};
 use slider_store::VerticalStore;
 
 /// `CAX-SCO`: `(c1 subClassOf c2), (x type c1) ⊢ (x type c2)`.
@@ -116,6 +116,10 @@ impl Rule for ScmSco {
                     .any(|c2| store.contains(Triple::new(c2, RDFS_SUB_CLASS_OF, t.o))),
         )
     }
+
+    fn transitive_predicate(&self) -> Option<NodeId> {
+        Some(RDFS_SUB_CLASS_OF)
+    }
 }
 
 /// `SCM-SPO`: `(p1 subPropertyOf p2), (p2 subPropertyOf p3) ⊢ (p1 subPropertyOf p3)`.
@@ -161,6 +165,10 @@ impl Rule for ScmSpo {
                     .objects_with(RDFS_SUB_PROPERTY_OF, t.s)
                     .any(|p2| store.contains(Triple::new(p2, RDFS_SUB_PROPERTY_OF, t.o))),
         )
+    }
+
+    fn transitive_predicate(&self) -> Option<NodeId> {
+        Some(RDFS_SUB_PROPERTY_OF)
     }
 }
 
@@ -537,6 +545,24 @@ mod tests {
         assert!(matches!(ScmSpo.input_filter(), InputFilter::Predicates(_)));
         assert!(matches!(ScmDom2.input_filter(), InputFilter::Predicates(_)));
         assert!(matches!(ScmRng2.input_filter(), InputFilter::Predicates(_)));
+    }
+
+    #[test]
+    fn only_the_transitive_schema_rules_report_a_closure_predicate() {
+        let rules: Vec<&dyn Rule> = vec![
+            &CaxSco, &ScmSco, &ScmSpo, &ScmDom2, &ScmRng2, &PrpDom, &PrpRng, &PrpSpo1,
+        ];
+        let closed: Vec<_> = rules
+            .iter()
+            .filter_map(|r| Some((r.name(), r.transitive_predicate()?)))
+            .collect();
+        assert_eq!(
+            closed,
+            vec![
+                ("SCM-SCO", RDFS_SUB_CLASS_OF),
+                ("SCM-SPO", RDFS_SUB_PROPERTY_OF)
+            ]
+        );
     }
 
     #[test]

@@ -100,6 +100,24 @@ pub trait Rule: Send + Sync {
         let _ = (store, t);
         None
     }
+
+    /// `Some(p)` if this rule is exactly `(x p y), (y p z) ⊢ (x p z)`:
+    /// it reads and writes only `p` triples and derives nothing else.
+    ///
+    /// The concurrent engine then evaluates the module as an incremental
+    /// transitive closure instead of calling [`Rule::apply`]: its
+    /// instances run one at a time, and each non-reflexive delta edge
+    /// `(a, b)` emits `({a} ∪ anc(a)) × ({b} ∪ desc(b))` at once, read
+    /// from the store, and inserts it before the next edge is read. A
+    /// chain of `n` edges (the paper's Equation 1) then costs O(n²)
+    /// derivations instead of O(n³). The module no longer feeds itself;
+    /// every `p` triple it did not emit still reaches it. `apply` and
+    /// `derives` keep their one-step meaning, which DRed, ruleset swaps
+    /// and the batch baselines use. Default `None`: a rule with any
+    /// other head or body must not claim this.
+    fn transitive_predicate(&self) -> Option<NodeId> {
+        None
+    }
 }
 
 impl std::fmt::Debug for dyn Rule {

@@ -57,6 +57,9 @@ pub(crate) struct MaintenanceScheduler {
     /// Mirror of `queue.len()`, maintained under the lock — the add path's
     /// lock-free fast check that there is nothing to cancel.
     count: AtomicUsize,
+    /// Retractions drained by a flush whose outcome is not yet in the
+    /// session counters; see [`Self::outstanding`].
+    in_flight: AtomicUsize,
     /// Distinct-pending threshold that requests a coalesced run.
     batch: usize,
     /// Age of the oldest pending retraction after which the flusher thread
@@ -74,6 +77,7 @@ impl MaintenanceScheduler {
                 seen: FxHashSet::default(),
             }),
             count: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
             batch: batch.max(1),
             max_age,
         }
@@ -137,28 +141,51 @@ impl MaintenanceScheduler {
     /// timestamps, so the staleness clock ([`Self::oldest_age`]) stays
     /// honest across slices: a retraction deferred by the latency budget
     /// keeps ageing from its original enqueue.
+    ///
+    /// The slice stays [in flight](Self::outstanding) until the caller
+    /// [settles](Self::settle) it.
     pub(crate) fn drain_up_to(&self, limit: usize) -> Vec<Triple> {
         let mut inner = self.inner.lock();
-        if limit >= inner.queue.len() {
+        let taken = limit.min(inner.queue.len());
+        // Counted in flight before it leaves `count`, so `outstanding`
+        // never misses it.
+        self.in_flight.fetch_add(taken, Ordering::SeqCst);
+        if taken == inner.queue.len() {
             inner.seen.clear();
-            self.count.store(0, Ordering::Relaxed);
+            self.count.store(0, Ordering::SeqCst);
             return std::mem::take(&mut inner.queue)
                 .into_iter()
                 .map(|(t, _)| t)
                 .collect();
         }
-        let rest = inner.queue.split_off(limit);
+        let rest = inner.queue.split_off(taken);
         let drained = std::mem::replace(&mut inner.queue, rest);
         for (t, _) in &drained {
             inner.seen.remove(t);
         }
-        self.count.store(inner.queue.len(), Ordering::Relaxed);
+        self.count.store(inner.queue.len(), Ordering::SeqCst);
         drained.into_iter().map(|(t, _)| t).collect()
+    }
+
+    /// Ends the in-flight span of a drained slice of `len` retractions.
+    /// Call it once the slice's outcome is in the session counters.
+    pub(crate) fn settle(&self, len: usize) {
+        self.in_flight.fetch_sub(len, Ordering::SeqCst);
     }
 
     /// Number of distinct retractions currently pending.
     pub(crate) fn pending(&self) -> usize {
         self.count.load(Ordering::Relaxed)
+    }
+
+    /// Pending retractions plus drained ones not yet
+    /// [settled](Self::settle) — what `stats()` reports as pending. Once
+    /// this reads 0, every drained retraction's outcome is already in the
+    /// session counters, so a counter read after it includes them.
+    pub(crate) fn outstanding(&self) -> usize {
+        // `count` first: a slice joins `in_flight` before it leaves `count`.
+        let queued = self.count.load(Ordering::SeqCst);
+        queued + self.in_flight.load(Ordering::SeqCst)
     }
 
     /// Visits every pending retraction without draining. The dictionary
@@ -253,6 +280,20 @@ mod tests {
         assert_eq!(s.enqueue(&[t(1), t(3)]), (1, false));
         assert_eq!(s.drain_up_to(usize::MAX), vec![t(3), t(1)]);
         assert_eq!(s.pending(), 0);
+    }
+
+    #[test]
+    fn drained_slices_stay_outstanding_until_settled() {
+        let s = MaintenanceScheduler::new(100, None);
+        s.enqueue(&[t(1), t(2), t(3)]);
+        assert_eq!(s.drain_up_to(2).len(), 2);
+        assert_eq!((s.pending(), s.outstanding()), (1, 3));
+        s.settle(2);
+        assert_eq!((s.pending(), s.outstanding()), (1, 1));
+        assert_eq!(s.drain_up_to(usize::MAX).len(), 1);
+        assert_eq!((s.pending(), s.outstanding()), (0, 1));
+        s.settle(1);
+        assert_eq!(s.outstanding(), 0);
     }
 
     #[test]

@@ -587,6 +587,8 @@ impl Engine {
         }
         self.bump_removal_counters(&outcome);
         bump(&self.globals.coalesced_runs, 1);
+        // Only now may `stats()` stop counting the slice as pending.
+        self.scheduler.settle(pending_len);
         if let Some(log) = &self.log {
             log.record(EventKind::CoalescedRemoval {
                 pending: pending_len,
@@ -1295,6 +1297,9 @@ impl Slider {
     /// Snapshot of all module counters.
     pub fn stats(&self) -> StatsSnapshot {
         let engine = &self.engine;
+        // Read before the removal counters: once it is 0, they include
+        // every drained retraction (see `MaintenanceScheduler::outstanding`).
+        let pending_removals = engine.scheduler.outstanding();
         let state = engine.rstate();
         let rules = state
             .modules
@@ -1324,7 +1329,7 @@ impl Slider {
             rederived: engine.globals.rederived.load(Ordering::Relaxed),
             deferred: engine.globals.deferred.load(Ordering::Relaxed),
             cancelled_removals: engine.globals.cancelled.load(Ordering::Relaxed),
-            pending_removals: engine.scheduler.pending(),
+            pending_removals,
             coalesced_runs: engine.globals.coalesced_runs.load(Ordering::Relaxed),
             oldest_pending_age: engine.scheduler.oldest_age(),
             gate_write_acquisitions: engine.store.gate_write_acquisitions(),
@@ -1878,6 +1883,46 @@ mod tests {
         );
         assert_eq!(first.join().unwrap().retracted, 1);
         second.join().unwrap();
+    }
+
+    /// A drained slice is never missing from both `pending_removals` and
+    /// `retracted`: it counts as pending until its outcome is counted, so a
+    /// reader that waits for `pending_removals == 0` then sees it retracted.
+    #[test]
+    fn stats_count_a_drained_slice_as_pending_until_it_is_retracted() {
+        let slider = Arc::new(rho_slider(
+            SliderConfig::batch().with_maintenance_batch(usize::MAX),
+        ));
+        slider.materialize(&chain(5));
+        slider.remove_deferred(&[sco(2, 3)]);
+
+        let (drained_tx, drained_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        *slider.engine.slice_drained_hook.lock() = Some(Box::new(move || {
+            let _ = drained_tx.send(());
+            // A dropped sender (the test failed) releases the slice too.
+            let _ = release_rx.recv();
+        }));
+        let flush = {
+            let slider = Arc::clone(&slider);
+            std::thread::spawn(move || slider.flush_maintenance())
+        };
+        drained_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the flush drained its slice");
+
+        let mid = slider.stats();
+        assert_eq!(
+            (mid.pending_removals, mid.retracted),
+            (1, 0),
+            "a drained, uncounted slice must still read as pending"
+        );
+        release_tx
+            .send(())
+            .expect("the flush is parked in the hook");
+        assert_eq!(flush.join().unwrap().retracted, 1);
+        let after = slider.stats();
+        assert_eq!((after.pending_removals, after.retracted), (0, 1));
     }
 
     #[test]

@@ -136,7 +136,10 @@ pub struct StatsSnapshot {
     /// `add_*`ed again while its deferred retraction was still pending, so
     /// the retraction was dropped instead of applied at the next flush.
     pub cancelled_removals: u64,
-    /// Deferred retractions still pending (enqueued, not yet flushed).
+    /// Deferred retractions still pending: enqueued and not yet flushed,
+    /// or drained by a flush whose outcome is not yet counted. Once this
+    /// reads 0, `retracted` and the other removal counters of the same
+    /// snapshot include every flushed retraction.
     pub pending_removals: usize,
     /// Coalesced maintenance runs (non-empty `flush_maintenance` passes,
     /// whether explicit, threshold- or deadline-triggered). Each coalesced

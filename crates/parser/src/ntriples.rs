@@ -4,16 +4,31 @@
 //! exactly one `subject predicate object .` statement. The parser reads the
 //! input line by line and yields decoded [`TermTriple`]s, so arbitrarily
 //! large documents parse in constant memory.
+//!
+//! ## Fast path and fallback
+//!
+//! Each line is read as bytes into one reused buffer and UTF-8-checked
+//! once. Terms are then scanned byte by byte: an `<IRI>` or a `"lexical"`
+//! form that runs to its closing byte with no `\` escape (and, for an IRI,
+//! no byte the grammar forbids) is copied out of the line in one
+//! exact-size allocation, and so is a language tag, which is ASCII.
+//! Anything else — an escape, a forbidden byte, a term cut off by the end
+//! of the line — rewinds to the start of the term and goes through the
+//! character-level scanner, which decodes escapes and builds the error. So
+//! both paths accept the same documents and yield the same terms, and a
+//! rejected line reports the same `(line, column, message)` either way.
+//! Columns are character offsets: the scanner keeps a byte offset and
+//! counts characters only when it builds an error.
 
 use crate::error::ParseError;
 use slider_model::{Literal, Term, TermTriple};
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
 /// Streaming N-Triples parser over any `BufRead`.
 pub struct NTriplesParser<R> {
     reader: R,
     line_no: usize,
-    buf: String,
+    buf: Vec<u8>,
     done: bool,
 }
 
@@ -23,7 +38,7 @@ impl<R: BufRead> NTriplesParser<R> {
         NTriplesParser {
             reader,
             line_no: 0,
-            buf: String::new(),
+            buf: Vec::new(),
             done: false,
         }
     }
@@ -32,6 +47,9 @@ impl<R: BufRead> NTriplesParser<R> {
 impl<R: BufRead> Iterator for NTriplesParser<R> {
     type Item = Result<TermTriple, ParseError>;
 
+    /// One malformed line does not poison the iterator — the caller
+    /// decides whether to stop. An I/O error, invalid UTF-8 included,
+    /// ends it.
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
@@ -39,7 +57,7 @@ impl<R: BufRead> Iterator for NTriplesParser<R> {
         loop {
             self.buf.clear();
             self.line_no += 1;
-            match self.reader.read_line(&mut self.buf) {
+            match self.reader.read_until(b'\n', &mut self.buf) {
                 Ok(0) => {
                     self.done = true;
                     return None;
@@ -50,19 +68,22 @@ impl<R: BufRead> Iterator for NTriplesParser<R> {
                     return Some(Err(ParseError::io(self.line_no, &e)));
                 }
             }
-            let line = self.buf.trim_end_matches(['\n', '\r']);
+            let Ok(text) = std::str::from_utf8(&self.buf) else {
+                // What `BufRead::read_line` reports for the same bytes.
+                self.done = true;
+                let e = io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                );
+                return Some(Err(ParseError::io(self.line_no, &e)));
+            };
+            let line = text.trim_end_matches(['\n', '\r']);
             let mut scan = Scanner::new(line, self.line_no);
             scan.skip_ws();
-            if scan.at_end() || scan.peek() == Some('#') {
+            if matches!(scan.peek_byte(), None | Some(b'#')) {
                 continue; // blank line or comment
             }
-            let result = parse_statement(&mut scan);
-            if result.is_err() {
-                // One malformed line does not poison the iterator; the
-                // caller decides whether to stop. But record it.
-                return Some(result);
-            }
-            return Some(result);
+            return Some(parse_statement(&mut scan));
         }
     }
 }
@@ -119,39 +140,76 @@ fn parse_object(scan: &mut Scanner<'_>) -> Result<Term, ParseError> {
     }
 }
 
-/// Character-level scanner over a single line, with column tracking.
+/// True for the bytes that end the fast scan of an IRI: the closing `>`,
+/// the escape introducer `\`, and every byte the IRI grammar forbids
+/// unescaped. All are ASCII, so the scan always stops on a character
+/// boundary.
+fn iri_stop(b: u8) -> bool {
+    b <= 0x20
+        || matches!(
+            b,
+            b'>' | b'<' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+        )
+}
+
+/// Scanner over a single line: a byte offset into the line, with byte-level
+/// fast paths for clean terms and a character-level path for the rest.
 pub(crate) struct Scanner<'a> {
-    rest: &'a str,
+    text: &'a str,
+    /// Byte offset of the next unread character.
+    pos: usize,
     line: usize,
-    column: usize,
 }
 
 impl<'a> Scanner<'a> {
     pub(crate) fn new(line_text: &'a str, line: usize) -> Self {
         Scanner {
-            rest: line_text,
+            text: line_text,
+            pos: 0,
             line,
-            column: 1,
         }
     }
 
+    /// An error at the current position; the column is the 1-based
+    /// character (not byte) offset.
     pub(crate) fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError::new(self.line, self.column, message)
+        let column = self.text[..self.pos].chars().count() + 1;
+        ParseError::new(self.line, column, message)
     }
 
     pub(crate) fn peek(&self) -> Option<char> {
-        self.rest.chars().next()
+        self.text[self.pos..].chars().next()
     }
 
-    pub(crate) fn at_end(&self) -> bool {
-        self.rest.is_empty()
+    fn peek_byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     pub(crate) fn bump(&mut self) -> Option<char> {
-        let c = self.rest.chars().next()?;
-        self.rest = &self.rest[c.len_utf8()..];
-        self.column += 1;
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
         Some(c)
+    }
+
+    /// The fast path for a term delimited by `open` and `close`: if the
+    /// next byte is `open` and the first byte after it for which `stop`
+    /// holds is `close`, the body between them is copied out in one
+    /// exact-size allocation and the scanner moves past `close`. Otherwise
+    /// nothing is consumed and the caller takes the character-level path.
+    /// `stop` must hold for `close` and for no byte ≥ 0x80, so the body
+    /// ends on a character boundary.
+    fn clean_term(&mut self, open: u8, close: u8, stop: impl Fn(u8) -> bool) -> Option<String> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        if rest.first() != Some(&open) {
+            return None;
+        }
+        let len = rest[1..].iter().position(|&b| stop(b))?;
+        if rest[1 + len] != close {
+            return None;
+        }
+        let start = self.pos + 1;
+        self.pos = start + len + 1;
+        Some(self.text[start..start + len].to_owned())
     }
 
     pub(crate) fn expect(&mut self, want: char) -> Result<(), ParseError> {
@@ -163,15 +221,15 @@ impl<'a> Scanner<'a> {
     }
 
     pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ') | Some('\t')) {
-            self.bump();
+        while matches!(self.peek_byte(), Some(b' ' | b'\t')) {
+            self.pos += 1;
         }
     }
 
     /// At least one whitespace character must separate triple components.
     pub(crate) fn require_ws(&mut self) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(' ') | Some('\t') => Ok(()),
+        match self.peek_byte() {
+            Some(b' ' | b'\t') => Ok(()),
             _ => Err(self.error("expected whitespace between triple components")),
         }
     }
@@ -179,6 +237,15 @@ impl<'a> Scanner<'a> {
     /// Parses `<iri>` with `\uXXXX`/`\UXXXXXXXX` escapes; returns the IRI
     /// without the angle brackets.
     pub(crate) fn parse_iriref(&mut self) -> Result<String, ParseError> {
+        if let Some(iri) = self.clean_term(b'<', b'>', iri_stop) {
+            return Ok(iri);
+        }
+        self.iriref_chars()
+    }
+
+    /// The character-level path of [`Self::parse_iriref`]: decodes escapes
+    /// and reports the first malformed character.
+    fn iriref_chars(&mut self) -> Result<String, ParseError> {
         self.expect('<')?;
         let mut iri = String::new();
         loop {
@@ -224,7 +291,7 @@ impl<'a> Scanner<'a> {
                 // dots — including runs of them (`_:a..b`) — so keep a dot
                 // only if a label character follows the whole run.
                 if c == '.' {
-                    let mut iter = self.rest.chars();
+                    let mut iter = self.text[self.pos..].chars();
                     iter.next(); // the current '.'
                     let keeps = loop {
                         match iter.next() {
@@ -255,19 +322,16 @@ impl<'a> Scanner<'a> {
         match self.peek() {
             Some('@') => {
                 self.bump();
-                let mut tag = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        tag.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if tag.is_empty() {
+                let rest = &self.text[self.pos..];
+                let len = rest
+                    .bytes()
+                    .position(|b| !(b.is_ascii_alphanumeric() || b == b'-'))
+                    .unwrap_or(rest.len());
+                if len == 0 {
                     return Err(self.error("empty language tag"));
                 }
-                Ok(Literal::lang(lexical, tag))
+                self.pos += len;
+                Ok(Literal::lang(lexical, &rest[..len]))
             }
             Some('^') => {
                 self.bump();
@@ -281,6 +345,14 @@ impl<'a> Scanner<'a> {
 
     /// Parses `"…"` decoding ECHAR and UCHAR escapes.
     pub(crate) fn parse_quoted_string(&mut self) -> Result<String, ParseError> {
+        if let Some(lexical) = self.clean_term(b'"', b'"', |b| b == b'"' || b == b'\\') {
+            return Ok(lexical);
+        }
+        self.quoted_string_chars()
+    }
+
+    /// The character-level path of [`Self::parse_quoted_string`].
+    fn quoted_string_chars(&mut self) -> Result<String, ParseError> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
@@ -468,6 +540,52 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_is_an_io_error_on_its_line_and_ends_the_iterator() {
+        let mut doc = b"<http://e/s> <http://e/p> <http://e/o> .\n".to_vec();
+        doc.extend_from_slice(b"<http://e/s> <http://e/p> \"caf\xC3\x28\" .\n");
+        doc.extend_from_slice(b"<http://e/s> <http://e/p> <http://e/o2> .\n");
+        let items: Vec<_> = NTriplesParser::new(&doc[..]).collect();
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert!(items[0].is_ok());
+        let e = items[1].clone().unwrap_err();
+        // The same error `BufRead::read_line` reports for the same bytes.
+        let second_line = &doc[doc.iter().position(|&b| b == b'\n').unwrap() + 1..];
+        let io =
+            std::io::BufRead::read_line(&mut &second_line[..], &mut String::new()).unwrap_err();
+        assert_eq!(e, ParseError::io(2, &io));
+        assert_eq!(e.column, 0);
+    }
+
+    #[test]
+    fn error_column_counts_characters_not_bytes() {
+        // `é` is two bytes; the space inside `<a b>` is the 32nd character,
+        // and the column points just past it.
+        let e = parse_err("<http://e/café> <http://e/p> <a b> .\n");
+        assert_eq!((e.line, e.column), (1, 33), "{e}");
+        assert!(e.message.contains("must be escaped"), "{}", e.message);
+    }
+
+    #[test]
+    fn unicode_escapes_decode_beside_clean_terms() {
+        let ts = parse_all(concat!(
+            r"<http://e/s> <http://e/caf\u00E9> <http://e/o> .",
+            "\n",
+            r#"<http://e/s> <http://e/p> "clean" ."#,
+            "\n",
+            r#"<http://e/\U0001F600s> <http://e/p> "a\u00E9b"@en ."#,
+            "\n",
+            r#"<http://e/s> <http://e/p> "x\u0041"^^<http://e/dt> ."#,
+            "\n",
+        ));
+        assert_eq!(ts[0].1, Term::iri("http://e/café"));
+        assert_eq!(ts[0].2, Term::iri("http://e/o"));
+        assert_eq!(ts[1].2, Term::literal("clean"));
+        assert_eq!(ts[2].0, Term::iri("http://e/😀s"));
+        assert_eq!(ts[2].2, Term::Literal(Literal::lang("aéb", "en")));
+        assert_eq!(ts[3].2, Term::Literal(Literal::typed("xA", "http://e/dt")));
+    }
+
+    #[test]
     fn crlf_line_endings() {
         let ts = parse_all("<http://e/s> <http://e/p> <http://e/o> .\r\n");
         assert_eq!(ts.len(), 1);
@@ -480,5 +598,58 @@ mod tests {
             doc.push_str(&format!("<http://e/s{i}> <http://e/p> <http://e/o{i}> .\n"));
         }
         assert_eq!(parse_all(&doc).len(), 5_000);
+    }
+
+    /// The byte-level fast paths must be invisible: on any input, a term
+    /// parse yields the same value or error, and stops at the same byte,
+    /// as the character-level scanner alone.
+    mod fast_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Characters that keep a term clean, beside every kind of byte
+        /// that sends it to the character-level path.
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '0', '9', ':', '/', '#', '.', 'é', '😀', 'u', 'U', 'E', 'F', '\\', '"', '<',
+            '>', ' ', '\t', '{', '}', '|', '^', '`', '\r', '\u{1}', '@', '-',
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            prop::collection::vec(0usize..ALPHABET.len(), 0..24)
+                .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+        }
+
+        /// Runs `parse` on a fresh scanner over `text`: its result and the
+        /// byte offset it stopped at.
+        fn run<'a, T>(text: &'a str, parse: impl FnOnce(&mut Scanner<'a>) -> T) -> (T, usize) {
+            let mut scan = Scanner::new(text, 1);
+            let out = parse(&mut scan);
+            (out, scan.pos)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+            #[test]
+            fn fast_paths_agree_with_the_char_scanner(body in text(), tail in text()) {
+                for open in ['<', '"'] {
+                    for close in ['>', '"'] {
+                        let line = format!("{open}{body}{close}{tail}");
+                        prop_assert_eq!(
+                            run(&line, Scanner::parse_iriref),
+                            run(&line, Scanner::iriref_chars),
+                            "IRI {:?}",
+                            line
+                        );
+                        prop_assert_eq!(
+                            run(&line, Scanner::parse_quoted_string),
+                            run(&line, Scanner::quoted_string_chars),
+                            "literal {:?}",
+                            line
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,10 +7,11 @@ use std::time::Duration;
 /// The paper's demonstration exposes three parameters: buffer size,
 /// buffer timeout and the fragment (the fragment is passed separately as
 /// a [`Ruleset`](slider_rules::Ruleset)). This reproduction adds the pool
-/// size, a tracing switch, the retraction analogues of buffer size and
-/// timeout, and the dictionary sweep trigger. Everything else the engine
-/// decides for itself: the object index is always built, and every
-/// removal or flush is one DRed pass.
+/// size, a tracing switch, and the retraction analogues of buffer size and
+/// timeout. Everything else the engine decides for itself: the object
+/// index is always built, every removal or flush is one DRed pass, and
+/// the dictionary is swept after large retraction bursts unless another
+/// engine shares it.
 #[derive(Debug, Clone)]
 pub struct SliderConfig {
     /// How many triples a buffer holds before it "fires a new rule
@@ -41,21 +42,6 @@ pub struct SliderConfig {
     /// [`Slider::flush_maintenance`](crate::Slider::flush_maintenance).
     /// Default: 100 ms.
     pub maintenance_max_age: Option<Duration>,
-    /// Dictionary sweep trigger ratio: after a coalesced DRed flush or an
-    /// eager removal, the engine sweeps the term dictionary
-    /// ([`Dictionary::sweep`](slider_model::Dictionary::sweep)) once the
-    /// number of node ids retired since the last sweep exceeds this
-    /// fraction of the dictionary's live-term count (and an absolute floor
-    /// of 1024 retirements, so small workloads never pay for a sweep).
-    /// The sweep runs with the store held exclusively, tombstones
-    /// unreferenced non-vocabulary terms and recycles their ids through a
-    /// free-list; ids of live terms never move. `f64::INFINITY` disables
-    /// automatic sweeping (explicit
-    /// [`Slider::sweep_dictionary`](crate::Slider::sweep_dictionary) still
-    /// works). A dictionary shared with other sessions needs
-    /// `f64::INFINITY`: a sweep's live roots are this session's store
-    /// only. Default: 0.5.
-    pub dict_sweep_ratio: f64,
 }
 
 impl Default for SliderConfig {
@@ -67,7 +53,6 @@ impl Default for SliderConfig {
             trace: false,
             maintenance_batch: 1024,
             maintenance_max_age: Some(Duration::from_millis(100)),
-            dict_sweep_ratio: 0.5,
         }
     }
 }
@@ -123,13 +108,6 @@ impl SliderConfig {
         self.maintenance_max_age = max_age;
         self
     }
-
-    /// Builder-style dictionary sweep ratio (clamped to be non-negative;
-    /// `f64::INFINITY` disables automatic sweeping).
-    pub fn with_dict_sweep_ratio(mut self, ratio: f64) -> Self {
-        self.dict_sweep_ratio = if ratio.is_nan() { 0.5 } else { ratio.max(0.0) };
-        self
-    }
 }
 
 #[cfg(test)]
@@ -145,22 +123,6 @@ mod tests {
         assert!(!c.trace);
         assert!(c.maintenance_batch >= 1);
         assert!(c.maintenance_max_age.is_some());
-        assert_eq!(c.dict_sweep_ratio, 0.5);
-    }
-
-    #[test]
-    fn dict_sweep_ratio_builder_clamps() {
-        let c = SliderConfig::default();
-        assert_eq!(c.clone().with_dict_sweep_ratio(-1.0).dict_sweep_ratio, 0.0);
-        assert_eq!(c.clone().with_dict_sweep_ratio(2.0).dict_sweep_ratio, 2.0);
-        assert_eq!(
-            c.clone().with_dict_sweep_ratio(f64::NAN).dict_sweep_ratio,
-            0.5
-        );
-        assert!(c
-            .with_dict_sweep_ratio(f64::INFINITY)
-            .dict_sweep_ratio
-            .is_infinite());
     }
 
     #[test]

@@ -191,7 +191,8 @@ impl MaintenanceScheduler {
     /// Visits every pending retraction without draining. The dictionary
     /// sweep uses this to root its liveness scan: a pending triple's ids
     /// must survive the sweep even when the triple has already left the
-    /// store, or a recycled id would alias the retraction at flush time.
+    /// store, or a re-asserted term would come back under a fresh id that
+    /// no longer cancels the pending retraction.
     pub(crate) fn for_each_pending(&self, mut f: impl FnMut(Triple)) {
         for (t, _) in self.inner.lock().queue.iter() {
             f(*t);

@@ -18,6 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, FxHashSet, NodeId, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, InputFilter, Rule, Ruleset};
 use slider_store::{ShardedStore, VerticalStore};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -54,6 +55,10 @@ pub(crate) struct RulesetState {
     /// Shared with [`Slider::dependency_graph`] callers, whose handles
     /// outlive a swap.
     graph: Arc<DependencyGraph>,
+    /// The dictionary's high-water mark when this state was installed:
+    /// every id below it is a dictionary-sweep root. That covers the
+    /// rules' constants and the vocabulary without enumerating either.
+    roots_below: usize,
 }
 
 impl RulesetState {
@@ -66,7 +71,12 @@ impl RulesetState {
 /// Builds the ruleset-derived state: dependency graph and modules. For
 /// rules also present in `carried` (matched by name + definition), the
 /// counters carry over — a hot-swap keeps a kept rule's history.
-fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState>) -> RulesetState {
+fn build_state(
+    ruleset: &Ruleset,
+    dict: &Dictionary,
+    capacity: usize,
+    carried: Option<&RulesetState>,
+) -> RulesetState {
     let graph = DependencyGraph::build(ruleset);
     let modules: Vec<Module> = ruleset
         .rules()
@@ -99,6 +109,7 @@ fn build_state(ruleset: &Ruleset, capacity: usize, carried: Option<&RulesetState
         name: ruleset.name().to_owned(),
         modules,
         graph: Arc::new(graph),
+        roots_below: dict.high_water(),
     }
 }
 
@@ -144,10 +155,6 @@ pub(crate) struct Engine {
     flusher: Arc<RuntimeShared>,
     /// Configured buffer capacity, for the modules a ruleset swap builds.
     buffer_capacity: usize,
-    /// Dictionary sweep trigger ratio (see
-    /// `SliderConfig::dict_sweep_ratio`); `f64::INFINITY` disables the
-    /// automatic post-retraction sweep.
-    dict_sweep_ratio: f64,
     /// Triples retired (retracted + overdeleted) by maintenance runs
     /// since the last dictionary sweep — the sweep trigger's numerator.
     retired_since_sweep: AtomicUsize,
@@ -162,6 +169,9 @@ pub(crate) struct Engine {
 /// retirements since the last sweep, a sweep cannot reclaim enough to pay
 /// for its liveness scan, whatever the ratio says.
 const DICT_SWEEP_MIN_RETIRED: usize = 1024;
+/// The automatic dictionary sweep also waits until the retirements since
+/// the last sweep reach this fraction of the dictionary's live terms.
+const DICT_SWEEP_RATIO: f64 = 0.5;
 
 impl Engine {
     /// Resolves the current ruleset state. The returned `Arc` stays valid
@@ -429,58 +439,43 @@ impl Engine {
         }
     }
 
-    /// Post-retraction dictionary compaction hook. Called inside a
-    /// quiescent-store section (maintenance mutex held, store held
-    /// exclusively) after a DRed run that retired `retired_now` triples
-    /// (retracted + overdeleted). Accumulates the retirement count and
-    /// sweeps once it clears both the absolute floor
-    /// ([`DICT_SWEEP_MIN_RETIRED`]) and the configured fraction of the
-    /// dictionary's live-term count — large retraction bursts trigger a
-    /// sweep, steady trickles never do.
-    fn maybe_sweep_dict(&self, store: &VerticalStore, retired_now: usize) {
-        if retired_now == 0 {
-            return;
-        }
+    /// Post-retraction dictionary compaction hook, called under the
+    /// maintenance mutex after a DRed run retired `retired_now` triples
+    /// (retracted + overdeleted). Sweeps once the retirements since the
+    /// last sweep clear both [`DICT_SWEEP_MIN_RETIRED`] and
+    /// [`DICT_SWEEP_RATIO`] of the live terms: bursts sweep, trickles
+    /// never do. The run's section has published by now, so its
+    /// pre-section epoch is a root only if a query still holds it.
+    fn maybe_sweep_dict(&self, retired_now: usize) {
         let retired = self
             .retired_since_sweep
             .fetch_add(retired_now, Ordering::Relaxed)
             + retired_now;
-        if retired < DICT_SWEEP_MIN_RETIRED {
-            return;
+        if retired >= DICT_SWEEP_MIN_RETIRED
+            && retired as f64 >= DICT_SWEEP_RATIO * self.dict.len() as f64
+        {
+            self.sweep_dict_now();
         }
-        // An infinite ratio (auto-sweep disabled) makes this comparison
-        // false for any finite retirement count.
-        if (retired as f64) < self.dict_sweep_ratio * self.dict.len() as f64 {
-            return;
-        }
-        self.retired_since_sweep.store(0, Ordering::Relaxed);
-        self.sweep_dict_now(store);
     }
 
-    /// Sweeps the dictionary against this session's quiescent store: every
-    /// s/p/o node id the store or the pending-retraction queue references
-    /// is the live root set, everything
-    /// else (vocabulary excluded) is tombstoned and its id recycled. The
-    /// caller holds the store exclusively, so no intern→insert window can
-    /// race the liveness scan — `add_terms` keeps an inflight token across
-    /// encoding, which the quiescence check waits out.
-    fn sweep_dict_now(&self, store: &VerticalStore) -> SweepOutcome {
-        let mut live: FxHashSet<NodeId> = FxHashSet::default();
-        for t in store.iter() {
-            live.insert(t.s);
-            live.insert(t.p);
-            live.insert(t.o);
-        }
-        // Pending deferred retractions are roots too: their triples may
-        // already be gone from the store, but recycling their ids would
-        // let a later intern alias the queued retraction at flush time.
-        self.scheduler.for_each_pending(|t| {
-            live.insert(t.s);
-            live.insert(t.p);
-            live.insert(t.o);
+    /// Sweeps the dictionary in a quiescent section of its own (the caller
+    /// holds the maintenance mutex), so no intern→insert window can race
+    /// the scan. The one root rule: an id survives if it is below
+    /// [`RulesetState::roots_below`], or if a triple in the live store, in
+    /// a live [`EpochSnapshot`](slider_store::EpochSnapshot) or in the
+    /// pending-retraction queue mentions it. The roots are collected on
+    /// the dictionary's first question, so a skipped sweep scans nothing.
+    fn sweep_dict_now(&self) -> SweepOutcome {
+        self.retired_since_sweep.store(0, Ordering::Relaxed);
+        let (outcome, _) = self.with_quiescent_store(|store| {
+            let roots_below = self.rstate().roots_below;
+            let roots = OnceCell::new();
+            self.dict.sweep(|id| {
+                id.index() < roots_below
+                    || roots.get_or_init(|| self.sweep_roots(store)).contains(&id)
+            })
         });
-        let outcome = self.dict.sweep(|id| live.contains(&id));
-        if let Some(log) = &self.log {
+        if let Some(log) = self.log.as_ref().filter(|_| !outcome.skipped) {
             log.record(EventKind::DictSweep {
                 scanned: outcome.scanned,
                 swept: outcome.swept,
@@ -490,6 +485,28 @@ impl Engine {
             });
         }
         outcome
+    }
+
+    /// The ids of the triples [`Engine::sweep_dict_now`] keeps decodable.
+    fn sweep_roots(&self, store: &VerticalStore) -> FxHashSet<NodeId> {
+        let mut roots = FxHashSet::default();
+        let mut add = |t: Triple| roots.extend([t.s, t.p, t.o]);
+        store.iter().for_each(&mut add);
+        // A pinned epoch may still decode triples the store has dropped.
+        // It shares every table no later write touched, so only the tables
+        // DRed copied away from the live store cost a scan.
+        for epoch in self.store.live_epochs() {
+            for (p, table) in epoch.tables() {
+                if !store.table(p).is_some_and(|live| std::ptr::eq(live, table)) {
+                    table.pairs().for_each(|(s, o)| add(Triple::new(s, p, o)));
+                }
+            }
+        }
+        // Pending deferred retractions: their triples may already be gone
+        // from the store, yet the flush and re-assertion cancellation
+        // match them by id.
+        self.scheduler.for_each_pending(add);
+        roots
     }
 
     /// One eager DRed run over `triples` (see [`Slider::remove_triples`]
@@ -507,11 +524,8 @@ impl Engine {
         let _serial = self.maintenance.lock();
         let state = self.rstate();
         let rules = state.rules();
-        let (outcome, store_size) = self.with_quiescent_store(|store| {
-            let outcome = maintenance::dred(store, &rules, &state.graph, triples);
-            self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
-            outcome
-        });
+        let (outcome, store_size) = self
+            .with_quiescent_store(|store| maintenance::dred(store, &rules, &state.graph, triples));
         self.bump_removal_counters(&outcome);
         if let Some(log) = &self.log {
             log.record(EventKind::Removal {
@@ -522,6 +536,7 @@ impl Engine {
                 store_size,
             });
         }
+        self.maybe_sweep_dict(outcome.retracted + outcome.overdeleted);
         outcome
     }
 
@@ -579,7 +594,6 @@ impl Engine {
                 return (RemovalOutcome::default(), 0, remaining);
             }
             let outcome = maintenance::dred(store, &rules, &state.graph, &pending);
-            self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
             (outcome, pending.len(), remaining)
         });
         if pending_len == 0 {
@@ -598,6 +612,7 @@ impl Engine {
                 store_size,
             });
         }
+        self.maybe_sweep_dict(outcome.retracted + outcome.overdeleted);
         (outcome, remaining)
     }
 
@@ -771,6 +786,7 @@ impl Engine {
             // under the old one. Nothing observes a mix.
             *self.rstate.write() = Arc::new(build_state(
                 &ruleset,
+                &self.dict,
                 self.buffer_capacity,
                 Some(&old_state),
             ));
@@ -881,7 +897,8 @@ impl Slider {
         config: SliderConfig,
     ) -> Self {
         let buffer_capacity = config.buffer_capacity.max(1);
-        let state = build_state(&ruleset, buffer_capacity, None);
+        dict.attach_engine();
+        let state = build_state(&ruleset, &dict, buffer_capacity, None);
         let id = core.allocate_id();
         let engine = Arc::new_cyclic(|self_ref| Engine {
             dict,
@@ -902,7 +919,6 @@ impl Slider {
             parked: AtomicBool::new(false),
             flusher: Arc::clone(core.shared()),
             buffer_capacity,
-            dict_sweep_ratio: config.dict_sweep_ratio,
             retired_since_sweep: AtomicUsize::new(0),
             #[cfg(test)]
             slice_drained_hook: Mutex::new(None),
@@ -1265,28 +1281,22 @@ impl Slider {
         self.engine.swap_ruleset(ruleset)
     }
 
-    /// Compacts the term dictionary now: tombstones every non-vocabulary
-    /// term **this session's store** no longer references and recycles
-    /// the freed ids through the interner's free-list. Ids of live terms
-    /// never move — an id held by a caller stays valid as long as its
-    /// triple is in the store. Runs under the maintenance mutex with the
-    /// store held exclusively, like a DRed pass; the automatic equivalent
-    /// fires after large retraction flushes (see
-    /// [`SliderConfig::dict_sweep_ratio`](crate::SliderConfig::dict_sweep_ratio)).
+    /// Compacts the term dictionary now: retires every term this engine
+    /// no longer needs. Roots are the live store, every epoch a query
+    /// still holds, the pending-retraction queue, and every id interned
+    /// before the current ruleset was installed (at construction or the
+    /// last [`Slider::swap_ruleset`]) — the rules' constants among them.
+    /// Runs under the maintenance mutex with the store held exclusively,
+    /// like a DRed pass; the automatic equivalent fires after large
+    /// retraction flushes.
     ///
-    /// **Shared-dictionary caveat**: the live root set is this session's
-    /// store (plus the built-in vocabulary, which is never swept). A
-    /// dictionary shared with other sessions, or holding ids referenced
-    /// only outside the store (custom rules with non-vocabulary constant
-    /// ids, ids cached by the application), must disable automatic
-    /// sweeping (`with_dict_sweep_ratio(f64::INFINITY)`) and only call
-    /// this when every such external id is also present in the store.
+    /// Swept ids are never reused: an id held past its last root (a
+    /// `Triple` a caller kept) looks up as `None`, never as another term.
+    /// A dictionary shared with another live engine is never swept — the
+    /// outcome then reports [`skipped`](SweepOutcome::skipped).
     pub fn sweep_dictionary(&self) -> SweepOutcome {
-        let engine = &self.engine;
-        let _serial = engine.maintenance.lock();
-        engine.retired_since_sweep.store(0, Ordering::Relaxed);
-        let (outcome, _) = engine.with_quiescent_store(|store| engine.sweep_dict_now(store));
-        outcome
+        let _serial = self.engine.maintenance.lock();
+        self.engine.sweep_dict_now()
     }
 
     /// Total triples inferred so far (fresh rule conclusions).
@@ -1349,6 +1359,12 @@ impl Slider {
     /// The recorded event log, if tracing was enabled.
     pub fn events(&self) -> Option<Vec<Event>> {
         self.engine.log.as_ref().map(EventLog::events)
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.dict.detach_engine();
     }
 }
 
@@ -1990,13 +2006,12 @@ mod tests {
 
     #[test]
     fn explicit_dictionary_sweep_reclaims_and_reports() {
-        use slider_model::Term;
+        use slider_model::{vocab, Term};
         let dict = Arc::new(Dictionary::new());
         let slider = Slider::new(
             Arc::clone(&dict),
             Ruleset::custom("empty"),
-            // Auto-sweep disabled: only the explicit call below may sweep.
-            SliderConfig::batch().with_dict_sweep_ratio(f64::INFINITY),
+            SliderConfig::batch(),
         );
         let triples: Vec<TermTriple> = (0..2000)
             .map(|i| {
@@ -2009,11 +2024,17 @@ mod tests {
             .collect();
         slider.add_terms(&triples);
         slider.wait_idle();
+        let bytes_loaded = dict.bytes_estimate();
+        // The burst clears the automatic trigger; the explicit call sweeps
+        // whatever the automatic pass left.
         assert_eq!(slider.remove_terms(&triples), 2000);
-        assert_eq!(slider.stats().dict_sweeps, 0, "auto-sweep was disabled");
+        assert_eq!(slider.stats().dict_sweeps, 1, "the burst auto-swept");
+        let auto_swept = slider.stats().dict_tombstones;
         let outcome = slider.sweep_dictionary();
-        assert_eq!(outcome.swept, 2002); // 2000 subjects + p + o
-        assert!(outcome.bytes_after < outcome.bytes_before);
-        assert_eq!(slider.stats().dict_sweeps, 1);
+        assert!(!outcome.skipped);
+        assert_eq!(auto_swept + outcome.swept, 2002); // 2000 subjects + p + o
+        assert_eq!(outcome.live, vocab::VOCAB_LEN);
+        assert!(outcome.bytes_after < bytes_loaded);
+        assert_eq!(slider.stats().dict_sweeps, 2);
     }
 }

@@ -185,10 +185,10 @@ pub struct StatsSnapshot {
     /// under [`Runtime::session`](crate::Runtime::session)).
     pub runtime_sessions: usize,
     /// Live terms in the shared dictionary at snapshot time (vocabulary
-    /// included, tombstoned slots excluded).
+    /// included, swept ids excluded).
     pub dict_terms: usize,
-    /// Tombstoned dictionary slots: ids retired by a sweep and waiting on
-    /// the free-list for reuse by a future intern.
+    /// Dictionary ids swept so far. A swept id is never reused: it looks
+    /// up as `None` for good.
     pub dict_tombstones: usize,
     /// Estimated resident bytes of the dictionary: term string heap plus
     /// per-term index/slot overhead. Each term's payload is counted once —

@@ -104,13 +104,12 @@ pub enum EventKind {
     /// A dictionary compaction sweep completed (automatic after a large
     /// retraction flush, or an explicit
     /// [`Slider::sweep_dictionary`](crate::Slider::sweep_dictionary)):
-    /// terms no longer referenced by the store were tombstoned and their
-    /// ids pushed onto the interner's free-list. Ids of live terms never
-    /// move.
+    /// terms no sweep root references were retired, their ids never to be
+    /// reused. Ids of live terms never move. A skipped sweep records none.
     DictSweep {
         /// Non-vocabulary slots examined.
         scanned: usize,
-        /// Slots tombstoned by this sweep.
+        /// Ids retired by this sweep.
         swept: usize,
         /// Live terms remaining after the sweep (vocabulary included).
         live: usize,

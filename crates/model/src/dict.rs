@@ -18,23 +18,23 @@
 //!   data is materialised exactly once.
 //! * **id → (term, kind)** is an append-only *segmented slot table*:
 //!   fixed-capacity segments of geometrically growing size, created at
-//!   most once (`OnceLock`), plus an atomic published high-water mark.
-//!   Ids are dense and a live id never moves, so readers index straight
+//!   most once (`OnceLock`), indexed by ids from one atomic bump counter.
+//!   A live id never moves, so readers index straight
 //!   into a segment without any guard. Each slot packs its state
-//!   (empty / live / tombstone) and [`TermKind`] into one `AtomicU64` —
+//!   (empty / live / swept) and [`TermKind`] into one `AtomicU64` —
 //!   `kind`/`is_literal` and the [`KindTable`] are a single atomic load,
 //!   zero locks. The term payload itself is an `Arc<Term>` published
 //!   under a per-slot pointer lock in the same idiom as the store's epoch
 //!   snapshots: readers hold the lock only for the `Arc` clone, and the
 //!   lock is never taken while any intern shard lock is held, so decode
 //!   paths complete in bounded time even while interning is write-locked.
-//! * **compaction** ([`Dictionary::sweep`]) tombstones non-vocabulary
-//!   terms the caller proves dead and pushes their ids onto a free-list
-//!   that `intern_slow` reuses. The swept slot drops its payload `Arc`
-//!   and its index entry (the only two holders), so the term's bytes are
-//!   returned to the allocator; the slot itself stays resident for reuse.
-//!   Ids of live terms never change, so stored triples, pending queues
-//!   and pinned snapshots stay valid across any number of sweeps.
+//! * **compaction** ([`Dictionary::sweep`]) retires non-vocabulary terms
+//!   the caller proves dead. The swept slot drops its payload `Arc` and
+//!   its index entry (the only two holders), so the term's bytes are
+//!   returned to the allocator; the slot cell itself stays resident.
+//!   Ids come from a bump counter and are **never reused**: a swept id
+//!   looks up as `None` for good, so a stale holder sees a miss, never
+//!   another term, and ids of live terms never change.
 
 use crate::hash::{FxBuildHasher, FxHashMap};
 use crate::term::{Term, TermKind};
@@ -61,8 +61,8 @@ const NUM_SEGS: usize = 33;
 const STATE_EMPTY: u64 = 0;
 /// Slot state: id is live; kind bits are valid.
 const STATE_LIVE: u64 = 1;
-/// Slot state: swept; the id is on the free-list awaiting reuse.
-const STATE_TOMBSTONE: u64 = 2;
+/// Slot state: swept; the id is retired for good.
+const STATE_SWEPT: u64 = 2;
 const STATE_MASK: u64 = 0b11;
 const KIND_SHIFT: u64 = 2;
 
@@ -109,19 +109,13 @@ fn locate(id: usize) -> (usize, usize) {
     (seg, id - base)
 }
 
-/// Id allocator: bump pointer plus the free-list sweeps feed.
-#[derive(Default)]
-struct Allocator {
-    next: u64,
-    free: Vec<NodeId>,
-}
-
 /// Point-in-time dictionary counters (see [`Dictionary::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DictStats {
     /// Live interned terms (vocabulary included).
     pub terms: usize,
-    /// Swept slots currently awaiting reuse on the free-list.
+    /// Ids swept so far: [`Dictionary::high_water`] − [`Dictionary::len`].
+    /// A swept id is never handed out again.
     pub tombstones: usize,
     /// Estimated resident bytes: term payloads + index entries + slots.
     pub bytes_estimate: usize,
@@ -137,7 +131,7 @@ pub struct DictStats {
 pub struct SweepOutcome {
     /// Live non-vocabulary slots examined.
     pub scanned: usize,
-    /// Slots tombstoned and pushed onto the free-list.
+    /// Ids retired by this pass.
     pub swept: usize,
     /// Live terms remaining after the pass (vocabulary included).
     pub live: usize,
@@ -145,6 +139,9 @@ pub struct SweepOutcome {
     pub bytes_before: usize,
     /// [`Dictionary::bytes_estimate`] leaving the pass.
     pub bytes_after: usize,
+    /// True if the pass did nothing because more than one engine is
+    /// attached (see [`Dictionary::attach_engine`]).
+    pub skipped: bool,
 }
 
 /// One shard of the term → id intern index.
@@ -152,8 +149,8 @@ type InternShard = RwLock<FxHashMap<Arc<Term>, NodeId>>;
 
 /// A concurrent, bidirectional term ↔ id dictionary.
 ///
-/// * ids are dense (`0, 1, 2, …` in interning order; sweeps recycle dead
-///   ids before the bump pointer grows);
+/// * ids are assigned `0, 1, 2, …` in interning order and never reused: a
+///   swept id stays unknown for good;
 /// * ids `0..VOCAB_LEN` are the RDF/RDFS vocabulary ([`crate::vocab`]),
 ///   never swept;
 /// * interning the same term twice returns the same id;
@@ -165,13 +162,14 @@ pub struct Dictionary {
     shards: [InternShard; INTERN_SHARDS],
     /// id → slot, append-only segments (see module docs).
     segs: [OnceLock<Box<[Slot]>>; NUM_SEGS],
-    /// High-water mark: every id below it has been assigned at least once.
-    published: AtomicUsize,
-    alloc: Mutex<Allocator>,
+    /// The bump counter: the next id to assign, and so the high-water mark.
+    next: AtomicUsize,
     hasher: FxBuildHasher,
     live: AtomicUsize,
-    tombstones: AtomicUsize,
     bytes: AtomicUsize,
+    /// Engines attached ([`Dictionary::attach_engine`]). Locked for a
+    /// whole sweep, so no engine attaches while one runs.
+    engines: Mutex<usize>,
     shard_conflicts: AtomicU64,
     sweeps: AtomicU64,
 }
@@ -200,12 +198,11 @@ impl Dictionary {
         let dict = Dictionary {
             shards: std::array::from_fn(|_| RwLock::new(FxHashMap::default())),
             segs: std::array::from_fn(|_| OnceLock::new()),
-            published: AtomicUsize::new(0),
-            alloc: Mutex::new(Allocator::default()),
+            next: AtomicUsize::new(0),
             hasher: FxBuildHasher::default(),
             live: AtomicUsize::new(0),
-            tombstones: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
+            engines: Mutex::new(0),
             shard_conflicts: AtomicU64::new(0),
             sweeps: AtomicU64::new(0),
         };
@@ -258,36 +255,17 @@ impl Dictionary {
         // below share this one allocation.
         let payload = Arc::new(term.into_owned());
         let kind = payload.kind();
-        let (id, reused) = {
-            let mut alloc = self.alloc.lock();
-            match alloc.free.pop() {
-                Some(id) => (id, true),
-                None => {
-                    let id = NodeId(alloc.next);
-                    alloc.next += 1;
-                    (id, false)
-                }
-            }
-        };
+        let id = NodeId(self.next.fetch_add(1, Ordering::AcqRel) as u64);
         let slot = self.slot(id.index());
         // Payload before word: a reader that observes LIVE always finds
         // the payload published (or already retired by a later sweep).
         *slot.term.lock() = Some(Arc::clone(&payload));
         slot.word.store(pack(kind), Ordering::Release);
-        self.published.fetch_max(id.index() + 1, Ordering::AcqRel);
         self.bytes.fetch_add(
-            term_bytes(&payload)
-                + if reused {
-                    0
-                } else {
-                    std::mem::size_of::<Slot>()
-                },
+            term_bytes(&payload) + std::mem::size_of::<Slot>(),
             Ordering::Relaxed,
         );
         self.live.fetch_add(1, Ordering::Relaxed);
-        if reused {
-            self.tombstones.fetch_sub(1, Ordering::Relaxed);
-        }
         map.insert(payload, id);
         id
     }
@@ -362,17 +340,17 @@ impl Dictionary {
         self.len() == 0
     }
 
-    /// One past the largest id ever assigned (tombstones included): the
-    /// dense-id bound. `len() == high_water()` exactly when no slot is
-    /// currently tombstoned.
+    /// One past the largest id ever assigned, swept ids included: the
+    /// bump counter. `len() == high_water()` exactly when nothing has been
+    /// swept.
     pub fn high_water(&self) -> usize {
-        self.published.load(Ordering::Acquire)
+        self.next.load(Ordering::Acquire)
     }
 
     /// Estimated resident bytes: term payloads (materialised once each),
     /// index entries, and slot cells. Maintained incrementally; sweeps
     /// subtract the payload and index share of each reclaimed term (slot
-    /// cells stay resident for reuse and are never subtracted).
+    /// cells stay resident and are never subtracted).
     pub fn bytes_estimate(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -381,30 +359,51 @@ impl Dictionary {
     pub fn stats(&self) -> DictStats {
         DictStats {
             terms: self.len(),
-            tombstones: self.tombstones.load(Ordering::Relaxed),
+            tombstones: self.high_water().saturating_sub(self.len()),
             bytes_estimate: self.bytes_estimate(),
             shard_conflicts: self.shard_conflicts.load(Ordering::Relaxed),
             sweeps: self.sweeps.load(Ordering::Relaxed),
         }
     }
 
+    /// Registers an engine that sweeps this dictionary against roots only
+    /// it can see. While more than one engine is attached,
+    /// [`Dictionary::sweep`] does nothing: no engine knows which ids the
+    /// others hold. Pair with [`Dictionary::detach_engine`].
+    pub fn attach_engine(&self) {
+        *self.engines.lock() += 1;
+    }
+
+    /// Unregisters an engine registered by [`Dictionary::attach_engine`].
+    pub fn detach_engine(&self) {
+        *self.engines.lock() -= 1;
+    }
+
     /// Compacts the dictionary: every **live, non-vocabulary** id for
-    /// which `live` answers `false` is tombstoned — its index entry and
-    /// payload `Arc` are dropped (reclaiming the term's bytes) and its id
-    /// goes onto the free-list for `intern` to reuse. Ids for which
-    /// `live` answers `true` are untouched: their `lookup`/`kind` results
-    /// are identical before and after the pass.
+    /// which `live` answers `false` is retired — its index entry and
+    /// payload `Arc` are dropped (reclaiming the term's bytes), and the id
+    /// looks up as `None` from then on; it is never handed out again. Ids
+    /// for which `live` answers `true` are untouched: their `lookup`/`kind`
+    /// results are identical before and after the pass. Skipped (see
+    /// [`SweepOutcome::skipped`]) while more than one engine is attached.
     ///
     /// The caller owns the liveness proof. The engine runs sweeps under
-    /// its quiescent-store gate with `live` = "referenced by the store",
-    /// which is sound because no intern-and-insert can be mid-flight
-    /// there; a standalone caller must equally guarantee that no term it
-    /// reports dead is concurrently being re-interned for use.
+    /// its quiescent-store gate with `live` = "referenced by anything it
+    /// holds", which is sound because no intern-and-insert can be
+    /// mid-flight there; a standalone caller must equally guarantee that
+    /// no term it reports dead is concurrently being re-interned for use.
     pub fn sweep(&self, live: impl Fn(NodeId) -> bool) -> SweepOutcome {
+        let engines = self.engines.lock();
+        if *engines > 1 {
+            return SweepOutcome {
+                skipped: true,
+                live: self.len(),
+                ..SweepOutcome::default()
+            };
+        }
         let bytes_before = self.bytes_estimate();
         let high = self.high_water();
-        let mut scanned = 0usize;
-        let mut freed: Vec<NodeId> = Vec::new();
+        let (mut scanned, mut swept) = (0usize, 0usize);
         for raw in vocab::VOCAB_LEN..high {
             let id = NodeId(raw as u64);
             let Some(slot) = self.slot_if_present(id) else {
@@ -430,18 +429,13 @@ impl Dictionary {
             map.remove(&*payload);
             // Index entry gone: no interner can hand this id out any
             // more. Retire the slot while still holding the shard lock.
-            slot.word.store(STATE_TOMBSTONE, Ordering::Release);
+            slot.word.store(STATE_SWEPT, Ordering::Release);
             *slot.term.lock() = None;
             drop(map);
             self.bytes
                 .fetch_sub(term_bytes(&payload), Ordering::Relaxed);
             self.live.fetch_sub(1, Ordering::Relaxed);
-            self.tombstones.fetch_add(1, Ordering::Relaxed);
-            freed.push(id);
-        }
-        let swept = freed.len();
-        if swept > 0 {
-            self.alloc.lock().free.extend(freed);
+            swept += 1;
         }
         self.sweeps.fetch_add(1, Ordering::Relaxed);
         SweepOutcome {
@@ -450,6 +444,7 @@ impl Dictionary {
             live: self.len(),
             bytes_before,
             bytes_after: self.bytes_estimate(),
+            skipped: false,
         }
     }
 
@@ -709,6 +704,7 @@ mod tests {
         let outcome = d.sweep(|id| id == keep);
         assert_eq!(outcome.scanned, 3);
         assert_eq!(outcome.swept, 2);
+        assert!(!outcome.skipped);
         assert_eq!(outcome.live, vocab::VOCAB_LEN + 1);
         assert_eq!(outcome.bytes_before, bytes_full);
         assert!(outcome.bytes_after < bytes_full);
@@ -719,21 +715,20 @@ mod tests {
         assert_eq!(d.kind(drop2), None);
         assert_eq!(d.id_of(&Term::iri("http://e/drop-1")), None);
         assert_eq!(d.stats().tombstones, 2);
-        // The free-list feeds reuse: fresh interns take the dead ids and
-        // the high-water mark does not grow.
+        // Swept ids are never handed out again: fresh interns — the swept
+        // terms themselves included — take new ids above the high-water
+        // mark, and the swept ids keep looking up as `None`.
         let high = d.high_water();
         let fresh1 = d.intern(&Term::literal("fresh-1"));
-        let fresh2 = d.intern(&Term::iri("http://e/fresh-2"));
-        let mut recycled = vec![fresh1, fresh2];
-        recycled.sort_unstable();
-        let mut expected = vec![drop1, drop2];
-        expected.sort_unstable();
-        assert_eq!(recycled, expected);
-        assert_eq!(d.high_water(), high);
-        assert_eq!(d.stats().tombstones, 0);
-        // A reused slot's kind follows its new incarnation atomically.
+        let again = d.intern(&Term::iri("http://e/drop-2"));
+        assert_eq!((fresh1.index(), again.index()), (high, high + 1));
+        assert_eq!(d.high_water(), high + 2);
+        assert_eq!(d.stats().tombstones, 2);
+        for swept in [drop1, drop2] {
+            assert_eq!((d.lookup(swept), d.kind(swept)), (None, None));
+        }
         assert_eq!(d.kind(fresh1), Some(TermKind::Literal));
-        assert_eq!(d.lookup(fresh1), Some(Term::literal("fresh-1")));
+        assert_eq!(d.lookup(again), Some(Term::iri("http://e/drop-2")));
     }
 
     #[test]

@@ -25,13 +25,17 @@
 //! for readers during the write and builds the next before it releases,
 //! so no query waits again. A store queried only between loads never
 //! switches.
+//!
+//! The store keeps a `Weak` to every epoch it builds, so
+//! [`ShardedStore::live_epochs`] can name every epoch some reader still
+//! holds — the roots a dictionary sweep must keep decodable.
 
 use crate::pattern::TriplePattern;
 use crate::vertical::{StoreStats, VerticalStore};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use slider_model::Triple;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One [`VerticalStore`] behind one reader-writer lock, queried through
 /// epochs. Writes report the triples actually new (or removed) — the
@@ -46,6 +50,9 @@ pub struct ShardedStore {
     /// store outside an exclusive section, and the pre-section store inside
     /// one.
     published: Mutex<Option<Arc<EpochSnapshot>>>,
+    /// Every epoch built and not yet known dead, the published one
+    /// included; pruned on each build and each [`ShardedStore::live_epochs`].
+    epochs: Mutex<Vec<Weak<EpochSnapshot>>>,
     /// Set for good once a query found the epoch stale while a writer held
     /// or awaited the lock: queries overlap writes, so from then on every
     /// write keeps the epoch current.
@@ -98,12 +105,27 @@ impl ShardedStore {
         drop(old);
     }
 
-    /// A new epoch of `store`, stamped with the current generation.
+    /// A new epoch of `store`, stamped with the current generation and
+    /// registered for [`ShardedStore::live_epochs`].
     fn build(&self, store: &VerticalStore) -> Arc<EpochSnapshot> {
-        Arc::new(EpochSnapshot {
+        let epoch = Arc::new(EpochSnapshot {
             generation: self.snapshot_generation(),
             store: store.clone(),
-        })
+        });
+        let mut epochs = self.epochs.lock();
+        epochs.retain(|e| e.strong_count() > 0);
+        epochs.push(Arc::downgrade(&epoch));
+        epoch
+    }
+
+    /// Every epoch this store built that is still held — by a query, or by
+    /// the store as its published epoch — oldest first. An exclusive
+    /// section's published pre-section epoch is among them, so a query
+    /// that clones it mid-section holds nothing this list missed.
+    pub fn live_epochs(&self) -> Vec<Arc<EpochSnapshot>> {
+        let mut epochs = self.epochs.lock();
+        epochs.retain(|e| e.strong_count() > 0);
+        epochs.iter().filter_map(Weak::upgrade).collect()
     }
 
     /// The epoch of `store`, built if stale. Callers hold the lock on
@@ -700,6 +722,70 @@ mod tests {
         // Re-asserting an explicit triple mutates and publishes nothing.
         assert_eq!(st.insert_batch_explicit(&[t(1, 7, 2)], &mut fresh), 0);
         assert_eq!(st.snapshot_generation(), before + 1);
+    }
+
+    /// `matches` on an epoch snapshot agrees with a brute-force scan for
+    /// every pattern shape, including the unbound-predicate full walk.
+    #[test]
+    fn snapshot_matches_agrees_with_reference() {
+        let triples = [
+            t(1, 10, 2),
+            t(1, 10, 3),
+            t(4, 10, 2),
+            t(1, 20, 2),
+            t(5, 30, 6),
+        ];
+        let shared = ShardedStore::from_store(triples.iter().copied().collect());
+        let snap = shared.snapshot();
+        let ids = [None, Some(1), Some(10), Some(2), Some(99)].map(|v| v.map(NodeId));
+        for s in ids {
+            for p in ids {
+                for o in ids {
+                    let pat = TriplePattern::new(s, p, o);
+                    let mut got = snap.matches(pat);
+                    got.sort_unstable();
+                    let mut want: Vec<Triple> = triples
+                        .iter()
+                        .copied()
+                        .filter(|&x| pat.matches(x))
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "pattern {pat:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn explicit_flags_visible_through_view() {
+        let mut plain = VerticalStore::new();
+        plain.insert_explicit(t(1, 10, 2));
+        plain.insert(t(3, 10, 4));
+        assert!(plain.is_explicit(t(1, 10, 2)));
+        assert!(!plain.is_explicit(t(3, 10, 4)));
+        let shared = ShardedStore::from_store(plain);
+        let snap = shared.snapshot();
+        assert!(snap.is_explicit(t(1, 10, 2)));
+        assert!(!snap.is_explicit(t(3, 10, 4)));
+    }
+
+    /// `live_epochs` names exactly the epochs still held: a pinned epoch
+    /// and the published one, never one every holder has dropped.
+    #[test]
+    fn live_epochs_are_the_held_ones() {
+        let st = ShardedStore::new();
+        assert!(st.live_epochs().is_empty());
+        st.insert(t(1, 7, 2));
+        let pinned = st.snapshot();
+        st.insert(t(3, 7, 4));
+        let published = st.snapshot();
+        let live = st.live_epochs();
+        assert_eq!(live.len(), 2);
+        assert!(Arc::ptr_eq(&live[0], &pinned) && Arc::ptr_eq(&live[1], &published));
+        drop((live, pinned, published));
+        assert_eq!(st.live_epochs().len(), 1, "the store still publishes one");
+        st.insert(t(5, 7, 6)); // the unheld epoch is retired
+        assert!(st.live_epochs().is_empty());
     }
 
     #[test]

@@ -47,8 +47,6 @@ mod concurrent;
 mod pattern;
 mod table;
 mod vertical;
-#[cfg(test)]
-mod view;
 
 pub use concurrent::{EpochSnapshot, ExclusiveStore, ShardedStore};
 pub use pattern::TriplePattern;

@@ -131,7 +131,7 @@ fn replay(events: &[Event], rule_names: &[&'static str], input_size: usize) {
                 bytes_after,
             } => {
                 println!(
-                    "[{step:>4} {ms:>8.2}ms] dict    sweep: {swept}/{scanned} terms tombstoned, \
+                    "[{step:>4} {ms:>8.2}ms] dict    sweep: {swept}/{scanned} terms swept, \
                      {live} live, {bytes_before} -> {bytes_after} bytes"
                 );
             }

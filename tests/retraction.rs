@@ -1043,9 +1043,9 @@ proptest! {
 /// A pending deferred retraction roots its ids against dictionary
 /// sweeps: sweeping between a deferral and its flush must not tombstone
 /// the pending triple's ids even when the triple has already left the
-/// store — a recycled id could alias the queued retraction at flush time,
-/// and the re-assertion-cancels invariant depends on the pending term
-/// re-interning to its pending id.
+/// store: the re-assertion-cancels invariant depends on the pending term
+/// re-interning to its pending id, and a swept id is never handed out
+/// again.
 #[test]
 fn sweeps_never_recycle_ids_referenced_by_pending_retractions() {
     use slider::model::vocab::ALL;
@@ -1106,13 +1106,18 @@ fn sweeps_never_recycle_ids_referenced_by_pending_retractions() {
 // ---------- the dictionary-sweep property test --------------------------------
 
 /// One scripted operation of the sweep property test: the deferred mix
-/// over *decoded* (term) triples, plus explicit dictionary sweeps.
+/// over *decoded* (term) triples, plus explicit dictionary sweeps and
+/// queries that pin an epoch for the rest of the run. `Retract(k)` defers
+/// the whole batch of an earlier `Add` (the `k`-th, modulo the adds so
+/// far), so the terms only that batch used become garbage.
 #[derive(Debug, Clone)]
 enum SweepOp {
     Add(Vec<TermTriple>),
     Defer(Vec<TermTriple>),
+    Retract(usize),
     Flush,
     Sweep,
+    Pin,
 }
 
 fn sweep_node(v: u64) -> Term {
@@ -1122,16 +1127,20 @@ fn sweep_node(v: u64) -> Term {
 /// Decoded triples over a small term pool: schema-heavy predicates (the
 /// real vocabulary IRIs, so they intern to the fixed ids the ρdf rules
 /// match on) over few nodes plus the odd literal object — collisions are
-/// frequent, so flushes leave dictionary garbage for sweeps to find.
+/// frequent — and the odd one-off subject, which a retraction turns into
+/// dictionary garbage for sweeps to find.
 fn sweep_term_triple() -> impl Strategy<Value = TermTriple> {
     use slider::model::vocab::ALL;
-    let node = || (0u64..10).prop_map(sweep_node);
+    let subject = prop_oneof![
+        3 => (0u64..10).prop_map(sweep_node),
+        1 => (10u64..1_000).prop_map(sweep_node),
+    ];
     let object = prop_oneof![
         4 => (0u64..10).prop_map(sweep_node),
         1 => (0u64..3).prop_map(|v| Term::literal(format!("lit{v}"))),
     ];
     (
-        node(),
+        subject,
         prop_oneof![
             3 => Just(Term::iri(ALL[RDFS_SUB_CLASS_OF.index()])),
             2 => Just(Term::iri(ALL[RDF_TYPE.index()])),
@@ -1147,13 +1156,15 @@ fn sweep_op() -> impl Strategy<Value = SweepOp> {
     prop_oneof![
         3 => batch().prop_map(SweepOp::Add),
         3 => batch().prop_map(SweepOp::Defer),
-        1 => Just(SweepOp::Flush),
+        2 => any::<usize>().prop_map(SweepOp::Retract),
+        2 => Just(SweepOp::Flush),
         2 => Just(SweepOp::Sweep),
+        1 => Just(SweepOp::Pin),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// The compaction acceptance property: ANY interleaving of term-level
     /// adds, deferrals, flushes and **dictionary sweeps** ends
@@ -1166,9 +1177,11 @@ proptest! {
     /// same term and kind after it (ids of live terms never move), and a
     /// sweep must not disturb the pending-retraction queue (its ids are
     /// liveness roots even when their triples already left the store).
+    /// An epoch a query pinned keeps decoding to the terms it decoded to
+    /// when pinned, through every later op.
     #[test]
     fn sweep_interleavings_match_oracle_and_keep_live_ids_stable(
-        ops in prop::collection::vec(sweep_op(), 1..14),
+        ops in prop::collection::vec(sweep_op(), 4..24),
     ) {
         let dict = Arc::new(Dictionary::new());
         let slider = Slider::new(
@@ -1186,10 +1199,19 @@ proptest! {
         // re-asserted term re-interns to its pending id, never a fresh
         // one).
         let mut pending: Vec<TermTriple> = Vec::new();
+        let mut pins: Vec<(Arc<EpochSnapshot>, Vec<TermTriple>)> = Vec::new();
+        let adds: Vec<&Vec<TermTriple>> = ops
+            .iter()
+            .filter_map(|op| match op {
+                SweepOp::Add(batch) => Some(batch),
+                _ => None,
+            })
+            .collect();
+        let mut added = 0usize;
         let decoded = |d: &Dictionary, v: Vec<Triple>| -> Vec<TermTriple> {
             let mut out: Vec<TermTriple> = v
                 .into_iter()
-                .map(|t| d.decode_triple(t).expect("store references an undecodable id"))
+                .map(|t| d.decode_triple(t).expect("a store or pinned epoch references an undecodable id"))
                 .collect();
             out.sort();
             out
@@ -1200,11 +1222,17 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 SweepOp::Add(batch) => {
+                    added += 1;
                     slider.add_terms(batch);
                     oracle.add(&encode_oracle(batch));
                     pending.retain(|t| !batch.contains(t));
                 }
-                SweepOp::Defer(batch) => {
+                SweepOp::Defer(_) | SweepOp::Retract(_) => {
+                    let batch = match op {
+                        SweepOp::Defer(batch) => batch,
+                        SweepOp::Retract(k) if added > 0 => adds[k % added],
+                        _ => continue,
+                    };
                     // `remove_terms_deferred` looks terms up (never
                     // interns): triples over unknown terms are skipped.
                     let known: Vec<TermTriple> = batch
@@ -1264,6 +1292,19 @@ proptest! {
                         i
                     );
                 }
+                SweepOp::Pin => {
+                    let epoch = slider.store().snapshot();
+                    let terms = decoded(&dict, epoch.to_sorted_vec());
+                    pins.push((epoch, terms));
+                }
+            }
+            for (epoch, terms) in &pins {
+                prop_assert_eq!(
+                    &decoded(&dict, epoch.to_sorted_vec()),
+                    terms,
+                    "a pinned epoch changed meaning after op {}",
+                    i
+                );
             }
             slider.wait_idle();
             prop_assert_eq!(

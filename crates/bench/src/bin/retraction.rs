@@ -13,8 +13,8 @@
 //!   from scratch every step (`slider_baseline::RecomputeOracle`).
 //!
 //! The workload runs several independent rule *families* (a
-//! [`Transitive`](slider_rules::Transitive) hierarchy plus a
-//! [`Subsumption`](slider_rules::Subsumption) membership rule per family,
+//! [`RuleSpec::transitive`](slider_rules::RuleSpec::transitive) hierarchy plus a
+//! [`RuleSpec::subsumption`](slider_rules::RuleSpec::subsumption) membership rule per family,
 //! disjoint vocabularies — see [`slider_bench::family`]), so one step's
 //! expiries span several downward closures. Within each family, every live
 //! batch types the same shared subjects at its own per-batch leaf class,

@@ -307,14 +307,14 @@ pub fn render_csv(rows: &[TableRow]) -> String {
 /// fed by the `ingest` bin.
 ///
 /// Each *family* `f` is an independent rule pair — a
-/// [`Transitive`](slider_rules::Transitive) hierarchy over its own
-/// predicate plus a [`Subsumption`](slider_rules::Subsumption) membership
+/// [`RuleSpec::transitive`](slider_rules::RuleSpec::transitive) hierarchy over its own
+/// predicate plus a [`RuleSpec::subsumption`](slider_rules::RuleSpec::subsumption) membership
 /// rule — with a vocabulary disjoint from every other family, so the
 /// dependency graph keeps each family's downward closure to itself.
 pub mod family {
     use slider_core::{Slider, SliderConfig};
     use slider_model::{Dictionary, NodeId, Triple};
-    use slider_rules::{Ruleset, Subsumption, Transitive};
+    use slider_rules::{RuleSpec, Ruleset};
     use std::sync::Arc;
 
     /// Shape of the workload (stream scheduling stays with the caller).
@@ -357,14 +357,14 @@ pub mod family {
         NodeId(2_000_000 + f * 100_000 + s)
     }
 
-    /// The `families`-family ruleset: one `Transitive` + `Subsumption`
+    /// The `families`-family ruleset: one `RuleSpec::transitive` + `RuleSpec::subsumption`
     /// pair per family, disjoint vocabularies.
     pub fn ruleset(families: u64) -> Ruleset {
         assert!(families as usize <= MAX_FAMILIES);
         let mut rs = Ruleset::custom("families");
         for f in 0..families {
-            rs.push(Transitive::new(T_NAMES[f as usize], trans_pred(f)));
-            rs.push(Subsumption::new(
+            rs.push(RuleSpec::transitive(T_NAMES[f as usize], trans_pred(f)));
+            rs.push(RuleSpec::subsumption(
                 S_NAMES[f as usize],
                 is_pred(f),
                 trans_pred(f),

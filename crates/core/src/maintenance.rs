@@ -20,7 +20,7 @@
 //!    triple is one-step derivable from the surviving store, re-inserting
 //!    and re-checking until fixpoint — cost proportional to the *deleted*
 //!    set, not the store. If any in-scope rule has no backward matcher
-//!    (`derives` returns `None` — e.g. the RDFS-Plus extension rules), the
+//!    (`derives` returns `None` — a custom rule; every built-in has one), the
 //!    phase falls back to a forward full pass: one semi-naive round with
 //!    the surviving store as the delta, then the usual fixpoint on fresh
 //!    conclusions. Both paths restore exactly the same triples.
@@ -277,22 +277,10 @@ pub(crate) fn retract_rules(
     for &t in &derived {
         let mut seed = false;
         for rule in dropped {
-            match rule.derives(store, t) {
-                Some(true) => {
-                    seed = true;
-                    break;
-                }
-                Some(false) => {}
-                None => {
-                    let may_emit = match rule.output_signature() {
-                        OutputSignature::Universal => true,
-                        OutputSignature::Predicates(ps) => ps.contains(&t.p),
-                    };
-                    if may_emit {
-                        seed = true;
-                        break;
-                    }
-                }
+            let supports = rule.derives(store, t);
+            if supports.unwrap_or_else(|| rule.output_signature().may_emit(t.p)) {
+                seed = true;
+                break;
             }
         }
         if seed && scheduled.insert(t) {

@@ -69,7 +69,7 @@ impl RulesetState {
 }
 
 /// Builds the ruleset-derived state: dependency graph and modules. For
-/// rules also present in `carried` (matched by name + definition), the
+/// rules also present in `carried` (matched by `Rule::same_rule`), the
 /// counters carry over — a hot-swap keeps a kept rule's history.
 fn build_state(
     ruleset: &Ruleset,
@@ -83,11 +83,8 @@ fn build_state(
         .iter()
         .enumerate()
         .map(|(i, rule)| {
-            let kept = carried.and_then(|old| {
-                old.modules.iter().find(|m| {
-                    m.rule.name() == rule.name() && m.rule.definition() == rule.definition()
-                })
-            });
+            let kept =
+                carried.and_then(|old| old.modules.iter().find(|m| m.rule.same_rule(&**rule)));
             let closure = rule.transitive_predicate().map(|p| (p, Mutex::new(())));
             let mut successors = graph.successors(i).to_vec();
             if closure.is_some() {
@@ -744,22 +741,23 @@ impl Engine {
         let old_state = self.rstate();
         let old_rules = old_state.rules();
         let new_rules: Vec<Arc<dyn Rule>> = ruleset.rules().to_vec();
-        // Rule identity is (name, definition): same-named rules with a
-        // different definition count as drop + add.
-        let key = |r: &Arc<dyn Rule>| (r.name(), r.definition());
+        // Rule identity is `Rule::same_rule`: specs compare structurally,
+        // so a same-named rule over other constants counts as drop + add.
+        let in_rules =
+            |rules: &[Arc<dyn Rule>], r: &Arc<dyn Rule>| rules.iter().any(|s| s.same_rule(&**r));
         let dropped: Vec<Arc<dyn Rule>> = old_rules
             .iter()
-            .filter(|r| !new_rules.iter().any(|s| key(s) == key(r)))
+            .filter(|r| !in_rules(&new_rules, r))
             .cloned()
             .collect();
         let added: Vec<Arc<dyn Rule>> = new_rules
             .iter()
-            .filter(|r| !old_rules.iter().any(|s| key(s) == key(r)))
+            .filter(|r| !in_rules(&old_rules, r))
             .cloned()
             .collect();
         let surviving: Vec<Arc<dyn Rule>> = old_rules
             .iter()
-            .filter(|r| new_rules.iter().any(|s| key(s) == key(r)))
+            .filter(|r| in_rules(&new_rules, r))
             .cloned()
             .collect();
         let kept = surviving.len();
@@ -822,7 +820,7 @@ pub struct SwapOutcome {
     pub dropped: usize,
     /// Rules introduced by the swap.
     pub added: usize,
-    /// Rules present in both programs (matched by name + definition;
+    /// Rules present in both programs (matched by `Rule::same_rule`;
     /// their counters carried over).
     pub kept: usize,
     /// Derived triples deleted while retracting dropped-rule support
@@ -1222,7 +1220,12 @@ impl Slider {
     /// downtime**, no rebuild: the store's materialisation is repaired
     /// incrementally instead of recomputed.
     ///
-    /// The swap diffs the programs by rule identity (name + definition):
+    /// The swap diffs the programs by rule identity, `Rule::same_rule`:
+    /// a [`RuleSpec`](slider_rules::RuleSpec) is the same rule only if its
+    /// name, definition, clauses (constants included) and guards all
+    /// match — `RuleSpec::transitive("T", p1)` and
+    /// `RuleSpec::transitive("T", p2)` are two rules — while a hand-written
+    /// [`Rule`] is matched by name and definition.
     ///
     /// * **Dropped** rules: derivations supported only by them are
     ///   retracted with the DRed machinery (overdelete the one-step
@@ -1252,14 +1255,14 @@ impl Slider {
     /// ```
     /// use slider_core::{Slider, SliderConfig};
     /// use slider_model::{Dictionary, NodeId, Triple};
-    /// use slider_rules::{Ruleset, Transitive};
+    /// use slider_rules::{RuleSpec, Ruleset};
     /// use std::sync::Arc;
     ///
     /// let dict = Arc::new(Dictionary::new());
     /// let p = NodeId(7);
     /// let slider = Slider::new(
     ///     Arc::clone(&dict),
-    ///     Ruleset::custom("trans").with(Transitive::new("T", p)),
+    ///     Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
     ///     SliderConfig::default(),
     /// );
     /// slider.materialize(&[
@@ -1274,7 +1277,7 @@ impl Slider {
     /// assert!(!slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
     ///
     /// // Add it back: the closure reappears without re-feeding the input.
-    /// slider.swap_ruleset(Ruleset::custom("trans").with(Transitive::new("T", p)));
+    /// slider.swap_ruleset(Ruleset::custom("trans").with(RuleSpec::transitive("T", p)));
     /// assert!(slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
     /// ```
     pub fn swap_ruleset(&self, ruleset: Ruleset) -> SwapOutcome {
@@ -1767,7 +1770,7 @@ mod tests {
     /// lands on the store that one flush per retraction gives.
     #[test]
     fn one_flush_lands_where_per_retraction_flushes_do() {
-        use slider_rules::Transitive;
+        use slider_rules::RuleSpec;
         let p = |v: u64| NodeId(5_000 + v);
         let retractions = [
             Triple::new(n(3), p(0), n(4)),
@@ -1775,8 +1778,8 @@ mod tests {
         ];
         let build = |together: bool| {
             let ruleset = Ruleset::custom("two-chains")
-                .with(Transitive::new("T-A", p(0)))
-                .with(Transitive::new("T-B", p(10)));
+                .with(RuleSpec::transitive("T-A", p(0)))
+                .with(RuleSpec::transitive("T-B", p(10)));
             let config = SliderConfig::batch().with_maintenance_batch(usize::MAX);
             let slider = Slider::new(Arc::new(Dictionary::new()), ruleset, config);
             for base in [0, 10] {
@@ -1811,11 +1814,11 @@ mod tests {
     /// classifications included — and lands on the same store.
     #[test]
     fn flush_outcome_counters_match_a_direct_dred_pass() {
-        use slider_rules::Transitive;
+        use slider_rules::RuleSpec;
         let p = |v: u64| NodeId(5_000 + v);
         let ruleset = Ruleset::custom("two-chains")
-            .with(Transitive::new("T-A", p(0)))
-            .with(Transitive::new("T-B", p(10)));
+            .with(RuleSpec::transitive("T-A", p(0)))
+            .with(RuleSpec::transitive("T-B", p(10)));
         let config = SliderConfig::batch().with_maintenance_batch(usize::MAX);
         let slider = Slider::new(Arc::new(Dictionary::new()), ruleset.clone(), config);
         for base in [0, 10] {

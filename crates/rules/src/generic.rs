@@ -3,21 +3,21 @@
 //! The built-in ρdf/RDFS rules are pinned to the RDFS vocabulary. Many
 //! streaming workloads instead carry *domain* hierarchies — part-of
 //! chains, org charts, sensor containment trees — each over its own
-//! predicate. [`Transitive`] and [`Subsumption`] are the two recurring
-//! shapes, parameterised by predicate so one ruleset can host several
-//! independent **families**:
+//! predicate. [`RuleSpec::transitive`] and [`RuleSpec::subsumption`] are
+//! the two recurring shapes, parameterised by predicate so one ruleset can
+//! host several independent **families**:
 //!
 //! ```
 //! use slider_model::NodeId;
-//! use slider_rules::{DependencyGraph, Ruleset, Subsumption, Transitive};
+//! use slider_rules::{DependencyGraph, RuleSpec, Ruleset};
 //!
 //! let part_of = NodeId(100);
 //! let within = NodeId(101);
 //! let located_in = NodeId(200);
 //! let rs = Ruleset::custom("facilities")
-//!     .with(Transitive::new("PART-OF", part_of))
-//!     .with(Subsumption::new("WITHIN", within, part_of))
-//!     .with(Transitive::new("LOCATED-IN", located_in));
+//!     .with(RuleSpec::transitive("PART-OF", part_of))
+//!     .with(RuleSpec::subsumption("WITHIN", within, part_of))
+//!     .with(RuleSpec::transitive("LOCATED-IN", located_in));
 //!
 //! // The two families never exchange triples: retracting a located-in
 //! // link can only touch LOCATED-IN's conclusions.
@@ -25,262 +25,58 @@
 //! assert_eq!(graph.affected_by(located_in), vec![2]);
 //! ```
 //!
-//! Both rules implement the backward [`Rule::derives`] check, so DRed
-//! rederivation over them stays proportional to the deleted set.
+//! Like every spec, they come with the backward [`Rule::derives`]
+//! check, so DRed rederivation over them stays proportional to the
+//! deleted set.
+//!
+//! [`Rule::derives`]: crate::Rule::derives
 
-use crate::rule::{InputFilter, OutputSignature, Rule};
-use slider_model::{NodeId, Triple};
-use slider_store::VerticalStore;
+use crate::spec::{Atom, RuleSpec};
+use slider_model::NodeId;
 
-/// `(x P y), (y P z) ⊢ (x P z)` — transitivity over a configurable
-/// predicate `P` (the generic [`ScmSco`](crate::ScmSco)).
-#[derive(Debug, Clone, Copy)]
-pub struct Transitive {
-    name: &'static str,
-    pred: NodeId,
-}
-
-impl Transitive {
-    /// A transitivity rule over `pred`, reported as `name` in stats and
+impl RuleSpec {
+    /// `(x P y), (y P z) ⊢ (x P z)` — transitivity over `pred` (the
+    /// generic `SCM-SCO`), reported as `name` in stats and
     /// dependency-graph dumps.
-    pub fn new(name: &'static str, pred: NodeId) -> Self {
-        Transitive { name, pred }
-    }
-}
-
-impl Rule for Transitive {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn definition(&self) -> &'static str {
-        "(x P y), (y P z) ⊢ (x P z)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Predicates(vec![self.pred])
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![self.pred])
-    }
-
-    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        for &t in delta {
-            if t.p != self.pred {
-                continue;
-            }
-            // Forward: new (x P y) × store (y P z).
-            for z in store.objects_with(self.pred, t.o) {
-                out.push(Triple::new(t.s, self.pred, z));
-            }
-            // Backward: store (w P x) × new (x P y).
-            for w in store.subjects_with(self.pred, t.s) {
-                out.push(Triple::new(w, self.pred, t.o));
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
-        // (x P z) ⇐ ∃y: (x P y) ∧ (y P z).
-        Some(
-            t.p == self.pred
-                && store
-                    .objects_with(self.pred, t.s)
-                    .any(|y| store.contains(Triple::new(y, self.pred, t.o))),
+    pub fn transitive(name: &'static str, pred: NodeId) -> Self {
+        RuleSpec::new(name, "(x P y), (y P z) ⊢ (x P z)").clause(
+            [Atom::new("x", pred, "y"), Atom::new("y", pred, "z")],
+            [Atom::new("x", pred, "z")],
         )
     }
 
-    fn transitive_predicate(&self) -> Option<NodeId> {
-        Some(self.pred)
-    }
-}
-
-/// `(x IS c), (c SUB d) ⊢ (x IS d)` — membership propagation up a
-/// configurable hierarchy (the generic [`CaxSco`](crate::CaxSco), with
-/// `IS` playing `rdf:type` and `SUB` playing `rdfs:subClassOf`).
-#[derive(Debug, Clone, Copy)]
-pub struct Subsumption {
-    name: &'static str,
-    is: NodeId,
-    sub: NodeId,
-}
-
-impl Subsumption {
-    /// A subsumption rule propagating `is` memberships along `sub` edges,
-    /// reported as `name`.
-    pub fn new(name: &'static str, is: NodeId, sub: NodeId) -> Self {
-        Subsumption { name, is, sub }
-    }
-}
-
-impl Rule for Subsumption {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn definition(&self) -> &'static str {
-        "(x IS c), (c SUB d) ⊢ (x IS d)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Predicates(vec![self.is, self.sub])
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![self.is])
-    }
-
-    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        for &t in delta {
-            if t.p == self.sub {
-                // new (c SUB d) × store (x IS c)
-                for x in store.subjects_with(self.is, t.s) {
-                    out.push(Triple::new(x, self.is, t.o));
-                }
-            } else if t.p == self.is {
-                // new (x IS c) × store (c SUB d)
-                for d in store.objects_with(self.sub, t.o) {
-                    out.push(Triple::new(t.s, self.is, d));
-                }
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
-        // (x IS d) ⇐ ∃c: (c SUB d) ∧ (x IS c).
-        Some(
-            t.p == self.is
-                && store
-                    .subjects_with(self.sub, t.o)
-                    .any(|c| store.contains(Triple::new(t.s, self.is, c))),
+    /// `(x IS c), (c SUB d) ⊢ (x IS d)` — membership propagation up the
+    /// `sub` hierarchy (the generic `CAX-SCO`, with `IS` playing `rdf:type`
+    /// and `SUB` playing `rdfs:subClassOf`).
+    pub fn subsumption(name: &'static str, is: NodeId, sub: NodeId) -> Self {
+        RuleSpec::new(name, "(x IS c), (c SUB d) ⊢ (x IS d)").clause(
+            [Atom::new("x", is, "c"), Atom::new("c", sub, "d")],
+            [Atom::new("x", is, "d")],
         )
     }
-}
 
-/// `(x P y) ⊢ (x IS c)` — domain typing over a configurable property
-/// (the generic `PRP-DOM` for one known property/class pair; the built-in
-/// [`PrpDom`](crate::PrpDom) reads the schema at run time and is therefore
-/// universal-input).
-#[derive(Debug, Clone, Copy)]
-pub struct Domain {
-    name: &'static str,
-    pred: NodeId,
-    is: NodeId,
-    class: NodeId,
-}
-
-impl Domain {
-    /// A domain rule typing subjects of `pred` as `class` members via the
-    /// `is` membership predicate, reported as `name`.
-    pub fn new(name: &'static str, pred: NodeId, is: NodeId, class: NodeId) -> Self {
-        Domain {
-            name,
-            pred,
-            is,
-            class,
-        }
-    }
-}
-
-impl Rule for Domain {
-    fn name(&self) -> &'static str {
-        self.name
+    /// `(x P y) ⊢ (x IS c)` — domain typing of `pred`'s subjects as `class`
+    /// members (the generic `PRP-DOM` for one known property/class pair;
+    /// the built-in reads the schema at run time, so it is universal-input).
+    pub fn domain(name: &'static str, pred: NodeId, is: NodeId, class: NodeId) -> Self {
+        RuleSpec::new(name, "(x P y) ⊢ (x IS c)")
+            .clause([Atom::new("x", pred, "y")], [Atom::new("x", is, class)])
     }
 
-    fn definition(&self) -> &'static str {
-        "(x P y) ⊢ (x IS c)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Predicates(vec![self.pred])
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![self.is])
-    }
-
-    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        for &t in delta {
-            if t.p == self.pred {
-                out.push(Triple::new(t.s, self.is, self.class));
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
-        // (x IS c) ⇐ ∃y: (x P y).
-        Some(
-            t.p == self.is
-                && t.o == self.class
-                && store.objects_with(self.pred, t.s).next().is_some(),
-        )
-    }
-}
-
-/// `(x P y) ⊢ (y IS c)` — range typing over a configurable property (the
-/// generic `PRP-RNG` for one known property/class pair).
-#[derive(Debug, Clone, Copy)]
-pub struct Range {
-    name: &'static str,
-    pred: NodeId,
-    is: NodeId,
-    class: NodeId,
-}
-
-impl Range {
-    /// A range rule typing objects of `pred` as `class` members via the
-    /// `is` membership predicate, reported as `name`.
-    pub fn new(name: &'static str, pred: NodeId, is: NodeId, class: NodeId) -> Self {
-        Range {
-            name,
-            pred,
-            is,
-            class,
-        }
-    }
-}
-
-impl Rule for Range {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn definition(&self) -> &'static str {
-        "(x P y) ⊢ (y IS c)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Predicates(vec![self.pred])
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![self.is])
-    }
-
-    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        for &t in delta {
-            if t.p == self.pred {
-                out.push(Triple::new(t.o, self.is, self.class));
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
-        // (y IS c) ⇐ ∃x: (x P y).
-        Some(
-            t.p == self.is
-                && t.o == self.class
-                && store.subjects_with(self.pred, t.s).next().is_some(),
-        )
+    /// `(x P y) ⊢ (y IS c)` — range typing of `pred`'s objects as `class`
+    /// members (the generic `PRP-RNG` for one known property/class pair).
+    pub fn range(name: &'static str, pred: NodeId, is: NodeId, class: NodeId) -> Self {
+        RuleSpec::new(name, "(x P y) ⊢ (y IS c)")
+            .clause([Atom::new("x", pred, "y")], [Atom::new("y", is, class)])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ruleset::Ruleset;
-    use crate::DependencyGraph;
+    use crate::{DependencyGraph, Ruleset};
+    use slider_model::Triple;
+    use slider_store::VerticalStore;
 
     fn n(v: u64) -> NodeId {
         NodeId(v)
@@ -290,8 +86,8 @@ mod tests {
 
     fn family() -> Ruleset {
         Ruleset::custom("family")
-            .with(Transitive::new("TRANS", P))
-            .with(Subsumption::new("SUB", IS, P))
+            .with(RuleSpec::transitive("TRANS", P))
+            .with(RuleSpec::subsumption("SUB", IS, P))
     }
 
     #[test]
@@ -318,93 +114,25 @@ mod tests {
         }
     }
 
-    /// `derives` agrees with one-step `apply` over a probe universe.
-    #[test]
-    fn derives_matches_one_step_apply() {
-        let store: VerticalStore = [
-            Triple::new(n(1), P, n(2)),
-            Triple::new(n(2), P, n(3)),
-            Triple::new(n(9), IS, n(1)),
-        ]
-        .into_iter()
-        .collect();
-        let all: Vec<Triple> = store.iter().collect();
-        for rule in family().rules() {
-            let mut out = Vec::new();
-            rule.apply(&store, &all, &mut out);
-            out.sort_unstable();
-            out.dedup();
-            for s in 1..10u64 {
-                for p in [P, IS, n(77)] {
-                    for o in 1..10u64 {
-                        let probe = Triple::new(n(s), p, n(o));
-                        assert_eq!(
-                            rule.derives(&store, probe),
-                            Some(out.binary_search(&probe).is_ok()),
-                            "{}: derives disagrees with apply on {probe:?}",
-                            rule.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn domain_types_subjects_range_types_objects() {
         use slider_baseline_free_closure::closure;
         let rs = Ruleset::custom("typing")
-            .with(Domain::new("DOM", P, IS, n(7)))
-            .with(Range::new("RNG", P, IS, n(8)));
+            .with(RuleSpec::domain("DOM", P, IS, n(7)))
+            .with(RuleSpec::range("RNG", P, IS, n(8)));
         let store = closure(&rs, &[Triple::new(n(1), P, n(2))]);
         assert!(store.contains(Triple::new(n(1), IS, n(7))));
         assert!(store.contains(Triple::new(n(2), IS, n(8))));
         assert_eq!(store.len(), 3);
     }
 
-    /// `derives` agrees with one-step `apply` for the typing rules too.
-    #[test]
-    fn domain_range_derives_match_one_step_apply() {
-        let store: VerticalStore = [
-            Triple::new(n(1), P, n(2)),
-            Triple::new(n(3), P, n(2)),
-            Triple::new(n(9), IS, n(7)),
-        ]
-        .into_iter()
-        .collect();
-        let all: Vec<Triple> = store.iter().collect();
-        let rules: Vec<Box<dyn Rule>> = vec![
-            Box::new(Domain::new("DOM", P, IS, n(7))),
-            Box::new(Range::new("RNG", P, IS, n(8))),
-        ];
-        for rule in &rules {
-            let mut out = Vec::new();
-            rule.apply(&store, &all, &mut out);
-            out.sort_unstable();
-            out.dedup();
-            for s in 1..10u64 {
-                for p in [P, IS, n(77)] {
-                    for o in 1..10u64 {
-                        let probe = Triple::new(n(s), p, n(o));
-                        assert_eq!(
-                            rule.derives(&store, probe),
-                            Some(out.binary_search(&probe).is_ok()),
-                            "{}: derives disagrees with apply on {probe:?}",
-                            rule.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn families_partition_the_graph() {
         let rs = Ruleset::custom("two-families")
-            .with(Transitive::new("T-A", n(100)))
-            .with(Subsumption::new("S-A", n(101), n(100)))
-            .with(Transitive::new("T-B", n(200)))
-            .with(Subsumption::new("S-B", n(201), n(200)));
+            .with(RuleSpec::transitive("T-A", n(100)))
+            .with(RuleSpec::subsumption("S-A", n(101), n(100)))
+            .with(RuleSpec::transitive("T-B", n(200)))
+            .with(RuleSpec::subsumption("S-B", n(201), n(200)));
         let g = DependencyGraph::build(&rs);
         // Each family's rules reach only each other.
         assert_eq!(g.reachable([0]), vec![0, 1]);

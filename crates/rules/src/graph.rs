@@ -329,10 +329,12 @@ mod tests {
         assert_eq!(g.affected_by(RDFS_SUB_CLASS_OF).len(), 8);
         assert_eq!(g.affected_by(slider_model::NodeId(99_999)).len(), 8);
         // A ruleset without universal rules localises the closure.
-        let rs = Ruleset::custom("sco-only")
-            .with(crate::rho_df::CaxSco)
-            .with(crate::rho_df::ScmSco)
-            .with(crate::rho_df::ScmSpo);
+        let mut rs = Ruleset::custom("sco-only");
+        // CAX-SCO, SCM-SCO, SCM-SPO.
+        crate::rho_df::rules()
+            .into_iter()
+            .take(3)
+            .for_each(|r| rs.push(r));
         let g = DependencyGraph::build(&rs);
         let affected: Vec<&str> = g
             .affected_by(RDF_TYPE)

@@ -1,5 +1,6 @@
 //! The [`Rule`] trait and rule I/O signatures.
 
+use crate::spec::RuleSpec;
 use slider_model::{NodeId, Triple};
 use slider_store::VerticalStore;
 
@@ -49,6 +50,15 @@ pub enum OutputSignature {
 }
 
 impl OutputSignature {
+    /// True if the rule can emit a triple with predicate `p`.
+    #[inline]
+    pub fn may_emit(&self, p: NodeId) -> bool {
+        match self {
+            OutputSignature::Universal => true,
+            OutputSignature::Predicates(ps) => ps.contains(&p),
+        }
+    }
+
     /// True if output with this signature can be consumed by `filter`.
     pub fn may_feed(&self, filter: &InputFilter) -> bool {
         match (self, filter) {
@@ -95,7 +105,8 @@ pub trait Rule: Send + Sync {
     /// maintenance subsystem asks about triples it just deleted). The
     /// default `None` means "no backward matcher"; maintenance then falls
     /// back to a forward full-store pass — sound for any rule, just
-    /// slower. All built-in ρdf and RDFS rules implement this.
+    /// slower. Every built-in rule implements this: a [`RuleSpec`] derives
+    /// it from its clauses, `RDFS1` and `RDFS4B` by hand.
     fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
         let _ = (store, t);
         None
@@ -117,6 +128,26 @@ pub trait Rule: Send + Sync {
     /// other head or body must not claim this.
     fn transitive_predicate(&self) -> Option<NodeId> {
         None
+    }
+
+    /// The rule's declarative form, if it is a [`RuleSpec`]. Default `None`:
+    /// a hand-written rule.
+    fn spec(&self) -> Option<&RuleSpec> {
+        None
+    }
+}
+
+impl dyn Rule {
+    /// Rule identity, as ruleset swaps judge it: two [`RuleSpec`]s are the
+    /// same rule iff they are structurally equal (name, definition, clauses
+    /// with their constants, guards); two hand-written rules iff their name
+    /// and definition are; a spec never equals a hand-written rule.
+    pub fn same_rule(&self, other: &dyn Rule) -> bool {
+        match (self.spec(), other.spec()) {
+            (Some(a), Some(b)) => a == b,
+            (None, None) => (self.name(), self.definition()) == (other.name(), other.definition()),
+            _ => false,
+        }
     }
 }
 

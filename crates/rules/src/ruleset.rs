@@ -1,8 +1,7 @@
 //! Rulesets: named collections of rules forming a fragment.
 
-use crate::rdfs::{Rdfs1, Rdfs10, Rdfs12, Rdfs13, Rdfs4a, Rdfs4b, Rdfs6, Rdfs8};
-use crate::rho_df::{CaxSco, PrpDom, PrpRng, PrpSpo1, ScmDom2, ScmRng2, ScmSco, ScmSpo};
 use crate::rule::Rule;
+use crate::{rdfs, rdfs_plus, rho_df};
 use slider_model::Dictionary;
 use std::sync::Arc;
 
@@ -36,34 +35,6 @@ impl std::fmt::Display for Fragment {
     }
 }
 
-/// Options for the RDFS fragment (see `rdfs` module docs for the
-/// generalised-RDF notes).
-#[derive(Debug, Clone, Copy)]
-pub struct RdfsConfig {
-    /// Enable rdfs1 (`(x p l) ⊢ (l type Literal)`, generalised). Default on.
-    pub literal_typing: bool,
-    /// Enable rdfs4a/rdfs4b (`type Resource` for subjects/objects).
-    /// Default on — this is what makes RDFS closures so much larger than
-    /// ρdf in Table 1.
-    pub resource_typing: bool,
-    /// rdfs4b also types literal objects (generalised RDF). Default off.
-    pub type_literal_objects: bool,
-    /// Enable the class/property structural rules rdfs6/8/10/12/13.
-    /// Default on.
-    pub structural_rules: bool,
-}
-
-impl Default for RdfsConfig {
-    fn default() -> Self {
-        RdfsConfig {
-            literal_typing: true,
-            resource_typing: true,
-            type_literal_objects: false,
-            structural_rules: true,
-        }
-    }
-}
-
 /// A named, ordered collection of rules — the unit the reasoner is
 /// initialised with.
 #[derive(Clone)]
@@ -84,64 +55,23 @@ impl Ruleset {
     /// The ρdf fragment (paper Figure 2: 8 rules).
     pub fn rho_df() -> Self {
         let mut rs = Ruleset::custom("rho-df");
-        rs.push(CaxSco);
-        rs.push(ScmSco);
-        rs.push(ScmSpo);
-        rs.push(ScmDom2);
-        rs.push(ScmRng2);
-        rs.push(PrpDom);
-        rs.push(PrpRng);
-        rs.push(PrpSpo1);
+        rho_df::rules().into_iter().for_each(|r| rs.push(r));
         rs
     }
 
-    /// The RDFS fragment with default options.
+    /// The RDFS fragment: ρdf plus rdfs1, rdfs4a/b, rdfs6/8/10/12/13.
     pub fn rdfs(dict: &Arc<Dictionary>) -> Self {
-        Ruleset::rdfs_with(dict, RdfsConfig::default())
-    }
-
-    /// The RDFS fragment with explicit options.
-    pub fn rdfs_with(dict: &Arc<Dictionary>, config: RdfsConfig) -> Self {
         let mut rs = Ruleset::rho_df();
         rs.name = "RDFS".to_owned();
-        if config.literal_typing {
-            rs.push(Rdfs1::new(Arc::clone(dict)));
-        }
-        if config.resource_typing {
-            rs.push(Rdfs4a);
-            if config.type_literal_objects {
-                rs.push(Rdfs4b::with_literals(Arc::clone(dict)));
-            } else {
-                rs.push(Rdfs4b::new(Arc::clone(dict)));
-            }
-        }
-        if config.structural_rules {
-            rs.push(Rdfs6);
-            rs.push(Rdfs8);
-            rs.push(Rdfs10);
-            rs.push(Rdfs12);
-            rs.push(Rdfs13);
-        }
+        rs.rules.extend(rdfs::rules(dict));
         rs
     }
 
     /// The RDFS-Plus fragment: RDFS plus the rule-expressible OWL core.
     pub fn rdfs_plus(dict: &Arc<Dictionary>) -> Self {
-        use crate::rdfs_plus::*;
         let mut rs = Ruleset::rdfs(dict);
         rs.name = "RDFS-Plus".to_owned();
-        rs.push(EqSym);
-        rs.push(EqTrans);
-        rs.push(EqRepS);
-        rs.push(EqRepP);
-        rs.push(EqRepO);
-        rs.push(PrpInv);
-        rs.push(PrpSymp);
-        rs.push(PrpTrp);
-        rs.push(PrpFp);
-        rs.push(PrpIfp);
-        rs.push(ScmEqc);
-        rs.push(ScmEqp);
+        rdfs_plus::rules().into_iter().for_each(|r| rs.push(r));
         rs
     }
 
@@ -213,6 +143,10 @@ impl std::fmt::Debug for Ruleset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::RuleSpec;
+    use slider_model::vocab::*;
+    use slider_model::{NodeId, Term, Triple};
+    use slider_store::VerticalStore;
 
     #[test]
     fn rho_df_has_figure2_rules() {
@@ -233,37 +167,11 @@ mod tests {
         let rs = Ruleset::rdfs(&dict);
         assert_eq!(rs.len(), 16);
         assert_eq!(rs.name(), "RDFS");
-        for rho in Ruleset::rho_df().names() {
-            assert!(rs.names().contains(&rho), "missing {rho}");
-        }
-        for extra in [
+        let extra = [
             "RDFS1", "RDFS4A", "RDFS4B", "RDFS6", "RDFS8", "RDFS10", "RDFS12", "RDFS13",
-        ] {
-            assert!(rs.names().contains(&extra), "missing {extra}");
-        }
-    }
-
-    #[test]
-    fn rdfs_config_toggles() {
-        let dict = Arc::new(Dictionary::new());
-        let slim = Ruleset::rdfs_with(
-            &dict,
-            RdfsConfig {
-                literal_typing: false,
-                resource_typing: false,
-                type_literal_objects: false,
-                structural_rules: false,
-            },
-        );
-        assert_eq!(slim.len(), 8); // just ρdf
-        let no_structural = Ruleset::rdfs_with(
-            &dict,
-            RdfsConfig {
-                structural_rules: false,
-                ..RdfsConfig::default()
-            },
-        );
-        assert_eq!(no_structural.len(), 11);
+        ];
+        assert_eq!(rs.names()[..8], Ruleset::rho_df().names()[..]);
+        assert_eq!(rs.names()[8..], extra);
     }
 
     #[test]
@@ -290,63 +198,64 @@ mod tests {
         let dict = Arc::new(Dictionary::new());
         let rs = Ruleset::rdfs_plus(&dict);
         assert_eq!(rs.name(), "RDFS-Plus");
-        for base in Ruleset::rdfs(&dict).names() {
-            assert!(rs.names().contains(&base), "missing {base}");
-        }
-        for extra in [
+        assert_eq!(rs.names()[..16], Ruleset::rdfs(&dict).names()[..]);
+        let extra = [
             "EQ-SYM", "EQ-TRANS", "EQ-REP-S", "EQ-REP-P", "EQ-REP-O", "PRP-INV", "PRP-SYMP",
             "PRP-TRP", "PRP-FP", "PRP-IFP", "SCM-EQC", "SCM-EQP",
-        ] {
-            assert!(rs.names().contains(&extra), "missing {extra}");
-        }
+        ];
+        assert_eq!(rs.names()[16..], extra);
     }
 
-    /// Every built-in ρdf/RDFS rule implements the backward `derives`
-    /// check, and it agrees exactly with one-step forward `apply` over an
-    /// exhaustive probe universe.
+    /// Every built-in rule — all of RDFS-Plus and the four family
+    /// constructors — has a backward `derives`, and it agrees exactly with
+    /// one-step forward `apply` (the whole store as the delta) on every
+    /// probe of a grid over the store's nodes and the vocabulary.
     #[test]
     fn derives_matches_one_step_apply() {
-        use slider_model::vocab::{
-            RDFS_CLASS, RDFS_DATATYPE, RDFS_DOMAIN, RDFS_LITERAL, RDFS_RANGE, RDFS_RESOURCE,
-            RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_PROPERTY, RDF_TYPE,
-        };
-        use slider_model::{NodeId, Term, Triple};
-        use slider_store::VerticalStore;
-
         let dict = Arc::new(Dictionary::new());
         let lit = dict.intern(&Term::literal("x"));
         let n = |v: u64| NodeId(1000 + v);
-        // A store touching every rule: sco/spo chains, dom/rng schema, an
-        // instance fact, typings of the structural classes, a literal.
-        let store: VerticalStore = [
+        let (p, is) = (n(5), n(6));
+        let fact = |s, o| Triple::new(n(s), p, n(o));
+        // A store touching every rule: sco/spo chains, dom/rng schema,
+        // typings of the structural classes, a literal, equalities, an
+        // inverse, and p typed with every OWL property class.
+        let mut store: VerticalStore = [
             Triple::new(n(1), RDFS_SUB_CLASS_OF, n(2)),
             Triple::new(n(2), RDFS_SUB_CLASS_OF, n(3)),
             Triple::new(n(9), RDF_TYPE, n(1)),
-            Triple::new(n(5), RDFS_SUB_PROPERTY_OF, n(6)),
-            Triple::new(n(6), RDFS_DOMAIN, n(2)),
-            Triple::new(n(6), RDFS_RANGE, n(3)),
-            Triple::new(n(7), n(5), n(8)),
-            Triple::new(n(7), n(5), lit),
+            Triple::new(p, RDFS_SUB_PROPERTY_OF, is),
+            Triple::new(is, RDFS_SUB_PROPERTY_OF, n(3)),
+            Triple::new(n(4), is, n(1)),
+            Triple::new(is, RDFS_DOMAIN, n(2)),
+            Triple::new(is, RDFS_RANGE, n(3)),
+            Triple::new(n(7), p, lit),
             Triple::new(n(4), RDF_TYPE, RDFS_CLASS),
-            Triple::new(n(5), RDF_TYPE, RDF_PROPERTY),
+            Triple::new(p, RDF_TYPE, RDF_PROPERTY),
             Triple::new(n(4), RDF_TYPE, RDFS_DATATYPE),
+            Triple::new(n(8), RDF_TYPE, RDFS_CONTAINER_MEMBERSHIP_PROPERTY),
+            Triple::new(n(7), OWL_SAME_AS, n(8)),
+            Triple::new(n(8), OWL_SAME_AS, n(9)),
+            Triple::new(p, OWL_SAME_AS, is),
+            Triple::new(p, OWL_INVERSE_OF, n(3)),
+            Triple::new(n(1), OWL_EQUIVALENT_CLASS, n(4)),
+            Triple::new(p, OWL_EQUIVALENT_PROPERTY, n(3)),
         ]
         .into_iter()
+        .chain([(7, 8), (8, 9), (1, 9), (2, 9), (1, 2)].map(|(s, o)| fact(s, o)))
         .collect();
+        for class in [
+            OWL_SYMMETRIC_PROPERTY,
+            OWL_TRANSITIVE_PROPERTY,
+            OWL_FUNCTIONAL_PROPERTY,
+            OWL_INVERSE_FUNCTIONAL_PROPERTY,
+        ] {
+            store.insert(Triple::new(p, RDF_TYPE, class));
+        }
         let all: Vec<Triple> = store.iter().collect();
-
-        // Probe universe: every (s, p, o) over the mentioned nodes and the
-        // vocabulary constants.
         let nodes: Vec<NodeId> = (1..10)
             .map(n)
-            .chain([
-                lit,
-                RDFS_RESOURCE,
-                RDFS_LITERAL,
-                RDFS_CLASS,
-                RDF_PROPERTY,
-                RDFS_MEMBER_PROBE,
-            ])
+            .chain([lit, RDFS_RESOURCE, RDFS_LITERAL, RDFS_CLASS, RDFS_MEMBER])
             .collect();
         let preds = [
             RDF_TYPE,
@@ -354,56 +263,48 @@ mod tests {
             RDFS_SUB_PROPERTY_OF,
             RDFS_DOMAIN,
             RDFS_RANGE,
-            n(5),
-            n(6),
+            OWL_SAME_AS,
+            p,
+            is,
+            n(3),
         ];
 
-        for ruleset in [Ruleset::rho_df(), Ruleset::rdfs(&dict)] {
-            for rule in ruleset.rules() {
-                let mut out = Vec::new();
-                rule.apply(&store, &all, &mut out);
-                out.sort_unstable();
-                out.dedup();
-                for &s in &nodes {
-                    for &p in &preds {
-                        for &o in &nodes {
-                            let probe = Triple::new(s, p, o);
-                            assert_eq!(
-                                rule.derives(&store, probe),
-                                Some(out.binary_search(&probe).is_ok()),
-                                "{}: derives disagrees with apply on {probe:?}",
-                                rule.name()
-                            );
-                        }
+        let mut rules = Ruleset::rdfs_plus(&dict)
+            .with(RuleSpec::transitive("T", p))
+            .with(RuleSpec::subsumption("S", is, p))
+            .with(RuleSpec::domain("D", p, is, n(2)))
+            .with(RuleSpec::range("R", p, is, n(3)));
+        rules.name = "every built-in".to_owned();
+        for rule in rules.rules() {
+            let mut out = Vec::new();
+            rule.apply(&store, &all, &mut out);
+            out.sort_unstable();
+            out.dedup();
+            let mut hits = 0;
+            for &s in &nodes {
+                for &p in &preds {
+                    for &o in &nodes {
+                        let probe = Triple::new(s, p, o);
+                        let expected = out.binary_search(&probe).is_ok();
+                        hits += usize::from(expected);
+                        assert_eq!(
+                            rule.derives(&store, probe),
+                            Some(expected),
+                            "{}: derives disagrees with apply on {probe:?}",
+                            rule.name()
+                        );
                     }
                 }
             }
+            assert!(hits > 0, "{}: the grid never fires the rule", rule.name());
         }
-    }
-
-    /// Placeholder node so the probe grid also covers rdfs12's member
-    /// object without colliding with the data nodes.
-    const RDFS_MEMBER_PROBE: slider_model::NodeId = slider_model::vocab::RDFS_MEMBER;
-
-    #[test]
-    fn rdfs_plus_rules_have_no_backward_matcher_yet() {
-        let dict = Arc::new(Dictionary::new());
-        let store = slider_store::VerticalStore::new();
-        let probe = slider_model::Triple::new(
-            slider_model::NodeId(1),
-            slider_model::NodeId(2),
-            slider_model::NodeId(3),
-        );
-        // The RDFS-Plus extension rules fall back to the forward pass.
-        let rs = Ruleset::rdfs_plus(&dict);
-        let eq_sym = &rs.rules()[rs.index_of("EQ-SYM").unwrap()];
-        assert_eq!(eq_sym.derives(&store, probe), None);
     }
 
     #[test]
     fn custom_builder() {
-        let rs = Ruleset::custom("mine").with(CaxSco).with(ScmSco);
-        assert_eq!(rs.len(), 2);
+        let mut rs = Ruleset::custom("mine").with(RuleSpec::transitive("T", NodeId(7)));
+        rs.push_arc(Arc::clone(&Ruleset::rho_df().rules()[0]));
+        assert_eq!(rs.names(), ["T", "CAX-SCO"]);
         assert_eq!(rs.name(), "mine");
         assert!(!rs.is_empty());
     }

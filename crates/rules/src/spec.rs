@@ -1,0 +1,655 @@
+//! Rules as data: the [`RuleSpec`] IR and the one join evaluator behind
+//! every built-in rule except `RDFS1` and `RDFS4B`.
+//!
+//! A spec is a list of Horn clauses `body ⊢ head` over triple patterns
+//! ([`Atom`]s) whose positions are variables or constant term ids, plus
+//! optional [`Guard`]s. Construction compiles it once into join plans:
+//!
+//! * **forward**, one plan per body atom: a delta triple matching that atom
+//!   binds its variables, then the other atoms are probed in the store,
+//!   most-bound atom first (ties: bound predicate first, then declaration
+//!   order), each through the vertical-index lookup its bound positions
+//!   allow. This is paper Algorithm 1, semi-naive, for any body;
+//! * **backward**, one plan per head atom: unify the head with the asked
+//!   triple, then run the same join over the whole body and stop at the
+//!   first solution — one-step SLD resolution, which is [`Rule::derives`].
+//!
+//! The input filter, output signature and transitive predicate are read
+//! off the clauses, so they cannot disagree with what the rule does.
+//!
+//! ```
+//! use slider_model::NodeId;
+//! use slider_rules::{Atom, InputFilter, Rule, RuleSpec};
+//!
+//! let (parent, brother, uncle) = (NodeId(100), NodeId(101), NodeId(102));
+//! let rule = RuleSpec::new("UNCLE", "(x parent y), (y brother z) ⊢ (x uncle z)").clause(
+//!     [Atom::new("x", parent, "y"), Atom::new("y", brother, "z")],
+//!     [Atom::new("x", uncle, "z")],
+//! );
+//! assert_eq!(rule.input_filter(), InputFilter::Predicates(vec![parent, brother]));
+//! ```
+
+use crate::rule::{InputFilter, OutputSignature, Rule};
+use slider_model::{NodeId, Triple};
+use slider_store::{PropertyTable, VerticalStore};
+
+/// One position of an [`Atom`]: a variable, by name, or a constant term id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Arg {
+    /// A variable; equal names within one clause are the same variable.
+    Var(&'static str),
+    /// A fixed term id.
+    Const(NodeId),
+}
+
+impl From<&'static str> for Arg {
+    fn from(name: &'static str) -> Self {
+        Arg::Var(name)
+    }
+}
+
+impl From<NodeId> for Arg {
+    fn from(id: NodeId) -> Self {
+        Arg::Const(id)
+    }
+}
+
+/// A triple pattern: subject, predicate and object [`Arg`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Atom {
+    s: Arg,
+    p: Arg,
+    o: Arg,
+}
+
+impl Atom {
+    /// An atom from three positions; `&'static str` is a variable and
+    /// [`NodeId`] a constant.
+    pub fn new(s: impl Into<Arg>, p: impl Into<Arg>, o: impl Into<Arg>) -> Self {
+        let (s, p, o) = (s.into(), p.into(), o.into());
+        Atom { s, p, o }
+    }
+
+    fn args(&self) -> [Arg; 3] {
+        [self.s, self.p, self.o]
+    }
+}
+
+/// A side condition every body solution must meet before the head fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Guard {
+    /// The two variables are bound to different terms (`PRP-FP`, `PRP-IFP`).
+    Distinct(&'static str, &'static str),
+}
+
+/// One Horn clause: every solution of `body` in the store yields every
+/// `head` atom (whose variables all occur in `body`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Clause {
+    body: Vec<Atom>,
+    head: Vec<Atom>,
+}
+
+/// A rule as data: named clauses plus guards, evaluated by one compiled
+/// join evaluator (see the module docs).
+///
+/// Two specs are equal iff name, definition, clauses (constants included)
+/// and guards are — the identity `Slider::swap_ruleset` uses, so a rule
+/// re-pointed at another predicate under the same name is another rule.
+#[derive(Debug, Clone)]
+pub struct RuleSpec {
+    name: &'static str,
+    definition: &'static str,
+    clauses: Vec<Clause>,
+    guards: Vec<Guard>,
+    // Compiled from the fields above by `RuleSpec::compile`.
+    plans: Vec<ClausePlan>,
+    filter: InputFilter,
+    signature: OutputSignature,
+    closure: Option<NodeId>,
+}
+
+impl PartialEq for RuleSpec {
+    fn eq(&self, other: &Self) -> bool {
+        (self.name, self.definition, &self.clauses, &self.guards)
+            == (other.name, other.definition, &other.clauses, &other.guards)
+    }
+}
+
+impl Eq for RuleSpec {}
+
+impl RuleSpec {
+    /// A spec with no clauses yet; add them with [`RuleSpec::clause`].
+    pub fn new(name: &'static str, definition: &'static str) -> Self {
+        RuleSpec {
+            name,
+            definition,
+            clauses: Vec::new(),
+            guards: Vec::new(),
+            plans: Vec::new(),
+            filter: InputFilter::Predicates(Vec::new()),
+            signature: OutputSignature::Predicates(Vec::new()),
+            closure: None,
+        }
+    }
+
+    /// Adds the clause `body ⊢ head` and recompiles.
+    ///
+    /// # Panics
+    ///
+    /// If `body` is empty, a head variable does not occur in `body`, a
+    /// guard names a variable the body does not bind, or the clause needs
+    /// more than 16 slots (variables plus distinct constants) or more than
+    /// 8 distinct constant body predicates.
+    pub fn clause(mut self, body: impl Into<Vec<Atom>>, head: impl Into<Vec<Atom>>) -> Self {
+        let (body, head) = (body.into(), head.into());
+        self.clauses.push(Clause { body, head });
+        self.compile()
+    }
+
+    /// Adds a guard, checked in every clause, and recompiles.
+    ///
+    /// # Panics
+    ///
+    /// As [`RuleSpec::clause`].
+    pub fn guard(mut self, guard: Guard) -> Self {
+        self.guards.push(guard);
+        self.compile()
+    }
+
+    fn compile(mut self) -> Self {
+        self.plans = (self.clauses.iter())
+            .map(|clause| ClausePlan::new(self.name, clause, &self.guards))
+            .collect();
+        // A variable predicate anywhere makes the side universal.
+        let body: Vec<&Atom> = self.clauses.iter().flat_map(|c| &c.body).collect();
+        let head: Vec<&Atom> = self.clauses.iter().flat_map(|c| &c.head).collect();
+        let universal = |atoms: &[&Atom]| atoms.iter().any(|a| matches!(a.p, Arg::Var(_)));
+        self.filter = match universal(&body) {
+            true => InputFilter::Universal,
+            false => InputFilter::Predicates(constant_predicates(body)),
+        };
+        self.signature = match universal(&head) {
+            true => OutputSignature::Universal,
+            false => OutputSignature::Predicates(constant_predicates(head)),
+        };
+        self.closure = closure_predicate(&self.clauses, &self.guards);
+        self
+    }
+}
+
+/// The distinct constant predicates of `atoms`, in first-use order.
+fn constant_predicates<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    for atom in atoms {
+        match atom.p {
+            Arg::Const(p) if !out.contains(&p) => out.push(p),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// `Some(p)` iff the clauses are exactly `(x p y), (y p z) ⊢ (x p z)`
+/// (either body order) over three distinct variables, with no guard.
+fn closure_predicate(clauses: &[Clause], guards: &[Guard]) -> Option<NodeId> {
+    let ([clause], []) = (clauses, guards) else {
+        return None;
+    };
+    let ([a, b], [h]) = (&clause.body[..], &clause.head[..]) else {
+        return None;
+    };
+    let Arg::Const(p) = h.p else { return None };
+    let ends = |t: &Atom| match (t.s, t.p, t.o) {
+        (Arg::Var(s), q, Arg::Var(o)) if q == h.p => Some((s, o)),
+        _ => None,
+    };
+    let ((x, z), (a0, a1), (b0, b1)) = (ends(h)?, ends(a)?, ends(b)?);
+    let y = if a0 == x { a1 } else { b1 };
+    let chained = (a0, a1, b1) == (x, b0, z) || (b0, b1, a1) == (x, a0, z);
+    (chained && x != y && y != z && x != z).then_some(p)
+}
+
+/// Slot values during one clause evaluation: the clause's variables, then
+/// its constants, which never change. A power of two long, so a masked
+/// slot index needs no bounds check.
+type Env = [NodeId; MAX_SLOTS];
+const MAX_SLOTS: usize = 16;
+
+/// The partitions of a clause's constant body predicates, looked up once
+/// per call instead of once per probe.
+type Tables<'a> = [Option<&'a PropertyTable>; MAX_PREDS];
+const MAX_PREDS: usize = 8;
+
+/// One compiled atom position: its [`Env`] slot, and whether matching a
+/// term there binds the slot (a variable's first occurrence) or compares
+/// with it (a constant, or a variable bound earlier).
+#[derive(Debug, Clone, Copy)]
+struct Pos {
+    slot: u8,
+    set: bool,
+}
+
+/// The store lookup that probes a body atom, fixed at compile time by
+/// which positions are known then: `Contains` (s p o), `Objects` (s p),
+/// `Subjects` (p o), `Pairs` (p); and, with the predicate unknown, one
+/// probe per partition: `SubjectOut` (s, and maybe o), `ObjectIn` (o),
+/// `Scan` (none).
+#[derive(Debug, Clone, Copy)]
+enum Probe {
+    Contains,
+    Objects,
+    Subjects,
+    Pairs,
+    SubjectOut,
+    ObjectIn,
+    Scan,
+}
+
+impl Probe {
+    fn knows_predicate(self) -> bool {
+        matches!(
+            self,
+            Probe::Contains | Probe::Objects | Probe::Subjects | Probe::Pairs
+        )
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Step {
+    atom: [Pos; 3],
+    probe: Probe,
+    /// Index of the atom's constant predicate in [`ClausePlan::preds`].
+    table: Option<usize>,
+}
+
+/// A join entered by unifying one atom with a given triple.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// The atom's constants as a filter: `ids & mask == value` per
+    /// position (0 and 0 for a variable).
+    mask: [u64; 3],
+    value: [u64; 3],
+    atom: [Pos; 3],
+    steps: Vec<Step>,
+}
+
+#[derive(Debug, Clone)]
+struct ClausePlan {
+    /// The clause's constants in their slots.
+    init: Env,
+    /// The body's distinct constant predicates.
+    preds: Vec<NodeId>,
+    /// One entry per body atom (semi-naive `apply`).
+    forward: Vec<Entry>,
+    /// One entry per head atom (backward `derives`).
+    backward: Vec<Entry>,
+    head: Vec<[u8; 3]>,
+    distinct: Vec<(u8, u8)>,
+}
+
+impl ClausePlan {
+    fn new(name: &str, clause: &Clause, guards: &[Guard]) -> Self {
+        let body = &clause.body;
+        assert!(!body.is_empty(), "{name}: empty body");
+        // Slots: the body's variables, then every constant of the clause.
+        let args = || body.iter().chain(&clause.head).flat_map(Atom::args);
+        let vars = body
+            .iter()
+            .flat_map(Atom::args)
+            .filter(|a| matches!(a, Arg::Var(_)));
+        let mut slots: Vec<Arg> = Vec::new();
+        for arg in vars.chain(args().filter(|a| matches!(a, Arg::Const(_)))) {
+            if !slots.contains(&arg) {
+                slots.push(arg);
+            }
+        }
+        assert!(slots.len() <= MAX_SLOTS, "{name}: over {MAX_SLOTS} slots");
+        let mut init = [NodeId(0); MAX_SLOTS];
+        for (value, arg) in init.iter_mut().zip(&slots) {
+            if let Arg::Const(c) = *arg {
+                *value = c;
+            }
+        }
+        let preds = constant_predicates(body);
+        assert!(
+            preds.len() <= MAX_PREDS,
+            "{name}: over {MAX_PREDS} constant predicates"
+        );
+        let compiler = Compiler { name, slots, preds };
+        let var = |v| compiler.slot(Arg::Var(v)) as u8;
+        ClausePlan {
+            init,
+            forward: (0..body.len())
+                .map(|i| compiler.entry(&body[i], body, Some(i)))
+                .collect(),
+            backward: (clause.head.iter())
+                .map(|h| compiler.entry(h, body, None))
+                .collect(),
+            head: (clause.head.iter())
+                .map(|h| h.args().map(|arg| compiler.slot(arg) as u8))
+                .collect(),
+            distinct: (guards.iter())
+                .map(|&Guard::Distinct(a, b)| (var(a), var(b)))
+                .collect(),
+            preds: compiler.preds,
+        }
+    }
+
+    /// Looks up the partitions of the body's constant predicates.
+    fn tables<'a>(&self, store: &'a VerticalStore) -> Tables<'a> {
+        let mut tables = [None; MAX_PREDS];
+        for (table, &p) in tables.iter_mut().zip(&self.preds) {
+            *table = store.table(p);
+        }
+        tables
+    }
+}
+
+/// Compiles one clause's atoms against its slot layout.
+struct Compiler<'a> {
+    name: &'a str,
+    slots: Vec<Arg>,
+    preds: Vec<NodeId>,
+}
+
+impl Compiler<'_> {
+    fn slot(&self, arg: Arg) -> usize {
+        let found = self.slots.iter().position(|&s| s == arg);
+        found.unwrap_or_else(|| panic!("{}: {arg:?} is not bound by the body", self.name))
+    }
+
+    /// The positions of `atom` known under `bound`.
+    fn known(&self, atom: &Atom, bound: &[bool]) -> [bool; 3] {
+        (atom.args()).map(|arg| matches!(arg, Arg::Const(_)) || bound[self.slot(arg)])
+    }
+
+    /// Compiles `atom` under `bound`, marking the variables it binds.
+    fn atom(&self, atom: &Atom, bound: &mut [bool]) -> [Pos; 3] {
+        atom.args().map(|arg| {
+            let slot = self.slot(arg);
+            let set = matches!(arg, Arg::Var(_)) && !bound[slot];
+            bound[slot] = true;
+            Pos {
+                slot: slot as u8,
+                set,
+            }
+        })
+    }
+
+    /// Compiles a join entered through `atom` (body atom `skip`, or a head
+    /// atom) over the rest of `body`, greedily ordered: most known
+    /// positions first, then a known predicate, then declaration order.
+    fn entry(&self, atom: &Atom, body: &[Atom], skip: Option<usize>) -> Entry {
+        let mut bound = vec![false; self.slots.len()];
+        let consts = atom.args().map(|arg| match arg {
+            Arg::Const(c) => (u64::MAX, c.0),
+            Arg::Var(_) => (0, 0),
+        });
+        let first = self.atom(atom, &mut bound);
+        let mut left: Vec<usize> = (0..body.len()).filter(|&i| Some(i) != skip).collect();
+        let mut steps = Vec::new();
+        while !left.is_empty() {
+            let score = |i: usize| {
+                let k = self.known(&body[i], &bound);
+                2 * k.iter().filter(|&&b| b).count() + usize::from(k[1])
+            };
+            let mut best = 0;
+            for j in 1..left.len() {
+                if score(left[j]) > score(left[best]) {
+                    best = j;
+                }
+            }
+            let next = &body[left.remove(best)];
+            let probe = match self.known(next, &bound) {
+                [true, true, true] => Probe::Contains,
+                [true, true, false] => Probe::Objects,
+                [false, true, true] => Probe::Subjects,
+                [false, true, false] => Probe::Pairs,
+                [true, false, _] => Probe::SubjectOut,
+                [false, false, true] => Probe::ObjectIn,
+                [false, false, false] => Probe::Scan,
+            };
+            let table = match next.p {
+                Arg::Const(p) => self.preds.iter().position(|&q| q == p),
+                Arg::Var(_) => None,
+            };
+            let atom = self.atom(next, &mut bound);
+            steps.push(Step { atom, probe, table });
+        }
+        let (mask, value) = (consts.map(|c| c.0), consts.map(|c| c.1));
+        Entry {
+            mask,
+            value,
+            atom: first,
+            steps,
+        }
+    }
+}
+
+#[inline(always)]
+fn at(slot: u8) -> usize {
+    usize::from(slot) % MAX_SLOTS
+}
+
+/// Binds or checks one position against `x`.
+#[inline(always)]
+fn bind(pos: Pos, x: NodeId, env: &mut Env) -> bool {
+    let slot = &mut env[at(pos.slot)];
+    if pos.set {
+        *slot = x;
+        true
+    } else {
+        *slot == x
+    }
+}
+
+/// Matches `t` against an atom, binding first occurrences.
+#[inline(always)]
+fn unify(atom: &[Pos; 3], t: Triple, env: &mut Env) -> bool {
+    bind(atom[0], t.s, env) && bind(atom[1], t.p, env) && bind(atom[2], t.o, env)
+}
+
+/// Whether `t` matches the constants of `entry`'s atom.
+#[inline(always)]
+fn admits(entry: &Entry, t: Triple) -> bool {
+    let (m, v) = (&entry.mask, &entry.value);
+    ((t.s.0 & m[0]) ^ v[0]) | ((t.p.0 & m[1]) ^ v[1]) | ((t.o.0 & m[2]) ^ v[2]) == 0
+}
+
+/// Probes `step`, whose predicate is known and has partition `table`:
+/// for every match, binds the unknown positions and calls `k`, stopping
+/// as soon as `k` returns `true`. Returns whether it stopped. Plain `for`
+/// loops keep the store's iterators inlined.
+#[inline(always)]
+fn probe(
+    table: Option<&PropertyTable>,
+    step: &Step,
+    env: &mut Env,
+    mut k: impl FnMut(&mut Env) -> bool,
+) -> bool {
+    let Some(table) = table else { return false };
+    let [s, _, o] = step.atom;
+    let [sv, _, ov] = step.atom.map(|pos| env[at(pos.slot)]);
+    match step.probe {
+        Probe::Contains => table.contains(sv, ov) && k(env),
+        Probe::Objects => {
+            for x in table.objects(sv) {
+                if bind(o, x, env) && k(env) {
+                    return true;
+                }
+            }
+            false
+        }
+        Probe::Subjects => {
+            for x in table.subjects(ov) {
+                if bind(s, x, env) && k(env) {
+                    return true;
+                }
+            }
+            false
+        }
+        _ => {
+            for (x, y) in table.pairs() {
+                if bind(s, x, env) && bind(o, y, env) && k(env) {
+                    return true;
+                }
+            }
+            false
+        }
+    }
+}
+
+/// [`probe`] for the shapes with an unknown predicate: every partition.
+#[inline(never)]
+fn probe_any_predicate(
+    store: &VerticalStore,
+    step: &Step,
+    env: &mut Env,
+    mut k: impl FnMut(&mut Env) -> bool,
+) -> bool {
+    let [s, p, o] = step.atom;
+    let [sv, _, ov] = step.atom.map(|pos| env[at(pos.slot)]);
+    let mut tables = store.tables();
+    match step.probe {
+        Probe::SubjectOut => tables.any(|(q, tab)| {
+            (tab.objects(sv)).any(|y| bind(p, q, env) && bind(o, y, env) && k(env))
+        }),
+        Probe::ObjectIn => tables.any(|(q, tab)| {
+            (tab.subjects(ov)).any(|x| bind(s, x, env) && bind(p, q, env) && k(env))
+        }),
+        _ => store.iter().any(|t| unify(&step.atom, t, env) && k(env)),
+    }
+}
+
+/// Runs `steps`; at each full solution that passes `distinct`, calls
+/// `emit`, stopping as soon as it returns `true`. Returns whether it
+/// stopped.
+#[inline(never)]
+fn solve<F: FnMut(&Env) -> bool>(
+    store: &VerticalStore,
+    tables: &Tables,
+    steps: &[Step],
+    distinct: &[(u8, u8)],
+    env: &mut Env,
+    emit: &mut F,
+) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        let apart = |&(a, b): &(u8, u8)| env[at(a)] != env[at(b)];
+        return distinct.iter().all(apart) && emit(env);
+    };
+    let k = |env: &mut Env| solve(store, tables, rest, distinct, env, emit);
+    match step.table {
+        _ if !step.probe.knows_predicate() => probe_any_predicate(store, step, env, k),
+        Some(i) => probe(tables[i], step, env, k),
+        None => probe(store.table(env[at(step.atom[1].slot)]), step, env, k),
+    }
+}
+
+impl Rule for RuleSpec {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn definition(&self) -> &'static str {
+        self.definition
+    }
+
+    fn input_filter(&self) -> InputFilter {
+        self.filter.clone()
+    }
+
+    fn output_signature(&self) -> OutputSignature {
+        self.signature.clone()
+    }
+
+    /// Entry by entry, then delta triple by delta triple: the order of
+    /// `out` differs from a triple-major loop, its multiset does not.
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
+        for plan in &self.plans {
+            let tables = plan.tables(store);
+            let mut env = plan.init;
+            let (heads, distinct) = (plan.head.as_slice(), plan.distinct.as_slice());
+            let head = |h: &[u8; 3], env: &Env| {
+                let [s, p, o] = h.map(|slot| env[at(slot)]);
+                Triple::new(s, p, o)
+            };
+            let mut emit = |env: &Env| {
+                match heads {
+                    [h] => out.push(head(h, env)),
+                    _ => out.extend(heads.iter().map(|h| head(h, env))),
+                }
+                false
+            };
+            for entry in &plan.forward {
+                // A constant predicate absent from the store: no solutions.
+                if (entry.steps.iter()).any(|st| st.table.is_some_and(|i| tables[i].is_none())) {
+                    continue;
+                }
+                // Specialised shapes, each run in the loop itself: a
+                // one-atom body, and a second atom over a constant
+                // predicate; anything else goes through `solve`.
+                let steps = entry.steps.as_slice();
+                let direct = match (steps, distinct) {
+                    ([step], []) if step.probe.knows_predicate() => step.table.map(|i| (step, i)),
+                    _ => None,
+                };
+                for &t in delta {
+                    if !admits(entry, t) || !unify(&entry.atom, t, &mut env) {
+                        continue;
+                    }
+                    if let Some((step, i)) = direct {
+                        probe(tables[i], step, &mut env, |env| emit(env));
+                    } else if steps.is_empty() && distinct.is_empty() {
+                        emit(&env);
+                    } else {
+                        solve(store, &tables, steps, distinct, &mut env, &mut emit);
+                    }
+                }
+            }
+        }
+    }
+
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+        if !self.signature.may_emit(t.p) {
+            return Some(false);
+        }
+        Some(self.plans.iter().any(|plan| {
+            plan.backward.iter().any(|entry| {
+                if !admits(entry, t) {
+                    return false;
+                }
+                let (mut env, tables) = (plan.init, plan.tables(store));
+                if !unify(&entry.atom, t, &mut env) {
+                    return false;
+                }
+                // Bodies of one or two atoms over known predicates (most
+                // built-ins) probe in place; anything else goes through `solve`.
+                let table = |step: &Step, env: &Env| match step.table {
+                    Some(i) => tables[i],
+                    None => store.table(env[at(step.atom[1].slot)]),
+                };
+                let known = |step: &Step| step.probe.knows_predicate();
+                match (entry.steps.as_slice(), plan.distinct.as_slice()) {
+                    ([a], []) if known(a) => probe(table(a, &env), a, &mut env, |_| true),
+                    ([a, b], []) if known(a) && known(b) => {
+                        probe(table(a, &env), a, &mut env, |env| {
+                            probe(table(b, env), b, env, |_| true)
+                        })
+                    }
+                    (steps, distinct) => {
+                        solve(store, &tables, steps, distinct, &mut env, &mut |_| true)
+                    }
+                }
+            })
+        }))
+    }
+
+    fn transitive_predicate(&self) -> Option<NodeId> {
+        self.closure
+    }
+
+    fn spec(&self) -> Option<&RuleSpec> {
+        Some(self)
+    }
+}

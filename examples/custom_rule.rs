@@ -2,13 +2,13 @@
 //!
 //! The paper: "Slider natively supports both ρdf and RDFS fragments, and
 //! its architecture allows it to be further extended to any other
-//! fragments" (via Java interfaces there; via the [`Rule`] trait here).
-//!
-//! We add the OWL rule `PRP-INV` (inverse properties):
+//! fragments" (via Java interfaces there). Here a rule is data: a
+//! [`RuleSpec`] of triple patterns, which one join evaluator runs forward
+//! (semi-naive, as the built-ins) and backward (for retraction). We add a
+//! rule no fragment ships:
 //!
 //! ```text
-//! (p1 inverseOf p2), (x p1 y) ⊢ (y p2 x)
-//! (p1 inverseOf p2), (x p2 y) ⊢ (y p1 x)
+//! (x hasParent y), (y hasBrother z) ⊢ (x hasUncle z)
 //! ```
 //!
 //! and watch the dependency graph wire it into the ρdf fragment.
@@ -18,78 +18,34 @@
 //! ```
 
 use slider::prelude::*;
-use slider::rules::{InputFilter, OutputSignature};
-use slider::store::VerticalStore;
+use slider::rules::{Atom, RuleSpec};
 use std::sync::Arc;
 
-const OWL_INVERSE_OF: &str = "http://www.w3.org/2002/07/owl#inverseOf";
 const EX: &str = "http://example.org/family#";
-
-/// `PRP-INV`: symmetric propagation through `owl:inverseOf`.
-struct PrpInv {
-    /// Dictionary id of `owl:inverseOf`, interned at construction.
-    inverse_of: NodeId,
-}
-
-impl PrpInv {
-    fn new(dict: &Dictionary) -> Self {
-        PrpInv {
-            inverse_of: dict.intern(&Term::iri(OWL_INVERSE_OF)),
-        }
-    }
-}
-
-impl Rule for PrpInv {
-    fn name(&self) -> &'static str {
-        "PRP-INV"
-    }
-
-    fn definition(&self) -> &'static str {
-        "(p1 inverseOf p2), (x p1 y) ⊢ (y p2 x)  [and symmetrically]"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        // The (x p1 y) atom has a variable predicate → universal input.
-        InputFilter::Universal
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        // The emitted predicate is a variable → universal output.
-        OutputSignature::Universal
-    }
-
-    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        for &t in delta {
-            if t.p == self.inverse_of {
-                // New schema: flip every existing fact using p1 or p2.
-                for (x, y) in store.pairs(t.s) {
-                    out.push(Triple::new(y, t.o, x));
-                }
-                for (x, y) in store.pairs(t.o) {
-                    out.push(Triple::new(y, t.s, x));
-                }
-            }
-            // New fact: flip through both directions of the schema.
-            for p2 in store.objects_with(self.inverse_of, t.p) {
-                out.push(Triple::new(t.o, p2, t.s));
-            }
-            for p1 in store.subjects_with(self.inverse_of, t.p) {
-                out.push(Triple::new(t.o, p1, t.s));
-            }
-        }
-    }
-}
 
 fn main() {
     let dict = Arc::new(Dictionary::new());
+    let iri = |name: &str| Term::iri(format!("{EX}{name}"));
+    let [parent, brother, uncle] =
+        ["hasParent", "hasBrother", "hasUncle"].map(|p| dict.intern(&iri(p)));
+
+    // The rule's constants are term ids, interned before it is built.
+    let uncle_rule = RuleSpec::new(
+        "UNCLE",
+        "(x hasParent y), (y hasBrother z) ⊢ (x hasUncle z)",
+    )
+    .clause(
+        [Atom::new("x", parent, "y"), Atom::new("y", brother, "z")],
+        [Atom::new("x", uncle, "z")],
+    );
 
     // ρdf + our custom rule = a custom fragment.
     let mut ruleset = Ruleset::rho_df();
-    ruleset.push(PrpInv::new(&dict));
+    ruleset.push(uncle_rule);
 
-    // The dependency graph wires PRP-INV automatically: it has universal
-    // output, so it feeds every rule — and universal input, so every rule
-    // feeds it.
+    // The dependency graph wires UNCLE from its clauses alone: it reads
+    // only hasParent/hasBrother triples, so only PRP-SPO1 (universal
+    // output) feeds it, and it feeds the universal-input rules.
     let graph = DependencyGraph::build(&ruleset);
     println!("dependency graph with the custom rule:");
     for i in 0..graph.len() {
@@ -99,23 +55,15 @@ fn main() {
 
     let slider = Slider::new(Arc::clone(&dict), ruleset, SliderConfig::default());
 
-    // Family data: hasParent is inverseOf hasChild; hasParent is a
-    // subProperty of relatedTo (so PRP-SPO1 composes with PRP-INV).
+    // Family data: hasUncle is a subProperty of relatedTo, so PRP-SPO1
+    // composes with UNCLE.
     let doc: Vec<TermTriple> = vec![
+        (iri("ada"), iri("hasParent"), iri("byron")),
+        (iri("byron"), iri("hasBrother"), iri("george")),
         (
-            Term::iri(format!("{EX}hasParent")),
-            Term::iri(OWL_INVERSE_OF),
-            Term::iri(format!("{EX}hasChild")),
-        ),
-        (
-            Term::iri(format!("{EX}hasParent")),
+            iri("hasUncle"),
             Term::iri("http://www.w3.org/2000/01/rdf-schema#subPropertyOf"),
-            Term::iri(format!("{EX}relatedTo")),
-        ),
-        (
-            Term::iri(format!("{EX}ada")),
-            Term::iri(format!("{EX}hasParent")),
-            Term::iri(format!("{EX}byron")),
+            iri("relatedTo"),
         ),
     ];
     slider.add_terms(&doc);
@@ -133,13 +81,18 @@ fn main() {
         println!("{line}");
     }
 
-    // The inverse was derived …
-    let byron = dict.id_of(&Term::iri(format!("{EX}byron"))).unwrap();
-    let ada = dict.id_of(&Term::iri(format!("{EX}ada"))).unwrap();
-    let has_child = dict.id_of(&Term::iri(format!("{EX}hasChild"))).unwrap();
-    assert!(slider.store().contains(Triple::new(byron, has_child, ada)));
+    let id = |name: &str| dict.id_of(&iri(name)).unwrap();
+    // The uncle was derived …
+    let ada_uncle = Triple::new(id("ada"), uncle, id("george"));
+    assert!(slider.store().contains(ada_uncle));
     // … and composed with the ρdf rules.
-    let related_to = dict.id_of(&Term::iri(format!("{EX}relatedTo"))).unwrap();
-    assert!(slider.store().contains(Triple::new(ada, related_to, byron)));
-    println!("\nPRP-INV fired and composed with PRP-SPO1 — custom fragment works.");
+    assert!(slider
+        .store()
+        .contains(Triple::new(id("ada"), id("relatedTo"), id("george"))));
+
+    // Retraction runs the rule backward: with the brother link gone, the
+    // uncle (and what it implied) is retracted.
+    slider.remove_terms(&doc[1..2]);
+    assert!(!slider.store().contains(ada_uncle));
+    println!("\nUNCLE fired, composed with PRP-SPO1 and retracted — custom fragment works.");
 }

@@ -157,14 +157,14 @@
 //!
 //! ```
 //! use slider::prelude::*;
-//! use slider::rules::Transitive;
+//! use slider::rules::RuleSpec;
 //! use std::sync::Arc;
 //!
 //! let dict = Arc::new(Dictionary::new());
 //! let p = NodeId(7);
 //! let slider = Slider::new(
 //!     Arc::clone(&dict),
-//!     Ruleset::custom("trans").with(Transitive::new("T", p)),
+//!     Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
 //!     SliderConfig::default(),
 //! );
 //! slider.materialize(&[

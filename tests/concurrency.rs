@@ -281,15 +281,15 @@ fn producers_race_multi_family_flushes() {
     // while deferred removers retract earlier links and force flushes
     // whose pending sets span both families, racing the blocked
     // producers.
-    use slider::rules::{Subsumption, Transitive};
+    use slider::rules::RuleSpec;
     let trans_a = NodeId(90_000);
     let is_a = NodeId(90_001);
     let trans_b = NodeId(90_010);
     let inert = NodeId(90_666);
     let ruleset = Ruleset::custom("race-families")
-        .with(Transitive::new("T-A", trans_a))
-        .with(Subsumption::new("S-A", is_a, trans_a))
-        .with(Transitive::new("T-B", trans_b));
+        .with(RuleSpec::transitive("T-A", trans_a))
+        .with(RuleSpec::subsumption("S-A", is_a, trans_a))
+        .with(RuleSpec::transitive("T-B", trans_b));
 
     // Spaced chains: links (2k)→(2k+1) never concatenate, so each family's
     // closure is exactly its explicit links — the expected final store is
@@ -519,12 +519,12 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
 /// and rederivations publish as one epoch when the section releases).
 #[test]
 fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
-    use slider::rules::Transitive;
+    use slider::rules::RuleSpec;
     let pa = NodeId(91_000);
     let pb = NodeId(91_010);
     let ruleset = Ruleset::custom("two-families")
-        .with(Transitive::new("T-A", pa))
-        .with(Transitive::new("T-B", pb));
+        .with(RuleSpec::transitive("T-A", pa))
+        .with(RuleSpec::transitive("T-B", pb));
     let slider = Arc::new(Slider::new(
         Arc::new(Dictionary::new()),
         ruleset,
@@ -547,8 +547,8 @@ fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
         let oracle = Slider::new(
             Arc::new(Dictionary::new()),
             Ruleset::custom("two-families")
-                .with(Transitive::new("T-A", pa))
-                .with(Transitive::new("T-B", pb)),
+                .with(RuleSpec::transitive("T-A", pa))
+                .with(RuleSpec::transitive("T-B", pb)),
             SliderConfig::default(),
         );
         oracle.materialize(&survivors);
@@ -771,7 +771,7 @@ fn registering_a_deadlined_session_wakes_a_parked_flusher() {
 /// closure throughout.
 #[test]
 fn a_panicking_rule_is_contained_to_its_session() {
-    use slider::rules::{InputFilter, OutputSignature, Rule, Transitive};
+    use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
     use slider::store::VerticalStore;
 
     /// Detonates on every application; accepts only its trigger predicate.
@@ -803,7 +803,7 @@ fn a_panicking_rule_is_contained_to_its_session() {
         runtime.session(
             Arc::new(Dictionary::new()),
             Ruleset::custom("grenade")
-                .with(Transitive::new("T", trans))
+                .with(RuleSpec::transitive("T", trans))
                 .with(Grenade { trigger }),
             // Capacity 1: every trigger triple detonates its own rule instance.
             SliderConfig::default().with_buffer_capacity(1),
@@ -937,7 +937,7 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
 /// so both racing callers are blocked on it before either runs.
 #[test]
 fn panicking_eager_removal_strands_no_racing_caller() {
-    use slider::rules::{InputFilter, OutputSignature, Rule, Subsumption, Transitive};
+    use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
     use slider::store::VerticalStore;
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
@@ -1007,8 +1007,8 @@ fn panicking_eager_removal_strands_no_racing_caller() {
             (A, ["T-A", "S-A", "MARK-A"], Some(m0)),
             (B, ["T-B", "S-B", "MARK-B"], None),
         ] {
-            rs.push(Transitive::new(t, f.trans));
-            rs.push(Subsumption::new(s, f.is, f.trans));
+            rs.push(RuleSpec::transitive(t, f.trans));
+            rs.push(RuleSpec::subsumption(s, f.is, f.trans));
             rs.push(SlowMark {
                 name: m,
                 family: f,
@@ -1097,7 +1097,7 @@ fn panicking_eager_removal_strands_no_racing_caller() {
 #[test]
 fn disjoint_family_producers_lose_no_fresh_triples() {
     use slider::model::NodeId;
-    use slider::rules::{Subsumption, Transitive};
+    use slider::rules::RuleSpec;
 
     const FAMILIES: usize = 4;
     const TRANS_NAMES: [&str; FAMILIES] = ["T-0", "T-1", "T-2", "T-3"];
@@ -1109,8 +1109,8 @@ fn disjoint_family_producers_lose_no_fresh_triples() {
     let ruleset = || {
         let mut rs = Ruleset::custom("four-families");
         for f in 0..FAMILIES {
-            rs.push(Transitive::new(TRANS_NAMES[f], trans(f)));
-            rs.push(Subsumption::new(IS_NAMES[f], is_a(f), trans(f)));
+            rs.push(RuleSpec::transitive(TRANS_NAMES[f], trans(f)));
+            rs.push(RuleSpec::subsumption(IS_NAMES[f], is_a(f), trans(f)));
         }
         rs
     };

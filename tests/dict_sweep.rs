@@ -7,7 +7,7 @@
 use slider::baseline::RecomputeOracle;
 use slider::model::vocab::RDF_TYPE;
 use slider::prelude::*;
-use slider::rules::{Domain, Transitive};
+use slider::rules::RuleSpec;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -95,8 +95,8 @@ fn a_shared_dictionary_is_never_swept() {
 /// types its subjects as `Person`.
 fn family(anc: NodeId, person: NodeId) -> Ruleset {
     Ruleset::custom("family")
-        .with(Transitive::new("anc-trans", anc))
-        .with(Domain::new("anc-dom", anc, RDF_TYPE, person))
+        .with(RuleSpec::transitive("anc-trans", anc))
+        .with(RuleSpec::domain("anc-dom", anc, RDF_TYPE, person))
 }
 
 /// Retracting every triple that mentions the rules' constants, then

@@ -10,7 +10,7 @@ use slider::baseline::RecomputeOracle;
 use slider::core::EventKind;
 use slider::model::vocab::{RDFS_SUB_CLASS_OF, RDF_TYPE};
 use slider::prelude::*;
-use slider::rules::{Subsumption, Transitive};
+use slider::rules::RuleSpec;
 use std::sync::Arc;
 
 fn n(v: u64) -> NodeId {
@@ -26,24 +26,24 @@ const IS_B: NodeId = NodeId(611);
 const INERT: NodeId = NodeId(666);
 
 /// The swap pool: programs sharing rules pairwise (kept on swap), dropping
-/// whole families, and crossing into the ρdf fragment. Rule identity is
-/// (name, definition), so "T-A" here is the *same rule* in every variant
-/// that contains it.
+/// whole families, and crossing into the ρdf fragment. Spec identity is
+/// structural (name, definition, clauses with their constants, guards), so
+/// "T-A" here is the *same rule* in every variant that contains it.
 const RULESET_VARIANTS: usize = 5;
 
 fn ruleset_variant(which: usize) -> Ruleset {
     match which {
         0 => Ruleset::custom("two-families")
-            .with(Transitive::new("T-A", TRANS_A))
-            .with(Subsumption::new("S-A", IS_A, TRANS_A))
-            .with(Transitive::new("T-B", TRANS_B))
-            .with(Subsumption::new("S-B", IS_B, TRANS_B)),
+            .with(RuleSpec::transitive("T-A", TRANS_A))
+            .with(RuleSpec::subsumption("S-A", IS_A, TRANS_A))
+            .with(RuleSpec::transitive("T-B", TRANS_B))
+            .with(RuleSpec::subsumption("S-B", IS_B, TRANS_B)),
         1 => Ruleset::custom("family-a")
-            .with(Transitive::new("T-A", TRANS_A))
-            .with(Subsumption::new("S-A", IS_A, TRANS_A)),
+            .with(RuleSpec::transitive("T-A", TRANS_A))
+            .with(RuleSpec::subsumption("S-A", IS_A, TRANS_A)),
         2 => Ruleset::custom("transitive-only")
-            .with(Transitive::new("T-A", TRANS_A))
-            .with(Transitive::new("T-B", TRANS_B)),
+            .with(RuleSpec::transitive("T-A", TRANS_A))
+            .with(RuleSpec::transitive("T-B", TRANS_B)),
         3 => Ruleset::rho_df(),
         _ => Ruleset::custom("empty"),
     }
@@ -238,7 +238,7 @@ fn dropping_and_re_adding_a_rule_round_trips() {
 }
 
 /// Swapping to an identical ruleset (rebuilt from fresh rule instances,
-/// so identity is judged by name + definition, not pointer) is a
+/// so identity is judged by structure, not pointer) is a
 /// store-level no-op: nothing dropped, added, retracted or inferred —
 /// but it still counts as a swap and reinstalls fresh state.
 #[test]
@@ -267,6 +267,38 @@ fn swap_to_identical_ruleset_is_a_store_noop() {
     // The reasoner still works afterwards.
     slider.materialize(&[Triple::new(n(50), TRANS_A, n(1))]);
     assert!(slider.store().contains(Triple::new(n(50), TRANS_A, n(10))));
+}
+
+/// Spec identity is structural: the same name and definition over another
+/// predicate is another rule, so the swap drops the old one (retracting
+/// its derivations) and adds the new one (inferring its closure).
+#[test]
+fn same_named_rule_over_another_predicate_is_swapped_out() {
+    let program = |p| Ruleset::custom("trans").with(RuleSpec::transitive("T", p));
+    let link = |p, a, b| Triple::new(n(a), p, n(b));
+    let input = [
+        link(TRANS_A, 1, 2),
+        link(TRANS_A, 2, 3),
+        link(TRANS_B, 1, 2),
+        link(TRANS_B, 2, 3),
+    ];
+    let slider = manual_flush_slider(program(TRANS_A));
+    slider.materialize(&input);
+    assert!(slider.store().contains(link(TRANS_A, 1, 3)));
+
+    let outcome = slider.swap_ruleset(program(TRANS_B));
+    assert_eq!(
+        (outcome.dropped, outcome.added, outcome.kept),
+        (1, 1, 0),
+        "{outcome:?}"
+    );
+    assert_eq!(
+        slider.store().to_sorted_vec(),
+        expected_closure(&program(TRANS_B), &input),
+        "store is not the new program's closure"
+    );
+    assert!(!slider.store().contains(link(TRANS_A, 1, 3)));
+    assert!(slider.store().contains(link(TRANS_B, 1, 3)));
 }
 
 /// Swaps racing live producers: feeds keep flowing from several threads

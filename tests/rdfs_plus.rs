@@ -3,7 +3,8 @@
 //! their composition with the RDFS core — checked against the batch
 //! oracle under many reasoner configurations.
 
-use slider::baseline::closure;
+use proptest::prelude::*;
+use slider::baseline::{closure, RecomputeOracle};
 use slider::model::vocab;
 use slider::prelude::*;
 use std::sync::Arc;
@@ -238,4 +239,118 @@ fn dependency_graph_wires_equality_rules() {
     assert!(graph.has_edge_named("SCM-EQP", "PRP-SPO1"));
     // But not vice versa: CAX-SCO emits type, not equivalence.
     assert!(!graph.has_edge_named("CAX-SCO", "SCM-EQC"));
+}
+
+// ---------- retraction under RDFS-Plus ---------------------------------------
+
+/// Retracting the sources of identities and of inverse/transitive facts
+/// runs DRed through the RDFS-Plus backward matchers; at every quiescent
+/// point the store is the oracle's closure of what survives.
+#[test]
+fn retracting_identity_sources_matches_oracle() {
+    let dict = Arc::new(Dictionary::new());
+    let input = library_scenario(&dict);
+    let id = |name: &str| dict.intern(&e(name));
+    let slider = Slider::new(
+        Arc::clone(&dict),
+        Ruleset::rdfs_plus(&dict),
+        SliderConfig::default(),
+    );
+    let mut oracle = RecomputeOracle::new(Ruleset::rdfs_plus(&dict));
+    slider.add_triples(&input);
+    oracle.add(&input);
+    let isbn_b = Triple::new(id("bookB"), id("isbn"), id("9780001"));
+    let script: Vec<(bool, Vec<Triple>)> = vec![
+        // bookB loses its ISBN: the merge with bookA and all it copied go.
+        (false, vec![isbn_b]),
+        (true, vec![isbn_b]),
+        // The inverse and the series nesting lose their schema.
+        (false, vec![input[1], input[2]]),
+        (false, vec![input[0]]),
+        (true, vec![input[0], input[2]]),
+        (false, input[3..].to_vec()),
+    ];
+    for (i, (is_add, batch)) in script.iter().enumerate() {
+        if *is_add {
+            slider.add_triples(batch);
+            oracle.add(batch);
+        } else {
+            slider.remove_triples(batch);
+            oracle.remove(batch);
+        }
+        slider.wait_idle();
+        assert_eq!(
+            slider.store().to_sorted_vec(),
+            oracle.to_sorted_vec(),
+            "store diverged from recompute oracle at script step {i}"
+        );
+    }
+}
+
+const P: NodeId = NodeId(1100);
+const Q: NodeId = NodeId(1101);
+
+/// Triples over a small node universe that keep every RDFS-Plus rule
+/// busy: facts over two properties, equalities, subclassing and typing,
+/// the four OWL property characteristics, inverses and class equivalence.
+fn plus_triple() -> impl Strategy<Value = Triple> {
+    let node = || (0u64..6).prop_map(|v| NodeId(1000 + v));
+    let prop = || prop_oneof![Just(P), Just(Q)];
+    let pair = |p: NodeId| (node(), node()).prop_map(move |(s, o)| Triple::new(s, p, o));
+    prop_oneof![
+        3 => (node(), prop(), node()).prop_map(|(s, p, o)| Triple::new(s, p, o)),
+        2 => pair(vocab::OWL_SAME_AS),
+        1 => pair(vocab::RDFS_SUB_CLASS_OF),
+        1 => pair(vocab::RDF_TYPE),
+        1 => pair(vocab::OWL_EQUIVALENT_CLASS),
+        1 => (prop(), prop()).prop_map(|(a, b)| Triple::new(a, vocab::OWL_INVERSE_OF, b)),
+        1 => (
+            prop(),
+            prop_oneof![
+                Just(vocab::OWL_SYMMETRIC_PROPERTY),
+                Just(vocab::OWL_TRANSITIVE_PROPERTY),
+                Just(vocab::OWL_FUNCTIONAL_PROPERTY),
+                Just(vocab::OWL_INVERSE_FUNCTIONAL_PROPERTY),
+            ],
+        )
+            .prop_map(|(p, class)| Triple::new(p, vocab::RDF_TYPE, class)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// Any interleaving of RDFS-Plus adds and removes leaves the store
+    /// equal to the from-scratch closure of the surviving explicit triples.
+    #[test]
+    fn rdfs_plus_add_remove_interleavings_match_recompute_oracle(
+        ops in prop::collection::vec(
+            (prop_oneof![2 => Just(true), 1 => Just(false)], prop::collection::vec(plus_triple(), 1..6)),
+            1..10,
+        )
+    ) {
+        let dict = Arc::new(Dictionary::new());
+        let slider = Slider::new(
+            Arc::clone(&dict),
+            Ruleset::rdfs_plus(&dict),
+            SliderConfig::default(),
+        );
+        let mut oracle = RecomputeOracle::new(Ruleset::rdfs_plus(&dict));
+        for (i, (is_add, batch)) in ops.iter().enumerate() {
+            if *is_add {
+                slider.add_triples(batch);
+                oracle.add(batch);
+            } else {
+                slider.remove_triples(batch);
+                oracle.remove(batch);
+            }
+            slider.wait_idle();
+            prop_assert_eq!(
+                slider.store().to_sorted_vec(),
+                oracle.to_sorted_vec(),
+                "diverged after op {}",
+                i
+            );
+        }
+    }
 }

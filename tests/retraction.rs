@@ -475,7 +475,8 @@ fn outcome_reports_ignored_derived_distinct_from_not_found() {
 
 // ---------- coalesced flushes across rule families ---------------------------
 
-use slider::rules::{Subsumption, Transitive};
+use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
+use slider::store::VerticalStore;
 
 /// Predicates of two independent rule families plus an inert one.
 const TRANS_A: NodeId = NodeId(600);
@@ -488,10 +489,10 @@ const INERT: NodeId = NodeId(666);
 /// retraction's downward closure stays inside its family.
 fn family_ruleset() -> Ruleset {
     Ruleset::custom("two-families")
-        .with(Transitive::new("T-A", TRANS_A))
-        .with(Subsumption::new("S-A", IS_A, TRANS_A))
-        .with(Transitive::new("T-B", TRANS_B))
-        .with(Subsumption::new("S-B", IS_B, TRANS_B))
+        .with(RuleSpec::transitive("T-A", TRANS_A))
+        .with(RuleSpec::subsumption("S-A", IS_A, TRANS_A))
+        .with(RuleSpec::transitive("T-B", TRANS_B))
+        .with(RuleSpec::subsumption("S-B", IS_B, TRANS_B))
 }
 
 fn family_slider(config: SliderConfig) -> Slider {
@@ -507,6 +508,76 @@ fn family_input() -> Vec<Triple> {
     }
     input.push(Triple::new(n(200), INERT, n(201)));
     input
+}
+
+/// A rule with no backward matcher: the family rules minus `derives`.
+struct ForwardOnly(RuleSpec);
+
+impl Rule for ForwardOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn definition(&self) -> &'static str {
+        self.0.definition()
+    }
+
+    fn input_filter(&self) -> InputFilter {
+        self.0.input_filter()
+    }
+
+    fn output_signature(&self) -> OutputSignature {
+        self.0.output_signature()
+    }
+
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
+        self.0.apply(store, delta, out);
+    }
+}
+
+/// Every built-in rule has a backward matcher, so only a custom rule
+/// without one (`derives` → `None`) reaches DRed's forward full-store
+/// fallback; it must land on the oracle's closure all the same.
+#[test]
+fn rules_without_backward_matcher_take_the_forward_fallback() {
+    let ruleset = Ruleset::custom("forward-only")
+        .with(ForwardOnly(RuleSpec::transitive("T-A", TRANS_A)))
+        .with(ForwardOnly(RuleSpec::subsumption("S-A", IS_A, TRANS_A)));
+    let probe = Triple::new(n(1), TRANS_A, n(3));
+    let empty = VerticalStore::new();
+    assert!(ruleset
+        .rules()
+        .iter()
+        .all(|r| r.derives(&empty, probe).is_none()));
+
+    // A shortcut 2→5 gives the chain's long paths a second derivation.
+    let mut input = family_input();
+    input.push(Triple::new(n(2), TRANS_A, n(5)));
+    let slider = Slider::new(
+        Arc::new(Dictionary::new()),
+        ruleset.clone(),
+        SliderConfig::default(),
+    );
+    let mut oracle = RecomputeOracle::new(ruleset);
+    slider.materialize(&input);
+    oracle.add(&input);
+    let removals = [
+        vec![Triple::new(n(3), TRANS_A, n(4))],
+        vec![
+            Triple::new(n(100), IS_A, n(1)),
+            Triple::new(n(6), TRANS_A, n(7)),
+        ],
+        vec![Triple::new(n(1), TRANS_A, n(2))],
+    ];
+    let mut rederived = 0;
+    for (i, batch) in removals.iter().enumerate() {
+        let outcome = slider.remove_triples_outcome(batch);
+        oracle.remove(batch);
+        assert!(outcome.overdeleted > 0, "step {i}: {outcome:?}");
+        rederived += outcome.rederived;
+        assert_matches_oracle(&slider, &oracle, &format!("forward fallback step {i}"));
+    }
+    assert!(rederived > 0, "the shortcut never rederived a path");
 }
 
 /// Eager-equality across families: one flush whose pending set spans

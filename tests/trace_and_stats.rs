@@ -164,11 +164,11 @@ fn epoch_counters_track_publications_and_swaps() {
 
 #[test]
 fn ruleset_swap_event_round_trips_through_json() {
-    use slider::rules::Transitive;
+    use slider::rules::RuleSpec;
     let p = NodeId(9_000);
     let slider = Slider::new(
         Arc::new(Dictionary::new()),
-        Ruleset::custom("trans").with(Transitive::new("T", p)),
+        Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
         SliderConfig::default().with_trace(true),
     );
     slider.materialize(&[

@@ -1,4 +1,4 @@
-//! Transitive modules (`SCM-SCO`, `SCM-SPO`, generic `Transitive`) run as
+//! Transitive modules (`SCM-SCO`, `SCM-SPO`, `RuleSpec::transitive`) run as
 //! serialized incremental closure: each edge `(a, b)` emits
 //! `({a} ∪ anc(a)) × ({b} ∪ desc(b))` at once. Under racing writers and
 //! tiny buffers the store must still equal the batch closure, and DRed and
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use slider::baseline::{closure, RecomputeOracle};
 use slider::model::vocab::{RDFS_CLASS, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE};
 use slider::prelude::*;
-use slider::rules::{Subsumption, Transitive};
+use slider::rules::RuleSpec;
 use slider::workloads::chains::subclass_chain;
 use slider::workloads::encode_all;
 use std::sync::Arc;
@@ -136,8 +136,8 @@ proptest! {
         prop_assert_eq!(race(Ruleset::rdfs(&dict), &dict, &input, capacity), expected);
     }
 
-    /// A custom program: two `Transitive` families close side by side,
-    /// with a `Subsumption` reader on one of them.
+    /// A custom program: two `RuleSpec::transitive` families close side by side,
+    /// with a `RuleSpec::subsumption` reader on one of them.
     #[test]
     fn custom_transitive_races_match_batch(
         nodes in 8u64..40,
@@ -147,9 +147,9 @@ proptest! {
     ) {
         let input = soup(nodes, &edges, &members, [PART_OF, LOCATED_IN], IN);
         let ruleset = Ruleset::custom("part-of")
-            .with(Transitive::new("PART-OF", PART_OF))
-            .with(Transitive::new("LOCATED-IN", LOCATED_IN))
-            .with(Subsumption::new("IN-PART", IN, PART_OF));
+            .with(RuleSpec::transitive("PART-OF", PART_OF))
+            .with(RuleSpec::transitive("LOCATED-IN", LOCATED_IN))
+            .with(RuleSpec::subsumption("IN-PART", IN, PART_OF));
         let dict = Arc::new(Dictionary::new());
         let expected = closure(ruleset.clone(), &input).to_sorted_vec();
         prop_assert_eq!(race(ruleset, &dict, &input, capacity), expected);

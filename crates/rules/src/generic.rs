@@ -114,6 +114,19 @@ mod tests {
         }
     }
 
+    /// `derives` agrees with one-step `apply` over a probe universe.
+    #[test]
+    fn derives_matches_one_step_apply() {
+        let store: VerticalStore = [
+            Triple::new(n(1), P, n(2)),
+            Triple::new(n(2), P, n(3)),
+            Triple::new(n(9), IS, n(1)),
+        ]
+        .into_iter()
+        .collect();
+        assert_derives_matches_apply(&family(), &store);
+    }
+
     #[test]
     fn domain_types_subjects_range_types_objects() {
         use slider_baseline_free_closure::closure;
@@ -124,6 +137,52 @@ mod tests {
         assert!(store.contains(Triple::new(n(1), IS, n(7))));
         assert!(store.contains(Triple::new(n(2), IS, n(8))));
         assert_eq!(store.len(), 3);
+    }
+
+    /// `derives` agrees with one-step `apply` for the typing rules too.
+    #[test]
+    fn domain_range_derives_match_one_step_apply() {
+        let rs = Ruleset::custom("typing")
+            .with(RuleSpec::domain("DOM", P, IS, n(7)))
+            .with(RuleSpec::range("RNG", P, IS, n(8)));
+        let store: VerticalStore = [
+            Triple::new(n(1), P, n(2)),
+            Triple::new(n(3), P, n(2)),
+            Triple::new(n(9), IS, n(7)),
+        ]
+        .into_iter()
+        .collect();
+        assert_derives_matches_apply(&rs, &store);
+    }
+
+    /// Every rule's `derives` answers exactly what one `apply` over the
+    /// whole store emits, on every probe over nodes 1..10.
+    fn assert_derives_matches_apply(rs: &Ruleset, store: &VerticalStore) {
+        let all: Vec<Triple> = store.iter().collect();
+        for rule in rs.rules() {
+            let mut out = Vec::new();
+            rule.apply(store, &all, &mut out);
+            out.sort_unstable();
+            out.dedup();
+            assert!(
+                !out.is_empty(),
+                "{}: the store never fires the rule",
+                rule.name()
+            );
+            for s in 1..10u64 {
+                for p in [P, IS, n(77)] {
+                    for o in 1..10u64 {
+                        let probe = Triple::new(n(s), p, n(o));
+                        assert_eq!(
+                            rule.derives(store, probe),
+                            Some(out.binary_search(&probe).is_ok()),
+                            "{}: derives disagrees with apply on {probe:?}",
+                            rule.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, Criterion};
 use slider_baseline::RecomputeOracle;
 use slider_bench::report::{BenchReport, Cell};
-use slider_core::{Slider, SliderConfig};
+use slider_core::{Op, Slider, SliderConfig};
 use slider_model::vocab::{RDFS_DOMAIN, RDFS_SUB_CLASS_OF, RDF_TYPE};
 use slider_model::{Dictionary, NodeId, Triple};
 use slider_rules::Ruleset;
@@ -65,11 +65,12 @@ fn window_step(c: &mut Criterion) {
     group.bench_function("slider_dred", |b| {
         b.iter(|| {
             let slider = maintained_slider();
-            slider.materialize(&taxonomy());
+            slider.add_triples(&taxonomy());
+            slider.wait_idle();
             for i in 0..STEPS {
                 slider.add_triples(&batch(i));
                 if let Some(j) = i.checked_sub(WINDOW as u64) {
-                    slider.remove_triples(&batch(j));
+                    slider.apply(Op::Remove(batch(j)));
                 }
                 slider.wait_idle();
             }
@@ -105,13 +106,14 @@ fn coalesced_step(c: &mut Criterion) {
     group.bench_function("eager_per_batch", |b| {
         b.iter(|| {
             let slider = maintained_slider();
-            slider.materialize(&taxonomy());
+            slider.add_triples(&taxonomy());
+            slider.wait_idle();
             for i in 0..STEPS {
                 slider.add_triples(&batch(2 * i));
                 slider.add_triples(&batch(2 * i + 1));
                 if let Some(j) = i.checked_sub(WINDOW as u64) {
                     for k in 0..CHURN {
-                        slider.remove_triples(&batch(2 * j + k));
+                        slider.apply(Op::Remove(batch(2 * j + k)));
                     }
                 }
                 slider.wait_idle();
@@ -123,15 +125,16 @@ fn coalesced_step(c: &mut Criterion) {
     group.bench_function("coalesced_flush", |b| {
         b.iter(|| {
             let slider = maintained_slider();
-            slider.materialize(&taxonomy());
+            slider.add_triples(&taxonomy());
+            slider.wait_idle();
             for i in 0..STEPS {
                 slider.add_triples(&batch(2 * i));
                 slider.add_triples(&batch(2 * i + 1));
                 if let Some(j) = i.checked_sub(WINDOW as u64) {
                     for k in 0..CHURN {
-                        slider.remove_deferred(&batch(2 * j + k));
+                        slider.apply(Op::Defer(batch(2 * j + k)));
                     }
-                    slider.flush_maintenance();
+                    slider.apply(Op::Flush);
                 }
                 slider.wait_idle();
             }

@@ -384,7 +384,7 @@ fn main() {
             })
             .collect();
         slider.add_terms(&schema);
-        slider.add_terms_owned(burst.clone());
+        slider.add_terms(&burst);
         slider.wait_idle();
         let loaded = dict.stats();
         let start = Instant::now();

@@ -29,7 +29,7 @@
 use slider_baseline::RecomputeOracle;
 use slider_bench::report::{BenchReport, Cell};
 use slider_bench::{family, parse_bench_args};
-use slider_core::{Runtime, RuntimeConfig, Slider, SliderConfig};
+use slider_core::{Op, Runtime, RuntimeConfig, Slider, SliderConfig};
 use slider_model::{Dictionary, NodeId, Triple};
 use slider_rules::Ruleset;
 use std::sync::Arc;
@@ -169,8 +169,10 @@ fn run_latency_cell(p: &Params, shared: bool) -> LatencyCell {
     // Enqueue the whole backlog, then stream: the deadline fires ~1 ms in,
     // so the flush overlaps the timed ingest calls.
     assert_eq!(
-        churn.remove_deferred(&preload[..p.churn_retract as usize]),
-        p.churn_retract as usize
+        churn
+            .apply(Op::Defer(preload[..p.churn_retract as usize].to_vec()))
+            .count(),
+        Some(p.churn_retract as usize)
     );
     let flush_started = Instant::now();
     let mut latencies = Vec::with_capacity(p.batches as usize);

@@ -3,11 +3,11 @@
 //! multi-predicate schedule:
 //!
 //! * **eager (per-batch DRed)** — every expiring batch pays its own
-//!   overdelete/rederive cycle (`Slider::remove_triples`), exactly what a
+//!   overdelete/rederive cycle (`Op::Remove`), exactly what a
 //!   count-based window does per step;
 //! * **coalesced** — expiring batches are deferred
-//!   (`Slider::remove_deferred`) and each step with expiries ends in one
-//!   `Slider::flush_maintenance`, a single DRed pass over the whole
+//!   (`Op::Defer`) and each step with expiries ends in one `Op::Flush`,
+//!   a single DRed pass over the whole
 //!   pending set;
 //! * **recompute** — the closure of the surviving explicit set is rebuilt
 //!   from scratch every step (`slider_baseline::RecomputeOracle`).
@@ -38,6 +38,7 @@ use slider_baseline::RecomputeOracle;
 use slider_bench::family::{self, FamilyParams};
 use slider_bench::parse_bench_args;
 use slider_bench::report::{BenchReport, Cell};
+use slider_core::Op;
 use slider_model::Triple;
 use slider_workloads::stream::{bursty_gaps, expirations};
 use std::time::{Duration, Instant};
@@ -142,10 +143,12 @@ fn main() {
 
     // --- eager: one DRed run per expiring batch ------------------------
     let eager = family::deferred_slider(p.shape.families);
-    eager.materialize(&schema);
+    eager.add_triples(&schema);
+    eager.wait_idle();
     // --- coalesced flushes: one DRed run per step ----------------------
     let coalesced = family::deferred_slider(p.shape.families);
-    coalesced.materialize(&schema);
+    coalesced.add_triples(&schema);
+    coalesced.wait_idle();
     // --- recompute baseline --------------------------------------------
     let mut oracle = RecomputeOracle::new(family::ruleset(p.shape.families));
     oracle.add(&schema);
@@ -166,7 +169,7 @@ fn main() {
         let start = Instant::now();
         eager.add_triples(arriving);
         for &j in expiring {
-            eager.remove_triples(&batches[j]);
+            eager.apply(Op::Remove(batches[j].clone()));
         }
         // Eager equivalent of the cancellation: retract, then re-assert.
         eager.add_triples(&readd);
@@ -176,13 +179,13 @@ fn main() {
         let start = Instant::now();
         coalesced.add_triples(arriving);
         for &j in expiring {
-            coalesced.remove_deferred(&batches[j]);
+            coalesced.apply(Op::Defer(batches[j].clone()));
         }
         // The re-assertion lands while the retractions are pending and
         // must cancel them.
         coalesced.add_triples(&readd);
         if !expiring.is_empty() {
-            coalesced.flush_maintenance();
+            coalesced.apply(Op::Flush);
         }
         coalesced.wait_idle();
         coalesced_elapsed += start.elapsed();

@@ -28,8 +28,7 @@ pub struct SliderConfig {
     /// player's data source). Off by default: tracing serialises events.
     pub trace: bool,
     /// Coalesced-maintenance threshold: how many *distinct* pending
-    /// retractions [`Slider::remove_deferred`](crate::Slider::remove_deferred)
-    /// accumulates before it triggers one coalesced DRed run over the whole
+    /// retractions [`Op::Defer`](crate::Op::Defer) accumulates before it triggers one coalesced DRed run over the whole
     /// pending set (the retraction analogue of `buffer_capacity`). See the
     /// [`scheduler`](crate::scheduler) module docs for the trigger
     /// semantics. Default: 1024.
@@ -38,8 +37,7 @@ pub struct SliderConfig {
     /// retraction may stay pending before the flusher thread forces a
     /// coalesced run (the retraction analogue of `timeout`). `None`
     /// disables the deadline — pending retractions then wait for the
-    /// threshold or an explicit
-    /// [`Slider::flush_maintenance`](crate::Slider::flush_maintenance).
+    /// threshold or an explicit [`Op::Flush`](crate::Op::Flush).
     /// Default: 100 ms.
     pub maintenance_max_age: Option<Duration>,
 }
@@ -62,7 +60,7 @@ impl SliderConfig {
     /// maintenance deadline — no flusher thread at all. Batch callers
     /// drive everything explicitly
     /// ([`Slider::wait_idle`](crate::Slider::wait_idle),
-    /// [`Slider::flush_maintenance`](crate::Slider::flush_maintenance));
+    /// [`Op::Flush`](crate::Op::Flush));
     /// deferred retractions flush on the pending-count threshold or an
     /// explicit flush only.
     pub fn batch() -> Self {

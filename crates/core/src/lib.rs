@@ -17,8 +17,9 @@
 //!               (store-exclusive; explicit/derived provenance flags)
 //! ```
 //!
-//! * The **input manager** ([`Slider::add_triples`], [`Slider::add_terms`])
-//!   dictionary-encodes incoming triples, inserts them into the store
+//! * The **input manager** ([`Op::Add`], or [`Slider::add_triples`] and
+//!   [`Slider::add_terms`] on a borrowed batch) dictionary-encodes
+//!   incoming triples, inserts them into the store
 //!   (duplicates are dropped here — first dedup layer; inputs are flagged
 //!   **explicit**) and routes the new ones to the buffers of every rule
 //!   whose [`InputFilter`] accepts them.
@@ -37,7 +38,7 @@
 //! * [`Slider::wait_idle`] detects quiescence (all buffers empty, no
 //!   in-flight work): the closure is complete. Streaming callers instead
 //!   just keep feeding triples; timeouts keep buffers moving.
-//! * **Retractions** ([`Slider::remove_triples`], [`Slider::remove_terms`])
+//! * **Retractions** ([`Op::Remove`], [`Slider::remove_terms`])
 //!   run the [`maintenance`] module's DRed algorithm with the store held
 //!   exclusively: overdelete the
 //!   downward closure of the retracted facts
@@ -45,17 +46,16 @@
 //!   same rule modules. Afterwards the store equals the closure of the
 //!   surviving explicit triples — sliding-window streams retract expiring
 //!   batches instead of rebuilding.
-//! * **Deferred retractions** ([`Slider::remove_deferred`],
-//!   [`Slider::flush_maintenance`]) enqueue on the [`scheduler`] module's
-//!   maintenance scheduler instead; one *coalesced* DRed run over the
-//!   whole pending set fires on a pending-count threshold, a max-age
-//!   deadline (serviced by the flusher thread), or an explicit flush —
-//!   amortising maintenance for high-churn windows. Re-asserting a triple
-//!   while its retraction is pending **cancels** the retraction, so a
-//!   flush always lands on the closure of the surviving explicit set;
-//!   [`Slider::pending_staleness`] bounds how stale pre-flush queries may
-//!   be. Eager removals and flushes take the same path: one DRed pass
+//! * **Deferred retractions** ([`Op::Defer`], [`Op::Flush`]) enqueue on
+//!   the [`scheduler`] module's maintenance scheduler instead; one
+//!   *coalesced* DRed run over the whole pending set fires on a
+//!   pending-count threshold, a max-age deadline (serviced by the flusher
+//!   thread), or an explicit flush — amortising maintenance for high-churn
+//!   windows. Eager removals and flushes take the same path: one DRed pass
 //!   over the quiescent store, one maintenance run at a time.
+//!
+//! Every write is an [`Op`] applied by [`Slider::apply`]; [`Op`]'s docs
+//! are the one linearisation contract, variant by variant.
 //!
 //! Termination is guaranteed because every dispatched triple was new to the
 //! store and rules never invent new term ids, so the reachable closure is
@@ -78,6 +78,7 @@ mod buffer;
 mod config;
 mod inflight;
 pub mod maintenance;
+mod op;
 pub mod runtime;
 pub mod scheduler;
 mod session;
@@ -87,6 +88,7 @@ pub mod trace;
 pub use buffer::Buffer;
 pub use config::SliderConfig;
 pub use maintenance::RemovalOutcome;
+pub use op::{Op, Outcome};
 pub use runtime::{Runtime, RuntimeConfig, SessionHandle};
 pub use session::{Slider, SwapOutcome};
 pub use stats::{RuleStats, StatsSnapshot};

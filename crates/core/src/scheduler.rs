@@ -1,39 +1,25 @@
 //! Coalesced maintenance scheduling — batching DRed runs for high churn.
 //!
 //! A sliding window over a fast stream retracts a batch per arrival; paying
-//! a full overdelete/rederive cycle for each one (the eager
-//! [`Slider::remove_triples`](crate::Slider::remove_triples) path) wastes
-//! most of its time on per-run overhead: waiting for quiescence, taking the
-//! write lock, scoping the rules, and re-scanning the deleted set during
-//! rederivation. One DRed pass over the *union* of several expiring batches
-//! does the same downward-closure walk once — the classic amortisation of
-//! tick-based incremental window maintenance.
+//! a full overdelete/rederive cycle for each one (an eager
+//! [`Op::Remove`](crate::Op::Remove)) wastes most of its time on per-run
+//! overhead: waiting for quiescence, taking the write lock, scoping the
+//! rules, and re-scanning the deleted set during rederivation. One DRed
+//! pass over the *union* of several expiring batches does the same
+//! downward-closure walk once — the classic amortisation of tick-based
+//! incremental window maintenance.
 //!
-//! `MaintenanceScheduler` (crate-private; driven through the
-//! [`Slider`](crate::Slider) methods below) is the pending set behind
-//! [`Slider::remove_deferred`](crate::Slider::remove_deferred): retractions
-//! are enqueued (deduplicated, FIFO) instead of applied, and a single
-//! coalesced run fires on any of three triggers:
-//!
-//! 1. **pending-count threshold** — the distinct pending set reaches
-//!    [`SliderConfig::maintenance_batch`](crate::SliderConfig::maintenance_batch);
-//! 2. **max-age deadline** — the oldest pending retraction has waited
-//!    [`SliderConfig::maintenance_max_age`](crate::SliderConfig::maintenance_max_age),
-//!    serviced by the reasoner's flusher thread;
-//! 3. **explicit flush** —
-//!    [`Slider::flush_maintenance`](crate::Slider::flush_maintenance).
-//!
-//! The coalescing invariant (pinned against the recompute oracle in
-//! `tests/retraction.rs`): a coalesced flush leaves the store exactly where
-//! retracting the *surviving* pending set eagerly would have — the closure
-//! of the surviving explicit triples. Between enqueue and flush the
-//! retractions are simply *not applied yet*: queries see the
-//! pre-retraction closure (bounded by
-//! [`Slider::pending_staleness`](crate::Slider::pending_staleness)), and a
-//! triple **re-asserted while its retraction is pending cancels the
-//! retraction** (`MaintenanceScheduler::cancel`, driven by the add
-//! path) — the flush must land on the closure of the explicit set that
-//! actually survived the interleaving.
+//! `MaintenanceScheduler` (crate-private) is the pending set behind
+//! [`Op::Defer`](crate::Op::Defer): retractions are enqueued
+//! (deduplicated, FIFO) instead of applied, and one coalesced run fires on
+//! the pending-count threshold, the max-age deadline (serviced by the
+//! runtime's flusher), an explicit [`Op::Flush`](crate::Op::Flush) or the
+//! reasoner's drop. [`Op`](crate::Op) states the contract: when each
+//! trigger fires, where a flush linearises, and why an `Add` of a pending
+//! triple cancels its retraction (`MaintenanceScheduler::cancel`, driven
+//! by the add path). `tests/retraction.rs` pins it against the recompute
+//! oracle: a flush lands on the closure of the explicit set that survived
+//! the interleaving.
 
 use parking_lot::Mutex;
 use slider_model::{FxHashSet, Triple};

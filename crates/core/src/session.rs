@@ -8,6 +8,7 @@ use crate::buffer::Buffer;
 use crate::config::SliderConfig;
 use crate::inflight::Inflight;
 use crate::maintenance::{self, RemovalOutcome};
+use crate::op::{Op, Outcome};
 use crate::runtime::{
     Job, JobQueue, Runtime, RuntimeConfig, RuntimeCore, RuntimeShared, SessionHandle,
 };
@@ -41,7 +42,7 @@ pub(crate) struct Module {
 }
 
 /// Everything derived from the loaded ruleset — the **swappable half** of
-/// the engine. `swap_ruleset` builds a fresh `RulesetState` and installs
+/// the engine. [`Op::Swap`] builds a fresh `RulesetState` and installs
 /// it at its linearisation point; everything else resolves the current
 /// state once per unit of work ([`Engine::rstate`]) and keeps using that
 /// resolution while it holds an inflight token, which is what makes the
@@ -115,7 +116,7 @@ fn build_state(
 pub(crate) struct Engine {
     dict: Arc<Dictionary>,
     store: ShardedStore,
-    /// The current [`RulesetState`], replaced wholesale by `swap_ruleset`.
+    /// The current [`RulesetState`], replaced wholesale by [`Op::Swap`].
     /// The lock is held only for the pointer clone/swap, never across
     /// work; see [`Engine::rstate`] for the resolution discipline.
     rstate: RwLock<Arc<RulesetState>>,
@@ -134,11 +135,11 @@ pub(crate) struct Engine {
     pub(crate) inflight: Inflight,
     pub(crate) globals: GlobalCounters,
     log: Option<EventLog>,
-    /// Serialises DRed maintenance runs (see [`Slider::remove_triples`])
-    /// and ruleset swaps — a swap is a maintenance operation.
+    /// Serialises DRed maintenance runs, dictionary sweeps and ruleset
+    /// swaps — a swap is a maintenance operation.
     maintenance: Mutex<()>,
     /// Deferred retractions awaiting a coalesced DRed run (see
-    /// [`Slider::remove_deferred`]).
+    /// [`Op::Defer`]).
     pub(crate) scheduler: MaintenanceScheduler,
     /// Idle-lane parking flag: set by the runtime's flusher when this
     /// session has nothing for it to service (every buffer empty, no
@@ -455,6 +456,12 @@ impl Engine {
         }
     }
 
+    /// [`Op::Sweep`]: one sweep under the maintenance mutex.
+    fn sweep_dictionary(&self) -> SweepOutcome {
+        let _serial = self.maintenance.lock();
+        self.sweep_dict_now()
+    }
+
     /// Sweeps the dictionary in a quiescent section of its own (the caller
     /// holds the maintenance mutex), so no intern→insert window can race
     /// the scan. The one root rule: an id survives if it is below
@@ -506,8 +513,60 @@ impl Engine {
         roots
     }
 
-    /// One eager DRed run over `triples` (see [`Slider::remove_triples`]
-    /// for the linearisation contract).
+    /// The input manager ([`Op::Add`]): inserts `triples` as explicit,
+    /// cancels their pending retractions and routes the new ones to the
+    /// rule buffers. Returns how many were new.
+    fn add(&self, triples: &[Triple]) -> usize {
+        // Token covers the insert-cancel-route window so `wait_idle` on
+        // another thread cannot observe a false quiescence mid-call — and
+        // so a coalesced flush (which drains the pending set only at
+        // verified quiescence, with the store held exclusively) can never
+        // interleave between this call's insert and its cancellation.
+        self.inflight.inc();
+        let mut fresh = Vec::with_capacity(triples.len());
+        self.store.insert_batch_explicit(triples, &mut fresh);
+        bump(&self.globals.input_received, triples.len() as u64);
+        bump(&self.globals.input_fresh, fresh.len() as u64);
+        // Re-assertion cancels a pending retraction (lock-free no-op when
+        // nothing is pending — the hot additive path stays hot).
+        let cancelled = self.scheduler.cancel(triples);
+        if cancelled > 0 {
+            bump(&self.globals.cancelled, cancelled as u64);
+        }
+        if let Some(log) = &self.log {
+            log.record(EventKind::Input {
+                received: triples.len(),
+                fresh: fresh.len(),
+            });
+        }
+        if !fresh.is_empty() {
+            // Resolved inside the token window above, so the state is
+            // current: a swap cannot linearise while we hold the token.
+            let state = self.rstate();
+            let all: Vec<usize> = (0..state.modules.len()).collect();
+            self.dispatch(&state, &all, &fresh);
+        }
+        self.inflight.dec();
+        fresh.len()
+    }
+
+    /// Enqueues retractions ([`Op::Defer`]), flushing at the threshold.
+    /// Returns how many were newly enqueued.
+    fn defer(&self, triples: &[Triple]) -> usize {
+        let (fresh, threshold_hit) = self.scheduler.enqueue(triples);
+        bump(&self.globals.deferred, fresh as u64);
+        if fresh > 0 {
+            // A pending retraction needs the flusher's deadline service:
+            // leave the parked lane (no-op while unparked).
+            self.unpark();
+        }
+        if threshold_hit {
+            self.flush_maintenance();
+        }
+        fresh
+    }
+
+    /// One eager DRed run over `triples` ([`Op::Remove`]).
     fn remove_eager(&self, triples: &[Triple]) -> RemovalOutcome {
         // Fast path: an empty request retracts nothing by definition —
         // return without touching the maintenance mutex or the store lock
@@ -538,7 +597,7 @@ impl Engine {
     }
 
     /// Drains the deferred-retraction queue and applies it in one DRed
-    /// pass over the union (see [`Slider::flush_maintenance`]).
+    /// pass over the union ([`Op::Flush`]).
     fn flush_maintenance(&self) -> RemovalOutcome {
         self.flush_maintenance_slice(usize::MAX).0
     }
@@ -731,8 +790,7 @@ impl Engine {
         }
     }
 
-    /// Replaces the ruleset on the live engine (see
-    /// [`Slider::swap_ruleset`] for the public contract).
+    /// Replaces the ruleset on the live engine ([`Op::Swap`]).
     fn swap_ruleset(&self, ruleset: Ruleset) -> SwapOutcome {
         // A swap is a maintenance operation: serialise it against DRed
         // runs (and other swaps) on the same mutex, so the state resolved
@@ -813,7 +871,7 @@ impl Engine {
     }
 }
 
-/// What a [`Slider::swap_ruleset`] did, phase by phase.
+/// What an [`Op::Swap`] did, phase by phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwapOutcome {
     /// Rules removed by the swap.
@@ -838,13 +896,14 @@ pub struct SwapOutcome {
 ///
 /// All methods take `&self`: the reasoner is internally synchronised and
 /// can be fed from several threads at once (the paper's multi-source input
-/// manager). Typical batch use:
+/// manager). Every write is an [`Op`] for [`Slider::apply`]; `add_triples`,
+/// `add_terms`, `remove_terms` and `sweep_dictionary` are typed shortcuts
+/// for the common ones. Typical batch use:
 ///
 /// ```
-/// use slider_core::{Slider, SliderConfig};
-/// use slider_rules::{Fragment, Ruleset};
-/// use slider_model::{Dictionary, Term};
-/// use std::sync::Arc;
+/// use slider_core::{Op, Slider, SliderConfig};
+/// use slider_rules::Fragment;
+/// use slider_model::Term;
 ///
 /// let slider = Slider::fragment(Fragment::RhoDf, SliderConfig::default());
 /// let triples: Vec<_> = vec![
@@ -858,6 +917,11 @@ pub struct SwapOutcome {
 /// slider.add_terms(&triples);
 /// slider.wait_idle();
 /// assert_eq!(slider.store().len(), 3); // felix is an Animal now
+///
+/// // Retract Cat ⊑ Animal: felix stays a Cat, no longer an Animal.
+/// let cat_animal = slider.dict().encode_triple(&triples[0]);
+/// let removed = slider.apply(Op::Remove(vec![cat_animal])).removal().unwrap();
+/// assert_eq!((removed.retracted, slider.store().len()), (1, 1));
 /// ```
 ///
 /// A `Slider` built with [`Slider::new`] owns a private single-session
@@ -946,63 +1010,54 @@ impl Slider {
         Slider::new(dict, ruleset, config)
     }
 
-    /// Feeds encoded triples to the input manager. Duplicates are dropped;
-    /// the new triples enter the store immediately (marked **explicit** —
-    /// asserted, as opposed to rule-derived) and are routed to the rule
-    /// buffers. Returns how many were new.
+    /// Applies one write operation and reports what it did. The contract
+    /// — where each op linearises and what it waits for — is on [`Op`].
     ///
-    /// Asserting a triple whose **deferred retraction is still pending**
-    /// ([`Slider::remove_deferred`]) cancels that retraction: the
-    /// assertion is the newer fact, so the next coalesced flush leaves it
-    /// (and its consequences) in place. Without the cancellation the flush
-    /// would silently retract a fact the caller just asserted — the store
-    /// would diverge from the closure of the surviving explicit set.
-    pub fn add_triples(&self, triples: &[Triple]) -> usize {
+    /// ```
+    /// use slider_core::{Op, Slider, SliderConfig};
+    /// use slider_model::{Dictionary, NodeId, Triple};
+    /// use slider_rules::{RuleSpec, Ruleset};
+    /// use std::sync::Arc;
+    ///
+    /// let p = NodeId(7);
+    /// let trans = || Ruleset::custom("trans").with(RuleSpec::transitive("T", p));
+    /// let slider = Slider::new(Arc::new(Dictionary::new()), trans(), SliderConfig::default());
+    /// let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
+    /// slider.apply(Op::Add(vec![Triple::new(a, p, b), Triple::new(b, p, c)]));
+    /// slider.wait_idle();
+    /// assert!(slider.store().contains(Triple::new(a, p, c)));
+    ///
+    /// // Drop the transitivity rule: its derivations retract incrementally.
+    /// let outcome = slider.apply(Op::Swap(Ruleset::custom("empty"))).swap().unwrap();
+    /// assert_eq!((outcome.dropped, outcome.added), (1, 0));
+    /// assert!(!slider.store().contains(Triple::new(a, p, c)));
+    ///
+    /// // Add it back: the closure reappears without re-feeding the input.
+    /// slider.apply(Op::Swap(trans()));
+    /// assert!(slider.store().contains(Triple::new(a, p, c)));
+    /// ```
+    pub fn apply(&self, op: Op) -> Outcome {
         let engine = &self.engine;
-        // Token covers the push-cancel-route window so `wait_idle` on
-        // another thread cannot observe a false quiescence mid-call — and
-        // so a coalesced flush (which drains the pending set only at
-        // verified quiescence, with the store held exclusively) can never
-        // interleave between this call's insert and its cancellation.
-        engine.inflight.inc();
-        let mut fresh = Vec::with_capacity(triples.len());
-        engine.store.insert_batch_explicit(triples, &mut fresh);
-        bump(&engine.globals.input_received, triples.len() as u64);
-        bump(&engine.globals.input_fresh, fresh.len() as u64);
-        // Re-assertion cancels a pending retraction (lock-free no-op when
-        // nothing is pending — the hot additive path stays hot).
-        let cancelled = engine.scheduler.cancel(triples);
-        if cancelled > 0 {
-            bump(&engine.globals.cancelled, cancelled as u64);
+        match op {
+            Op::Add(triples) => Outcome::Add(engine.add(&triples)),
+            Op::Remove(triples) => Outcome::Remove(engine.remove_eager(&triples)),
+            Op::Defer(triples) => Outcome::Defer(engine.defer(&triples)),
+            Op::Flush => Outcome::Flush(engine.flush_maintenance()),
+            Op::Swap(ruleset) => Outcome::Swap(engine.swap_ruleset(ruleset)),
+            Op::Sweep => Outcome::Sweep(engine.sweep_dictionary()),
         }
-        if let Some(log) = &engine.log {
-            log.record(EventKind::Input {
-                received: triples.len(),
-                fresh: fresh.len(),
-            });
-        }
-        if !fresh.is_empty() {
-            // Resolved inside the token window above, so the state is
-            // current: a swap cannot linearise while we hold the token.
-            let state = engine.rstate();
-            let all: Vec<usize> = (0..state.modules.len()).collect();
-            engine.dispatch(&state, &all, &fresh);
-        }
-        engine.inflight.dec();
-        fresh.len()
     }
 
-    /// Feeds one encoded triple.
-    pub fn add_triple(&self, triple: Triple) -> bool {
-        self.add_triples(std::slice::from_ref(&triple)) == 1
+    /// [`Op::Add`] over a borrowed batch; returns how many triples were
+    /// new.
+    pub fn add_triples(&self, triples: &[Triple]) -> usize {
+        self.engine.add(triples)
     }
 
-    /// Encodes and feeds decoded triples (the full input-manager path).
-    ///
-    /// The inflight token taken here covers the **intern → insert**
-    /// window: a post-retraction dictionary sweep scans liveness only at
-    /// verified quiescence, so a term interned by this call can never be
-    /// tombstoned before its triple lands in the store.
+    /// Encodes decoded triples through the dictionary, then [`Op::Add`]s
+    /// them. The inflight token covers the **intern → insert** window: a
+    /// dictionary sweep scans liveness only at verified quiescence, so a
+    /// term interned here is never swept before its triple is stored.
     pub fn add_terms(&self, triples: &[TermTriple]) -> usize {
         let engine = &self.engine;
         engine.inflight.inc();
@@ -1010,163 +1065,38 @@ impl Slider {
             .iter()
             .map(|t| engine.dict.encode_triple(t))
             .collect();
-        let fresh = self.add_triples(&encoded);
+        let fresh = engine.add(&encoded);
         engine.inflight.dec();
         fresh
     }
 
-    /// [`Slider::add_terms`] over owned triples: encoding moves each
-    /// first-seen term into the dictionary instead of cloning it — the
-    /// zero-copy loading path (see
-    /// [`Dictionary::encode_triple_owned`]). Same sweep-safety token as
-    /// [`Slider::add_terms`].
-    pub fn add_terms_owned(&self, triples: Vec<TermTriple>) -> usize {
-        let engine = &self.engine;
-        engine.inflight.inc();
+    /// [`Op::Remove`] over decoded triples; returns how many explicit
+    /// triples were retracted. Terms are looked up, never interned: a
+    /// triple over a term the dictionary has never seen cannot be in the
+    /// store and is skipped.
+    pub fn remove_terms(&self, triples: &[TermTriple]) -> usize {
+        let dict = &self.engine.dict;
         let encoded: Vec<Triple> = triples
-            .into_iter()
-            .map(|t| engine.dict.encode_triple_owned(t))
+            .iter()
+            .filter_map(|t| dict.encode_known(t))
             .collect();
-        let fresh = self.add_triples(&encoded);
-        engine.inflight.dec();
-        fresh
+        self.engine.remove_eager(&encoded).retracted
     }
 
-    /// Retracts encoded triples and runs DRed truth maintenance (see the
-    /// [`maintenance`] module): the retracted facts and
-    /// every conclusion that depended on them are deleted, then conclusions
-    /// with an alternative derivation from surviving facts are restored.
-    /// Afterwards the store equals the closure of the surviving explicit
-    /// triples.
-    ///
-    /// Only **explicit** (asserted) triples can be retracted; offering a
-    /// derived-only or absent triple is a no-op — a derived fact is not an
-    /// assertion, and deleting it would be futile (it is rederivable by
-    /// definition). Returns how many explicit triples were retracted;
-    /// [`Slider::remove_triples_outcome`] additionally reports the
-    /// derived-only and not-found no-ops separately.
-    ///
-    /// Removal is linearised against additions: the call waits for
-    /// quiescence (in-flight work from earlier `add_*` calls completes
-    /// first), and additions racing this call land either entirely before
-    /// or entirely after the maintenance run.
-    ///
-    /// For high-churn streams (a window retracting a batch per arrival),
-    /// prefer [`Slider::remove_deferred`]: it coalesces several retraction
-    /// batches into one DRed run.
-    pub fn remove_triples(&self, triples: &[Triple]) -> usize {
-        self.remove_triples_outcome(triples).retracted
-    }
-
-    /// [`Slider::remove_triples`], returning the full per-phase counters —
-    /// including how many offered triples were ignored because they were
-    /// **derived-only** ([`RemovalOutcome::ignored_derived`] — present but
-    /// not asserted, so there was nothing to retract) as opposed to absent
-    /// from the store altogether ([`RemovalOutcome::not_found`]).
-    pub fn remove_triples_outcome(&self, triples: &[Triple]) -> RemovalOutcome {
-        self.engine.remove_eager(triples)
-    }
-
-    /// Defers retraction of `triples`: they are enqueued on the
-    /// maintenance scheduler instead of being retracted now, and a single
-    /// **coalesced** DRed run over the whole pending set fires when the
-    /// distinct-pending count reaches
-    /// [`SliderConfig::maintenance_batch`](crate::SliderConfig::maintenance_batch),
-    /// when the oldest pending retraction outlives
-    /// [`SliderConfig::maintenance_max_age`](crate::SliderConfig::maintenance_max_age)
-    /// (serviced by the flusher thread), or when
-    /// [`Slider::flush_maintenance`] is called. Returns how many triples
-    /// were newly enqueued (already-pending duplicates are dropped).
-    ///
-    /// The coalescing invariant: a flush leaves the store exactly at the
-    /// closure of the explicit set that survived the interleaving — as if
-    /// the surviving retractions had been applied eagerly — while paying
-    /// the overdelete/rederive machinery once instead of N times. A triple
-    /// **re-asserted while its retraction is pending** is *not* retracted:
-    /// the assertion cancels the pending retraction (see
-    /// [`Slider::add_triples`]; [`StatsSnapshot::cancelled_removals`]
-    /// counts these).
-    ///
-    /// The trade-off is staleness: until a trigger fires, queries still
-    /// see the pre-retraction closure. [`Slider::pending_staleness`]
-    /// bounds how stale — the age of the oldest pending retraction. Use
-    /// the eager [`Slider::remove_triples`] when retractions must be
-    /// visible immediately. On drop, pending retractions are flushed (one
-    /// final coalesced run), mirroring how buffered triples drain.
-    ///
-    /// [`StatsSnapshot::cancelled_removals`]: crate::StatsSnapshot::cancelled_removals
-    pub fn remove_deferred(&self, triples: &[Triple]) -> usize {
-        let engine = &self.engine;
-        let (fresh, threshold_hit) = engine.scheduler.enqueue(triples);
-        bump(&engine.globals.deferred, fresh as u64);
-        if fresh > 0 {
-            // A pending retraction needs the flusher's deadline service:
-            // leave the parked lane (no-op while unparked).
-            engine.unpark();
-        }
-        if threshold_hit {
-            engine.flush_maintenance();
-        }
-        fresh
-    }
-
-    /// [`Slider::remove_deferred`] over decoded triples; terms are looked
-    /// up (never interned), and triples over unknown terms are skipped, as
-    /// in [`Slider::remove_terms`].
-    pub fn remove_terms_deferred(&self, triples: &[TermTriple]) -> usize {
-        self.remove_deferred(&self.encode_known(triples))
-    }
-
-    /// Flushes the deferred-retraction queue now: drains every pending
-    /// retraction and runs one coalesced DRed pass over the union (see
-    /// [`Slider::remove_deferred`]). A no-op returning an empty
-    /// outcome when nothing is pending. The outcome's
-    /// [`requested`](RemovalOutcome::requested) equals the number of
-    /// distinct pending retractions drained.
-    pub fn flush_maintenance(&self) -> RemovalOutcome {
-        self.engine.flush_maintenance()
+    /// [`Op::Sweep`]: compacts the term dictionary now.
+    pub fn sweep_dictionary(&self) -> SweepOutcome {
+        self.engine.sweep_dictionary()
     }
 
     /// The staleness bound of deferred maintenance: the age of the oldest
-    /// pending retraction ([`Slider::remove_deferred`]), or `None` when
-    /// nothing is pending. Every query answered now reflects a closure at
-    /// most this much behind the retraction stream; with
+    /// pending retraction ([`Op::Defer`]), or `None` when nothing is
+    /// pending. Every query answered now reflects a closure at most this
+    /// much behind the retraction stream; with
     /// [`SliderConfig::maintenance_max_age`](crate::SliderConfig::maintenance_max_age)
     /// configured, the bound itself is bounded by roughly 1.5 × that
     /// deadline (the flusher's scan granularity).
     pub fn pending_staleness(&self) -> Option<Duration> {
         self.engine.scheduler.oldest_age()
-    }
-
-    /// Retracts one encoded triple; returns `true` if it was an explicit
-    /// assertion (and was retracted).
-    pub fn remove_triple(&self, triple: Triple) -> bool {
-        self.remove_triples(std::slice::from_ref(&triple)) == 1
-    }
-
-    /// Retracts decoded triples. Terms are looked up (never interned): a
-    /// triple mentioning a term the dictionary has never seen cannot be in
-    /// the store and is skipped. Returns how many explicit triples were
-    /// retracted.
-    pub fn remove_terms(&self, triples: &[TermTriple]) -> usize {
-        self.remove_triples(&self.encode_known(triples))
-    }
-
-    /// Encodes decoded triples by dictionary lookup only, skipping triples
-    /// over unknown terms (the `remove_*` path: never interns).
-    fn encode_known(&self, triples: &[TermTriple]) -> Vec<Triple> {
-        let dict = &self.engine.dict;
-        triples
-            .iter()
-            .filter_map(|(s, p, o)| {
-                Some(Triple::new(dict.id_of(s)?, dict.id_of(p)?, dict.id_of(o)?))
-            })
-            .collect()
-    }
-
-    /// Force-flushes all buffers without waiting.
-    pub fn flush(&self) {
-        self.engine.flush_all();
     }
 
     /// Blocks until the reasoner is quiescent: every buffer empty and no
@@ -1175,19 +1105,10 @@ impl Slider {
     ///
     /// Quiescence is relative to inputs already fed; a concurrent
     /// `add_triples` extends the work and the method keeps waiting for it.
-    /// Deferred retractions ([`Slider::remove_deferred`]) are *not* work in
-    /// this sense — they stay pending until their own trigger fires.
+    /// Deferred retractions ([`Op::Defer`]) are *not* work in this sense —
+    /// they stay pending until their own trigger fires.
     pub fn wait_idle(&self) {
         self.engine.wait_idle();
-    }
-
-    /// Convenience: feed a batch and wait for its closure. Returns the
-    /// store growth (input + inferred).
-    pub fn materialize(&self, triples: &[Triple]) -> usize {
-        let before = self.engine.store.len();
-        self.add_triples(triples);
-        self.wait_idle();
-        self.engine.store.len() - before
     }
 
     /// The shared term dictionary.
@@ -1201,105 +1122,19 @@ impl Slider {
     }
 
     /// The rules dependency graph the distributors route with. Returned
-    /// by shared handle because the graph is swappable state: after a
-    /// [`Slider::swap_ruleset`] the engine routes with a rebuilt graph,
-    /// while handles returned earlier stay valid (describing the program
-    /// they were taken under).
+    /// by shared handle because the graph is swappable state: after an
+    /// [`Op::Swap`] the engine routes with a rebuilt graph, while handles
+    /// returned earlier stay valid (describing the program they were
+    /// taken under).
     pub fn dependency_graph(&self) -> Arc<DependencyGraph> {
         Arc::clone(&self.engine.rstate().graph)
     }
 
     /// Name of the loaded ruleset ("rho-df", "RDFS", custom). Owned
-    /// because the ruleset is swappable ([`Slider::swap_ruleset`]) — a
-    /// borrow could outlive the program it names.
+    /// because the ruleset is swappable ([`Op::Swap`]) — a borrow could
+    /// outlive the program it names.
     pub fn ruleset_name(&self) -> String {
         self.engine.rstate().name.clone()
-    }
-
-    /// Replaces the loaded ruleset on the live reasoner — **zero
-    /// downtime**, no rebuild: the store's materialisation is repaired
-    /// incrementally instead of recomputed.
-    ///
-    /// The swap diffs the programs by rule identity, `Rule::same_rule`:
-    /// a [`RuleSpec`](slider_rules::RuleSpec) is the same rule only if its
-    /// name, definition, clauses (constants included) and guards all
-    /// match — `RuleSpec::transitive("T", p1)` and
-    /// `RuleSpec::transitive("T", p2)` are two rules — while a hand-written
-    /// [`Rule`] is matched by name and definition.
-    ///
-    /// * **Dropped** rules: derivations supported only by them are
-    ///   retracted with the DRed machinery (overdelete the one-step
-    ///   support seeds through the old program, rederive with the
-    ///   survivors).
-    /// * **Added** rules: evaluated semi-naively with the whole store as
-    ///   their first delta, then the usual fixpoint.
-    /// * **Kept** rules: untouched — their counters carry over.
-    ///
-    /// Afterwards the store equals the closure of its explicit triples
-    /// under the new program, exactly as if the reasoner had been built
-    /// with it from the start. The dependency graph and rule modules are
-    /// rebuilt and installed
-    /// **atomically at the swap's linearisation point**: a quiescent
-    /// instant (no rule instance in flight, all buffers empty) with the
-    /// store held exclusively. Concurrent `add_triples`/queries are safe
-    /// throughout — they either complete entirely under the old program
-    /// or run entirely under the new one; epoch readers keep
-    /// answering from the pre-swap epoch during the swap and observe
-    /// the new closure as one atomic generation bump. Pending
-    /// deferred retractions survive the swap and apply under the new
-    /// program at their next flush.
-    ///
-    /// Swapping to an identical ruleset is a store-level no-op (nothing
-    /// retracted, nothing inferred) but still reinstalls fresh state.
-    ///
-    /// ```
-    /// use slider_core::{Slider, SliderConfig};
-    /// use slider_model::{Dictionary, NodeId, Triple};
-    /// use slider_rules::{RuleSpec, Ruleset};
-    /// use std::sync::Arc;
-    ///
-    /// let dict = Arc::new(Dictionary::new());
-    /// let p = NodeId(7);
-    /// let slider = Slider::new(
-    ///     Arc::clone(&dict),
-    ///     Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
-    ///     SliderConfig::default(),
-    /// );
-    /// slider.materialize(&[
-    ///     Triple::new(NodeId(1), p, NodeId(2)),
-    ///     Triple::new(NodeId(2), p, NodeId(3)),
-    /// ]);
-    /// assert!(slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
-    ///
-    /// // Drop the transitivity rule: its derivations retract incrementally.
-    /// let outcome = slider.swap_ruleset(Ruleset::custom("empty"));
-    /// assert_eq!((outcome.dropped, outcome.added), (1, 0));
-    /// assert!(!slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
-    ///
-    /// // Add it back: the closure reappears without re-feeding the input.
-    /// slider.swap_ruleset(Ruleset::custom("trans").with(RuleSpec::transitive("T", p)));
-    /// assert!(slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
-    /// ```
-    pub fn swap_ruleset(&self, ruleset: Ruleset) -> SwapOutcome {
-        self.engine.swap_ruleset(ruleset)
-    }
-
-    /// Compacts the term dictionary now: retires every term this engine
-    /// no longer needs. Roots are the live store, every epoch a query
-    /// still holds, the pending-retraction queue, and every id interned
-    /// before the current ruleset was installed (at construction or the
-    /// last [`Slider::swap_ruleset`]) — the rules' constants among them.
-    /// Runs under the maintenance mutex with the store held exclusively,
-    /// like a DRed pass; the automatic equivalent fires after large
-    /// retraction flushes.
-    ///
-    /// Swept ids are never reused: an id held past its last root (a
-    /// `Triple` a caller kept) looks up as `None`, never as another term.
-    /// A dictionary shared with another live engine is never swept — the
-    /// outcome then reports [`skipped`](SweepOutcome::skipped).
-    pub fn sweep_dictionary(&self) -> SweepOutcome {
-        let _serial = self.engine.maintenance.lock();
-        self.engine.sweep_dict_now()
     }
 
     /// Total triples inferred so far (fresh rule conclusions).
@@ -1428,11 +1263,17 @@ mod tests {
         Slider::new(dict, Ruleset::rho_df(), config)
     }
 
+    /// Feeds a batch and waits for its closure.
+    fn materialize(slider: &Slider, triples: &[Triple]) {
+        slider.add_triples(triples);
+        slider.wait_idle();
+    }
+
     #[test]
     fn closure_matches_oracle_on_chain() {
         let input = chain(30);
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let oracle = closure(Ruleset::rho_df(), &input);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
     }
@@ -1448,7 +1289,7 @@ mod tests {
             Triple::new(n(7), n(5), n(8)),
         ];
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let oracle = closure(Ruleset::rho_df(), &input);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
         assert!(slider.store().contains(ty(7, 3)));
@@ -1463,7 +1304,7 @@ mod tests {
             Ruleset::rdfs(&dict),
             SliderConfig::default(),
         );
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let oracle = closure(Ruleset::rdfs(&dict), &input);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
     }
@@ -1472,7 +1313,7 @@ mod tests {
     fn incremental_equals_batch() {
         let input = chain(40);
         let batch = rho_slider(SliderConfig::default());
-        batch.materialize(&input);
+        materialize(&batch, &input);
 
         let inc = rho_slider(SliderConfig::default());
         for chunk in input.chunks(3) {
@@ -1489,7 +1330,7 @@ mod tests {
             .with_buffer_capacity(1)
             .with_workers(1);
         let slider = rho_slider(config);
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let oracle = closure(Ruleset::rho_df(), &input);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
     }
@@ -1499,7 +1340,7 @@ mod tests {
         let input = chain(25);
         let config = SliderConfig::batch().with_buffer_capacity(1_000_000); // never fills
         let slider = rho_slider(config);
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let oracle = closure(Ruleset::rho_df(), &input);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
     }
@@ -1539,7 +1380,7 @@ mod tests {
     fn stats_are_consistent_with_store() {
         let input = chain(20);
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let stats = slider.stats();
         assert_eq!(
             stats.store_size as u64,
@@ -1555,7 +1396,7 @@ mod tests {
     fn trace_records_lifecycle() {
         let input = chain(10);
         let slider = rho_slider(SliderConfig::default().with_trace(true));
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let events = slider.events().expect("tracing enabled");
         assert!(events
             .iter()
@@ -1623,7 +1464,7 @@ mod tests {
     #[test]
     fn repeated_wait_idle_is_stable() {
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&chain(10));
+        materialize(&slider, &chain(10));
         let len = slider.store().len();
         slider.wait_idle();
         slider.wait_idle();
@@ -1641,7 +1482,7 @@ mod tests {
     fn empty_ruleset_is_a_plain_store() {
         let dict = Arc::new(Dictionary::new());
         let slider = Slider::new(dict, Ruleset::custom("none"), SliderConfig::default());
-        slider.materialize(&chain(5));
+        materialize(&slider, &chain(5));
         assert_eq!(slider.store().len(), 4);
         assert_eq!(slider.inferred_count(), 0);
     }
@@ -1656,8 +1497,15 @@ mod tests {
     #[test]
     fn remove_triples_runs_dred_end_to_end() {
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&chain(10));
-        assert_eq!(slider.remove_triples(&[sco(5, 6)]), 1);
+        materialize(&slider, &chain(10));
+        assert_eq!(
+            slider
+                .apply(Op::Remove(vec![sco(5, 6)]))
+                .removal()
+                .unwrap()
+                .retracted,
+            1
+        );
         let survivors: Vec<Triple> = chain(10).into_iter().filter(|&t| t != sco(5, 6)).collect();
         let oracle = closure(Ruleset::rho_df(), &survivors);
         assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
@@ -1667,7 +1515,14 @@ mod tests {
         assert_eq!(stats.retracted, 1);
         assert!(stats.overdeleted > 0);
         // Removing it again (or a derived fact) is a no-op.
-        assert_eq!(slider.remove_triples(&[sco(5, 6), sco(1, 3)]), 0);
+        assert_eq!(
+            slider
+                .apply(Op::Remove(vec![sco(5, 6), sco(1, 3)]))
+                .removal()
+                .unwrap()
+                .retracted,
+            0
+        );
         assert_eq!(slider.stats().removal_runs, 1);
     }
 
@@ -1675,11 +1530,18 @@ mod tests {
     fn removal_then_re_add_round_trips() {
         let input = chain(12);
         let slider = rho_slider(SliderConfig::default());
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let full = slider.store().to_sorted_vec();
-        assert!(slider.remove_triple(sco(4, 5)));
+        assert_eq!(
+            slider
+                .apply(Op::Remove(vec![sco(4, 5)]))
+                .removal()
+                .unwrap()
+                .retracted,
+            1
+        );
         assert_ne!(slider.store().to_sorted_vec(), full);
-        slider.materialize(&[sco(4, 5)]);
+        materialize(&slider, &[sco(4, 5)]);
         assert_eq!(slider.store().to_sorted_vec(), full);
     }
 
@@ -1706,7 +1568,7 @@ mod tests {
     #[test]
     fn static_plans_keep_configured_capacity() {
         let slider = rho_slider(SliderConfig::default().with_buffer_capacity(77));
-        slider.materialize(&chain(40));
+        materialize(&slider, &chain(40));
         for r in &slider.stats().rules {
             assert_eq!(r.buffer_capacity, 77, "{}", r.name);
         }
@@ -1720,8 +1582,8 @@ mod tests {
         // Batch mode: no flusher thread, threshold unreachable — nothing
         // but the drop path can apply the deferral.
         let slider = rho_slider(SliderConfig::batch().with_maintenance_batch(usize::MAX));
-        slider.materialize(&chain(10));
-        slider.remove_deferred(&[sco(5, 6)]);
+        materialize(&slider, &chain(10));
+        slider.apply(Op::Defer(vec![sco(5, 6)]));
         assert_eq!(slider.stats().pending_removals, 1);
         let engine = Arc::clone(&slider.engine);
         drop(slider);
@@ -1745,14 +1607,14 @@ mod tests {
                 .with_trace(true),
         );
         let input = chain(10);
-        slider.materialize(&input);
+        materialize(&slider, &input);
         let full = slider.store().to_sorted_vec();
-        slider.remove_deferred(&[sco(4, 5), sco(7, 8)]);
+        slider.apply(Op::Defer(vec![sco(4, 5), sco(7, 8)]));
         // Re-assert one of the two while both are pending.
         slider.add_triples(&[sco(4, 5)]);
         assert_eq!(slider.stats().pending_removals, 1, "one cancelled");
         assert_eq!(slider.stats().cancelled_removals, 1);
-        let outcome = slider.flush_maintenance();
+        let outcome = slider.apply(Op::Flush).removal().unwrap();
         slider.wait_idle();
         // Only the surviving retraction applied.
         assert_eq!(outcome.requested, 1);
@@ -1786,15 +1648,15 @@ mod tests {
                 let links: Vec<Triple> = (1..8)
                     .map(|i| Triple::new(n(i), p(base), n(i + 1)))
                     .collect();
-                slider.materialize(&links);
+                materialize(&slider, &links);
             }
             if together {
-                slider.remove_deferred(&retractions);
-                slider.flush_maintenance();
+                slider.apply(Op::Defer(retractions.to_vec()));
+                slider.apply(Op::Flush);
             } else {
                 for t in retractions {
-                    slider.remove_deferred(&[t]);
-                    slider.flush_maintenance();
+                    slider.apply(Op::Defer(vec![t]));
+                    slider.apply(Op::Flush);
                 }
             }
             slider
@@ -1825,7 +1687,7 @@ mod tests {
             let links: Vec<Triple> = (1..8)
                 .map(|i| Triple::new(n(i), p(base), n(i + 1)))
                 .collect();
-            slider.materialize(&links);
+            materialize(&slider, &links);
         }
         // Genuine retractions in both chains plus the two no-op flavours
         // (a derived-only triple and an absent one), so every counter is
@@ -1841,8 +1703,8 @@ mod tests {
         let graph = DependencyGraph::build(&ruleset);
         let direct_pass = maintenance::dred(&mut direct, ruleset.rules(), &graph, &pending);
 
-        slider.remove_deferred(&pending);
-        let flushed = slider.flush_maintenance();
+        slider.apply(Op::Defer(pending.to_vec()));
+        let flushed = slider.apply(Op::Flush).removal().unwrap();
         assert_eq!(slider.store().to_sorted_vec(), direct.to_sorted_vec());
         assert_eq!(flushed, direct_pass, "flush outcome drifted");
         assert_eq!(flushed.retracted, 2);
@@ -1850,7 +1712,7 @@ mod tests {
         assert_eq!(flushed.not_found, 1);
     }
 
-    /// `flush_maintenance` is a barrier: while another thread's slice is
+    /// `Op::Flush` is a barrier: while another thread's slice is
     /// drained from the pending queue but not yet applied, a second
     /// explicit flush must not return until the store reflects that slice.
     #[test]
@@ -1858,8 +1720,8 @@ mod tests {
         let slider = Arc::new(rho_slider(
             SliderConfig::batch().with_maintenance_batch(usize::MAX),
         ));
-        slider.materialize(&chain(5));
-        slider.remove_deferred(&[sco(2, 3)]);
+        materialize(&slider, &chain(5));
+        slider.apply(Op::Defer(vec![sco(2, 3)]));
 
         let (drained_tx, drained_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -1870,7 +1732,7 @@ mod tests {
         }));
         let first = {
             let slider = Arc::clone(&slider);
-            std::thread::spawn(move || slider.flush_maintenance())
+            std::thread::spawn(move || slider.apply(Op::Flush))
         };
         drained_rx
             .recv_timeout(Duration::from_secs(10))
@@ -1880,7 +1742,7 @@ mod tests {
         let second = {
             let slider = Arc::clone(&slider);
             std::thread::spawn(move || {
-                slider.flush_maintenance();
+                slider.apply(Op::Flush);
                 let _ = seen_tx.send(slider.store().contains(sco(2, 3)));
             })
         };
@@ -1900,7 +1762,7 @@ mod tests {
             !still_present,
             "flush returned before the store reflected the slice"
         );
-        assert_eq!(first.join().unwrap().retracted, 1);
+        assert_eq!(first.join().unwrap().removal().unwrap().retracted, 1);
         second.join().unwrap();
     }
 
@@ -1912,8 +1774,8 @@ mod tests {
         let slider = Arc::new(rho_slider(
             SliderConfig::batch().with_maintenance_batch(usize::MAX),
         ));
-        slider.materialize(&chain(5));
-        slider.remove_deferred(&[sco(2, 3)]);
+        materialize(&slider, &chain(5));
+        slider.apply(Op::Defer(vec![sco(2, 3)]));
 
         let (drained_tx, drained_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
@@ -1924,7 +1786,7 @@ mod tests {
         }));
         let flush = {
             let slider = Arc::clone(&slider);
-            std::thread::spawn(move || slider.flush_maintenance())
+            std::thread::spawn(move || slider.apply(Op::Flush))
         };
         drained_rx
             .recv_timeout(Duration::from_secs(10))
@@ -1939,7 +1801,7 @@ mod tests {
         release_tx
             .send(())
             .expect("the flush is parked in the hook");
-        assert_eq!(flush.join().unwrap().retracted, 1);
+        assert_eq!(flush.join().unwrap().removal().unwrap().retracted, 1);
         let after = slider.stats();
         assert_eq!((after.pending_removals, after.retracted), (0, 1));
     }
@@ -1947,14 +1809,14 @@ mod tests {
     #[test]
     fn pending_staleness_reports_oldest_age() {
         let slider = rho_slider(SliderConfig::batch().with_maintenance_batch(usize::MAX));
-        slider.materialize(&chain(5));
+        materialize(&slider, &chain(5));
         assert_eq!(slider.pending_staleness(), None);
-        slider.remove_deferred(&[sco(2, 3)]);
+        slider.apply(Op::Defer(vec![sco(2, 3)]));
         std::thread::sleep(Duration::from_millis(2));
         let age = slider.pending_staleness().expect("one pending");
         assert!(age >= Duration::from_millis(2));
         assert!(slider.stats().oldest_pending_age.is_some());
-        slider.flush_maintenance();
+        slider.apply(Op::Flush);
         assert_eq!(slider.pending_staleness(), None);
     }
 
@@ -1985,7 +1847,7 @@ mod tests {
                 )
             })
             .collect();
-        slider.add_terms_owned(burst.clone());
+        slider.add_terms(&burst);
         slider.wait_idle();
         let keep_id = dict.id_of(&keep.0).expect("kept term interned");
         let bytes_before = dict.stats().bytes_estimate;

@@ -45,7 +45,7 @@ pub(crate) struct GlobalCounters {
     pub input_fresh: AtomicU64,
     /// Maintenance (DRed) runs that retracted at least one triple.
     pub removal_runs: AtomicU64,
-    /// Explicit triples retracted by `remove_*` calls.
+    /// Explicit triples retracted by `Remove` and `Flush` ops.
     pub retracted: AtomicU64,
     /// Derived triples deleted during DRed overdeletion (beyond the
     /// retracted assertions themselves).
@@ -53,7 +53,7 @@ pub(crate) struct GlobalCounters {
     /// Overdeleted triples restored by the rederivation phase (they had an
     /// alternative derivation from surviving facts).
     pub rederived: AtomicU64,
-    /// Distinct retractions enqueued by `remove_deferred` (whether or not
+    /// Distinct retractions enqueued by `Defer` ops (whether or not
     /// they have been flushed yet).
     pub deferred: AtomicU64,
     /// Pending retractions cancelled because the triple was re-asserted
@@ -62,7 +62,7 @@ pub(crate) struct GlobalCounters {
     /// Coalesced maintenance runs: flushes of the deferred queue that
     /// drained at least one pending retraction.
     pub coalesced_runs: AtomicU64,
-    /// Live ruleset replacements completed by `swap_ruleset`.
+    /// Live ruleset replacements completed by `Swap` ops.
     pub ruleset_swaps: AtomicU64,
     /// Deadline-triggered flushes cut short by the runtime's per-tick
     /// maintenance budget (the remainder stayed pending for later ticks).
@@ -85,8 +85,7 @@ pub struct RuleStats {
     pub full_flushes: u64,
     /// Instances triggered by draining a partly filled buffer: a buffer
     /// timeout, and also every forced flush
-    /// ([`Slider::wait_idle`](crate::Slider::wait_idle),
-    /// [`Slider::flush`](crate::Slider::flush)). In batch mode
+    /// ([`Slider::wait_idle`](crate::Slider::wait_idle)). In batch mode
     /// (`timeout: None`) every count here is a forced flush.
     pub timeout_flushes: u64,
     /// Triples routed into this rule's buffer.
@@ -123,14 +122,14 @@ pub struct StatsSnapshot {
     pub store: slider_store::StoreStats,
     /// Maintenance (DRed) runs that retracted at least one triple.
     pub removal_runs: u64,
-    /// Explicit triples retracted by `remove_*` calls.
+    /// Explicit triples retracted by `Remove` and `Flush` ops.
     pub retracted: u64,
     /// Derived triples deleted during DRed overdeletion (beyond the
     /// retracted assertions themselves).
     pub overdeleted: u64,
     /// Overdeleted triples restored by rederivation.
     pub rederived: u64,
-    /// Distinct retractions ever enqueued by `remove_deferred`.
+    /// Distinct retractions ever enqueued by `Defer` ops.
     pub deferred: u64,
     /// Pending retractions cancelled by re-assertion: the triple was
     /// `add_*`ed again while its deferred retraction was still pending, so
@@ -141,7 +140,7 @@ pub struct StatsSnapshot {
     /// reads 0, `retracted` and the other removal counters of the same
     /// snapshot include every flushed retraction.
     pub pending_removals: usize,
-    /// Coalesced maintenance runs (non-empty `flush_maintenance` passes,
+    /// Coalesced maintenance runs (non-empty flushes,
     /// whether explicit, threshold- or deadline-triggered). Each coalesced
     /// run also counts towards [`StatsSnapshot::removal_runs`] when it
     /// retracted at least one explicit triple.
@@ -170,7 +169,7 @@ pub struct StatsSnapshot {
     /// of the store.
     pub snapshot_generation: u64,
     /// Live ruleset replacements completed by
-    /// [`Slider::swap_ruleset`](crate::Slider::swap_ruleset).
+    /// [`Op::Swap`](crate::Op::Swap).
     pub ruleset_swaps: u64,
     /// Deadline-triggered maintenance flushes of **this session** cut
     /// short by the shared runtime's per-tick latency budget

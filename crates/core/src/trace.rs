@@ -44,7 +44,7 @@ pub enum EventKind {
     },
     /// A DRed maintenance run (retraction) completed.
     Removal {
-        /// Triples offered to `remove_*`.
+        /// Triples offered to the `Remove` op.
         requested: usize,
         /// Explicit triples actually retracted.
         retracted: usize,
@@ -69,7 +69,7 @@ pub enum EventKind {
         /// Store size after maintenance.
         store_size: usize,
     },
-    /// A live ruleset replacement completed (`swap_ruleset`): the program
+    /// A live ruleset replacement completed (`Op::Swap`): the program
     /// was diffed against the running one, derivations supported only by
     /// dropped rules were retracted (DRed), added rules were evaluated
     /// semi-naively, and the dependency graph / rule modules were rebuilt at

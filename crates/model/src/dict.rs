@@ -477,6 +477,16 @@ impl Dictionary {
         }
     }
 
+    /// Encodes a decoded triple by lookup only, never interning; `None`
+    /// if any term is unknown — such a triple cannot be in any store.
+    pub fn encode_known(&self, t: &TermTriple) -> Option<Triple> {
+        Some(Triple::new(
+            self.id_of(&t.0)?,
+            self.id_of(&t.1)?,
+            self.id_of(&t.2)?,
+        ))
+    }
+
     /// Decodes a triple back to terms; `None` if any id is unknown.
     pub fn decode_triple(&self, t: Triple) -> Option<TermTriple> {
         Some((self.lookup(t.s)?, self.lookup(t.p)?, self.lookup(t.o)?))

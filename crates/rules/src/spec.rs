@@ -94,7 +94,7 @@ struct Clause {
 /// join evaluator (see the module docs).
 ///
 /// Two specs are equal iff name, definition, clauses (constants included)
-/// and guards are — the identity `Slider::swap_ruleset` uses, so a rule
+/// and guards are — the identity `Op::Swap` uses, so a rule
 /// re-pointed at another predicate under the same name is another rule.
 #[derive(Debug, Clone)]
 pub struct RuleSpec {

@@ -16,7 +16,7 @@
 //!   inter-arrival gaps) and expires by *timestamp*, not batch count, so a
 //!   bursty schedule expires several batches at once after a long pause —
 //!   the high-churn shape the coalesced maintenance scheduler
-//!   (`Slider::remove_deferred`) amortises.
+//!   (`Op::Defer`) amortises.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -272,7 +272,7 @@ pub struct TimedWindowStep<'a> {
 /// [`TimedStream::bursty`], this produces the bursty churn profile:
 /// back-to-back arrivals expire nothing, then one arrival after a long
 /// pause expires a whole run of batches at once. Streaming consumers feed
-/// those to `Slider::remove_terms_deferred` and let the maintenance
+/// those to `Op::Defer` and let the maintenance
 /// scheduler coalesce them into a single DRed pass
 /// (`examples/streaming_sensor.rs` drives exactly this shape).
 #[derive(Debug, Clone)]

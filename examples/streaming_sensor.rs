@@ -8,11 +8,11 @@
 //! schedule (back-to-back bursts, occasional long pauses) while the
 //! background knowledge (sensor taxonomy, room topology) stays resident.
 //! Each arrival enters the reasoner immediately; batches older than the
-//! window are handed to `Slider::remove_terms_deferred`, which merely
-//! enqueues them — the maintenance scheduler runs one coalesced
-//! overdelete/rederive pass when enough retractions are pending (or when
-//! the oldest has waited too long), so the post-pause step that expires a
-//! whole run of batches at once does not pay per-batch maintenance.
+//! window are handed to `Op::Defer`, which merely enqueues them — the
+//! maintenance scheduler runs one coalesced overdelete/rederive pass
+//! when enough retractions are pending (or when the oldest has waited too
+//! long), so the post-pause step that expires a whole run of batches at
+//! once does not pay per-batch maintenance.
 //!
 //! ```text
 //! cargo run --release --example streaming_sensor
@@ -136,7 +136,8 @@ fn main() {
         // maintenance scheduler, which coalesces them into one DRed pass
         // per threshold/deadline trigger instead of one per batch.
         for expired in &step.expiring {
-            slider.remove_terms_deferred(expired);
+            let known = expired.iter().filter_map(|t| dict.encode_known(t));
+            slider.apply(Op::Defer(known.collect()));
         }
         // Query concurrently with inference — no global lock, no re-run.
         let known_sensors = slider
@@ -159,7 +160,7 @@ fn main() {
     });
 
     // Drain: apply whatever is still pending, then settle.
-    slider.flush_maintenance();
+    slider.apply(Op::Flush);
     slider.wait_idle();
     let stats = slider.stats();
     println!(

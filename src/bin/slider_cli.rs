@@ -302,12 +302,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     // is still arriving: the shared flusher's deadline
                     // flush retracts it mid-ingest, sliced under the
                     // budget so co-tenants keep their pool turns.
-                    session.remove_deferred(&first);
+                    session.apply(Op::Defer(first));
                     for chunk in chunks {
                         session.add_triples(chunk);
                     }
                     session.wait_idle();
-                    session.flush_maintenance();
+                    session.apply(Op::Flush);
                     session.wait_idle();
                     let stats = session.stats();
                     Ok(format!(

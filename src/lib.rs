@@ -51,56 +51,55 @@
 //! assert_eq!(slider.store().len(), 2 + 1);
 //! ```
 //!
-//! ## Removal semantics
+//! ## Operations
 //!
-//! The store distinguishes **explicit** triples (asserted through
-//! `add_*` — what you said) from **derived** ones (rule conclusions —
-//! what follows). `Slider::remove_triples`/`remove_terms` retract
-//! *assertions*: the triple loses its explicit status, and DRed
-//! maintenance (overdelete, then rederive — see `slider_core::maintenance`)
-//! updates the derived closure, leaving the store equal to the closure of
-//! the surviving explicit triples. Consequences:
+//! Every write is an [`Op`](slider_core::Op) —
+//! `Add`, `Remove`, `Defer`, `Flush`, `Swap` or `Sweep` — applied one at a
+//! time by `Slider::apply`, which answers with the matching
+//! [`Outcome`](slider_core::Outcome). `Op`'s docs are the one written
+//! contract: where each op linearises, what it waits for, and how they
+//! interact. `add_triples`, `add_terms`, `remove_terms` and
+//! `sweep_dictionary` are typed shortcuts that run the same code.
+//!
+//! The store distinguishes **explicit** triples (asserted by `Add` — what
+//! you said) from **derived** ones (rule conclusions — what follows).
+//! `Remove` retracts *assertions* with DRed maintenance (overdelete, then
+//! rederive — see `slider_core::maintenance`), leaving the store equal to
+//! the closure of the surviving explicit triples:
 //!
 //! * removing a **derived-only** fact is a no-op — it is not an assertion,
-//!   and it would be rederived anyway; `Slider::remove_triples_outcome`
-//!   reports these distinctly (`RemovalOutcome::ignored_derived`) from
-//!   triples that were absent altogether (`RemovalOutcome::not_found`), so
-//!   callers can tell "you offered a consequence, not an assertion" apart
-//!   from "never heard of it";
-//! * removing an explicit fact that is *also* derivable (e.g. an asserted
-//!   `Cat ⊑ Animal` in a taxonomy that implies it) demotes it to derived:
-//!   it stays in the store but no longer survives on its own authority;
+//!   and it would be rederived anyway; the `RemovalOutcome` counts these
+//!   (`ignored_derived`) apart from absent triples (`not_found`);
+//! * removing an explicit fact that is *also* derivable demotes it to
+//!   derived: it stays, but no longer on its own authority;
 //! * `remove_terms` only looks terms up (never interns), so a triple over
-//!   unknown terms is skipped;
-//! * `Slider::stats().store` reports the explicit/derived split, and the
-//!   `retracted`/`overdeleted`/`rederived` counters the maintenance runs.
+//!   unknown terms is skipped.
 //!
-//! ## Deferred (coalesced) removal
+//! High-churn sliding windows retract a batch per arrival. `Defer`
+//! *enqueues* retractions instead, and one **coalesced** DRed run over the
+//! whole pending set fires at `SliderConfig::maintenance_batch` pending,
+//! after `SliderConfig::maintenance_max_age`, on a `Flush`, or when the
+//! reasoner drops. Until then queries see the pre-retraction closure
+//! (`Slider::pending_staleness()` bounds how stale), and an `Add` of a
+//! pending triple **cancels** its retraction, so a flush always lands on
+//! the closure of the explicit set that survived the interleaving:
 //!
-//! High-churn sliding windows retract a batch per arrival; paying one
-//! overdelete/rederive cycle per batch wastes the work the batches share.
-//! `Slider::remove_deferred`/`remove_terms_deferred` *enqueue* retractions
-//! on the maintenance scheduler instead, and one **coalesced** DRed run
-//! over the whole pending set fires when the pending count reaches
-//! `SliderConfig::maintenance_batch`, when the oldest pending retraction
-//! outlives `SliderConfig::maintenance_max_age`, or on an explicit
-//! `Slider::flush_maintenance`. The deferred semantics:
+//! ```
+//! use slider::prelude::*;
+//! use std::sync::Arc;
 //!
-//! * a flush leaves the store at the closure of the explicit set that
-//!   **survived the interleaving** — in particular, *re-asserting a
-//!   triple while its retraction is pending cancels the retraction*
-//!   (the assertion is newer; `StatsSnapshot::cancelled_removals`
-//!   counts these);
-//! * until a trigger fires, queries see the pre-retraction closure;
-//!   `Slider::pending_staleness()` bounds how stale (the age of the
-//!   oldest pending retraction);
-//! * dropping the reasoner flushes the pending set — retractions apply
-//!   on teardown rather than being discarded;
-//! * a flush is one DRed pass over the whole pending set, exactly what an
-//!   eager `remove_triples` of the same set runs.
-//!
-//! Use eager `remove_triples` when retractions must be visible
-//! immediately.
+//! let sco = slider::model::vocab::RDFS_SUB_CLASS_OF;
+//! let (a, b, c) = (NodeId(1000), NodeId(1001), NodeId(1002));
+//! let config = SliderConfig::batch().with_maintenance_batch(usize::MAX);
+//! let slider = Slider::new(Arc::new(Dictionary::new()), Ruleset::rho_df(), config);
+//! slider.add_triples(&[Triple::new(a, sco, b), Triple::new(b, sco, c)]);
+//! slider.wait_idle();
+//! slider.apply(Op::Defer(vec![Triple::new(a, sco, b), Triple::new(b, sco, c)]));
+//! slider.apply(Op::Add(vec![Triple::new(a, sco, b)])); // cancels its retraction
+//! let flushed = slider.apply(Op::Flush).removal().unwrap();
+//! assert_eq!(flushed.requested, 1);
+//! assert_eq!(slider.store().len(), 1); // a ⊑ b survives, a ⊑ c went with b ⊑ c
+//! ```
 //!
 //! ## Shared runtime & multi-tenant sessions
 //!
@@ -149,7 +148,7 @@
 //! query after a write (or, once a query has had to wait for a running
 //! write batch, by every write) — so a query never sees a half-applied
 //! write and never waits for maintenance: an exclusive section publishes
-//! its pre-section epoch on entry. `Slider::swap_ruleset` replaces the loaded
+//! its pre-section epoch on entry. `Op::Swap` replaces the loaded
 //! ruleset on the live reasoner: derivations supported only by dropped
 //! rules are retracted with DRed, added rules are evaluated semi-naively,
 //! and the dependency graph and rule modules are rebuilt atomically at
@@ -167,14 +166,15 @@
 //!     Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
 //!     SliderConfig::default(),
 //! );
-//! slider.materialize(&[
+//! slider.add_triples(&[
 //!     Triple::new(NodeId(1), p, NodeId(2)),
 //!     Triple::new(NodeId(2), p, NodeId(3)),
 //! ]);
+//! slider.wait_idle();
 //!
 //! // Live program change: drop the transitivity rule. Its derivations
 //! // retract incrementally — no rebuild, no downtime.
-//! let outcome: SwapOutcome = slider.swap_ruleset(Ruleset::custom("empty"));
+//! let outcome: SwapOutcome = slider.apply(Op::Swap(Ruleset::custom("empty"))).swap().unwrap();
 //! assert_eq!(outcome.dropped, 1);
 //! assert!(!slider.store().contains(Triple::new(NodeId(1), p, NodeId(3))));
 //! ```
@@ -206,7 +206,8 @@ pub use slider_workloads as workloads;
 pub mod prelude {
     pub use slider_baseline::{NaiveReasoner, SemiNaiveReasoner};
     pub use slider_core::{
-        RemovalOutcome, Runtime, RuntimeConfig, SessionHandle, Slider, SliderConfig, SwapOutcome,
+        Op, Outcome, RemovalOutcome, Runtime, RuntimeConfig, SessionHandle, Slider, SliderConfig,
+        SwapOutcome,
     };
     pub use slider_model::{
         DictStats, Dictionary, Literal, NodeId, SweepOutcome, Term, TermTriple, Triple,
@@ -229,7 +230,8 @@ mod tests {
         slider.wait_idle();
         assert!(slider.store().len() > 1);
         // The retraction path round-trips through the facade too.
-        assert_eq!(slider.remove_triples(&triples), 1);
+        let removed = slider.apply(Op::Remove(triples)).removal().unwrap();
+        assert_eq!(removed.retracted, 1);
         assert!(slider.store().is_empty());
     }
 }

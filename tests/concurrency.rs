@@ -2,10 +2,13 @@
 //! and teardown under load — the paper's "multiple instances of input
 //! manager allows to retrieve data from various sources".
 
+mod common;
+
+use common::materialize;
 use slider::prelude::*;
 use slider::workloads::{encode_all, PaperOntology};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 #[test]
@@ -57,24 +60,34 @@ fn readers_race_inference_without_torn_state() {
         SliderConfig::default(),
     ));
 
+    // Every reader observes once before the writer starts, so none can
+    // miss the whole closure by being scheduled after it finished.
+    const READERS: usize = 4;
+    let start = Arc::new(Barrier::new(READERS + 1));
     let stop = Arc::new(AtomicBool::new(false));
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let slider = Arc::clone(&slider);
-        let stop = Arc::clone(&stop);
+        let (start, stop) = (Arc::clone(&start), Arc::clone(&stop));
         readers.push(std::thread::spawn(move || {
             let mut last = 0usize;
             let mut observations = 0usize;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let now = slider.store().len();
                 assert!(now >= last, "reader saw the store shrink");
                 last = now;
                 observations += 1;
+                if observations == 1 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break observations;
+                }
             }
-            observations
         }));
     }
 
+    start.wait();
     slider.add_triples(&input);
     slider.wait_idle();
     stop.store(true, Ordering::Relaxed);
@@ -183,7 +196,11 @@ fn removals_race_insertions_without_corrupting_invariants() {
             scope.spawn(move || {
                 let mut retracted = 0usize;
                 for chunk in slice.chunks(25) {
-                    retracted += slider.remove_triples(chunk);
+                    retracted += slider
+                        .apply(Op::Remove(chunk.to_vec()))
+                        .removal()
+                        .unwrap()
+                        .retracted;
                 }
                 assert_eq!(retracted, 150, "remover {remover} lost retractions");
             });
@@ -245,9 +262,9 @@ fn deferred_removals_race_insertions_and_flushes() {
             scope.spawn(move || {
                 let mut enqueued = 0usize;
                 for chunk in slice.chunks(25) {
-                    enqueued += slider.remove_deferred(chunk);
+                    enqueued += slider.apply(Op::Defer(chunk.to_vec())).count().unwrap();
                     if remover == 0 {
-                        slider.flush_maintenance();
+                        slider.apply(Op::Flush);
                     }
                 }
                 // Disjoint slices, each triple deferred once: every
@@ -257,7 +274,7 @@ fn deferred_removals_race_insertions_and_flushes() {
         }
     });
     // Apply whatever generation is still pending, then settle.
-    slider.flush_maintenance();
+    slider.apply(Op::Flush);
     slider.wait_idle();
 
     // Exact final contents: preload minus doomed plus added, each once.
@@ -335,15 +352,15 @@ fn producers_race_multi_family_flushes() {
             let slice = slice.to_vec();
             scope.spawn(move || {
                 for chunk in slice.chunks(25) {
-                    slider.remove_deferred(chunk);
+                    slider.apply(Op::Defer(chunk.to_vec()));
                     if remover == 0 {
-                        slider.flush_maintenance();
+                        slider.apply(Op::Flush);
                     }
                 }
             });
         }
     });
-    slider.flush_maintenance();
+    slider.apply(Op::Flush);
     slider.wait_idle();
 
     // Exact final contents: preload minus doomed plus added, each once.
@@ -428,7 +445,7 @@ fn queries_complete_while_a_shard_write_lock_is_held() {
     let chain: Vec<Triple> = (1..20)
         .map(|i| Triple::new(NodeId(1_000 + i), RDFS_SUB_CLASS_OF, NodeId(1_001 + i)))
         .collect();
-    slider.materialize(&chain);
+    materialize(&slider, &chain);
     let expected = slider.store().to_sorted_vec();
 
     let guard = slider.store().exclusive();
@@ -473,7 +490,7 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
         Ruleset::custom("none"),
         SliderConfig::default(),
     ));
-    slider.materialize(&[t1]);
+    materialize(&slider, &[t1]);
 
     let mut exclusive = slider.store().exclusive();
     exclusive.insert(t2);
@@ -532,7 +549,7 @@ fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
     ));
     let link = |p: NodeId, i: u64| Triple::new(NodeId(92_000 + i), p, NodeId(92_001 + i));
     let chains: Vec<Triple> = (1..6).flat_map(|i| [link(pa, i), link(pb, i)]).collect();
-    slider.materialize(&chains);
+    materialize(&slider, &chains);
     let before = slider.store().to_sorted_vec();
 
     // The flush will retract one middle link per family, landing exactly
@@ -551,7 +568,7 @@ fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
                 .with(RuleSpec::transitive("T-B", pb)),
             SliderConfig::default(),
         );
-        oracle.materialize(&survivors);
+        materialize(&oracle, &survivors);
         oracle.store().to_sorted_vec()
     };
 
@@ -594,8 +611,8 @@ fn readers_observe_only_legal_cuts_across_multi_family_flushes() {
         })
     };
     reading.wait();
-    slider.remove_deferred(&doomed);
-    slider.flush_maintenance();
+    slider.apply(Op::Defer(doomed.to_vec()));
+    slider.apply(Op::Flush);
     stop.store(true, Ordering::Relaxed);
     assert!(reader.join().unwrap() > 0, "reader made no progress");
     assert_eq!(slider.store().to_sorted_vec(), after);
@@ -615,11 +632,18 @@ fn snapshot_acquired_before_a_flush_never_observes_its_retractions() {
         SliderConfig::default(),
     );
     let sco = |a: u64, b: u64| Triple::new(NodeId(2_000 + a), RDFS_SUB_CLASS_OF, NodeId(2_000 + b));
-    slider.materialize(&[sco(1, 2), sco(2, 3)]);
+    materialize(&slider, &[sco(1, 2), sco(2, 3)]);
     let pinned = slider.store().snapshot();
     assert!(pinned.contains(sco(1, 3)), "closure incomplete");
 
-    assert_eq!(slider.remove_triples(&[sco(2, 3)]), 1);
+    assert_eq!(
+        slider
+            .apply(Op::Remove(vec![sco(2, 3)]))
+            .removal()
+            .unwrap()
+            .retracted,
+        1
+    );
     // The pinned epoch still answers from the pre-flush world…
     assert!(pinned.contains(sco(2, 3)));
     assert!(pinned.contains(sco(1, 3)));
@@ -886,7 +910,13 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
     let preload: Vec<Triple> = (0..2_000).map(plain).collect();
     churn.add_triples(&preload);
     churn.wait_idle();
-    assert_eq!(churn.remove_deferred(&preload[..1_500]), 1_500);
+    assert_eq!(
+        churn
+            .apply(Op::Defer(preload[..1_500].to_vec()))
+            .count()
+            .unwrap(),
+        1_500
+    );
 
     // While the flusher slices that backlog, the co-tenant ingests; each
     // call must complete promptly (generous bound — the precise p99 claim
@@ -1031,13 +1061,13 @@ fn panicking_eager_removal_strands_no_racing_caller() {
         ruleset(Duration::from_millis(200), &entered),
         SliderConfig::default().with_workers(2),
     ));
-    par.materialize(&input);
+    materialize(&par, &input);
 
     let entered_before = entered.load(Ordering::SeqCst);
     let (a, b) = std::thread::scope(|scope| {
         let blocker = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(A, m2)]))
+            scope.spawn(move || par.apply(Op::Remove(vec![rm(A, m2)])).removal().unwrap())
         };
         // Wait until the blocker's DRed is inside the slow rule — the
         // maintenance mutex is then certainly held, so both racing
@@ -1052,11 +1082,11 @@ fn panicking_eager_removal_strands_no_racing_caller() {
         }
         let a = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(A, m0)]))
+            scope.spawn(move || par.apply(Op::Remove(vec![rm(A, m0)])).removal().unwrap())
         };
         let b = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(B, m1)]))
+            scope.spawn(move || par.apply(Op::Remove(vec![rm(B, m1)])).removal().unwrap())
         };
         blocker
             .join()
@@ -1072,9 +1102,12 @@ fn panicking_eager_removal_strands_no_racing_caller() {
         ruleset(Duration::ZERO, &Arc::new(AtomicUsize::new(0))),
         SliderConfig::default().with_workers(2),
     );
-    serial.materialize(&input);
-    serial.remove_triples(&[rm(A, m2)]);
-    assert_eq!(b, serial.remove_triples_outcome(&[rm(B, m1)]));
+    materialize(&serial, &input);
+    serial.apply(Op::Remove(vec![rm(A, m2)]));
+    assert_eq!(
+        b,
+        serial.apply(Op::Remove(vec![rm(B, m1)])).removal().unwrap()
+    );
     assert_eq!(b.retracted, 1);
     let family_b = |slider: &Slider| -> Vec<Triple> {
         let mut triples: Vec<Triple> = [B.trans, B.is, B.mark]

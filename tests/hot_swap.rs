@@ -1,10 +1,13 @@
-//! The ruleset hot-swap suite: `Slider::swap_ruleset` on a *live* reasoner
-//! must leave the store identical to a reasoner built with the new program
+//! The ruleset hot-swap suite: `Op::Swap` on a *live* reasoner must
+//! leave the store identical to a reasoner built with the new program
 //! from scratch — dropped rules' derivations retracted by DRed, added
 //! rules evaluated semi-naively, kept rules untouched — under any
-//! interleaving with adds, deferrals and flushes, as judged by the
-//! [`RecomputeOracle`] baseline rebuilt with the final ruleset.
+//! interleaving with the other ops, as judged by the [`RecomputeOracle`]
+//! baseline rebuilt with the final ruleset.
 
+mod common;
+
+use common::{manual_flush_slider, materialize, Model};
 use proptest::prelude::*;
 use slider::baseline::RecomputeOracle;
 use slider::core::EventKind;
@@ -49,16 +52,6 @@ fn ruleset_variant(which: usize) -> Ruleset {
     }
 }
 
-fn manual_flush_slider(ruleset: Ruleset) -> Slider {
-    Slider::new(
-        Arc::new(Dictionary::new()),
-        ruleset,
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    )
-}
-
 /// Triples over both families, the inert predicate *and* the ρdf schema
 /// vocabulary — whichever program is loaded, part of the pool joins and
 /// part is inert, and a swap flips which is which.
@@ -80,26 +73,16 @@ fn pool_triple() -> impl Strategy<Value = Triple> {
         .prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
-/// One scripted operation of the hot-swap property test.
-#[derive(Debug, Clone)]
-enum SwapOp {
-    /// Feed a batch to the input manager.
-    Add(Vec<Triple>),
-    /// Enqueue a batch on the maintenance scheduler.
-    Defer(Vec<Triple>),
-    /// Coalesced flush of everything pending.
-    Flush,
-    /// Hot-swap to the indexed ruleset variant.
-    Swap(usize),
-}
-
-fn swap_op() -> impl Strategy<Value = SwapOp> {
+/// Any op, swaps to the indexed ruleset variants included.
+fn swap_op() -> impl Strategy<Value = Op> {
     let batch = || prop::collection::vec(pool_triple(), 1..8);
     prop_oneof![
-        3 => batch().prop_map(SwapOp::Add),
-        2 => batch().prop_map(SwapOp::Defer),
-        1 => Just(SwapOp::Flush),
-        2 => (0..RULESET_VARIANTS).prop_map(SwapOp::Swap),
+        3 => batch().prop_map(Op::Add),
+        1 => batch().prop_map(Op::Remove),
+        2 => batch().prop_map(Op::Defer),
+        1 => Just(Op::Flush),
+        2 => (0..RULESET_VARIANTS).prop_map(|which| Op::Swap(ruleset_variant(which))),
+        1 => Just(Op::Sweep),
     ]
 }
 
@@ -114,87 +97,23 @@ fn expected_closure(ruleset: &Ruleset, explicit: &[Triple]) -> Vec<Triple> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// The acceptance property: ANY interleaving of adds, deferrals and
-    /// flushes **punctuated by random ruleset swaps** leaves the store
-    /// equal to the from-scratch closure of the surviving explicit set
-    /// under the ruleset loaded at that moment — and the run ends
-    /// store-identical to a recompute oracle built with the *final*
-    /// ruleset. Pending retractions survive swaps and apply (under the
-    /// program live at flush time) at their next flush.
+    /// The acceptance property: ANY interleaving of all six ops — eager
+    /// removals, deferrals, flushes and dictionary sweeps **punctuated by
+    /// random ruleset swaps** — leaves the store equal to the
+    /// from-scratch closure of the surviving explicit set under the
+    /// ruleset loaded at that moment, and the run ends store-identical to
+    /// a recompute oracle built with the *final* ruleset. Pending
+    /// retractions survive swaps and apply (under the program live at
+    /// flush time) at their next flush.
     #[test]
     fn swap_interleavings_match_recompute_oracle(
         start in 0..RULESET_VARIANTS,
         ops in prop::collection::vec(swap_op(), 1..14),
     ) {
         let slider = manual_flush_slider(ruleset_variant(start));
-        // The model: the surviving explicit set, the distinct pending
-        // retractions (re-assertion cancels), and the loaded program.
-        let mut explicit: Vec<Triple> = Vec::new();
-        let mut pending: Vec<Triple> = Vec::new();
-        let mut current = ruleset_variant(start);
-        let mut swaps = 0u64;
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                SwapOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    for &t in batch {
-                        if !explicit.contains(&t) {
-                            explicit.push(t);
-                        }
-                    }
-                    pending.retain(|t| !batch.contains(t));
-                }
-                SwapOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                }
-                SwapOp::Flush => {
-                    let outcome = slider.flush_maintenance();
-                    prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
-                    explicit.retain(|t| !pending.contains(t));
-                    pending.clear();
-                }
-                SwapOp::Swap(which) => {
-                    let next = ruleset_variant(*which);
-                    let outcome = slider.swap_ruleset(next.clone());
-                    // The diff partitions both programs exactly.
-                    prop_assert_eq!(
-                        outcome.dropped + outcome.kept,
-                        current.rules().len(),
-                        "op {}", i
-                    );
-                    prop_assert_eq!(
-                        outcome.added + outcome.kept,
-                        next.rules().len(),
-                        "op {}", i
-                    );
-                    current = next;
-                    swaps += 1;
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(slider.stats().pending_removals, pending.len());
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                expected_closure(&current, &explicit),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        // Drain the queue; the end state must be store-identical to an
-        // oracle built with the FINAL ruleset over the surviving set.
-        slider.flush_maintenance();
-        explicit.retain(|t| !pending.contains(t));
-        let mut oracle = RecomputeOracle::new(current);
-        oracle.add(&explicit);
-        prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
-        prop_assert_eq!(slider.stats().ruleset_swaps, swaps);
+        Model::new(ruleset_variant(start), None).run(&slider, &ops)?;
+        let swaps = ops.iter().filter(|op| matches!(op, Op::Swap(_))).count();
+        prop_assert_eq!(slider.stats().ruleset_swaps, swaps as u64);
     }
 }
 
@@ -209,10 +128,10 @@ fn dropping_and_re_adding_a_rule_round_trips() {
         .collect();
     input.push(Triple::new(n(100), IS_A, n(1)));
     input.extend((1..5).map(|i| Triple::new(n(i), TRANS_B, n(i + 1))));
-    slider.materialize(&input);
+    materialize(&slider, &input);
 
     // Drop family B's transitivity (and family B's subsumption with it).
-    let outcome = slider.swap_ruleset(ruleset_variant(1));
+    let outcome = slider.apply(Op::Swap(ruleset_variant(1))).swap().unwrap();
     assert_eq!(outcome.dropped, 2);
     assert_eq!(outcome.kept, 2);
     assert!(outcome.overdeleted > 0, "{outcome:?}");
@@ -227,7 +146,7 @@ fn dropping_and_re_adding_a_rule_round_trips() {
     assert!(slider.store().contains(Triple::new(n(100), IS_A, n(7))));
 
     // Swap back: the added rules re-infer from the store, no re-feed.
-    let outcome = slider.swap_ruleset(ruleset_variant(0));
+    let outcome = slider.apply(Op::Swap(ruleset_variant(0))).swap().unwrap();
     assert_eq!(outcome.added, 2);
     assert!(outcome.inferred > 0, "{outcome:?}");
     assert_eq!(
@@ -247,11 +166,11 @@ fn swap_to_identical_ruleset_is_a_store_noop() {
     let input: Vec<Triple> = (1..10)
         .map(|i| Triple::new(n(i), TRANS_A, n(i + 1)))
         .collect();
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let before = slider.store().to_sorted_vec();
     let generation_before = slider.stats().snapshot_generation;
 
-    let outcome = slider.swap_ruleset(ruleset_variant(0));
+    let outcome = slider.apply(Op::Swap(ruleset_variant(0))).swap().unwrap();
     assert_eq!(
         outcome,
         SwapOutcome {
@@ -265,7 +184,7 @@ fn swap_to_identical_ruleset_is_a_store_noop() {
     // The quiescent section republishes: readers linearise past the swap.
     assert!(stats.snapshot_generation >= generation_before);
     // The reasoner still works afterwards.
-    slider.materialize(&[Triple::new(n(50), TRANS_A, n(1))]);
+    materialize(&slider, &[Triple::new(n(50), TRANS_A, n(1))]);
     assert!(slider.store().contains(Triple::new(n(50), TRANS_A, n(10))));
 }
 
@@ -283,10 +202,10 @@ fn same_named_rule_over_another_predicate_is_swapped_out() {
         link(TRANS_B, 2, 3),
     ];
     let slider = manual_flush_slider(program(TRANS_A));
-    slider.materialize(&input);
+    materialize(&slider, &input);
     assert!(slider.store().contains(link(TRANS_A, 1, 3)));
 
-    let outcome = slider.swap_ruleset(program(TRANS_B));
+    let outcome = slider.apply(Op::Swap(program(TRANS_B))).swap().unwrap();
     assert_eq!(
         (outcome.dropped, outcome.added, outcome.kept),
         (1, 1, 0),
@@ -331,9 +250,9 @@ fn swap_while_producers_race_lands_on_final_program_closure() {
         // Swap under fire: narrow the program, then restore it.
         let slider = Arc::clone(&slider);
         scope.spawn(move || {
-            slider.swap_ruleset(ruleset_variant(2));
-            slider.swap_ruleset(ruleset_variant(1));
-            slider.swap_ruleset(ruleset_variant(0));
+            slider.apply(Op::Swap(ruleset_variant(2)));
+            slider.apply(Op::Swap(ruleset_variant(1)));
+            slider.apply(Op::Swap(ruleset_variant(0)));
         });
     });
     slider.wait_idle();
@@ -355,12 +274,13 @@ fn swap_emits_trace_event_matching_outcome() {
         ruleset_variant(0),
         SliderConfig::default().with_trace(true),
     );
-    slider.materialize(
+    materialize(
+        &slider,
         &(1..8)
             .map(|i| Triple::new(n(i), TRANS_A, n(i + 1)))
             .collect::<Vec<_>>(),
     );
-    let outcome = slider.swap_ruleset(ruleset_variant(4));
+    let outcome = slider.apply(Op::Swap(ruleset_variant(4))).swap().unwrap();
     assert_eq!(outcome.dropped, 4);
 
     let events = slider.events().expect("tracing on");

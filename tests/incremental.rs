@@ -97,7 +97,7 @@ fn reversed_and_shuffled_order_reach_same_closure() {
     let n = input.len();
     let stride = 7919usize; // prime ≫ any small factor of n
     for k in 0..n {
-        slider.add_triple(input[(k * stride) % n]);
+        slider.add_triples(&[input[(k * stride) % n]]);
     }
     slider.wait_idle();
     assert_eq!(slider.store().to_sorted_vec(), expected, "shuffled");

@@ -186,10 +186,10 @@ proptest! {
             let mut fed = false;
             for (i, (session, cursor)) in sessions.iter().zip(cursors.iter_mut()).enumerate() {
                 if let Some(c) = cursor.next() {
-                    session.remove_deferred(c);
+                    session.apply(Op::Defer(c.to_vec()));
                     fed = true;
                     if (round + i) % 3 == 0 {
-                        session.flush_maintenance();
+                        session.apply(Op::Flush);
                     }
                 }
             }
@@ -200,7 +200,7 @@ proptest! {
         }
 
         for ((session, soup), doomed) in sessions.iter().zip(&soups).zip(&doomed) {
-            session.flush_maintenance();
+            session.apply(Op::Flush);
             session.wait_idle();
             let survivors: Vec<Triple> = soup
                 .iter()

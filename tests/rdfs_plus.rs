@@ -3,8 +3,11 @@
 //! their composition with the RDFS core — checked against the batch
 //! oracle under many reasoner configurations.
 
+mod common;
+
+use common::Model;
 use proptest::prelude::*;
-use slider::baseline::{closure, RecomputeOracle};
+use slider::baseline::closure;
 use slider::model::vocab;
 use slider::prelude::*;
 use std::sync::Arc;
@@ -125,7 +128,7 @@ fn rdfs_plus_incremental_equals_batch() {
         SliderConfig::default(),
     );
     for &t in &input {
-        slider.add_triple(t);
+        slider.add_triples(&[t]);
         slider.wait_idle();
     }
     assert_eq!(slider.store().to_sorted_vec(), expected);
@@ -137,7 +140,7 @@ fn rdfs_plus_incremental_equals_batch() {
         SliderConfig::default(),
     );
     for &t in input.iter().rev() {
-        slider.add_triple(t);
+        slider.add_triples(&[t]);
     }
     slider.wait_idle();
     assert_eq!(slider.store().to_sorted_vec(), expected);
@@ -256,35 +259,21 @@ fn retracting_identity_sources_matches_oracle() {
         Ruleset::rdfs_plus(&dict),
         SliderConfig::default(),
     );
-    let mut oracle = RecomputeOracle::new(Ruleset::rdfs_plus(&dict));
-    slider.add_triples(&input);
-    oracle.add(&input);
     let isbn_b = Triple::new(id("bookB"), id("isbn"), id("9780001"));
-    let script: Vec<(bool, Vec<Triple>)> = vec![
+    let script = [
+        Op::Add(input.clone()),
         // bookB loses its ISBN: the merge with bookA and all it copied go.
-        (false, vec![isbn_b]),
-        (true, vec![isbn_b]),
+        Op::Remove(vec![isbn_b]),
+        Op::Add(vec![isbn_b]),
         // The inverse and the series nesting lose their schema.
-        (false, vec![input[1], input[2]]),
-        (false, vec![input[0]]),
-        (true, vec![input[0], input[2]]),
-        (false, input[3..].to_vec()),
+        Op::Remove(vec![input[1], input[2]]),
+        Op::Remove(vec![input[0]]),
+        Op::Add(vec![input[0], input[2]]),
+        Op::Remove(input[3..].to_vec()),
     ];
-    for (i, (is_add, batch)) in script.iter().enumerate() {
-        if *is_add {
-            slider.add_triples(batch);
-            oracle.add(batch);
-        } else {
-            slider.remove_triples(batch);
-            oracle.remove(batch);
-        }
-        slider.wait_idle();
-        assert_eq!(
-            slider.store().to_sorted_vec(),
-            oracle.to_sorted_vec(),
-            "store diverged from recompute oracle at script step {i}"
-        );
-    }
+    Model::new(Ruleset::rdfs_plus(&dict), None)
+        .run(&slider, &script)
+        .unwrap();
 }
 
 const P: NodeId = NodeId(1100);
@@ -325,7 +314,8 @@ proptest! {
     #[test]
     fn rdfs_plus_add_remove_interleavings_match_recompute_oracle(
         ops in prop::collection::vec(
-            (prop_oneof![2 => Just(true), 1 => Just(false)], prop::collection::vec(plus_triple(), 1..6)),
+            (prop_oneof![2 => Just(true), 1 => Just(false)], prop::collection::vec(plus_triple(), 1..6))
+                .prop_map(|(add, batch)| if add { Op::Add(batch) } else { Op::Remove(batch) }),
             1..10,
         )
     ) {
@@ -335,22 +325,6 @@ proptest! {
             Ruleset::rdfs_plus(&dict),
             SliderConfig::default(),
         );
-        let mut oracle = RecomputeOracle::new(Ruleset::rdfs_plus(&dict));
-        for (i, (is_add, batch)) in ops.iter().enumerate() {
-            if *is_add {
-                slider.add_triples(batch);
-                oracle.add(batch);
-            } else {
-                slider.remove_triples(batch);
-                oracle.remove(batch);
-            }
-            slider.wait_idle();
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {}",
-                i
-            );
-        }
+        Model::new(Ruleset::rdfs_plus(&dict), None).run(&slider, &ops)?;
     }
 }

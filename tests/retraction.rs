@@ -1,8 +1,11 @@
 //! The retraction (DRed truth-maintenance) suite: any interleaving of
-//! `add_*`/`remove_*` calls must leave the store equal to the from-scratch
-//! semi-naive closure of the surviving explicit triples, as computed by
-//! the [`RecomputeOracle`] baseline.
+//! `Add`, `Remove`, `Defer` and `Flush` ops must leave the store equal to
+//! the from-scratch semi-naive closure of the surviving explicit triples,
+//! as computed by the [`RecomputeOracle`] baseline.
 
+mod common;
+
+use common::{manual_flush_slider, materialize, write_op, Model};
 use proptest::prelude::*;
 use slider::baseline::RecomputeOracle;
 use slider::core::EventKind;
@@ -48,11 +51,11 @@ fn assert_matches_oracle(slider: &Slider, oracle: &RecomputeOracle, context: &st
 fn single_link_retraction_on_chain() {
     let input = chain(20);
     let slider = rho_slider(SliderConfig::default());
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
     oracle.add(&input);
 
-    slider.remove_triples(&[sco(10, 11)]);
+    slider.apply(Op::Remove(vec![sco(10, 11)]));
     oracle.remove(&[sco(10, 11)]);
     assert_matches_oracle(&slider, &oracle, "chain minus middle link");
     // The two halves survive: 1→…→10 and 11→…→20.
@@ -66,11 +69,11 @@ fn alternative_derivations_are_rederived() {
     // Diamond: 1→{2,3}→4 plus an instance typed at the bottom.
     let input = vec![sco(1, 2), sco(2, 4), sco(1, 3), sco(3, 4), ty(9, 1)];
     let slider = rho_slider(SliderConfig::default());
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
     oracle.add(&input);
 
-    let outcome = slider.remove_triples_outcome(&[sco(2, 4)]);
+    let outcome = slider.apply(Op::Remove(vec![sco(2, 4)])).removal().unwrap();
     oracle.remove(&[sco(2, 4)]);
     assert_matches_oracle(&slider, &oracle, "diamond minus one side");
     // (1 sco 4) and (9 type 4) survived via the 1→3→4 path…
@@ -84,10 +87,17 @@ fn alternative_derivations_are_rederived() {
 fn removing_derived_facts_is_a_noop() {
     let input = chain(6);
     let slider = rho_slider(SliderConfig::default());
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let before = slider.store().to_sorted_vec();
     // sco(1,3) is derived; ty(1,1) absent; both no-ops.
-    assert_eq!(slider.remove_triples(&[sco(1, 3), ty(1, 1)]), 0);
+    assert_eq!(
+        slider
+            .apply(Op::Remove(vec![sco(1, 3), ty(1, 1)]))
+            .removal()
+            .unwrap()
+            .retracted,
+        0
+    );
     assert_eq!(slider.store().to_sorted_vec(), before);
     assert_eq!(slider.stats().removal_runs, 0);
 }
@@ -96,8 +106,15 @@ fn removing_derived_facts_is_a_noop() {
 fn retracting_everything_empties_the_store() {
     let input = chain(15);
     let slider = rho_slider(SliderConfig::default());
-    slider.materialize(&input);
-    assert_eq!(slider.remove_triples(&input), input.len());
+    materialize(&slider, &input);
+    assert_eq!(
+        slider
+            .apply(Op::Remove(input.to_vec()))
+            .removal()
+            .unwrap()
+            .retracted,
+        input.len()
+    );
     assert!(slider.store().is_empty(), "{:?}", slider.store().stats());
     let stats = slider.stats();
     assert_eq!(stats.store.explicit, 0);
@@ -107,27 +124,18 @@ fn retracting_everything_empties_the_store() {
 #[test]
 fn interleaved_adds_and_removes_match_oracle_at_each_quiescence() {
     let slider = rho_slider(SliderConfig::default());
-    let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-    let script: Vec<(bool, Vec<Triple>)> = vec![
-        (true, chain(8)),
-        (false, vec![sco(3, 4)]),
-        (true, vec![ty(9, 1), sco(3, 4)]), // re-add the removed link
-        (false, vec![sco(1, 2), sco(7, 8)]),
-        (true, vec![sco(20, 1), sco(21, 20)]),
-        (false, vec![ty(9, 1)]),
-        (false, vec![sco(21, 20), sco(4, 5)]),
+    let script = [
+        Op::Add(chain(8)),
+        Op::Remove(vec![sco(3, 4)]),
+        Op::Add(vec![ty(9, 1), sco(3, 4)]), // re-add the removed link
+        Op::Remove(vec![sco(1, 2), sco(7, 8)]),
+        Op::Add(vec![sco(20, 1), sco(21, 20)]),
+        Op::Remove(vec![ty(9, 1)]),
+        Op::Remove(vec![sco(21, 20), sco(4, 5)]),
     ];
-    for (i, (is_add, batch)) in script.iter().enumerate() {
-        if *is_add {
-            slider.add_triples(batch);
-            oracle.add(batch);
-        } else {
-            slider.remove_triples(batch);
-            oracle.remove(batch);
-        }
-        slider.wait_idle();
-        assert_matches_oracle(&slider, &oracle, &format!("script step {i}"));
-    }
+    Model::new(Ruleset::rho_df(), None)
+        .run(&slider, &script)
+        .unwrap();
 }
 
 #[test]
@@ -149,10 +157,10 @@ fn mixed_schema_removals_match_oracle() {
     ];
     let slider = rho_slider(SliderConfig::default());
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-    slider.materialize(&input);
+    materialize(&slider, &input);
     oracle.add(&input);
     for (i, batch) in removals.iter().enumerate() {
-        slider.remove_triples(batch);
+        slider.apply(Op::Remove(batch.clone()));
         oracle.remove(batch);
         assert_matches_oracle(&slider, &oracle, &format!("removal {i}"));
     }
@@ -170,14 +178,14 @@ fn rdfs_fragment_retraction_matches_oracle() {
         ty(9, 1),
         Triple::new(n(4), n(5), n(6)),
     ];
-    slider.materialize(&input);
+    materialize(&slider, &input);
     oracle.add(&input);
     for removal in [
         vec![sco(2, 3)],
         vec![ty(9, 1)],
         vec![Triple::new(n(4), n(5), n(6))],
     ] {
-        slider.remove_triples(&removal);
+        slider.apply(Op::Remove(removal.to_vec()));
         oracle.remove(&removal);
         assert_matches_oracle(&slider, &oracle, &format!("RDFS removal {removal:?}"));
     }
@@ -210,8 +218,11 @@ fn remove_terms_resolves_through_the_dictionary() {
 #[test]
 fn removal_emits_trace_event_and_counters() {
     let slider = rho_slider(SliderConfig::default().with_trace(true));
-    slider.materialize(&chain(10));
-    let outcome = slider.remove_triples_outcome(&[sco(5, 6), ty(1, 1)]);
+    materialize(&slider, &chain(10));
+    let outcome = slider
+        .apply(Op::Remove(vec![sco(5, 6), ty(1, 1)]))
+        .removal()
+        .unwrap();
     assert_eq!(outcome.requested, 2);
     assert_eq!(outcome.retracted, 1);
     let events = slider.events().expect("tracing on");
@@ -244,24 +255,14 @@ fn tiny_buffers_and_single_worker_still_maintain_correctly() {
     let slider = rho_slider(config);
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
     let input = chain(12);
-    slider.materialize(&input);
+    materialize(&slider, &input);
     oracle.add(&input);
-    slider.remove_triples(&[sco(6, 7), sco(2, 3)]);
+    slider.apply(Op::Remove(vec![sco(6, 7), sco(2, 3)]));
     oracle.remove(&[sco(6, 7), sco(2, 3)]);
     assert_matches_oracle(&slider, &oracle, "tiny buffers");
 }
 
 // ---------- coalesced (deferred) maintenance ---------------------------------
-
-/// A slider whose deferred queue only flushes explicitly (no threshold, no
-/// deadline) — the deterministic base for coalescing tests.
-fn manual_flush_slider() -> Slider {
-    rho_slider(
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    )
-}
 
 #[test]
 fn coalesced_flush_equals_eager_removals() {
@@ -271,21 +272,24 @@ fn coalesced_flush_equals_eager_removals() {
     let removals = [vec![sco(4, 5)], vec![sco(9, 10)], vec![sco(15, 16)]];
 
     let eager = rho_slider(SliderConfig::default());
-    eager.materialize(&input);
+    materialize(&eager, &input);
     for batch in &removals {
-        eager.remove_triples(batch);
+        eager.apply(Op::Remove(batch.clone()));
     }
 
-    let deferred = manual_flush_slider();
-    deferred.materialize(&input);
+    let deferred = manual_flush_slider(Ruleset::rho_df());
+    materialize(&deferred, &input);
     for batch in &removals {
-        assert_eq!(deferred.remove_deferred(batch), batch.len());
+        assert_eq!(
+            deferred.apply(Op::Defer(batch.clone())),
+            Outcome::Defer(batch.len())
+        );
     }
     // Nothing applied yet: the full closure is still visible.
     assert_eq!(deferred.store().len(), 20 * 19 / 2);
     assert_eq!(deferred.stats().pending_removals, 3);
 
-    let outcome = deferred.flush_maintenance();
+    let outcome = deferred.apply(Op::Flush).removal().unwrap();
     assert_eq!(outcome.requested, 3);
     assert_eq!(outcome.retracted, 3);
     assert_eq!(
@@ -301,23 +305,36 @@ fn coalesced_flush_equals_eager_removals() {
     assert_eq!(stats.removal_runs, 1, "one DRed run covered all batches");
     assert_eq!(eager.stats().removal_runs, 3);
     // An empty flush is a no-op.
-    assert_eq!(deferred.flush_maintenance(), RemovalOutcome::default());
+    assert_eq!(
+        deferred.apply(Op::Flush),
+        Outcome::Flush(RemovalOutcome::default())
+    );
     assert_eq!(deferred.stats().coalesced_runs, 1);
 }
 
 #[test]
 fn deferred_duplicates_coalesce_in_the_queue() {
-    let slider = manual_flush_slider();
-    slider.materialize(&chain(6));
-    assert_eq!(slider.remove_deferred(&[sco(2, 3), sco(2, 3)]), 1);
-    assert_eq!(slider.remove_deferred(&[sco(2, 3), sco(4, 5)]), 1);
+    let slider = manual_flush_slider(Ruleset::rho_df());
+    materialize(&slider, &chain(6));
+    assert_eq!(
+        slider.apply(Op::Defer(vec![sco(2, 3), sco(2, 3)])),
+        Outcome::Defer(1)
+    );
+    assert_eq!(
+        slider.apply(Op::Defer(vec![sco(2, 3), sco(4, 5)])),
+        Outcome::Defer(1)
+    );
     assert_eq!(slider.stats().pending_removals, 2);
-    let outcome = slider.flush_maintenance();
+    let outcome = slider.apply(Op::Flush).removal().unwrap();
     assert_eq!(outcome.requested, 2);
     assert_eq!(outcome.retracted, 2);
     // Drained triples may be deferred (and flushed) again.
-    assert_eq!(slider.remove_deferred(&[sco(2, 3)]), 1);
-    assert_eq!(slider.flush_maintenance().retracted, 0, "already gone");
+    assert_eq!(slider.apply(Op::Defer(vec![sco(2, 3)])), Outcome::Defer(1));
+    assert_eq!(
+        slider.apply(Op::Flush).removal().unwrap().retracted,
+        0,
+        "already gone"
+    );
 }
 
 #[test]
@@ -327,14 +344,14 @@ fn threshold_triggers_coalesced_flush() {
             .with_maintenance_batch(3)
             .with_maintenance_max_age(None),
     );
-    slider.materialize(&chain(10));
-    slider.remove_deferred(&[sco(2, 3)]);
-    slider.remove_deferred(&[sco(5, 6)]);
+    materialize(&slider, &chain(10));
+    slider.apply(Op::Defer(vec![sco(2, 3)]));
+    slider.apply(Op::Defer(vec![sco(5, 6)]));
     let stats = slider.stats();
     assert_eq!(stats.pending_removals, 2, "below threshold: still pending");
     assert_eq!(stats.coalesced_runs, 0);
     // The third distinct retraction reaches the threshold and auto-flushes.
-    slider.remove_deferred(&[sco(8, 9)]);
+    slider.apply(Op::Defer(vec![sco(8, 9)]));
     let stats = slider.stats();
     assert_eq!(stats.pending_removals, 0);
     assert_eq!(stats.coalesced_runs, 1);
@@ -352,8 +369,8 @@ fn max_age_deadline_triggers_flush_from_the_flusher() {
             .with_maintenance_batch(usize::MAX)
             .with_maintenance_max_age(Some(std::time::Duration::from_millis(5))),
     );
-    slider.materialize(&chain(8));
-    slider.remove_deferred(&[sco(3, 4)]);
+    materialize(&slider, &chain(8));
+    slider.apply(Op::Defer(vec![sco(3, 4)]));
     // No explicit flush: the flusher thread must apply it via the deadline.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while slider.stats().coalesced_runs == 0 {
@@ -380,9 +397,9 @@ fn coalesced_flush_emits_trace_event() {
             .with_maintenance_batch(usize::MAX)
             .with_maintenance_max_age(None),
     );
-    slider.materialize(&chain(10));
-    slider.remove_deferred(&[sco(3, 4), sco(7, 8)]);
-    slider.flush_maintenance();
+    materialize(&slider, &chain(10));
+    slider.apply(Op::Defer(vec![sco(3, 4), sco(7, 8)]));
+    slider.apply(Op::Flush);
     let events = slider.events().expect("tracing on");
     let (pending, retracted, store_size) = events
         .iter()
@@ -414,22 +431,22 @@ fn coalesced_flush_emits_trace_event() {
 /// closure of the surviving explicit set; that behaviour is the bug.
 #[test]
 fn re_asserting_while_pending_keeps_the_assertion() {
-    let slider = manual_flush_slider();
+    let slider = manual_flush_slider(Ruleset::rho_df());
     let input = chain(12);
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let full = slider.store().to_sorted_vec();
     let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
     oracle.add(&input);
 
     // Defer two retractions, then re-assert one of them before any flush.
-    slider.remove_deferred(&[sco(5, 6), sco(9, 10)]);
+    slider.apply(Op::Defer(vec![sco(5, 6), sco(9, 10)]));
     slider.add_triples(&[sco(5, 6)]);
     slider.wait_idle();
     let stats = slider.stats();
     assert_eq!(stats.pending_removals, 1, "sco(5,6) should be cancelled");
     assert_eq!(stats.cancelled_removals, 1);
 
-    let outcome = slider.flush_maintenance();
+    let outcome = slider.apply(Op::Flush).removal().unwrap();
     assert_eq!(outcome.requested, 1, "only the surviving retraction ran");
     oracle.remove(&[sco(9, 10)]);
     assert_matches_oracle(&slider, &oracle, "flush after re-assertion");
@@ -441,8 +458,8 @@ fn re_asserting_while_pending_keeps_the_assertion() {
     assert_ne!(slider.store().to_sorted_vec(), full, "sco(9,10) did go");
 
     // A cancelled triple can be retracted again later, for real.
-    slider.remove_deferred(&[sco(5, 6)]);
-    slider.flush_maintenance();
+    slider.apply(Op::Defer(vec![sco(5, 6)]));
+    slider.apply(Op::Flush);
     oracle.remove(&[sco(5, 6)]);
     assert_matches_oracle(&slider, &oracle, "second, un-cancelled deferral");
 }
@@ -451,9 +468,9 @@ fn re_asserting_while_pending_keeps_the_assertion() {
 /// the pending set (and an add racing nothing pending is free).
 #[test]
 fn unrelated_assertions_do_not_touch_the_pending_set() {
-    let slider = manual_flush_slider();
-    slider.materialize(&chain(8));
-    slider.remove_deferred(&[sco(3, 4)]);
+    let slider = manual_flush_slider(Ruleset::rho_df());
+    materialize(&slider, &chain(8));
+    slider.apply(Op::Defer(vec![sco(3, 4)]));
     slider.add_triples(&[ty(50, 1), sco(20, 21)]);
     slider.wait_idle();
     let stats = slider.stats();
@@ -464,9 +481,12 @@ fn unrelated_assertions_do_not_touch_the_pending_set() {
 #[test]
 fn outcome_reports_ignored_derived_distinct_from_not_found() {
     let slider = rho_slider(SliderConfig::default());
-    slider.materialize(&chain(6));
+    materialize(&slider, &chain(6));
     // sco(1,3) is derived-only, ty(9,9) absent, sco(2,3) explicit.
-    let outcome = slider.remove_triples_outcome(&[sco(1, 3), ty(9, 9), sco(2, 3)]);
+    let outcome = slider
+        .apply(Op::Remove(vec![sco(1, 3), ty(9, 9), sco(2, 3)]))
+        .removal()
+        .unwrap();
     assert_eq!(outcome.requested, 3);
     assert_eq!(outcome.retracted, 1);
     assert_eq!(outcome.ignored_derived, 1);
@@ -559,7 +579,7 @@ fn rules_without_backward_matcher_take_the_forward_fallback() {
         SliderConfig::default(),
     );
     let mut oracle = RecomputeOracle::new(ruleset);
-    slider.materialize(&input);
+    materialize(&slider, &input);
     oracle.add(&input);
     let removals = [
         vec![Triple::new(n(3), TRANS_A, n(4))],
@@ -571,7 +591,7 @@ fn rules_without_backward_matcher_take_the_forward_fallback() {
     ];
     let mut rederived = 0;
     for (i, batch) in removals.iter().enumerate() {
-        let outcome = slider.remove_triples_outcome(batch);
+        let outcome = slider.apply(Op::Remove(batch.clone())).removal().unwrap();
         oracle.remove(batch);
         assert!(outcome.overdeleted > 0, "step {i}: {outcome:?}");
         rederived += outcome.rederived;
@@ -594,19 +614,15 @@ fn multi_family_flush_equals_eager_removals() {
     ];
 
     let eager = family_slider(SliderConfig::default());
-    eager.materialize(&input);
+    materialize(&eager, &input);
     for &t in &removals {
-        eager.remove_triples(&[t]);
+        eager.apply(Op::Remove(vec![t]));
     }
 
-    let deferred = family_slider(
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX)
-            .with_maintenance_max_age(None),
-    );
-    deferred.materialize(&input);
-    deferred.remove_deferred(&removals);
-    let outcome = deferred.flush_maintenance();
+    let deferred = manual_flush_slider(family_ruleset());
+    materialize(&deferred, &input);
+    deferred.apply(Op::Defer(removals.to_vec()));
+    let outcome = deferred.apply(Op::Flush).removal().unwrap();
     assert_eq!(outcome.requested, 4);
     assert_eq!(outcome.retracted, 4);
 
@@ -624,13 +640,13 @@ fn multi_family_flush_equals_eager_removals() {
     );
 }
 
-/// One `remove_triples` call whose seeds span both families is one
+/// One `Remove` whose seeds span both families is one
 /// maintenance run and lands on the oracle's closure.
 #[test]
 fn eager_multi_family_removal_is_one_run_matching_oracle() {
     let input = family_input();
     let slider = family_slider(SliderConfig::default());
-    slider.materialize(&input);
+    materialize(&slider, &input);
     let mut oracle = RecomputeOracle::new(family_ruleset());
     oracle.add(&input);
 
@@ -638,7 +654,10 @@ fn eager_multi_family_removal_is_one_run_matching_oracle() {
         Triple::new(n(100), IS_A, n(1)),
         Triple::new(n(101), IS_B, n(3)),
     ];
-    let outcome = slider.remove_triples_outcome(&removals);
+    let outcome = slider
+        .apply(Op::Remove(removals.to_vec()))
+        .removal()
+        .unwrap();
     oracle.remove(&removals);
     assert_eq!(outcome.retracted, 2);
     assert_matches_oracle(&slider, &oracle, "eager multi-family removal");
@@ -653,11 +672,21 @@ fn eager_multi_family_removal_is_one_run_matching_oracle() {
 /// store exclusively.
 #[test]
 fn empty_maintenance_calls_skip_the_store_gate() {
-    let slider = manual_flush_slider();
-    slider.materialize(&chain(5));
+    let slider = manual_flush_slider(Ruleset::rho_df());
+    materialize(&slider, &chain(5));
     let before = slider.stats().gate_write_acquisitions;
-    assert_eq!(slider.flush_maintenance(), RemovalOutcome::default());
-    assert_eq!(slider.remove_triples(&[]), 0);
+    assert_eq!(
+        slider.apply(Op::Flush),
+        Outcome::Flush(RemovalOutcome::default())
+    );
+    assert_eq!(
+        slider
+            .apply(Op::Remove(vec![]))
+            .removal()
+            .unwrap()
+            .retracted,
+        0
+    );
     let stats = slider.stats();
     assert_eq!(
         stats.gate_write_acquisitions, before,
@@ -688,37 +717,6 @@ fn pool_triple() -> impl Strategy<Value = Triple> {
         .prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
-/// One scripted operation: `true` = add the batch, `false` = remove it.
-fn op() -> impl Strategy<Value = (bool, Vec<Triple>)> {
-    (
-        prop_oneof![2 => Just(true), 1 => Just(false)],
-        prop::collection::vec(pool_triple(), 1..8),
-    )
-}
-
-/// One scripted operation of the deferred-maintenance property tests.
-#[derive(Debug, Clone)]
-enum DeferredOp {
-    /// Feed a batch to the input manager.
-    Add(Vec<Triple>),
-    /// Enqueue a batch on the maintenance scheduler.
-    Defer(Vec<Triple>),
-    /// Coalesced flush of everything pending.
-    Flush,
-}
-
-/// Bursty mix: adds and deferrals dominate, flushes are occasional — so
-/// pending retractions pile up across several operations before one
-/// coalesced run applies them.
-fn deferred_op() -> impl Strategy<Value = DeferredOp> {
-    let batch = || prop::collection::vec(pool_triple(), 1..8);
-    prop_oneof![
-        3 => batch().prop_map(DeferredOp::Add),
-        3 => batch().prop_map(DeferredOp::Defer),
-        1 => Just(DeferredOp::Flush),
-    ]
-}
-
 /// Triples over the two independent families' vocabularies plus the inert
 /// predicate — one flush can span both families' downward closures.
 fn family_triple() -> impl Strategy<Value = Triple> {
@@ -737,135 +735,41 @@ fn family_triple() -> impl Strategy<Value = Triple> {
         .prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
-/// The deferred-op mix over the two families' pool.
-fn family_op() -> impl Strategy<Value = DeferredOp> {
-    let batch = || prop::collection::vec(family_triple(), 1..8);
-    prop_oneof![
-        3 => batch().prop_map(DeferredOp::Add),
-        3 => batch().prop_map(DeferredOp::Defer),
-        1 => Just(DeferredOp::Flush),
-    ]
-}
-
-/// One scripted operation of the mixed eager/deferred property test — the
-/// deferred mix plus *eager* removals, which run the same DRed pass.
-#[derive(Debug, Clone)]
-enum MixedOp {
-    Add(Vec<Triple>),
-    Remove(Vec<Triple>),
-    Defer(Vec<Triple>),
-    Flush,
-}
-
-fn mixed_op() -> impl Strategy<Value = MixedOp> {
-    let batch = || prop::collection::vec(family_triple(), 1..8);
-    prop_oneof![
-        3 => batch().prop_map(MixedOp::Add),
-        2 => batch().prop_map(MixedOp::Remove),
-        3 => batch().prop_map(MixedOp::Defer),
-        1 => Just(MixedOp::Flush),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The acceptance property: after ANY interleaving of add/remove and
-    /// `wait_idle`, the store equals the from-scratch semi-naive closure
-    /// of the surviving explicit triples.
+    /// The acceptance property: after ANY interleaving of adds and eager
+    /// removals, each followed by `wait_idle`, the store equals the
+    /// from-scratch semi-naive closure of the surviving explicit triples.
     #[test]
-    fn random_interleavings_match_recompute_oracle(ops in prop::collection::vec(op(), 1..12)) {
+    fn random_interleavings_match_recompute_oracle(
+        ops in prop::collection::vec(write_op(pool_triple, [2, 1, 0, 0]), 1..12),
+    ) {
         let slider = rho_slider(SliderConfig::default());
-        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-        for (i, (is_add, batch)) in ops.iter().enumerate() {
-            if *is_add {
-                slider.add_triples(batch);
-                oracle.add(batch);
-            } else {
-                slider.remove_triples(batch);
-                oracle.remove(batch);
-            }
-            slider.wait_idle();
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        // Provenance bookkeeping stayed exact as well.
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        Model::new(Ruleset::rho_df(), None).run(&slider, &ops)?;
     }
 
-    /// The coalescing acceptance property: ANY interleaving of
-    /// `add_triples`, `remove_deferred` and `flush_maintenance` (a bursty
-    /// shape: deferrals pile up, then one flush applies them all) leaves
-    /// the store equal to the from-scratch closure of the surviving
-    /// explicit triples — where "surviving" reflects the deferred
-    /// semantics: a retraction applies at its *flush*, and a triple
-    /// re-added while pending **cancels** the pending retraction (the
-    /// pre-PR-4 behaviour — retract it anyway — silently lost the
-    /// re-assertion and diverged from the surviving explicit set).
+    /// The coalescing acceptance property: ANY bursty interleaving of
+    /// adds, deferrals and flushes (deferrals pile up, then one flush
+    /// applies them all) leaves the store at the from-scratch closure of
+    /// the surviving explicit triples — where a retraction applies at its
+    /// *flush*, and a triple re-added while pending **cancels** the
+    /// pending retraction (retracting it anyway silently loses the
+    /// re-assertion).
     #[test]
     fn deferred_interleavings_match_recompute_oracle(
-        ops in prop::collection::vec(deferred_op(), 1..14),
+        ops in prop::collection::vec(write_op(pool_triple, [3, 0, 3, 1]), 1..14),
     ) {
-        let slider = rho_slider(
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
-        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-        // The model of the scheduler: distinct pending retractions, FIFO,
-        // with re-assertion cancelling.
-        let mut pending: Vec<Triple> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                DeferredOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    oracle.add(batch);
-                    // Asserting a pending triple cancels its retraction.
-                    pending.retain(|t| !batch.contains(t));
-                }
-                DeferredOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                }
-                DeferredOp::Flush => {
-                    let outcome = slider.flush_maintenance();
-                    prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
-                    oracle.remove(&pending);
-                    pending.clear();
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(slider.stats().pending_removals, pending.len());
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        // Drain whatever is still pending; the end state must agree too.
-        slider.flush_maintenance();
-        oracle.remove(&pending);
-        prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        let slider = manual_flush_slider(Ruleset::rho_df());
+        Model::new(Ruleset::rho_df(), None).run(&slider, &ops)?;
     }
 
-    /// Same property with the *threshold* trigger live: the model mirrors
-    /// the scheduler's rule (auto-flush once ≥ K distinct retractions are
-    /// pending after an enqueue).
+    /// Same property with the *threshold* trigger live: the model
+    /// auto-flushes once ≥ K distinct retractions are pending after an
+    /// enqueue, as the scheduler does.
     #[test]
     fn deferred_threshold_interleavings_match_oracle(
-        ops in prop::collection::vec(deferred_op(), 1..12),
+        ops in prop::collection::vec(write_op(pool_triple, [3, 0, 3, 1]), 1..12),
     ) {
         const THRESHOLD: usize = 4;
         let slider = rho_slider(
@@ -873,43 +777,7 @@ proptest! {
                 .with_maintenance_batch(THRESHOLD)
                 .with_maintenance_max_age(None),
         );
-        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-        let mut pending: Vec<Triple> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                DeferredOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    oracle.add(batch);
-                    // Re-assertion cancels a pending retraction.
-                    pending.retain(|t| !batch.contains(t));
-                }
-                DeferredOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                    if pending.len() >= THRESHOLD {
-                        oracle.remove(&pending);
-                        pending.clear();
-                    }
-                }
-                DeferredOp::Flush => {
-                    slider.flush_maintenance();
-                    oracle.remove(&pending);
-                    pending.clear();
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
+        Model::new(Ruleset::rho_df(), Some(THRESHOLD)).run(&slider, &ops)?;
     }
 
     /// Over a ruleset of two independent families, ANY interleaving of
@@ -920,134 +788,40 @@ proptest! {
     /// closures.
     #[test]
     fn multi_family_deferred_interleavings_match_oracle(
-        ops in prop::collection::vec(family_op(), 1..14),
+        ops in prop::collection::vec(write_op(family_triple, [3, 0, 3, 1]), 1..14),
     ) {
-        let slider = family_slider(
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
-        let mut oracle = RecomputeOracle::new(family_ruleset());
-        let mut pending: Vec<Triple> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                DeferredOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    oracle.add(batch);
-                    pending.retain(|t| !batch.contains(t));
-                }
-                DeferredOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                }
-                DeferredOp::Flush => {
-                    let outcome = slider.flush_maintenance();
-                    prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
-                    oracle.remove(&pending);
-                    pending.clear();
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        slider.flush_maintenance();
-        oracle.remove(&pending);
-        prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        let slider = manual_flush_slider(family_ruleset());
+        Model::new(family_ruleset(), None).run(&slider, &ops)?;
     }
 
     /// ANY interleaving of adds, *eager* removals, deferrals and flushes
     /// over the two-family ruleset lands at the recompute oracle's
-    /// closure.
+    /// closure. An eager removal applies at once; a pending deferral of
+    /// the same triple stays queued.
     #[test]
     fn eager_and_deferred_interleavings_match_recompute_oracle(
-        ops in prop::collection::vec(mixed_op(), 1..12),
+        ops in prop::collection::vec(write_op(family_triple, [3, 2, 3, 1]), 1..12),
     ) {
-        let slider = family_slider(
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
-        let mut oracle = RecomputeOracle::new(family_ruleset());
-        let mut pending: Vec<Triple> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                MixedOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    oracle.add(batch);
-                    pending.retain(|t| !batch.contains(t));
-                }
-                MixedOp::Remove(batch) => {
-                    // Eager: applies now; a pending deferral of the same
-                    // triple stays queued (and retracts nothing later).
-                    slider.remove_triples(batch);
-                    oracle.remove(batch);
-                }
-                MixedOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                }
-                MixedOp::Flush => {
-                    let outcome = slider.flush_maintenance();
-                    prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
-                    oracle.remove(&pending);
-                    pending.clear();
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(slider.stats().pending_removals, pending.len());
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        slider.flush_maintenance();
-        oracle.remove(&pending);
-        prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        let slider = manual_flush_slider(family_ruleset());
+        Model::new(family_ruleset(), None).run(&slider, &ops)?;
     }
 
-    /// Same property under pathological buffering.
+    /// Same property as the first, under pathological buffering, with no
+    /// wait between ops.
     #[test]
-    fn random_interleavings_tiny_buffers(ops in prop::collection::vec(op(), 1..8)) {
+    fn random_interleavings_tiny_buffers(
+        ops in prop::collection::vec(write_op(pool_triple, [2, 1, 0, 0]), 1..8),
+    ) {
         let config = SliderConfig::default()
             .with_buffer_capacity(1)
             .with_workers(2);
         let slider = rho_slider(config);
-        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-        for (is_add, batch) in &ops {
-            if *is_add {
-                slider.add_triples(batch);
-                oracle.add(batch);
-            } else {
-                slider.remove_triples(batch);
-                oracle.remove(batch);
-            }
+        let mut model = Model::new(Ruleset::rho_df(), None);
+        for op in &ops {
+            model.apply(op, slider.apply(op.clone()))?;
         }
         slider.wait_idle();
-        prop_assert_eq!(
-            slider.store().to_sorted_vec(),
-            oracle.to_sorted_vec(),
-            "diverged after {:?}",
-            ops
-        );
+        model.check(&slider)?;
     }
 }
 
@@ -1062,49 +836,10 @@ proptest! {
     /// lock-free length counter in exact agreement.
     #[test]
     fn sharded_store_interleavings_match_recompute_oracle(
-        ops in prop::collection::vec(family_op(), 1..12),
+        ops in prop::collection::vec(write_op(family_triple, [3, 0, 3, 1]), 1..12),
     ) {
-        let slider = family_slider(
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
-        let mut oracle = RecomputeOracle::new(family_ruleset());
-        let mut pending: Vec<Triple> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                DeferredOp::Add(batch) => {
-                    slider.add_triples(batch);
-                    oracle.add(batch);
-                    pending.retain(|t| !batch.contains(t));
-                }
-                DeferredOp::Defer(batch) => {
-                    slider.remove_deferred(batch);
-                    for &t in batch {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
-                }
-                DeferredOp::Flush => {
-                    slider.flush_maintenance();
-                    oracle.remove(&pending);
-                    pending.clear();
-                }
-            }
-            slider.wait_idle();
-            prop_assert_eq!(
-                slider.store().to_sorted_vec(),
-                oracle.to_sorted_vec(),
-                "diverged after op {} of {:?}",
-                i,
-                ops
-            );
-        }
-        slider.flush_maintenance();
-        oracle.remove(&pending);
-        prop_assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        let slider = manual_flush_slider(family_ruleset());
+        Model::new(family_ruleset(), None).run(&slider, &ops)?;
         // The store's lock-free length counter never drifts from
         // the actual table population, whatever the interleaving.
         prop_assert_eq!(slider.store().len(), slider.store().to_sorted_vec().len());
@@ -1141,10 +876,10 @@ fn sweeps_never_recycle_ids_referenced_by_pending_retractions() {
     // with no store reference. Then defer a retraction of the same triple
     // — its encoding references the now store-dead ids.
     assert_eq!(slider.remove_terms(std::slice::from_ref(&triple)), 1);
-    assert_eq!(
-        slider.remove_terms_deferred(std::slice::from_ref(&triple)),
-        1
-    );
+    let pending = dict
+        .encode_known(&triple)
+        .expect("a and b are still interned");
+    assert_eq!(slider.apply(Op::Defer(vec![pending])), Outcome::Defer(1));
     assert_eq!(slider.stats().pending_removals, 1);
 
     // The sweep must treat the pending ids as live roots.
@@ -1168,7 +903,10 @@ fn sweeps_never_recycle_ids_referenced_by_pending_retractions() {
     assert_eq!(dict.id_of(&a), Some(a_id), "re-intern changed a live id");
     assert_eq!(slider.stats().cancelled_removals, 1);
     assert_eq!(slider.stats().pending_removals, 0);
-    assert_eq!(slider.flush_maintenance(), RemovalOutcome::default());
+    assert_eq!(
+        slider.apply(Op::Flush),
+        Outcome::Flush(RemovalOutcome::default())
+    );
     assert!(slider
         .store()
         .contains(Triple::new(a_id, RDFS_SUB_CLASS_OF, b_id)));
@@ -1176,18 +914,18 @@ fn sweeps_never_recycle_ids_referenced_by_pending_retractions() {
 
 // ---------- the dictionary-sweep property test --------------------------------
 
-/// One scripted operation of the sweep property test: the deferred mix
-/// over *decoded* (term) triples, plus explicit dictionary sweeps and
-/// queries that pin an epoch for the rest of the run. `Retract(k)` defers
-/// the whole batch of an earlier `Add` (the `k`-th, modulo the adds so
-/// far), so the terms only that batch used become garbage.
+/// One scripted step of the sweep property test: an engine [`Op`]
+/// (`Flush` or `Sweep`), or a term-level step `Op` cannot express — an
+/// add or deferral of *decoded* triples; `Retract(k)`, which defers the
+/// whole batch of an earlier `Add` (the `k`-th, modulo the adds so far),
+/// so the terms only that batch used become garbage; or `Pin`, a query
+/// that holds an epoch for the rest of the run.
 #[derive(Debug, Clone)]
 enum SweepOp {
+    Op(Op),
     Add(Vec<TermTriple>),
     Defer(Vec<TermTriple>),
     Retract(usize),
-    Flush,
-    Sweep,
     Pin,
 }
 
@@ -1228,8 +966,8 @@ fn sweep_op() -> impl Strategy<Value = SweepOp> {
         3 => batch().prop_map(SweepOp::Add),
         3 => batch().prop_map(SweepOp::Defer),
         2 => any::<usize>().prop_map(SweepOp::Retract),
-        2 => Just(SweepOp::Flush),
-        2 => Just(SweepOp::Sweep),
+        2 => Just(SweepOp::Op(Op::Flush)),
+        2 => Just(SweepOp::Op(Op::Sweep)),
         1 => Just(SweepOp::Pin),
     ]
 }
@@ -1254,22 +992,15 @@ proptest! {
     fn sweep_interleavings_match_oracle_and_keep_live_ids_stable(
         ops in prop::collection::vec(sweep_op(), 4..24),
     ) {
-        let dict = Arc::new(Dictionary::new());
-        let slider = Slider::new(
-            Arc::clone(&dict),
-            Ruleset::rho_df(),
-            SliderConfig::default()
-                .with_maintenance_batch(usize::MAX)
-                .with_maintenance_max_age(None),
-        );
+        let slider = manual_flush_slider(Ruleset::rho_df());
+        let dict = Arc::clone(slider.dict());
+        // The model runs on the ids of a dictionary that is never swept,
+        // so its ids name terms one to one. A deferral holds the triples
+        // whose terms the reasoner knew at defer time; re-assertion
+        // cancels by id, which is sound because pending ids are sweep
+        // roots — a re-asserted term re-interns to its pending id.
         let oracle_dict = Dictionary::new();
-        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
-        // Model of the scheduler in term space: distinct pending
-        // retractions over terms known at defer time, re-assertion
-        // cancelling (sound because pending ids are sweep roots — the
-        // re-asserted term re-interns to its pending id, never a fresh
-        // one).
-        let mut pending: Vec<TermTriple> = Vec::new();
+        let mut model = Model::new(Ruleset::rho_df(), None);
         let mut pins: Vec<(Arc<EpochSnapshot>, Vec<TermTriple>)> = Vec::new();
         let adds: Vec<&Vec<TermTriple>> = ops
             .iter()
@@ -1294,9 +1025,8 @@ proptest! {
             match op {
                 SweepOp::Add(batch) => {
                     added += 1;
-                    slider.add_terms(batch);
-                    oracle.add(&encode_oracle(batch));
-                    pending.retain(|t| !batch.contains(t));
+                    let fresh = slider.add_terms(batch);
+                    model.apply(&Op::Add(encode_oracle(batch)), Outcome::Add(fresh))?;
                 }
                 SweepOp::Defer(_) | SweepOp::Retract(_) => {
                     let batch = match op {
@@ -1304,47 +1034,30 @@ proptest! {
                         SweepOp::Retract(k) if added > 0 => adds[k % added],
                         _ => continue,
                     };
-                    // `remove_terms_deferred` looks terms up (never
-                    // interns): triples over unknown terms are skipped.
-                    let known: Vec<TermTriple> = batch
+                    // Lookup-only encoding: triples over unknown terms
+                    // are skipped, never interned.
+                    let (ids, known): (Vec<Triple>, Vec<TermTriple>) = batch
                         .iter()
-                        .filter(|(s, p, o)| {
-                            dict.id_of(s).is_some()
-                                && dict.id_of(p).is_some()
-                                && dict.id_of(o).is_some()
-                        })
-                        .cloned()
-                        .collect();
-                    slider.remove_terms_deferred(batch);
-                    for t in known {
-                        if !pending.contains(&t) {
-                            pending.push(t);
-                        }
-                    }
+                        .filter_map(|t| Some((dict.encode_known(t)?, t.clone())))
+                        .unzip();
+                    let outcome = slider.apply(Op::Defer(ids));
+                    model.apply(&Op::Defer(encode_oracle(&known)), outcome)?;
                 }
-                SweepOp::Flush => {
-                    let outcome = slider.flush_maintenance();
-                    prop_assert_eq!(outcome.requested, pending.len(), "op {}", i);
-                    oracle.remove(&encode_oracle(&pending));
-                    pending.clear();
-                }
-                SweepOp::Sweep => {
+                SweepOp::Op(op) => {
                     // Pin every store-referenced id's resolution across
-                    // the sweep: live ids never move.
-                    let before: Vec<(NodeId, Term)> = {
-                        let mut ids: Vec<NodeId> = slider
-                            .store()
-                            .to_sorted_vec()
-                            .into_iter()
-                            .flat_map(|t| [t.s, t.p, t.o])
-                            .collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        ids.into_iter()
-                            .map(|id| (id, dict.lookup(id).expect("live id resolves")))
-                            .collect()
+                    // a sweep: live ids never move.
+                    let live = match op {
+                        Op::Sweep => slider.store().to_sorted_vec(),
+                        _ => Vec::new(),
                     };
-                    slider.sweep_dictionary();
+                    let mut ids: Vec<NodeId> = live.iter().flat_map(|t| [t.s, t.p, t.o]).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    let before: Vec<(NodeId, Term)> = ids
+                        .into_iter()
+                        .map(|id| (id, dict.lookup(id).expect("live id resolves")))
+                        .collect();
+                    model.apply(op, slider.apply(op.clone()))?;
                     for (id, term) in &before {
                         let resolved = dict.lookup(*id);
                         prop_assert_eq!(
@@ -1356,12 +1069,6 @@ proptest! {
                         );
                         prop_assert_eq!(dict.kind(*id), Some(term.kind()), "op {}", i);
                     }
-                    prop_assert_eq!(
-                        slider.stats().pending_removals,
-                        pending.len(),
-                        "a sweep disturbed the pending queue (op {})",
-                        i
-                    );
                 }
                 SweepOp::Pin => {
                     let epoch = slider.store().snapshot();
@@ -1379,20 +1086,25 @@ proptest! {
             }
             slider.wait_idle();
             prop_assert_eq!(
+                slider.stats().pending_removals,
+                model.pending(),
+                "the pending queue diverged after op {}",
+                i
+            );
+            prop_assert_eq!(
                 decoded(&dict, slider.store().to_sorted_vec()),
-                decoded(&oracle_dict, oracle.to_sorted_vec()),
+                decoded(&oracle_dict, model.oracle().to_sorted_vec()),
                 "decoded closure diverged after op {} of {:?}",
                 i,
                 ops
             );
         }
         // Drain what is still pending; the decoded end states agree too.
-        slider.flush_maintenance();
-        oracle.remove(&encode_oracle(&pending));
+        model.apply(&Op::Flush, slider.apply(Op::Flush))?;
         prop_assert_eq!(
             decoded(&dict, slider.store().to_sorted_vec()),
-            decoded(&oracle_dict, oracle.to_sorted_vec())
+            decoded(&oracle_dict, model.oracle().to_sorted_vec())
         );
-        prop_assert_eq!(slider.stats().store.explicit, oracle.explicit_len());
+        prop_assert_eq!(slider.stats().store.explicit, model.oracle().explicit_len());
     }
 }

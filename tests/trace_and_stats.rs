@@ -2,6 +2,9 @@
 //! and the per-module counters are two independent recording paths — they
 //! must tell the same story.
 
+mod common;
+
+use common::materialize;
 use slider::core::{events_to_json, EventKind};
 use slider::prelude::*;
 use slider::workloads::{encode_all, PaperOntology};
@@ -156,7 +159,7 @@ fn epoch_counters_track_publications_and_swaps() {
     );
 
     // A (no-op) hot swap bumps the swap counter and republishes.
-    slider.swap_ruleset(Ruleset::rho_df());
+    slider.apply(Op::Swap(Ruleset::rho_df()));
     let stats = slider.stats();
     assert_eq!(stats.ruleset_swaps, 1);
     assert!(stats.snapshot_generation >= slider.store().snapshot_generation() - 1);
@@ -171,11 +174,17 @@ fn ruleset_swap_event_round_trips_through_json() {
         Ruleset::custom("trans").with(RuleSpec::transitive("T", p)),
         SliderConfig::default().with_trace(true),
     );
-    slider.materialize(&[
-        Triple::new(NodeId(1), p, NodeId(2)),
-        Triple::new(NodeId(2), p, NodeId(3)),
-    ]);
-    let outcome = slider.swap_ruleset(Ruleset::custom("empty"));
+    materialize(
+        &slider,
+        &[
+            Triple::new(NodeId(1), p, NodeId(2)),
+            Triple::new(NodeId(2), p, NodeId(3)),
+        ],
+    );
+    let outcome = slider
+        .apply(Op::Swap(Ruleset::custom("empty")))
+        .swap()
+        .unwrap();
     assert_eq!(outcome.dropped, 1);
 
     let events = slider.events().expect("tracing on");

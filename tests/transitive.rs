@@ -180,7 +180,14 @@ fn dred_after_closure_inserts_matches_oracle() {
     assert_matches_oracle(&slider, &oracle, "loaded chain");
 
     let middle = [sco(20, 21)];
-    assert_eq!(slider.remove_triples(&middle), 1);
+    assert_eq!(
+        slider
+            .apply(Op::Remove(middle.to_vec()))
+            .removal()
+            .unwrap()
+            .retracted,
+        1
+    );
     oracle.remove(&middle);
     assert_matches_oracle(&slider, &oracle, "middle edge removed");
 
@@ -190,7 +197,14 @@ fn dred_after_closure_inserts_matches_oracle() {
     assert_matches_oracle(&slider, &oracle, "middle edge re-added");
 
     let end = [sco(39, 40)];
-    assert_eq!(slider.remove_triples(&end), 1);
+    assert_eq!(
+        slider
+            .apply(Op::Remove(end.to_vec()))
+            .removal()
+            .unwrap()
+            .retracted,
+        1
+    );
     oracle.remove(&end);
     assert_matches_oracle(&slider, &oracle, "end edge removed");
 }
@@ -217,14 +231,14 @@ fn swapping_scm_sco_out_and_back_recloses_the_chain() {
     let full = closure(Ruleset::rho_df(), &input).to_sorted_vec();
     assert_eq!(slider.store().to_sorted_vec(), full);
 
-    let outcome = slider.swap_ruleset(without.clone());
+    let outcome = slider.apply(Op::Swap(without.clone())).swap().unwrap();
     assert_eq!((outcome.dropped, outcome.added), (1, 0));
     assert_eq!(
         slider.store().to_sorted_vec(),
         closure(without, &input).to_sorted_vec()
     );
 
-    let outcome = slider.swap_ruleset(Ruleset::rho_df());
+    let outcome = slider.apply(Op::Swap(Ruleset::rho_df())).swap().unwrap();
     assert_eq!((outcome.dropped, outcome.added), (0, 1));
     assert_eq!(slider.store().to_sorted_vec(), full);
 

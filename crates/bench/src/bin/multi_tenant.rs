@@ -1,21 +1,18 @@
-//! The `multi_tenant` benchmark: N reasoner sessions sharing one
-//! `Runtime` (worker pool + flusher) vs N independent `Slider`s, each
-//! with a private pool.
+//! The `multi_tenant` benchmark: independent reasoners side by side,
+//! each a `Slider` with its own threads, either each on a private
+//! dictionary or all on one shared `Arc<Dictionary>`.
 //!
-//! Three questions, per the shared-runtime design:
+//! Two questions:
 //!
-//! 1. **Thread economy** — N sessions on one runtime must run on exactly
-//!    `workers + 1` threads, vs `N × (workers + 1)` for the isolated
-//!    fleet.
-//! 2. **Ingest latency under co-tenant churn** — one tenant streams
-//!    membership batches (timed per `add_triples` call, p50/p99) while a
-//!    co-tenant's huge deferred-retraction backlog is flushed by the
-//!    shared flusher under `RuntimeConfig::maintenance_budget`. The
-//!    budget slices the co-tenant's coalesced DRed so the shared-pool p99
-//!    stays close to the isolated baseline (two private pools, no budget
-//!    needed).
-//! 3. **Flush throughput** — how fast the sliced flush drains the backlog
-//!    (retractions/s), and how many per-tick deferrals it took.
+//! 1. **Concurrent sessions** — N sessions on one shared dictionary
+//!    materialise their streams concurrently, and each lands on its own
+//!    oracle closure.
+//! 2. **Ingest latency and flush throughput under co-tenant churn** — one
+//!    tenant streams membership batches (timed per `add_triples` call,
+//!    p50/p99) while a co-tenant's deferred-retraction backlog is flushed
+//!    by its own flusher; how fast the backlog drains (retractions/s).
+//!    The "isolated" cell gives each tenant a private dictionary, the
+//!    "shared" cell puts both on one.
 //!
 //! ```text
 //! cargo run --release -p slider-bench --bin multi_tenant            # full
@@ -29,17 +26,16 @@
 use slider_baseline::RecomputeOracle;
 use slider_bench::report::{BenchReport, Cell};
 use slider_bench::{family, parse_bench_args};
-use slider_core::{Op, Runtime, RuntimeConfig, Slider, SliderConfig};
+use slider_core::{Op, Slider, SliderConfig};
 use slider_model::{Dictionary, NodeId, Triple};
 use slider_rules::Ruleset;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Params {
-    /// Sessions attached to the shared runtime (thread-economy phase).
+    /// Concurrent sessions on one shared dictionary (phase 1).
     sessions: usize,
-    /// Worker threads per pool (the shared runtime's, and each isolated
-    /// reasoner's).
+    /// Worker threads per reasoner.
     workers: usize,
     /// Ingest tenant: membership batches streamed, and members per batch
     /// (family workload, one family, resident chain of `depth`).
@@ -52,12 +48,6 @@ struct Params {
     churn_retract: u64,
     /// Verify final stores against the oracle closure.
     verify: bool,
-    /// Per-tick budget for the shared runtime's sliced flushes. The
-    /// smoke run uses `Duration::ZERO` — the starvation governor still
-    /// grants exactly one slice per tick, so the backlog *must* defer
-    /// (the `deferrals > 0` smoke assertion stays deterministic on any
-    /// machine speed); the full run uses a realistic budget.
-    budget: Duration,
 }
 
 const SMOKE: Params = Params {
@@ -69,7 +59,6 @@ const SMOKE: Params = Params {
     churn_preload: 600,
     churn_retract: 450,
     verify: true,
-    budget: Duration::ZERO,
 };
 
 const FULL: Params = Params {
@@ -81,13 +70,11 @@ const FULL: Params = Params {
     churn_preload: 20_000,
     churn_retract: 15_000,
     verify: false,
-    budget: Duration::from_micros(500),
 };
 
 /// The churn tenant's configuration: the deferred queue only drains on
 /// the max-age deadline (no threshold), so the whole backlog is flushed
-/// by the flusher thread — monolithically on a private runtime, sliced
-/// under the budget on the shared one.
+/// by the churn tenant's flusher thread.
 fn churn_config() -> SliderConfig {
     SliderConfig::default()
         .with_maintenance_batch(usize::MAX)
@@ -95,7 +82,7 @@ fn churn_config() -> SliderConfig {
 }
 
 /// A plain (underivable) churn triple — DRed still walks its downward
-/// closure, so the backlog costs real maintenance work per slice.
+/// closure, so the backlog costs real maintenance work.
 fn churn_triple(k: u64) -> Triple {
     Triple::new(NodeId(700_000 + k), NodeId(42_000), NodeId(800_000 + k))
 }
@@ -124,41 +111,25 @@ struct LatencyCell {
     latencies: Vec<Duration>,
     /// Time for the churn backlog to drain completely.
     flush_drain: Duration,
-    /// `StatsSnapshot::budget_deferrals` of the churn session at the end.
-    deferrals: u64,
-    /// Threads the setup ran on (pools + flushers, not user threads).
-    threads: usize,
 }
 
 /// One timed cell: the ingest tenant streams its batches (timed per
 /// call) while the churn tenant's backlog — enqueued just before the
-/// stream starts — is flushed by the deadline flusher. `shared = true`
-/// runs both tenants as sessions of one budgeted `Runtime`; otherwise
-/// each is a standalone `Slider` with a private pool.
+/// stream starts — is flushed by its deadline flusher. `shared = true`
+/// puts both tenants on one dictionary; otherwise each has its own.
 fn run_latency_cell(p: &Params, shared: bool) -> LatencyCell {
     let fp = ingest_params(p);
-    let runtime = shared.then(|| {
-        Runtime::new(
-            RuntimeConfig::default()
-                .with_workers(p.workers)
-                .with_maintenance_budget(Some(p.budget)),
-        )
-    });
-    let session = |ruleset: Ruleset, config: SliderConfig| match &runtime {
-        Some(rt) => rt.session(Arc::new(Dictionary::new()), ruleset, config),
-        None => Slider::new(
-            Arc::new(Dictionary::new()),
-            ruleset,
-            config.with_workers(p.workers),
-        ),
+    let shared_dict = Arc::new(Dictionary::new());
+    let session = |ruleset: Ruleset, config: SliderConfig| {
+        let dict = if shared {
+            Arc::clone(&shared_dict)
+        } else {
+            Arc::new(Dictionary::new())
+        };
+        Slider::new(dict, ruleset, config.with_workers(p.workers))
     };
-
     let churn = session(Ruleset::rho_df(), churn_config());
     let ingest = session(family::ruleset(1), SliderConfig::default());
-    let threads = match &runtime {
-        Some(rt) => rt.thread_count(),
-        None => churn.runtime().thread_count() + ingest.runtime().thread_count(),
-    };
 
     let preload: Vec<Triple> = (0..p.churn_preload).map(churn_triple).collect();
     churn.add_triples(&preload);
@@ -212,7 +183,7 @@ fn run_latency_cell(p: &Params, shared: bool) -> LatencyCell {
         assert_eq!(
             churn.store().to_sorted_vec(),
             survivors,
-            "churn tenant's sliced flush missed the exact closure"
+            "churn tenant's flush missed the exact closure"
         );
     }
 
@@ -220,8 +191,6 @@ fn run_latency_cell(p: &Params, shared: bool) -> LatencyCell {
     LatencyCell {
         latencies,
         flush_drain,
-        deferrals: stats.budget_deferrals,
-        threads,
     }
 }
 
@@ -237,30 +206,28 @@ fn main() {
     )
     .config("smoke", smoke)
     .config("sessions", p.sessions)
-    .config("workers", p.workers)
-    .config("budget_us", p.budget.as_micros());
+    .config("workers", p.workers);
     println!(
-        "multi_tenant bench: {} sessions on {} workers, budget {:?}{}",
+        "multi_tenant bench: {} sessions, {} workers each{}",
         p.sessions,
         p.workers,
-        p.budget,
         if smoke { " [smoke]" } else { "" }
     );
 
-    // --- phase 1: thread economy — N sessions, one pool ----------------
+    // --- phase 1: N concurrent sessions on one shared dictionary -------
     {
-        let runtime = Runtime::new(RuntimeConfig::default().with_workers(p.workers));
         let fp = ingest_params(&p);
+        let dict = Arc::new(Dictionary::new());
         let sessions: Vec<Slider> = (0..p.sessions)
             .map(|_| {
-                runtime.session(
-                    Arc::new(Dictionary::new()),
+                Slider::new(
+                    Arc::clone(&dict),
                     family::ruleset(1),
-                    SliderConfig::default(),
+                    SliderConfig::default().with_workers(p.workers),
                 )
             })
             .collect();
-        let shared_threads = runtime.thread_count();
+        let start = Instant::now();
         std::thread::scope(|scope| {
             for session in &sessions {
                 scope.spawn(move || {
@@ -272,6 +239,7 @@ fn main() {
                 });
             }
         });
+        let wall = start.elapsed();
         if p.verify {
             let mut oracle = RecomputeOracle::new(family::ruleset(1));
             oracle.add(&family::taxonomy(&fp));
@@ -283,7 +251,7 @@ fn main() {
                 assert_eq!(
                     session.store().to_sorted_vec(),
                     expected,
-                    "session {i} diverged on the shared pool"
+                    "session {i} diverged on the shared dictionary"
                 );
             }
             println!(
@@ -291,26 +259,20 @@ fn main() {
                 p.sessions
             );
         }
-        let isolated_threads = p.sessions * (p.workers + 1);
         println!(
-            "thread economy: {} sessions share {} threads (isolated fleet would hold {})",
-            p.sessions, shared_threads, isolated_threads
-        );
-        assert_eq!(
-            shared_threads,
-            p.workers + 1,
-            "a session spawned its own threads"
+            "concurrent sessions: {} on one dictionary in {:.2} ms",
+            p.sessions,
+            wall.as_secs_f64() * 1e3
         );
         report.push(
-            Cell::new(format!("threads/{}-sessions", p.sessions))
-                .param("phase", "threads")
+            Cell::new(format!("sessions/{}", p.sessions))
+                .param("phase", "sessions")
                 .param("sessions", p.sessions)
-                .metric("shared_threads", shared_threads as f64)
-                .metric("isolated_threads", isolated_threads as f64),
+                .metric("wall_ms", wall.as_secs_f64() * 1e3),
         );
     }
 
-    // --- phase 2: ingest latency + flush throughput, shared vs isolated
+    // --- phase 2: ingest latency + flush throughput, isolated vs shared
     let mut p99s = [Duration::ZERO; 2];
     for (idx, (label, shared)) in [("isolated", false), ("shared", true)]
         .into_iter()
@@ -325,38 +287,27 @@ fn main() {
         let flush_rate = p.churn_retract as f64 / cell.flush_drain.as_secs_f64().max(1e-9);
         println!(
             "  {label:>8}: ingest p50 {:>8.3} ms, p99 {:>8.3} ms | backlog drained in \
-             {:>8.2} ms ({:>9.0} retractions/s, {} budget deferrals) on {} threads",
+             {:>8.2} ms ({:>9.0} retractions/s)",
             p50.as_secs_f64() * 1e3,
             p99.as_secs_f64() * 1e3,
             cell.flush_drain.as_secs_f64() * 1e3,
             flush_rate,
-            cell.deferrals,
-            cell.threads,
         );
         report.push(
             Cell::new(format!("latency/{label}"))
                 .param("phase", "latency")
-                .param("pool", label)
-                .param("threads", cell.threads)
+                .param("dictionary", label)
                 .metric("ingest_p50_ms", p50.as_secs_f64() * 1e3)
                 .metric("ingest_p99_ms", p99.as_secs_f64() * 1e3)
                 .metric("flush_drain_ms", cell.flush_drain.as_secs_f64() * 1e3)
-                .metric("flush_retractions_per_sec", flush_rate)
-                .metric("budget_deferrals", cell.deferrals as f64),
+                .metric("flush_retractions_per_sec", flush_rate),
         );
-        if shared {
-            assert!(
-                cell.deferrals > 0,
-                "the shared flush was never sliced — the budget did nothing"
-            );
-        }
     }
     println!(
-        "shared-pool ingest p99 is {:.2}x the isolated baseline \
-         (co-tenant flushing {} retractions under a {:?} budget)",
+        "shared-dictionary ingest p99 is {:.2}x the isolated one \
+         (co-tenant flushing {} retractions)",
         p99s[1].as_secs_f64() / p99s[0].as_secs_f64().max(1e-9),
         p.churn_retract,
-        p.budget,
     );
 
     if let Some(path) = json_path {

@@ -61,13 +61,11 @@
 //! store and rules never invent new term ids, so the reachable closure is
 //! finite and monotone between maintenance runs.
 //!
-//! The execution layer — worker pool, session-fair job queue, and the
-//! flusher that services buffer timeouts and maintenance deadlines — is a
-//! shared [`Runtime`] (see the [`runtime`] module): a standalone `Slider`
-//! owns a private one, while [`Runtime::session`] multiplexes many
-//! independent reasoner sessions over a single pool, with per-tick
-//! maintenance slicing ([`RuntimeConfig::maintenance_budget`]) keeping one
-//! tenant's coalesced DRed out of another's ingest latency.
+//! Each [`Slider`] owns its threads: a worker pool fed by one FIFO job
+//! channel, and a flusher thread that services buffer timeouts and
+//! maintenance deadlines. Several streams are several `Slider`s; they may
+//! share one `Arc<Dictionary>`, which is never swept while more than one
+//! of them is live (see [`Op::Sweep`]).
 //!
 //! [`InputFilter`]: slider_rules::InputFilter
 
@@ -79,7 +77,6 @@ mod config;
 mod inflight;
 pub mod maintenance;
 mod op;
-pub mod runtime;
 pub mod scheduler;
 mod session;
 mod stats;
@@ -89,7 +86,6 @@ pub use buffer::Buffer;
 pub use config::SliderConfig;
 pub use maintenance::RemovalOutcome;
 pub use op::{Op, Outcome};
-pub use runtime::{Runtime, RuntimeConfig, SessionHandle};
 pub use session::{Slider, SwapOutcome};
 pub use stats::{RuleStats, StatsSnapshot};
 pub use trace::{events_to_json, Event, EventKind, EventLog};

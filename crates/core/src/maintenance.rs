@@ -76,17 +76,6 @@ impl RemovalOutcome {
     pub fn net_deleted(&self) -> usize {
         self.retracted + self.overdeleted - self.rederived
     }
-
-    /// Accumulates `other` into `self` — used to combine the slices of one
-    /// budgeted flush into the flush's total.
-    pub fn merge(&mut self, other: RemovalOutcome) {
-        self.requested += other.requested;
-        self.retracted += other.retracted;
-        self.ignored_derived += other.ignored_derived;
-        self.not_found += other.not_found;
-        self.overdeleted += other.overdeleted;
-        self.rederived += other.rederived;
-    }
 }
 
 /// Runs DRed on `store`: retracts `retracted`, overdeletes the downward

@@ -13,7 +13,7 @@
 //! [`Op::Defer`](crate::Op::Defer): retractions are enqueued
 //! (deduplicated, FIFO) instead of applied, and one coalesced run fires on
 //! the pending-count threshold, the max-age deadline (serviced by the
-//! runtime's flusher), an explicit [`Op::Flush`](crate::Op::Flush) or the
+//! reasoner's flusher thread), an explicit [`Op::Flush`](crate::Op::Flush) or the
 //! reasoner's drop. [`Op`](crate::Op) states the contract: when each
 //! trigger fires, where a flush linearises, and why an `Add` of a pending
 //! triple cancels its retraction (`MaintenanceScheduler::cancel`, driven
@@ -117,44 +117,24 @@ impl MaintenanceScheduler {
     }
 
     /// Takes the whole pending set (FIFO order), resetting the age clock.
-    #[cfg(test)]
+    /// The drained set stays [in flight](Self::outstanding) until the
+    /// caller [settles](Self::settle) it.
     pub(crate) fn drain(&self) -> Vec<Triple> {
-        self.drain_up_to(usize::MAX)
-    }
-
-    /// Takes up to `limit` pending retractions, oldest first — one budget
-    /// slice of the pending set. The remainder keeps its enqueue
-    /// timestamps, so the staleness clock ([`Self::oldest_age`]) stays
-    /// honest across slices: a retraction deferred by the latency budget
-    /// keeps ageing from its original enqueue.
-    ///
-    /// The slice stays [in flight](Self::outstanding) until the caller
-    /// [settles](Self::settle) it.
-    pub(crate) fn drain_up_to(&self, limit: usize) -> Vec<Triple> {
         let mut inner = self.inner.lock();
-        let taken = limit.min(inner.queue.len());
         // Counted in flight before it leaves `count`, so `outstanding`
         // never misses it.
-        self.in_flight.fetch_add(taken, Ordering::SeqCst);
-        if taken == inner.queue.len() {
-            inner.seen.clear();
-            self.count.store(0, Ordering::SeqCst);
-            return std::mem::take(&mut inner.queue)
-                .into_iter()
-                .map(|(t, _)| t)
-                .collect();
-        }
-        let rest = inner.queue.split_off(taken);
-        let drained = std::mem::replace(&mut inner.queue, rest);
-        for (t, _) in &drained {
-            inner.seen.remove(t);
-        }
-        self.count.store(inner.queue.len(), Ordering::SeqCst);
-        drained.into_iter().map(|(t, _)| t).collect()
+        self.in_flight
+            .fetch_add(inner.queue.len(), Ordering::SeqCst);
+        inner.seen.clear();
+        self.count.store(0, Ordering::SeqCst);
+        std::mem::take(&mut inner.queue)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect()
     }
 
-    /// Ends the in-flight span of a drained slice of `len` retractions.
-    /// Call it once the slice's outcome is in the session counters.
+    /// Ends the in-flight span of a drained set of `len` retractions.
+    /// Call it once the set's outcome is in the session counters.
     pub(crate) fn settle(&self, len: usize) {
         self.in_flight.fetch_sub(len, Ordering::SeqCst);
     }
@@ -169,7 +149,8 @@ impl MaintenanceScheduler {
     /// this reads 0, every drained retraction's outcome is already in the
     /// session counters, so a counter read after it includes them.
     pub(crate) fn outstanding(&self) -> usize {
-        // `count` first: a slice joins `in_flight` before it leaves `count`.
+        // `count` first: a drained set joins `in_flight` before it leaves
+        // `count`.
         let queued = self.count.load(Ordering::SeqCst);
         queued + self.in_flight.load(Ordering::SeqCst)
     }
@@ -199,12 +180,6 @@ impl MaintenanceScheduler {
             return false;
         };
         self.oldest_age().is_some_and(|age| age >= max_age)
-    }
-
-    /// The configured max-age deadline, if any — the runtime's flusher
-    /// derives its scan tick from the smallest deadline it services.
-    pub(crate) fn max_age(&self) -> Option<Duration> {
-        self.max_age
     }
 }
 
@@ -252,32 +227,18 @@ mod tests {
     }
 
     #[test]
-    fn drain_up_to_slices_oldest_first_and_keeps_remainder_ageing() {
-        let s = MaintenanceScheduler::new(100, None);
-        s.enqueue(&[t(1), t(2)]);
-        std::thread::sleep(Duration::from_millis(25));
-        s.enqueue(&[t(3)]);
-        let oldest_before = s.oldest_age().unwrap(); // t(1)'s age, ≥ 25 ms
-                                                     // The slice takes the oldest entries; the remainder stays pending…
-        assert_eq!(s.drain_up_to(2), vec![t(1), t(2)]);
-        assert_eq!(s.pending(), 1);
-        // …with its original timestamp (t(3) is 25 ms younger than t(1)).
-        assert!(s.oldest_age().unwrap() < oldest_before);
-        // A sliced-out triple may be re-deferred; the survivor may not.
-        assert_eq!(s.enqueue(&[t(1), t(3)]), (1, false));
-        assert_eq!(s.drain_up_to(usize::MAX), vec![t(3), t(1)]);
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
     fn drained_slices_stay_outstanding_until_settled() {
         let s = MaintenanceScheduler::new(100, None);
-        s.enqueue(&[t(1), t(2), t(3)]);
-        assert_eq!(s.drain_up_to(2).len(), 2);
+        s.enqueue(&[t(1), t(2)]);
+        assert_eq!(s.drain().len(), 2);
+        assert_eq!((s.pending(), s.outstanding()), (0, 2));
+        // A retraction deferred while the drained set is unsettled counts
+        // beside it.
+        s.enqueue(&[t(3)]);
         assert_eq!((s.pending(), s.outstanding()), (1, 3));
         s.settle(2);
         assert_eq!((s.pending(), s.outstanding()), (1, 1));
-        assert_eq!(s.drain_up_to(usize::MAX).len(), 1);
+        assert_eq!(s.drain().len(), 1);
         assert_eq!((s.pending(), s.outstanding()), (0, 1));
         s.settle(1);
         assert_eq!(s.outstanding(), 0);
@@ -303,7 +264,6 @@ mod tests {
     #[test]
     fn staleness_tracks_oldest_enqueue() {
         let s = MaintenanceScheduler::new(100, Some(Duration::ZERO));
-        assert_eq!(s.max_age(), Some(Duration::ZERO));
         assert!(!s.is_stale(), "empty queue is never stale");
         assert_eq!(s.oldest_age(), None);
         s.enqueue(&[t(1)]);
@@ -330,7 +290,6 @@ mod tests {
     #[test]
     fn no_deadline_is_never_stale() {
         let s = MaintenanceScheduler::new(1, None);
-        assert_eq!(s.max_age(), None);
         s.enqueue(&[t(1)]);
         assert!(!s.is_stale());
     }

@@ -1,28 +1,27 @@
-//! A reasoning *session*: input manager, rule modules, distributors —
-//! everything per-tenant. The execution layer (worker pool, job queue,
-//! flusher) lives in [`crate::runtime`]; a session holds a
-//! [`SessionHandle`] into the runtime it registered with and submits its
-//! rule instances to the shared pool.
+//! The reasoner: input manager, rule modules and distributors over one
+//! store, plus the threads that run them — `workers` pool threads fed by
+//! one job channel, and a flusher thread when a buffer timeout or a
+//! maintenance deadline is configured. Several streams are several
+//! [`Slider`]s, optionally on one shared [`Dictionary`].
 
 use crate::buffer::Buffer;
 use crate::config::SliderConfig;
 use crate::inflight::Inflight;
 use crate::maintenance::{self, RemovalOutcome};
 use crate::op::{Op, Outcome};
-use crate::runtime::{
-    Job, JobQueue, Runtime, RuntimeConfig, RuntimeCore, RuntimeShared, SessionHandle,
-};
 use crate::scheduler::MaintenanceScheduler;
 use crate::stats::{bump, GlobalCounters, RuleCounters, RuleStats, StatsSnapshot};
 use crate::trace::{Event, EventKind, EventLog};
-use parking_lot::{Mutex, RwLock};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::{Condvar, Mutex, RwLock};
 use slider_model::{Dictionary, FxHashSet, NodeId, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, InputFilter, Rule, Ruleset};
 use slider_store::{ShardedStore, VerticalStore};
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// One rule module: the rule, its buffer, its distributor's routing table
 /// and its counters (paper Figure 1, one column).
@@ -111,8 +110,15 @@ fn build_state(
     }
 }
 
-/// Per-session state shared between the public handle, the runtime's
-/// workers and its flusher.
+/// A message on the job channel: one rule instance over one buffered
+/// batch, or the signal for one worker to exit.
+enum Job {
+    Run { rule: usize, delta: Vec<Triple> },
+    Stop,
+}
+
+/// The reasoner's state, shared between the public handle, the workers
+/// and the flusher.
 pub(crate) struct Engine {
     dict: Arc<Dictionary>,
     store: ShardedStore,
@@ -120,17 +126,10 @@ pub(crate) struct Engine {
     /// The lock is held only for the pointer clone/swap, never across
     /// work; see [`Engine::rstate`] for the resolution discipline.
     rstate: RwLock<Arc<RulesetState>>,
-    /// The shared runtime's job queue; submissions are tagged with
-    /// `session` so the pool round-robins fairly across tenants.
-    queue: Arc<JobQueue>,
-    /// This session's runtime-unique id (its lane in the job queue).
-    session: u64,
-    /// Back-reference to self, so submitted jobs can carry an owning
-    /// handle — worker panics and inflight tokens stay session-contained.
-    self_ref: Weak<Engine>,
-    /// This session's buffer-staleness deadline (`SliderConfig::timeout`);
-    /// the runtime's flusher services it via
-    /// [`Engine::drain_stale_buffers`].
+    /// The workers' job channel, FIFO.
+    jobs: Sender<Job>,
+    /// The buffer-staleness deadline (`SliderConfig::timeout`); the
+    /// flusher services it via [`Engine::drain_stale_buffers`].
     timeout: Option<Duration>,
     pub(crate) inflight: Inflight,
     pub(crate) globals: GlobalCounters,
@@ -141,26 +140,16 @@ pub(crate) struct Engine {
     /// Deferred retractions awaiting a coalesced DRed run (see
     /// [`Op::Defer`]).
     pub(crate) scheduler: MaintenanceScheduler,
-    /// Idle-lane parking flag: set by the runtime's flusher when this
-    /// session has nothing for it to service (every buffer empty, no
-    /// pending maintenance), cleared by the first producer that makes new
-    /// work visible. A parked session is skipped by the flusher's
-    /// rotation and contributes no tick deadline. See [`Engine::try_park`]
-    /// / [`Engine::unpark`] for the handshake.
-    pub(crate) parked: AtomicBool,
-    /// The runtime state shared with the flusher thread, so `unpark` can
-    /// nudge it awake (with every session parked it sleeps indefinitely).
-    flusher: Arc<RuntimeShared>,
     /// Configured buffer capacity, for the modules a ruleset swap builds.
     buffer_capacity: usize,
     /// Triples retired (retracted + overdeleted) by maintenance runs
     /// since the last dictionary sweep — the sweep trigger's numerator.
     retired_since_sweep: AtomicUsize,
-    /// Runs once, inside the next flush slice, between draining the
-    /// pending queue and applying it — holds a drained-but-unapplied
-    /// slice open for the flush-barrier test.
+    /// Runs once, inside the next flush, between draining the pending
+    /// queue and applying it — holds a drained-but-unapplied set open for
+    /// the flush-barrier tests.
     #[cfg(test)]
-    slice_drained_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    flush_drained_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 /// Absolute floor for the automatic dictionary sweep: below this many
@@ -184,28 +173,13 @@ impl Engine {
         Arc::clone(&self.rstate.read())
     }
 
-    /// Queues a rule instance on the shared pool; the caller must already
+    /// Queues a rule instance for the workers; the caller must already
     /// hold an inflight token for it (token ownership transfers to the
-    /// job, which carries an owning engine handle).
+    /// job).
     fn submit_with_token(&self, rule: usize, delta: Vec<Triple>) {
-        let engine = self
-            .self_ref
-            .upgrade()
-            .expect("a live session submitted this job");
-        // Push only fails after the queue closed, i.e. during runtime
-        // teardown; the token is released by the Drop path then.
-        if self
-            .queue
-            .push(
-                self.session,
-                Job {
-                    engine,
-                    rule,
-                    delta,
-                },
-            )
-            .is_err()
-        {
+        // Send only fails once every worker has exited, i.e. after
+        // teardown; the token is released here then.
+        if self.jobs.send(Job::Run { rule, delta }).is_err() {
             self.inflight.dec();
         }
     }
@@ -221,7 +195,6 @@ impl Engine {
     /// resolved `state` under an inflight token it still holds.
     fn dispatch(&self, state: &RulesetState, targets: &[usize], triples: &[Triple]) {
         let mut accepted: Vec<Triple> = Vec::new();
-        let mut buffered_any = false;
         for &i in targets {
             let module = &state.modules[i];
             accepted.clear();
@@ -234,7 +207,6 @@ impl Engine {
             if accepted.is_empty() {
                 continue;
             }
-            buffered_any = true;
             bump(&module.counters.buffered, accepted.len() as u64);
             for chunk in module.buffer.push_batch(&accepted) {
                 bump(&module.counters.full_flushes, 1);
@@ -243,11 +215,6 @@ impl Engine {
                 }
                 self.submit(i, chunk);
             }
-        }
-        if buffered_any {
-            // New buffered work may need timeout service: leave the
-            // flusher's parked lane (no-op while unparked).
-            self.unpark();
         }
     }
 
@@ -555,11 +522,6 @@ impl Engine {
     fn defer(&self, triples: &[Triple]) -> usize {
         let (fresh, threshold_hit) = self.scheduler.enqueue(triples);
         bump(&self.globals.deferred, fresh as u64);
-        if fresh > 0 {
-            // A pending retraction needs the flusher's deadline service:
-            // leave the parked lane (no-op while unparked).
-            self.unpark();
-        }
         if threshold_hit {
             self.flush_maintenance();
         }
@@ -599,37 +561,21 @@ impl Engine {
     /// Drains the deferred-retraction queue and applies it in one DRed
     /// pass over the union ([`Op::Flush`]).
     fn flush_maintenance(&self) -> RemovalOutcome {
-        self.flush_maintenance_slice(usize::MAX).0
-    }
-
-    /// One budget slice of the coalesced flush: drains and applies **up
-    /// to `limit`** pending retractions (oldest first), returning the
-    /// outcome and how many retractions remain pending afterwards.
-    ///
-    /// With `limit == usize::MAX` this *is* the classic coalesced flush —
-    /// one pass over the whole pending set. Smaller limits are sound
-    /// because DRed composes over sub-batches: retracting S₁ then S₂
-    /// leaves the same closure as retracting S₁ ∪ S₂ at once (each pass
-    /// ends at the closure of its surviving explicit set), so a sliced
-    /// flush converges to exactly the unsliced store — it just releases
-    /// the store between slices, bounding how
-    /// long one tenant's maintenance can hold a shared runtime tick.
-    fn flush_maintenance_slice(&self, limit: usize) -> (RemovalOutcome, usize) {
         // One maintenance run at a time, so two racing flushes (threshold
         // vs deadline vs explicit) cannot split one pending generation
         // across two runs. The empty check must sit under the mutex: a
-        // racing slice drains the queue before it applies it, so an
-        // unlocked `pending() == 0` could return while that slice's
+        // racing flush drains the queue before it applies it, so an
+        // unlocked `pending() == 0` could return while that flush's
         // retractions are still in the store. The mutex is not the
         // store lock, so an empty flush still never takes the store
         // exclusively (pinned by the `gate_write_acquisitions` stat).
         let _serial = self.maintenance.lock();
         if self.scheduler.pending() == 0 {
-            return (RemovalOutcome::default(), 0);
+            return RemovalOutcome::default();
         }
         let state = self.rstate();
         let rules = state.rules();
-        let ((outcome, pending_len, remaining), store_size) = self.with_quiescent_store(|store| {
+        let ((outcome, pending_len), store_size) = self.with_quiescent_store(|store| {
             // Drain *under the store lock, after the quiescence
             // re-check*: this is the flush's linearisation point. Any
             // assertion either completed earlier (its re-assertion
@@ -637,27 +583,27 @@ impl Engine {
             // blocked on the lock and lands after the flush —
             // a pending retraction can never be applied over a
             // concurrent re-assertion it should have cancelled.
-            let pending = self.scheduler.drain_up_to(limit);
-            let remaining = self.scheduler.pending();
+            let pending = self.scheduler.drain();
             #[cfg(test)]
             {
-                let hook = self.slice_drained_hook.lock().take();
+                let hook = self.flush_drained_hook.lock().take();
                 if let Some(hook) = hook {
                     hook();
                 }
             }
+            // A racing re-assertion may have cancelled the whole set.
             if pending.is_empty() {
-                return (RemovalOutcome::default(), 0, remaining);
+                return (RemovalOutcome::default(), 0);
             }
             let outcome = maintenance::dred(store, &rules, &state.graph, &pending);
-            (outcome, pending.len(), remaining)
+            (outcome, pending.len())
         });
         if pending_len == 0 {
-            return (outcome, remaining);
+            return outcome;
         }
         self.bump_removal_counters(&outcome);
         bump(&self.globals.coalesced_runs, 1);
-        // Only now may `stats()` stop counting the slice as pending.
+        // Only now may `stats()` stop counting the drained set as pending.
         self.scheduler.settle(pending_len);
         if let Some(log) = &self.log {
             log.record(EventKind::CoalescedRemoval {
@@ -669,50 +615,12 @@ impl Engine {
             });
         }
         self.maybe_sweep_dict(outcome.retracted + outcome.overdeleted);
-        (outcome, remaining)
+        outcome
     }
 
-    /// The runtime flusher's entry point for deadline-due maintenance:
-    /// applies this session's pending retractions in
-    /// [`crate::runtime::MAINTENANCE_SLICE`]-sized slices until done or
-    /// `deadline` passes. The **first slice always runs** — even with the
-    /// tick's budget already spent — so a session with pending work is
-    /// never starved outright (the reserve slot); when the deadline then
-    /// cuts the flush short, the remainder stays queued for later ticks
-    /// and the deferral is counted
-    /// ([`StatsSnapshot::budget_deferrals`](crate::StatsSnapshot::budget_deferrals))
-    /// and traced ([`EventKind::BudgetSlice`]).
-    ///
-    /// `deadline: None` (no budget configured) is the classic unsliced
-    /// flush, bit-identical to the single-tenant behaviour.
-    pub(crate) fn flush_maintenance_budgeted(&self, deadline: Option<Instant>) -> RemovalOutcome {
-        let Some(deadline) = deadline else {
-            return self.flush_maintenance();
-        };
-        let mut total = RemovalOutcome::default();
-        let mut applied = 0usize;
-        loop {
-            let (outcome, remaining) =
-                self.flush_maintenance_slice(crate::runtime::MAINTENANCE_SLICE);
-            applied += outcome.requested;
-            total.merge(outcome);
-            if remaining == 0 {
-                break;
-            }
-            if Instant::now() >= deadline {
-                bump(&self.globals.budget_deferrals, 1);
-                if let Some(log) = &self.log {
-                    log.record(EventKind::BudgetSlice { applied, remaining });
-                }
-                break;
-            }
-        }
-        total
-    }
-
-    /// The runtime flusher's entry point for buffer-timeout service:
-    /// drains every buffer stale past this session's configured timeout
-    /// into rule instances. A no-op for sessions without a timeout.
+    /// The flusher's buffer-timeout service: drains every buffer stale
+    /// past the configured timeout into rule instances. A no-op without a
+    /// timeout.
     pub(crate) fn drain_stale_buffers(&self) {
         let Some(timeout) = self.timeout else {
             return;
@@ -738,56 +646,6 @@ impl Engine {
             }
         }
         self.inflight.dec();
-    }
-
-    /// True when the runtime's flusher currently has something to service
-    /// here: a non-empty buffer (timeout drains) or a pending deferred
-    /// retraction (deadline flushes). Queued pool jobs don't count — the
-    /// workers consume those without flusher help, and any conclusions
-    /// they buffer re-arm the flag through [`Engine::unpark`].
-    fn needs_deadline_service(&self) -> bool {
-        self.scheduler.pending() > 0 || !self.buffers_empty(&self.rstate())
-    }
-
-    /// Flusher-side half of the idle-lane parking handshake (Dekker
-    /// style): publish the parked flag first, then re-check for work. A
-    /// producer that made work visible before the re-check is observed
-    /// here (the session stays in rotation); one that raced later
-    /// observes the flag and nudges ([`Engine::unpark`]) — under the
-    /// `SeqCst` pairing at least one side always sees the other, so
-    /// parked-with-work cannot happen. Returns `true` when the session
-    /// is (or stays) parked and the flusher should skip it this tick.
-    pub(crate) fn try_park(&self) -> bool {
-        if self.parked.load(Ordering::SeqCst) {
-            return true;
-        }
-        self.parked.store(true, Ordering::SeqCst);
-        if self.needs_deadline_service() {
-            self.parked.store(false, Ordering::SeqCst);
-            return false;
-        }
-        true
-    }
-
-    /// Producer-side half of the parking handshake: call **after** making
-    /// new flusher-serviced work visible (triples buffered, a retraction
-    /// enqueued). Re-enters the flusher's rotation and wakes it — a cheap
-    /// no-op (one relaxed-failure swap) while the session is unparked.
-    fn unpark(&self) {
-        if self.parked.swap(false, Ordering::SeqCst) {
-            self.flusher.nudge();
-        }
-    }
-
-    /// The smallest deadline the runtime's flusher services for this
-    /// session — buffer timeout or deferred-retraction max age — or
-    /// `None` for a pure batch-mode session (no flusher attention needed).
-    pub(crate) fn deadline_base(&self) -> Option<Duration> {
-        match (self.timeout, self.scheduler.max_age()) {
-            (Some(t), Some(a)) => Some(t.min(a)),
-            (Some(t), None) => Some(t),
-            (None, age) => age,
-        }
     }
 
     /// Replaces the ruleset on the live engine ([`Op::Swap`]).
@@ -924,51 +782,89 @@ pub struct SwapOutcome {
 /// assert_eq!((removed.retracted, slider.store().len()), (1, 1));
 /// ```
 ///
-/// A `Slider` built with [`Slider::new`] owns a private single-session
-/// [`Runtime`]; to multiplex several reasoners over one
-/// worker pool, build the runtime explicitly and attach sessions with
-/// [`Runtime::session`] — each gets its own
-/// store, ruleset, scheduler and stats, with the execution threads shared.
+/// Each `Slider` owns its threads: [`SliderConfig::workers`] pool
+/// threads, plus one flusher thread when a buffer timeout or a maintenance
+/// deadline is configured. Several independent streams are several
+/// `Slider`s; they may share one `Arc<Dictionary>`, which is never swept
+/// while more than one of them is live.
 pub struct Slider {
-    // Field order is drop order: the engine's strong reference goes
-    // before the session handle detaches from (and possibly tears down)
-    // the runtime core.
     engine: Arc<Engine>,
-    session: SessionHandle,
+    workers: Vec<JoinHandle<()>>,
+    flusher: Option<(JoinHandle<()>, Arc<FlusherStop>)>,
+}
+
+/// The flusher's tick sleep, which `Drop for Slider` cuts short, so
+/// teardown never waits out a tick.
+#[derive(Default)]
+struct FlusherStop {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl FlusherStop {
+    /// Sleeps up to `tick`; returns `true` once the stop was signalled.
+    fn sleep(&self, tick: Duration) -> bool {
+        let mut stopped = self.stopped.lock();
+        if !*stopped {
+            self.wake.wait_for(&mut stopped, tick);
+        }
+        *stopped
+    }
+
+    fn stop(&self) {
+        *self.stopped.lock() = true;
+        self.wake.notify_all();
+    }
+}
+
+fn worker_loop(engine: &Engine, jobs: &Receiver<Job>) {
+    while let Ok(Job::Run { rule, delta }) = jobs.recv() {
+        // A panicking rule instance (e.g. a buggy custom rule) must not
+        // wedge the reasoner: the inflight token is released either way —
+        // leaking it would hang every wait_idle/flush/Drop forever — and
+        // the worker survives to run the remaining jobs. The panic itself
+        // already printed via the default hook; add which rule died.
+        let instance = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_job(rule, delta);
+        }));
+        if instance.is_err() {
+            // Resolve the name *before* releasing the token: the token
+            // still pins the submission-time state, so the index is in
+            // bounds; after dec() a swap could install a smaller ruleset.
+            let state = engine.rstate();
+            eprintln!(
+                "slider: rule instance for {:?} panicked; its conclusions are lost",
+                state.modules[rule].rule.name()
+            );
+        }
+        engine.inflight.dec();
+    }
+}
+
+/// Each tick drains stale buffers and runs a deadline-due coalesced
+/// flush, until `stop` is signalled.
+fn flusher_loop(engine: &Engine, stop: &FlusherStop, tick: Duration) {
+    while !stop.sleep(tick) {
+        engine.drain_stale_buffers();
+        if engine.scheduler.is_stale() {
+            engine.flush_maintenance();
+        }
+    }
 }
 
 impl Slider {
-    /// Creates a reasoner over an existing dictionary and ruleset, with a
-    /// private single-session runtime sized by
-    /// [`SliderConfig::workers`](crate::SliderConfig::workers).
+    /// Creates a reasoner over an existing dictionary and ruleset, and
+    /// spawns its worker threads and, if needed, its flusher thread.
     pub fn new(dict: Arc<Dictionary>, ruleset: Ruleset, config: SliderConfig) -> Self {
-        let runtime = Runtime::new(RuntimeConfig {
-            workers: config.workers.max(1),
-            maintenance_budget: None,
-        });
-        runtime.session(dict, ruleset, config)
-    }
-
-    /// Builds a session on `core` — the engine, its registration with the
-    /// runtime's flusher, and the public handle (the implementation behind
-    /// [`Runtime::session`](crate::Runtime::session)).
-    pub(crate) fn attach(
-        core: Arc<RuntimeCore>,
-        dict: Arc<Dictionary>,
-        ruleset: Ruleset,
-        config: SliderConfig,
-    ) -> Self {
         let buffer_capacity = config.buffer_capacity.max(1);
         dict.attach_engine();
         let state = build_state(&ruleset, &dict, buffer_capacity, None);
-        let id = core.allocate_id();
-        let engine = Arc::new_cyclic(|self_ref| Engine {
+        let (jobs, job_rx) = unbounded();
+        let engine = Arc::new(Engine {
             dict,
             store: ShardedStore::new(),
             rstate: RwLock::new(Arc::new(state)),
-            queue: Arc::clone(&core.queue),
-            session: id,
-            self_ref: self_ref.clone(),
+            jobs,
             timeout: config.timeout,
             inflight: Inflight::new(),
             globals: GlobalCounters::default(),
@@ -978,29 +874,44 @@ impl Slider {
                 config.maintenance_batch,
                 config.maintenance_max_age,
             ),
-            parked: AtomicBool::new(false),
-            flusher: Arc::clone(core.shared()),
             buffer_capacity,
             retired_since_sweep: AtomicUsize::new(0),
             #[cfg(test)]
-            slice_drained_hook: Mutex::new(None),
+            flush_drained_hook: Mutex::new(None),
         });
-        core.register(id, &engine);
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let (engine, jobs) = (Arc::clone(&engine), job_rx.clone());
+                std::thread::Builder::new()
+                    .name(format!("slider-worker-{i}"))
+                    .spawn(move || worker_loop(&engine, &jobs))
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        // The flusher services buffer timeouts and the deferred-retraction
+        // deadline, so it runs only if either is configured. It scans at
+        // half the smaller one, clamped to [1, 10] ms, so a stale buffer
+        // or pending retraction waits at most ~1.5 × its deadline.
+        let deadline = config
+            .timeout
+            .into_iter()
+            .chain(config.maintenance_max_age)
+            .min();
+        let flusher = deadline.map(|base| {
+            let tick = (base / 2).clamp(Duration::from_millis(1), Duration::from_millis(10));
+            let stop = Arc::new(FlusherStop::default());
+            let (engine, thread_stop) = (Arc::clone(&engine), Arc::clone(&stop));
+            let handle = std::thread::Builder::new()
+                .name("slider-flusher".to_owned())
+                .spawn(move || flusher_loop(&engine, &thread_stop, tick))
+                .expect("spawn flusher thread");
+            (handle, stop)
+        });
         Slider {
             engine,
-            session: SessionHandle::new(core, id),
+            workers,
+            flusher,
         }
-    }
-
-    /// This session's handle into its runtime (id, co-tenant count).
-    pub fn session_handle(&self) -> &SessionHandle {
-        &self.session
-    }
-
-    /// White-box access to the engine for sibling modules' tests.
-    #[cfg(test)]
-    pub(crate) fn engine_for_tests(&self) -> &Arc<Engine> {
-        &self.engine
     }
 
     /// Creates a reasoner for a native fragment with a fresh dictionary.
@@ -1184,8 +1095,6 @@ impl Slider {
             shard_write_conflicts: engine.store.shard_write_conflicts(),
             snapshot_generation: engine.store.snapshot_generation(),
             ruleset_swaps: engine.globals.ruleset_swaps.load(Ordering::Relaxed),
-            budget_deferrals: engine.globals.budget_deferrals.load(Ordering::Relaxed),
-            runtime_sessions: self.session.session_count(),
             dict_terms: dict_stats.terms,
             dict_tombstones: dict_stats.tombstones,
             dict_bytes_estimate: dict_stats.bytes_estimate,
@@ -1210,19 +1119,28 @@ impl Drop for Slider {
     fn drop(&mut self) {
         // Pending deferred retractions must not be silently discarded:
         // apply them in one final coalesced flush, mirroring how buffered
-        // triples drain at quiescence. This must happen while the shared
-        // pool is still running — the flush waits for quiescence, and
-        // queued rule instances drain through the pool — which is
-        // guaranteed: this session's handle still holds the runtime core
-        // alive.
+        // triples drain at quiescence. This must happen while the workers
+        // are still running — the flush waits for quiescence, and queued
+        // rule instances drain through them.
         if self.engine.scheduler.pending() > 0 {
             self.engine.flush_maintenance();
         }
-        // The fields then drop in order: the engine's strong reference
-        // first (queued jobs may briefly keep it alive), the session
-        // handle last — detaching from the runtime's flusher service.
-        // Co-tenants are untouched; only when this was the runtime's last
-        // reference does the core's own Drop join the pool and flusher.
+        // Stop and join the flusher *before* stopping the workers: a
+        // deadline-triggered flush may be waiting for quiescence, which
+        // only the still-running workers can provide — stopping them
+        // first could strand the flusher (and this join) forever.
+        if let Some((handle, stop)) = self.flusher.take() {
+            stop.stop();
+            let _ = handle.join();
+        }
+        // Queued jobs drain first; then each worker takes one stop
+        // message and exits.
+        for _ in &self.workers {
+            let _ = self.engine.jobs.send(Job::Stop);
+        }
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
@@ -1723,9 +1641,9 @@ mod tests {
         materialize(&slider, &chain(5));
         slider.apply(Op::Defer(vec![sco(2, 3)]));
 
-        let (drained_tx, drained_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        *slider.engine.slice_drained_hook.lock() = Some(Box::new(move || {
+        let (drained_tx, drained_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded::<()>();
+        *slider.engine.flush_drained_hook.lock() = Some(Box::new(move || {
             let _ = drained_tx.send(());
             // A dropped sender (the test failed) releases the slice too.
             let _ = release_rx.recv();
@@ -1738,7 +1656,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("the first flush drained its slice");
 
-        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        let (seen_tx, seen_rx) = unbounded();
         let second = {
             let slider = Arc::clone(&slider);
             std::thread::spawn(move || {
@@ -1777,9 +1695,9 @@ mod tests {
         materialize(&slider, &chain(5));
         slider.apply(Op::Defer(vec![sco(2, 3)]));
 
-        let (drained_tx, drained_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        *slider.engine.slice_drained_hook.lock() = Some(Box::new(move || {
+        let (drained_tx, drained_rx) = unbounded();
+        let (release_tx, release_rx) = unbounded::<()>();
+        *slider.engine.flush_drained_hook.lock() = Some(Box::new(move || {
             let _ = drained_tx.send(());
             // A dropped sender (the test failed) releases the slice too.
             let _ = release_rx.recv();

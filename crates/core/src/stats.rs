@@ -64,9 +64,6 @@ pub(crate) struct GlobalCounters {
     pub coalesced_runs: AtomicU64,
     /// Live ruleset replacements completed by `Swap` ops.
     pub ruleset_swaps: AtomicU64,
-    /// Deadline-triggered flushes cut short by the runtime's per-tick
-    /// maintenance budget (the remainder stayed pending for later ticks).
-    pub budget_deferrals: AtomicU64,
 }
 
 #[inline]
@@ -171,18 +168,6 @@ pub struct StatsSnapshot {
     /// Live ruleset replacements completed by
     /// [`Op::Swap`](crate::Op::Swap).
     pub ruleset_swaps: u64,
-    /// Deadline-triggered maintenance flushes of **this session** cut
-    /// short by the shared runtime's per-tick latency budget
-    /// ([`RuntimeConfig::maintenance_budget`](crate::RuntimeConfig::maintenance_budget)):
-    /// the flush applied at least one slice (the starvation-governor
-    /// reserve slot) and left the remainder pending for later ticks. Zero
-    /// whenever no budget is configured — a budget-free flush always runs
-    /// to completion.
-    pub budget_deferrals: u64,
-    /// Sessions attached to this reasoner's runtime at snapshot time
-    /// (1 for a standalone [`Slider`](crate::Slider); the co-tenant count
-    /// under [`Runtime::session`](crate::Runtime::session)).
-    pub runtime_sessions: usize,
     /// Live terms in the shared dictionary at snapshot time (vocabulary
     /// included, swept ids excluded).
     pub dict_terms: usize,
@@ -271,11 +256,6 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "runtime: {} sessions, {} budget deferrals",
-            self.runtime_sessions, self.budget_deferrals
-        )?;
-        writeln!(
-            f,
             "dict: {} terms, {} tombstones, {} bytes, {} shard conflicts, {} sweeps",
             self.dict_terms,
             self.dict_tombstones,
@@ -336,8 +316,6 @@ mod tests {
             shard_write_conflicts: 0,
             snapshot_generation: 0,
             ruleset_swaps: 0,
-            budget_deferrals: 0,
-            runtime_sessions: 1,
             dict_terms: 0,
             dict_tombstones: 0,
             dict_bytes_estimate: 0,
@@ -395,12 +373,6 @@ mod tests {
         assert!(with_removals
             .to_string()
             .contains("epochs: generation 9, 1 ruleset swaps"));
-        // And the shared-runtime line.
-        with_removals.runtime_sessions = 3;
-        with_removals.budget_deferrals = 7;
-        assert!(with_removals
-            .to_string()
-            .contains("runtime: 3 sessions, 7 budget deferrals"));
         // And the dictionary footprint line.
         with_removals.dict_terms = 120;
         with_removals.dict_tombstones = 8;

@@ -90,17 +90,6 @@ pub enum EventKind {
         /// Store size after the swap.
         store_size: usize,
     },
-    /// A deadline-triggered maintenance flush hit the runtime's per-tick
-    /// latency budget and deferred the rest of its pending set: the slices
-    /// applied so far are durable (each ended at the closure of its
-    /// surviving explicit set), and the remainder stays scheduled for the
-    /// next flusher tick.
-    BudgetSlice {
-        /// Pending retractions applied before the budget ran out.
-        applied: usize,
-        /// Pending retractions deferred to later ticks.
-        remaining: usize,
-    },
     /// A dictionary compaction sweep completed (automatic after a large
     /// retraction flush, or an explicit
     /// [`Slider::sweep_dictionary`](crate::Slider::sweep_dictionary)):
@@ -259,12 +248,6 @@ pub fn events_to_json(events: &[Event]) -> String {
                     r#"{{"at_us":{us},"type":"ruleset_swap","dropped":{dropped},"added":{added},"kept":{kept},"overdeleted":{overdeleted},"rederived":{rederived},"inferred":{inferred},"store_size":{store_size}}}"#
                 );
             }
-            EventKind::BudgetSlice { applied, remaining } => {
-                let _ = write!(
-                    out,
-                    r#"{{"at_us":{us},"type":"budget_slice","applied":{applied},"remaining":{remaining}}}"#
-                );
-            }
             EventKind::DictSweep {
                 scanned,
                 swept,
@@ -376,10 +359,6 @@ mod tests {
             inferred: 3,
             store_size: 8,
         });
-        log.record(EventKind::BudgetSlice {
-            applied: 128,
-            remaining: 72,
-        });
         log.record(EventKind::DictSweep {
             scanned: 50,
             swept: 30,
@@ -399,14 +378,13 @@ mod tests {
             r#""type":"removal","requested":3,"retracted":2,"overdeleted":4,"rederived":1,"store_size":2"#,
             r#""type":"coalesced_removal","pending":7,"retracted":6,"overdeleted":9,"rederived":2,"store_size":4"#,
             r#""type":"ruleset_swap","dropped":1,"added":2,"kept":6,"overdeleted":4,"rederived":1,"inferred":3,"store_size":8"#,
-            r#""type":"budget_slice","applied":128,"remaining":72"#,
             r#""type":"dict_sweep","scanned":50,"swept":30,"live":20,"bytes_before":9000,"bytes_after":4000"#,
             r#""type":"idle","store_size":5"#,
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        // 9 separators for 10 events.
-        assert_eq!(json.matches("},{").count(), 9);
+        // 8 separators for 9 events.
+        assert_eq!(json.matches("},{").count(), 8);
     }
 
     #[test]

@@ -117,12 +117,6 @@ fn replay(events: &[Event], rule_names: &[&'static str], input_size: usize) {
                      {inferred} inferred"
                 );
             }
-            EventKind::BudgetSlice { applied, remaining } => {
-                println!(
-                    "[{step:>4} {ms:>8.2}ms] budget  flush sliced: {applied} applied, \
-                     {remaining} deferred to later ticks"
-                );
-            }
             EventKind::DictSweep {
                 scanned,
                 swept,
@@ -218,9 +212,5 @@ fn main() {
     println!(
         "store lock: {} exclusive acquisitions, {} contended writes",
         stats.gate_write_acquisitions, stats.shard_write_conflicts
-    );
-    println!(
-        "runtime: {} session(s) on the pool, {} budget deferrals",
-        stats.runtime_sessions, stats.budget_deferrals
     );
 }

@@ -7,7 +7,7 @@
 //!                                     [--workers N] [--stats]
 //! slider-cli graph       [--fragment rho-df|rdfs|rdfs-plus]
 //! slider-cli generate    <ontology> [--scale F] [--output FILE]
-//! slider-cli serve       [--sessions N] [--workers N] [--budget-us N]
+//! slider-cli serve       [--sessions N] [--workers N]
 //!                        [--fragment rho-df|rdfs|rdfs-plus] [--scale F]
 //! slider-cli list
 //! ```
@@ -17,10 +17,9 @@
 //! as N-Triples (generalised triples with literal subjects are skipped on
 //! output, with a note on stderr).
 //!
-//! `serve` demonstrates the shared execution runtime: N independent
-//! reasoner sessions multiplexed onto one worker pool + flusher, each
-//! materialising its own stream concurrently while deferred retractions
-//! are flushed under the runtime's per-tick maintenance budget.
+//! `serve` runs N independent reasoners on one shared dictionary, each
+//! materialising its own stream concurrently while its own flusher
+//! applies a deferred retraction mid-stream.
 
 use slider::parser::{Format, NTriplesWriter, ParseError};
 use slider::prelude::*;
@@ -36,7 +35,7 @@ fn usage() -> ExitCode {
          [--format nt|ttl] [--output FILE] [--buffer N] [--timeout-ms N] [--workers N] [--stats]\n\
          \x20 slider-cli graph [--fragment rho-df|rdfs|rdfs-plus]\n\
          \x20 slider-cli generate <ontology> [--scale F] [--output FILE]\n\
-         \x20 slider-cli serve [--sessions N] [--workers N] [--budget-us N] \
+         \x20 slider-cli serve [--sessions N] [--workers N] \
          [--fragment rho-df|rdfs|rdfs-plus] [--scale F]\n\
          \x20 slider-cli list"
     );
@@ -227,17 +226,17 @@ fn cmd_generate(name: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The multi-stream demo: N sessions on one shared `Runtime`, each
+/// The multi-stream demo: N `Slider`s on one shared dictionary, each
 /// materialising its own generated stream concurrently. Every session
-/// defers the retraction of its first chunk, so the shared flusher's
-/// deadline flush — sliced under `--budget-us` — runs while the other
-/// tenants keep ingesting.
+/// defers the retraction of its first chunk, so its flusher's deadline
+/// flush runs while it and the other sessions keep ingesting.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut sessions = 4usize;
     let mut fragment = Fragment::RhoDf;
     let mut scale = 0.01f64;
-    let mut runtime_config =
-        RuntimeConfig::default().with_maintenance_budget(Some(Duration::from_micros(100)));
+    let mut config = SliderConfig::default()
+        .with_maintenance_batch(usize::MAX)
+        .with_maintenance_max_age(Some(Duration::from_millis(20)));
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -248,16 +247,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--workers" => {
                 let v = iter.next().ok_or("--workers needs a number")?;
                 let n: usize = v.parse().map_err(|_| format!("bad worker count '{v}'"))?;
-                runtime_config = runtime_config.with_workers(n);
-            }
-            "--budget-us" => {
-                let v = iter.next().ok_or("--budget-us needs a number")?;
-                let us: u64 = v.parse().map_err(|_| format!("bad budget '{v}'"))?;
-                runtime_config = runtime_config.with_maintenance_budget(if us == 0 {
-                    None
-                } else {
-                    Some(Duration::from_micros(us))
-                });
+                config = config.with_workers(n);
             }
             "--fragment" => {
                 let v = iter.next().ok_or("--fragment needs a value")?;
@@ -274,21 +264,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("--sessions must be at least 1".into());
     }
 
-    let runtime = Runtime::new(runtime_config);
+    // Each session: its own store, threads and stream — only the
+    // dictionary is shared. All attach before any ingests, so none ever
+    // sees the dictionary as its own to sweep.
+    let dict = Arc::new(Dictionary::new());
+    let sliders: Vec<Slider> = (0..sessions)
+        .map(|_| {
+            let ruleset = Ruleset::fragment(fragment, &dict);
+            Slider::new(Arc::clone(&dict), ruleset, config.clone())
+        })
+        .collect();
     let start = Instant::now();
     let results: Vec<Result<String, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..sessions)
-            .map(|i| {
-                let runtime = &runtime;
+        let handles: Vec<_> = sliders
+            .iter()
+            .enumerate()
+            .map(|(i, session)| {
+                let dict = &dict;
                 scope.spawn(move || -> Result<String, String> {
-                    // Each tenant: its own dictionary, store and stream —
-                    // only the pool and flusher are shared.
-                    let dict = Arc::new(Dictionary::new());
-                    let ruleset = Ruleset::fragment(fragment, &dict);
-                    let config = SliderConfig::default()
-                        .with_maintenance_batch(usize::MAX)
-                        .with_maintenance_max_age(Some(Duration::from_millis(20)));
-                    let session = runtime.session(Arc::clone(&dict), ruleset, config);
                     let ontology = ONTOLOGIES[i % ONTOLOGIES.len()];
                     let data = ontology.generate(scale);
                     let encoded: Vec<Triple> = data
@@ -299,9 +292,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     let first: Vec<Triple> = chunks.next().unwrap_or_default().to_vec();
                     session.add_triples(&first);
                     // Expire the first chunk while the rest of the stream
-                    // is still arriving: the shared flusher's deadline
-                    // flush retracts it mid-ingest, sliced under the
-                    // budget so co-tenants keep their pool turns.
+                    // is still arriving: the session's deadline flush
+                    // retracts it mid-ingest.
                     session.apply(Op::Defer(first));
                     for chunk in chunks {
                         session.add_triples(chunk);
@@ -312,13 +304,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     let stats = session.stats();
                     Ok(format!(
                         "session {i:>2} [{:<14}]: {:>7} in, {:>8} closure ({} inferred), \
-                         {} retracted, {} budget deferrals",
+                         {} retracted",
                         ontology.name(),
                         encoded.len(),
                         stats.store_size,
                         stats.total_inferred(),
                         stats.retracted,
-                        stats.budget_deferrals,
                     ))
                 })
             })
@@ -336,9 +327,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         println!("{}", line?);
     }
     println!(
-        "runtime: {} sessions multiplexed on {} threads in {:.3}s",
+        "serve: {} sessions on one dictionary in {:.3}s",
         sessions,
-        runtime.thread_count(),
         elapsed.as_secs_f64(),
     );
     Ok(())

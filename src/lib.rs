@@ -101,43 +101,24 @@
 //! assert_eq!(slider.store().len(), 1); // a ⊑ b survives, a ⊑ c went with b ⊑ c
 //! ```
 //!
-//! ## Shared runtime & multi-tenant sessions
+//! ## Several streams
 //!
-//! A standalone `Slider` owns a private execution runtime: a worker pool
-//! plus one flusher thread servicing buffer timeouts and maintenance
-//! deadlines. When many reasoners must coexist — one per stream, tenant
-//! or ontology — spawning a pool each wastes threads and lets one
-//! tenant's maintenance monopolise the machine. `Runtime::new` builds the
-//! pool once and `Runtime::session` attaches any number of independent
-//! sessions (own store, ruleset, scheduler and stats) to it:
+//! A `Slider` owns its threads: `SliderConfig::workers` pool threads and,
+//! when a buffer timeout or maintenance deadline is set, one flusher.
+//! Several streams are several `Slider`s. They may share one dictionary,
+//! so their ids agree; it is never swept while several of them are live.
 //!
 //! ```
 //! use slider::prelude::*;
-//! use std::time::Duration;
+//! use std::sync::Arc;
 //!
-//! // One pool, two workers, flushes sliced under a 2 ms per-tick budget.
-//! let runtime = Runtime::new(
-//!     RuntimeConfig::default()
-//!         .with_workers(2)
-//!         .with_maintenance_budget(Some(Duration::from_millis(2))),
-//! );
-//! let news = runtime.session_fragment(Fragment::RhoDf, SliderConfig::default());
-//! let social = runtime.session_fragment(Fragment::Rdfs, SliderConfig::default());
-//! assert_eq!(runtime.session_count(), 2);
-//! assert_eq!(runtime.thread_count(), 2 + 1); // workers + one flusher
+//! let dict = Arc::new(Dictionary::new());
+//! let config = SliderConfig::default().with_workers(2);
+//! let news = Slider::new(Arc::clone(&dict), Ruleset::rho_df(), config.clone());
+//! let social = Slider::new(Arc::clone(&dict), Ruleset::rdfs(&dict), config);
+//! assert!(news.sweep_dictionary().skipped); // shared: never swept
 //! # drop((news, social));
 //! ```
-//!
-//! The job queue is **session-fair** (round-robin across sessions, so a
-//! bursty tenant cannot starve a quiet one), worker panics are contained
-//! to the session whose rule instance panicked, and deadline-triggered
-//! flushes are **sliced** under `RuntimeConfig::maintenance_budget`: a
-//! tick applies at most a budget's worth of one session's pending
-//! retractions — always at least one slice, so no session starves — and
-//! defers the rest (`StatsSnapshot::budget_deferrals`), keeping a
-//! co-tenant's huge coalesced DRed out of everyone else's ingest latency.
-//! Dropping a session detaches it; the pool's threads only join when the
-//! last session *and* the last `Runtime` handle are gone.
 //!
 //! ## Epoch reads & ruleset hot-swap
 //!
@@ -205,10 +186,7 @@ pub use slider_workloads as workloads;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use slider_baseline::{NaiveReasoner, SemiNaiveReasoner};
-    pub use slider_core::{
-        Op, Outcome, RemovalOutcome, Runtime, RuntimeConfig, SessionHandle, Slider, SliderConfig,
-        SwapOutcome,
-    };
+    pub use slider_core::{Op, Outcome, RemovalOutcome, Slider, SliderConfig, SwapOutcome};
     pub use slider_model::{
         DictStats, Dictionary, Literal, NodeId, SweepOutcome, Term, TermTriple, Triple,
     };

@@ -656,143 +656,51 @@ fn snapshot_acquired_before_a_flush_never_observes_its_retractions() {
     assert_eq!(slider.stats().snapshot_generation, current.generation());
 }
 
+/// Teardown under load: dropping a `Slider` with hundreds of jobs queued
+/// joins cleanly. The second input adds a deferred backlog on a 1 ms
+/// deadline, so the drop lands while the flusher is mid deadline-flush,
+/// waiting for quiescence on those queued jobs; only the order "flush,
+/// join the flusher, then stop the workers" lets it finish. The drop runs
+/// on its own thread under a bound, so a wrong order fails instead of
+/// hanging.
 #[test]
 fn drop_under_load_terminates() {
-    for _ in 0..5 {
-        let dict = Arc::new(Dictionary::new());
-        let input = encode_all(&PaperOntology::SubClassOf200.generate(1.0), &dict);
-        let slider = Slider::new(
-            Arc::clone(&dict),
-            Ruleset::rho_df(),
-            SliderConfig::default().with_buffer_capacity(4),
-        );
-        slider.add_triples(&input);
-        // Drop while hundreds of jobs are in flight.
-        drop(slider);
-    }
-}
-
-// ───────────────────── shared runtime: multi-tenant sessions ─────────────────────
-
-/// Acceptance pin: N ≥ 8 sessions on one `Runtime` run on exactly
-/// `workers + 1` threads (the pool plus one flusher) — nothing is spawned
-/// per session — and concurrent feeds close each session's store exactly,
-/// with no bleed between tenants.
-#[test]
-fn eight_sessions_share_one_pool_and_close_independently() {
-    use slider::model::vocab::RDFS_SUB_CLASS_OF;
-    let runtime = Runtime::new(RuntimeConfig::default().with_workers(3));
-    let sessions: Vec<Slider> = (0..8)
-        .map(|_| runtime.session_fragment(Fragment::RhoDf, SliderConfig::default()))
-        .collect();
-    assert_eq!(runtime.session_count(), 8);
-    assert_eq!(
-        runtime.thread_count(),
-        3 + 1,
-        "a session must not spawn threads: workers + one flusher, always"
-    );
-
-    // Session i gets a subClassOf chain of 10 + i links; the closures are
-    // different sizes on purpose, so any cross-session bleed is visible.
-    let links = |i: usize| 10 + i as u64;
-    std::thread::scope(|scope| {
-        for (i, session) in sessions.iter().enumerate() {
-            scope.spawn(move || {
-                let chain: Vec<Triple> = (0..links(i))
-                    .map(|k| Triple::new(NodeId(500 + k), RDFS_SUB_CLASS_OF, NodeId(501 + k)))
-                    .collect();
-                for chunk in chain.chunks(3) {
-                    session.add_triples(chunk);
-                }
-                session.wait_idle();
+    for max_age in [None, Some(Duration::from_millis(1))] {
+        for _ in 0..5 {
+            let dict = Arc::new(Dictionary::new());
+            let input = encode_all(&PaperOntology::SubClassOf200.generate(1.0), &dict);
+            let slider = Slider::new(
+                Arc::clone(&dict),
+                Ruleset::rho_df(),
+                SliderConfig::default()
+                    .with_buffer_capacity(4)
+                    .with_maintenance_batch(usize::MAX)
+                    .with_maintenance_max_age(max_age),
+            );
+            slider.add_triples(&input);
+            if max_age.is_some() {
+                slider.apply(Op::Defer(input[..input.len() / 2].to_vec()));
+                std::thread::sleep(Duration::from_millis(3)); // the deadline passes
+            }
+            // Drop while hundreds of jobs are in flight.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(slider);
+                let _ = tx.send(());
             });
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("dropping a loaded Slider hung");
+            dropper.join().unwrap();
         }
-    });
-    for (i, session) in sessions.iter().enumerate() {
-        let l = links(i) as usize;
-        assert_eq!(
-            session.store().len(),
-            l * (l + 1) / 2,
-            "session {i}: chain closure wrong"
-        );
-        assert_eq!(session.stats().runtime_sessions, 8);
     }
 }
 
-/// Satellite pin (teardown order): dropping one session must not tear
-/// down the shared pool or flusher. The co-tenant keeps computing exact
-/// closures afterwards — including **timeout-driven** buffer flushes,
-/// which only the (still-alive) flusher thread can fire.
-#[test]
-fn dropping_one_session_leaves_the_cotenant_running() {
-    use slider::model::vocab::RDFS_SUB_CLASS_OF;
-    let runtime = Runtime::new(RuntimeConfig::default().with_workers(2));
-    let doomed = runtime.session_fragment(Fragment::RhoDf, SliderConfig::default());
-    let survivor = Arc::new(runtime.session_fragment(Fragment::RhoDf, SliderConfig::default()));
+// ───────────────────── sessions: several Sliders on one dictionary ─────────────────────
 
-    // Put the doomed session under load and drop it mid-flight.
-    let sco = |a: u64, b: u64| Triple::new(NodeId(3_000 + a), RDFS_SUB_CLASS_OF, NodeId(3_000 + b));
-    doomed.add_triples(&(0..200).map(|k| sco(k, k + 1)).collect::<Vec<_>>());
-    drop(doomed);
-    assert_eq!(runtime.session_count(), 1);
-    assert_eq!(runtime.thread_count(), 3, "the pool died with a session");
-
-    // Two triples in a 1024-capacity buffer: only a flusher timeout can
-    // drain them. Bound the wait so a dead flusher fails the test instead
-    // of hanging it.
-    survivor.add_triples(&[sco(1, 2), sco(2, 3)]);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let waiter = {
-        let survivor = Arc::clone(&survivor);
-        std::thread::spawn(move || {
-            survivor.wait_idle();
-            let _ = tx.send(());
-        })
-    };
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("the flusher died with the dropped session");
-    waiter.join().unwrap();
-    assert_eq!(survivor.store().len(), 3, "sco(1,3) was not derived");
-}
-
-/// Satellite pin (flusher wake-up): the flusher parks indefinitely while
-/// no live session has a deadline; registering a session **with** one
-/// must nudge it awake, or the new session's timeout flushes never fire.
-#[test]
-fn registering_a_deadlined_session_wakes_a_parked_flusher() {
-    use slider::model::vocab::RDFS_SUB_CLASS_OF;
-    let runtime = Runtime::new(RuntimeConfig::default().with_workers(1));
-    // Spawn-then-drop a deadlined session: the flusher thread starts,
-    // then — with the live set empty — has nothing to tick for and parks.
-    drop(runtime.session_fragment(Fragment::RhoDf, SliderConfig::default()));
-    assert_eq!(runtime.thread_count(), 2);
-    std::thread::sleep(Duration::from_millis(30));
-
-    let session = Arc::new(runtime.session_fragment(
-        Fragment::RhoDf,
-        SliderConfig::default().with_timeout(Some(Duration::from_millis(5))),
-    ));
-    let sco = |a: u64, b: u64| Triple::new(NodeId(4_000 + a), RDFS_SUB_CLASS_OF, NodeId(4_000 + b));
-    session.add_triples(&[sco(1, 2), sco(2, 3)]);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let waiter = {
-        let session = Arc::clone(&session);
-        std::thread::spawn(move || {
-            session.wait_idle();
-            let _ = tx.send(());
-        })
-    };
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("registration did not wake the parked flusher");
-    waiter.join().unwrap();
-    assert_eq!(session.store().len(), 3);
-}
-
-/// Isolation battery (a): a rule that panics mid-join loses its own
-/// conclusions and nothing else. The panicking session's inflight tokens
-/// are released (its `wait_idle` returns), its *other* rules keep
-/// deriving, and a co-tenant sharing the workers computes an exact
-/// closure throughout.
+/// A rule that panics mid-join loses its own conclusions and nothing
+/// else. The panicking session's inflight tokens are released (its
+/// `wait_idle` returns), its *other* rules keep deriving, and a co-tenant
+/// on the same dictionary computes an exact closure throughout.
 #[test]
 fn a_panicking_rule_is_contained_to_its_session() {
     use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
@@ -822,18 +730,22 @@ fn a_panicking_rule_is_contained_to_its_session() {
 
     let trans = NodeId(95_000);
     let trigger = NodeId(95_001);
-    let runtime = Runtime::new(RuntimeConfig::default().with_workers(2));
-    let victim = Arc::new(
-        runtime.session(
-            Arc::new(Dictionary::new()),
-            Ruleset::custom("grenade")
-                .with(RuleSpec::transitive("T", trans))
-                .with(Grenade { trigger }),
-            // Capacity 1: every trigger triple detonates its own rule instance.
-            SliderConfig::default().with_buffer_capacity(1),
-        ),
-    );
-    let bystander = Arc::new(runtime.session_fragment(Fragment::RhoDf, SliderConfig::default()));
+    let dict = Arc::new(Dictionary::new());
+    let victim = Arc::new(Slider::new(
+        Arc::clone(&dict),
+        Ruleset::custom("grenade")
+            .with(RuleSpec::transitive("T", trans))
+            .with(Grenade { trigger }),
+        // Capacity 1: every trigger triple detonates its own rule instance.
+        SliderConfig::default()
+            .with_buffer_capacity(1)
+            .with_workers(2),
+    ));
+    let bystander = Arc::new(Slider::new(
+        dict,
+        Ruleset::rho_df(),
+        SliderConfig::default().with_workers(2),
+    ));
 
     let link = |k: u64| Triple::new(NodeId(96_000 + k), trans, NodeId(96_001 + k));
     let bomb = |k: u64| Triple::new(NodeId(97_000 + k), trigger, NodeId(97_500 + k));
@@ -882,79 +794,6 @@ fn a_panicking_rule_is_contained_to_its_session() {
     assert_eq!(victim.store().len(), 210 + 20);
     // Bystander: untouched by the detonations next door.
     assert_eq!(bystander.store().len(), 60 * 61 / 2);
-}
-
-/// Isolation battery (b): a co-tenant with a huge pending DRed being
-/// flushed under a per-tick budget must not stall another session's
-/// ingest. The flush is sliced (`budget_deferrals` counts the deferrals),
-/// drains to the exact closure across ticks, and the other session's
-/// `add_triples` calls stay bounded while it happens.
-#[test]
-fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
-    use std::time::Instant;
-    let runtime = Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            // Zero budget = exactly one reserve slice per tick: maximal
-            // slicing, deterministic deferral counts.
-            .with_maintenance_budget(Some(Duration::ZERO)),
-    );
-    let churn = runtime.session(
-        Arc::new(Dictionary::new()),
-        Ruleset::rho_df(),
-        SliderConfig::default()
-            .with_maintenance_batch(usize::MAX) // only the deadline triggers
-            .with_maintenance_max_age(Some(Duration::from_millis(1))),
-    );
-    let plain = |k: u64| Triple::new(NodeId(50_000 + k), NodeId(40_000), NodeId(60_000 + k));
-    let preload: Vec<Triple> = (0..2_000).map(plain).collect();
-    churn.add_triples(&preload);
-    churn.wait_idle();
-    assert_eq!(
-        churn
-            .apply(Op::Defer(preload[..1_500].to_vec()))
-            .count()
-            .unwrap(),
-        1_500
-    );
-
-    // While the flusher slices that backlog, the co-tenant ingests; each
-    // call must complete promptly (generous bound — the precise p99 claim
-    // is the multi_tenant bench's job).
-    let live = Arc::new(runtime.session_fragment(Fragment::RhoDf, SliderConfig::default()));
-    use slider::model::vocab::RDFS_SUB_CLASS_OF;
-    let chain: Vec<Triple> = (0..100)
-        .map(|k| Triple::new(NodeId(500 + k), RDFS_SUB_CLASS_OF, NodeId(501 + k)))
-        .collect();
-    for chunk in chain.chunks(4) {
-        let start = Instant::now();
-        live.add_triples(chunk);
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "co-tenant ingest stalled behind a sliced flush"
-        );
-    }
-    live.wait_idle();
-    assert_eq!(live.store().len(), 100 * 101 / 2);
-
-    // The sliced flush converges to the unsliced store.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while churn.stats().pending_removals > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "budget-sliced flush never drained: {}",
-            churn.stats()
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let stats = churn.stats();
-    assert!(
-        stats.budget_deferrals > 0,
-        "1 500 pending retractions flushed without a single slice deferral\n{stats}"
-    );
-    assert_eq!(stats.retracted, 1_500);
-    assert_eq!(stats.runtime_sessions, 2);
-    assert_eq!(churn.store().len(), 500);
 }
 
 /// A panicking DRed pass strands no other caller: two eager removals on

@@ -112,63 +112,31 @@ proptest! {
     }
 }
 
-// ---------- shared-runtime properties --------------------------------------
+// ---------- properties of several Sliders on one dictionary ---------------
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Multi-tenant closure equality: three sessions on ONE shared
-    /// runtime interleave adds, deferred retractions and flushes — with
-    /// the flusher's budget-sliced deadline flushes racing the explicit
-    /// ones — and each session must land exactly on the closure of its
-    /// own surviving explicit set. Session-fair scheduling, budget
-    /// slicing and the shared flusher must neither leak triples across
-    /// tenants nor lose retractions.
+    /// Multi-tenant closure equality: three `Slider`s on ONE shared
+    /// dictionary, each fed from its own thread, interleave adds, deferred
+    /// retractions and flushes — with each engine's 1 ms deadline flushes
+    /// racing its explicit ones — and each must land exactly on the
+    /// closure of its own surviving explicit set, neither leaking triples
+    /// across engines nor losing retractions.
     #[test]
-    fn shared_runtime_sessions_match_their_oracles(
+    fn sessions_sharing_a_dictionary_match_their_oracles(
         soups in prop::collection::vec(random_triples(50), 3..4),
         chunk in 1usize..8,
     ) {
         use std::time::Duration;
-        let runtime = Runtime::new(
-            RuntimeConfig::default()
-                .with_workers(2)
-                // Zero budget: deadline flushes defer maximally, so the
-                // sliced path is exercised on every case.
-                .with_maintenance_budget(Some(Duration::ZERO)),
-        );
+        let dict = Arc::new(Dictionary::new());
         let config = SliderConfig::default()
+            .with_workers(2)
             .with_maintenance_max_age(Some(Duration::from_millis(1)));
         let sessions: Vec<Slider> = (0..soups.len())
-            .map(|_| {
-                runtime.session(
-                    Arc::new(Dictionary::new()),
-                    Ruleset::rho_df(),
-                    config.clone(),
-                )
-            })
+            .map(|_| Slider::new(Arc::clone(&dict), Ruleset::rho_df(), config.clone()))
             .collect();
-
-        // Interleave the feeds round-robin across sessions.
-        let mut cursors: Vec<_> = soups.iter().map(|s| s.chunks(chunk)).collect();
-        loop {
-            let mut fed = false;
-            for (session, cursor) in sessions.iter().zip(cursors.iter_mut()) {
-                if let Some(c) = cursor.next() {
-                    session.add_triples(c);
-                    fed = true;
-                }
-            }
-            if !fed {
-                break;
-            }
-        }
-        for session in &sessions {
-            session.wait_idle();
-        }
-
-        // Defer every second distinct triple, interleaved across sessions,
-        // with explicit flushes racing the deadline-triggered sliced ones.
+        // Every second distinct triple is retracted again.
         let doomed: Vec<Vec<Triple>> = soups
             .iter()
             .map(|soup| {
@@ -180,28 +148,30 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut cursors: Vec<_> = doomed.iter().map(|d| d.chunks(chunk)).collect();
-        let mut round = 0usize;
-        loop {
-            let mut fed = false;
-            for (i, (session, cursor)) in sessions.iter().zip(cursors.iter_mut()).enumerate() {
-                if let Some(c) = cursor.next() {
-                    session.apply(Op::Defer(c.to_vec()));
-                    fed = true;
-                    if (round + i) % 3 == 0 {
-                        session.apply(Op::Flush);
+
+        std::thread::scope(|scope| {
+            for (i, ((session, soup), doomed)) in
+                sessions.iter().zip(&soups).zip(&doomed).enumerate()
+            {
+                scope.spawn(move || {
+                    for c in soup.chunks(chunk) {
+                        session.add_triples(c);
                     }
-                }
+                    session.wait_idle();
+                    // Explicit flushes race the deadline-triggered ones.
+                    for (round, c) in doomed.chunks(chunk).enumerate() {
+                        session.apply(Op::Defer(c.to_vec()));
+                        if (round + i) % 3 == 0 {
+                            session.apply(Op::Flush);
+                        }
+                    }
+                    session.apply(Op::Flush);
+                    session.wait_idle();
+                });
             }
-            round += 1;
-            if !fed {
-                break;
-            }
-        }
+        });
 
         for ((session, soup), doomed) in sessions.iter().zip(&soups).zip(&doomed) {
-            session.apply(Op::Flush);
-            session.wait_idle();
             let survivors: Vec<Triple> = soup
                 .iter()
                 .copied()
@@ -211,7 +181,7 @@ proptest! {
             prop_assert_eq!(
                 session.store().to_sorted_vec(),
                 expected,
-                "a shared-runtime session diverged from its oracle"
+                "a session on the shared dictionary diverged from its oracle"
             );
             prop_assert_eq!(session.stats().pending_removals, 0);
         }

@@ -74,11 +74,14 @@
 
 mod buffer;
 mod config;
+mod engine;
 mod inflight;
 pub mod maintenance;
+mod module;
 mod op;
+mod quiescent;
 pub mod scheduler;
-mod session;
+mod slider;
 mod stats;
 pub mod trace;
 
@@ -86,6 +89,13 @@ pub use buffer::Buffer;
 pub use config::SliderConfig;
 pub use maintenance::RemovalOutcome;
 pub use op::{Op, Outcome};
-pub use session::{Slider, SwapOutcome};
+pub use quiescent::SwapOutcome;
+pub use slider::Slider;
 pub use stats::{RuleStats, StatsSnapshot};
 pub use trace::{events_to_json, Event, EventKind, EventLog};
+
+/// End-to-end tests of one reasoning session, across the modules above.
+#[cfg(test)]
+mod session {
+    mod tests;
+}

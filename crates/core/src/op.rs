@@ -10,7 +10,7 @@
 //! engine code as their `Op` and follow the same contract.
 
 use crate::maintenance::RemovalOutcome;
-use crate::session::SwapOutcome;
+use crate::quiescent::SwapOutcome;
 use slider_model::{SweepOutcome, Triple};
 use slider_rules::Ruleset;
 

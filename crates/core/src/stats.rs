@@ -23,7 +23,7 @@ pub(crate) struct RuleCounters {
 impl RuleCounters {
     /// A fresh set of counters initialised to this set's current values —
     /// used by ruleset hot-swap to carry a kept rule's history into the
-    /// new [`RulesetState`](crate::session) generation.
+    /// new [`RulesetState`](crate::module::RulesetState) generation.
     pub fn carry(&self) -> RuleCounters {
         RuleCounters {
             fired: AtomicU64::new(self.fired.load(Ordering::Relaxed)),

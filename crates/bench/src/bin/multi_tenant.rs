@@ -10,7 +10,7 @@
 //! 2. **Ingest latency and flush throughput under co-tenant churn** — one
 //!    tenant streams membership batches (timed per `add_triples` call,
 //!    p50/p99) while a co-tenant's deferred-retraction backlog is flushed
-//!    by its own flusher; how fast the backlog drains (retractions/s).
+//!    by its own pool's deadline tick; how fast the backlog drains (retractions/s).
 //!    The "isolated" cell gives each tenant a private dictionary, the
 //!    "shared" cell puts both on one.
 //!
@@ -74,7 +74,7 @@ const FULL: Params = Params {
 
 /// The churn tenant's configuration: the deferred queue only drains on
 /// the max-age deadline (no threshold), so the whole backlog is flushed
-/// by the churn tenant's flusher thread.
+/// by the churn tenant's pool, on its deadline tick.
 fn churn_config() -> SliderConfig {
     SliderConfig::default()
         .with_maintenance_batch(usize::MAX)
@@ -115,7 +115,7 @@ struct LatencyCell {
 
 /// One timed cell: the ingest tenant streams its batches (timed per
 /// call) while the churn tenant's backlog — enqueued just before the
-/// stream starts — is flushed by its deadline flusher. `shared = true`
+/// stream starts — is flushed by its pool's deadline tick. `shared = true`
 /// puts both tenants on one dictionary; otherwise each has its own.
 fn run_latency_cell(p: &Params, shared: bool) -> LatencyCell {
     let fp = ingest_params(p);

@@ -409,7 +409,7 @@ pub mod family {
 
     /// A family-ruleset reasoner whose deferred queue only flushes
     /// explicitly (no threshold, no deadline — timings measure the
-    /// maintenance itself, not flusher scheduling).
+    /// maintenance itself, not deadline scheduling).
     pub fn deferred_slider(families: u64) -> Slider {
         let config = SliderConfig::batch()
             .with_maintenance_batch(usize::MAX)

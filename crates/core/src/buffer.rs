@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 struct Inner {
     queue: Vec<Triple>,
-    /// Last time the buffer transitioned or received triples; the timeout
-    /// flusher fires when this goes stale.
+    /// Last time the buffer was drained or received triples; the pool's
+    /// deadline service drains it when this goes stale.
     last_activity: Instant,
 }
 
@@ -21,14 +21,14 @@ struct Inner {
 /// chunk is one *rule instance* (a job for the pool), so a large input
 /// batch becomes several parallelisable instances, exactly the paper's
 /// "multiple instances of same rule … run in parallel".
-pub struct Buffer {
+pub(crate) struct Buffer {
     capacity: usize,
     inner: Mutex<Inner>,
 }
 
 impl Buffer {
     /// An empty buffer firing every `capacity` triples.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "buffer capacity must be at least 1");
         Buffer {
             capacity,
@@ -40,7 +40,7 @@ impl Buffer {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -49,7 +49,7 @@ impl Buffer {
     /// (FIFO), leaving the remainder buffered. Linear in the queue: every
     /// full chunk is cut in one pass, where splitting one chunk at a time
     /// would re-copy the tail per chunk.
-    pub fn push_batch(&self, triples: &[Triple]) -> Vec<Vec<Triple>> {
+    pub(crate) fn push_batch(&self, triples: &[Triple]) -> Vec<Vec<Triple>> {
         if triples.is_empty() {
             return Vec::new();
         }
@@ -74,17 +74,12 @@ impl Buffer {
         chunks
     }
 
-    /// Drains everything buffered (force flush / timeout flush).
-    pub fn drain(&self) -> Vec<Triple> {
+    /// Drains everything buffered, or with `stale: Some(timeout)` only
+    /// if the buffer has been idle for `timeout`; `None` if nothing was
+    /// drained.
+    pub(crate) fn drain(&self, stale: Option<Duration>) -> Option<Vec<Triple>> {
         let mut inner = self.inner.lock();
-        inner.last_activity = Instant::now();
-        std::mem::take(&mut inner.queue)
-    }
-
-    /// Drains only if the buffer is non-empty *and* stale for `timeout`.
-    pub fn drain_if_stale(&self, timeout: Duration) -> Option<Vec<Triple>> {
-        let mut inner = self.inner.lock();
-        if inner.queue.is_empty() || inner.last_activity.elapsed() < timeout {
+        if inner.queue.is_empty() || stale.is_some_and(|t| inner.last_activity.elapsed() < t) {
             return None;
         }
         inner.last_activity = Instant::now();
@@ -92,22 +87,14 @@ impl Buffer {
     }
 
     /// Number of buffered triples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
 
     /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inner.lock().queue.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Buffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Buffer")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
     }
 }
 
@@ -149,7 +136,7 @@ mod tests {
         assert_eq!(chunks.len(), 100);
         assert!(chunks.iter().all(|c| c.len() == 8));
         assert_eq!(chunks.concat(), batch[..800]);
-        assert_eq!(b.drain(), batch[800..]);
+        assert_eq!(b.drain(None).unwrap(), batch[800..]);
     }
 
     #[test]
@@ -164,9 +151,9 @@ mod tests {
     fn drain_takes_everything() {
         let b = Buffer::new(10);
         b.push_batch(&[t(1), t(2)]);
-        assert_eq!(b.drain(), vec![t(1), t(2)]);
+        assert_eq!(b.drain(None), Some(vec![t(1), t(2)]));
         assert!(b.is_empty());
-        assert!(b.drain().is_empty());
+        assert!(b.drain(None).is_none());
     }
 
     #[test]
@@ -174,11 +161,11 @@ mod tests {
         let b = Buffer::new(10);
         b.push_batch(&[t(1)]);
         // Not stale yet.
-        assert!(b.drain_if_stale(Duration::from_secs(60)).is_none());
+        assert!(b.drain(Some(Duration::from_secs(60))).is_none());
         // Stale with zero timeout.
-        assert_eq!(b.drain_if_stale(Duration::ZERO), Some(vec![t(1)]));
+        assert_eq!(b.drain(Some(Duration::ZERO)), Some(vec![t(1)]));
         // Empty buffer never drains.
-        assert!(b.drain_if_stale(Duration::ZERO).is_none());
+        assert!(b.drain(Some(Duration::ZERO)).is_none());
     }
 
     #[test]
@@ -200,6 +187,6 @@ mod tests {
         b.push_batch(&[t(1), t(2)]);
         let chunks = b.push_batch(&[t(3), t(4), t(5)]);
         assert_eq!(chunks[0], vec![t(1), t(2), t(3), t(4)]);
-        assert_eq!(b.drain(), vec![t(5)]);
+        assert_eq!(b.drain(None), Some(vec![t(5)]));
     }
 }

@@ -20,9 +20,11 @@ pub struct SliderConfig {
     /// "After how long an inactive buffer is forced to flush" (§4).
     /// `None` disables timeout flushing (batch mode — callers must use
     /// [`Slider::wait_idle`](crate::Slider::wait_idle), which force-flushes).
-    /// Default: 20 ms.
+    /// Served by the pool, so it needs `workers > 0`. Default: 20 ms.
     pub timeout: Option<Duration>,
-    /// Worker threads in the pool. Default: available parallelism.
+    /// Worker threads in the pool. `0` spawns none: rule instances queue
+    /// until [`Slider::wait_idle`](crate::Slider::wait_idle) (or an op that
+    /// waits for quiescence) runs them, FIFO. Default: available parallelism.
     pub workers: usize,
     /// Record an [`EventLog`](crate::EventLog) of module activity (the demo
     /// player's data source). Off by default: tracing serialises events.
@@ -34,10 +36,10 @@ pub struct SliderConfig {
     /// semantics. Default: 1024.
     pub maintenance_batch: usize,
     /// Coalesced-maintenance deadline: how long the *oldest* deferred
-    /// retraction may stay pending before the flusher thread forces a
-    /// coalesced run (the retraction analogue of `timeout`). `None`
-    /// disables the deadline — pending retractions then wait for the
-    /// threshold or an explicit [`Op::Flush`](crate::Op::Flush).
+    /// retraction may stay pending before a pool worker forces a coalesced
+    /// run (the retraction analogue of `timeout`; it needs `workers > 0`).
+    /// `None` disables the deadline — pending retractions then wait for
+    /// the threshold or an explicit [`Op::Flush`](crate::Op::Flush).
     /// Default: 100 ms.
     pub maintenance_max_age: Option<Duration>,
 }
@@ -57,7 +59,7 @@ impl Default for SliderConfig {
 
 impl SliderConfig {
     /// Batch-friendly configuration: no timeouts, default buffers, and no
-    /// maintenance deadline — no flusher thread at all. Batch callers
+    /// maintenance deadline — the workers never tick. Batch callers
     /// drive everything explicitly
     /// ([`Slider::wait_idle`](crate::Slider::wait_idle),
     /// [`Op::Flush`](crate::Op::Flush));
@@ -83,9 +85,9 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style worker count (min 1).
+    /// Builder-style worker count (`0`: no pool).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = workers;
         self
     }
 
@@ -130,7 +132,6 @@ mod tests {
             .with_workers(0)
             .with_maintenance_batch(0);
         assert_eq!(c.buffer_capacity, 1);
-        assert_eq!(c.workers, 1);
         assert_eq!(c.maintenance_batch, 1);
     }
 
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn batch_mode_has_no_timeout() {
         assert!(SliderConfig::batch().timeout.is_none());
-        // …and no maintenance deadline: no flusher thread in batch mode.
+        // …and no maintenance deadline: the workers never tick in batch mode.
         assert!(SliderConfig::batch().maintenance_max_age.is_none());
     }
 }

@@ -1,30 +1,20 @@
-//! The engine: the state one [`Slider`](crate::Slider) shares with its
-//! threads, the input manager that feeds the rule buffers, and the
-//! quiescence machinery (`wait_idle`) every maintenance section starts
-//! from.
+//! The engine: the state a [`Slider`](crate::Slider) shares with its
+//! workers, the input manager (paper §2) and the one drain loop.
 
-use crate::inflight::Inflight;
 use crate::module::RulesetState;
 use crate::scheduler::MaintenanceScheduler;
 use crate::stats::{bump, GlobalCounters};
 use crate::trace::{EventKind, EventLog};
-use crossbeam::channel::Sender;
+use crate::work::{Drainer, Next, Work};
 use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, Triple};
 use slider_store::ShardedStore;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A message on the job channel: one rule instance over one buffered
-/// batch, or the signal for one worker to exit.
-pub(crate) enum Job {
-    Run { rule: usize, delta: Vec<Triple> },
-    Stop,
-}
-
-/// The reasoner's state, shared between the public handle, the workers
-/// and the flusher.
+/// The reasoner's state, shared by the public handle and its workers.
 pub(crate) struct Engine {
     pub(crate) dict: Arc<Dictionary>,
     pub(crate) store: ShardedStore,
@@ -32,12 +22,10 @@ pub(crate) struct Engine {
     /// The lock is held only for the pointer clone/swap, never across
     /// work; see [`Engine::rstate`] for the resolution discipline.
     pub(crate) rstate: RwLock<Arc<RulesetState>>,
-    /// The workers' job channel, FIFO.
-    pub(crate) jobs: Sender<Job>,
-    /// The buffer-staleness deadline (`SliderConfig::timeout`); the
-    /// flusher services it via [`Engine::drain_stale_buffers`].
+    /// `SliderConfig::timeout`, served by the pool's tick.
     pub(crate) timeout: Option<Duration>,
-    pub(crate) inflight: Inflight,
+    /// The rule instances to run and the quiescence tokens.
+    pub(crate) work: Work,
     pub(crate) globals: GlobalCounters,
     pub(crate) log: Option<EventLog>,
     /// Serialises DRed maintenance runs, dictionary sweeps and ruleset
@@ -62,69 +50,90 @@ impl Engine {
     /// Resolves the current ruleset state. The returned `Arc` stays valid
     /// forever (a swap retires the *engine's* pointer, not the state), but
     /// it is only guaranteed to be the *current* program while the caller
-    /// holds an inflight token acquired **before** the resolution: a swap
-    /// linearises at inflight == 0, so a token pins the resolution. Code
-    /// that resolves without a token (stats, Debug) may read a state that
-    /// a concurrent swap is retiring — fine for observability, never for
-    /// dispatch.
+    /// holds a token acquired **before** the resolution: a swap linearises
+    /// at zero tokens, so a token pins the resolution. Code that resolves
+    /// without a token (stats, Debug) may read a state that a concurrent
+    /// swap is retiring — fine for observability, never for dispatch.
     pub(crate) fn rstate(&self) -> Arc<RulesetState> {
         Arc::clone(&self.rstate.read())
-    }
-
-    /// Queues a rule instance for the workers; the caller must already
-    /// hold an inflight token for it (token ownership transfers to the
-    /// job).
-    pub(crate) fn submit_with_token(&self, rule: usize, delta: Vec<Triple>) {
-        // Send only fails once every worker has exited, i.e. after
-        // teardown; the token is released here then.
-        if self.jobs.send(Job::Run { rule, delta }).is_err() {
-            self.inflight.dec();
-        }
-    }
-
-    /// Acquires a token and queues a rule instance.
-    pub(crate) fn submit(&self, rule: usize, delta: Vec<Triple>) {
-        self.inflight.inc();
-        self.submit_with_token(rule, delta);
     }
 
     pub(crate) fn buffers_empty(&self, state: &RulesetState) -> bool {
         state.modules.iter().all(|m| m.buffer.is_empty())
     }
 
-    /// Force-flushes every buffer into rule instances.
-    pub(crate) fn flush_all(&self) {
+    /// Drains every non-empty buffer into a rule instance, or with
+    /// `stale: Some(timeout)` only those idle for `timeout`.
+    fn flush_buffers(&self, stale: Option<Duration>) {
         // Guard token, then resolve: the token pins the resolved state, so
         // a racing swap cannot retire these modules (orphaning drained
-        // batches or submitting stale rule indexes) mid-scan. Per-job
-        // tokens acquired below while the guard is held chain the cover.
-        self.inflight.inc();
+        // batches or submitting stale rule indexes) mid-scan, and it covers
+        // each drained batch until its job holds a token of its own.
+        self.work.inc();
         let state = self.rstate();
         for (i, module) in state.modules.iter().enumerate() {
-            // Token first: the drained batch must never be invisible to
-            // the quiescence check.
-            self.inflight.inc();
-            let drained = module.buffer.drain();
-            if drained.is_empty() {
-                self.inflight.dec();
-            } else {
+            if let Some(delta) = module.buffer.drain(stale) {
                 bump(&module.counters.timeout_flushes, 1);
                 if let Some(log) = &self.log {
                     log.record(EventKind::TimeoutFlush { rule: i });
                 }
-                self.submit_with_token(i, drained);
+                self.work.submit(i, delta);
             }
         }
-        self.inflight.dec();
+        self.work.dec();
     }
 
-    /// Blocks until quiescent (see [`Slider::wait_idle`](crate::Slider::wait_idle)).
+    /// The one drain loop: runs queued rule instances until [`Work::next`]
+    /// says `who` is done — for a worker, when the pool stops (it also
+    /// serves the ticks); for a `wait_idle` caller, at zero tokens.
+    pub(crate) fn drain(&self, who: Drainer) {
+        loop {
+            let (rule, delta) = match self.work.next(who) {
+                Next::Job(rule, delta) => (rule, delta),
+                Next::Tick => {
+                    self.serve_deadlines();
+                    continue;
+                }
+                Next::Done => return,
+            };
+            // A panicking rule instance (a buggy custom rule) must not wedge
+            // the reasoner: its token is released either way, and the
+            // drainer survives. The default hook printed the panic; add
+            // which rule died.
+            if catch_unwind(AssertUnwindSafe(|| self.run_job(rule, delta))).is_err() {
+                // Resolve the name *before* releasing the token: the token
+                // still pins the submission-time state, so the index is in
+                // bounds; after dec() a swap could install a smaller ruleset.
+                eprintln!(
+                    "slider: rule instance for {:?} panicked; its conclusions are lost",
+                    self.rstate().modules[rule].rule.name()
+                );
+            }
+            self.work.dec();
+        }
+    }
+
+    /// The pool's deadline service, once per tick: drains the buffers
+    /// stale past the timeout, then runs a max-age-due coalesced flush.
+    /// Never called from a waiter's drain: `with_quiescent_store` waits
+    /// while holding the maintenance mutex, which a flush takes.
+    fn serve_deadlines(&self) {
+        if let Some(timeout) = self.timeout {
+            self.flush_buffers(Some(timeout));
+        }
+        if self.scheduler.is_stale() {
+            self.flush_maintenance();
+        }
+    }
+
+    /// Blocks until quiescent (see [`Slider::wait_idle`](crate::Slider::wait_idle)),
+    /// running queued rule instances on the calling thread meanwhile.
     pub(crate) fn wait_idle(&self) {
         loop {
-            self.flush_all();
-            self.inflight.wait_zero();
+            self.flush_buffers(None);
+            self.drain(Drainer::Waiter);
             let state = self.rstate();
-            if self.buffers_empty(&state) && self.inflight.current() == 0 {
+            if self.buffers_empty(&state) && self.work.current() == 0 {
                 break;
             }
         }
@@ -144,7 +153,7 @@ impl Engine {
         // so a coalesced flush (which drains the pending set only at
         // verified quiescence, with the store held exclusively) can never
         // interleave between this call's insert and its cancellation.
-        self.inflight.inc();
+        self.work.inc();
         let mut fresh = Vec::with_capacity(triples.len());
         self.store.insert_batch_explicit(triples, &mut fresh);
         bump(&self.globals.input_received, triples.len() as u64);
@@ -168,38 +177,8 @@ impl Engine {
             let all: Vec<usize> = (0..state.modules.len()).collect();
             self.dispatch(&state, &all, &fresh);
         }
-        self.inflight.dec();
+        self.work.dec();
         fresh.len()
-    }
-
-    /// The flusher's buffer-timeout service: drains every buffer stale
-    /// past the configured timeout into rule instances. A no-op without a
-    /// timeout.
-    pub(crate) fn drain_stale_buffers(&self) {
-        let Some(timeout) = self.timeout else {
-            return;
-        };
-        // Guard token before resolving the state (see
-        // `Engine::flush_all`): without it, a swap could linearise
-        // between the resolve and the drains below, and this scan would
-        // drain retired buffers into jobs whose rule indexes the new
-        // state interprets differently.
-        self.inflight.inc();
-        let state = self.rstate();
-        for (i, module) in state.modules.iter().enumerate() {
-            self.inflight.inc();
-            match module.buffer.drain_if_stale(timeout) {
-                Some(delta) => {
-                    bump(&module.counters.timeout_flushes, 1);
-                    if let Some(log) = &self.log {
-                        log.record(EventKind::TimeoutFlush { rule: i });
-                    }
-                    self.submit_with_token(i, delta);
-                }
-                None => self.inflight.dec(),
-            }
-        }
-        self.inflight.dec();
     }
 }
 

@@ -36,8 +36,9 @@
 //!   are dispatched onward, to the buffers selected by the **rules
 //!   dependency graph** — the paper's duplicate-limitation mechanism.
 //! * [`Slider::wait_idle`] detects quiescence (all buffers empty, no
-//!   in-flight work): the closure is complete. Streaming callers instead
-//!   just keep feeding triples; timeouts keep buffers moving.
+//!   in-flight work): the closure is complete, and its caller runs queued
+//!   rule instances meanwhile. Streaming callers instead just keep feeding
+//!   triples; timeouts keep buffers moving.
 //! * **Retractions** ([`Op::Remove`], [`Slider::remove_terms`])
 //!   run the [`maintenance`] module's DRed algorithm with the store held
 //!   exclusively: overdelete the
@@ -49,8 +50,8 @@
 //! * **Deferred retractions** ([`Op::Defer`], [`Op::Flush`]) enqueue on
 //!   the [`scheduler`] module's maintenance scheduler instead; one
 //!   *coalesced* DRed run over the whole pending set fires on a
-//!   pending-count threshold, a max-age deadline (serviced by the flusher
-//!   thread), or an explicit flush — amortising maintenance for high-churn
+//!   pending-count threshold, a max-age deadline (served by the pool's
+//!   tick), or an explicit flush — amortising maintenance for high-churn
 //!   windows. Eager removals and flushes take the same path: one DRed pass
 //!   over the quiescent store, one maintenance run at a time.
 //!
@@ -61,9 +62,9 @@
 //! store and rules never invent new term ids, so the reachable closure is
 //! finite and monotone between maintenance runs.
 //!
-//! Each [`Slider`] owns its threads: a worker pool fed by one FIFO job
-//! channel, and a flusher thread that services buffer timeouts and
-//! maintenance deadlines. Several streams are several `Slider`s; they may
+//! Each [`Slider`] owns [`SliderConfig::workers`] threads draining one
+//! FIFO work queue, which also serve the deadlines once per tick (none
+//! with `workers: 0`). Several streams are several `Slider`s; they may
 //! share one `Arc<Dictionary>`, which is never swept while more than one
 //! of them is live (see [`Op::Sweep`]).
 //!
@@ -75,7 +76,6 @@
 mod buffer;
 mod config;
 mod engine;
-mod inflight;
 pub mod maintenance;
 mod module;
 mod op;
@@ -84,8 +84,8 @@ pub mod scheduler;
 mod slider;
 mod stats;
 pub mod trace;
+mod work;
 
-pub use buffer::Buffer;
 pub use config::SliderConfig;
 pub use maintenance::RemovalOutcome;
 pub use op::{Op, Outcome};

@@ -1,7 +1,5 @@
-//! Rule modules and their distributors (paper §2, Figure 1): one module
-//! per rule — its buffer, its routing table, its counters — and the rule
-//! instance that joins a buffered batch against the store and routes the
-//! fresh conclusions onward.
+//! Rule modules and their distributors (paper §2, Figure 1): the rule
+//! instance joins a buffered batch and routes the fresh conclusions.
 
 use crate::buffer::Buffer;
 use crate::engine::Engine;
@@ -30,13 +28,12 @@ pub(crate) struct Module {
 }
 
 /// Everything derived from the loaded ruleset — the **swappable half** of
-/// the engine. [`Op::Swap`](crate::Op::Swap) builds a fresh `RulesetState` and installs
-/// it at its linearisation point; everything else resolves the current
-/// state once per unit of work ([`Engine::rstate`]) and keeps using that
-/// resolution while it holds an inflight token, which is what makes the
-/// resolution stable: a swap only completes at verified quiescence
-/// (inflight == 0, buffers empty), so a state resolved under a token can
-/// never be retired mid-use.
+/// the engine. [`Op::Swap`](crate::Op::Swap) installs a fresh one at its
+/// linearisation point; everything else resolves the current state once
+/// per unit of work ([`Engine::rstate`]) under a token, which keeps the
+/// resolution stable: a swap completes only at verified quiescence (zero
+/// tokens, buffers empty), so a state resolved under a token is never
+/// retired mid-use.
 pub(crate) struct RulesetState {
     /// Ruleset name ("rho-df", "RDFS", custom).
     pub(crate) name: String,
@@ -102,7 +99,7 @@ pub(crate) fn build_state(
 impl Engine {
     /// Routes `triples` to the buffers of `targets` (each module filters by
     /// predicate), firing full buffers as new rule instances. The caller
-    /// resolved `state` under an inflight token it still holds.
+    /// resolved `state` under a token it still holds.
     pub(crate) fn dispatch(&self, state: &RulesetState, targets: &[usize], triples: &[Triple]) {
         let mut accepted: Vec<Triple> = Vec::new();
         for &i in targets {
@@ -123,7 +120,7 @@ impl Engine {
                 if let Some(log) = &self.log {
                     log.record(EventKind::BufferFull { rule: i });
                 }
-                self.submit(i, chunk);
+                self.work.submit(i, chunk);
             }
         }
     }
@@ -131,7 +128,7 @@ impl Engine {
     /// Executes one rule instance: join, distribute, route (Figure 1's
     /// rule-module → distributor path).
     pub(crate) fn run_job(&self, rule: usize, delta: Vec<Triple>) {
-        // The job carries an inflight token acquired at submission, so the
+        // The job carries a token acquired at submission, so the
         // state resolved here is the submission-time state: a swap cannot
         // have linearised in between.
         let state = self.rstate();
@@ -162,7 +159,7 @@ impl Engine {
     /// One semi-naive step: `rule.apply` on `delta`, then the distributor's
     /// steps 1 and 2 — add the conclusions to the store and append the new
     /// ones to `fresh`. Returns how many conclusions the join derived.
-    pub(crate) fn join(&self, rule: &dyn Rule, delta: &[Triple], fresh: &mut Vec<Triple>) -> usize {
+    fn join(&self, rule: &dyn Rule, delta: &[Triple], fresh: &mut Vec<Triple>) -> usize {
         let mut out = Vec::new();
         // The join reads the live store under a shared lock, beside other
         // joins. The store holds this delta — `insert_batch` wrote it
@@ -196,7 +193,7 @@ impl Engine {
     /// `p` triple this module did not emit was dispatched to it and gets
     /// its own turn. A reflexive edge `(x, x)` adds no path. The lock is
     /// released before the caller dispatches `fresh`.
-    pub(crate) fn close_edges(
+    fn close_edges(
         &self,
         p: NodeId,
         serial: &Mutex<()>,

@@ -49,7 +49,7 @@ use slider_rules::Ruleset;
 ///   [`SliderConfig::maintenance_batch`](crate::SliderConfig::maintenance_batch)
 ///   (inside this call); when the oldest outlives
 ///   [`SliderConfig::maintenance_max_age`](crate::SliderConfig::maintenance_max_age)
-///   (on the flusher thread); or when the reasoner drops. Until then
+///   (on a pool worker's tick); or when the reasoner drops. Until then
 ///   queries see the pre-retraction closure, at most
 ///   [`Slider::pending_staleness`](crate::Slider::pending_staleness) old.
 ///   A later `Add` of a pending triple cancels its retraction; a `Swap`

@@ -1,7 +1,5 @@
-//! Maintenance sections (paper §2's retraction path and the live-swap
-//! entry): every operation that needs the store quiescent and held
-//! exclusively — eager DRed removal, the coalesced flush of deferred
-//! retractions, dictionary sweeps and ruleset swaps.
+//! The operations that hold the quiescent store exclusively: eager DRed
+//! removal, the coalesced flush, dictionary sweeps and ruleset swaps.
 
 use crate::engine::Engine;
 use crate::maintenance::{self, RemovalOutcome};
@@ -27,7 +25,7 @@ impl Engine {
     /// Runs `f` on the quiescent store: drains all in-flight derivations,
     /// then re-checks quiescence *while holding the store lock*
     /// ([`ShardedStore::exclusive`](slider_store::ShardedStore::exclusive)) — an `add_triples` that slipped in
-    /// after `wait_idle` still holds its inflight token until its routing
+    /// after `wait_idle` still holds its token until its routing
     /// (and pending-retraction cancellation) is done, so a clean check
     /// here means no rule instance can be holding stale premises and no
     /// assertion is midway through cancelling a pending retraction.
@@ -38,16 +36,13 @@ impl Engine {
     /// `f`'s result and the store size captured under the lock (racing
     /// adders blocked on it must not leak into "store size after
     /// maintenance" reported by the trace events).
-    pub(crate) fn with_quiescent_store<R>(
-        &self,
-        f: impl FnOnce(&mut VerticalStore) -> R,
-    ) -> (R, usize) {
+    fn with_quiescent_store<R>(&self, f: impl FnOnce(&mut VerticalStore) -> R) -> (R, usize) {
         let mut f = Some(f);
         loop {
             self.wait_idle();
             let mut store = self.store.exclusive();
             let state = self.rstate();
-            if self.inflight.current() == 0 && self.buffers_empty(&state) {
+            if self.work.current() == 0 && self.buffers_empty(&state) {
                 let result = (f.take().expect("quiescence loop runs f once"))(&mut store);
                 break (result, store.len());
             }
@@ -55,7 +50,7 @@ impl Engine {
     }
 
     /// Records a completed maintenance run in the global counters.
-    pub(crate) fn bump_removal_counters(&self, outcome: &RemovalOutcome) {
+    fn bump_removal_counters(&self, outcome: &RemovalOutcome) {
         if outcome.retracted > 0 {
             bump(&self.globals.removal_runs, 1);
             bump(&self.globals.retracted, outcome.retracted as u64);
@@ -71,7 +66,7 @@ impl Engine {
     /// [`DICT_SWEEP_RATIO`] of the live terms: bursts sweep, trickles
     /// never do. The run's section has published by now, so its
     /// pre-section epoch is a root only if a query still holds it.
-    pub(crate) fn maybe_sweep_dict(&self, retired_now: usize) {
+    fn maybe_sweep_dict(&self, retired_now: usize) {
         let retired = self
             .retired_since_sweep
             .fetch_add(retired_now, Ordering::Relaxed)
@@ -96,7 +91,7 @@ impl Engine {
     /// a live [`EpochSnapshot`](slider_store::EpochSnapshot) or in the
     /// pending-retraction queue mentions it. The roots are collected on
     /// the dictionary's first question, so a skipped sweep scans nothing.
-    pub(crate) fn sweep_dict_now(&self) -> SweepOutcome {
+    fn sweep_dict_now(&self) -> SweepOutcome {
         self.retired_since_sweep.store(0, Ordering::Relaxed);
         let (outcome, _) = self.with_quiescent_store(|store| {
             let roots_below = self.rstate().roots_below;
@@ -119,7 +114,7 @@ impl Engine {
     }
 
     /// The ids of the triples [`Engine::sweep_dict_now`] keeps decodable.
-    pub(crate) fn sweep_roots(&self, store: &VerticalStore) -> FxHashSet<NodeId> {
+    fn sweep_roots(&self, store: &VerticalStore) -> FxHashSet<NodeId> {
         let mut roots = FxHashSet::default();
         let mut add = |t: Triple| roots.extend([t.s, t.p, t.o]);
         store.iter().for_each(&mut add);
@@ -254,19 +249,13 @@ impl Engine {
         // so a same-named rule over other constants counts as drop + add.
         let in_rules =
             |rules: &[Arc<dyn Rule>], r: &Arc<dyn Rule>| rules.iter().any(|s| s.same_rule(&**r));
-        let dropped: Vec<Arc<dyn Rule>> = old_rules
+        let (surviving, dropped): (Vec<_>, Vec<_>) = old_rules
             .iter()
-            .filter(|r| !in_rules(&new_rules, r))
             .cloned()
-            .collect();
+            .partition(|r| in_rules(&new_rules, r));
         let added: Vec<Arc<dyn Rule>> = new_rules
             .iter()
             .filter(|r| !in_rules(&old_rules, r))
-            .cloned()
-            .collect();
-        let surviving: Vec<Arc<dyn Rule>> = old_rules
-            .iter()
-            .filter(|r| in_rules(&new_rules, r))
             .cloned()
             .collect();
         let kept = surviving.len();

@@ -12,8 +12,8 @@
 //! `MaintenanceScheduler` (crate-private) is the pending set behind
 //! [`Op::Defer`](crate::Op::Defer): retractions are enqueued
 //! (deduplicated, FIFO) instead of applied, and one coalesced run fires on
-//! the pending-count threshold, the max-age deadline (serviced by the
-//! reasoner's flusher thread), an explicit [`Op::Flush`](crate::Op::Flush) or the
+//! the pending-count threshold, the max-age deadline (served by the
+//! reasoner's pool, once per tick), an explicit [`Op::Flush`](crate::Op::Flush) or the
 //! reasoner's drop. [`Op`](crate::Op) states the contract: when each
 //! trigger fires, where a flush linearises, and why an `Add` of a pending
 //! triple cancels its retraction (`MaintenanceScheduler::cancel`, driven
@@ -48,7 +48,7 @@ pub(crate) struct MaintenanceScheduler {
     in_flight: AtomicUsize,
     /// Distinct-pending threshold that requests a coalesced run.
     batch: usize,
-    /// Age of the oldest pending retraction after which the flusher thread
+    /// Age of the oldest pending retraction after which a pool worker
     /// forces a run; `None` disables the deadline.
     max_age: Option<Duration>,
 }
@@ -174,7 +174,7 @@ impl MaintenanceScheduler {
     }
 
     /// True if a max-age deadline is configured and the oldest pending
-    /// retraction has outlived it — the flusher thread's trigger.
+    /// retraction has outlived it — the pool tick's trigger.
     pub(crate) fn is_stale(&self) -> bool {
         let Some(max_age) = self.max_age else {
             return false;

@@ -123,7 +123,7 @@ fn timeout_drives_progress_without_explicit_flush() {
         .with_timeout(Some(Duration::from_millis(2)));
     let slider = rho_slider(config);
     slider.add_triples(&[sco(1, 2), sco(2, 3)]);
-    // Poll: the timeout flusher must eventually produce (1 sco 3).
+    // Poll: the pool's timeout tick must eventually produce (1 sco 3).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while !slider.store().contains(sco(1, 3)) {
         assert!(
@@ -350,7 +350,7 @@ fn static_plans_keep_configured_capacity() {
 /// apply on teardown, mirroring the buffer drain — not discard it.
 #[test]
 fn drop_flushes_pending_retractions() {
-    // Batch mode: no flusher thread, threshold unreachable — nothing
+    // Batch mode: no deadline tick, threshold unreachable — nothing
     // but the drop path can apply the deferral.
     let slider = rho_slider(SliderConfig::batch().with_maintenance_batch(usize::MAX));
     materialize(&slider, &chain(10));

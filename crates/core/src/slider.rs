@@ -1,19 +1,15 @@
-//! The [`Slider`] facade: builds an engine, owns its threads — `workers`
-//! pool threads fed by one job channel, and a flusher thread when a
-//! buffer timeout or a maintenance deadline is configured — and exposes
-//! every write as an [`Op`]. Several streams are several [`Slider`]s,
-//! optionally on one shared [`Dictionary`].
+//! The [`Slider`] facade: builds an engine, owns its `workers` pool
+//! threads, and exposes every write as an [`Op`].
 
 use crate::config::SliderConfig;
-use crate::engine::{Engine, Job};
-use crate::inflight::Inflight;
+use crate::engine::Engine;
 use crate::module::build_state;
 use crate::op::{Op, Outcome};
 use crate::scheduler::MaintenanceScheduler;
 use crate::stats::{GlobalCounters, RuleStats, StatsSnapshot};
 use crate::trace::{Event, EventLog};
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::work::{Drainer, Work};
+use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, Ruleset};
 use slider_store::ShardedStore;
@@ -55,91 +51,37 @@ use std::time::Duration;
 /// assert_eq!((removed.retracted, slider.store().len()), (1, 1));
 /// ```
 ///
-/// Each `Slider` owns its threads: [`SliderConfig::workers`] pool
-/// threads, plus one flusher thread when a buffer timeout or a maintenance
-/// deadline is configured. Several independent streams are several
-/// `Slider`s; they may share one `Arc<Dictionary>`, which is never swept
-/// while more than one of them is live.
+/// Each `Slider` owns exactly [`SliderConfig::workers`] threads (none
+/// with `workers: 0`: then [`Slider::wait_idle`] runs every rule instance).
+/// Several independent streams are several `Slider`s; they may share one
+/// `Arc<Dictionary>`, which is never swept while more than one is live.
 pub struct Slider {
     pub(crate) engine: Arc<Engine>,
     workers: Vec<JoinHandle<()>>,
-    flusher: Option<(JoinHandle<()>, Arc<FlusherStop>)>,
-}
-
-/// The flusher's tick sleep, which `Drop for Slider` cuts short, so
-/// teardown never waits out a tick.
-#[derive(Default)]
-struct FlusherStop {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl FlusherStop {
-    /// Sleeps up to `tick`; returns `true` once the stop was signalled.
-    fn sleep(&self, tick: Duration) -> bool {
-        let mut stopped = self.stopped.lock();
-        if !*stopped {
-            self.wake.wait_for(&mut stopped, tick);
-        }
-        *stopped
-    }
-
-    fn stop(&self) {
-        *self.stopped.lock() = true;
-        self.wake.notify_all();
-    }
-}
-
-fn worker_loop(engine: &Engine, jobs: &Receiver<Job>) {
-    while let Ok(Job::Run { rule, delta }) = jobs.recv() {
-        // A panicking rule instance (e.g. a buggy custom rule) must not
-        // wedge the reasoner: the inflight token is released either way —
-        // leaking it would hang every wait_idle/flush/Drop forever — and
-        // the worker survives to run the remaining jobs. The panic itself
-        // already printed via the default hook; add which rule died.
-        let instance = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_job(rule, delta);
-        }));
-        if instance.is_err() {
-            // Resolve the name *before* releasing the token: the token
-            // still pins the submission-time state, so the index is in
-            // bounds; after dec() a swap could install a smaller ruleset.
-            let state = engine.rstate();
-            eprintln!(
-                "slider: rule instance for {:?} panicked; its conclusions are lost",
-                state.modules[rule].rule.name()
-            );
-        }
-        engine.inflight.dec();
-    }
-}
-
-/// Each tick drains stale buffers and runs a deadline-due coalesced
-/// flush, until `stop` is signalled.
-fn flusher_loop(engine: &Engine, stop: &FlusherStop, tick: Duration) {
-    while !stop.sleep(tick) {
-        engine.drain_stale_buffers();
-        if engine.scheduler.is_stale() {
-            engine.flush_maintenance();
-        }
-    }
 }
 
 impl Slider {
-    /// Creates a reasoner over an existing dictionary and ruleset, and
-    /// spawns its worker threads and, if needed, its flusher thread.
+    /// Creates a reasoner over `dict` and `ruleset`; spawns its workers.
     pub fn new(dict: Arc<Dictionary>, ruleset: Ruleset, config: SliderConfig) -> Self {
         let buffer_capacity = config.buffer_capacity.max(1);
         dict.attach_engine();
         let state = build_state(&ruleset, &dict, buffer_capacity, None);
-        let (jobs, job_rx) = unbounded();
+        // The workers serve buffer timeouts and the deferred-retraction
+        // deadline every tick: half the smaller deadline, clamped to
+        // [1, 10] ms. Without a pool nothing ticks.
+        let deadline = [config.timeout, config.maintenance_max_age]
+            .into_iter()
+            .flatten()
+            .min();
+        let tick = deadline
+            .filter(|_| config.workers > 0)
+            .map(|base| (base / 2).clamp(Duration::from_millis(1), Duration::from_millis(10)));
         let engine = Arc::new(Engine {
             dict,
             store: ShardedStore::new(),
             rstate: RwLock::new(Arc::new(state)),
-            jobs,
             timeout: config.timeout,
-            inflight: Inflight::new(),
+            work: Work::new(tick),
             globals: GlobalCounters::default(),
             log: config.trace.then(EventLog::new),
             maintenance: Mutex::new(()),
@@ -152,39 +94,16 @@ impl Slider {
             #[cfg(test)]
             flush_drained_hook: Mutex::new(None),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|i| {
-                let (engine, jobs) = (Arc::clone(&engine), job_rx.clone());
+                let engine = Arc::clone(&engine);
                 std::thread::Builder::new()
                     .name(format!("slider-worker-{i}"))
-                    .spawn(move || worker_loop(&engine, &jobs))
+                    .spawn(move || engine.drain(Drainer::Worker))
                     .expect("spawn worker thread")
             })
             .collect();
-        // The flusher services buffer timeouts and the deferred-retraction
-        // deadline, so it runs only if either is configured. It scans at
-        // half the smaller one, clamped to [1, 10] ms, so a stale buffer
-        // or pending retraction waits at most ~1.5 × its deadline.
-        let deadline = config
-            .timeout
-            .into_iter()
-            .chain(config.maintenance_max_age)
-            .min();
-        let flusher = deadline.map(|base| {
-            let tick = (base / 2).clamp(Duration::from_millis(1), Duration::from_millis(10));
-            let stop = Arc::new(FlusherStop::default());
-            let (engine, thread_stop) = (Arc::clone(&engine), Arc::clone(&stop));
-            let handle = std::thread::Builder::new()
-                .name("slider-flusher".to_owned())
-                .spawn(move || flusher_loop(&engine, &thread_stop, tick))
-                .expect("spawn flusher thread");
-            (handle, stop)
-        });
-        Slider {
-            engine,
-            workers,
-            flusher,
-        }
+        Slider { engine, workers }
     }
 
     /// Creates a reasoner for a native fragment with a fresh dictionary.
@@ -239,18 +158,18 @@ impl Slider {
     }
 
     /// Encodes decoded triples through the dictionary, then [`Op::Add`]s
-    /// them. The inflight token covers the **intern → insert** window: a
+    /// them. A token covers the **intern → insert** window: a
     /// dictionary sweep scans liveness only at verified quiescence, so a
     /// term interned here is never swept before its triple is stored.
     pub fn add_terms(&self, triples: &[TermTriple]) -> usize {
         let engine = &self.engine;
-        engine.inflight.inc();
+        engine.work.inc();
         let encoded: Vec<Triple> = triples
             .iter()
             .map(|t| engine.dict.encode_triple(t))
             .collect();
         let fresh = engine.add(&encoded);
-        engine.inflight.dec();
+        engine.work.dec();
         fresh
     }
 
@@ -277,8 +196,10 @@ impl Slider {
     /// pending. Every query answered now reflects a closure at most this
     /// much behind the retraction stream; with
     /// [`SliderConfig::maintenance_max_age`](crate::SliderConfig::maintenance_max_age)
-    /// configured, the bound itself is bounded by roughly 1.5 × that
-    /// deadline (the flusher's scan granularity).
+    /// configured, a pool bounds it by about that deadline plus one tick
+    /// (half the smaller deadline, clamped to [1, 10] ms), one rule
+    /// instance and the flush's wait for quiescence; `workers: 0` never
+    /// checks the deadline.
     pub fn pending_staleness(&self) -> Option<Duration> {
         self.engine.scheduler.oldest_age()
     }
@@ -385,26 +306,13 @@ impl Slider {
 impl Drop for Slider {
     fn drop(&mut self) {
         // Pending deferred retractions must not be silently discarded:
-        // apply them in one final coalesced flush, mirroring how buffered
-        // triples drain at quiescence. This must happen while the workers
-        // are still running — the flush waits for quiescence, and queued
-        // rule instances drain through them.
+        // apply them in one final coalesced flush on this thread,
+        // mirroring how buffered triples drain at quiescence.
         if self.engine.scheduler.pending() > 0 {
             self.engine.flush_maintenance();
         }
-        // Stop and join the flusher *before* stopping the workers: a
-        // deadline-triggered flush may be waiting for quiescence, which
-        // only the still-running workers can provide — stopping them
-        // first could strand the flusher (and this join) forever.
-        if let Some((handle, stop)) = self.flusher.take() {
-            stop.stop();
-            let _ = handle.join();
-        }
-        // Queued jobs drain first; then each worker takes one stop
-        // message and exits.
-        for _ in &self.workers {
-            let _ = self.engine.jobs.send(Job::Stop);
-        }
+        // The workers empty the queue, then exit.
+        self.engine.work.stop();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }

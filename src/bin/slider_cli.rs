@@ -18,8 +18,8 @@
 //! output, with a note on stderr).
 //!
 //! `serve` runs N independent reasoners on one shared dictionary, each
-//! materialising its own stream concurrently while its own flusher
-//! applies a deferred retraction mid-stream.
+//! materialising its own stream concurrently while its own pool's
+//! deadline tick applies a deferred retraction mid-stream.
 
 use slider::parser::{Format, NTriplesWriter, ParseError};
 use slider::prelude::*;
@@ -228,8 +228,8 @@ fn cmd_generate(name: &str, args: &[String]) -> Result<(), String> {
 
 /// The multi-stream demo: N `Slider`s on one shared dictionary, each
 /// materialising its own generated stream concurrently. Every session
-/// defers the retraction of its first chunk, so its flusher's deadline
-/// flush runs while it and the other sessions keep ingesting.
+/// defers the retraction of its first chunk, so its pool's deadline flush
+/// runs while it and the other sessions keep ingesting.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut sessions = 4usize;
     let mut fragment = Fragment::RhoDf;

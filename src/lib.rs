@@ -103,9 +103,10 @@
 //!
 //! ## Several streams
 //!
-//! A `Slider` owns its threads: `SliderConfig::workers` pool threads and,
-//! when a buffer timeout or maintenance deadline is set, one flusher.
-//! Several streams are several `Slider`s. They may share one dictionary,
+//! A `Slider` owns exactly `SliderConfig::workers` threads, which drain
+//! its work queue and serve its buffer timeout and maintenance deadline;
+//! with `workers: 0` it owns none and `wait_idle` runs every rule
+//! instance on the caller. Several streams are several `Slider`s. They may share one dictionary,
 //! so their ids agree; it is never swept while several of them are live.
 //!
 //! ```

@@ -2,10 +2,14 @@
 //! compute exactly the closure the independent batch oracles compute, on
 //! every workload family and both fragments.
 
-use slider::baseline::{NaiveReasoner, SemiNaiveReasoner};
+use slider::baseline::{NaiveReasoner, RecomputeOracle, SemiNaiveReasoner};
 use slider::prelude::*;
+use slider::rules::{InputFilter, OutputSignature};
+use slider::workloads::stream::SlidingWindow;
 use slider::workloads::{encode_all, PaperOntology};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn oracle_closure(dict: &Arc<Dictionary>, fragment: Fragment, input: &[Triple]) -> Vec<Triple> {
@@ -153,4 +157,113 @@ fn closure_is_a_fixpoint() {
     slider.add_triples(&closure);
     slider.wait_idle();
     assert_eq!(slider.store().len(), closure.len());
+}
+
+/// Runs its rule, recording the thread each rule instance ran on.
+struct Probe(Arc<dyn Rule>, Arc<Mutex<HashSet<ThreadId>>>);
+
+impl Rule for Probe {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn definition(&self) -> &'static str {
+        self.0.definition()
+    }
+    fn input_filter(&self) -> InputFilter {
+        self.0.input_filter()
+    }
+    fn output_signature(&self) -> OutputSignature {
+        self.0.output_signature()
+    }
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
+        self.1.lock().unwrap().insert(std::thread::current().id());
+        self.0.apply(store, delta, out);
+    }
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+        self.0.derives(store, t)
+    }
+}
+
+/// One step of a stream: what expires, then what arrives.
+type Step<'a> = (&'a [TermTriple], &'a [TermTriple]);
+
+/// Plays `steps` (retract, assert, `wait_idle`) on a `workers: 0` engine
+/// whose every rule is a [`Probe`]. Checks the closure against the
+/// recompute oracle and that every rule instance ran on this thread;
+/// returns per-rule `[fired, derived, fresh]` and the closure.
+fn pool_less_run(name: &str, fragment: Fragment, steps: &[Step]) -> (Vec<[u64; 3]>, Vec<Triple>) {
+    let dict = Arc::new(Dictionary::new());
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let native = Ruleset::fragment(fragment, &dict);
+    let probed = native
+        .rules()
+        .iter()
+        .fold(Ruleset::custom(native.name()), |set, rule| {
+            set.with(Probe(Arc::clone(rule), Arc::clone(&threads)))
+        });
+    let config = SliderConfig::default().with_workers(0);
+    let slider = Slider::new(Arc::clone(&dict), probed, config);
+    let mut oracle = RecomputeOracle::new(native);
+    for &(expired, arrival) in steps {
+        // Encoded first: a retraction burst may sweep the expired terms.
+        oracle.remove(&encode_all(expired, &dict));
+        slider.remove_terms(expired);
+        slider.add_terms(arrival);
+        slider.wait_idle();
+        oracle.add(&encode_all(arrival, &dict));
+    }
+    let closure = slider.store().to_sorted_vec();
+    assert_eq!(
+        closure,
+        oracle.to_sorted_vec(),
+        "{name}: closure differs from the oracle"
+    );
+    let me = HashSet::from([std::thread::current().id()]);
+    assert_eq!(
+        *threads.lock().unwrap(),
+        me,
+        "{name}: a rule ran off the caller"
+    );
+    let counters = slider
+        .stats()
+        .rules
+        .iter()
+        .map(|r| [r.fired, r.derived, r.fresh])
+        .collect();
+    (counters, closure)
+}
+
+/// `workers: 0` spawns no pool: every rule instance runs on the caller's
+/// thread, inside `wait_idle`, in FIFO order. So two runs of one input
+/// fire identically, rule by rule — for a load, a chain, a sliding window
+/// with retractions and an inference-heavy ingest.
+#[test]
+fn a_pool_less_engine_is_deterministic_and_single_threaded() {
+    let bsbm = PaperOntology::Bsbm100k.generate(0.01);
+    let chain = PaperOntology::SubClassOf50.generate(1.0);
+    let wiki = PaperOntology::Wikipedia.generate(0.005);
+    let window = SlidingWindow::new(&wiki, 200, 3, Duration::ZERO);
+    let cases: [(&str, Fragment, Vec<Step>); 4] = [
+        ("bsbm", Fragment::Rdfs, vec![(&[], &bsbm)]),
+        ("chain", Fragment::RhoDf, vec![(&[], &chain)]),
+        (
+            "window",
+            Fragment::Rdfs,
+            window
+                .steps()
+                .map(|s| (s.expiring.unwrap_or_default(), s.arrival))
+                .collect(),
+        ),
+        (
+            "wikipedia",
+            Fragment::Rdfs,
+            wiki.chunks(500).map(|c| (&[][..], c)).collect(),
+        ),
+    ];
+    for (name, fragment, steps) in cases {
+        let first = pool_less_run(name, fragment, &steps);
+        assert!(first.0.iter().any(|c| c[0] > 0), "{name}: no rule fired");
+        let second = pool_less_run(name, fragment, &steps);
+        assert!(first == second, "{name}: two runs differ");
+    }
 }

@@ -6,10 +6,37 @@ mod common;
 
 use common::materialize;
 use slider::prelude::*;
+use slider::rules::{InputFilter, OutputSignature};
 use slider::workloads::{encode_all, PaperOntology};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
+
+/// A rule over one trigger predicate that concludes nothing and calls
+/// `on_apply` once per rule instance.
+struct Hook<F> {
+    name: &'static str,
+    trigger: NodeId,
+    on_apply: F,
+}
+
+impl<F: Fn() + Send + Sync> Rule for Hook<F> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn definition(&self) -> &'static str {
+        "(s trigger o) ⊢ nothing"
+    }
+    fn input_filter(&self) -> InputFilter {
+        InputFilter::Predicates(vec![self.trigger])
+    }
+    fn output_signature(&self) -> OutputSignature {
+        OutputSignature::Predicates(vec![])
+    }
+    fn apply(&self, _: &VerticalStore, _: &[Triple], _: &mut Vec<Triple>) {
+        (self.on_apply)()
+    }
+}
 
 #[test]
 fn many_producers_one_closure() {
@@ -115,6 +142,60 @@ fn wait_idle_from_multiple_threads() {
         }
     });
     assert_eq!(slider.store().len(), 199 + 4_851);
+}
+
+/// `wait_idle` helps instead of sleeping: the one worker is stuck in rule
+/// A's instance, which waits (at most 10 s) until rule B's has run, and B
+/// is queued behind it. Only a caller that runs B itself returns early.
+#[test]
+fn wait_idle_runs_queued_instances_on_the_caller() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let (a, b) = (NodeId(98_000), NodeId(98_001));
+    let wait = {
+        let gate = Arc::clone(&gate);
+        move || {
+            let give_up = std::time::Instant::now() + Duration::from_secs(10);
+            while !gate.load(Ordering::SeqCst) && std::time::Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    };
+    let open = {
+        let gate = Arc::clone(&gate);
+        move || gate.store(true, Ordering::SeqCst)
+    };
+    let slider = Arc::new(Slider::new(
+        Arc::new(Dictionary::new()),
+        Ruleset::custom("gates")
+            .with(Hook {
+                name: "A",
+                trigger: a,
+                on_apply: wait,
+            })
+            .with(Hook {
+                name: "B",
+                trigger: b,
+                on_apply: open,
+            }),
+        SliderConfig::default()
+            .with_buffer_capacity(1)
+            .with_workers(1),
+    ));
+    slider.add_triples(&[Triple::new(NodeId(1), a, NodeId(2))]);
+    slider.add_triples(&[Triple::new(NodeId(1), b, NodeId(2))]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = {
+        let slider = Arc::clone(&slider);
+        std::thread::spawn(move || {
+            slider.wait_idle();
+            let _ = tx.send(());
+        })
+    };
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("wait_idle slept while rule B's instance sat in the queue");
+    waiter.join().unwrap();
+    assert!(gate.load(Ordering::SeqCst));
+    assert_eq!(slider.stats().total_fired(), 2);
 }
 
 #[test]
@@ -658,11 +739,11 @@ fn snapshot_acquired_before_a_flush_never_observes_its_retractions() {
 
 /// Teardown under load: dropping a `Slider` with hundreds of jobs queued
 /// joins cleanly. The second input adds a deferred backlog on a 1 ms
-/// deadline, so the drop lands while the flusher is mid deadline-flush,
-/// waiting for quiescence on those queued jobs; only the order "flush,
-/// join the flusher, then stop the workers" lets it finish. The drop runs
-/// on its own thread under a bound, so a wrong order fails instead of
-/// hanging.
+/// deadline, so the drop lands while a worker is mid deadline-flush,
+/// helping drain those queued jobs until quiescence while the drop's own
+/// flush waits for it; the stopped pool must still empty the queue before
+/// it exits. The drop runs on its own thread under a bound, so a stranded
+/// token fails instead of hanging.
 #[test]
 fn drop_under_load_terminates() {
     for max_age in [None, Some(Duration::from_millis(1))] {
@@ -698,102 +779,88 @@ fn drop_under_load_terminates() {
 // ───────────────────── sessions: several Sliders on one dictionary ─────────────────────
 
 /// A rule that panics mid-join loses its own conclusions and nothing
-/// else. The panicking session's inflight tokens are released (its
-/// `wait_idle` returns), its *other* rules keep deriving, and a co-tenant
-/// on the same dictionary computes an exact closure throughout.
+/// else. The panicking session's tokens are released (its `wait_idle`
+/// returns), its *other* rules keep deriving, and a co-tenant on the same
+/// dictionary computes an exact closure throughout — with a pool and
+/// without one.
 #[test]
 fn a_panicking_rule_is_contained_to_its_session() {
-    use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
-    use slider::store::VerticalStore;
+    use slider::rules::RuleSpec;
 
-    /// Detonates on every application; accepts only its trigger predicate.
-    struct Grenade {
-        trigger: NodeId,
-    }
-    impl Rule for Grenade {
-        fn name(&self) -> &'static str {
-            "GRENADE"
-        }
-        fn definition(&self) -> &'static str {
-            "(s trigger o) ⊢ panic!"
-        }
-        fn input_filter(&self) -> InputFilter {
-            InputFilter::Predicates(vec![self.trigger])
-        }
-        fn output_signature(&self) -> OutputSignature {
-            OutputSignature::Predicates(vec![])
-        }
-        fn apply(&self, _store: &VerticalStore, _delta: &[Triple], _out: &mut Vec<Triple>) {
-            panic!("grenade detonated (deliberately, in a test)");
-        }
-    }
+    for workers in [0, 2] {
+        let trans = NodeId(95_000);
+        let trigger = NodeId(95_001);
+        let dict = Arc::new(Dictionary::new());
+        let victim = Arc::new(Slider::new(
+            Arc::clone(&dict),
+            Ruleset::custom("grenade")
+                .with(RuleSpec::transitive("T", trans))
+                .with(Hook {
+                    name: "GRENADE",
+                    trigger,
+                    on_apply: || panic!("grenade detonated (deliberately, in a test)"),
+                }),
+            // Capacity 1: every trigger triple detonates its own rule instance.
+            SliderConfig::default()
+                .with_buffer_capacity(1)
+                .with_workers(workers),
+        ));
+        let bystander = Arc::new(Slider::new(
+            dict,
+            Ruleset::rho_df(),
+            SliderConfig::default().with_workers(2),
+        ));
 
-    let trans = NodeId(95_000);
-    let trigger = NodeId(95_001);
-    let dict = Arc::new(Dictionary::new());
-    let victim = Arc::new(Slider::new(
-        Arc::clone(&dict),
-        Ruleset::custom("grenade")
-            .with(RuleSpec::transitive("T", trans))
-            .with(Grenade { trigger }),
-        // Capacity 1: every trigger triple detonates its own rule instance.
-        SliderConfig::default()
-            .with_buffer_capacity(1)
-            .with_workers(2),
-    ));
-    let bystander = Arc::new(Slider::new(
-        dict,
-        Ruleset::rho_df(),
-        SliderConfig::default().with_workers(2),
-    ));
+        let link = |k: u64| Triple::new(NodeId(96_000 + k), trans, NodeId(96_001 + k));
+        let bomb = |k: u64| Triple::new(NodeId(97_000 + k), trigger, NodeId(97_500 + k));
+        std::thread::scope(|scope| {
+            {
+                let victim = Arc::clone(&victim);
+                scope.spawn(move || {
+                    for k in 0..20 {
+                        victim.add_triples(&[link(k), bomb(k)]);
+                    }
+                });
+            }
+            {
+                let bystander = Arc::clone(&bystander);
+                scope.spawn(move || {
+                    use slider::model::vocab::RDFS_SUB_CLASS_OF;
+                    let chain: Vec<Triple> = (0..60)
+                        .map(|k| Triple::new(NodeId(500 + k), RDFS_SUB_CLASS_OF, NodeId(501 + k)))
+                        .collect();
+                    for chunk in chain.chunks(5) {
+                        bystander.add_triples(chunk);
+                    }
+                });
+            }
+        });
 
-    let link = |k: u64| Triple::new(NodeId(96_000 + k), trans, NodeId(96_001 + k));
-    let bomb = |k: u64| Triple::new(NodeId(97_000 + k), trigger, NodeId(97_500 + k));
-    std::thread::scope(|scope| {
-        {
+        // The victim still quiesces: every detonated instance released its
+        // token — and with no pool, every detonation happens inside this
+        // waiter's `wait_idle`, which survives them. Bound the wait so a
+        // leaked token fails, not hangs.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
             let victim = Arc::clone(&victim);
-            scope.spawn(move || {
-                for k in 0..20 {
-                    victim.add_triples(&[link(k), bomb(k)]);
-                }
-            });
-        }
-        {
-            let bystander = Arc::clone(&bystander);
-            scope.spawn(move || {
-                use slider::model::vocab::RDFS_SUB_CLASS_OF;
-                let chain: Vec<Triple> = (0..60)
-                    .map(|k| Triple::new(NodeId(500 + k), RDFS_SUB_CLASS_OF, NodeId(501 + k)))
-                    .collect();
-                for chunk in chain.chunks(5) {
-                    bystander.add_triples(chunk);
-                }
-            });
-        }
-    });
+            std::thread::spawn(move || {
+                victim.wait_idle();
+                let _ = tx.send(());
+            })
+        };
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("a panicked rule instance leaked its token");
+        waiter.join().unwrap();
+        bystander.wait_idle();
 
-    // The victim still quiesces: every detonated instance released its
-    // inflight token. Bound the wait so a leaked token fails, not hangs.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let waiter = {
-        let victim = Arc::clone(&victim);
-        std::thread::spawn(move || {
-            victim.wait_idle();
-            let _ = tx.send(());
-        })
-    };
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("a panicked rule instance leaked its inflight token");
-    waiter.join().unwrap();
-    bystander.wait_idle();
-
-    // Victim: explicit triples all present (the input manager inserted
-    // them before the rules ran), and the non-panicking rule kept
-    // deriving — the 20 chained links close transitively (20·21/2 = 210)
-    // while the 20 bombs add only themselves.
-    assert_eq!(victim.store().len(), 210 + 20);
-    // Bystander: untouched by the detonations next door.
-    assert_eq!(bystander.store().len(), 60 * 61 / 2);
+        // Victim: explicit triples all present (the input manager inserted
+        // them before the rules ran), and the non-panicking rule kept
+        // deriving — the 20 chained links close transitively (20·21/2 = 210)
+        // while the 20 bombs add only themselves.
+        assert_eq!(victim.store().len(), 210 + 20);
+        // Bystander: untouched by the detonations next door.
+        assert_eq!(bystander.store().len(), 60 * 61 / 2);
+    }
 }
 
 /// A panicking DRed pass strands no other caller: two eager removals on
@@ -806,8 +873,7 @@ fn a_panicking_rule_is_contained_to_its_session() {
 /// so both racing callers are blocked on it before either runs.
 #[test]
 fn panicking_eager_removal_strands_no_racing_caller() {
-    use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
-    use slider::store::VerticalStore;
+    use slider::rules::RuleSpec;
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
 

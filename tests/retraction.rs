@@ -362,6 +362,8 @@ fn threshold_triggers_coalesced_flush() {
     assert_matches_oracle(&slider, &oracle, "threshold-triggered flush");
 }
 
+/// The pool flushes a deferral past its max age by itself: a worker's
+/// deadline tick is the one flusher there is.
 #[test]
 fn max_age_deadline_triggers_flush_from_the_flusher() {
     let slider = rho_slider(
@@ -371,7 +373,7 @@ fn max_age_deadline_triggers_flush_from_the_flusher() {
     );
     materialize(&slider, &chain(8));
     slider.apply(Op::Defer(vec![sco(3, 4)]));
-    // No explicit flush: the flusher thread must apply it via the deadline.
+    // No explicit flush: a pool worker's deadline tick must apply it.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     while slider.stats().coalesced_runs == 0 {
         assert!(

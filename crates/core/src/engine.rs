@@ -58,8 +58,9 @@ impl Engine {
         Arc::clone(&self.rstate.read())
     }
 
-    pub(crate) fn buffers_empty(&self, state: &RulesetState) -> bool {
-        state.modules.iter().all(|m| m.buffer.is_empty())
+    /// No token held and every buffer empty: the closure is complete.
+    pub(crate) fn quiescent(&self) -> bool {
+        self.work.current() == 0 && self.rstate().modules.iter().all(|m| m.buffer.is_empty())
     }
 
     /// Drains every non-empty buffer into a rule instance, or with
@@ -132,8 +133,7 @@ impl Engine {
         loop {
             self.flush_buffers(None);
             self.drain(Drainer::Waiter);
-            let state = self.rstate();
-            if self.buffers_empty(&state) && self.work.current() == 0 {
+            if self.quiescent() {
                 break;
             }
         }

@@ -41,8 +41,7 @@ impl Engine {
         loop {
             self.wait_idle();
             let mut store = self.store.exclusive();
-            let state = self.rstate();
-            if self.work.current() == 0 && self.buffers_empty(&state) {
+            if self.quiescent() {
                 let result = (f.take().expect("quiescence loop runs f once"))(&mut store);
                 break (result, store.len());
             }
@@ -249,13 +248,19 @@ impl Engine {
         // so a same-named rule over other constants counts as drop + add.
         let in_rules =
             |rules: &[Arc<dyn Rule>], r: &Arc<dyn Rule>| rules.iter().any(|s| s.same_rule(&**r));
-        let (surviving, dropped): (Vec<_>, Vec<_>) = old_rules
+        let dropped: Vec<Arc<dyn Rule>> = old_rules
             .iter()
+            .filter(|r| !in_rules(&new_rules, r))
             .cloned()
-            .partition(|r| in_rules(&new_rules, r));
+            .collect();
         let added: Vec<Arc<dyn Rule>> = new_rules
             .iter()
             .filter(|r| !in_rules(&old_rules, r))
+            .cloned()
+            .collect();
+        let surviving: Vec<Arc<dyn Rule>> = old_rules
+            .iter()
+            .filter(|r| in_rules(&new_rules, r))
             .cloned()
             .collect();
         let kept = surviving.len();

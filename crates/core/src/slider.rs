@@ -66,14 +66,12 @@ impl Slider {
         let buffer_capacity = config.buffer_capacity.max(1);
         dict.attach_engine();
         let state = build_state(&ruleset, &dict, buffer_capacity, None);
-        // The workers serve buffer timeouts and the deferred-retraction
-        // deadline every tick: half the smaller deadline, clamped to
-        // [1, 10] ms. Without a pool nothing ticks.
-        let deadline = [config.timeout, config.maintenance_max_age]
+        // The workers serve both deadlines every tick: half the smaller
+        // one, clamped to [1, 10] ms. Without a pool nothing ticks.
+        let tick = [config.timeout, config.maintenance_max_age]
             .into_iter()
             .flatten()
-            .min();
-        let tick = deadline
+            .min()
             .filter(|_| config.workers > 0)
             .map(|base| (base / 2).clamp(Duration::from_millis(1), Duration::from_millis(10)));
         let engine = Arc::new(Engine {

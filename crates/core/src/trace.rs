@@ -139,10 +139,11 @@ impl EventLog {
         }
     }
 
-    /// Appends an event stamped with the current time.
+    /// Appends an event, stamped under the lock so the log stays in time order.
     pub fn record(&self, kind: EventKind) {
+        let mut events = self.events.lock();
         let at = self.epoch.elapsed();
-        self.events.lock().push(Event { at, kind });
+        events.push(Event { at, kind });
     }
 
     /// Copies out all events recorded so far.

@@ -22,8 +22,7 @@ pub(crate) enum Next {
     Job(usize, Vec<Triple>),
     /// Serve the deadlines (workers only).
     Tick,
-    /// Return: no token is held (a waiter), or the pool stopped and the
-    /// queue is empty (a worker).
+    /// Return: no token left (a waiter), or stopped and empty (a worker).
     Done,
 }
 

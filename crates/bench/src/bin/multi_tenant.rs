@@ -10,7 +10,8 @@
 //! 2. **Ingest latency and flush throughput under co-tenant churn** — one
 //!    tenant streams membership batches (timed per `add_triples` call,
 //!    p50/p99) while a co-tenant's deferred-retraction backlog is flushed
-//!    by its own pool's deadline tick; how fast the backlog drains (retractions/s).
+//!    by its own pool's deadline tick; how fast the backlog drains
+//!    (retractions/s).
 //!    The "isolated" cell gives each tenant a private dictionary, the
 //!    "shared" cell puts both on one.
 //!

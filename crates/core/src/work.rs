@@ -197,11 +197,4 @@ mod tests {
         assert!(matches!(w.next(Drainer::Worker), Next::Done));
         assert_eq!(w.current(), 2, "running jobs keep their tokens");
     }
-
-    #[test]
-    fn an_idle_worker_wakes_for_the_tick() {
-        let w = Work::new(Some(Duration::from_millis(2)));
-        assert!(matches!(w.next(Drainer::Worker), Next::Tick));
-        assert!(matches!(w.next(Drainer::Worker), Next::Tick));
-    }
 }

@@ -36,8 +36,9 @@ pub(crate) struct Engine {
     pub(crate) scheduler: MaintenanceScheduler,
     /// Configured buffer capacity, for the modules a ruleset swap builds.
     pub(crate) buffer_capacity: usize,
-    /// Triples retired (retracted + overdeleted) by maintenance runs
-    /// since the last dictionary sweep — the sweep trigger's numerator.
+    /// Triples retired by maintenance runs since the last dictionary
+    /// sweep (net deletions: retracted + overdeleted − rederived) — the
+    /// sweep trigger's numerator.
     pub(crate) retired_since_sweep: AtomicUsize,
     /// Runs once, inside the next flush, between draining the pending
     /// queue and applying it — holds a drained-but-unapplied set open for
@@ -64,8 +65,9 @@ impl Engine {
     }
 
     /// Drains every non-empty buffer into a rule instance, or with
-    /// `stale: Some(timeout)` only those idle for `timeout`.
-    fn flush_buffers(&self, stale: Option<Duration>) {
+    /// `stale: Some(timeout)` only those idle for `timeout`. The jobs are
+    /// submitted `by` the caller: a waiter's jobs wake no one (see [`Work`]).
+    fn flush_buffers(&self, stale: Option<Duration>, by: Drainer) {
         // Guard token, then resolve: the token pins the resolved state, so
         // a racing swap cannot retire these modules (orphaning drained
         // batches or submitting stale rule indexes) mid-scan, and it covers
@@ -78,7 +80,7 @@ impl Engine {
                 if let Some(log) = &self.log {
                     log.record(EventKind::TimeoutFlush { rule: i });
                 }
-                self.work.submit(i, delta);
+                self.work.submit(i, delta, by);
             }
         }
         self.work.dec();
@@ -120,7 +122,7 @@ impl Engine {
     /// while holding the maintenance mutex, which a flush takes.
     fn serve_deadlines(&self) {
         if let Some(timeout) = self.timeout {
-            self.flush_buffers(Some(timeout));
+            self.flush_buffers(Some(timeout), Drainer::Worker);
         }
         if self.scheduler.is_stale() {
             self.flush_maintenance();
@@ -131,7 +133,7 @@ impl Engine {
     /// running queued rule instances on the calling thread meanwhile.
     pub(crate) fn wait_idle(&self) {
         loop {
-            self.flush_buffers(None);
+            self.flush_buffers(None, Drainer::Waiter);
             self.drain(Drainer::Waiter);
             if self.quiescent() {
                 break;

@@ -37,8 +37,9 @@
 //!   dependency graph** — the paper's duplicate-limitation mechanism.
 //! * [`Slider::wait_idle`] detects quiescence (all buffers empty, no
 //!   in-flight work): the closure is complete, and its caller runs queued
-//!   rule instances meanwhile. Streaming callers instead just keep feeding
-//!   triples; timeouts keep buffers moving.
+//!   rule instances meanwhile, help-first — the partial buffers it
+//!   flushes wake no pool worker. Streaming callers instead just keep
+//!   feeding triples; timeouts keep buffers moving.
 //! * **Retractions** ([`Op::Remove`], [`Slider::remove_terms`])
 //!   run the [`maintenance`] module's DRed algorithm with the store held
 //!   exclusively: overdelete the

@@ -17,13 +17,15 @@
 //! 2. **Rederivation** — overdeletion overshoots: a deleted triple may have
 //!    an alternative derivation from surviving facts. The fast path asks
 //!    each rule's backward matcher ([`Rule::derives`]) whether a deleted
-//!    triple is one-step derivable from the surviving store, re-inserting
-//!    and re-checking until fixpoint — cost proportional to the *deleted*
-//!    set, not the store. If any in-scope rule has no backward matcher
-//!    (`derives` returns `None` — a custom rule; every built-in has one), the
-//!    phase falls back to a forward full pass: one semi-naive round with
-//!    the surviving store as the delta, then the usual fixpoint on fresh
-//!    conclusions. Both paths restore exactly the same triples.
+//!    triple is one-step derivable from the surviving store and restores
+//!    those; then one semi-naive step per round over the triples just
+//!    restored brings back the deleted ones they support, until none are
+//!    left — cost proportional to the *deleted* set, not the store. If
+//!    any in-scope rule has no backward matcher (`derives` returns `None`
+//!    — a custom rule; every built-in has one), the phase falls back to
+//!    a forward full pass: one semi-naive round with the surviving store
+//!    as the delta, then the usual fixpoint on fresh conclusions. Both
+//!    paths restore exactly the same triples.
 //!
 //! Both phases restrict the rules they run: overdeletion to the dependency
 //! graph's [`reachable`](slider_rules::DependencyGraph::reachable) set of
@@ -177,44 +179,57 @@ fn rederive(
         return 0;
     }
     let mut rederived = 0;
-    // Fast path: backward support checks over the deleted set only.
-    // A deleted triple with one-step support from the current store is
-    // restored; restorations can support further restorations, so
-    // passes repeat until nothing changes. If any in-scope rule lacks
-    // a backward matcher (`derives` → None) the answer is unknown and
-    // we fall back to the forward pass below.
+    // Fast path, pass 1: backward support checks over the deleted set. A
+    // deleted triple with one-step support from the surviving store is
+    // restored. If any in-scope rule lacks a backward matcher (`derives`
+    // → None) the answer is unknown and we fall back to the forward pass
+    // below.
     let mut candidates: Vec<Triple> = scheduled.iter().copied().collect();
     candidates.sort_unstable(); // deterministic restoration order
     let mut need_forward = false;
-    while !need_forward {
-        let mut restored: Vec<Triple> = Vec::new();
-        candidates.retain(|&t| {
-            for &i in rule_indices {
-                match rules[i].derives(store, t) {
-                    Some(true) => {
-                        restored.push(t);
-                        return false;
-                    }
-                    Some(false) => {}
-                    None => need_forward = true,
+    let mut restored: Vec<Triple> = Vec::new();
+    candidates.retain(|&t| {
+        for &i in rule_indices {
+            match rules[i].derives(store, t) {
+                Some(true) => {
+                    restored.push(t);
+                    return false;
                 }
+                Some(false) => {}
+                None => need_forward = true,
             }
-            true
-        });
+        }
+        true
+    });
+    // Then forward from the restorations: a candidate pass 1 left is
+    // derivable now only through a triple restored since, so one
+    // semi-naive step over the last restorations finds exactly the next
+    // ones, until none are left.
+    let mut remaining: FxHashSet<Triple> = if need_forward {
+        FxHashSet::default()
+    } else {
+        candidates.into_iter().collect()
+    };
+    let mut out: Vec<Triple> = Vec::new();
+    while !restored.is_empty() {
         rederived += restored.len();
         for &t in &restored {
             store.insert(t);
         }
-        if restored.is_empty() {
+        if remaining.is_empty() {
             break;
         }
+        for &i in rule_indices {
+            rules[i].apply(store, &restored, &mut out);
+        }
+        restored.clear();
+        restored.extend(out.drain(..).filter(|t| remaining.remove(t)));
     }
     // Forward fallback: one pass with the whole surviving store as the
     // delta — every one-step-from-survivors conclusion that went
     // missing was overdeleted and comes back — then the usual
     // semi-naive fixpoint on fresh conclusions.
     if need_forward {
-        let mut out: Vec<Triple> = Vec::new();
         let mut delta: Vec<Triple> = store.iter().collect();
         let mut fresh: Vec<Triple> = Vec::new();
         loop {

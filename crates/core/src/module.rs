@@ -5,6 +5,7 @@ use crate::buffer::Buffer;
 use crate::engine::Engine;
 use crate::stats::{bump, RuleCounters};
 use crate::trace::EventKind;
+use crate::work::Drainer;
 use parking_lot::Mutex;
 use slider_model::{Dictionary, NodeId, Triple};
 use slider_rules::{DependencyGraph, InputFilter, Rule, Ruleset};
@@ -120,7 +121,9 @@ impl Engine {
                 if let Some(log) = &self.log {
                     log.record(EventKind::BufferFull { rule: i });
                 }
-                self.work.submit(i, chunk);
+                // A full buffer is worth a handoff: it wakes the pool,
+                // whoever filled it.
+                self.work.submit(i, chunk, Drainer::Worker);
             }
         }
     }

@@ -60,10 +60,10 @@ impl Engine {
 
     /// Post-retraction dictionary compaction hook, called under the
     /// maintenance mutex after a DRed run retired `retired_now` triples
-    /// (retracted + overdeleted). Sweeps once the retirements since the
-    /// last sweep clear both [`DICT_SWEEP_MIN_RETIRED`] and
-    /// [`DICT_SWEEP_RATIO`] of the live terms: bursts sweep, trickles
-    /// never do. The run's section has published by now, so its
+    /// (its net deletions: a rederived triple came back and frees no
+    /// term). Sweeps once the retirements since the last sweep clear both
+    /// [`DICT_SWEEP_MIN_RETIRED`] and [`DICT_SWEEP_RATIO`] of the live
+    /// terms: bursts sweep, trickles never do. The run's section has published by now, so its
     /// pre-section epoch is a root only if a query still holds it.
     fn maybe_sweep_dict(&self, retired_now: usize) {
         let retired = self
@@ -171,7 +171,7 @@ impl Engine {
                 store_size,
             });
         }
-        self.maybe_sweep_dict(outcome.retracted + outcome.overdeleted);
+        self.maybe_sweep_dict(outcome.net_deleted());
         outcome
     }
 
@@ -231,7 +231,7 @@ impl Engine {
                 store_size,
             });
         }
-        self.maybe_sweep_dict(outcome.retracted + outcome.overdeleted);
+        self.maybe_sweep_dict(outcome.net_deleted());
         outcome
     }
 

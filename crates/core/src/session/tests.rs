@@ -9,10 +9,12 @@ use slider_baseline::closure;
 use slider_model::vocab::{RDFS_DOMAIN, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE};
 use slider_model::NodeId;
 use slider_model::{Dictionary, TermTriple, Triple};
-use slider_rules::{DependencyGraph, Fragment, Ruleset};
+use slider_rules::{DependencyGraph, Fragment, InputFilter, OutputSignature, Rule, Ruleset};
 use slider_store::VerticalStore;
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 fn n(v: u64) -> NodeId {
@@ -134,6 +136,97 @@ fn timeout_drives_progress_without_explicit_flush() {
     }
     let stats = slider.stats();
     assert!(stats.rules.iter().any(|r| r.timeout_flushes > 0));
+}
+
+/// The threads rule instances ran on.
+type Threads = Arc<std::sync::Mutex<HashSet<ThreadId>>>;
+
+/// Runs its rule, recording the thread each rule instance ran on.
+struct Probe(Arc<dyn Rule>, Threads);
+
+impl Rule for Probe {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn definition(&self) -> &'static str {
+        self.0.definition()
+    }
+    fn input_filter(&self) -> InputFilter {
+        self.0.input_filter()
+    }
+    fn output_signature(&self) -> OutputSignature {
+        self.0.output_signature()
+    }
+    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
+        self.1.lock().unwrap().insert(std::thread::current().id());
+        self.0.apply(store, delta, out);
+    }
+    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+        self.0.derives(store, t)
+    }
+}
+
+/// A ρdf engine whose every rule is a [`Probe`], and the threads they ran on.
+fn probed_slider(config: SliderConfig) -> (Slider, Threads) {
+    let threads = Threads::default();
+    let native = Ruleset::rho_df();
+    let probed = native
+        .rules()
+        .iter()
+        .fold(Ruleset::custom(native.name()), |set, rule| {
+            set.with(Probe(Arc::clone(rule), Arc::clone(&threads)))
+        });
+    let slider = Slider::new(Arc::new(Dictionary::new()), probed, config);
+    (slider, threads)
+}
+
+/// Help-first: the partial buffers `wait_idle` flushes wake no worker,
+/// and their successors fill no buffer here, so with the worker asleep
+/// every rule instance runs on the waiting thread.
+#[test]
+fn wait_idle_runs_its_own_jobs_without_waking_the_pool() {
+    let (slider, threads) = probed_slider(SliderConfig::batch().with_workers(1));
+    // No tick in batch mode: once asleep, only a wake gives the worker work.
+    while slider.engine.work.idle_workers() == 0 {
+        std::thread::yield_now();
+    }
+    let mut input = chain(30);
+    input.extend((100..110).map(|i| ty(i, 1)));
+    materialize(&slider, &input); // far below the buffer capacity
+    let oracle = closure(Ruleset::rho_df(), &input);
+    assert_eq!(slider.store().to_sorted_vec(), oracle.to_sorted_vec());
+    assert!(slider.stats().rules.iter().map(|r| r.fired).sum::<u64>() > 1);
+    let me = HashSet::from([std::thread::current().id()]);
+    assert_eq!(*threads.lock().unwrap(), me, "a rule ran off the caller");
+}
+
+/// A buffer that fills in `add` still wakes the pool: without any
+/// `wait_idle`, the worker runs the instances to the closure.
+#[test]
+fn a_full_buffer_wakes_the_pool_without_wait_idle() {
+    let capacity = 64;
+    let config = SliderConfig::batch()
+        .with_workers(1)
+        .with_buffer_capacity(capacity);
+    let (slider, threads) = probed_slider(config);
+    // One edge and a buffer's worth of instances: each type-consuming
+    // buffer fills, and so does each with their `ty(_, 2)` conclusions.
+    let mut input = vec![sco(1, 2)];
+    input.extend((0..capacity as u64).map(|i| ty(100 + i, 1)));
+    slider.add_triples(&input);
+    let oracle = closure(Ruleset::rho_df(), &input).to_sorted_vec();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while slider.store().len() < oracle.len() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never ran the full buffers"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(slider.store().to_sorted_vec(), oracle);
+    let threads = threads.lock().unwrap();
+    assert!(!threads.is_empty());
+    assert!(!threads.contains(&std::thread::current().id()));
 }
 
 #[test]
@@ -295,6 +388,24 @@ fn remove_triples_runs_dred_end_to_end() {
         0
     );
     assert_eq!(slider.stats().removal_runs, 1);
+}
+
+/// The sweep trigger counts net deletions: when every overdeleted triple
+/// is rederived, a removal adds only its retractions.
+#[test]
+fn a_fully_rederived_removal_adds_only_its_retractions_to_the_sweep_trigger() {
+    let slider = rho_slider(SliderConfig::batch());
+    // Two paths 1→2→4 and 1→3→4: retracting 2 ⊑ 4 overdeletes 1 ⊑ 4 and
+    // 9 : 4, and the path through 3 rederives both.
+    materialize(
+        &slider,
+        &[sco(1, 2), sco(2, 4), sco(1, 3), sco(3, 4), ty(9, 1)],
+    );
+    let outcome = slider.apply(Op::Remove(vec![sco(2, 4)])).removal().unwrap();
+    assert_eq!(outcome.retracted, 1);
+    assert!(outcome.overdeleted > 0);
+    assert_eq!(outcome.rederived, outcome.overdeleted);
+    assert_eq!(slider.engine.retired_since_sweep.load(Ordering::Relaxed), 1);
 }
 
 #[test]

@@ -3,36 +3,33 @@
 //! The seed engine is monotone-additive — the paper's Slider only ever
 //! *adds* triples, so expiring facts (sensor windows, revoked assertions)
 //! would force a full rebuild. This module adds the standard incremental
-//! answer, **delete-and-rederive** (DRed, Gupta–Mumick–Subrahmanian):
+//! answer, **delete-and-rederive** (DRed, Gupta–Mumick–Subrahmanian), as
+//! one core that both a retraction (`dred`) and a ruleset swap
+//! (`retract_rules`) run on their own seeds:
 //!
-//! 1. **Overdeletion** — starting from the retracted assertions, delete the
-//!    *downward closure* through the rules: every derived triple with at
-//!    least one derivation step using a deleted triple as a premise. The
-//!    existing semi-naive [`Rule::apply`] does the premise matching: a
-//!    round's deletion delta is joined against the store (delta still
-//!    present, satisfying the `delta ⊆ store` contract), its conclusions
-//!    become the next round's delta, and only *then* is the delta removed.
-//!    Explicit triples are never overdeleted — they hold on their own
-//!    authority.
+//! 1. **Overdeletion** — starting from the seeds, delete the *downward
+//!    closure* through the rules: every derived triple with at least one
+//!    derivation step using a deleted triple as a premise. The existing
+//!    semi-naive [`Rule::apply`] does the premise matching: a round's
+//!    deletion delta is joined against the store (delta still present,
+//!    satisfying the `delta ⊆ store` contract), its conclusions become the
+//!    next round's delta, and only *then* is the delta removed. Explicit
+//!    triples are never overdeleted — they hold on their own authority.
 //! 2. **Rederivation** — overdeletion overshoots: a deleted triple may have
-//!    an alternative derivation from surviving facts. The fast path asks
-//!    each rule's backward matcher ([`Rule::derives`]) whether a deleted
-//!    triple is one-step derivable from the surviving store and restores
-//!    those; then one semi-naive step per round over the triples just
-//!    restored brings back the deleted ones they support, until none are
-//!    left — cost proportional to the *deleted* set, not the store. If
-//!    any in-scope rule has no backward matcher (`derives` returns `None`
-//!    — a custom rule; every built-in has one), the phase falls back to
-//!    a forward full pass: one semi-naive round with the surviving store
-//!    as the delta, then the usual fixpoint on fresh conclusions. Both
-//!    paths restore exactly the same triples.
+//!    an alternative derivation from surviving facts. Each rule's backward
+//!    matcher ([`Rule::derives`], which every rule implements) says whether
+//!    a deleted triple is one-step derivable from the surviving store, and
+//!    those are restored; then one semi-naive step per round over the
+//!    triples just restored brings back the deleted ones they support,
+//!    until none are left — cost proportional to the *deleted* set, not
+//!    the store.
 //!
 //! Both phases restrict the rules they run: overdeletion to the dependency
 //! graph's [`reachable`](slider_rules::DependencyGraph::reachable) set of
 //! the rules consuming a retracted predicate — no other rule can have
 //! consumed a deleted triple — and rederivation to the rules whose
 //! [`OutputSignature`] can emit a deleted predicate — no other rule can
-//! rederive a deleted triple.
+//! restore a deleted triple.
 //!
 //! The result invariant, asserted by `tests/retraction.rs` against the
 //! recompute-from-scratch oracle: after maintenance the store equals the
@@ -96,157 +93,40 @@ pub(crate) fn dred(
     };
 
     // Only triples that are present *and* explicit are genuine
-    // retractions; demote them to derived so the deletion loop below may
-    // take them, and seed the first deletion round. The no-ops are
-    // reported distinctly: present-but-derived-only vs absent.
-    let mut scheduled: FxHashSet<Triple> = FxHashSet::default();
+    // retractions; demote them to derived so overdeletion may take them.
+    // The no-ops are reported distinctly: present-but-derived-only vs
+    // absent.
     let mut offered: FxHashSet<Triple> = FxHashSet::default();
-    let mut delta: Vec<Triple> = Vec::new();
+    let mut seeds: Vec<Triple> = Vec::new();
     for &t in retracted {
         if !offered.insert(t) {
             continue; // duplicate within this request: already classified
         }
         if store.is_explicit(t) {
-            scheduled.insert(t);
             store.unmark_explicit(t);
-            delta.push(t);
+            seeds.push(t);
         } else if store.contains(t) {
             outcome.ignored_derived += 1;
         } else {
             outcome.not_found += 1;
         }
     }
-    outcome.retracted = delta.len();
-    if delta.is_empty() {
+    outcome.retracted = seeds.len();
+    if seeds.is_empty() {
         return outcome;
     }
 
     // Overdeletion scope: only rules transitively reachable from the rules
     // that consume a retracted predicate can have used a deleted triple.
-    let seeds: Vec<usize> = delta.iter().flat_map(|t| graph.entry_routes(t.p)).collect();
-    let over_rules = graph.reachable(seeds);
-
-    // Phase 1: overdelete. Each round joins the deletion delta against the
-    // store *before* removing it (the rules' `delta ⊆ store` contract also
-    // covers conclusions of two same-round deletions), then deletes the
-    // delta and schedules every conclusion that is still present and not
-    // explicit. Termination: each round deletes ≥1 triple from a finite
-    // store.
-    let mut deleted_preds: FxHashSet<NodeId> = FxHashSet::default();
-    let mut out: Vec<Triple> = Vec::new();
-    while !delta.is_empty() {
-        out.clear();
-        for &i in &over_rules {
-            rules[i].apply(store, &delta, &mut out);
-        }
-        for &t in &delta {
-            store.remove(t);
-            deleted_preds.insert(t.p);
-        }
-        delta = out
-            .iter()
-            .copied()
-            .filter(|&t| store.contains(t) && !store.is_explicit(t) && scheduled.insert(t))
-            .collect();
-    }
-    outcome.overdeleted = scheduled.len() - outcome.retracted;
-
-    // Rederivation scope: a deleted triple can only be rederived by a rule
-    // whose output signature may emit its predicate.
-    let rederive_rules: Vec<usize> = (0..rules.len())
-        .filter(|&i| match rules[i].output_signature() {
-            OutputSignature::Universal => true,
-            OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
-        })
+    let over: Vec<Arc<dyn Rule>> = graph
+        .reachable(seeds.iter().flat_map(|t| graph.entry_routes(t.p)))
+        .into_iter()
+        .map(|i| Arc::clone(&rules[i]))
         .collect();
-
-    // Phase 2: rederive (shared with ruleset-swap retraction).
-    outcome.rederived = rederive(store, rules, &rederive_rules, &scheduled);
+    let (deleted, rederived) = delete_and_rederive(store, &over, rules, seeds);
+    outcome.overdeleted = deleted - outcome.retracted;
+    outcome.rederived = rederived;
     outcome
-}
-
-/// DRed phase 2, shared between [`dred`] and [`retract_rules`]: restores
-/// every triple in `scheduled` (the overdeleted set) that still has a
-/// derivation from the surviving store, using `rule_indices` into
-/// `rules`. Returns how many triples were restored.
-fn rederive(
-    store: &mut VerticalStore,
-    rules: &[Arc<dyn Rule>],
-    rule_indices: &[usize],
-    scheduled: &FxHashSet<Triple>,
-) -> usize {
-    if rule_indices.is_empty() || store.is_empty() {
-        return 0;
-    }
-    let mut rederived = 0;
-    // Fast path, pass 1: backward support checks over the deleted set. A
-    // deleted triple with one-step support from the surviving store is
-    // restored. If any in-scope rule lacks a backward matcher (`derives`
-    // → None) the answer is unknown and we fall back to the forward pass
-    // below.
-    let mut candidates: Vec<Triple> = scheduled.iter().copied().collect();
-    candidates.sort_unstable(); // deterministic restoration order
-    let mut need_forward = false;
-    let mut restored: Vec<Triple> = Vec::new();
-    candidates.retain(|&t| {
-        for &i in rule_indices {
-            match rules[i].derives(store, t) {
-                Some(true) => {
-                    restored.push(t);
-                    return false;
-                }
-                Some(false) => {}
-                None => need_forward = true,
-            }
-        }
-        true
-    });
-    // Then forward from the restorations: a candidate pass 1 left is
-    // derivable now only through a triple restored since, so one
-    // semi-naive step over the last restorations finds exactly the next
-    // ones, until none are left.
-    let mut remaining: FxHashSet<Triple> = if need_forward {
-        FxHashSet::default()
-    } else {
-        candidates.into_iter().collect()
-    };
-    let mut out: Vec<Triple> = Vec::new();
-    while !restored.is_empty() {
-        rederived += restored.len();
-        for &t in &restored {
-            store.insert(t);
-        }
-        if remaining.is_empty() {
-            break;
-        }
-        for &i in rule_indices {
-            rules[i].apply(store, &restored, &mut out);
-        }
-        restored.clear();
-        restored.extend(out.drain(..).filter(|t| remaining.remove(t)));
-    }
-    // Forward fallback: one pass with the whole surviving store as the
-    // delta — every one-step-from-survivors conclusion that went
-    // missing was overdeleted and comes back — then the usual
-    // semi-naive fixpoint on fresh conclusions.
-    if need_forward {
-        let mut delta: Vec<Triple> = store.iter().collect();
-        let mut fresh: Vec<Triple> = Vec::new();
-        loop {
-            out.clear();
-            for &i in rule_indices {
-                rules[i].apply(store, &delta, &mut out);
-            }
-            fresh.clear();
-            store.insert_batch(&out, &mut fresh);
-            if fresh.is_empty() {
-                break;
-            }
-            rederived += fresh.len();
-            std::mem::swap(&mut delta, &mut fresh);
-        }
-    }
-    rederived
 }
 
 /// Ruleset-swap retraction: removes every derivation supported only by
@@ -255,14 +135,11 @@ fn rederive(
 ///
 /// Seeding is backward: in a **closed** store every derived triple has a
 /// one-step derivation from facts in the closure, so the derived triples
-/// a dropped rule one-step supports *right now* ([`Rule::derives`] →
-/// `Some(true)`) are exactly the ones that may owe their presence to it.
-/// A dropped rule without a backward matcher (`derives` → `None`) seeds
-/// conservatively by output signature — over-seeding is repaired by
-/// rederivation, under-seeding never happens. The seeds' downward
-/// closure through **all** old rules is then overdeleted (a deletion can
-/// undercut conclusions of kept rules too), and the overdeleted set is
-/// rederived with the surviving rules only. Returns
+/// a dropped rule one-step supports *right now* ([`Rule::derives`]) are
+/// exactly the ones that may owe their presence to it. The seeds'
+/// downward closure through **all** old rules is then overdeleted (a
+/// deletion can undercut conclusions of kept rules too), and the
+/// overdeleted set is rederived with the surviving rules only. Returns
 /// `(overdeleted, rederived)` — `overdeleted` includes the seeds.
 ///
 /// The caller holds the store exclusively and guarantees quiescence,
@@ -273,53 +150,92 @@ pub(crate) fn retract_rules(
     dropped: &[Arc<dyn Rule>],
     surviving: &[Arc<dyn Rule>],
 ) -> (usize, usize) {
-    // Seed: derived triples a dropped rule one-step supports from the
-    // current closure (or might emit, absent a backward matcher).
-    let derived: Vec<Triple> = store.iter().filter(|&t| !store.is_explicit(t)).collect();
-    let mut scheduled: FxHashSet<Triple> = FxHashSet::default();
-    let mut delta: Vec<Triple> = Vec::new();
-    for &t in &derived {
-        let mut seed = false;
-        for rule in dropped {
-            let supports = rule.derives(store, t);
-            if supports.unwrap_or_else(|| rule.output_signature().may_emit(t.p)) {
-                seed = true;
-                break;
-            }
-        }
-        if seed && scheduled.insert(t) {
-            delta.push(t);
-        }
-    }
-    delta.sort_unstable(); // deterministic rounds
-    if delta.is_empty() {
-        return (0, 0);
-    }
+    let mut seeds: Vec<Triple> = store
+        .iter()
+        .filter(|&t| !store.is_explicit(t) && dropped.iter().any(|r| r.derives(store, t)))
+        .collect();
+    seeds.sort_unstable(); // deterministic rounds
+    delete_and_rederive(store, old_rules, surviving, seeds)
+}
 
-    // Overdelete the seeds' downward closure through all old rules, as in
-    // [`dred`] phase 1.
+/// The DRed core under [`dred`] and [`retract_rules`]: overdeletes the
+/// downward closure of `seeds` (derived triples, each still in `store`)
+/// through the `over` rules, then restores every deleted triple that
+/// still has a derivation under the `rederive_with` rules. Returns
+/// `(deleted, rederived)`, `deleted` counting the seeds.
+fn delete_and_rederive(
+    store: &mut VerticalStore,
+    over: &[Arc<dyn Rule>],
+    rederive_with: &[Arc<dyn Rule>],
+    seeds: Vec<Triple>,
+) -> (usize, usize) {
+    // Phase 1: overdelete. Each round joins the deletion delta against the
+    // store *before* removing it (the rules' `delta ⊆ store` contract also
+    // covers conclusions of two same-round deletions), then deletes the
+    // delta and schedules every conclusion that is still present and not
+    // explicit. Termination: each round deletes ≥1 triple from a finite
+    // store.
+    let mut deleted: FxHashSet<Triple> = seeds.iter().copied().collect();
+    let mut deleted_preds: FxHashSet<NodeId> = FxHashSet::default();
+    let mut delta = seeds;
     let mut out: Vec<Triple> = Vec::new();
     while !delta.is_empty() {
         out.clear();
-        for rule in old_rules {
+        for rule in over {
             rule.apply(store, &delta, &mut out);
         }
         for &t in &delta {
             store.remove(t);
+            deleted_preds.insert(t.p);
         }
         delta = out
             .iter()
             .copied()
-            .filter(|&t| store.contains(t) && !store.is_explicit(t) && scheduled.insert(t))
+            .filter(|&t| store.contains(t) && !store.is_explicit(t) && deleted.insert(t))
             .collect();
     }
-    let overdeleted = scheduled.len();
+    let total = deleted.len();
 
-    // Rederive with the surviving rules: whatever still has a derivation
-    // under the new program comes back.
-    let indices: Vec<usize> = (0..surviving.len()).collect();
-    let rederived = rederive(store, surviving, &indices, &scheduled);
-    (overdeleted, rederived)
+    // Phase 2: rederive, with the rules whose output signature may emit a
+    // deleted predicate — no other rule can restore a deleted triple.
+    let rules: Vec<&Arc<dyn Rule>> = rederive_with
+        .iter()
+        .filter(|r| match r.output_signature() {
+            OutputSignature::Universal => true,
+            OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
+        })
+        .collect();
+    // First a backward support check over the deleted set: a triple with
+    // one-step support from the surviving store comes back.
+    let mut restored: Vec<Triple> = deleted
+        .iter()
+        .copied()
+        .filter(|&t| rules.iter().any(|r| r.derives(store, t)))
+        .collect();
+    restored.sort_unstable(); // deterministic restoration order
+    for t in &restored {
+        deleted.remove(t);
+    }
+    // Then forward from the restorations: a triple the check left is
+    // derivable now only through a triple restored since, so one
+    // semi-naive step over the last restorations finds exactly the next
+    // ones, until none are left. `out` still holds phase 1's last
+    // conclusions, so each round starts it empty.
+    while !restored.is_empty() {
+        for &t in &restored {
+            store.insert(t);
+        }
+        if deleted.is_empty() {
+            break;
+        }
+        out.clear();
+        for rule in &rules {
+            rule.apply(store, &restored, &mut out);
+        }
+        restored.clear();
+        restored.extend(out.iter().copied().filter(|t| deleted.remove(t)));
+    }
+    (total, total - deleted.len())
 }
 
 /// Ruleset-swap evaluation of newly `added` rules over a closed store:

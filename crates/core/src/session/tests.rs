@@ -4,7 +4,6 @@
 
 use crate::maintenance;
 use crate::{EventKind, Op, Slider, SliderConfig};
-use crossbeam::channel::unbounded;
 use slider_baseline::closure;
 use slider_model::vocab::{RDFS_DOMAIN, RDFS_SUB_CLASS_OF, RDFS_SUB_PROPERTY_OF, RDF_TYPE};
 use slider_model::NodeId;
@@ -13,6 +12,7 @@ use slider_rules::{DependencyGraph, Fragment, InputFilter, OutputSignature, Rule
 use slider_store::VerticalStore;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -161,7 +161,7 @@ impl Rule for Probe {
         self.1.lock().unwrap().insert(std::thread::current().id());
         self.0.apply(store, delta, out);
     }
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
         self.0.derives(store, t)
     }
 }
@@ -605,8 +605,8 @@ fn explicit_flush_waits_for_a_drained_but_unapplied_slice() {
     materialize(&slider, &chain(5));
     slider.apply(Op::Defer(vec![sco(2, 3)]));
 
-    let (drained_tx, drained_rx) = unbounded();
-    let (release_tx, release_rx) = unbounded::<()>();
+    let (drained_tx, drained_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
     *slider.engine.flush_drained_hook.lock() = Some(Box::new(move || {
         let _ = drained_tx.send(());
         // A dropped sender (the test failed) releases the slice too.
@@ -620,7 +620,7 @@ fn explicit_flush_waits_for_a_drained_but_unapplied_slice() {
         .recv_timeout(Duration::from_secs(10))
         .expect("the first flush drained its slice");
 
-    let (seen_tx, seen_rx) = unbounded();
+    let (seen_tx, seen_rx) = channel();
     let second = {
         let slider = Arc::clone(&slider);
         std::thread::spawn(move || {
@@ -659,8 +659,8 @@ fn stats_count_a_drained_slice_as_pending_until_it_is_retracted() {
     materialize(&slider, &chain(5));
     slider.apply(Op::Defer(vec![sco(2, 3)]));
 
-    let (drained_tx, drained_rx) = unbounded();
-    let (release_tx, release_rx) = unbounded::<()>();
+    let (drained_tx, drained_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
     *slider.engine.flush_drained_hook.lock() = Some(Box::new(move || {
         let _ = drained_tx.send(());
         // A dropped sender (the test failed) releases the slice too.

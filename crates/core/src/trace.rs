@@ -24,7 +24,8 @@ pub enum EventKind {
         /// Rule index in the ruleset.
         rule: usize,
     },
-    /// A stale buffer was force-flushed by the timeout thread.
+    /// A buffer was force-flushed before it filled: by the pool's tick
+    /// (idle past its timeout) or by `wait_idle`'s forced flush.
     TimeoutFlush {
         /// Rule index in the ruleset.
         rule: usize,

@@ -30,7 +30,10 @@
 //!
 //! Custom rules plug in exactly like the built-ins (the paper exposes Java
 //! interfaces for this): declare a [`RuleSpec`], or implement [`Rule`] by
-//! hand — see `examples/custom_rule.rs`.
+//! hand — see `examples/custom_rule.rs`. A hand-written rule must
+//! implement the backward [`Rule::derives`] as well as `apply`: DRed
+//! rederivation and ruleset swaps ask it whether a triple is one-step
+//! derivable, and there is no forward fallback.
 //!
 //! ## Rule application contract
 //!

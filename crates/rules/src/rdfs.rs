@@ -116,16 +116,14 @@ impl Rule for Rdfs1 {
         }
     }
 
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
         // (l type Literal) ⇐ l is a literal ∧ ∃p: (_ p l).
-        Some(
-            t.p == TYPE
-                && t.o == RDFS_LITERAL
-                && self.dict.is_literal(t.s)
-                && store
-                    .predicates()
-                    .any(|p| store.subjects_with(p, t.s).next().is_some()),
-        )
+        t.p == TYPE
+            && t.o == RDFS_LITERAL
+            && self.dict.is_literal(t.s)
+            && store
+                .predicates()
+                .any(|p| store.subjects_with(p, t.s).next().is_some())
     }
 }
 
@@ -169,16 +167,14 @@ impl Rule for Rdfs4b {
         }
     }
 
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
         // (y type Resource) ⇐ y not a literal ∧ ∃p: (_ p y).
-        Some(
-            t.p == TYPE
-                && t.o == RDFS_RESOURCE
-                && !self.dict.is_literal(t.s)
-                && store
-                    .predicates()
-                    .any(|p| store.subjects_with(p, t.s).next().is_some()),
-        )
+        t.p == TYPE
+            && t.o == RDFS_RESOURCE
+            && !self.dict.is_literal(t.s)
+            && store
+                .predicates()
+                .any(|p| store.subjects_with(p, t.s).next().is_some())
     }
 }
 

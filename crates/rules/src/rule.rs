@@ -95,22 +95,17 @@ pub trait Rule: Send + Sync {
     /// against the store.
     fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>);
 
-    /// Backward support check — the optional fast path for DRed
-    /// rederivation: is `t` derivable by this rule **in one step** from
-    /// premises currently in `store`?
+    /// Backward support check, which DRed rederivation and ruleset swaps
+    /// use: is `t` derivable by this rule **in one step** from premises
+    /// currently in `store`?
     ///
-    /// `Some(_)` answers must agree exactly with [`Rule::apply`]: `t` is
-    /// one-step derivable iff applying the rule with the full store as the
-    /// delta could emit `t`. `t` itself need not be in the store (the
-    /// maintenance subsystem asks about triples it just deleted). The
-    /// default `None` means "no backward matcher"; maintenance then falls
-    /// back to a forward full-store pass — sound for any rule, just
-    /// slower. Every built-in rule implements this: a [`RuleSpec`] derives
-    /// it from its clauses, `RDFS1` and `RDFS4B` by hand.
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
-        let _ = (store, t);
-        None
-    }
+    /// The answer must agree exactly with [`Rule::apply`]: `t` is one-step
+    /// derivable iff applying the rule with the full store as the delta
+    /// could emit `t`. `t` itself need not be in the store (the
+    /// maintenance subsystem asks about triples it just deleted). Every
+    /// rule implements this: a [`RuleSpec`] derives it from its clauses,
+    /// `RDFS1` and `RDFS4B` by hand, and a hand-written rule must too.
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool;
 
     /// `Some(p)` if this rule is exactly `(x p y), (y p z) ⊢ (x p z)`:
     /// it reads and writes only `p` triples and derives nothing else.

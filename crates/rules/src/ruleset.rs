@@ -206,10 +206,10 @@ mod tests {
         assert_eq!(rs.names()[16..], extra);
     }
 
-    /// Every built-in rule — all of RDFS-Plus and the four family
-    /// constructors — has a backward `derives`, and it agrees exactly with
-    /// one-step forward `apply` (the whole store as the delta) on every
-    /// probe of a grid over the store's nodes and the vocabulary.
+    /// Every built-in rule's backward `derives` — all of RDFS-Plus and
+    /// the four family constructors — agrees exactly with one-step
+    /// forward `apply` (the whole store as the delta) on every probe of a
+    /// grid over the store's nodes and the vocabulary.
     #[test]
     fn derives_matches_one_step_apply() {
         let dict = Arc::new(Dictionary::new());
@@ -289,7 +289,7 @@ mod tests {
                         hits += usize::from(expected);
                         assert_eq!(
                             rule.derives(&store, probe),
-                            Some(expected),
+                            expected,
                             "{}: derives disagrees with apply on {probe:?}",
                             rule.name()
                         );

@@ -610,11 +610,11 @@ impl Rule for RuleSpec {
         }
     }
 
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
         if !self.signature.may_emit(t.p) {
-            return Some(false);
+            return false;
         }
-        Some(self.plans.iter().any(|plan| {
+        self.plans.iter().any(|plan| {
             plan.backward.iter().any(|entry| {
                 if !admits(entry, t) {
                     return false;
@@ -642,7 +642,7 @@ impl Rule for RuleSpec {
                     }
                 }
             })
-        }))
+        })
     }
 
     fn transitive_predicate(&self) -> Option<NodeId> {

@@ -179,7 +179,7 @@ impl Rule for Probe {
         self.1.lock().unwrap().insert(std::thread::current().id());
         self.0.apply(store, delta, out);
     }
-    fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
         self.0.derives(store, t)
     }
 }

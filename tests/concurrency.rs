@@ -36,6 +36,9 @@ impl<F: Fn() + Send + Sync> Rule for Hook<F> {
     fn apply(&self, _: &VerticalStore, _: &[Triple], _: &mut Vec<Triple>) {
         (self.on_apply)()
     }
+    fn derives(&self, _: &VerticalStore, _: Triple) -> bool {
+        false
+    }
 }
 
 #[test]
@@ -927,9 +930,9 @@ fn panicking_eager_removal_strands_no_racing_caller() {
                 out.push(Triple::new(t.s, self.family.mark, t.o));
             }
         }
-        fn derives(&self, store: &VerticalStore, t: Triple) -> Option<bool> {
+        fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
             assert!(Some(t.s) != self.poison, "{}: poisoned subject", self.name);
-            Some(t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o)))
+            t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o))
         }
     }
 

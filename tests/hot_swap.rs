@@ -220,6 +220,42 @@ fn same_named_rule_over_another_predicate_is_swapped_out() {
     assert!(slider.store().contains(link(TRANS_B, 1, 3)));
 }
 
+/// A swap rederives what a kept rule still supports: two domain rules
+/// type subject 1, only the dropped one types subject 4, so the swap
+/// overdeletes both typings and the kept rule restores subject 1's.
+#[test]
+fn swap_rederives_what_a_kept_rule_still_supports() {
+    let (p, q, is, c) = (NodeId(700), NodeId(701), NodeId(702), n(9));
+    let both = Ruleset::custom("two-domains")
+        .with(RuleSpec::domain("DOM-P", p, is, c))
+        .with(RuleSpec::domain("DOM-Q", q, is, c));
+    let only_q = Ruleset::custom("one-domain").with(RuleSpec::domain("DOM-Q", q, is, c));
+    let input = [
+        Triple::new(n(1), p, n(2)),
+        Triple::new(n(1), q, n(3)),
+        Triple::new(n(4), p, n(5)),
+    ];
+    let slider = manual_flush_slider(both);
+    materialize(&slider, &input);
+
+    let outcome = slider.apply(Op::Swap(only_q.clone())).swap().unwrap();
+    assert_eq!(
+        outcome,
+        SwapOutcome {
+            dropped: 1,
+            added: 0,
+            kept: 1,
+            overdeleted: 2,
+            rederived: 1,
+            inferred: 0,
+        }
+    );
+    assert_eq!(
+        slider.store().to_sorted_vec(),
+        expected_closure(&only_q, &input)
+    );
+}
+
 /// Swaps racing live producers: feeds keep flowing from several threads
 /// while rulesets swap mid-stream. Every input batch either joins under
 /// the old program or the new one — and once the dust settles the store

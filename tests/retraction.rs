@@ -497,8 +497,7 @@ fn outcome_reports_ignored_derived_distinct_from_not_found() {
 
 // ---------- coalesced flushes across rule families ---------------------------
 
-use slider::rules::{InputFilter, OutputSignature, Rule, RuleSpec};
-use slider::store::VerticalStore;
+use slider::rules::RuleSpec;
 
 /// Predicates of two independent rule families plus an inert one.
 const TRANS_A: NodeId = NodeId(600);
@@ -532,47 +531,14 @@ fn family_input() -> Vec<Triple> {
     input
 }
 
-/// A rule with no backward matcher: the family rules minus `derives`.
-struct ForwardOnly(RuleSpec);
-
-impl Rule for ForwardOnly {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn definition(&self) -> &'static str {
-        self.0.definition()
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        self.0.input_filter()
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        self.0.output_signature()
-    }
-
-    fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        self.0.apply(store, delta, out);
-    }
-}
-
-/// Every built-in rule has a backward matcher, so only a custom rule
-/// without one (`derives` → `None`) reaches DRed's forward full-store
-/// fallback; it must land on the oracle's closure all the same.
+/// A shortcut 2→5 gives the chain's long paths a second derivation, so
+/// each removal step overdeletes paths that the backward check and the
+/// forward worklist must bring back, landing on the oracle's closure.
 #[test]
-fn rules_without_backward_matcher_take_the_forward_fallback() {
-    let ruleset = Ruleset::custom("forward-only")
-        .with(ForwardOnly(RuleSpec::transitive("T-A", TRANS_A)))
-        .with(ForwardOnly(RuleSpec::subsumption("S-A", IS_A, TRANS_A)));
-    let probe = Triple::new(n(1), TRANS_A, n(3));
-    let empty = VerticalStore::new();
-    assert!(ruleset
-        .rules()
-        .iter()
-        .all(|r| r.derives(&empty, probe).is_none()));
-
-    // A shortcut 2→5 gives the chain's long paths a second derivation.
+fn shortcut_paths_are_rederived_across_removals() {
+    let ruleset = Ruleset::custom("shortcut")
+        .with(RuleSpec::transitive("T-A", TRANS_A))
+        .with(RuleSpec::subsumption("S-A", IS_A, TRANS_A));
     let mut input = family_input();
     input.push(Triple::new(n(2), TRANS_A, n(5)));
     let slider = Slider::new(
@@ -597,7 +563,7 @@ fn rules_without_backward_matcher_take_the_forward_fallback() {
         oracle.remove(batch);
         assert!(outcome.overdeleted > 0, "step {i}: {outcome:?}");
         rederived += outcome.rederived;
-        assert_matches_oracle(&slider, &oracle, &format!("forward fallback step {i}"));
+        assert_matches_oracle(&slider, &oracle, &format!("shortcut step {i}"));
     }
     assert!(rederived > 0, "the shortcut never rederived a path");
 }

@@ -30,8 +30,12 @@ impl Engine {
     /// here means no rule instance can be holding stale premises and no
     /// assertion is midway through cancelling a pending retraction.
     /// Blocked writers proceed after `f` and join against the
-    /// post-maintenance store — sound either way; readers keep answering
-    /// from the pre-section epoch until the guard releases.
+    /// post-maintenance store — sound either way. Until queries overlap
+    /// writes, the section publishes no epoch, so `f` changes the tables in
+    /// place and a query that meets it waits for the post-section store;
+    /// after, queries answer from the pre-section epoch until the guard
+    /// releases. `f` must read `store`, never query `self.store`: on this
+    /// thread such a query would wait for its own section.
     /// So `f` sees a store no concurrent operation can touch. Returns
     /// `f`'s result and the store size captured under the lock (racing
     /// adders blocked on it must not leak into "store size after
@@ -63,8 +67,10 @@ impl Engine {
     /// (its net deletions: a rederived triple came back and frees no
     /// term). Sweeps once the retirements since the last sweep clear both
     /// [`DICT_SWEEP_MIN_RETIRED`] and [`DICT_SWEEP_RATIO`] of the live
-    /// terms: bursts sweep, trickles never do. The run's section has published by now, so its
-    /// pre-section epoch is a root only if a query still holds it.
+    /// terms: bursts sweep, trickles never do. The run's section has
+    /// released by now, so an epoch from before it (published on its entry
+    /// once queries overlap writes, or built earlier) is a root only if a
+    /// query still holds it.
     fn maybe_sweep_dict(&self, retired_now: usize) {
         let retired = self
             .retired_since_sweep
@@ -112,7 +118,10 @@ impl Engine {
         outcome
     }
 
-    /// The ids of the triples [`Engine::sweep_dict_now`] keeps decodable.
+    /// The ids of the triples [`Engine::sweep_dict_now`] keeps decodable:
+    /// those in the live store, in the epochs queries hold (and, once
+    /// queries overlap writes, the one this section published on entry),
+    /// and in the pending-retraction queue.
     fn sweep_roots(&self, store: &VerticalStore) -> FxHashSet<NodeId> {
         let mut roots = FxHashSet::default();
         let mut add = |t: Triple| roots.extend([t.s, t.p, t.o]);

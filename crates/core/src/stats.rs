@@ -112,10 +112,10 @@ pub struct StatsSnapshot {
     pub input_received: u64,
     /// Input triples that were new to the store.
     pub input_fresh: u64,
-    /// Store size at snapshot time.
+    /// Store size as of the last write.
     pub store_size: usize,
-    /// Store composition at snapshot time, including the explicit/derived
-    /// provenance split (`store.triples == store_size`).
+    /// Store composition as of the last write, including the
+    /// explicit/derived provenance split (`store.triples == store_size`).
     pub store: slider_store::StoreStats,
     /// Maintenance (DRed) runs that retracted at least one triple.
     pub removal_runs: u64,

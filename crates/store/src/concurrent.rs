@@ -11,20 +11,17 @@
 //! changed, and release. **Queries** ([`ShardedStore::snapshot`] and the
 //! wrappers over it) read an [`EpochSnapshot`]: a generation-stamped
 //! copy-on-write clone of the store (tables are `Arc`-shared, so a clone
-//! costs O(#predicates)). A write marks the epoch stale; the next query
-//! rebuilds it under a shared read. A write that finds the epoch held by
-//! no reader retires it before mutating, so the live tables are owned by
-//! one `Arc` again and change in place: a table is deep-copied only while
-//! a query pins an epoch that shares it. Queries never wait for an
-//! exclusive section (it publishes the pre-section epoch on entry), never
-//! see a half-applied write, and a pinned epoch never changes.
+//! costs O(#predicates)) built by the first query after a write. No query
+//! sees a half-applied write or section; a pinned epoch never changes.
 //!
-//! A query that finds the epoch stale while a writer holds the lock has
-//! to wait for that write. Once that happens, queries overlap writes, and
-//! the store stops being lazy for good: every write keeps the old epoch
-//! for readers during the write and builds the next before it releases,
-//! so no query waits again. A store queried only between loads never
-//! switches.
+//! Batches and sections enter alike. Until a query has had to wait for a
+//! writer, a writer retires an epoch no query holds, so the tables change
+//! in place: a table is deep-copied only while a query pins an epoch that
+//! shares it, and a query that finds the epoch stale meanwhile waits for
+//! the post-write state. From then on queries overlap writes for good:
+//! every writer publishes the pre-write epoch on entry and builds the next
+//! before it releases, so no query waits again. A store queried only
+//! between writes never switches.
 //!
 //! The store keeps a `Weak` to every epoch it builds, so
 //! [`ShardedStore::live_epochs`] can name every epoch some reader still
@@ -34,7 +31,7 @@ use crate::pattern::TriplePattern;
 use crate::vertical::{StoreStats, VerticalStore};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use slider_model::Triple;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// One [`VerticalStore`] behind one reader-writer lock, queried through
@@ -45,24 +42,24 @@ pub struct ShardedStore {
     /// The live store: shared by rule joins, exclusive for writers.
     store: RwLock<VerticalStore>,
     /// The current epoch, `None` while stale. Filled only under a lock on
-    /// `store` with its state (by `exclusive` on entry, not mid-section),
-    /// emptied only under its write lock, so a filled slot matches the live
-    /// store outside an exclusive section, and the pre-section store inside
-    /// one.
+    /// `store` with its state (on a writer's entry once queries overlap
+    /// writes, never mid-write), emptied only under its write lock, so a
+    /// filled slot holds the live store, or mid-write the pre-write one.
     published: Mutex<Option<Arc<EpochSnapshot>>>,
     /// Every epoch built and not yet known dead, the published one
     /// included; pruned on each build and each [`ShardedStore::live_epochs`].
     epochs: Mutex<Vec<Weak<EpochSnapshot>>>,
     /// Set for good once a query found the epoch stale while a writer held
     /// or awaited the lock: queries overlap writes, so from then on every
-    /// write keeps the epoch current.
+    /// writer keeps the epoch current.
     overlapped: AtomicBool,
     /// Write batches that changed the store, plus exclusive sections.
     /// Bumped under the write lock and read under a lock to stamp an epoch,
     /// so the lock orders it; `Relaxed` suffices.
     generation: AtomicU64,
-    /// Triples as of the last write, so `len()` takes no lock.
-    len: AtomicUsize,
+    /// Statistics as of the last write, set whole under the write lock:
+    /// `len()` and `stats()` never wait for a writer or read a torn set.
+    counts: Mutex<StoreStats>,
     /// Exclusive acquisitions: `exclusive`, `remove` and `remove_batch`.
     gate_writes: AtomicU64,
     /// Writes that found the lock held, shared or exclusive (the fast path
@@ -79,30 +76,39 @@ impl ShardedStore {
     /// Wraps an existing store as generation 0.
     pub fn from_store(store: VerticalStore) -> Self {
         ShardedStore {
-            len: AtomicUsize::new(store.len()),
+            counts: Mutex::new(store.stats()),
             store: RwLock::new(store),
             ..ShardedStore::default()
         }
     }
 
-    /// Locks the store exclusively, counting a conflict if it was held.
-    fn write(&self) -> RwLockWriteGuard<'_, VerticalStore> {
-        self.store.try_write().unwrap_or_else(|| {
+    /// Locks the store for a write batch or section, counting a conflict if
+    /// it was held. Until queries overlap writes, retires an epoch no query
+    /// holds (queries clone it only under the slot's mutex, so a count of one
+    /// cannot rise); after, publishes the pre-write epoch. True if it retired.
+    fn enter(&self) -> (RwLockWriteGuard<'_, VerticalStore>, bool) {
+        let store = self.store.try_write().unwrap_or_else(|| {
             self.conflicts.fetch_add(1, Ordering::Relaxed);
             self.store.write()
-        })
+        });
+        let retired = if self.overlapped.load(Ordering::Relaxed) {
+            self.refresh(&store);
+            false
+        } else {
+            let mut slot = self.published.lock();
+            slot.take_if(|e| Arc::strong_count(e) == 1).is_some()
+        };
+        (store, retired)
     }
 
-    /// Records a change made under the write lock: one generation, and the
-    /// epoch goes stale — or, once queries overlap writes, is rebuilt now.
+    /// Records a change made under the write lock: the statistics, one
+    /// generation, and a stale epoch (rebuilt now once queries overlap).
     fn changed(&self, store: &VerticalStore) {
-        self.len.store(store.len(), Ordering::Relaxed);
+        *self.counts.lock() = store.stats();
         self.generation.fetch_add(1, Ordering::Relaxed);
-        let overlapped = self.overlapped.load(Ordering::Relaxed);
-        let epoch = overlapped.then(|| self.build(store));
-        // Drop outside the mutex: the old epoch may own whole table copies.
-        let old = std::mem::replace(&mut *self.published.lock(), epoch);
-        drop(old);
+        let epoch = self.queries_overlap_writes().then(|| self.build(store));
+        // Dropped outside the mutex, at return: it may own whole table copies.
+        let _old = std::mem::replace(&mut *self.published.lock(), epoch);
     }
 
     /// A new epoch of `store`, stamped with the current generation and
@@ -119,9 +125,9 @@ impl ShardedStore {
     }
 
     /// Every epoch this store built that is still held — by a query, or by
-    /// the store as its published epoch — oldest first. An exclusive
-    /// section's published pre-section epoch is among them, so a query
-    /// that clones it mid-section holds nothing this list missed.
+    /// the store as its published epoch — oldest first. Mid-section, only
+    /// the pre-section epoch can be published, so a query that clones it
+    /// then holds nothing this list missed.
     pub fn live_epochs(&self) -> Vec<Arc<EpochSnapshot>> {
         let mut epochs = self.epochs.lock();
         epochs.retain(|e| e.strong_count() > 0);
@@ -138,11 +144,11 @@ impl ShardedStore {
     /// The current epoch — the query path. Repeated calls with no changing
     /// write in between return the same `Arc`; after one, the first call
     /// builds a new epoch under a shared read. If that has to wait for a
-    /// writer, queries overlap writes and from then on every write builds
-    /// the epoch before it releases, so no query waits again. Never waits
-    /// for an exclusive section, which publishes its pre-section epoch on
-    /// entry: a blocking `read()` would queue behind the waiting section,
-    /// so the stale path retries `try_read` and re-checks the slot instead.
+    /// writer (batch or section), it gets the post-write state and queries
+    /// overlap writes, so no query waits again. A blocking `read()` would
+    /// queue behind a waiting writer, so the stale path retries `try_read`
+    /// and re-checks the slot instead. Until the switch it waits for the
+    /// store lock: never call it while holding that lock.
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
         loop {
             if let Some(epoch) = &*self.published.lock() {
@@ -154,6 +160,11 @@ impl ShardedStore {
             self.overlapped.store(true, Ordering::Relaxed);
             std::thread::yield_now();
         }
+    }
+
+    /// True once a query has waited for a writer ([`ShardedStore::snapshot`]).
+    pub fn queries_overlap_writes(&self) -> bool {
+        self.overlapped.load(Ordering::Relaxed)
     }
 
     /// Write batches that changed the store, plus exclusive sections — a
@@ -191,10 +202,9 @@ impl ShardedStore {
         self.write_batch(triples, removed, VerticalStore::remove)
     }
 
-    /// Locks once, retires the epoch if no query holds it (until queries
-    /// overlap writes), applies `op` in input order collecting its hits,
-    /// and records a change if anything changed — a provenance-only flip (a
-    /// derived triple re-asserted) included.
+    /// Enters once ([`ShardedStore::enter`]), applies `op` in input order
+    /// collecting its hits, and records a change if anything changed — a
+    /// provenance-only flip (a derived triple re-asserted) included.
     fn write_batch(
         &self,
         triples: &[Triple],
@@ -205,22 +215,12 @@ impl ShardedStore {
             return 0;
         }
         let before = hits.len();
-        let mut store = self.write();
-        // An epoch no query holds shares every table with the live store,
-        // so retiring it frees none and the tables change in place. Readers
-        // clone the `Arc` only under this mutex, so a count of one cannot
-        // rise before the take. Once queries overlap writes, they keep
-        // reading the old epoch during the write instead, and the tables the
-        // batch touches are copied.
-        let retired = !self.overlapped.load(Ordering::Relaxed) && {
-            let mut slot = self.published.lock();
-            matches!(&*slot, Some(epoch) if Arc::strong_count(epoch) == 1) && slot.take().is_some()
-        };
+        let (mut store, retired) = self.enter();
         let explicit = store.explicit_count();
         hits.extend(triples.iter().copied().filter(|&t| op(&mut store, t)));
         if hits.len() > before || store.explicit_count() != explicit {
             self.changed(&store);
-        } else if retired || self.overlapped.load(Ordering::Relaxed) {
+        } else if retired {
             // No table was touched (`op` copies only to change), so this
             // clone shares them all: O(#predicates).
             self.refresh(&store);
@@ -244,19 +244,20 @@ impl ShardedStore {
     }
 
     /// Holds the store lock exclusively for a compound mutation such as a
-    /// DRed run — the only `&mut VerticalStore` access. Builds the epoch on
-    /// entry if stale, so queries keep answering the pre-section state
-    /// without waiting; dropping the guard bumps the generation once.
+    /// DRed run — the only `&mut VerticalStore` access. Enters as a write
+    /// batch does: until queries overlap writes it mutates in place and a
+    /// query waits for the post-section state. Dropping the guard bumps the
+    /// generation once. The holder reads the guard's `&VerticalStore`: a
+    /// query through this store on its own thread would wait for itself.
     pub fn exclusive(&self) -> ExclusiveStore<'_> {
         self.gate_writes.fetch_add(1, Ordering::Relaxed);
-        let store = self.write();
-        self.refresh(&store);
+        let (store, _) = self.enter();
         ExclusiveStore { owner: self, store }
     }
 
-    /// Total number of triples (lock-free).
+    /// Total number of triples as of the last write (never waits for one).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.counts.lock().triples
     }
 
     /// True if empty.
@@ -275,9 +276,9 @@ impl ShardedStore {
         self.conflicts.load(Ordering::Relaxed)
     }
 
-    /// Statistics of the current epoch.
+    /// Statistics as of the last write: builds no epoch and never waits.
     pub fn stats(&self) -> StoreStats {
-        self.snapshot().stats()
+        *self.counts.lock()
     }
 
     /// Every triple of the current epoch, sorted (deterministic).
@@ -297,9 +298,8 @@ impl ShardedStore {
 }
 
 /// The store lock held by [`ShardedStore::exclusive`]. Dereferences to the
-/// live [`VerticalStore`]; dropping it bumps the generation once, marks
-/// the epoch stale (or, once queries overlap writes, rebuilds it) and
-/// releases.
+/// live [`VerticalStore`]; dropping it records one change, as a changing
+/// write batch does, and releases.
 pub struct ExclusiveStore<'a> {
     owner: &'a ShardedStore,
     store: RwLockWriteGuard<'a, VerticalStore>,
@@ -352,6 +352,7 @@ impl std::ops::Deref for EpochSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::PropertyTable;
     use slider_model::NodeId;
 
     fn t(s: u64, p: u64, o: u64) -> Triple {
@@ -361,6 +362,23 @@ mod tests {
     /// The epoch slot as it stands, without building one.
     fn slot(st: &ShardedStore) -> Option<Arc<EpochSnapshot>> {
         st.published.lock().clone()
+    }
+
+    /// Switches `st` the one way a store switches: a query meets a held
+    /// write lock, waits for it, and marks queries as overlapping writes.
+    fn overlap(st: &ShardedStore) {
+        let held = st.store.write();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        std::thread::scope(|scope| {
+            let query = scope.spawn(|| st.snapshot());
+            // A panic here drops `held`, so the query still finishes.
+            while !st.queries_overlap_writes() {
+                assert!(std::time::Instant::now() < deadline, "no overlap marked");
+                std::thread::yield_now();
+            }
+            drop(held);
+            query.join().unwrap();
+        });
     }
 
     #[test]
@@ -511,14 +529,15 @@ mod tests {
         assert!(st2.contains(t(4, 5, 6)));
     }
 
-    /// The acceptance pin for the epoch read path: with the store's one
-    /// write lock — the lock every predicate's shard lives under — held
-    /// **on this very thread** (a locking read path would self-deadlock
-    /// here), every query API answers.
+    /// The acceptance pin for the epoch read path: once queries overlap
+    /// writes, with the store's one write lock — the lock every predicate's
+    /// shard lives under — held **on this very thread** (a locking read
+    /// path would self-deadlock here), every query API answers.
     #[test]
     fn reads_complete_while_a_shard_write_lock_is_held() {
         let st = ShardedStore::new();
         st.insert(t(1, 7, 2));
+        overlap(&st);
         let guard = st.exclusive();
         assert!(st.contains(t(1, 7, 2)));
         assert!(!st.snapshot().is_explicit(t(1, 7, 2)));
@@ -534,15 +553,16 @@ mod tests {
         drop(guard);
     }
 
-    /// Reads answer while an exclusive section holds the store lock — even
-    /// on the thread holding it, where a locking read would self-deadlock —
-    /// and see the pre-exclusive epoch; the section's mutation appears
-    /// atomically at release. A writer arriving meanwhile waits, and counts
-    /// as a conflict.
+    /// Once queries overlap writes, reads answer while an exclusive section
+    /// holds the store lock — even on the thread holding it, where a locking
+    /// read would self-deadlock — and see the pre-exclusive epoch; the
+    /// section's mutation appears atomically at release. A writer arriving
+    /// meanwhile waits, and counts as a conflict.
     #[test]
     fn reads_see_the_pre_exclusive_epoch_until_release() {
         let st = ShardedStore::new();
         st.insert(t(1, 7, 2));
+        overlap(&st);
         let mut guard = st.exclusive();
         guard.remove(t(1, 7, 2));
         guard.insert(t(9, 7, 9));
@@ -611,18 +631,8 @@ mod tests {
         let st = ShardedStore::new();
         st.insert(t(1, 7, 2));
         assert!(slot(&st).is_none(), "no query yet: stale");
-        let held = st.store.write();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        std::thread::scope(|scope| {
-            let query = scope.spawn(|| st.contains(t(1, 7, 2)));
-            // A panic here drops `held`, so the query still finishes.
-            while !st.overlapped.load(Ordering::Relaxed) {
-                assert!(std::time::Instant::now() < deadline, "no overlap marked");
-                std::thread::yield_now();
-            }
-            drop(held);
-            assert!(query.join().unwrap());
-        });
+        overlap(&st);
+        assert!(st.contains(t(1, 7, 2)));
         st.insert(t(3, 7, 4));
         let epoch = slot(&st).expect("the write left it stale");
         assert_eq!(epoch.generation(), 2);
@@ -631,12 +641,14 @@ mod tests {
         assert!(Arc::ptr_eq(&epoch, &st.snapshot()));
     }
 
-    /// A query never waits for an exclusive section, even one queued
-    /// behind a rule join's shared read when the query finds the epoch
-    /// stale: it gets the pre-section state, including the last write. A
-    /// blocking `read()` on the stale path would queue behind the section,
-    /// and the section here stays open until the query returns, so it
-    /// would deadlock; the test thread is the watchdog.
+    /// A query that finds the epoch stale while an exclusive section is
+    /// queued behind a rule join's shared read does not queue behind it: it
+    /// marks queries as overlapping writes, so the section publishes its
+    /// pre-section epoch on entry and the query gets the pre-section state,
+    /// including the last write. A blocking `read()` on the stale path
+    /// would queue behind the section, and the section here stays open
+    /// until the query returns, so it would deadlock; the test thread is
+    /// the watchdog.
     #[test]
     fn stale_snapshot_does_not_wait_for_a_queued_exclusive_section() {
         use std::sync::mpsc;
@@ -795,6 +807,31 @@ mod tests {
         st.insert(t(3, 10, 4));
         let stats = st.stats();
         assert_eq!((stats.triples, stats.explicit, stats.derived), (3, 2, 1));
-        assert_eq!((stats.predicates, stats.largest_partition), (2, 2));
+        assert_eq!(stats.predicates, 2);
+    }
+
+    /// A section on a store whose epoch no query holds mutates its tables
+    /// in place: entering retires the unheld epoch rather than publishing
+    /// one, so `Arc::make_mut` finds each table unshared — whether the store
+    /// was never queried or every query dropped its epoch.
+    #[test]
+    fn a_section_no_query_overlaps_changes_tables_in_place() {
+        let st = ShardedStore::new();
+        st.insert_batch(&[t(1, 7, 2), t(3, 7, 4), t(5, 7, 6)], &mut Vec::new());
+        let table = |st: &ShardedStore| -> *const PropertyTable {
+            st.read().table(NodeId(7)).expect("two triples left")
+        };
+        for (queried, gone) in [(false, t(1, 7, 2)), (true, t(3, 7, 4))] {
+            if queried {
+                drop(st.snapshot());
+            }
+            let before = table(&st);
+            assert!(st.exclusive().remove(gone));
+            assert!(
+                std::ptr::eq(before, table(&st)),
+                "queried {queried}: copied"
+            );
+        }
+        assert_eq!(st.to_sorted_vec(), vec![t(5, 7, 6)]);
     }
 }

@@ -30,12 +30,17 @@
 //! hold it shared; every write batch takes it exclusively, and so do
 //! exclusive (DRed/quiescent) sections, for their whole length.
 //!
-//! Queries outside the engine — `matches`/`stats`/`to_sorted_vec`/
-//! `contains` — answer from an immutable, generation-stamped
+//! Queries outside the engine — `matches`/`to_sorted_vec`/`contains` —
+//! answer from an immutable, generation-stamped
 //! [`EpochSnapshot`], a copy-on-write clone of the store built by the
 //! first query after a write (by every write, once a query has had to
-//! wait for one). Taking one costs a short mutex lock and an `Arc` clone,
-//! and it never waits for an exclusive section. An epoch
+//! wait for one). Taking one costs a short mutex lock and an `Arc` clone.
+//! Write batches and exclusive sections enter alike: until a query has
+//! had to wait for a writer, they retire an epoch no query holds and
+//! change the tables in place, and a query that meets one waits for its
+//! post-write state; from then on they publish the pre-write epoch on
+//! entry, so no query waits. `stats` reads counters each write records
+//! and never waits. An epoch
 //! dereferences to a [`VerticalStore`], so rules join against
 //! `&VerticalStore` whether they read the live store, an epoch, or hold
 //! the store exclusively.

@@ -54,8 +54,6 @@ pub struct StoreStats {
     pub derived: usize,
     /// Number of distinct predicates (= vertical partitions).
     pub predicates: usize,
-    /// Size of the largest partition.
-    pub largest_partition: usize,
 }
 
 impl VerticalStore {
@@ -290,7 +288,6 @@ impl VerticalStore {
             explicit: self.explicit_len,
             derived: self.len - self.explicit_len,
             predicates: self.tables.len(),
-            largest_partition: self.tables.values().map(|tab| tab.len()).max().unwrap_or(0),
         }
     }
 
@@ -451,7 +448,6 @@ mod tests {
         assert_eq!(s.explicit, 1);
         assert_eq!(s.derived, 2);
         assert_eq!(s.predicates, 2);
-        assert_eq!(s.largest_partition, 2);
     }
 
     #[test]

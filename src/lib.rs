@@ -124,13 +124,16 @@
 //! ## Epoch reads & ruleset hot-swap
 //!
 //! Rule joins read the live store under a shared lock, side by side.
-//! Queries (`contains`, `matches`, `stats`, `to_sorted_vec`) answer from
-//! the store's **epoch snapshot** (`slider_store::EpochSnapshot`) — an
+//! Queries (`contains`, `matches`, `to_sorted_vec`) answer from the
+//! store's **epoch snapshot** (`slider_store::EpochSnapshot`) — an
 //! immutable, generation-stamped copy-on-write image, built by the first
 //! query after a write (or, once a query has had to wait for a running
-//! write batch, by every write) — so a query never sees a half-applied
-//! write and never waits for maintenance: an exclusive section publishes
-//! its pre-section epoch on entry. `Op::Swap` replaces the loaded
+//! write, by every write) — so a query never sees a half-applied write or
+//! maintenance section; `stats` reads counters each write records. Until
+//! that first wait, a section (DRed, swap, sweep) changes the tables in
+//! place and a query that meets it waits for the post-section state; from
+//! then on every section publishes its pre-section epoch on entry and no
+//! query waits. `Op::Swap` replaces the loaded
 //! ruleset on the live reasoner: derivations supported only by dropped
 //! rules are retracted with DRed, added rules are evaluated semi-naively,
 //! and the dependency graph and rule modules are rebuilt atomically at

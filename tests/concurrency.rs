@@ -7,6 +7,7 @@ mod common;
 use common::materialize;
 use slider::prelude::*;
 use slider::rules::{InputFilter, OutputSignature};
+use slider::store::ExclusiveStore;
 use slider::workloads::{encode_all, PaperOntology};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -510,11 +511,36 @@ fn dict_lookups_complete_while_an_intern_write_lock_is_held() {
     reader.join().unwrap();
 }
 
-/// Lock-free read path, acceptance pin (a): `matches`/`stats`/
-/// `to_sorted_vec` complete while the store's write lock — the one shard
-/// every subClassOf triple lives in — is held **indefinitely**: the reader
-/// answers from the epoch `exclusive()` built on entry and never waits
-/// for the section.
+/// A query meets `section`, an open exclusive section on a store whose
+/// queries never overlapped a write: it waits, and switches the store, so
+/// every later section publishes its pre-section epoch. Then `finish` runs
+/// on the section, which closes; returns what the query saw.
+fn query_across(
+    slider: &Arc<Slider>,
+    mut section: ExclusiveStore<'_>,
+    finish: impl FnOnce(&mut VerticalStore),
+) -> Vec<Triple> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let query = Arc::clone(slider);
+    std::thread::spawn(move || tx.send(query.store().to_sorted_vec()).unwrap());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    // A panic here drops `section`, so the query still finishes.
+    while !slider.store().queries_overlap_writes() {
+        assert!(std::time::Instant::now() < deadline, "no overlap marked");
+        std::thread::yield_now();
+    }
+    finish(&mut section);
+    assert!(rx.try_recv().is_err(), "a query answered mid-section");
+    drop(section);
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the query never returned after the section")
+}
+
+/// Lock-free read path, acceptance pin (a): once queries overlap writes,
+/// `matches`/`stats`/`to_sorted_vec` complete while the store's write
+/// lock — the one shard every subClassOf triple lives in — is held
+/// **indefinitely**: the reader answers from the epoch `exclusive()`
+/// published on entry and never waits for the section.
 /// Bounded-time via a channel timeout: a regression back to lock-pinned
 /// reads deadlocks the reader thread and trips the `recv_timeout`.
 #[test]
@@ -531,6 +557,7 @@ fn queries_complete_while_a_shard_write_lock_is_held() {
         .collect();
     materialize(&slider, &chain);
     let expected = slider.store().to_sorted_vec();
+    query_across(&slider, slider.store().exclusive(), |_| {});
 
     let guard = slider.store().exclusive();
     let (tx, rx) = std::sync::mpsc::channel();
@@ -555,11 +582,11 @@ fn queries_complete_while_a_shard_write_lock_is_held() {
     reader.join().unwrap();
 }
 
-/// Lock-free read path: `matches`/`stats`/`to_sorted_vec` and snapshot
-/// reads complete while `exclusive()` holds the store lock
-/// **indefinitely** — `exclusive()` builds the epoch on entry, so the
-/// reader answers from it and never waits for the section — and they see
-/// the **pre-exclusive** epoch until
+/// Lock-free read path: once queries overlap writes, `matches`/`stats`/
+/// `to_sorted_vec` and snapshot reads complete while `exclusive()` holds
+/// the store lock **indefinitely** — `exclusive()` publishes the epoch on
+/// entry, so the reader answers from it and never waits for the section —
+/// and they see the **pre-exclusive** epoch until
 /// the section releases, at which point the mutation becomes visible as
 /// one atomic publication. Bounded-time via a channel timeout: a
 /// regression back to lock-pinned reads deadlocks the reader thread and
@@ -575,6 +602,7 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
         SliderConfig::default(),
     ));
     materialize(&slider, &[t1]);
+    query_across(&slider, slider.store().exclusive(), |_| {});
 
     let mut exclusive = slider.store().exclusive();
     exclusive.insert(t2);
@@ -610,6 +638,65 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
     // Release republishes: the mutation is now visible atomically.
     assert!(slider.store().contains(t2));
     assert_eq!(slider.store().len(), 2);
+}
+
+/// The section contract end to end: a query sees the pre-section or the
+/// post-section closure and nothing in between. Before any query has
+/// overlapped a write, a query that meets a section waits for it and gets
+/// the post-section closure — never the half-applied store — which
+/// switches the store. During the next section a query answers at once
+/// from that section's pre-section epoch.
+#[test]
+fn a_query_waits_for_one_section_then_never_again() {
+    use slider::model::vocab::RDFS_SUB_CLASS_OF;
+    let link = |i: u64| Triple::new(NodeId(3_000 + i), RDFS_SUB_CLASS_OF, NodeId(3_001 + i));
+    let (first, second): (Vec<Triple>, Vec<Triple>) =
+        (0..12).map(link).partition(|t| t.s.0 < 3_006);
+    let closure_of = |triples: &[Triple]| {
+        let reference = Slider::new(
+            Arc::new(Dictionary::new()),
+            Ruleset::rho_df(),
+            SliderConfig::default(),
+        );
+        materialize(&reference, triples);
+        reference.store().to_sorted_vec()
+    };
+    let pre = closure_of(&first);
+    let post = closure_of(&[first.clone(), second].concat());
+    let delta: Vec<Triple> = post.iter().copied().filter(|t| !pre.contains(t)).collect();
+    let (half, rest) = delta.split_at(delta.len() / 2);
+    let slider = Arc::new(Slider::new(
+        Arc::new(Dictionary::new()),
+        Ruleset::rho_df(),
+        SliderConfig::default(),
+    ));
+    materialize(&slider, &first);
+    assert_eq!(slider.store().to_sorted_vec(), pre);
+
+    // Section one: the store never switched, so the query waits for it.
+    let mut section = slider.store().exclusive();
+    half.iter().for_each(|&t| assert!(section.insert(t)));
+    let seen = query_across(&slider, section, |section| {
+        rest.iter().for_each(|&t| assert!(section.insert(t)))
+    });
+    assert_eq!(
+        seen, post,
+        "the waiting query must see the post-section closure"
+    );
+
+    // Section two: the store has switched, so the query answers at once.
+    let mut section = slider.store().exclusive();
+    half.iter().for_each(|&t| assert!(section.remove(t)));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let query = Arc::clone(&slider);
+    std::thread::spawn(move || tx.send(query.store().to_sorted_vec()).unwrap());
+    let seen = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a query waited for a section after the switch");
+    rest.iter().for_each(|&t| assert!(section.remove(t)));
+    drop(section);
+    assert_eq!(seen, post, "the query must see the pre-section closure");
+    assert_eq!(slider.store().to_sorted_vec(), pre);
 }
 
 /// Lock-free read path (b): a reader loops `stats`/`to_sorted_vec` while

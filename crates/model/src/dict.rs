@@ -22,8 +22,7 @@
 //!   A live id never moves, so readers index straight
 //!   into a segment without any guard. Each slot packs its state
 //!   (empty / live / swept) and [`TermKind`] into one `AtomicU64` —
-//!   `kind`/`is_literal` and the [`KindTable`] are a single atomic load,
-//!   zero locks. The term payload itself is an `Arc<Term>` published
+//!   `kind`/`is_literal` are a single atomic load, zero locks. The term payload itself is an `Arc<Term>` published
 //!   under a per-slot pointer lock in the same idiom as the store's epoch
 //!   snapshots: readers hold the lock only for the `Arc` clone, and the
 //!   lock is never taken while any intern shard lock is held, so decode
@@ -154,7 +153,7 @@ type InternShard = RwLock<FxHashMap<Arc<Term>, NodeId>>;
 /// * ids `0..VOCAB_LEN` are the RDF/RDFS vocabulary ([`crate::vocab`]),
 ///   never swept;
 /// * interning the same term twice returns the same id;
-/// * `kind`/`is_literal`/[`KindTable`] are a single atomic load, and
+/// * `kind`/`is_literal` are a single atomic load, and
 ///   `lookup`/`with_term` never touch an intern lock, so decode paths
 ///   complete in bounded time regardless of writer activity.
 pub struct Dictionary {
@@ -322,12 +321,6 @@ impl Dictionary {
     /// True if `id` is an interned literal.
     pub fn is_literal(&self, id: NodeId) -> bool {
         self.kind(id) == Some(TermKind::Literal)
-    }
-
-    /// A handle over the kind table, for batch classification in hot rule
-    /// loops. Each query is one atomic load — the handle holds no lock.
-    pub fn kinds(&self) -> KindTable<'_> {
-        KindTable { dict: self }
     }
 
     /// Number of live interned terms (including the vocabulary).
@@ -523,28 +516,6 @@ pub struct InternShardGuard<'a> {
     _guard: RwLockWriteGuard<'a, FxHashMap<Arc<Term>, NodeId>>,
 }
 
-/// Handle over the term-kind table (see [`Dictionary::kinds`]). Queries
-/// are single atomic loads against the segmented slot table — the handle
-/// holds no lock, so it can be kept across arbitrarily long rule loops
-/// without blocking writers.
-pub struct KindTable<'a> {
-    dict: &'a Dictionary,
-}
-
-impl KindTable<'_> {
-    /// The kind of `id`, if known.
-    #[inline]
-    pub fn kind(&self, id: NodeId) -> Option<TermKind> {
-        self.dict.kind(id)
-    }
-
-    /// True if `id` is a literal.
-    #[inline]
-    pub fn is_literal(&self, id: NodeId) -> bool {
-        self.kind(id) == Some(TermKind::Literal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,10 +594,8 @@ mod tests {
         assert_eq!(d.kind(blank), Some(TermKind::Blank));
         assert!(d.is_literal(lit));
         assert!(!d.is_literal(iri));
-        let table = d.kinds();
-        assert!(table.is_literal(lit));
-        assert!(!table.is_literal(blank));
-        assert_eq!(table.kind(NodeId(9_999_999)), None);
+        assert!(!d.is_literal(blank));
+        assert_eq!(d.kind(NodeId(9_999_999)), None);
     }
 
     #[test]
@@ -796,9 +765,8 @@ mod tests {
         every.dedup();
         assert_eq!(every.len(), 500 + 8 * 50);
         // Kind table is in lock-step with interning.
-        let table = d.kinds();
         for &id in &every {
-            assert_eq!(table.kind(id), Some(TermKind::Iri));
+            assert_eq!(d.kind(id), Some(TermKind::Iri));
         }
     }
 
@@ -814,7 +782,7 @@ mod tests {
         let reader = std::thread::spawn({
             let d = Arc::clone(&d);
             move || {
-                tx.send((d.lookup(id), d.kind(id), d.kinds().kind(vocab::RDF_TYPE)))
+                tx.send((d.lookup(id), d.kind(id), d.kind(vocab::RDF_TYPE)))
                     .unwrap();
             }
         });

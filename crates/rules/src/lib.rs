@@ -22,9 +22,10 @@
 //!   rules: `sameAs` equality, inverse, symmetric, transitive and
 //!   (inverse-)functional properties, class and property equivalence.
 //!
-//! Every built-in is a spec except rdfs1 and rdfs4b ([`Rdfs1`],
-//! [`Rdfs4b`]), which test whether a term is a literal — a dictionary
-//! fact no triple pattern can state. [`RuleSpec::transitive`],
+//! Every built-in is a spec. rdfs1 and rdfs4b test whether a term is a
+//! literal — a dictionary fact no triple pattern can state — through the
+//! kind guards [`Guard::Literal`] and [`Guard::NotLiteral`], over the
+//! dictionary the fragment is built with. [`RuleSpec::transitive`],
 //! [`RuleSpec::subsumption`], [`RuleSpec::domain`] and [`RuleSpec::range`]
 //! build the predicate-parameterised families of custom fragments.
 //!
@@ -75,7 +76,6 @@ mod spec;
 
 pub use axioms::axiomatic_triples;
 pub use graph::DependencyGraph;
-pub use rdfs::{Rdfs1, Rdfs4b};
 pub use rule::{InputFilter, OutputSignature, Rule};
 pub use ruleset::{Fragment, Ruleset};
 pub use spec::{Arg, Atom, Guard, RuleSpec};

@@ -5,9 +5,9 @@
 //! the ρdf rules already cover rdfs2/3/5/7/9/11 (as PRP-DOM, PRP-RNG,
 //! SCM-SPO, PRP-SPO1, CAX-SCO, SCM-SCO).
 //!
-//! rdfs4a and the structural rules rdfs6/8/10/12/13 are [`RuleSpec`]s.
-//! rdfs1 and rdfs4b test a term's kind (literal or not), which no triple
-//! pattern can express, so they stay hand-written over the dictionary.
+//! Every rule is a [`RuleSpec`]. rdfs1 and rdfs4b test a term's kind
+//! (literal or not), which no triple pattern can express, through kind
+//! guards over the dictionary the fragment is built with.
 //!
 //! ## Generalised-RDF note (rdfs1, rdfs4b)
 //!
@@ -17,172 +17,81 @@
 //! position — deterministic and loss-free. rdfs4b skips literal objects, so
 //! the closure remains valid RDF.
 
-use crate::rule::{InputFilter, OutputSignature, Rule};
-use crate::spec::{Atom, RuleSpec};
+use crate::spec::{Atom, Guard, RuleSpec};
 use slider_model::vocab::{
     RDFS_CLASS, RDFS_CONTAINER_MEMBERSHIP_PROPERTY, RDFS_DATATYPE, RDFS_LITERAL, RDFS_MEMBER,
     RDFS_RESOURCE, RDFS_SUB_CLASS_OF as SCO, RDFS_SUB_PROPERTY_OF as SPO, RDF_PROPERTY,
     RDF_TYPE as TYPE,
 };
-use slider_model::{Dictionary, Triple};
-use slider_store::VerticalStore;
+use slider_model::Dictionary;
 use std::sync::Arc;
 
-/// The RDFS extension rules, in the order `Ruleset::rdfs` appends them.
-pub(crate) fn rules(dict: &Arc<Dictionary>) -> Vec<Arc<dyn Rule>> {
+/// The RDFS extension rules, in the order `Ruleset::rdfs` appends them;
+/// `dict` classifies terms for rdfs1 and rdfs4b.
+pub(crate) fn rules(dict: &Arc<Dictionary>) -> Vec<RuleSpec> {
     let typed = |name, definition, class, head| {
         RuleSpec::new(name, definition).clause([Atom::new("x", TYPE, class)], [head])
     };
     vec![
-        Arc::new(Rdfs1::new(Arc::clone(dict))),
-        Arc::new(
-            RuleSpec::new("RDFS4A", "(x p y) ⊢ (x type Resource)").clause(
-                [Atom::new("x", "p", "y")],
-                [Atom::new("x", TYPE, RDFS_RESOURCE)],
-            ),
+        RuleSpec::new("RDFS1", "(x p l), l literal ⊢ (l type Literal)")
+            .dictionary(dict)
+            .clause(
+                [Atom::new("x", "p", "l")],
+                [Atom::new("l", TYPE, RDFS_LITERAL)],
+            )
+            .guard(Guard::Literal("l")),
+        RuleSpec::new("RDFS4A", "(x p y) ⊢ (x type Resource)").clause(
+            [Atom::new("x", "p", "y")],
+            [Atom::new("x", TYPE, RDFS_RESOURCE)],
         ),
-        Arc::new(Rdfs4b::new(Arc::clone(dict))),
-        Arc::new(typed(
+        RuleSpec::new("RDFS4B", "(x p y) ⊢ (y type Resource)")
+            .dictionary(dict)
+            .clause(
+                [Atom::new("x", "p", "y")],
+                [Atom::new("y", TYPE, RDFS_RESOURCE)],
+            )
+            .guard(Guard::NotLiteral("y")),
+        typed(
             "RDFS6",
             "(p type Property) ⊢ (p subPropertyOf p)",
             RDF_PROPERTY,
             Atom::new("x", SPO, "x"),
-        )),
-        Arc::new(typed(
+        ),
+        typed(
             "RDFS8",
             "(c type Class) ⊢ (c subClassOf Resource)",
             RDFS_CLASS,
             Atom::new("x", SCO, RDFS_RESOURCE),
-        )),
-        Arc::new(typed(
+        ),
+        typed(
             "RDFS10",
             "(c type Class) ⊢ (c subClassOf c)",
             RDFS_CLASS,
             Atom::new("x", SCO, "x"),
-        )),
-        Arc::new(typed(
+        ),
+        typed(
             "RDFS12",
             "(p type ContainerMembershipProperty) ⊢ (p subPropertyOf member)",
             RDFS_CONTAINER_MEMBERSHIP_PROPERTY,
             Atom::new("x", SPO, RDFS_MEMBER),
-        )),
-        Arc::new(typed(
+        ),
+        typed(
             "RDFS13",
             "(d type Datatype) ⊢ (d subClassOf Literal)",
             RDFS_DATATYPE,
             Atom::new("x", SCO, RDFS_LITERAL),
-        )),
+        ),
     ]
-}
-
-/// `rdfs1`: `(x p l), l is a literal ⊢ (l type Literal)` *(generalised)*.
-pub struct Rdfs1 {
-    dict: Arc<Dictionary>,
-}
-
-impl Rdfs1 {
-    /// Builds the rule; it needs the dictionary to classify term kinds.
-    pub fn new(dict: Arc<Dictionary>) -> Self {
-        Rdfs1 { dict }
-    }
-}
-
-impl Rule for Rdfs1 {
-    // Delta-only: `apply` never queries the store.
-
-    fn name(&self) -> &'static str {
-        "RDFS1"
-    }
-
-    fn definition(&self) -> &'static str {
-        "(x p l), l literal ⊢ (l type Literal)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Universal
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![TYPE])
-    }
-
-    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        // One guard for the whole batch (hot path — see Dictionary::kinds).
-        let kinds = self.dict.kinds();
-        for &t in delta {
-            if kinds.is_literal(t.o) {
-                out.push(Triple::new(t.o, TYPE, RDFS_LITERAL));
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
-        // (l type Literal) ⇐ l is a literal ∧ ∃p: (_ p l).
-        t.p == TYPE
-            && t.o == RDFS_LITERAL
-            && self.dict.is_literal(t.s)
-            && store
-                .predicates()
-                .any(|p| store.subjects_with(p, t.s).next().is_some())
-    }
-}
-
-/// `rdfs4b`: `(x p y), y not a literal ⊢ (y type Resource)`.
-pub struct Rdfs4b {
-    dict: Arc<Dictionary>,
-}
-
-impl Rdfs4b {
-    /// Builds the rule; it needs the dictionary to classify term kinds.
-    pub fn new(dict: Arc<Dictionary>) -> Self {
-        Rdfs4b { dict }
-    }
-}
-
-impl Rule for Rdfs4b {
-    // Delta-only: `apply` never queries the store.
-
-    fn name(&self) -> &'static str {
-        "RDFS4B"
-    }
-
-    fn definition(&self) -> &'static str {
-        "(x p y) ⊢ (y type Resource)"
-    }
-
-    fn input_filter(&self) -> InputFilter {
-        InputFilter::Universal
-    }
-
-    fn output_signature(&self) -> OutputSignature {
-        OutputSignature::Predicates(vec![TYPE])
-    }
-
-    fn apply(&self, _store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
-        let kinds = self.dict.kinds();
-        for &t in delta {
-            if !kinds.is_literal(t.o) {
-                out.push(Triple::new(t.o, TYPE, RDFS_RESOURCE));
-            }
-        }
-    }
-
-    fn derives(&self, store: &VerticalStore, t: Triple) -> bool {
-        // (y type Resource) ⇐ y not a literal ∧ ∃p: (_ p y).
-        t.p == TYPE
-            && t.o == RDFS_RESOURCE
-            && !self.dict.is_literal(t.s)
-            && store
-                .predicates()
-                .any(|p| store.subjects_with(p, t.s).next().is_some())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::{InputFilter, Rule};
     use crate::testutil::{n, rule};
-    use slider_model::Term;
+    use crate::Ruleset;
+    use slider_model::{Term, Triple};
+    use slider_store::VerticalStore;
 
     /// One application of `rule` to `delta` over the store `delta`.
     fn run(rule: &dyn Rule, delta: &[Triple]) -> Vec<Triple> {
@@ -192,6 +101,12 @@ mod tests {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// The RDFS rule `name`, classifying terms with `dict`.
+    fn rdfs_rule(dict: &Arc<Dictionary>, name: &str) -> Arc<dyn Rule> {
+        let rs = Ruleset::rdfs(dict);
+        Arc::clone(&rs.rules()[rs.index_of(name).expect(name)])
     }
 
     /// `rule` applied to one `(x type class)` triple.
@@ -204,9 +119,9 @@ mod tests {
         let dict = Arc::new(Dictionary::new());
         let lit = dict.intern(&Term::literal("hello"));
         let iri = dict.intern(&Term::iri("http://e/o"));
-        let rule = Rdfs1::new(Arc::clone(&dict));
+        let rule = rdfs_rule(&dict, "RDFS1");
         let got = run(
-            &rule,
+            &*rule,
             &[Triple::new(n(1), n(2), lit), Triple::new(n(1), n(2), iri)],
         );
         assert_eq!(got, [Triple::new(lit, TYPE, RDFS_LITERAL)]);
@@ -227,9 +142,9 @@ mod tests {
         let dict = Arc::new(Dictionary::new());
         let lit = dict.intern(&Term::literal("x"));
         let iri = dict.intern(&Term::iri("http://e/o"));
-        let rule = Rdfs4b::new(Arc::clone(&dict));
+        let rule = rdfs_rule(&dict, "RDFS4B");
         let got = run(
-            &rule,
+            &*rule,
             &[Triple::new(n(1), n(2), lit), Triple::new(n(1), n(2), iri)],
         );
         assert_eq!(got, [Triple::new(iri, TYPE, RDFS_RESOURCE)]);

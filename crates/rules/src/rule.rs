@@ -103,8 +103,8 @@ pub trait Rule: Send + Sync {
     /// derivable iff applying the rule with the full store as the delta
     /// could emit `t`. `t` itself need not be in the store (the
     /// maintenance subsystem asks about triples it just deleted). Every
-    /// rule implements this: a [`RuleSpec`] derives it from its clauses,
-    /// `RDFS1` and `RDFS4B` by hand, and a hand-written rule must too.
+    /// rule implements this: a [`RuleSpec`] derives it from its clauses
+    /// and guards, and a hand-written rule must implement it by hand.
     fn derives(&self, store: &VerticalStore, t: Triple) -> bool;
 
     /// `Some(p)` if this rule is exactly `(x p y), (y p z) ⊢ (x p z)`:

@@ -63,7 +63,7 @@ impl Ruleset {
     pub fn rdfs(dict: &Arc<Dictionary>) -> Self {
         let mut rs = Ruleset::rho_df();
         rs.name = "RDFS".to_owned();
-        rs.rules.extend(rdfs::rules(dict));
+        rdfs::rules(dict).into_iter().for_each(|r| rs.push(r));
         rs
     }
 
@@ -297,6 +297,15 @@ mod tests {
                 }
             }
             assert!(hits > 0, "{}: the grid never fires the rule", rule.name());
+        }
+    }
+
+    #[test]
+    fn every_builtin_is_a_spec() {
+        let rs = Ruleset::rdfs_plus(&Arc::new(Dictionary::new()));
+        assert_eq!(rs.len(), 28);
+        for rule in rs.rules() {
+            assert!(rule.spec().is_some(), "{} is not a RuleSpec", rule.name());
         }
     }
 

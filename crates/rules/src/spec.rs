@@ -1,5 +1,5 @@
 //! Rules as data: the [`RuleSpec`] IR and the one join evaluator behind
-//! every built-in rule except `RDFS1` and `RDFS4B`.
+//! every built-in rule.
 //!
 //! A spec is a list of Horn clauses `body ⊢ head` over triple patterns
 //! ([`Atom`]s) whose positions are variables or constant term ids, plus
@@ -14,12 +14,16 @@
 //!   triple, then run the same join over the whole body and stop at the
 //!   first solution — one-step SLD resolution, which is [`Rule::derives`].
 //!
-//! The input filter, output signature and transitive predicate are read
-//! off the clauses, so they cannot disagree with what the rule does.
+//! A kind guard ([`Guard::Literal`], [`Guard::NotLiteral`]) is checked,
+//! through the spec's [`RuleSpec::dictionary`], by the step that first
+//! binds its variable. The input filter, output signature and transitive
+//! predicate are read off the clauses, so they cannot disagree with what
+//! the rule does.
 //!
 //! ```
-//! use slider_model::NodeId;
-//! use slider_rules::{Atom, InputFilter, Rule, RuleSpec};
+//! use slider_model::{Dictionary, NodeId, Term, Triple};
+//! use slider_rules::{Atom, Guard, InputFilter, Rule, RuleSpec};
+//! use std::sync::Arc;
 //!
 //! let (parent, brother, uncle) = (NodeId(100), NodeId(101), NodeId(102));
 //! let rule = RuleSpec::new("UNCLE", "(x parent y), (y brother z) ⊢ (x uncle z)").clause(
@@ -27,11 +31,25 @@
 //!     [Atom::new("x", uncle, "z")],
 //! );
 //! assert_eq!(rule.input_filter(), InputFilter::Predicates(vec![parent, brother]));
+//!
+//! // A kind guard: only a literal name is a label.
+//! let dict = Arc::new(Dictionary::new());
+//! let (name, label, bob) = (NodeId(103), NodeId(104), NodeId(105));
+//! let labels = RuleSpec::new("LABEL", "(x name l), l literal ⊢ (x label l)")
+//!     .dictionary(&dict)
+//!     .clause([Atom::new("x", name, "l")], [Atom::new("x", label, "l")])
+//!     .guard(Guard::Literal("l"));
+//! let lit = dict.intern(&Term::literal("Bob"));
+//! let delta = [Triple::new(bob, name, lit), Triple::new(bob, name, bob)];
+//! let mut out = Vec::new();
+//! labels.apply(&delta.iter().copied().collect(), &delta, &mut out);
+//! assert_eq!(out, [Triple::new(bob, label, lit)]);
 //! ```
 
 use crate::rule::{InputFilter, OutputSignature, Rule};
-use slider_model::{NodeId, Triple};
+use slider_model::{Dictionary, NodeId, Triple};
 use slider_store::{PropertyTable, VerticalStore};
+use std::sync::Arc;
 
 /// One position of an [`Atom`]: a variable, by name, or a constant term id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,10 +94,15 @@ impl Atom {
 }
 
 /// A side condition every body solution must meet before the head fires.
+/// The two kind guards need a [`RuleSpec::dictionary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// The two variables are bound to different terms (`PRP-FP`, `PRP-IFP`).
     Distinct(&'static str, &'static str),
+    /// The variable is bound to a literal (`RDFS1`).
+    Literal(&'static str),
+    /// The variable is bound to a term that is not a literal (`RDFS4B`).
+    NotLiteral(&'static str),
 }
 
 /// One Horn clause: every solution of `body` in the store yields every
@@ -96,12 +119,15 @@ struct Clause {
 /// Two specs are equal iff name, definition, clauses (constants included)
 /// and guards are — the identity `Op::Swap` uses, so a rule
 /// re-pointed at another predicate under the same name is another rule.
+/// The dictionary is not part of it.
 #[derive(Debug, Clone)]
 pub struct RuleSpec {
     name: &'static str,
     definition: &'static str,
     clauses: Vec<Clause>,
     guards: Vec<Guard>,
+    /// Classifies terms for the kind guards.
+    dict: Option<Arc<Dictionary>>,
     // Compiled from the fields above by `RuleSpec::compile`.
     plans: Vec<ClausePlan>,
     filter: InputFilter,
@@ -126,6 +152,7 @@ impl RuleSpec {
             definition,
             clauses: Vec::new(),
             guards: Vec::new(),
+            dict: None,
             plans: Vec::new(),
             filter: InputFilter::Predicates(Vec::new()),
             signature: OutputSignature::Predicates(Vec::new()),
@@ -151,13 +178,24 @@ impl RuleSpec {
     ///
     /// # Panics
     ///
-    /// As [`RuleSpec::clause`].
+    /// As [`RuleSpec::clause`], and if `guard` is a kind guard and the
+    /// spec has no [`RuleSpec::dictionary`] yet.
     pub fn guard(mut self, guard: Guard) -> Self {
         self.guards.push(guard);
         self.compile()
     }
 
+    /// Sets the dictionary the kind guards classify terms with.
+    pub fn dictionary(mut self, dict: &Arc<Dictionary>) -> Self {
+        self.dict = Some(Arc::clone(dict));
+        self
+    }
+
     fn compile(mut self) -> Self {
+        let kind = |g: &Guard| !matches!(g, Guard::Distinct(..));
+        if self.dict.is_none() && self.guards.iter().any(kind) {
+            panic!("{}: a kind guard needs RuleSpec::dictionary", self.name);
+        }
         self.plans = (self.clauses.iter())
             .map(|clause| ClausePlan::new(self.name, clause, &self.guards))
             .collect();
@@ -255,12 +293,17 @@ impl Probe {
     }
 }
 
+/// A kind guard, compiled into the atom that first binds its variable:
+/// the slot, and whether its term must be a literal.
+type Kind = (u8, bool);
+
 #[derive(Debug, Clone)]
 struct Step {
     atom: [Pos; 3],
     probe: Probe,
     /// Index of the atom's constant predicate in [`ClausePlan::preds`].
     table: Option<usize>,
+    kinds: Vec<Kind>,
 }
 
 /// A join entered by unifying one atom with a given triple.
@@ -271,6 +314,7 @@ struct Entry {
     mask: [u64; 3],
     value: [u64; 3],
     atom: [Pos; 3],
+    kinds: Vec<Kind>,
     steps: Vec<Step>,
 }
 
@@ -316,7 +360,12 @@ impl ClausePlan {
             preds.len() <= MAX_PREDS,
             "{name}: over {MAX_PREDS} constant predicates"
         );
-        let compiler = Compiler { name, slots, preds };
+        let compiler = Compiler {
+            name,
+            slots,
+            preds,
+            guards,
+        };
         let var = |v| compiler.slot(Arg::Var(v)) as u8;
         ClausePlan {
             init,
@@ -330,7 +379,10 @@ impl ClausePlan {
                 .map(|h| h.args().map(|arg| compiler.slot(arg) as u8))
                 .collect(),
             distinct: (guards.iter())
-                .map(|&Guard::Distinct(a, b)| (var(a), var(b)))
+                .filter_map(|guard| match *guard {
+                    Guard::Distinct(a, b) => Some((var(a), var(b))),
+                    Guard::Literal(_) | Guard::NotLiteral(_) => None,
+                })
                 .collect(),
             preds: compiler.preds,
         }
@@ -351,6 +403,7 @@ struct Compiler<'a> {
     name: &'a str,
     slots: Vec<Arg>,
     preds: Vec<NodeId>,
+    guards: &'a [Guard],
 }
 
 impl Compiler<'_> {
@@ -375,6 +428,17 @@ impl Compiler<'_> {
                 set,
             }
         })
+    }
+
+    /// The kind guards on the variables a compiled atom binds.
+    fn kinds(&self, atom: &[Pos; 3]) -> Vec<Kind> {
+        let kinds = self.guards.iter().filter_map(|guard| match *guard {
+            Guard::Literal(v) => Some((self.slot(Arg::Var(v)) as u8, true)),
+            Guard::NotLiteral(v) => Some((self.slot(Arg::Var(v)) as u8, false)),
+            Guard::Distinct(..) => None,
+        });
+        let binds = |&(slot, _): &Kind| atom.iter().any(|pos| pos.set && pos.slot == slot);
+        kinds.filter(binds).collect()
     }
 
     /// Compiles a join entered through `atom` (body atom `skip`, or a head
@@ -415,12 +479,19 @@ impl Compiler<'_> {
                 Arg::Var(_) => None,
             };
             let atom = self.atom(next, &mut bound);
-            steps.push(Step { atom, probe, table });
+            let kinds = self.kinds(&atom);
+            steps.push(Step {
+                atom,
+                probe,
+                table,
+                kinds,
+            });
         }
         let (mask, value) = (consts.map(|c| c.0), consts.map(|c| c.1));
         Entry {
             mask,
             value,
+            kinds: self.kinds(&first),
             atom: first,
             steps,
         }
@@ -448,6 +519,12 @@ fn bind(pos: Pos, x: NodeId, env: &mut Env) -> bool {
 #[inline(always)]
 fn unify(atom: &[Pos; 3], t: Triple, env: &mut Env) -> bool {
     bind(atom[0], t.s, env) && bind(atom[1], t.p, env) && bind(atom[2], t.o, env)
+}
+
+/// Whether every kind check holds on `env`.
+#[inline(always)]
+fn kinds_hold(kinds: &[Kind], env: &Env, dict: Option<&Dictionary>) -> bool {
+    (kinds.iter()).all(|&(slot, lit)| dict.is_some_and(|d| d.is_literal(env[at(slot)]) == lit))
 }
 
 /// Whether `t` matches the constants of `entry`'s atom.
@@ -522,13 +599,14 @@ fn probe_any_predicate(
     }
 }
 
-/// Runs `steps`; at each full solution that passes `distinct`, calls
-/// `emit`, stopping as soon as it returns `true`. Returns whether it
-/// stopped.
+/// Runs `steps`, checking each step's kinds through `dict`; at each full
+/// solution that passes `distinct`, calls `emit`, stopping as soon as it
+/// returns `true`. Returns whether it stopped.
 #[inline(never)]
 fn solve<F: FnMut(&Env) -> bool>(
     store: &VerticalStore,
     tables: &Tables,
+    dict: Option<&Dictionary>,
     steps: &[Step],
     distinct: &[(u8, u8)],
     env: &mut Env,
@@ -538,7 +616,9 @@ fn solve<F: FnMut(&Env) -> bool>(
         let apart = |&(a, b): &(u8, u8)| env[at(a)] != env[at(b)];
         return distinct.iter().all(apart) && emit(env);
     };
-    let k = |env: &mut Env| solve(store, tables, rest, distinct, env, emit);
+    let k = |env: &mut Env| {
+        kinds_hold(&step.kinds, env, dict) && solve(store, tables, dict, rest, distinct, env, emit)
+    };
     match step.table {
         _ if !step.probe.knows_predicate() => probe_any_predicate(store, step, env, k),
         Some(i) => probe(tables[i], step, env, k),
@@ -566,6 +646,7 @@ impl Rule for RuleSpec {
     /// Entry by entry, then delta triple by delta triple: the order of
     /// `out` differs from a triple-major loop, its multiset does not.
     fn apply(&self, store: &VerticalStore, delta: &[Triple], out: &mut Vec<Triple>) {
+        let dict = self.dict.as_deref();
         for plan in &self.plans {
             let tables = plan.tables(store);
             let mut env = plan.init;
@@ -591,11 +672,14 @@ impl Rule for RuleSpec {
                 // predicate; anything else goes through `solve`.
                 let steps = entry.steps.as_slice();
                 let direct = match (steps, distinct) {
-                    ([step], []) if step.probe.knows_predicate() => step.table.map(|i| (step, i)),
+                    ([step], []) if step.kinds.is_empty() => step.table.map(|i| (step, i)),
                     _ => None,
                 };
                 for &t in delta {
-                    if !admits(entry, t) || !unify(&entry.atom, t, &mut env) {
+                    if !admits(entry, t)
+                        || !unify(&entry.atom, t, &mut env)
+                        || !kinds_hold(&entry.kinds, &env, dict)
+                    {
                         continue;
                     }
                     if let Some((step, i)) = direct {
@@ -603,7 +687,7 @@ impl Rule for RuleSpec {
                     } else if steps.is_empty() && distinct.is_empty() {
                         emit(&env);
                     } else {
-                        solve(store, &tables, steps, distinct, &mut env, &mut emit);
+                        solve(store, &tables, dict, steps, distinct, &mut env, &mut emit);
                     }
                 }
             }
@@ -614,31 +698,33 @@ impl Rule for RuleSpec {
         if !self.signature.may_emit(t.p) {
             return false;
         }
+        let dict = self.dict.as_deref();
         self.plans.iter().any(|plan| {
             plan.backward.iter().any(|entry| {
                 if !admits(entry, t) {
                     return false;
                 }
                 let (mut env, tables) = (plan.init, plan.tables(store));
-                if !unify(&entry.atom, t, &mut env) {
+                if !unify(&entry.atom, t, &mut env) || !kinds_hold(&entry.kinds, &env, dict) {
                     return false;
                 }
-                // Bodies of one or two atoms over known predicates (most
-                // built-ins) probe in place; anything else goes through `solve`.
+                // Bodies of one or two plain atoms (most built-ins) probe
+                // in place; anything else goes through `solve`.
                 let table = |step: &Step, env: &Env| match step.table {
                     Some(i) => tables[i],
                     None => store.table(env[at(step.atom[1].slot)]),
                 };
-                let known = |step: &Step| step.probe.knows_predicate();
+                let plain = |step: &Step| step.probe.knows_predicate() && step.kinds.is_empty();
                 match (entry.steps.as_slice(), plan.distinct.as_slice()) {
-                    ([a], []) if known(a) => probe(table(a, &env), a, &mut env, |_| true),
-                    ([a, b], []) if known(a) && known(b) => {
+                    ([a], []) if plain(a) => probe(table(a, &env), a, &mut env, |_| true),
+                    ([a, b], []) if plain(a) && plain(b) => {
                         probe(table(a, &env), a, &mut env, |env| {
                             probe(table(b, env), b, env, |_| true)
                         })
                     }
                     (steps, distinct) => {
-                        solve(store, &tables, steps, distinct, &mut env, &mut |_| true)
+                        let mut found = |_: &Env| true;
+                        solve(store, &tables, dict, steps, distinct, &mut env, &mut found)
                     }
                 }
             })
@@ -651,5 +737,19 @@ impl Rule for RuleSpec {
 
     fn spec(&self) -> Option<&RuleSpec> {
         Some(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "LIT: a kind guard needs RuleSpec::dictionary")]
+    fn a_kind_guard_without_a_dictionary_panics() {
+        let p = NodeId(100);
+        let _ = RuleSpec::new("LIT", "(x p l), l literal ⊢ (l p x)")
+            .clause([Atom::new("x", p, "l")], [Atom::new("l", p, "x")])
+            .guard(Guard::Literal("l"));
     }
 }

@@ -11,7 +11,7 @@ use common::{manual_flush_slider, materialize, Model};
 use proptest::prelude::*;
 use slider::baseline::RecomputeOracle;
 use slider::core::EventKind;
-use slider::model::vocab::{RDFS_SUB_CLASS_OF, RDF_TYPE};
+use slider::model::vocab::{OWL_INVERSE_OF, OWL_SAME_AS, RDFS_SUB_CLASS_OF, RDF_TYPE};
 use slider::prelude::*;
 use slider::rules::RuleSpec;
 use std::sync::Arc;
@@ -254,6 +254,48 @@ fn swap_rederives_what_a_kept_rule_still_supports() {
         slider.store().to_sorted_vec(),
         expected_closure(&only_q, &input)
     );
+}
+
+/// A swap across built-in fragments: an RDFS engine swapped to RDFS-Plus
+/// keeps all 16 RDFS rules (the two kind-guarded ones included), so it
+/// retracts nothing, and its 12 added rules infer exactly what the
+/// RDFS-Plus closure holds beyond the RDFS one.
+#[test]
+fn swap_from_rdfs_to_rdfs_plus_keeps_every_rdfs_rule() {
+    let dict = Arc::new(Dictionary::new());
+    let iri = |s: &str| dict.intern(&Term::iri(format!("http://e/{s}")));
+    let (x, y, i, j, p, q) = (iri("x"), iri("y"), iri("i"), iri("j"), iri("p"), iri("q"));
+    let lit = dict.intern(&Term::literal("l"));
+    let input = [
+        Triple::new(x, RDFS_SUB_CLASS_OF, y),
+        Triple::new(i, RDF_TYPE, x),
+        Triple::new(i, p, lit),
+        Triple::new(i, p, j),
+        Triple::new(p, OWL_INVERSE_OF, q),
+        Triple::new(i, OWL_SAME_AS, j),
+    ];
+    let (rdfs, plus) = (Ruleset::rdfs(&dict), Ruleset::rdfs_plus(&dict));
+    let slider = Slider::new(Arc::clone(&dict), rdfs.clone(), SliderConfig::default());
+    materialize(&slider, &input);
+
+    let outcome = slider.apply(Op::Swap(plus.clone())).swap().unwrap();
+    let (before, after) = (
+        expected_closure(&rdfs, &input),
+        expected_closure(&plus, &input),
+    );
+    assert_eq!(
+        outcome,
+        SwapOutcome {
+            dropped: 0,
+            added: 12,
+            kept: 16,
+            overdeleted: 0,
+            rederived: 0,
+            inferred: after.len() - before.len(),
+        }
+    );
+    assert!(outcome.inferred > 0);
+    assert_eq!(slider.store().to_sorted_vec(), after);
 }
 
 /// Swaps racing live producers: feeds keep flowing from several threads

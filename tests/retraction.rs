@@ -497,7 +497,7 @@ fn outcome_reports_ignored_derived_distinct_from_not_found() {
 
 // ---------- coalesced flushes across rule families ---------------------------
 
-use slider::rules::RuleSpec;
+use slider::rules::{Atom, Guard, RuleSpec};
 
 /// Predicates of two independent rule families plus an inert one.
 const TRANS_A: NodeId = NodeId(600);
@@ -662,6 +662,85 @@ fn empty_maintenance_calls_skip_the_store_gate() {
     );
     assert_eq!(stats.removal_runs, 0);
     assert_eq!(stats.coalesced_runs, 0);
+}
+
+/// Kind guards under DRed: a `Guard::Literal` spec and a
+/// `Guard::NotLiteral` spec over user predicates, fed literal and IRI
+/// objects, equal the recompute oracle after every add and remove. Each
+/// conclusion has two supports, so a removal overdeletes it and the
+/// guarded backward `derives` must restore it.
+#[test]
+fn kind_guarded_specs_match_oracle_across_adds_and_removes() {
+    let dict = Arc::new(Dictionary::new());
+    let iri = |s: &str| dict.intern(&Term::iri(format!("http://e/{s}")));
+    let (name, nick, label, named) = (iri("name"), iri("nick"), iri("label"), iri("Named"));
+    let ruleset = Ruleset::custom("kinds")
+        .with(
+            RuleSpec::new("LABEL", "(x name l) | (x nick l), l literal ⊢ (x label l)")
+                .dictionary(&dict)
+                .clause([Atom::new("x", name, "l")], [Atom::new("x", label, "l")])
+                .clause([Atom::new("x", nick, "l")], [Atom::new("x", label, "l")])
+                .guard(Guard::Literal("l")),
+        )
+        .with(
+            RuleSpec::new("NAMED", "(x name y), y not literal ⊢ (y type Named)")
+                .dictionary(&dict)
+                .clause(
+                    [Atom::new("x", name, "y")],
+                    [Atom::new("y", RDF_TYPE, named)],
+                )
+                .guard(Guard::NotLiteral("y")),
+        );
+    let (a, b, c) = (iri("a"), iri("b"), iri("c"));
+    let (al, bo) = (
+        dict.intern(&Term::literal("Al")),
+        dict.intern(&Term::literal("Bo")),
+    );
+    let t = Triple::new;
+    let slider = Slider::new(Arc::clone(&dict), ruleset.clone(), SliderConfig::default());
+    let mut oracle = RecomputeOracle::new(ruleset);
+    let input = [
+        t(a, name, al),
+        t(a, nick, al),
+        t(a, name, c),
+        t(b, name, c),
+        t(b, name, bo),
+    ];
+    materialize(&slider, &input);
+    oracle.add(&input);
+    assert_matches_oracle(&slider, &oracle, "first add");
+    let store = slider.store();
+    assert!(store.contains(t(a, label, al)) && store.contains(t(b, label, bo)));
+    assert!(store.contains(t(c, RDF_TYPE, named)));
+    assert!(!store.contains(t(a, label, c)) && !store.contains(t(al, RDF_TYPE, named)));
+
+    let mut rederived = 0;
+    let steps = [
+        (false, vec![t(a, name, al)]),
+        (false, vec![t(a, name, c)]),
+        (true, vec![t(a, name, al), t(c, name, bo)]),
+        (false, vec![t(b, name, c), t(a, nick, al)]),
+        (false, vec![t(a, name, al), t(b, name, bo), t(c, name, bo)]),
+    ];
+    for (i, (add, batch)) in steps.into_iter().enumerate() {
+        if add {
+            materialize(&slider, &batch);
+            oracle.add(&batch);
+        } else {
+            rederived += slider
+                .apply(Op::Remove(batch.clone()))
+                .removal()
+                .unwrap()
+                .rederived;
+            oracle.remove(&batch);
+        }
+        assert_matches_oracle(&slider, &oracle, &format!("kind-guard step {i}"));
+    }
+    assert!(
+        rederived >= 2,
+        "the guarded rules never rederived: {rederived}"
+    );
+    assert!(slider.store().is_empty());
 }
 
 // ---------- the property test -----------------------------------------------

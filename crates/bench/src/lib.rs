@@ -15,19 +15,18 @@
 //!   {Baseline, Slider}) plus the §3 headline averages;
 //! * `figure3` — the same data as inference-time series (Table 1 minus
 //!   BSBM_5M, as in the paper's figure), with an ASCII rendering and CSV;
-//! * `figure2` — the ρdf rules dependency graph as DOT;
 //! * `retraction` — sliding-window streaming with incremental deletion:
 //!   eager per-batch DRed vs coalesced flushes vs
 //!   recompute-from-scratch, over the shared [`family`]
 //!   workload; `--smoke` runs the tiny CI configuration with per-step
 //!   oracle verification (including re-assertions that must cancel
-//!   pending retractions).
+//!   pending retractions);
+//! * `ingest` — concurrent readers beside a writer on the store, and
+//!   dictionary interning under contention;
+//! * `multi_tenant` — independent reasoners side by side, on private
+//!   dictionaries or one shared dictionary.
 //!
-//! Criterion benches: `table1` (scaled-down row set), `buffer_params`
-//! (buffer size / timeout sweeps — the demo's §4 parameters), `ablation`
-//! (pool size, duplicate limitation), `store_micro` (substrate
-//! microbenchmarks),
-//! `retraction` (one sliding-window maintenance step, both engines).
+//! Figure 2, the rules dependency graph, is `slider-cli graph`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -561,41 +560,6 @@ pub mod report {
             std::fs::write(path, self.to_json())?;
             println!("bench trajectory written to {path}");
             Ok(())
-        }
-    }
-
-    /// Scans the process arguments for `--json <path>`, ignoring anything
-    /// else (cargo appends `--bench` when running criterion benches, so
-    /// the strict [`parse_bench_args`](crate::parse_bench_args) would
-    /// reject the invocation). Used by the criterion benches' custom
-    /// harness mains to decide whether to emit a report trajectory.
-    pub fn json_arg() -> Option<String> {
-        json_arg_in(std::env::args().skip(1))
-    }
-
-    fn json_arg_in(args: impl Iterator<Item = String>) -> Option<String> {
-        let mut args = args;
-        while let Some(arg) = args.next() {
-            if arg == "--json" {
-                return args.next();
-            }
-        }
-        None
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::json_arg_in;
-
-        #[test]
-        fn json_arg_tolerates_cargo_bench_flags() {
-            let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-            assert_eq!(
-                json_arg_in(args(&["--bench", "--json", "out.json"]).into_iter()),
-                Some("out.json".to_string())
-            );
-            assert_eq!(json_arg_in(args(&["--bench"]).into_iter()), None);
-            assert_eq!(json_arg_in(args(&["--json"]).into_iter()), None);
         }
     }
 }

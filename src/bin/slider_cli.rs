@@ -1,10 +1,9 @@
 //! `slider-cli` — command-line front end for the Slider reasoner.
 //!
 //! ```text
-//! slider-cli materialize <input.nt|-> [--fragment rho-df|rdfs|rdfs-plus]
-//!                                     [--format nt|ttl] [--output FILE]
-//!                                     [--buffer N] [--timeout-ms N]
-//!                                     [--workers N] [--stats]
+//! slider-cli materialize <input.nt|input.ttl|-> [--format nt|ttl]
+//!                        [--fragment rho-df|rdfs|rdfs-plus] [--output FILE]
+//!                        [--buffer N] [--timeout-ms N] [--workers N] [--stats]
 //! slider-cli graph       [--fragment rho-df|rdfs|rdfs-plus]
 //! slider-cli generate    <ontology> [--scale F] [--output FILE]
 //! slider-cli serve       [--sessions N] [--workers N]
@@ -15,13 +14,15 @@
 //! `materialize` streams the input into the reasoner while parsing (the
 //! paper's input-manager path), waits for quiescence and writes the closure
 //! as N-Triples (generalised triples with literal subjects are skipped on
-//! output, with a note on stderr).
+//! output, with a note on stderr). Without `--format`, the input's
+//! extension picks the syntax: `.ttl` or `.turtle` reads as Turtle,
+//! anything else, stdin (`-`) included, as N-Triples.
 //!
 //! `serve` runs N independent reasoners on one shared dictionary, each
 //! materialising its own stream concurrently while its own pool's
 //! deadline tick applies a deferred retraction mid-stream.
 
-use slider::parser::{Format, NTriplesWriter, ParseError};
+use slider::parser::{Format, NTriplesWriter};
 use slider::prelude::*;
 use slider::workloads::{to_ntriples, PaperOntology, ONTOLOGIES};
 use std::io::{BufRead, BufWriter, Write};
@@ -31,7 +32,7 @@ use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  slider-cli materialize <input.nt|-> [--fragment rho-df|rdfs|rdfs-plus] \
+        "usage:\n  slider-cli materialize <input.nt|input.ttl|-> [--fragment rho-df|rdfs|rdfs-plus] \
          [--format nt|ttl] [--output FILE] [--buffer N] [--timeout-ms N] [--workers N] [--stats]\n\
          \x20 slider-cli graph [--fragment rho-df|rdfs|rdfs-plus]\n\
          \x20 slider-cli generate <ontology> [--scale F] [--output FILE]\n\
@@ -53,7 +54,7 @@ fn parse_fragment(s: &str) -> Option<Fragment> {
 
 struct Options {
     fragment: Fragment,
-    format: Format,
+    format: Option<Format>,
     output: Option<String>,
     stats: bool,
     config: SliderConfig,
@@ -62,7 +63,7 @@ struct Options {
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         fragment: Fragment::Rdfs,
-        format: Format::NTriples,
+        format: None,
         output: None,
         stats: false,
         config: SliderConfig::default(),
@@ -77,11 +78,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--format" => {
                 let v = iter.next().ok_or("--format needs a value")?;
-                opts.format = match v.as_str() {
+                opts.format = Some(match v.as_str() {
                     "nt" | "ntriples" => Format::NTriples,
                     "ttl" | "turtle" => Format::Turtle,
                     other => return Err(format!("unknown format '{other}'")),
-                };
+                });
             }
             "--output" | "-o" => {
                 opts.output = Some(iter.next().ok_or("--output needs a path")?.clone());
@@ -124,31 +125,20 @@ fn cmd_materialize(input: &str, opts: &Options) -> Result<(), String> {
         let file = std::fs::File::open(input).map_err(|e| format!("open {input}: {e}"))?;
         Box::new(std::io::BufReader::new(file))
     };
+    let format = opts.format.unwrap_or_else(|| {
+        std::path::Path::new(input)
+            .extension()
+            .and_then(|ext| ext.to_str())
+            .map_or(Format::NTriples, Format::from_extension)
+    });
     let mut chunk: Vec<Triple> = Vec::with_capacity(4096);
     let mut parsed = 0usize;
-    let feed = |t: Result<TermTriple, ParseError>,
-                chunk: &mut Vec<Triple>,
-                parsed: &mut usize|
-     -> Result<(), String> {
-        let t = t.map_err(|e| e.to_string())?;
-        chunk.push(dict.encode_triple_owned(t));
-        *parsed += 1;
+    for t in slider::parser::parse(reader, format) {
+        chunk.push(dict.encode_triple_owned(t.map_err(|e| e.to_string())?));
+        parsed += 1;
         if chunk.len() == 4096 {
-            slider.add_triples(chunk);
+            slider.add_triples(&chunk);
             chunk.clear();
-        }
-        Ok(())
-    };
-    match opts.format {
-        Format::NTriples => {
-            for t in slider::parser::NTriplesParser::new(reader) {
-                feed(t, &mut chunk, &mut parsed)?;
-            }
-        }
-        Format::Turtle => {
-            for t in slider::parser::TurtleParser::new(reader) {
-                feed(t, &mut chunk, &mut parsed)?;
-            }
         }
     }
     slider.add_triples(&chunk);

@@ -187,3 +187,31 @@ fn axiomatic_triples_extend_the_closure_consistently() {
     let expected = slider::baseline::closure(Ruleset::rdfs(&dict), &input).to_sorted_vec();
     assert_eq!(slider.store().to_sorted_vec(), expected);
 }
+
+#[test]
+fn cli_reads_a_ttl_file_as_turtle_without_format() {
+    let ttl = "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+               @prefix ex: <http://example.org/> .\n\
+               ex:A rdfs:subClassOf ex:B .\n\
+               ex:x a ex:A .\n";
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_no_format.ttl");
+    std::fs::write(&path, ttl).unwrap();
+    let materialize = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_slider_cli"))
+            .arg("materialize")
+            .arg(&path)
+            .args(["--fragment", "rho-df"])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{extra:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let inferred = materialize(&[]);
+    assert_eq!(inferred, materialize(&["--format", "ttl"]));
+    assert!(inferred.contains(
+        "<http://example.org/x> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> \
+         <http://example.org/B> ."
+    ));
+}

@@ -22,7 +22,9 @@
 //!   incoming triples, inserts them into the store
 //!   (duplicates are dropped here — first dedup layer; inputs are flagged
 //!   **explicit**) and routes the new ones to the buffers of every rule
-//!   whose [`InputFilter`] accepts them.
+//!   whose join can use them ([`Rule::joinable`](slider_rules::Rule::joinable),
+//!   asked after the insert; by predicate, from the rule's [`InputFilter`],
+//!   for a hand-written rule).
 //! * Each rule module owns a **buffer**; when it reaches
 //!   [`SliderConfig::buffer_capacity`] triples — or sits idle longer than
 //!   [`SliderConfig::timeout`] — its content becomes a *rule instance*: a

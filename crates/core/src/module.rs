@@ -8,14 +8,14 @@ use crate::trace::EventKind;
 use crate::work::Drainer;
 use parking_lot::Mutex;
 use slider_model::{Dictionary, NodeId, Triple};
-use slider_rules::{DependencyGraph, InputFilter, Rule, Ruleset};
+use slider_rules::{DependencyGraph, Rule, Ruleset};
+use slider_store::TriplePattern;
 use std::sync::Arc;
 
 /// One rule module: the rule, its buffer, its distributor's routing table
 /// and its counters (paper Figure 1, one column).
 pub(crate) struct Module {
     pub(crate) rule: Arc<dyn Rule>,
-    pub(crate) filter: InputFilter,
     pub(crate) buffer: Buffer,
     /// Rules whose buffers receive this module's fresh conclusions —
     /// `successors` in the dependency graph, minus the module itself when
@@ -81,7 +81,6 @@ pub(crate) fn build_state(
             }
             Module {
                 rule: Arc::clone(rule),
-                filter: rule.input_filter(),
                 buffer: Buffer::new(capacity),
                 successors,
                 closure,
@@ -98,20 +97,37 @@ pub(crate) fn build_state(
 }
 
 impl Engine {
-    /// Routes `triples` to the buffers of `targets` (each module filters by
-    /// predicate), firing full buffers as new rule instances. The caller
-    /// resolved `state` under a token it still holds.
+    /// Routes `triples` to the buffers of `targets`, firing full buffers as
+    /// new rule instances. The caller resolved `state` under a token it
+    /// still holds, and `triples` are in the store.
+    ///
+    /// A target buffers only the triples its join can use now
+    /// ([`Rule::joinable`], asked under one shared read of the store after
+    /// the insert). Asking before the insert would lose derivations: two
+    /// racing adds could each miss the other's table.
     pub(crate) fn dispatch(&self, state: &RulesetState, targets: &[usize], triples: &[Triple]) {
-        let mut accepted: Vec<Triple> = Vec::new();
-        for &i in targets {
+        let mut patterns = Vec::new();
+        let ends: Vec<usize> = {
+            let store = self.store.read();
+            (targets.iter())
+                .map(|&i| {
+                    state.modules[i].rule.joinable(&store, &mut patterns);
+                    patterns.len()
+                })
+                .collect()
+        };
+        let (mut accepted, mut start) = (Vec::new(), 0);
+        for (&i, end) in targets.iter().zip(ends) {
             let module = &state.modules[i];
+            let pats = &patterns[start..end];
+            start = end;
             accepted.clear();
-            accepted.extend(
-                triples
-                    .iter()
-                    .copied()
-                    .filter(|&t| module.filter.accepts(t)),
-            );
+            if pats.contains(&TriplePattern::ANY) {
+                accepted.extend_from_slice(triples);
+            } else {
+                let joinable = |t: &&Triple| pats.iter().any(|pat| pat.matches(**t));
+                accepted.extend(triples.iter().filter(joinable));
+            }
             if accepted.is_empty() {
                 continue;
             }

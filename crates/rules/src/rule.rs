@@ -2,14 +2,15 @@
 
 use crate::spec::RuleSpec;
 use slider_model::{NodeId, Triple};
-use slider_store::VerticalStore;
+use slider_store::{TriplePattern, VerticalStore};
 
-/// Which incoming triples a rule's buffer accepts.
+/// Which incoming triples a rule consumes, by predicate.
 ///
 /// The paper routes triples to modules "according to configured rules'
 /// predicates" (§2); rules whose body contains an atom with a *variable*
 /// predicate (e.g. the `(s p o)` atom of `PRP-DOM`) have **universal
-/// input** — they must see every triple (Figure 2's "Universal Input").
+/// input** — they may consume any triple (Figure 2's "Universal Input").
+/// The engine routes finer, by [`Rule::joinable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputFilter {
     /// The rule must see every triple.
@@ -26,12 +27,6 @@ impl InputFilter {
             InputFilter::Universal => true,
             InputFilter::Predicates(ps) => ps.contains(&p),
         }
-    }
-
-    /// True if `t` is relevant to the rule.
-    #[inline]
-    pub fn accepts(&self, t: Triple) -> bool {
-        self.accepts_predicate(t.p)
     }
 }
 
@@ -83,7 +78,8 @@ pub trait Rule: Send + Sync {
     /// Human-readable `body ⊢ head` form, for docs/demo UI.
     fn definition(&self) -> &'static str;
 
-    /// Which triples this rule's buffer accepts.
+    /// Which triples this rule consumes, by predicate: the dependency
+    /// graph's edges, and the default [`Rule::joinable`] routing.
     fn input_filter(&self) -> InputFilter;
 
     /// Which predicates this rule's conclusions carry.
@@ -106,6 +102,29 @@ pub trait Rule: Send + Sync {
     /// rule implements this: a [`RuleSpec`] derives it from its clauses
     /// and guards, and a hand-written rule must implement it by hand.
     fn derives(&self, store: &VerticalStore, t: Triple) -> bool;
+
+    /// Which triples an instance could join against `store` as it stands,
+    /// as constant patterns appended to `out`: the engine buffers for this
+    /// rule only the triples that match one. The default routes by
+    /// predicate, from [`Rule::input_filter`].
+    ///
+    /// The contract: for any body solution, whichever member is inserted
+    /// last matches a pattern given for every store that holds the whole
+    /// solution. The engine asks right after inserting the triples it
+    /// routes, under one shared read, so the last member's join reads the
+    /// rest of the solution from the store and no conclusion is lost.
+    /// (Asked before the insert, two racing inserts could each miss the
+    /// other's triple.) A [`RuleSpec`] gives the constants of each body
+    /// atom whose other atoms' constant predicates all have a partition
+    /// ([`VerticalStore::table`]), so `(p domain c), (x p y)` takes only
+    /// domain triples while no domain triple is stored.
+    fn joinable(&self, store: &VerticalStore, out: &mut Vec<TriplePattern>) {
+        let _ = store;
+        match self.input_filter() {
+            InputFilter::Universal => out.push(TriplePattern::ANY),
+            InputFilter::Predicates(ps) => out.extend(ps.into_iter().map(TriplePattern::with_p)),
+        }
+    }
 
     /// `Some(p)` if this rule is exactly `(x p y), (y p z) ⊢ (x p z)`:
     /// it reads and writes only `p` triples and derives nothing else.
@@ -166,8 +185,6 @@ mod tests {
         assert!(f.accepts_predicate(n(1)));
         assert!(!f.accepts_predicate(n(3)));
         assert!(InputFilter::Universal.accepts_predicate(n(3)));
-        assert!(f.accepts(Triple::new(n(9), n(2), n(9))));
-        assert!(!f.accepts(Triple::new(n(9), n(9), n(9))));
     }
 
     #[test]

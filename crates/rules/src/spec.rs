@@ -18,7 +18,16 @@
 //! through the spec's [`RuleSpec::dictionary`], by the step that first
 //! binds its variable. The input filter, output signature and transitive
 //! predicate are read off the clauses, so they cannot disagree with what
-//! the rule does.
+//! the rule does; so are the patterns [`Rule::joinable`] routes by.
+//!
+//! Each forward plan also gets a **key**: the atom positions that the
+//! later steps, the head or a guard read, or that repeat a variable of the
+//! atom itself. Where the key is narrower than the atom — `RDFS4A` reads
+//! only the subject of `(x p y)` — a delta triple whose key equals that of
+//! the previous triple the atom admitted is skipped: it would bind the
+//! same values and emit the same conclusions again. The check is O(1) and
+//! allocates nothing; it sheds the repeats of a delta in subject (or
+//! object) runs, as input and overdeletion deltas mostly are.
 //!
 //! ```
 //! use slider_model::{Dictionary, NodeId, Term, Triple};
@@ -48,7 +57,7 @@
 
 use crate::rule::{InputFilter, OutputSignature, Rule};
 use slider_model::{Dictionary, NodeId, Triple};
-use slider_store::{PropertyTable, VerticalStore};
+use slider_store::{PropertyTable, TriplePattern, VerticalStore};
 use std::sync::Arc;
 
 /// One position of an [`Atom`]: a variable, by name, or a constant term id.
@@ -316,6 +325,37 @@ struct Entry {
     atom: [Pos; 3],
     kinds: Vec<Kind>,
     steps: Vec<Step>,
+    /// The positions the join reads, as a mask like `mask`, if that is
+    /// narrower than the atom's variables (forward entries only): a triple
+    /// whose key repeats the last admitted one's adds nothing.
+    key: Option<[u64; 3]>,
+}
+
+impl Entry {
+    /// The atom's constants as a pattern.
+    fn pattern(&self) -> TriplePattern {
+        let [s, p, o] = [0, 1, 2].map(|i| (self.mask[i] != 0).then_some(NodeId(self.value[i])));
+        TriplePattern::new(s, p, o)
+    }
+
+    /// Sets the key, if it is narrower than the atom: the variable
+    /// positions whose slot the steps, `heads`, `distinct` or a kind check
+    /// read, or that the atom repeats.
+    fn compile_key(&mut self, heads: &[[u8; 3]], distinct: &[(u8, u8)]) {
+        let mut read: Vec<u8> = heads.iter().flatten().copied().collect();
+        read.extend(distinct.iter().flat_map(|&(a, b)| [a, b]));
+        read.extend(self.kinds.iter().map(|&(slot, _)| slot));
+        for step in &self.steps {
+            read.extend(step.atom.iter().map(|pos| pos.slot));
+            read.extend(step.kinds.iter().map(|&(slot, _)| slot));
+        }
+        let slot = |i: usize| self.atom[i].slot;
+        let repeated = |i: usize| (0..3).any(|j| j != i && slot(j) == slot(i));
+        let var = |i: usize| self.mask[i] == 0;
+        let key = [0, 1, 2].map(|i| var(i) && (read.contains(&slot(i)) || repeated(i)));
+        let narrower = (0..3).any(|i| var(i) && !key[i]);
+        self.key = narrower.then(|| key.map(|k| if k { u64::MAX } else { 0 }));
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -367,7 +407,7 @@ impl ClausePlan {
             guards,
         };
         let var = |v| compiler.slot(Arg::Var(v)) as u8;
-        ClausePlan {
+        let mut plan = ClausePlan {
             init,
             forward: (0..body.len())
                 .map(|i| compiler.entry(&body[i], body, Some(i)))
@@ -385,7 +425,17 @@ impl ClausePlan {
                 })
                 .collect(),
             preds: compiler.preds,
+        };
+        for entry in &mut plan.forward {
+            entry.compile_key(&plan.head, &plan.distinct);
         }
+        plan
+    }
+
+    /// Whether `entry`'s other atoms' constant predicates all have a
+    /// partition in `tables`: if not, the entry has no solutions.
+    fn can_join(entry: &Entry, tables: &Tables) -> bool {
+        (entry.steps.iter()).all(|st| st.table.is_none_or(|i| tables[i].is_some()))
     }
 
     /// Looks up the partitions of the body's constant predicates.
@@ -494,6 +544,7 @@ impl Compiler<'_> {
             kinds: self.kinds(&first),
             atom: first,
             steps,
+            key: None,
         }
     }
 }
@@ -664,7 +715,7 @@ impl Rule for RuleSpec {
             };
             for entry in &plan.forward {
                 // A constant predicate absent from the store: no solutions.
-                if (entry.steps.iter()).any(|st| st.table.is_some_and(|i| tables[i].is_none())) {
+                if !ClausePlan::can_join(entry, &tables) {
                     continue;
                 }
                 // Specialised shapes, each run in the loop itself: a
@@ -675,11 +726,19 @@ impl Rule for RuleSpec {
                     ([step], []) if step.kinds.is_empty() => step.table.map(|i| (step, i)),
                     _ => None,
                 };
+                let mut last = None;
                 for &t in delta {
-                    if !admits(entry, t)
-                        || !unify(&entry.atom, t, &mut env)
-                        || !kinds_hold(&entry.kinds, &env, dict)
-                    {
+                    if !admits(entry, t) {
+                        continue;
+                    }
+                    if let Some(m) = entry.key {
+                        let key = Some([t.s.0 & m[0], t.p.0 & m[1], t.o.0 & m[2]]);
+                        if key == last {
+                            continue;
+                        }
+                        last = key;
+                    }
+                    if !unify(&entry.atom, t, &mut env) || !kinds_hold(&entry.kinds, &env, dict) {
                         continue;
                     }
                     if let Some((step, i)) = direct {
@@ -731,6 +790,20 @@ impl Rule for RuleSpec {
         })
     }
 
+    /// The constant patterns of the forward entries that can join `store`:
+    /// those whose other atoms' constant predicates all have a partition.
+    fn joinable(&self, store: &VerticalStore, out: &mut Vec<TriplePattern>) {
+        for plan in &self.plans {
+            let tables = plan.tables(store);
+            let entries = plan.forward.iter();
+            out.extend(
+                entries
+                    .filter(|e| ClausePlan::can_join(e, &tables))
+                    .map(Entry::pattern),
+            );
+        }
+    }
+
     fn transitive_predicate(&self) -> Option<NodeId> {
         self.closure
     }
@@ -743,6 +816,67 @@ impl Rule for RuleSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::rule;
+    use slider_model::vocab::RDF_TYPE as TYPE;
+
+    /// `apply`'s conclusions with `delta` as the whole store, sorted.
+    fn apply(rule: &RuleSpec, delta: &[Triple]) -> Vec<Triple> {
+        let mut out = Vec::new();
+        rule.apply(&delta.iter().copied().collect(), delta, &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    /// The run-length skip reads the positions the atom itself compares:
+    /// in `(x p x)` the head reads only `p`, yet `x` decides whether a
+    /// triple unifies, so `(a p a)` after `(b p a)` is no repeat. Nor is a
+    /// triple whose key repeats one the atom's constants rejected.
+    #[test]
+    fn the_run_length_skip_keeps_what_the_atom_compares() {
+        let [p, q, t, a, b, c] = [100, 101, 102, 103, 104, 105].map(NodeId);
+        let loops = RuleSpec::new("LOOP", "(x p x) ⊢ (p type T)")
+            .clause([Atom::new("x", "p", "x")], [Atom::new("p", TYPE, t)]);
+        let delta = [Triple::new(b, p, a), Triple::new(a, p, a)];
+        assert_eq!(apply(&loops, &delta), [Triple::new(p, TYPE, t)]);
+
+        let typed = RuleSpec::new("P-SUBJECT", "(x p y) ⊢ (x type T)")
+            .clause([Atom::new("x", p, "y")], [Atom::new("x", TYPE, t)]);
+        assert!(typed.plans[0].forward[0].key.is_some(), "{{x}} is narrower");
+        let delta = [
+            Triple::new(a, q, b),
+            Triple::new(a, p, c),
+            Triple::new(a, p, b),
+        ];
+        let mut raw = Vec::new();
+        typed.apply(&delta.iter().copied().collect(), &delta, &mut raw);
+        assert_eq!(raw, [Triple::new(a, TYPE, t)], "one emission per run");
+    }
+
+    /// The built-in forward plans with a key narrower than their atom are
+    /// exactly `RDFS1` {o}, `RDFS4A` {s}, `RDFS4B` {o}, `PRP-DOM` {x, p}
+    /// and `PRP-RNG` {p, y}: every other plan reads all of its entry atom.
+    #[test]
+    fn builtin_keys() {
+        let (all, none) = (u64::MAX, 0);
+        let keyed = |name: &str| -> Vec<[u64; 3]> {
+            let rule = rule(name);
+            let spec = rule.spec().expect("built-ins are specs");
+            let entries = spec.plans.iter().flat_map(|plan| &plan.forward);
+            entries.filter_map(|entry| entry.key).collect()
+        };
+        let expected = [
+            ("RDFS1", [none, none, all]),
+            ("RDFS4A", [all, none, none]),
+            ("RDFS4B", [none, none, all]),
+            ("PRP-DOM", [all, all, none]),
+            ("PRP-RNG", [none, all, all]),
+        ];
+        let rules = crate::Ruleset::rdfs_plus(&Arc::new(Dictionary::new()));
+        for name in rules.names() {
+            let want = expected.iter().filter(|(n, _)| *n == name).map(|e| e.1);
+            assert_eq!(keyed(name), want.collect::<Vec<_>>(), "{name}");
+        }
+    }
 
     #[test]
     #[should_panic(expected = "LIT: a kind guard needs RuleSpec::dictionary")]

@@ -834,4 +834,44 @@ mod tests {
         }
         assert_eq!(st.to_sorted_vec(), vec![t(5, 7, 6)]);
     }
+
+    /// A write that changes nothing copies nothing, even where an epoch a
+    /// query pins shares the table: re-asserting an explicit triple,
+    /// re-inserting a present one, and removing or demoting an absent or
+    /// derived one all leave the live table the pinned one.
+    #[test]
+    fn a_no_op_write_copies_no_epoch_shared_table() {
+        let st = ShardedStore::new();
+        st.insert_batch_explicit(&[t(1, 7, 2)], &mut Vec::new());
+        st.insert(t(3, 7, 4));
+        let pinned = st.snapshot();
+        let shared = pinned.table(NodeId(7)).expect("two triples");
+        let live = |st: &ShardedStore| -> *const PropertyTable {
+            st.read().table(NodeId(7)).expect("two triples")
+        };
+        assert!(
+            std::ptr::eq(shared, live(&st)),
+            "the epoch shares the table"
+        );
+        assert_eq!(st.insert_batch_explicit(&[t(1, 7, 2)], &mut Vec::new()), 0);
+        assert_eq!(
+            st.insert_batch(&[t(3, 7, 4), t(1, 7, 2)], &mut Vec::new()),
+            0
+        );
+        assert_eq!(st.remove_batch(&[t(9, 7, 9)], &mut Vec::new()), 0);
+        {
+            let mut guard = st.exclusive();
+            assert!(!guard.unmark_explicit(t(3, 7, 4)), "derived");
+            assert!(!guard.unmark_explicit(t(9, 7, 9)), "absent");
+            assert!(!guard.remove(t(9, 7, 9)));
+        }
+        assert!(std::ptr::eq(shared, live(&st)), "a no-op write copied");
+        // A real change copies the shared table once, and leaves the
+        // pinned epoch as it was.
+        assert_eq!(st.insert_batch_explicit(&[t(3, 7, 4)], &mut Vec::new()), 0);
+        assert!(!std::ptr::eq(shared, live(&st)));
+        assert!(st.snapshot().is_explicit(t(3, 7, 4)));
+        assert!(!pinned.is_explicit(t(3, 7, 4)));
+        assert_eq!((pinned.explicit_count(), st.stats().explicit), (1, 2));
+    }
 }

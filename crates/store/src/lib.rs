@@ -13,15 +13,16 @@
 //! * `(p, ?, ?)` → `pairs`
 //! * `(?, ?, ?)` → `iter` (full walk, needed by the universal-input rules)
 //!
-//! The hash-set leaves make insertion idempotent, which is the paper's
+//! The hashed leaves make insertion idempotent, which is the paper's
 //! "duplicate management in triple store": `insert` reports whether the
 //! triple was new, and the distributor uses exactly that signal to stop
 //! duplicates from re-entering the rule pipeline.
 //!
 //! The store also supports **retraction**: `remove`/`remove_batch` delete
 //! triples with both indexes kept in lock-step, and a per-triple provenance
-//! flag distinguishes **explicit** (asserted via the `*_explicit` insertion
-//! paths) from **derived** triples. The reasoner's DRed maintenance
+//! flag, kept beside the object in the subject index, distinguishes
+//! **explicit** (asserted via the `*_explicit` insertion paths) from
+//! **derived** triples. The reasoner's DRed maintenance
 //! subsystem builds on exactly these two primitives — see
 //! `slider-core`'s `maintenance` module.
 //!

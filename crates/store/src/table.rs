@@ -1,20 +1,154 @@
 //! The per-predicate table: (subject, object) pairs indexed both ways.
 
-use slider_model::{FxHashMap, FxHashSet, NodeId};
+use slider_model::{FxHashMap, NodeId};
+use std::collections::hash_map::{self, Entry};
 
 /// All triples sharing one predicate, as a bidirectional adjacency index.
 ///
 /// This is the unit of vertical partitioning: `by_s` answers `(p, s, ?)`,
 /// `by_o` answers `(p, ?, o)`. Both indexes are kept in lock-step by
-/// [`PropertyTable::add`].
+/// [`PropertyTable::insert`] and [`PropertyTable::remove`].
+///
+/// A pair's **explicit** flag lives beside its object in `by_s`, so
+/// `explicit ⊆ pairs` holds by construction and inserting an asserted pair
+/// probes `by_s` once. A key with a single neighbour keeps it inline
+/// instead of in a one-element hash map; `by_o` carries no flag.
 #[derive(Debug, Clone, Default)]
 pub struct PropertyTable {
-    by_s: FxHashMap<NodeId, FxHashSet<NodeId>>,
-    by_o: FxHashMap<NodeId, FxHashSet<NodeId>>,
+    by_s: FxHashMap<NodeId, Adjacent<bool>>,
+    by_o: FxHashMap<NodeId, Adjacent<()>>,
     len: usize,
-    /// The explicitly asserted subset of this partition (`explicit ⊆
-    /// pairs`; [`PropertyTable::remove`] clears the flag).
-    explicit: FxHashSet<(NodeId, NodeId)>,
+    explicit: usize,
+}
+
+/// The neighbours of one key, each with a flag: inline while there is one,
+/// a map from two on (and back to inline when removal leaves one).
+#[derive(Debug, Clone)]
+enum Adjacent<F> {
+    One(NodeId, F),
+    Many(FxHashMap<NodeId, F>),
+}
+
+impl<F: Copy> Adjacent<F> {
+    fn get(&self, x: NodeId) -> Option<F> {
+        match self {
+            Adjacent::One(y, f) => (*y == x).then_some(*f),
+            Adjacent::Many(map) => map.get(&x).copied(),
+        }
+    }
+
+    fn get_mut(&mut self, x: NodeId) -> Option<&mut F> {
+        match self {
+            Adjacent::One(y, f) => (*y == x).then_some(f),
+            Adjacent::Many(map) => map.get_mut(&x),
+        }
+    }
+
+    /// Adds `x` with flag `f`; if present, returns its flag instead.
+    fn insert(&mut self, x: NodeId, f: F) -> Result<(), &mut F> {
+        if let Adjacent::One(y, g) = *self {
+            if y != x {
+                let mut map = FxHashMap::with_capacity_and_hasher(2, Default::default());
+                map.extend([(y, g), (x, f)]);
+                *self = Adjacent::Many(map);
+                return Ok(());
+            }
+        }
+        match self {
+            Adjacent::One(_, g) => Err(g),
+            Adjacent::Many(map) => match map.entry(x) {
+                Entry::Occupied(e) => Err(e.into_mut()),
+                Entry::Vacant(e) => {
+                    e.insert(f);
+                    Ok(())
+                }
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Adjacent::One(..) => 1,
+            Adjacent::Many(map) => map.len(),
+        }
+    }
+
+    fn iter(&self) -> Neighbours<'_, F> {
+        match self {
+            Adjacent::One(y, f) => Neighbours::One(Some((*y, *f))),
+            Adjacent::Many(map) => Neighbours::Many(map.iter()),
+        }
+    }
+}
+
+/// Iterator over an [`Adjacent`]'s `(neighbour, flag)` entries.
+enum Neighbours<'a, F> {
+    One(Option<(NodeId, F)>),
+    Many(hash_map::Iter<'a, NodeId, F>),
+}
+
+impl<F: Copy> Iterator for Neighbours<'_, F> {
+    type Item = (NodeId, F);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, F)> {
+        match self {
+            Neighbours::One(one) => one.take(),
+            Neighbours::Many(iter) => iter.next().map(|(&x, &f)| (x, f)),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Neighbours::One(one) => (one.iter().len(), Some(one.iter().len())),
+            Neighbours::Many(iter) => iter.size_hint(),
+        }
+    }
+}
+
+/// Adds `x` with flag `f` to `key`'s neighbours in `index`; if present,
+/// returns its flag instead.
+fn link<F: Copy>(
+    index: &mut FxHashMap<NodeId, Adjacent<F>>,
+    key: NodeId,
+    x: NodeId,
+    f: F,
+) -> Result<(), &mut F> {
+    match index.entry(key) {
+        Entry::Occupied(e) => e.into_mut().insert(x, f),
+        Entry::Vacant(e) => {
+            e.insert(Adjacent::One(x, f));
+            Ok(())
+        }
+    }
+}
+
+/// Removes `x` from `key`'s neighbours in `index`, returning its flag if it
+/// was there. An emptied key is dropped, and a key left with one neighbour
+/// goes back inline.
+fn unlink<F: Copy>(
+    index: &mut FxHashMap<NodeId, Adjacent<F>>,
+    key: NodeId,
+    x: NodeId,
+) -> Option<F> {
+    let Entry::Occupied(mut e) = index.entry(key) else {
+        return None;
+    };
+    match e.get_mut() {
+        Adjacent::One(y, f) if *y == x => {
+            let f = *f;
+            e.remove();
+            Some(f)
+        }
+        Adjacent::One(..) => None,
+        Adjacent::Many(map) => {
+            let f = map.remove(&x)?;
+            if let (1, Some((&y, &g))) = (map.len(), map.iter().next()) {
+                *e.get_mut() = Adjacent::One(y, g);
+            }
+            Some(f)
+        }
+    }
 }
 
 impl PropertyTable {
@@ -23,91 +157,98 @@ impl PropertyTable {
         PropertyTable::default()
     }
 
-    /// Inserts the pair; returns `true` if it was not present.
-    pub fn add(&mut self, s: NodeId, o: NodeId) -> bool {
-        let inserted = self.by_s.entry(s).or_default().insert(o);
-        if inserted {
-            self.by_o.entry(o).or_default().insert(s);
-            self.len += 1;
-        }
-        inserted
-    }
-
-    /// Removes the pair; returns `true` if it was present.
-    ///
-    /// Both indexes stay in lock-step, and emptied leaf sets are dropped so
-    /// `subject_keys`/`object_keys` never report stale keys.
-    pub fn remove(&mut self, s: NodeId, o: NodeId) -> bool {
-        let Some(objs) = self.by_s.get_mut(&s) else {
-            return false;
-        };
-        if !objs.remove(&o) {
-            return false;
-        }
-        if objs.is_empty() {
-            self.by_s.remove(&s);
-        }
-        if let Some(subs) = self.by_o.get_mut(&o) {
-            subs.remove(&s);
-            if subs.is_empty() {
-                self.by_o.remove(&o);
+    /// Inserts the pair, flagging it explicit if `explicit`, with one probe
+    /// of each index. Returns whether the pair was new, and whether its
+    /// explicit flag was newly set; a present pair keeps its flag unless
+    /// `explicit` sets it.
+    pub fn insert(&mut self, s: NodeId, o: NodeId, explicit: bool) -> (bool, bool) {
+        match link(&mut self.by_s, s, o, explicit) {
+            Ok(()) => {
+                let linked = link(&mut self.by_o, o, s, ());
+                debug_assert!(linked.is_ok(), "indexes out of lock-step");
+                self.len += 1;
+                self.explicit += usize::from(explicit);
+                (true, explicit)
+            }
+            Err(flag) => {
+                let marked = explicit && !*flag;
+                *flag |= explicit;
+                self.explicit += usize::from(marked);
+                (false, marked)
             }
         }
-        self.explicit.remove(&(s, o));
-        self.len -= 1;
-        true
     }
 
-    /// Flags a *present* pair as explicitly asserted; returns `true` if the
-    /// flag was newly set. Callers must only mark pairs they have
-    /// [`add`](PropertyTable::add)ed — the `explicit ⊆ pairs` invariant is
-    /// theirs to keep.
-    pub fn mark_explicit(&mut self, s: NodeId, o: NodeId) -> bool {
-        debug_assert!(self.contains(s, o), "marking an absent pair explicit");
-        self.explicit.insert((s, o))
+    /// Removes the pair; returns its explicit flag if it was present.
+    ///
+    /// Both indexes stay in lock-step, and emptied keys are dropped so
+    /// `subject_keys`/`object_keys` never report stale keys.
+    pub fn remove(&mut self, s: NodeId, o: NodeId) -> Option<bool> {
+        let explicit = unlink(&mut self.by_s, s, o)?;
+        let unlinked = unlink(&mut self.by_o, o, s);
+        debug_assert!(unlinked.is_some(), "indexes out of lock-step");
+        self.len -= 1;
+        self.explicit -= usize::from(explicit);
+        Some(explicit)
     }
 
     /// Clears the explicit flag without removing the pair; returns `true`
     /// if the flag was set.
     pub fn unmark_explicit(&mut self, s: NodeId, o: NodeId) -> bool {
-        self.explicit.remove(&(s, o))
+        let flag = self.by_s.get_mut(&s).and_then(|adj| adj.get_mut(o));
+        let unmarked = flag.is_some_and(std::mem::take);
+        self.explicit -= usize::from(unmarked);
+        unmarked
+    }
+
+    /// The pair's explicit flag, or `None` if the pair is absent.
+    pub fn explicit_flag(&self, s: NodeId, o: NodeId) -> Option<bool> {
+        self.by_s.get(&s).and_then(|adj| adj.get(o))
     }
 
     /// True if the pair is present and explicitly asserted.
     pub fn is_explicit(&self, s: NodeId, o: NodeId) -> bool {
-        self.explicit.contains(&(s, o))
+        self.explicit_flag(s, o) == Some(true)
     }
 
     /// Number of explicitly asserted pairs.
     pub fn explicit_len(&self) -> usize {
-        self.explicit.len()
+        self.explicit
     }
 
     /// The explicitly asserted `(s, o)` pairs (no ordering guarantee).
     pub fn explicit_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.explicit.iter().copied()
+        self.by_s.iter().flat_map(|(&s, adj)| {
+            (adj.iter())
+                .filter(|&(_, explicit)| explicit)
+                .map(move |(o, _)| (s, o))
+        })
     }
 
     /// True if the pair is present.
     pub fn contains(&self, s: NodeId, o: NodeId) -> bool {
-        self.by_s.get(&s).is_some_and(|set| set.contains(&o))
+        self.explicit_flag(s, o).is_some()
     }
 
     /// Objects `o` with `(s, o)` in the table.
     pub fn objects(&self, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_s.get(&s).into_iter().flatten().copied()
+        self.by_s
+            .get(&s)
+            .into_iter()
+            .flat_map(|adj| adj.iter().map(|(o, _)| o))
     }
 
     /// Subjects `s` with `(s, o)` in the table.
     pub fn subjects(&self, o: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.by_o.get(&o).into_iter().flatten().copied()
+        self.by_o
+            .get(&o)
+            .into_iter()
+            .flat_map(|adj| adj.iter().map(|(s, _)| s))
     }
 
     /// All `(s, o)` pairs.
     pub fn pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.by_s
-            .iter()
-            .flat_map(|(&s, objs)| objs.iter().map(move |&o| (s, o)))
+        (self.by_s.iter()).flat_map(|(&s, adj)| adj.iter().map(move |(o, _)| (s, o)))
     }
 
     /// Distinct subjects.
@@ -132,12 +273,12 @@ impl PropertyTable {
 
     /// Fan-out of subject `s` (number of objects), 0 if absent.
     pub fn out_degree(&self, s: NodeId) -> usize {
-        self.by_s.get(&s).map_or(0, FxHashSet::len)
+        self.by_s.get(&s).map_or(0, Adjacent::len)
     }
 
     /// Fan-in of object `o` (number of subjects), 0 if absent.
     pub fn in_degree(&self, o: NodeId) -> usize {
-        self.by_o.get(&o).map_or(0, FxHashSet::len)
+        self.by_o.get(&o).map_or(0, Adjacent::len)
     }
 }
 
@@ -149,10 +290,15 @@ mod tests {
         NodeId(v)
     }
 
+    /// Whether `key`'s neighbours in `index` are kept inline.
+    fn inline<F>(index: &FxHashMap<NodeId, Adjacent<F>>, key: u64) -> bool {
+        matches!(index[&n(key)], Adjacent::One(..))
+    }
+
     #[test]
     fn add_and_contains() {
         let mut t = PropertyTable::new();
-        assert!(t.add(n(1), n(2)));
+        assert_eq!(t.insert(n(1), n(2), false), (true, false));
         assert!(t.contains(n(1), n(2)));
         assert!(!t.contains(n(2), n(1)));
         assert_eq!(t.len(), 1);
@@ -161,17 +307,17 @@ mod tests {
     #[test]
     fn add_is_idempotent() {
         let mut t = PropertyTable::new();
-        assert!(t.add(n(1), n(2)));
-        assert!(!t.add(n(1), n(2)));
+        assert_eq!(t.insert(n(1), n(2), false), (true, false));
+        assert_eq!(t.insert(n(1), n(2), false), (false, false));
         assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn both_indexes_stay_consistent() {
         let mut t = PropertyTable::new();
-        t.add(n(1), n(2));
-        t.add(n(1), n(3));
-        t.add(n(4), n(2));
+        t.insert(n(1), n(2), false);
+        t.insert(n(1), n(3), false);
+        t.insert(n(4), n(2), false);
         let mut objs: Vec<_> = t.objects(n(1)).collect();
         objs.sort();
         assert_eq!(objs, vec![n(2), n(3)]);
@@ -186,8 +332,8 @@ mod tests {
     #[test]
     fn pairs_enumerates_everything() {
         let mut t = PropertyTable::new();
-        t.add(n(1), n(2));
-        t.add(n(3), n(4));
+        t.insert(n(1), n(2), false);
+        t.insert(n(3), n(4), false);
         let mut pairs: Vec<_> = t.pairs().collect();
         pairs.sort();
         assert_eq!(pairs, vec![(n(1), n(2)), (n(3), n(4))]);
@@ -204,8 +350,8 @@ mod tests {
     #[test]
     fn keys() {
         let mut t = PropertyTable::new();
-        t.add(n(1), n(2));
-        t.add(n(1), n(3));
+        t.insert(n(1), n(2), false);
+        t.insert(n(1), n(3), false);
         assert_eq!(t.subject_keys().count(), 1);
         assert_eq!(t.object_keys().count(), 2);
     }
@@ -213,21 +359,21 @@ mod tests {
     #[test]
     fn remove_keeps_indexes_in_lock_step() {
         let mut t = PropertyTable::new();
-        t.add(n(1), n(2));
-        t.add(n(1), n(3));
-        t.add(n(4), n(2));
-        assert!(t.remove(n(1), n(2)));
-        assert!(!t.remove(n(1), n(2)), "double remove reports absent");
+        t.insert(n(1), n(2), false);
+        t.insert(n(1), n(3), false);
+        t.insert(n(4), n(2), false);
+        assert_eq!(t.remove(n(1), n(2)), Some(false));
+        assert_eq!(t.remove(n(1), n(2)), None, "double remove reports absent");
         assert!(!t.contains(n(1), n(2)));
         assert_eq!(t.len(), 2);
         // The other direction survived.
         assert_eq!(t.objects(n(1)).collect::<Vec<_>>(), vec![n(3)]);
         assert_eq!(t.subjects(n(2)).collect::<Vec<_>>(), vec![n(4)]);
         // Emptied keys disappear from both key sets.
-        assert!(t.remove(n(1), n(3)));
+        assert!(t.remove(n(1), n(3)).is_some());
         assert!(!t.subject_keys().any(|s| s == n(1)));
         assert!(!t.object_keys().any(|o| o == n(3)));
-        assert!(t.remove(n(4), n(2)));
+        assert!(t.remove(n(4), n(2)).is_some());
         assert!(t.is_empty());
         assert_eq!(t.subject_keys().count(), 0);
         assert_eq!(t.object_keys().count(), 0);
@@ -236,10 +382,19 @@ mod tests {
     #[test]
     fn explicit_flags_live_with_the_pair() {
         let mut t = PropertyTable::new();
-        t.add(n(1), n(2));
-        t.add(n(3), n(4));
-        assert!(t.mark_explicit(n(1), n(2)));
-        assert!(!t.mark_explicit(n(1), n(2)), "already flagged");
+        t.insert(n(1), n(2), false);
+        t.insert(n(3), n(4), false);
+        assert_eq!(t.insert(n(1), n(2), true), (false, true), "marks");
+        assert_eq!(
+            t.insert(n(1), n(2), true),
+            (false, false),
+            "already flagged"
+        );
+        assert_eq!(
+            t.insert(n(1), n(2), false),
+            (false, false),
+            "keeps the flag"
+        );
         assert!(t.is_explicit(n(1), n(2)));
         assert!(!t.is_explicit(n(3), n(4)));
         assert_eq!(t.explicit_len(), 1);
@@ -247,10 +402,49 @@ mod tests {
         // Unmark demotes without removing.
         assert!(t.unmark_explicit(n(1), n(2)));
         assert!(!t.unmark_explicit(n(1), n(2)));
+        assert!(!t.unmark_explicit(n(9), n(9)), "absent pair");
         assert!(t.contains(n(1), n(2)));
-        // Removal clears the flag.
-        t.mark_explicit(n(1), n(2));
-        assert!(t.remove(n(1), n(2)));
         assert_eq!(t.explicit_len(), 0);
+        // Removal clears the flag, and reports it.
+        t.insert(n(1), n(2), true);
+        assert_eq!(t.remove(n(1), n(2)), Some(true));
+        assert_eq!(t.explicit_len(), 0);
+        assert!(!t.is_explicit(n(1), n(2)));
+        // A new pair inserted explicit counts at once.
+        assert_eq!(t.insert(n(5), n(6), true), (true, true));
+        assert_eq!((t.len(), t.explicit_len()), (2, 1));
+    }
+
+    /// A key goes from one inline neighbour to a map and back, in both
+    /// indexes, and each pair keeps its own flag through every step.
+    #[test]
+    fn flags_survive_inline_and_map_transitions() {
+        let mut t = PropertyTable::new();
+        t.insert(n(1), n(2), true);
+        assert!(inline(&t.by_s, 1) && inline(&t.by_o, 2));
+        t.insert(n(1), n(3), false);
+        t.insert(n(4), n(2), true);
+        assert!(!inline(&t.by_s, 1) && !inline(&t.by_o, 2), "two neighbours");
+        let mut explicit: Vec<_> = t.explicit_pairs().collect();
+        explicit.sort();
+        assert_eq!(explicit, vec![(n(1), n(2)), (n(4), n(2))]);
+        // Many → One: each key keeps its survivor, and its flag.
+        assert_eq!(t.remove(n(1), n(3)), Some(false));
+        assert!(inline(&t.by_s, 1));
+        assert!(t.is_explicit(n(1), n(2)));
+        assert_eq!(t.remove(n(1), n(2)), Some(true));
+        assert!(!t.by_s.contains_key(&n(1)));
+        assert!(inline(&t.by_o, 2));
+        assert_eq!(t.subjects(n(2)).collect::<Vec<_>>(), vec![n(4)]);
+        // One → Many again, then a flag set and cleared inside the map.
+        t.insert(n(4), n(7), false);
+        assert!(!inline(&t.by_s, 4));
+        assert_eq!(t.insert(n(4), n(7), true), (false, true));
+        assert!(t.unmark_explicit(n(4), n(2)));
+        assert_eq!(t.explicit_pairs().collect::<Vec<_>>(), vec![(n(4), n(7))]);
+        assert_eq!((t.len(), t.explicit_len()), (2, 1));
+        assert_eq!(t.remove(n(4), n(7)), Some(true));
+        assert!(inline(&t.by_s, 4));
+        assert_eq!((t.len(), t.explicit_len()), (1, 0));
     }
 }

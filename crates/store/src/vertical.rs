@@ -64,15 +64,23 @@ impl VerticalStore {
 
     /// Inserts `t`; returns `true` if it was new.
     pub fn insert(&mut self, t: Triple) -> bool {
+        self.put(t, false)
+    }
+
+    /// Inserts `t`, flagged explicit if `explicit`; returns `true` if it was
+    /// new. A no-op insert — the triple is present, and flagged if
+    /// `explicit` — only reads: it costs no atomic, and forces no
+    /// copy-on-write clone of a table an epoch shares. Anything else makes
+    /// one pass over the table.
+    fn put(&mut self, t: Triple, explicit: bool) -> bool {
         let tab = self.tables.entry(t.p).or_default();
-        // Duplicate check before `make_mut`: a no-op insert must not force
-        // a copy-on-write clone of a snapshot-shared table.
-        if tab.contains(t.s, t.o) {
+        if (tab.explicit_flag(t.s, t.o)).is_some_and(|flag| flag || !explicit) {
             return false;
         }
-        Arc::make_mut(tab).add(t.s, t.o);
-        self.len += 1;
-        true
+        let (new, marked) = Arc::make_mut(tab).insert(t.s, t.o, explicit);
+        self.len += usize::from(new);
+        self.explicit_len += usize::from(marked);
+        new
     }
 
     /// Inserts a batch, appending the *new* triples to `fresh`.
@@ -91,18 +99,7 @@ impl VerticalStore {
     /// the triple was new to the store — a triple already present as
     /// derived is *not* new (it changes provenance only).
     pub fn insert_explicit(&mut self, t: Triple) -> bool {
-        let inserted = self.insert(t);
-        // The table exists after `insert` even when the triple was a
-        // duplicate. Flag check before `make_mut`, as in `insert`.
-        let tab = self
-            .tables
-            .get_mut(&t.p)
-            .expect("insert created the partition");
-        if !tab.is_explicit(t.s, t.o) {
-            Arc::make_mut(tab).mark_explicit(t.s, t.o);
-            self.explicit_len += 1;
-        }
-        inserted
+        self.put(t, true)
     }
 
     /// Explicit-marking [`VerticalStore::insert_batch`]: inserts a batch as
@@ -129,15 +126,12 @@ impl VerticalStore {
         if !tab.contains(t.s, t.o) {
             return false;
         }
-        let was_explicit = tab.is_explicit(t.s, t.o);
-        Arc::make_mut(tab).remove(t.s, t.o);
+        let explicit = Arc::make_mut(tab).remove(t.s, t.o) == Some(true);
         if tab.is_empty() {
             self.tables.remove(&t.p);
         }
         self.len -= 1;
-        if was_explicit {
-            self.explicit_len -= 1;
-        }
+        self.explicit_len -= usize::from(explicit);
         true
     }
 

@@ -267,3 +267,40 @@ fn a_pool_less_engine_is_deterministic_and_single_threaded() {
         assert!(first == second, "{name}: two runs differ");
     }
 }
+
+/// `RuleSpec::apply` skips a delta triple whose key — the positions its
+/// join reads — repeats the previous one's. That may only drop repeats:
+/// for every built-in rule over Wikipedia-shaped input, one `apply` over
+/// the whole delta emits the same conclusion *set* as one `apply` per
+/// triple, where no triple has a predecessor to repeat. The deltas are the
+/// input in generation order and the sorted closure (long subject runs);
+/// the store is the closure, so every rule has every table to join.
+#[test]
+fn the_run_length_skip_keeps_every_builtin_conclusion() {
+    use slider::workloads::wikipedia::{generate, WikipediaConfig};
+
+    let dict = Arc::new(Dictionary::new());
+    let input = encode_all(&generate(&WikipediaConfig::sized(2_000)), &dict);
+    let ruleset = Ruleset::rdfs_plus(&dict);
+    let mut oracle = RecomputeOracle::new(ruleset.clone());
+    oracle.add(&input);
+    let store = oracle.closure();
+    let closure = store.to_sorted_vec();
+    let mut skipped = 0;
+    for rule in ruleset.rules() {
+        for delta in [&input, &closure] {
+            let (mut whole, mut single) = (Vec::new(), Vec::new());
+            rule.apply(&store, delta, &mut whole);
+            for &t in delta.iter() {
+                rule.apply(&store, &[t], &mut single);
+            }
+            skipped += single.len() - whole.len();
+            for out in [&mut whole, &mut single] {
+                out.sort_unstable();
+                out.dedup();
+            }
+            assert_eq!(whole, single, "{}", rule.name());
+        }
+    }
+    assert!(skipped > 0, "no delta had a run to skip");
+}

@@ -9,7 +9,7 @@ use slider::prelude::*;
 use slider::rules::{InputFilter, OutputSignature};
 use slider::store::ExclusiveStore;
 use slider::workloads::{encode_all, PaperOntology};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -1202,4 +1202,76 @@ fn disjoint_family_producers_lose_no_fresh_triples() {
     );
     assert_eq!(total_fresh as u64, stats.input_fresh);
     assert_eq!(slider.store().len(), expected.len(), "len counter drift");
+}
+
+/// A data triple `(a p b)` added while no `(p domain c)` exists is buffered
+/// for no domain join — `PRP-DOM` could not use it yet — and must still
+/// meet the domain triple when that arrives: the engine judges what a rule
+/// can join after the insert, so the domain triple's own join reads it.
+/// Both orders, on a pool-less and a pooled engine, each closure checked
+/// against the recompute oracle; then the two adds race from two threads
+/// (see below).
+#[test]
+fn a_triple_routed_before_its_join_table_exists_still_joins() {
+    use slider::baseline::RecomputeOracle;
+    use slider::model::vocab::{RDFS_DOMAIN, RDFS_SUB_CLASS_OF, RDF_TYPE};
+
+    let [a, p, b, c, d] = [0, 1, 2, 3, 4].map(|v| NodeId(40_000 + v));
+    let (data, domain) = (Triple::new(a, p, b), Triple::new(p, RDFS_DOMAIN, c));
+    let closure = |triples: &[Triple]| {
+        let mut oracle = RecomputeOracle::new(Ruleset::rho_df());
+        oracle.add(triples);
+        oracle.closure().to_sorted_vec()
+    };
+    let engine = |workers: usize| {
+        Slider::new(
+            Arc::new(Dictionary::new()),
+            Ruleset::rho_df(),
+            SliderConfig::default().with_workers(workers),
+        )
+    };
+
+    let expected = closure(&[data, domain]);
+    assert!(expected.contains(&Triple::new(a, RDF_TYPE, c)));
+    for workers in [0, 2] {
+        for (first, second) in [(data, domain), (domain, data)] {
+            let slider = engine(workers);
+            materialize(&slider, &[first]);
+            materialize(&slider, &[second]);
+            let got = slider.store().to_sorted_vec();
+            assert_eq!(got, expected, "workers {workers}, {first:?} first");
+        }
+    }
+
+    // Racing, on fresh pooled engines: one thread adds the data triples,
+    // the other the schema that joins them, both released by a spin so
+    // that their adds overlap. `(a type c), (c subClassOf d)` is the pair
+    // a routing check made *before* the insert loses: when both checks run
+    // before both inserts, each add sees the other's table absent and
+    // neither triple reaches `CAX-SCO`, so `(a type d)` is never derived.
+    let member = Triple::new(a, RDF_TYPE, c);
+    let (facts, schema) = (
+        [data, member],
+        [domain, Triple::new(c, RDFS_SUB_CLASS_OF, d)],
+    );
+    let expected = closure(&[facts, schema].concat());
+    assert!(expected.contains(&Triple::new(a, RDF_TYPE, d)));
+    for trial in 0..300 {
+        let slider = engine(2);
+        let ready = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for batch in [&facts, &schema] {
+                let (slider, ready) = (&slider, &ready);
+                scope.spawn(move || {
+                    ready.fetch_add(1, Ordering::SeqCst);
+                    while ready.load(Ordering::SeqCst) < 2 {
+                        std::hint::spin_loop();
+                    }
+                    slider.add_triples(batch);
+                });
+            }
+        });
+        slider.wait_idle();
+        assert_eq!(slider.store().to_sorted_vec(), expected, "trial {trial}");
+    }
 }
